@@ -116,8 +116,7 @@ def _err_decimal(p: int, r: Fraction, digits: int = 6) -> str:
 
 
 def accum_scan(r: RationalTarget, sign: str, c: int = 1,
-               N_max: int = 10 ** 4, max_records: int | None = None,
-               digits: int = 5) -> list[AccumRecord]:
+               N_max: int = 10 ** 4) -> list[AccumRecord]:
     """Scan N^2 + (2a/b) N +- c over admissible N; one record per prime hit.
 
     Exact per-record checks: the prime equals the polynomial value with
@@ -147,7 +146,7 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
             continue  # mu would measure against a different root
         p = val
         M = N
-        rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p, digits),
+        rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
                           abs_err_digits=_err_decimal(p, target))
         rec.side_ok = _mu_side(p, target) == sgn
         if c == 1:
@@ -166,13 +165,10 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
             rec.monotone_ok = _abs_err_cmp(p, target, prev_p, sgn) < 0
         records.append(rec)
         prev_p = p
-        if max_records is not None and len(records) >= max_records:
-            break
     return records
 
 
-def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1,
-                  digits: int = 5) -> list[AccumRecord]:
+def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumRecord]:
     """The endpoint families: h_fixed(h) scans N^2 + h (mu decreasing toward
     0 at h = 1, generally h/(2N)-small); near_half_minus / near_half_plus
     scan N^2 + N -+ 1 toward 1/2; top_family scans N^2 + 2N - 1 (mu toward 1).
@@ -182,7 +178,7 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1,
 
     def emit(N, p, side, target):
         nonlocal prev
-        rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p, digits),
+        rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
                           abs_err_digits=_err_decimal(p, F(target)))
         rec.side_ok = _mu_side(p, F(target)) == side
         if prev is not None and rec.side_ok:

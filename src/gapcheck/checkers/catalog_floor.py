@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from ..exact import Cmp, RootExpr, cmp_root, floor_root, frac_root, _sign_1rad, _sign_2rad
+from ..exact import (Cmp, RootExpr, cmp_root, eval_fixed, floor_root, frac_root,
+                     _sign_1rad, _sign_2rad)
 from ..window import root_views
-from .predicates import (cmp_sqrt_sums, mu_cmp, sqrtp_delta_frac_cmp,
-                         sqrtq_delta_frac_cmp)
-from .types import HOLD, MISS, Kind, checker, hard_fail, undecided, violate
+from .predicates import cmp_sqrt_sums, mu_cmp, mu_diff_sign, sqrtq_delta_frac_cmp
+from .types import HOLD, MISS, Kind, checker, undecided, violate
 
 F = Fraction
 
@@ -39,7 +39,7 @@ def _floor_31(ctx, tri, st):
 def _floor_32(ctx, tri, st):
     w = tri.w
     expr = RootExpr.sqrt(w.p * w.q) - (w.p + F(1, 2))
-    f = floor_root(expr, ctx.opts.ladder)
+    f = floor_root(expr)
     if f is None:
         return undecided()
     return HOLD if f == w.d // 2 - 1 else violate(f"floor {f}")
@@ -50,11 +50,11 @@ def _floor_32(ctx, tri, st):
          source="corollary 3.3", n_min=2)
 def _frac_33(ctx, tri, st):
     w = tri.w
-    got = frac_root(RootExpr.sqrt(w.p * w.q) - (w.p + F(1, 2)), ctx.opts.ladder)
+    got = frac_root(RootExpr.sqrt(w.p * w.q) - (w.p + F(1, 2)))
     if got is None:
         return undecided()
     _, frac = got
-    c = cmp_root(frac, F(1, 2), ctx.opts.ladder)
+    c = cmp_root(frac, F(1, 2))
     if c is Cmp.UNDECIDED:
         return undecided()
     return HOLD if c is Cmp.LESS else violate("frac >= 1/2")
@@ -90,7 +90,7 @@ def _thm_35(ctx, tri, st):
     w = tri.w
     v = root_views(w)
     delta_sq = v.delta * v.delta
-    got = frac_root(v.sqrtq_delta, ctx.opts.ladder)
+    got = frac_root(v.sqrtq_delta)
     if got is None:
         return undecided()
     _, frac_q = got
@@ -98,15 +98,15 @@ def _thm_35(ctx, tri, st):
         return undecided("identity did not reduce to a rational")
     if (delta_sq - frac_q.scale(2)).as_fraction() != 0:
         return violate("Delta^2 != 2 {sqrt(q) Delta}")
-    got = frac_root(v.sqrtp_delta, ctx.opts.ladder)
+    got = frac_root(v.sqrtp_delta)
     if got is None:
         return undecided()
     _, frac_p = got
     ident = delta_sq + frac_p.scale(2)
     if not (ident.is_rational() and ident.as_fraction() == 2):
         return violate("Delta^2 + 2 {sqrt(p) Delta} != 2")
-    cq = cmp_root(frac_q, F(1, 4), ctx.opts.ladder)
-    cp = cmp_root(frac_p, F(3, 4), ctx.opts.ladder)
+    cq = cmp_root(frac_q, F(1, 4))
+    cp = cmp_root(frac_p, F(3, 4))
     if Cmp.UNDECIDED in (cq, cp):
         return undecided()
     if cq is not Cmp.LESS:
@@ -122,9 +122,9 @@ def _thm_35(ctx, tri, st):
 def _cor_36(ctx, tri, st):
     w = tri.w
     v = root_views(w)
-    a = frac_root(v.sqrtp_delta.scale(2) + 1, ctx.opts.ladder)
-    b = frac_root(v.sqrtp_delta, ctx.opts.ladder)
-    c = frac_root(v.sqrtq_delta.scale(2), ctx.opts.ladder)
+    a = frac_root(v.sqrtp_delta.scale(2) + 1)
+    b = frac_root(v.sqrtp_delta)
+    c = frac_root(v.sqrtq_delta.scale(2))
     if a is None or b is None or c is None:
         return undecided()
     lhs = a[1]
@@ -227,7 +227,7 @@ def _mu_bounds(ctx, tri, st):
         return violate("mu >= h/(2N)")
     if w.same_part:
         v = root_views(w)
-        c = cmp_root(v.mu * (v.D - 1) - w.h, 0, ctx.opts.ladder)
+        c = cmp_root(v.mu * (v.D - 1) - w.h)
         if c is Cmp.UNDECIDED:
             return undecided()
         if c is not Cmp.LESS:
@@ -244,7 +244,6 @@ def _mu_bounds(ctx, tri, st):
                "and mu > mu'",
          source="lemma 4.2")
 def _lemma_42(ctx, tri, st):
-    from .predicates import mu_diff_sign
     w = tri.w
     v = root_views(w)
     gap = v.delta - (v.mu_q - v.mu)
@@ -271,7 +270,7 @@ def _thm_43(ctx, tri, st):
         return violate("p - h is not N^2")
     v = root_views(w)
     ratio = RootExpr.of(w.h) / v.mu
-    f = floor_root(ratio, ctx.opts.ladder)
+    f = floor_root(ratio)
     if f is None:
         return undecided()
     if f != 2 * w.N:
@@ -333,7 +332,6 @@ def _trend_delta_state():
 
 
 def _trend_delta_final(ctx, st, extra):
-    from ..exact import eval_fixed
     rows = []
     running_max_at_4 = True
     for key in sorted(st["blocks"], key=int):
@@ -381,7 +379,6 @@ def _trend_mu_final(ctx, st, extra):
          source="corollary 4.7 as a finite-range diagnostic",
          state_init=_trend_mu_state, finalize=_trend_mu_final)
 def _trend_mu(ctx, tri, st):
-    from ..exact import eval_fixed
     w = tri.w
     me = [w.n, w.p, w.N]
     if st["min"] is None:

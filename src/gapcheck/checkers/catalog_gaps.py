@@ -7,6 +7,7 @@ kernel; notes on each entry state the integer reduction used.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, _sign_1rad
 from .predicates import cmp_sqrt_sums, delta_vs_delta4, is_square
@@ -335,7 +336,6 @@ def _andrica_sharp(ctx, tri, st):
          title="a run of consecutive composites contains at most one perfect square",
          source="corollary 2.10")
 def _sq_in_gap(ctx, tri, st):
-    from math import isqrt
     w = tri.w
     squares = isqrt(w.q - 1) - w.N
     return HOLD if squares <= 1 else violate(f"{squares} squares inside the gap")

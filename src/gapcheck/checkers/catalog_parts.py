@@ -12,8 +12,9 @@ from fractions import Fraction
 from math import isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, floor_root, _sign_1rad, _sign_2rad
+from ..primes import is_prime_u64
 from ..window import root_views
-from .predicates import (cmp_sqrt_sums, floor_D, mu_cmp, mu_q_cmp,
+from .predicates import (cmp_sqrt_sums, delta_vs_rational, floor_D, mu_cmp,
                          mu_sqrtp_frac_cmp)
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, undecided, violate
 
@@ -114,8 +115,7 @@ def _cor_56(ctx, tri, st):
     if s >= 0:
         return violate("fractional difference >= 1/2")
     # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1}))
-    alt = floor_root(RootExpr.sqrt(w.p * w.q) - RootExpr.sqrt(w.q, w.N),
-                     ctx.opts.ladder)
+    alt = floor_root(RootExpr.sqrt(w.p * w.q) - RootExpr.sqrt(w.q, w.N))
     if alt is not None and alt != w.p - w.tN - 1:
         return Outcome("hold", "printed-form condition differs from the "
                                "shared-window reading")
@@ -176,13 +176,13 @@ def _ids_510(ctx, tri, st):
         return violate("d != h' - h")
     v = root_views(w)
     ratio = RootExpr.of(w.h) / v.mu
-    f = floor_root(ratio, ctx.opts.ladder)
+    f = floor_root(ratio)
     if f is None:
         return undecided()
     if ratio - f != v.mu:
         return violate("{h/mu} != mu")
     ratio_q = RootExpr.of(w.hq) / v.mu_q
-    fq = floor_root(ratio_q, ctx.opts.ladder)
+    fq = floor_root(ratio_q)
     if fq is None:
         return undecided()
     if (ratio_q - fq) - (ratio - f) != v.delta:
@@ -200,7 +200,7 @@ def _ids_511(ctx, tri, st):
     w = tri.w
     tNq = isqrt(w.Nq * w.Nq * w.q)
     X = RootExpr.of(w.q - w.p) + RootExpr.sqrt(w.p, w.N) - RootExpr.sqrt(w.q, w.Nq)
-    fX = floor_root(X, ctx.opts.ladder)
+    fX = floor_root(X)
     if fX is None:
         return undecided()
     fracX = X - fX
@@ -244,7 +244,7 @@ def _ids_513(ctx, tri, st):
     w = tri.w
     tNq = isqrt(w.Nq * w.Nq * w.q)
     X = RootExpr.of(w.p - w.q) - RootExpr.sqrt(w.p, w.N) + RootExpr.sqrt(w.q, w.Nq)
-    fX = floor_root(X, ctx.opts.ladder)
+    fX = floor_root(X)
     if fX is None:
         return undecided()
     fracX = X - fX
@@ -306,14 +306,14 @@ def _ids_516(ctx, tri, st):
     delta4_half = (RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(F(1, 2))
     if gt:
         bound = RootExpr.sqrt(w.p) - w.N - 1 + delta4_half
-        c = cmp_root(bound, 0, ctx.opts.ladder)
+        c = cmp_root(bound)
         if c is Cmp.UNDECIDED:
             return undecided()
         if c is not Cmp.GREATER:
             return violate("mu <= 1 - Delta_4/2 in the even case")
     else:
         bound = RootExpr.sqrt(w.q) - w.Nq - delta4_half
-        c = cmp_root(bound, 0, ctx.opts.ladder)
+        c = cmp_root(bound)
         if c is Cmp.UNDECIDED:
             return undecided()
         if c is not Cmp.LESS:
@@ -500,7 +500,6 @@ def _same_odd(ctx, tri) -> bool:
          title="on shared windows d <= N iff Delta < 1/2; and d < sqrt(p)",
          source="statement 7.1", n_min=2, domain=_same)
 def _same_71(ctx, tri, st):
-    from .predicates import delta_vs_rational
     w = tri.w
     lhs = w.d <= w.N
     rhs = delta_vs_rational(w, F(1, 2)) < 0
@@ -587,18 +586,25 @@ def _even_77(ctx, tri, st):
                "(N^2, N^2+N); h' = 2N - 1 with N > 4 gives two in (N^2+N, N^2+2N)",
          source="statement 7.8", n_min=2,
          domain=lambda ctx, tri: (tri.w.same_part and tri.w.N % 2 == 0
-                                  and tri.w.N >= 4
-                                  and tri.w.N * tri.w.N + 2 * tri.w.N <= ctx.store.limit))
+                                  and tri.w.N >= 4))
 def _thm_78(ctx, tri, st):
     w = tri.w
     N2 = w.N * w.N
     if w.h == 1:
-        if ctx.store.pi(N2 + w.N) - ctx.store.pi(N2) < 2:
+        if _primes_between(ctx.store, N2, N2 + w.N) < 2:
             return violate("fewer than two primes in (N^2, N^2+N)")
     if w.hq == 2 * w.N - 1 and w.N > 4:
-        if ctx.store.pi(N2 + 2 * w.N) - ctx.store.pi(N2 + w.N) < 2:
+        if _primes_between(ctx.store, N2 + w.N, N2 + 2 * w.N) < 2:
             return violate("fewer than two primes in (N^2+N, N^2+2N)")
     return HOLD
+
+
+def _primes_between(store, a: int, b: int) -> int:
+    """Number of primes in (a, b].  Past the sieve each candidate is tested
+    directly, so the count does not depend on the sieve limit."""
+    if b <= store.limit:
+        return store.pi(b) - store.pi(a)
+    return sum(1 for x in range(a + 1, b + 1) if is_prime_u64(x))
 
 
 @checker("odd-79", Kind.EXCEPTION_SET,

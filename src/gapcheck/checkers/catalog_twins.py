@@ -146,9 +146,15 @@ def _runmin_state():
     return {"min": None, "maxF": None, "minfq": None}
 
 
+def _from_one(ctx, tri):
+    """Claims over every n < m need the running extremum from n = 1; a run
+    that starts later cannot decide them.  A resumed run keeps its first n_lo."""
+    return ctx.n_lo == 1
+
+
 @checker("twin-95", Kind.UNIVERSAL,
          title="Delta_n > Delta_m for every n < m when d_m = 2, m >= 5",
-         source="statement 9.5",
+         source="statement 9.5", domain=_from_one,
          state_init=_runmin_state)
 def _twin_95(ctx, tri, st):
     w = tri.w
@@ -171,7 +177,7 @@ def _frac_cmp_F(sa, pqa, sb, pqb) -> int:
 @checker("twin-96", Kind.UNIVERSAL,
          title="{sqrt(q)Delta} at a twin m >= 5 sits below all earlier values, "
                "{sqrt(p)Delta} above them",
-         source="corollary 9.6",
+         source="corollary 9.6", domain=_from_one,
          state_init=_runmin_state)
 def _twin_96(ctx, tri, st):
     w = tri.w
@@ -260,7 +266,7 @@ def _twin_99(ctx, tri, st):
 @checker("twin-910", Kind.UNIVERSAL,
          title="converse ordering: if Delta_n > Delta_m for all n < m (m >= 5) "
                "then d_m = 2",
-         source="corollary 9.10",
+         source="corollary 9.10", domain=_from_one,
          state_init=_runmin_state)
 def _twin_910(ctx, tri, st):
     w = tri.w

@@ -1,27 +1,30 @@
 """Checker evaluation engine: streams GapWindows, tallies outcomes, emits reports.
 
-Evaluation is deterministic: the same (ids, range, opts, store limit) always
-produce byte-identical serialized reports.  Long ranges can be split: the
-engine returns a JSON-able checkpoint from which a later run continues, and
-the merged result equals a single uninterrupted run.
+Evaluation is deterministic: the same (ids, range, opts) always produce
+byte-identical serialized reports on any store that holds the window after
+the range (p_{n_hi+2}); on a store whose last window is n_hi, checkers that
+need the next window count that one out of domain.  Long ranges can be split:
+the engine returns a JSON-able checkpoint from which a later run continues,
+on the same or a larger sieve, and the merged result equals a single
+uninterrupted run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..exact import DEFAULT_LADDER
 from ..primes import PrimeStore
 from ..window import JCheckpoint, windows
 from .types import (CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
                     Verdict, registry)
 
 
+SURVEY_CAP = 10000   # indices a SURVEY report lists before noting truncation
+
+
 @dataclass
 class RunOpts:
     witness_cap: int | None = 32
-    survey_cap: int = 10000
-    ladder: tuple = DEFAULT_LADDER
 
 
 @dataclass
@@ -82,7 +85,7 @@ def _apply(spec: CheckerSpec, tally: _Tally, ctx: EvalContext, tri: Triple):
     if out.res == "hold":
         tally.counts.holds += 1
         if spec.kind is Kind.SURVEY:
-            if len(tally.survey) < ctx.opts.survey_cap:
+            if len(tally.survey) < SURVEY_CAP:
                 tally.survey.append(w.n)
             else:
                 if "survey truncated" not in tally.notes:
@@ -172,8 +175,16 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         specs.append(reg[cid])
 
     if resume is not None:
-        if resume["store_limit"] != store.limit or sorted(resume["ids"]) != sorted(ids):
+        if sorted(resume["ids"]) != sorted(ids):
             raise ValueError("checkpoint does not match this run")
+        if "sieve_edge" not in resume:
+            # older checkpoints record only their limit, not whether they
+            # stopped at the sieve's edge: resume them on the same sieve
+            if resume.get("store_limit") != store.limit:
+                raise ValueError("checkpoint does not match this run")
+        elif resume["sieve_edge"]:
+            raise ValueError("checkpoint was taken at the end of its sieve; "
+                             "rerun it with a larger limit to resume")
         if resume["next_n"] != n_lo:
             raise ValueError(
                 f"checkpoint continues at n={resume['next_n']}, not {n_lo}")
@@ -199,7 +210,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     end = want_end if want_end + 1 <= store.prime_count else n_hi
     j_origin = None
     if j_prev is not None and start == prev_n:
-        j_origin = JCheckpoint(n=start, j=j_prev, store_limit=store.limit)
+        j_origin = JCheckpoint(n=start, j=j_prev)
 
     stream = windows(store, start, end, j_origin=j_origin)
     prev = None
@@ -231,7 +242,9 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         "n_lo": report_lo,
         "next_n": cur.n + 1,
         "j_prev": last_j_prev,
-        "store_limit": store.limit,
+        # the last window had no successor in the sieve, so needs_next
+        # checkers skipped it; a continuation would not equal a single run
+        "sieve_edge": nxt is None,
         "ids": sorted(ids),
         "per": {cid: tallies[cid].as_json() for cid in ids},
     }

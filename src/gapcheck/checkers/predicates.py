@@ -7,8 +7,9 @@ floating point enters any decision.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
-from ..exact import Cmp, RootExpr, exact_sign, _sign_1rad, _sign_2rad
+from ..exact import _sign_1rad, _sign_2rad
 from ..window import GapWindow
 
 
@@ -20,11 +21,6 @@ def sqrt_vs_rational(m: int, t: Fraction) -> int:
     lhs = m * t.denominator * t.denominator
     rhs = t.numerator * t.numerator
     return (lhs > rhs) - (lhs < rhs)
-
-
-def frac_sqrt_cmp(m: int, s: int, t: Fraction) -> int:
-    """Exact sign of {sqrt(m)} - t given s = isqrt(m); m must not be square."""
-    return sqrt_vs_rational(m, s + Fraction(t))
 
 
 def cmp_sqrt_sums(a: int, b: int, c: int, e: int) -> int:
@@ -40,12 +36,6 @@ def cmp_weighted_sums(ca: int, a: int, cb: int, b: int, cc: int, c: int, ce: int
     return _sign_2rad(Fraction(lhs_sq - rhs_sq),
                       Fraction(2 * ca * cb), a * b,
                       Fraction(-2 * cc * ce), c * e)
-
-
-def delta_cmp(w1: GapWindow, w2: GapWindow) -> int:
-    """Exact sign of Delta(w1) - Delta(w2)."""
-    # sqrt(q1)-sqrt(p1) vs sqrt(q2)-sqrt(p2)  <=>  sqrt(q1)+sqrt(p2) vs sqrt(q2)+sqrt(p1)
-    return cmp_sqrt_sums(w1.q, w2.p, w2.q, w1.p)
 
 
 def delta_vs_rational(w: GapWindow, t: Fraction) -> int:
@@ -68,30 +58,15 @@ def sqrtq_delta_frac_cmp(w: GapWindow, t: Fraction) -> int:
     return _sign_1rad(w.s + 1 - Fraction(t), Fraction(-1), w.p * w.q)
 
 
-def sqrtp_delta_frac_cmp(w: GapWindow, t: Fraction) -> int:
-    """Exact sign of {sqrt(p)*Delta} - t using {sqrt(p)Delta} = sqrt(pq)-s."""
-    return _sign_1rad(-w.s - Fraction(t), Fraction(1), w.p * w.q)
-
-
 def mu_cmp(w: GapWindow, t: Fraction) -> int:
     """Exact sign of mu_n - t."""
     return sqrt_vs_rational(w.p, w.N + Fraction(t))
-
-
-def mu_q_cmp(w: GapWindow, t: Fraction) -> int:
-    """Exact sign of mu_{n+1} - t."""
-    return sqrt_vs_rational(w.q, w.Nq + Fraction(t))
 
 
 def mu_diff_sign(w: GapWindow) -> int:
     """Exact sign of mu_n - mu_{n+1}."""
     # (sqrt(p) - N) - (sqrt(q) - Nq)
     return _sign_2rad(Fraction(w.Nq - w.N), Fraction(1), w.p, Fraction(-1), w.q)
-
-
-def mu_sqrtp_floor(w: GapWindow) -> int:
-    """floor(mu_n * sqrt(p_n)) = p - tN - 1 (N*sqrt(p) irrational for primes)."""
-    return w.p - w.tN - 1
 
 
 def mu_sqrtp_frac_cmp(w: GapWindow, t: Fraction) -> int:
@@ -108,21 +83,8 @@ def floor_D(w: GapWindow) -> int:
     return base + 1 if s > 0 else base
 
 
-def d_sq_lt(w: GapWindow, bound: int) -> bool:
-    return w.d * w.d < bound
-
-
 def is_square(x: int) -> bool:
-    from math import isqrt
     if x < 0:
         return False
     r = isqrt(x)
     return r * r == x
-
-
-def view_equal_zero(e: RootExpr) -> bool | None:
-    """Exact zero test; None when not certifiable (>2 radicands)."""
-    s = exact_sign(e)
-    if s is None:
-        return None
-    return s == 0

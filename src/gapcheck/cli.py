@@ -55,12 +55,12 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _emit_reports(reports, fmt, out=sys.stdout):
+def _emit_reports(reports, fmt):
     if fmt == "json":
         for r in reports:
-            print(r.to_json(), file=out)
+            print(r.to_json())
     elif fmt == "csv":
-        print("id,verdict,holds,fails,undecided,out_of_domain,detail", file=out)
+        print("id,verdict,holds,fails,undecided,out_of_domain,detail")
         for r in reports:
             detail = ""
             if r.violations:
@@ -69,7 +69,7 @@ def _emit_reports(reports, fmt, out=sys.stdout):
                 detail = "survey:" + ";".join(map(str, r.survey[:64]))
             c = r.counts
             print(f"{r.checker_id},{r.verdict.value},{c.holds},{c.fails},"
-                  f"{c.undecided},{c.out_of_domain},{detail}", file=out)
+                  f"{c.undecided},{c.out_of_domain},{detail}")
     else:
         for r in reports:
             c = r.counts
@@ -81,7 +81,7 @@ def _emit_reports(reports, fmt, out=sys.stdout):
             flag = " (conjecture)" if r.conjecture else ""
             print(f"{r.checker_id:28s} {r.verdict.value:22s} holds={c.holds} "
                   f"fails={c.fails} undecided={c.undecided} "
-                  f"ood={c.out_of_domain}{extra}{flag}", file=out)
+                  f"ood={c.out_of_domain}{extra}{flag}")
 
 
 def cmd_verify(args) -> int:
@@ -110,22 +110,12 @@ def cmd_verify(args) -> int:
     limit = args.limit or max(limit_for_index(n_hi), 10 ** 7)
     store = build_store(limit)
     opts = RunOpts(witness_cap=None if args.witnesses == 0 else args.witnesses)
-
-    if args.threads > 1 and resume is None and len(ids) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = {cid: pool.submit(run_many, [cid], store, n_lo, n_hi, opts)
-                       for cid in ids}
-            pairs = {cid: fut.result() for cid, fut in futures.items()}
-        reports = {cid: pairs[cid][0][cid] for cid in ids}
-        checkpoint = None
-    else:
-        reports, checkpoint = run_many(ids, store, n_lo, n_hi, opts, resume=resume)
+    reports, checkpoint = run_many(ids, store, n_lo, n_hi, opts, resume=resume)
 
     ordered = [reports[cid] for cid in sorted(reports)]
     _emit_reports(ordered, args.format)
 
-    if args.manifest_out and checkpoint is not None:
+    if args.manifest_out:
         manifest = {
             "tool_version": __version__,
             "command": " ".join(sys.argv[1:]),
@@ -221,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness cap per report (0 = unlimited)")
     v.add_argument("--resume", default=None, help="manifest to continue")
     v.add_argument("--manifest-out", default=None, help="write a run manifest")
-    v.add_argument("--threads", type=int, default=1)
     v.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("squares", help="square-window counts and claims")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt as _isqrt
+from math import gcd, isqrt
 
-DEFAULT_LADDER = (64, 128, 256)
+LADDER = (64, 128, 256)   # fixed-point precisions tried before Undecided
 
 # trial square factors extracted during radicand normalization
 _NORM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -35,13 +35,6 @@ class Cmp(Enum):
     UNDECIDED = 2
 
 
-def isqrt(x: int) -> int:
-    """Exact floor of sqrt(x) for any non-negative integer width."""
-    if x < 0:
-        raise ValueError("isqrt of negative value")
-    return _isqrt(x)
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -53,7 +46,7 @@ def _norm_radicand(m: int) -> tuple[int, int]:
     depends on cores being fully square-free."""
     if m <= 0:
         raise KernelError("radicand must be positive")
-    r = _isqrt(m)
+    r = isqrt(m)
     if r * r == m:
         return r, 1
     outer = 1
@@ -64,7 +57,7 @@ def _norm_radicand(m: int) -> tuple[int, int]:
         while m % sq == 0:
             m //= sq
             outer *= p
-    r = _isqrt(m)
+    r = isqrt(m)
     if r * r == m:
         return outer * r, 1
     return outer, m
@@ -155,7 +148,6 @@ class RootExpr:
             out = out + RootExpr(0, tuple((m, c * other.const) for m, c in self.terms))
         if self.const:
             out = out + RootExpr(0, tuple((m, c * self.const) for m, c in other.terms))
-        from math import gcd
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 g = gcd(m1, m2)
@@ -291,12 +283,6 @@ class FixedApprox:
     def interval(self) -> tuple[int, int]:
         return self.mantissa - self.error_ulps, self.mantissa + self.error_ulps
 
-    def lo(self) -> Fraction:
-        return Fraction(self.mantissa - self.error_ulps, 1 << self.frac_bits)
-
-    def hi(self) -> Fraction:
-        return Fraction(self.mantissa + self.error_ulps, 1 << self.frac_bits)
-
     def __add__(self, other: "FixedApprox") -> "FixedApprox":
         if other.frac_bits != self.frac_bits:
             raise KernelError("mismatched frac_bits")
@@ -333,7 +319,7 @@ def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
     """Certified fixed-point sqrt: mantissa = isqrt(m * 4^frac_bits)."""
     if m < 0:
         raise KernelError("sqrt of negative integer")
-    mant = _isqrt(m << (2 * frac_bits))
+    mant = isqrt(m << (2 * frac_bits))
     err = 0 if mant * mant == m << (2 * frac_bits) else 1
     return FixedApprox(mant, frac_bits, err)
 
@@ -362,7 +348,7 @@ def _interval(e: RootExpr, frac_bits: int) -> tuple[int, int]:
 # -- comparisons, floors, fractional parts --------------------------------------
 
 
-def cmp_root(e: RootExpr, rhs=0, ladder=DEFAULT_LADDER) -> Cmp:
+def cmp_root(e: RootExpr, rhs=0) -> Cmp:
     """Three-way comparison of a RootExpr against a rational; certified.
 
     Equal is returned only when provable exactly; Undecided only after the
@@ -372,7 +358,7 @@ def cmp_root(e: RootExpr, rhs=0, ladder=DEFAULT_LADDER) -> Cmp:
     s = exact_sign(diff)
     if s is not None:
         return Cmp(_sign(s))
-    for fb in ladder:
+    for fb in LADDER:
         lo, hi = _interval(diff, fb)
         if lo > 0:
             return Cmp.GREATER
@@ -381,7 +367,7 @@ def cmp_root(e: RootExpr, rhs=0, ladder=DEFAULT_LADDER) -> Cmp:
     return Cmp.UNDECIDED
 
 
-def floor_root(e: RootExpr, ladder=DEFAULT_LADDER) -> int | None:
+def floor_root(e: RootExpr) -> int | None:
     """Exact floor of a RootExpr; None when Undecided.
 
     Single-radicand expressions use the isqrt fast path and are always
@@ -398,7 +384,7 @@ def floor_root(e: RootExpr, ladder=DEFAULT_LADDER) -> int | None:
         R = c.denominator * b.denominator
         P = c.numerator * b.denominator
         Q = b.numerator * c.denominator
-        t = _isqrt(Q * Q * m)
+        t = isqrt(Q * Q * m)
         if Q < 0:
             t = -t - 1
         f = (P + t) // R
@@ -408,7 +394,7 @@ def floor_root(e: RootExpr, ladder=DEFAULT_LADDER) -> int | None:
         while _sign_1rad(c - (f + 1), b, m) >= 0:
             f += 1
         return f
-    for fb in ladder:
+    for fb in LADDER:
         lo, hi = _interval(e, fb)
         fl, fh = lo >> fb, hi >> fb
         if fl == fh:
@@ -423,32 +409,9 @@ def floor_root(e: RootExpr, ladder=DEFAULT_LADDER) -> int | None:
     return None
 
 
-def floor_root_general(e: RootExpr, ladder=DEFAULT_LADDER) -> int | None:
-    """Floor via the adaptive FixedApprox path only (no isqrt fast path).
-
-    Used to cross-check the fast path; exact fallback for <= 2 radicands.
-    """
-    if not e.terms:
-        return e.const.numerator // e.const.denominator
-    lo = hi = fb = None
-    for fb in ladder:
-        lo, hi = _interval(e, fb)
-        fl, fh = lo >> fb, hi >> fb
-        if fl == fh:
-            return fl
-    if len(e.terms) <= 2:
-        f = lo >> fb
-        while exact_sign(e - f) < 0:
-            f -= 1
-        while exact_sign(e - (f + 1)) >= 0:
-            f += 1
-        return f
-    return None
-
-
-def frac_root(e: RootExpr, ladder=DEFAULT_LADDER) -> tuple[int, RootExpr] | None:
+def frac_root(e: RootExpr) -> tuple[int, RootExpr] | None:
     """(floor, fractional part) of a RootExpr; None when Undecided."""
-    f = floor_root(e, ladder)
+    f = floor_root(e)
     if f is None:
         return None
     return f, e - f

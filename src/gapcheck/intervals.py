@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .primes import PrimeStore, CoverageError
+from .exact import _sign_2rad
+from .primes import CoverageError, PrimeStore, _small_sieve, is_prime_u64
 
 
 @dataclass
@@ -65,7 +66,6 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         points.extend([N * N - N, N * N, N * N + N, (N + 1) ** 2])
     pis = dict(zip(points, store.bulk_pi(points)))
     # offsets h live below 2 n_hi + 1; one small sieve tests them all
-    from .primes import _small_sieve
     small = set(_small_sieve(2 * n_hi + 1))
 
     for N in range(n_lo, n_hi + 1):
@@ -87,7 +87,6 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
             q = primes[1] if len(primes) > 1 else store.next_prime(p)
             # floor(sqrt(p) + sqrt(q)) parity, exact: D in (2N, 2N+2) here
             base = N + isqrt(q)
-            from .exact import _sign_2rad
             above = _sign_2rad(Fraction(-(base + 1)), Fraction(1), p,
                                Fraction(1), q) > 0
             rep.first_prime_floor_D_even = (base + 1 if above else base) % 2 == 0
@@ -300,27 +299,6 @@ def pow2_ladder(store: PrimeStore, k_max: int = 26) -> list[Pow2Row]:
     return rows
 
 
-def phi_c_direct(store: PrimeStore, k: int) -> int:
-    """Independent count of odd non-prime m < 2^k (m = 1 included): counts
-    composite marks in the raw sieve segments rather than differencing
-    prime-count checkpoints."""
-    hi = 2 ** k
-    count = 1  # m = 1
-    seg_idx = 0
-    while True:
-        lo, seg_hi = store._segment_bounds(seg_idx)
-        if lo >= hi:
-            break
-        seg = store._segment(seg_idx)
-        if seg_hi <= hi:
-            count += seg.count(0)
-        else:
-            count += seg[: (hi - lo + 1) // 2].count(0)
-            break
-        seg_idx += 1
-    return count
-
-
 # -- extra square-window surveys --------------------------------------------------
 
 
@@ -349,7 +327,6 @@ def even_square_decomposition(store: PrimeStore, N: int) -> bool:
     """Is 2N = (h_i - r) + (h_j + r) solvable with both summands prime and
     N^2 + h_i, N^2 + h_j prime?  (Equivalently: h_i + h_j = 2N over window
     offsets with a prime pair u <= h_i, 2N - u >= h_j.)"""
-    from .primes import is_prime_u64
     N2 = N * N
     hs = [p - N2 for p in store.iter_primes(N2 + 1, (N + 1) ** 2 - 1)]
     hset = set(hs)

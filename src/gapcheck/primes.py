@@ -17,11 +17,12 @@ class CoverageError(ValueError):
 
 
 class CapacityError(ValueError):
-    """Requested sieve limit exceeds the configured budget."""
+    """Requested sieve limit exceeds LIMIT_CAP."""
 
 
-DEFAULT_SEGMENT_ENTRIES = 1 << 20  # odd numbers per segment
-DEFAULT_LIMIT_CAP = 1 << 34
+SEGMENT_ENTRIES = 1 << 20  # odd numbers per segment
+CACHE_SEGMENTS = 8         # sieved segments kept in the LRU cache
+LIMIT_CAP = 1 << 34
 
 
 def _small_sieve(limit: int) -> list[int]:
@@ -44,25 +45,17 @@ class PrimeStore:
     number reported prime is prime and no prime in range is missed.
     """
 
-    def __init__(
-        self,
-        limit: int,
-        segment_entries: int = DEFAULT_SEGMENT_ENTRIES,
-        limit_cap: int = DEFAULT_LIMIT_CAP,
-        cache_segments: int = 8,
-    ):
+    def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("limit must be >= 2")
-        if limit > limit_cap:
-            raise CapacityError(f"limit {limit} exceeds budget {limit_cap}")
+        if limit > LIMIT_CAP:
+            raise CapacityError(f"limit {limit} exceeds budget {LIMIT_CAP}")
         self.limit = limit
-        self.segment_entries = segment_entries
         self._base = _small_sieve(isqrt(limit))
         # segment k holds odd numbers in [3 + 2*k*E, 3 + 2*(k+1)*E)
-        E = segment_entries
+        E = SEGMENT_ENTRIES
         self._nseg = ((limit - 3) // 2 + E) // E if limit >= 3 else 0
         self._cache: OrderedDict[int, bytearray] = OrderedDict()
-        self._cache_hold = cache_segments
         # checkpoint[k] = pi(first odd of segment k - 1); checkpoint[nseg] = pi(limit-ish)
         self._checkpoints = [1] * (self._nseg + 1)  # counts include the prime 2
         cnt = 1 if limit >= 2 else 0
@@ -74,8 +67,8 @@ class PrimeStore:
     # -- segment machinery -------------------------------------------------
 
     def _segment_bounds(self, k: int) -> tuple[int, int]:
-        lo = 3 + 2 * k * self.segment_entries
-        hi = min(lo + 2 * self.segment_entries, self.limit + 1)
+        lo = 3 + 2 * k * SEGMENT_ENTRIES
+        hi = min(lo + 2 * SEGMENT_ENTRIES, self.limit + 1)
         return lo, hi
 
     def _segment(self, k: int) -> bytearray:
@@ -101,7 +94,7 @@ class PrimeStore:
         if lo <= 1:
             seg[(1 - lo) // 2] = 0
         self._cache[k] = seg
-        if len(self._cache) > self._cache_hold:
+        if len(self._cache) > CACHE_SEGMENTS:
             self._cache.popitem(last=False)
         return seg
 
@@ -114,7 +107,7 @@ class PrimeStore:
             return x == 2
         if x % 2 == 0:
             return False
-        k = (x - 3) // (2 * self.segment_entries)
+        k = (x - 3) // (2 * SEGMENT_ENTRIES)
         lo, _ = self._segment_bounds(k)
         return bool(self._segment(k)[(x - lo) // 2])
 
@@ -126,7 +119,7 @@ class PrimeStore:
             return 0
         if x < 3:
             return 1
-        k = (x - 3) // (2 * self.segment_entries)
+        k = (x - 3) // (2 * SEGMENT_ENTRIES)
         lo, _ = self._segment_bounds(k)
         seg = self._segment(k)
         return self._checkpoints[k] + seg[: (x - lo) // 2 + 1].count(1)
@@ -164,7 +157,7 @@ class PrimeStore:
             raise CoverageError(f"stop {stop} beyond limit {self.limit}")
         if start <= 2 <= stop:
             yield 2
-        lo_k = max(0, (max(start, 3) - 3) // (2 * self.segment_entries))
+        lo_k = max(0, (max(start, 3) - 3) // (2 * SEGMENT_ENTRIES))
         for k in range(lo_k, self._nseg):
             lo, hi = self._segment_bounds(k)
             if lo > stop:
@@ -183,7 +176,7 @@ class PrimeStore:
         """Smallest prime > x within coverage."""
         if x < 2:
             return 2
-        k = max(0, (x - 1 - 3) // (2 * self.segment_entries)) if x >= 3 else 0
+        k = max(0, (x - 1 - 3) // (2 * SEGMENT_ENTRIES)) if x >= 3 else 0
         for kk in range(k, self._nseg):
             lo, _ = self._segment_bounds(kk)
             seg = self._segment(kk)
@@ -233,9 +226,9 @@ class PrimeStore:
         return out
 
 
-def build_store(limit: int, **kwargs) -> PrimeStore:
+def build_store(limit: int) -> PrimeStore:
     """Build a PrimeStore answering is_prime / pi / nth_prime for values <= limit."""
-    return PrimeStore(limit, **kwargs)
+    return PrimeStore(limit)
 
 
 # -- 64-bit deterministic primality ------------------------------------------

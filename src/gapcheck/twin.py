@@ -98,12 +98,15 @@ def ln_ln_interval(n: int, fb: int = 96) -> tuple[int, int]:
 
 # -- the ledger -------------------------------------------------------------------
 
+FRAC_BITS = 64       # fixed-point precision of the ledger accumulators
+CSV_DECIMALS = 12    # decimals of A_n and B_n in the ledger CSV
+
 
 @dataclass
 class AlphaRow:
     n: int
     j: int                      # j_n = #{i < n : d_i = 2}
-    A: tuple[int, int]          # interval in ulps at frac_bits
+    A: tuple[int, int]          # interval in ulps at FRAC_BITS
     B: tuple[int, int]
     residual_bound: int         # ulps; certified |identity residual| bound
     identity_ok: bool
@@ -124,15 +127,14 @@ def _imul(alo, ahi, blo, bhi, fb):
     return min(cands) >> fb, (max(cands) >> fb) + 1
 
 
-def alpha_ledger(store: PrimeStore, n_hi: int, frac_bits: int = 64,
-                 check_questions: bool = True):
+def alpha_ledger(store: PrimeStore, n_hi: int):
     """Yield AlphaRow for n = 1 .. n_hi.
 
     The identity residual check is self-validating for the accumulator error
     tracking: the identity is algebraically exact, so the certified interval
     for sqrt(2 p_{n+1}) must always intersect the accumulator interval.
     """
-    fb = frac_bits
+    fb = FRAC_BITS
     one = 1 << fb
     r2lo = isqrt(2 << (2 * fb))
     r2hi = r2lo + 1                       # sqrt(2) bracket
@@ -164,14 +166,9 @@ def alpha_ledger(store: PrimeStore, n_hi: int, frac_bits: int = 64,
         # B_n > A_n certified when the intervals separate (else reported False)
         b_gt_a = B[0] > A[1]
         sandwich_ok = 2 * w.n - 1 <= w.p and 2 * w.p <= (w.n + 1) ** 2
-        q92 = dusart = abstract = None
-        if check_questions:
-            if w.n >= 5:
-                q92 = _q92_holds(w, j_next)
-            if w.n >= 3:
-                dusart = _dusart_holds(w.n, w.j, ln_fb)
-            if w.n >= 6:
-                abstract = w.p < 2 * w.j * w.j
+        q92 = _q92_holds(w, j_next) if w.n >= 5 else None
+        dusart = _dusart_holds(w.n, w.j, ln_fb) if w.n >= 3 else None
+        abstract = w.p < 2 * w.j * w.j if w.n >= 6 else None
         yield AlphaRow(n=w.n, j=w.j, A=A, B=B,
                        residual_bound=residual_bound, identity_ok=identity_ok,
                        b_gt_a=b_gt_a, sandwich_ok=sandwich_ok,
@@ -221,7 +218,7 @@ def jn_questions(store: PrimeStore, n_hi: int) -> QuestionReport:
         raise ValueError("n_hi >= 6 required")
     q92 = dusart = abstract = None
     rows = 0
-    for row in alpha_ledger(store, n_hi, check_questions=True):
+    for row in alpha_ledger(store, n_hi):
         rows += 1
         if q92 is None and row.q92_holds is False:
             q92 = row.n
@@ -234,17 +231,17 @@ def jn_questions(store: PrimeStore, n_hi: int) -> QuestionReport:
                           abstract_first_violation=abstract, rows_checked=rows)
 
 
-def write_ledger_csv(rows, fh, frac_bits: int = 64, decimals: int = 12) -> None:
-    """CSV per the module interface: accumulators as decimals at the stated
-    precision, residual bound in ulps."""
+def write_ledger_csv(rows, fh) -> None:
+    """CSV per the module interface: accumulators as CSV_DECIMALS decimals,
+    residual bound in ulps at FRAC_BITS."""
     writer = csv.writer(fh)
     writer.writerow(["n", "j_n", "A_n", "B_n", "identity_residual_bound",
                      "q92_holds", "dusart_holds", "abstract_holds"])
-    scale = 1 << frac_bits
+    scale = 1 << FRAC_BITS
 
     def dec(interval):
         mid = (interval[0] + interval[1]) // 2
-        return f"{mid / scale:.{decimals}f}"
+        return f"{mid / scale:.{CSV_DECIMALS}f}"
 
     def tri(v):
         return "" if v is None else int(v)
@@ -274,17 +271,3 @@ def same_floor_consecutive_twin_pairs(store: PrimeStore, limit: int | None = Non
             yield prev, p, isqrt(p)
         prev = p
 
-
-def brute_force_j(store: PrimeStore, n: int) -> int:
-    """Independent j_n: enumerate twin pairs (p_i, p_i + 2) with i < n."""
-    count = 0
-    idx = 0
-    prev = None
-    for p in store.iter_primes():
-        idx += 1
-        if idx >= n + 1:
-            break
-        if prev is not None and p - prev == 2:
-            count += 1
-        prev = p
-    return count

@@ -37,10 +37,6 @@ class JCheckpoint:
 
     n: int          # first index the checkpoint is valid for
     j: int          # number of i < n with d_i = 2
-    store_limit: int
-
-    def token(self) -> str:
-        return f"{self.n}:{self.j}:{self.store_limit}"
 
 
 class GapWindow:
@@ -169,10 +165,9 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int,
         raise CoverageError(
             f"p_{n_hi + 1} not covered by store limit {store.limit}")
     if j_origin is not None:
-        if j_origin.n != n_lo or j_origin.store_limit != store.limit:
+        if j_origin.n != n_lo:
             raise CheckpointMismatch(
-                f"checkpoint {j_origin.token()} does not open at n={n_lo} "
-                f"on a store of limit {store.limit}")
+                f"checkpoint opens at n={j_origin.n}, not at n={n_lo}")
         j = j_origin.j
     elif n_lo == 1:
         j = 0

@@ -2,10 +2,13 @@
 
 These stay deliberately primitive: trial division, digit-by-digit square
 roots, a Meissel-style prime count, and brute-force pair enumeration.  None
-of them share code paths with the package.
+of them share code paths with the package, except `floor_root_general`,
+which reuses the kernel's fixed-point evaluation.
 """
 
 from __future__ import annotations
+
+from gapcheck.exact import LADDER, eval_fixed, exact_sign
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -98,3 +101,29 @@ def brute_twin_count_below_index(primes: list[int], n: int) -> int:
         if primes[i] - primes[i - 1] == 2:
             count += 1
     return count
+
+
+def floor_root_general(e) -> int | None:
+    """Floor of a RootExpr through the fixed-point ladder only, with no isqrt
+    fast path; None when Undecided.  Cross-checks `exact.floor_root`.
+
+    Unlike the other oracles here, this one reuses the package's
+    `eval_fixed` and `exact_sign`: it is independent of the fast path, not
+    of the kernel.  Expressions with at most two radicands get an exact
+    fallback once the ladder is exhausted.
+    """
+    if not e.terms:
+        return e.const.numerator // e.const.denominator
+    for fb in LADDER:
+        lo, hi = eval_fixed(e, fb).interval()
+        fl, fh = lo >> fb, hi >> fb
+        if fl == fh:
+            return fl
+    if len(e.terms) <= 2:
+        f = lo >> fb
+        while exact_sign(e - f) < 0:
+            f -= 1
+        while exact_sign(e - (f + 1)) >= 0:
+            f += 1
+        return f
+    return None

@@ -12,12 +12,12 @@ from math import isqrt
 import pytest
 
 from gapcheck.checkers import RunOpts, Verdict, run_checker, run_many
-from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root, floor_root_general
+from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root
 from gapcheck.intervals import brocard_reports, pow2_ladder, power_reports, square_reports
 from gapcheck.primes import build_store
 from gapcheck.twin import alpha_ledger, jn_questions, same_floor_consecutive_twin_pairs
 from gapcheck.window import twin_pairs, windows
-from oracles import meissel_pi
+from oracles import floor_root_general, meissel_pi
 
 N_MILLION = 10 ** 6
 
@@ -165,7 +165,7 @@ def test_criterion_07_twin_orderings(store_16m, big_store):
 
 
 def test_criterion_08_ledger(mid_store):
-    rows = list(alpha_ledger(mid_store, 10 ** 5, frac_bits=64))
+    rows = list(alpha_ledger(mid_store, 10 ** 5))
     ok = all(r.identity_ok for r in rows)
     ok &= all(r.residual_bound <= 1 << 24 for r in rows)  # 2^-40 at 64 bits
     ok &= all(r.q92_holds for r in rows if r.n >= 6)

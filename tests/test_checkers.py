@@ -166,6 +166,51 @@ def test_resume_equivalence(mid_store):
             assert resumed[cid].to_json() == single[cid].to_json(), (split, cid)
 
 
+def test_resume_on_larger_store(small_store, mid_store):
+    """A checkpoint taken on one sieve continues on a larger one: j depends
+    only on the primes, not on the sieve limit."""
+    ids = ["conj-gap-sq", "twin-95", "fixedgap-mono", "delta-gt-half", "alpha-props"]
+    single, _ = run_many(ids, mid_store, 1, 12000)
+    _, cp = run_many(ids, small_store, 1, 5000)
+    resumed, _ = run_many(ids, mid_store, 5001, 12000, resume=cp)
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+    # thm-78 counts primes up to N^2 + 2N, past the small sieve near its edge
+    split = small_store.prime_count - 7
+    _, cp = run_many(["thm-78"], small_store, 1, split)
+    resumed, _ = run_many(["thm-78"], mid_store, split + 1, 12000, resume=cp)
+    single, _ = run_many(["thm-78"], mid_store, 1, 12000)
+    assert resumed["thm-78"].to_json() == single["thm-78"].to_json()
+    # a run that used up its sieve skipped its last window's successor
+    _, cp = run_many(["gap-next"], small_store, 1, small_store.prime_count - 1)
+    with pytest.raises(ValueError):
+        run_many(["gap-next"], mid_store, small_store.prime_count, 12000, resume=cp)
+
+
+def test_resume_old_checkpoint_needs_same_store(small_store, mid_store):
+    """A checkpoint without `sieve_edge` cannot tell whether it stopped at
+    its sieve's edge, so it resumes only on a sieve of its own limit."""
+    ids = ["gap-next", "conj-gap-sq"]
+    single, _ = run_many(ids, mid_store, 1, 120)
+    _, cp = run_many(ids, mid_store, 1, 50)
+    del cp["sieve_edge"]
+    cp["store_limit"] = mid_store.limit
+    resumed, _ = run_many(ids, mid_store, 51, 120, resume=cp)
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+    cp["store_limit"] = small_store.limit
+    with pytest.raises(ValueError):
+        run_many(ids, mid_store, 51, 120, resume=cp)
+
+
+def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
+    """Claims over every n < m cannot be decided from a start past n = 1."""
+    for cid in ("twin-95", "twin-96", "twin-910"):
+        r = run_checker(cid, mid_store, 100001, 101000)
+        assert r.verdict is not Verdict.FAIL, cid
+        assert r.counts.out_of_domain == 1000 and r.counts.total() == 1000, cid
+
+
 def test_resume_mismatch_rejected(mid_store):
     _, cp = run_many(["conj-gap-sq"], mid_store, 1, 50)
     with pytest.raises(ValueError):

@@ -108,6 +108,35 @@ def test_manifest_resume_identical(tmp_path):
     assert r2.stdout == r3.stdout
 
 
+def test_resume_with_larger_limit(tmp_path):
+    m = tmp_path / "m.json"
+    ids = "conj-gap-sq,twin-95,delta-gt-half"
+    r1 = run("verify", "--checker", ids, "--n-hi", "5000", "--limit", "100000",
+             "--manifest-out", str(m), "--format", "json")
+    assert r1.returncode == 0
+    r2 = run("verify", "--resume", str(m), "--n-hi", "15000",
+             "--limit", "200000", "--format", "json")
+    r3 = run("verify", "--checker", ids, "--n-hi", "15000",
+             "--limit", "200000", "--format", "json")
+    assert r2.returncode == 0 and r3.returncode == 0
+    assert r2.stdout == r3.stdout
+
+
+def test_resume_thm78_near_sieve_edge(tmp_path):
+    """thm-78 reads primes up to N^2 + 2N, past a 1e5 sieve for p near 1e5;
+    the resumed report must still equal a single run on the larger sieve."""
+    m = tmp_path / "m.json"
+    r1 = run("verify", "--checker", "thm-78", "--n-hi", "9585", "--limit", "100000",
+             "--manifest-out", str(m), "--format", "json")
+    assert r1.returncode == 0
+    r2 = run("verify", "--resume", str(m), "--n-hi", "15000",
+             "--limit", "200000", "--format", "json")
+    r3 = run("verify", "--checker", "thm-78", "--n-hi", "15000",
+             "--limit", "200000", "--format", "json")
+    assert r2.returncode == 0 and r3.returncode == 0
+    assert r2.stdout == r3.stdout
+
+
 def test_rerun_manifest_reproduces_digests(tmp_path):
     m1, m2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ("verify", "--checker", "andrica,gap-85", "--n-hi", "600",
@@ -117,11 +146,3 @@ def test_rerun_manifest_reproduces_digests(tmp_path):
     d1 = json.loads(m1.read_text())
     d2 = json.loads(m2.read_text())
     assert d1["digests"] == d2["digests"]
-
-
-def test_threads_flag_same_output():
-    a = run("verify", "--checker", "andrica,gap-85,cor-12", "--n-hi", "500",
-            "--limit", "100000", "--format", "json")
-    b = run("verify", "--checker", "andrica,gap-85,cor-12", "--n-hi", "500",
-            "--limit", "100000", "--format", "json", "--threads", "3")
-    assert a.stdout == b.stdout

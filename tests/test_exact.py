@@ -1,29 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcheck.exact import (Cmp, FixedApprox, RootExpr, cmp_root, eval_fixed,
-                            exact_sign, floor_root, floor_root_general,
-                            frac_root, isqrt, sqrt_fixed)
-from oracles import longhand_sqrt_digits
-
-
-def test_isqrt_basics():
-    assert isqrt(0) == 0
-    assert isqrt(77) == 8
-    assert isqrt(89) == 9
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-@given(st.integers(min_value=0, max_value=1 << 140))
-@settings(max_examples=300)
-def test_isqrt_defining_property(x):
-    r = isqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
+                            exact_sign, floor_root, frac_root, sqrt_fixed)
+from oracles import floor_root_general, longhand_sqrt_digits
 
 
 def test_sqrt_fixed_exact_square():

@@ -4,11 +4,11 @@ import pytest
 
 from gapcheck.intervals import (PowerGapReport, brocard_reports,
                                 even_base_report, even_square_decomposition,
-                                h_value_coverage, phi_c_direct, pow2_ladder,
+                                h_value_coverage, pow2_ladder,
                                 power_reports, prime_power_windows,
                                 square_reports, write_square_csv)
 from gapcheck.primes import CoverageError
-from oracles import pi_trial, trial_division_is_prime
+from oracles import meissel_pi, pi_trial, trial_division_is_prime
 
 
 def test_even_base_window_12(mid_store):
@@ -127,10 +127,9 @@ def test_pow2_ladder(mid_store):
                for r in rows)
 
 
-def test_phi_c_direct_matches(mid_store):
-    for k in range(2, 22):
-        want = 2 ** (k - 1) - (mid_store.pi(2 ** k) - 1)
-        assert phi_c_direct(mid_store, k) == want
+def test_pow2_phi_c_against_meissel(mid_store):
+    for row in pow2_ladder(mid_store, 21):
+        assert row.phi_c == 2 ** (row.k - 1) + 1 - meissel_pi(2 ** row.k), row.k
 
 
 def test_pow2_coverage_error(small_store):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gapcheck.primes import (CapacityError, CoverageError, build_store,
+from gapcheck.primes import (LIMIT_CAP, CapacityError, CoverageError, build_store,
                              is_prime_u64)
 from oracles import meissel_pi, pi_trial, trial_division_is_prime, trial_division_primes
 
@@ -81,7 +81,7 @@ def test_coverage_and_capacity_errors(small_store):
     with pytest.raises(CoverageError):
         small_store.nth_prime(10 ** 6)
     with pytest.raises(CapacityError):
-        build_store(10 ** 9, limit_cap=10 ** 8)
+        build_store(LIMIT_CAP + 1)
 
 
 def test_is_prime_u64_small_values():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gapcheck.twin import (alpha_ledger, brute_force_j, jn_questions,
+from gapcheck.twin import (alpha_ledger, jn_questions,
                            ln_interval, ln_ln_interval,
                            same_floor_consecutive_twin_pairs,
                            twin_prime_values, write_ledger_csv)
@@ -39,7 +39,7 @@ def test_ln_rational_arguments():
 
 
 def test_j_convention(mid_store):
-    rows = {r.n: r for r in alpha_ledger(mid_store, 30, check_questions=False)}
+    rows = {r.n: r for r in alpha_ledger(mid_store, 30)}
     assert rows[1].j == 0
     assert rows[6].j == 3      # pairs (3,5), (5,7), (11,13)
     primes = list(mid_store.iter_primes(2, 200))
@@ -47,23 +47,15 @@ def test_j_convention(mid_store):
         assert rows[n].j == brute_twin_count_below_index(primes, n)
 
 
-def test_brute_force_j_agrees(mid_store):
-    for n in [1, 2, 6, 100, 500]:
-        row = None
-        for r in alpha_ledger(mid_store, n, check_questions=False):
-            row = r
-        assert row.j == brute_force_j(mid_store, n)
-
-
 def test_identity_and_error_budget(mid_store):
-    rows = list(alpha_ledger(mid_store, 3000, check_questions=False))
+    rows = list(alpha_ledger(mid_store, 3000))
     assert all(r.identity_ok for r in rows)
     # at 64 fractional bits the tracked bound stays below 2^-40
     assert all(r.residual_bound <= 1 << 24 for r in rows)
 
 
 def test_sandwich_bounds(mid_store):
-    rows = list(alpha_ledger(mid_store, 3000, check_questions=False))
+    rows = list(alpha_ledger(mid_store, 3000))
     assert all(r.sandwich_ok for r in rows)
 
 
@@ -75,7 +67,7 @@ def test_alpha4_positive(mid_store):
 
 
 def test_b_exceeds_a_at_1000(mid_store):
-    row = [r for r in alpha_ledger(mid_store, 1000, check_questions=False)][-1]
+    row = [r for r in alpha_ledger(mid_store, 1000)][-1]
     assert row.b_gt_a
 
 
@@ -127,5 +119,5 @@ def test_j_against_independent_pair_enumeration(mid_store):
         if p >= 5 and mid_store.is_prime(p - 2):
             pair_count += 1
         counts[idx] = pair_count
-    for r in alpha_ledger(mid_store, n_hi, check_questions=False):
+    for r in alpha_ledger(mid_store, n_hi):
         assert r.j == counts[r.n], r.n

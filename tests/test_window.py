@@ -82,7 +82,7 @@ def test_q_reconstruction_sampled(mid_store):
 def test_j_checkpoint_roundtrip(small_store):
     mid = 15
     j_mid = sum(1 for w in windows(small_store, 1, mid - 1) if w.d == 2)
-    cp = JCheckpoint(n=mid, j=j_mid, store_limit=small_store.limit)
+    cp = JCheckpoint(n=mid, j=j_mid)
     a = [(w.n, w.j) for w in windows(small_store, mid, 25, j_origin=cp)]
     b = [(w.n, w.j) for w in windows(small_store, 1, 25)][mid - 1:]
     c = [(w.n, w.j) for w in windows(small_store, mid, 25)]  # auto prefix
@@ -90,9 +90,9 @@ def test_j_checkpoint_roundtrip(small_store):
 
 
 def test_checkpoint_mismatch(small_store):
-    cp = JCheckpoint(n=10, j=99, store_limit=123)
+    cp = JCheckpoint(n=10, j=3)
     with pytest.raises(CheckpointMismatch):
-        next(windows(small_store, 10, 12, j_origin=cp))
+        next(windows(small_store, 11, 12, j_origin=cp))
 
 
 def test_coverage_error(small_store):
@@ -119,7 +119,8 @@ def test_section3_integer_forms_match_general_floor_path(mid_store):
     """The s-based integer floors and the FixedApprox general path agree on
     a sampled set of windows (the dual-route check for the floor family)."""
     import random
-    from gapcheck.exact import RootExpr, floor_root_general
+    from gapcheck.exact import RootExpr
+    from oracles import floor_root_general
     rng = random.Random(9)
     ns = sorted(rng.sample(range(2, 50000), 200))
     ws = {w.n: w for w in windows(mid_store, 1, max(ns))}
