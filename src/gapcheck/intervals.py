@@ -18,10 +18,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .exact import _sign_2rad
-from .primes import CoverageError, PrimeStore, _small_sieve, is_prime_u64
+from .primes import CoverageError, PrimeStore, is_prime_u64
 
 
 @dataclass
@@ -61,13 +62,6 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         raise ValueError("N must be >= 1")
     if (n_hi + 1) ** 2 > store.limit:
         raise CoverageError(f"(N+1)^2 beyond store limit {store.limit}")
-    points = []
-    for N in range(n_lo, n_hi + 1):
-        points.extend([N * N - N, N * N, N * N + N, (N + 1) ** 2])
-    pis = dict(zip(points, store.bulk_pi(points)))
-    # offsets h live below 2 n_hi + 1; one small sieve tests them all
-    small = set(_small_sieve(2 * n_hi + 1))
-
     for N in range(n_lo, n_hi + 1):
         N2 = N * N
         primes = list(store.iter_primes(N2 + 1, (N + 1) ** 2 - 1))
@@ -75,13 +69,15 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         if keep_primes:
             rep.primes = primes
         rep.h_values = [p - N2 for p in primes]
-        rep.prime_h_values = [h for h in rep.h_values if h in small]
+        # h <= 2N < (N+1)^2, so the store itself tests the offsets
+        rep.prime_h_values = [h for h in rep.h_values if store.is_prime(h)]
         rep.legendre = len(primes) >= 1
         rep.two_primes = len(primes) >= 2
+        pi_lo, pi_sq, pi_hi = (store.pi(x) for x in (N2 - N, N2, N2 + N))
         if N >= 2:
-            rep.oppermann_lo = pis[N2 - N] < pis[N2]
-            rep.oppermann_hi = pis[N2] < pis[N2 + N]
-        rep.cumulative = pis[N2] >= 2 * (N - 1)
+            rep.oppermann_lo = pi_lo < pi_sq
+            rep.oppermann_hi = pi_sq < pi_hi
+        rep.cumulative = pi_sq >= 2 * (N - 1)
         if primes and N >= 2:
             p = primes[0]
             q = primes[1] if len(primes) > 1 else store.next_prime(p)
@@ -93,12 +89,12 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         if N >= 4 and N % 2 == 0:
             ok = True
             if store.is_prime(N2 + 1):
-                ok = ok and pis[N2 + N] - pis[N2] >= 2
+                ok = ok and pi_hi - pi_sq >= 2
             if N > 4 and store.is_prime(N2 + 2 * N - 1):
-                prev = store.next_prime(N2)  # first prime after the square
-                if prev < N2 + 2 * N - 1:
+                # primes[0] is the first prime after the square
+                if primes[0] < N2 + 2 * N - 1:
                     # pi(N^2 + 2N) = pi((N+1)^2): the square itself is not prime
-                    ok = ok and pis[(N + 1) ** 2] - pis[N2 + N] >= 2
+                    ok = ok and store.pi((N + 1) ** 2) - pi_hi >= 2
             rep.half_claims_ok = ok
         yield rep
 
@@ -122,25 +118,18 @@ class BrocardRow:
 
 def brocard_reports(store: PrimeStore, n_lo: int, n_hi: int) -> list[BrocardRow]:
     """pi(p_{n+1}^2) - pi(p_n^2) against the refined threshold 2 d_n."""
-    primes = []
-    idx = 0
-    for p in store.iter_primes():
-        idx += 1
-        if idx > n_hi + 1:
-            break
-        if idx >= n_lo:
-            primes.append((idx, p))
-    if len(primes) < 2 or primes[-1][0] < n_hi + 1:
+    if n_lo < 1 or n_hi < n_lo:
+        raise ValueError("need 1 <= n_lo <= n_hi")
+    if n_hi + 1 > store.prime_count:
         raise CoverageError("store does not cover the requested index range")
-    if primes[-1][1] ** 2 > store.limit:
+    primes = list(islice(store.iter_primes(store.nth_prime(n_lo)), n_hi + 2 - n_lo))
+    if primes[-1] ** 2 > store.limit:
         raise CoverageError("p_{n_hi+1}^2 beyond store limit")
-    pis = dict(zip([p * p for _, p in primes],
-                   store.bulk_pi([p * p for _, p in primes])))
+    pis = [store.pi(p * p) for p in primes]
     rows = []
-    for (n, p), (_, q) in zip(primes, primes[1:]):
-        count = pis[q * q] - pis[p * p]
-        rows.append(BrocardRow(n=n, p=p, q=q, count=count,
-                               threshold=2 * (q - p), ok=count >= 2 * (q - p)))
+    for n, p, q, lo, hi in zip(range(n_lo, n_hi + 1), primes, primes[1:], pis, pis[1:]):
+        rows.append(BrocardRow(n=n, p=p, q=q, count=hi - lo,
+                               threshold=2 * (q - p), ok=hi - lo >= 2 * (q - p)))
     return rows
 
 
@@ -203,45 +192,30 @@ def power_reports(store: PrimeStore, k: int, n_lo: int, n_hi: int,
         raise CoverageError("store must cover 2^k")
     limit = min(budget, store.limit)
 
-    jobs = []
-    points = set()
     for n in range(n_lo, n_hi + 1):
-        hi = (n + 1) ** k
+        lo, hi = n ** k, (n + 1) ** k
         if hi > limit:
-            break
-        breaks = _subinterval_breaks(k, n, pi2k)
-        jobs.append((n, n ** k, hi, breaks))
-        points.add(n ** k)
-        points.add(hi - 1)
-        for b in breaks:
-            # count primes <= b with boundary primes going to the lower side:
-            # pi(floor(b)) counts an exact integer boundary downward already
-            points.add(b.numerator // b.denominator)
-    plist = sorted(points)
-    pis = dict(zip(plist, store.bulk_pi(plist)))
-
-    for n, lo, hi, breaks in jobs:
-        cuts = [pis[lo]] + [pis[b.numerator // b.denominator] for b in breaks] \
-            + [pis[hi - 1]]
+            if n > n_lo:
+                yield PowerGapReport(k=k, n=n, lower_counts=[], total=0,
+                                     expected_min=pi2k, per_interval_ok=False,
+                                     subintervals_claimed=False,
+                                     total_ok=False, cumulative_ok=False,
+                                     budget_hit=True)
+            return
+        # count primes <= b with boundary primes going to the lower side:
+        # pi(floor(b)) counts an exact integer boundary downward already
+        cuts = [store.pi(x) for x in (
+            lo, *(b.numerator // b.denominator for b in _subinterval_breaks(k, n, pi2k)),
+            hi - 1)]
         counts = [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
         total = cuts[-1] - cuts[0]
-        cumulative = pis.get(lo)
-        claimed = n >= _scheme_n_min(k)
         yield PowerGapReport(
             k=k, n=n, lower_counts=counts, total=total, expected_min=pi2k,
             per_interval_ok=all(c >= 1 for c in counts),
-            subintervals_claimed=claimed,
+            subintervals_claimed=n >= _scheme_n_min(k),
             total_ok=total >= pi2k,
-            cumulative_ok=(n < 2 or cumulative >= pi2k * (n - 1)),
+            cumulative_ok=(n < 2 or cuts[0] >= pi2k * (n - 1)),
         )
-    if jobs and (n_hi + 1) ** k > limit:
-        last = jobs[-1][0]
-        if last < n_hi:
-            yield PowerGapReport(k=k, n=last + 1, lower_counts=[], total=0,
-                                 expected_min=pi2k, per_interval_ok=False,
-                                 subintervals_claimed=False,
-                                 total_ok=False, cumulative_ok=False,
-                                 budget_hit=True)
 
 
 def prime_power_windows(store: PrimeStore, k: int, budget: int = 10 ** 8):
@@ -253,12 +227,10 @@ def prime_power_windows(store: PrimeStore, k: int, budget: int = 10 ** 8):
         if p ** k > limit:
             break
         primes.append(p)
-    pts = [p ** k for p in primes]
-    pis = dict(zip(pts, store.bulk_pi(pts)))
+    pis = [store.pi(p ** k) for p in primes]
     rows = []
-    for p, q in zip(primes, primes[1:]):
-        count = pis[q ** k] - pis[p ** k]
-        rows.append((p, q, count, pi2k * (q - p), count >= pi2k * (q - p)))
+    for p, q, lo, hi in zip(primes, primes[1:], pis, pis[1:]):
+        rows.append((p, q, hi - lo, pi2k * (q - p), hi - lo >= pi2k * (q - p)))
     return rows
 
 
@@ -281,11 +253,10 @@ def pow2_ladder(store: PrimeStore, k_max: int = 26) -> list[Pow2Row]:
     """
     if 2 ** k_max > store.limit:
         raise CoverageError(f"2^{k_max} beyond store limit")
-    pis = store.bulk_pi([2 ** k for k in range(2, k_max + 1)])
     rows = []
     prev = None
-    for i, k in enumerate(range(2, k_max + 1)):
-        pi_2k = pis[i]
+    for k in range(2, k_max + 1):
+        pi_2k = store.pi(2 ** k)
         odd_count = 2 ** (k - 1)
         phi_c = odd_count - (pi_2k - 1)
         rows.append(Pow2Row(

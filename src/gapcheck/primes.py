@@ -1,13 +1,16 @@
 """Prime generation, counting and primality testing over 64-bit ranges.
 
 The central object is :class:`PrimeStore`, a segmented odd-only sieve with a
-prime-count checkpoint at every segment boundary.  Segments are re-sieved on
-demand and kept in a small LRU cache, so a store covering 10^8 costs a few
-hundred MB-seconds to build but only O(segment) memory to hold.
+prime-count checkpoint at the start of every block of BLOCK_ENTRIES odd
+numbers, so pi(x) and p_n each read one checkpoint and scan inside one
+block.  Segments are re-sieved on demand and kept in a small LRU cache, so a
+store covering 10^8 costs a few hundred MB-seconds to build but only
+O(segment) memory to hold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from math import isqrt
 
@@ -21,6 +24,7 @@ class CapacityError(ValueError):
 
 
 SEGMENT_ENTRIES = 1 << 20  # odd numbers per segment
+BLOCK_ENTRIES = 1 << 14    # odd numbers per prime-count checkpoint
 CACHE_SEGMENTS = 8         # sieved segments kept in the LRU cache
 LIMIT_CAP = 1 << 34
 
@@ -52,31 +56,28 @@ class PrimeStore:
             raise CapacityError(f"limit {limit} exceeds budget {LIMIT_CAP}")
         self.limit = limit
         self._base = _small_sieve(isqrt(limit))
-        # segment k holds odd numbers in [3 + 2*k*E, 3 + 2*(k+1)*E)
-        E = SEGMENT_ENTRIES
-        self._nseg = ((limit - 3) // 2 + E) // E if limit >= 3 else 0
         self._cache: OrderedDict[int, bytearray] = OrderedDict()
-        # checkpoint[k] = pi(first odd of segment k - 1); checkpoint[nseg] = pi(limit-ish)
-        self._checkpoints = [1] * (self._nseg + 1)  # counts include the prime 2
-        cnt = 1 if limit >= 2 else 0
-        for k in range(self._nseg):
-            cnt += self._segment(k).count(1)
-            self._checkpoints[k + 1] = cnt
+        # entry i is the odd number 3 + 2i; segment k holds entries
+        # [k*E, (k+1)*E); checkpoint[b] = primes (2 included) below block b
+        E = SEGMENT_ENTRIES
+        cnt = 1
+        self._checkpoints = [cnt]
+        for k in range(((limit - 3) // 2 + E) // E):
+            seg = self._segment(k)
+            for b in range(0, len(seg), BLOCK_ENTRIES):
+                cnt += seg.count(1, b, b + BLOCK_ENTRIES)
+                self._checkpoints.append(cnt)
         self.prime_count = cnt
 
     # -- segment machinery -------------------------------------------------
-
-    def _segment_bounds(self, k: int) -> tuple[int, int]:
-        lo = 3 + 2 * k * SEGMENT_ENTRIES
-        hi = min(lo + 2 * SEGMENT_ENTRIES, self.limit + 1)
-        return lo, hi
 
     def _segment(self, k: int) -> bytearray:
         seg = self._cache.get(k)
         if seg is not None:
             self._cache.move_to_end(k)
             return seg
-        lo, hi = self._segment_bounds(k)
+        lo = 3 + 2 * k * SEGMENT_ENTRIES
+        hi = min(lo + 2 * SEGMENT_ENTRIES, self.limit + 1)
         n_entries = (hi - lo + 1) // 2
         seg = bytearray([1]) * n_entries
         for p in self._base:
@@ -91,38 +92,33 @@ class PrimeStore:
                 continue
             i = (start - lo) // 2
             seg[i::p] = b"\x00" * ((n_entries - i + p - 1) // p)
-        if lo <= 1:
-            seg[(1 - lo) // 2] = 0
         self._cache[k] = seg
         if len(self._cache) > CACHE_SEGMENTS:
             self._cache.popitem(last=False)
         return seg
 
+    def _locate(self, x: int) -> tuple[int, int]:
+        """Segment and offset of the largest odd <= x (a real entry once x >= 3)."""
+        if x > self.limit or x < 0:
+            raise CoverageError(f"{x} outside [0, {self.limit}]")
+        return divmod((x - 3) // 2, SEGMENT_ENTRIES)
+
     # -- queries ------------------------------------------------------------
 
     def is_prime(self, x: int) -> bool:
-        if x > self.limit or x < 0:
-            raise CoverageError(f"{x} outside [0, {self.limit}]")
-        if x < 3:
+        k, off = self._locate(x)
+        if x < 3 or x % 2 == 0:
             return x == 2
-        if x % 2 == 0:
-            return False
-        k = (x - 3) // (2 * SEGMENT_ENTRIES)
-        lo, _ = self._segment_bounds(k)
-        return bool(self._segment(k)[(x - lo) // 2])
+        return bool(self._segment(k)[off])
 
     def pi(self, x: int) -> int:
         """Exact count of primes <= x."""
-        if x > self.limit or x < 0:
-            raise CoverageError(f"pi({x}) outside [0, {self.limit}]")
-        if x < 2:
-            return 0
+        k, off = self._locate(x)
         if x < 3:
-            return 1
-        k = (x - 3) // (2 * SEGMENT_ENTRIES)
-        lo, _ = self._segment_bounds(k)
-        seg = self._segment(k)
-        return self._checkpoints[k] + seg[: (x - lo) // 2 + 1].count(1)
+            return int(x == 2)
+        start = off - off % BLOCK_ENTRIES
+        return (self._checkpoints[(k * SEGMENT_ENTRIES + start) // BLOCK_ENTRIES]
+                + self._segment(k).count(1, start, off + 1))
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-based (p_1 = 2)."""
@@ -132,22 +128,13 @@ class PrimeStore:
             raise CoverageError(f"p_{n} beyond store limit {self.limit}")
         if n == 1:
             return 2
-        # binary search on checkpoints, then scan one segment
-        lo_k, hi_k = 0, self._nseg
-        while lo_k < hi_k:
-            mid = (lo_k + hi_k) // 2
-            if self._checkpoints[mid + 1] >= n:
-                hi_k = mid
-            else:
-                lo_k = mid + 1
-        k = lo_k
+        b = bisect_left(self._checkpoints, n) - 1
+        k, off = self._locate(3 + 2 * b * BLOCK_ENTRIES)
         seg = self._segment(k)
-        lo, _ = self._segment_bounds(k)
-        remaining = n - self._checkpoints[k]
-        pos = -1
-        for _ in range(remaining):
+        pos = off - 1
+        for _ in range(n - self._checkpoints[b]):
             pos = seg.find(1, pos + 1)
-        return lo + 2 * pos
+        return 3 + 2 * (k * SEGMENT_ENTRIES + pos)
 
     def iter_primes(self, start: int = 2, stop: int | None = None):
         """Yield primes p with start <= p <= stop (stop defaults to limit)."""
@@ -157,73 +144,24 @@ class PrimeStore:
             raise CoverageError(f"stop {stop} beyond limit {self.limit}")
         if start <= 2 <= stop:
             yield 2
-        lo_k = max(0, (max(start, 3) - 3) // (2 * SEGMENT_ENTRIES))
-        for k in range(lo_k, self._nseg):
-            lo, hi = self._segment_bounds(k)
-            if lo > stop:
-                return
+        # entries of the first odd >= start and the last odd <= stop
+        i, last = (max(start, 3) - 2) // 2, (stop - 3) // 2
+        while i <= last:
+            k, off = divmod(i, SEGMENT_ENTRIES)
+            base = 3 + 2 * k * SEGMENT_ENTRIES
+            end = last - k * SEGMENT_ENTRIES + 1
             seg = self._segment(k)
-            pos = seg.find(1)
+            pos = seg.find(1, off, end)
             while pos >= 0:
-                p = lo + 2 * pos
-                if p > stop:
-                    return
-                if p >= start:
-                    yield p
-                pos = seg.find(1, pos + 1)
+                yield base + 2 * pos
+                pos = seg.find(1, pos + 1, end)
+            i = (k + 1) * SEGMENT_ENTRIES
 
     def next_prime(self, x: int) -> int:
         """Smallest prime > x within coverage."""
-        if x < 2:
-            return 2
-        k = max(0, (x - 1 - 3) // (2 * SEGMENT_ENTRIES)) if x >= 3 else 0
-        for kk in range(k, self._nseg):
-            lo, _ = self._segment_bounds(kk)
-            seg = self._segment(kk)
-            begin = max(0, (x + 1 - lo + 1) // 2) if x + 1 > lo else 0
-            pos = seg.find(1, begin)
-            while pos >= 0:
-                p = lo + 2 * pos
-                if p > x:
-                    return p
-                pos = seg.find(1, pos + 1)
+        for p in self.iter_primes(x + 1):
+            return p
         raise CoverageError(f"no prime above {x} within limit {self.limit}")
-
-    def bulk_pi(self, xs: list[int]) -> list[int]:
-        """pi at many points in one streaming pass (points need not be sorted)."""
-        order = sorted(range(len(xs)), key=lambda i: xs[i])
-        out = [0] * len(xs)
-        for i in order:
-            if xs[i] > self.limit or xs[i] < 0:
-                raise CoverageError(f"pi({xs[i]}) outside coverage")
-        it = iter(order)
-        try:
-            cur = next(it)
-        except StopIteration:
-            return out
-        count = 0
-        last_emitted = -1
-        # stream primes once; emit counts as thresholds pass
-        done = False
-        for p in self.iter_primes():
-            while xs[cur] < p:
-                out[cur] = count
-                try:
-                    cur = next(it)
-                except StopIteration:
-                    done = True
-                    break
-            if done:
-                break
-            count += 1
-        if not done:
-            while True:
-                out[cur] = count
-                try:
-                    cur = next(it)
-                except StopIteration:
-                    break
-        return out
 
 
 def build_store(limit: int) -> PrimeStore:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, pairwise
 from math import isqrt
 
 from .exact import RootExpr
@@ -139,17 +140,7 @@ def root_views(w: GapWindow) -> RootViews:
 
 def _twin_prefix(store: PrimeStore, n_lo: int) -> int:
     """Count of i < n_lo with d_i = 2 by a direct prefix scan."""
-    j = 0
-    idx = 0
-    prev = None
-    for p in store.iter_primes():
-        idx += 1
-        if prev is not None and p - prev == 2 and idx - 1 < n_lo:
-            j += 1
-        if idx > n_lo:
-            break
-        prev = p
-    return j
+    return sum(q - p == 2 for p, q in pairwise(islice(store.iter_primes(), n_lo)))
 
 
 def windows(store: PrimeStore, n_lo: int, n_hi: int,

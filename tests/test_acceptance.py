@@ -15,7 +15,7 @@ from gapcheck.checkers import RunOpts, Verdict, run_checker, run_many
 from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root
 from gapcheck.intervals import brocard_reports, pow2_ladder, power_reports, square_reports
 from gapcheck.primes import build_store
-from gapcheck.twin import alpha_ledger, jn_questions, same_floor_consecutive_twin_pairs
+from gapcheck.twin import alpha_ledger, same_floor_consecutive_twin_pairs
 from gapcheck.window import twin_pairs, windows
 from oracles import floor_root_general, meissel_pi
 

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from gapcheck.accum import (RationalTarget, ScanError, accum_scan, disjointness,
-                            mu_decimal, mu_truncated, parse_target,
+                            mu_truncated, parse_target,
                             special_scans, write_accum_csv)
 from oracles import trial_division_is_prime
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, FixedApprox, RootExpr, cmp_root, eval_fixed,
-                            exact_sign, floor_root, frac_root, sqrt_fixed)
+from gapcheck.exact import (Cmp, RootExpr, cmp_root, eval_fixed, exact_sign,
+                            floor_root, frac_root, sqrt_fixed)
 from oracles import floor_root_general, longhand_sqrt_digits
 
 

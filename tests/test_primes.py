@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from gapcheck.primes import (LIMIT_CAP, CapacityError, CoverageError, build_store,
-                             is_prime_u64)
-from oracles import meissel_pi, pi_trial, trial_division_is_prime, trial_division_primes
+from gapcheck.primes import (BLOCK_ENTRIES, LIMIT_CAP, SEGMENT_ENTRIES, CapacityError,
+                             CoverageError, build_store, is_prime_u64)
+from oracles import meissel_pi, trial_division_is_prime, trial_division_primes
 
 
 def test_first_primes(small_store):
@@ -70,9 +70,44 @@ def test_next_prime(small_store):
     assert small_store.next_prime(7917) == 7919
 
 
-def test_bulk_pi_matches_pi(small_store):
-    xs = [0, 1, 2, 10, 97, 1000, 99999, 31337]
-    assert small_store.bulk_pi(xs) == [small_store.pi(x) for x in xs]
+def _next_prime_oracle(x, limit):
+    return next((y for y in range(x + 1, limit + 1) if trial_division_is_prime(y)), None)
+
+
+@pytest.mark.parametrize("limit", [
+    4 * SEGMENT_ENTRIES + 5,  # three segments, the last holding two entries
+    4 * SEGMENT_ENTRIES + 3,  # the last segment holds one entry
+    2, 3, 4,
+])
+def test_queries_across_block_and_segment_edges(limit):
+    store = build_store(limit)
+    # the odd numbers opening every segment after the first and a seeded
+    # sample of blocks, plus the store's edges
+    n_entries = max(0, (limit - 3) // 2 + 1)
+    block_starts = range(BLOCK_ENTRIES, n_entries, BLOCK_ENTRIES)
+    firsts = [*range(SEGMENT_ENTRIES, n_entries, SEGMENT_ENTRIES),
+              *random.Random(limit).sample(block_starts, min(12, len(block_starts)))]
+    edges = sorted({3 + 2 * i for i in firsts} | {2, limit})
+    for edge in edges:
+        for x in range(max(edge - 2, 0), min(edge + 2, limit) + 1):
+            assert store.pi(x) == meissel_pi(x)
+            assert store.is_prime(x) == trial_division_is_prime(x)
+            nxt = _next_prime_oracle(x, limit)
+            if nxt is None:
+                with pytest.raises(CoverageError):
+                    store.next_prime(x)
+            else:
+                assert store.next_prime(x) == nxt
+        a, b = edge - 100, min(edge + 100, limit)
+        got = list(store.iter_primes(a, b))
+        assert got == [y for y in range(a, b + 1) if trial_division_is_prime(y)]
+        for p in got:
+            assert store.nth_prime(store.pi(p)) == p
+    assert store.prime_count == meissel_pi(limit)
+    assert store.nth_prime(store.prime_count) == max(
+        y for y in range(limit - 200, limit + 1) if trial_division_is_prime(y))
+    with pytest.raises(CoverageError):
+        store.nth_prime(store.prime_count + 1)
 
 
 def test_coverage_and_capacity_errors(small_store):

@@ -2,8 +2,6 @@ import io
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-import pytest
-
 from gapcheck.twin import (alpha_ledger, jn_questions,
                            ln_interval, ln_ln_interval,
                            same_floor_consecutive_twin_pairs,
