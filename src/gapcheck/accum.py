@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .exact import _sign_1rad, _sign_2rad
 from .primes import is_prime_u64
-
-F = Fraction
 
 
 @dataclass(frozen=True)
@@ -32,10 +29,6 @@ class RationalTarget:
             raise ValueError("need 0 <= a <= b, b >= 1")
         if gcd(self.a, self.b) != 1:
             raise ValueError("a/b must be in lowest terms")
-
-    @property
-    def value(self) -> Fraction:
-        return F(self.a, self.b)
 
     def __str__(self):
         return f"{self.a}/{self.b}"
@@ -80,37 +73,29 @@ def mu_decimal(p: int, digits: int = 5) -> str:
     return f"0.{rounded:0{digits}d}"
 
 
-def mu_truncated(p: int, digits: int = 5) -> str:
-    """{sqrt(p)} truncated (not rounded) to the given digits."""
-    M = isqrt(p)
-    t = isqrt(p * 10 ** (2 * digits)) - M * 10 ** digits
-    return f"0.{t:0{digits}d}"
+def _mu_side(p: int, a: int, b: int) -> int:
+    """Exact sign of {sqrt(p)} - a/b, from b*sqrt(p) - (b*floor(sqrt(p)) + a)."""
+    return _sign_1rad(-(b * isqrt(p) + a), b, p)
 
 
-def _mu_side(p: int, target: Fraction) -> int:
-    """Exact sign of {sqrt(p)} - target."""
-    return _sign_1rad(F(-(isqrt(p) + target)), F(1), p)
-
-
-def _abs_err_cmp(p1: int, r: Fraction, p2: int, side: int) -> int:
+def _abs_err_cmp(p1: int, p2: int, side: int) -> int:
     """sign(|mu(p1) - r| - |mu(p2) - r|) when both mus sit on the same given
-    side of r (side = -1: mu < r, +1: mu > r)."""
+    side of r (side = -1: mu < r, +1: mu > r); r cancels."""
     m1, m2 = isqrt(p1), isqrt(p2)
-    return _sign_2rad(F(side * (m2 - m1)), F(side), p1, F(-side), p2)
+    return _sign_2rad(side * (m2 - m1), side, p1, -side, p2)
 
 
-def _err_decimal(p: int, r: Fraction, digits: int = 6) -> str:
-    """|{sqrt(p)} - r| truncated to the given digits."""
+def _err_decimal(p: int, a: int, b: int, digits: int = 6) -> str:
+    """|{sqrt(p)} - a/b| truncated to the given digits."""
     M = isqrt(p)
-    s = _mu_side(p, r)
+    s = _mu_side(p, a, b)
     scale = 10 ** digits
-    t = r.denominator
-    big = isqrt(p * (scale * t) ** 2)       # floor(sqrt(p) t scale)
-    off = (M * t + r.numerator) * scale
+    big = isqrt(p * (scale * b) ** 2)       # floor(sqrt(p) b scale)
+    off = (M * b + a) * scale
     if s > 0:
-        val = (big - off) // t
+        val = (big - off) // b
     else:
-        val = (off - big - 1) // t
+        val = (off - big - 1) // b
     val = max(val, 0)
     return f"{val // scale}.{val % scale:0{digits}d}"
 
@@ -135,7 +120,6 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
     step = b // gcd(b, 2 * a)
     records: list[AccumRecord] = []
     prev_p = None
-    target = r.value
     for N in range(step, N_max + 1, step):
         if c != 1 and N % c == 0:
             continue  # the prime-q variant requires N not divisible by q
@@ -147,22 +131,21 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
         p = val
         M = N
         rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
-                          abs_err_digits=_err_decimal(p, target))
-        rec.side_ok = _mu_side(p, target) == sgn
+                          abs_err_digits=_err_decimal(p, a, b))
+        rec.side_ok = _mu_side(p, a, b) == sgn
         if c == 1:
+            # lower ends times 2bp, upper ends times 2bN
             if sign == "-":
                 # a/b - a/(b sqrt(p)) - 1/(2 sqrt(p)) < mu < a/b - 1/(2N)
-                lo_ok = _sign_1rad(F(-M) - target,
-                                   1 + F(2 * a + b, 2 * b) * F(1, p), p) > 0
-                hi_ok = _sign_1rad(F(-M) - target + F(1, 2 * N), F(1), p) < 0
+                lo_ok = _sign_1rad(-2 * p * (b * M + a), 2 * b * p + 2 * a + b, p) > 0
+                hi_ok = _sign_1rad(b - 2 * N * (b * M + a), 2 * b * N, p) < 0
             else:
                 # a/b - a/(b sqrt(p)) + 1/(2 sqrt(p)) < mu < a/b + 1/(2N)
-                lo_ok = _sign_1rad(F(-M) - target,
-                                   1 + F(2 * a - b, 2 * b) * F(1, p), p) > 0
-                hi_ok = _sign_1rad(F(-M) - target - F(1, 2 * N), F(1), p) < 0
+                lo_ok = _sign_1rad(-2 * p * (b * M + a), 2 * b * p + 2 * a - b, p) > 0
+                hi_ok = _sign_1rad(-b - 2 * N * (b * M + a), 2 * b * N, p) < 0
             rec.envelope_ok = lo_ok and hi_ok
         if prev_p is not None and rec.side_ok:
-            rec.monotone_ok = _abs_err_cmp(p, target, prev_p, sgn) < 0
+            rec.monotone_ok = _abs_err_cmp(p, prev_p, sgn) < 0
         records.append(rec)
         prev_p = p
     return records
@@ -176,13 +159,14 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
     records: list[AccumRecord] = []
     prev = None
 
-    def emit(N, p, side, target):
+    def emit(N, p, side, a, b):
+        """Record p, scanned toward the target a/b from the given side."""
         nonlocal prev
         rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
-                          abs_err_digits=_err_decimal(p, F(target)))
-        rec.side_ok = _mu_side(p, F(target)) == side
+                          abs_err_digits=_err_decimal(p, a, b))
+        rec.side_ok = _mu_side(p, a, b) == side
         if prev is not None and rec.side_ok:
-            rec.monotone_ok = _abs_err_cmp(p, F(target), prev, side) < 0
+            rec.monotone_ok = _abs_err_cmp(p, prev, side) < 0
         records.append(rec)
         prev = p
 
@@ -191,46 +175,25 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
         for N in range(lo_N, N_max + 1):
             p = N * N + h
             if h <= 2 * N and is_prime_u64(p):
-                emit(N, p, +1, F(0))
+                emit(N, p, +1, 0, 1)
     elif kind == "near_half_minus":
         for N in range(2, N_max + 1):
             p = N * N + N - 1
             if is_prime_u64(p):
-                emit(N, p, -1, F(1, 2))
+                emit(N, p, -1, 1, 2)
     elif kind == "near_half_plus":
         for N in range(1, N_max + 1):
             p = N * N + N + 1
             if is_prime_u64(p):
-                emit(N, p, +1, F(1, 2))
+                emit(N, p, +1, 1, 2)
     elif kind == "top_family":
         for N in range(1, N_max + 1):
             p = N * N + 2 * N - 1
             if is_prime_u64(p):
-                emit(N, p, -1, F(1))
+                emit(N, p, -1, 1, 1)
     else:
         raise ScanError(f"unknown special scan kind {kind!r}")
     return records
-
-
-def disjointness(r: RationalTarget, s: RationalTarget, limit: int):
-    """Value sets of N^2 + 2rN + 1 and M^2 + 2sM + 1 over admissible N, M
-    up to the limit: (disjoint?, first collision or None)."""
-    if r == s:
-        raise ValueError("targets must differ")
-
-    def values(t: RationalTarget):
-        step = t.b // gcd(t.b, 2 * t.a) if t.a else 1
-        out = {}
-        for N in range(step, limit + 1, step):
-            out[N * N + (2 * t.a * N) // t.b + 1] = N
-        return out
-
-    va, vb = values(r), values(s)
-    common = sorted(set(va) & set(vb))
-    if common:
-        m = common[0]
-        return False, (m, va[m], vb[m])
-    return True, None
 
 
 def write_accum_csv(records, fh) -> None:

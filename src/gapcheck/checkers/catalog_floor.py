@@ -142,17 +142,17 @@ def _cor_36(ctx, tri, st):
 def _chain_37(ctx, tri, st):
     w = tri.w
     pq = w.p * w.q
-    half_d = F(w.d, 2)
-    # sqrt(p)Delta = sqrt(pq) - p ;  sqrt(q)Delta = q - sqrt(pq)
-    if not _sign_1rad(-w.p - half_d, F(1), pq) < 0:
+    # sqrt(p)Delta = sqrt(pq) - p ;  sqrt(q)Delta = q - sqrt(pq); each link
+    # times 2 or 4 to clear the halves and quarters
+    if not _sign_1rad(-2 * w.p - w.d, 2, pq) < 0:
         return violate("sqrt(p)Delta >= d/2")
-    if not _sign_1rad(F(w.q) - half_d, F(-1), pq) > 0:
+    if not _sign_1rad(2 * w.q - w.d, -2, pq) > 0:
         return violate("d/2 >= sqrt(q)Delta")
-    if not _sign_1rad(F(w.q) - half_d - F(1, 4), F(-1), pq) < 0:
+    if not _sign_1rad(4 * w.q - 2 * w.d - 1, -4, pq) < 0:
         return violate("sqrt(q)Delta >= d/2 + 1/4")
-    if not _sign_1rad(-w.p - half_d + F(1, 4), F(1), pq) > 0:
+    if not _sign_1rad(-4 * w.p - 2 * w.d + 1, 4, pq) > 0:
         return violate("d/2 + 1/4 >= sqrt(p)Delta + 1/2")
-    if not _sign_2rad(F(-w.p), F(1), pq, F(-1, 2), 2 * w.p) < 0:
+    if not _sign_2rad(-2 * w.p, 2, pq, -1, 2 * w.p) < 0:
         return violate("sqrt(p)Delta + 1/2 >= sqrt(2p)/2 + 1/2")
     return HOLD
 
@@ -172,7 +172,7 @@ def _survey_quarter(ctx, tri, st):
          source="question after 3.7", n_min=2)
 def _survey_prod(ctx, tri, st):
     w = tri.w
-    return HOLD if sqrtq_delta_frac_cmp(w, F(2, w.d)) > 0 else MISS
+    return HOLD if sqrtq_delta_frac_cmp(w, 2, w.d) > 0 else MISS
 
 
 @checker("fixedgap-mono", Kind.UNIVERSAL,
@@ -220,10 +220,10 @@ def _h_def(ctx, tri, st):
          source="displays 4.1 and 4.2", n_min=2)
 def _mu_bounds(ctx, tri, st):
     w = tri.w
-    # mu > h/(2 sqrt(p)):  (1 - h/(2p)) sqrt(p) - N > 0
-    if not _sign_1rad(F(-w.N), 1 - F(w.h, 2 * w.p), w.p) > 0:
+    # mu > h/(2 sqrt(p)):  (1 - h/(2p)) sqrt(p) - N > 0, times 2p
+    if not _sign_1rad(-2 * w.p * w.N, 2 * w.p - w.h, w.p) > 0:
         return violate("mu <= h/(2 sqrt(p))")
-    if not mu_cmp(w, F(w.h, 2 * w.N)) < 0:
+    if not mu_cmp(w, w.h, 2 * w.N) < 0:
         return violate("mu >= h/(2N)")
     if w.same_part:
         v = root_views(w)
@@ -234,7 +234,7 @@ def _mu_bounds(ctx, tri, st):
             return violate("mu >= h/(D-1) on a shared window")
     else:
         # mu (2 sqrt(p) - 1) < h  <=>  (2p + N - h) - (2N+1) sqrt(p) < 0
-        if not _sign_1rad(F(2 * w.p + w.N - w.h), F(-(2 * w.N + 1)), w.p) < 0:
+        if not _sign_1rad(2 * w.p + w.N - w.h, -(2 * w.N + 1), w.p) < 0:
             return violate("mu >= h/(2 sqrt(p) - 1) on a straddle")
     return HOLD
 
@@ -300,7 +300,9 @@ def _mu_series(ctx, tri, st):
         term_sign = -term_sign
         bound = _BINOM_HALF[k] * x ** (k + 1) * w.N
         sk = s * w.N
-        if not (mu_cmp(w, sk - bound) > 0 and mu_cmp(w, sk + bound) < 0):
+        lo, hi = sk - bound, sk + bound
+        if not (mu_cmp(w, lo.numerator, lo.denominator) > 0
+                and mu_cmp(w, hi.numerator, hi.denominator) < 0):
             return violate(f"series remainder bound failed at K={k}")
     return HOLD
 
@@ -316,8 +318,8 @@ def _ratio_frac(ctx, tri, st):
     frac = RootExpr.sqrt(w.p * w.q, F(1, w.p)) - 1
     if frac != v.ratio_frac:
         return violate("{sqrt(q/p)} != Delta/sqrt(p)")
-    # <= sqrt(5/3) - 1 = sqrt(15)/3 - 1, equality at n = 2
-    s = _sign_2rad(F(0), F(1, w.p), w.p * w.q, F(-1, 3), 15)
+    # <= sqrt(5/3) - 1 = sqrt(15)/3 - 1, equality at n = 2; times 3p
+    s = _sign_2rad(0, 3, w.p * w.q, -w.p, 15)
     if s > 0:
         return violate("{sqrt(q/p)} > sqrt(5/3) - 1")
     if not 9 * w.q < 16 * w.p:
@@ -366,7 +368,7 @@ def _trend_mu_state():
 
 def _mu_less(a, b) -> bool:
     # mu(a) < mu(b), entries [n, p, N]
-    return _sign_2rad(F(b[2] - a[2]), F(1), a[1], F(-1), b[1]) < 0
+    return _sign_2rad(b[2] - a[2], 1, a[1], -1, b[1]) < 0
 
 
 def _trend_mu_final(ctx, st, extra):

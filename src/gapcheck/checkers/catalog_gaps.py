@@ -105,7 +105,7 @@ def _eq_15_2(ctx, tri, st):
 def _eq_15_3(ctx, tri, st):
     w = tri.w
     # after the displayed rearrangement: q - p - 1 < sqrt(2p+1)
-    item = _sign_1rad(F(w.d - 1), F(-1), 2 * w.p + 1) < 0
+    item = _sign_1rad(w.d - 1, -1, 2 * w.p + 1) < 0
     return HOLD if item == _base_2q(w) else violate(f"item {item}")
 
 
@@ -356,7 +356,7 @@ def _gap_85(ctx, tri, st):
 def _prop_212(ctx, tri, st):
     w = tri.w
     # Delta < sqrt(2)/2  <=>  2(p+q) - 1 < 4 sqrt(pq); D-bound is the same claim
-    ok = _sign_1rad(F(2 * (w.p + w.q) - 1), F(-4), w.p * w.q) < 0
+    ok = _sign_1rad(2 * (w.p + w.q) - 1, -4, w.p * w.q) < 0
     return HOLD if ok else violate("Delta >= sqrt(2)/2")
 
 

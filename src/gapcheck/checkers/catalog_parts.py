@@ -42,7 +42,7 @@ def _par_51(ctx, tri, st):
     # mu^2 = 2{mu sqrt(p)}  <=>  p + N^2 = 2 tN + 2
     if even != (w.p + w.N * w.N == 2 * w.tN + 2):
         return violate("doubling identity mismatch")
-    if even != (mu_sqrtp_frac_cmp(w, F(1, 2)) < 0):
+    if even != (mu_sqrtp_frac_cmp(w, 1, 2) < 0):
         return violate("half-line position mismatch")
     t2N = isqrt(4 * w.N * w.N * w.p)
     if even != (t2N == 2 * w.tN + 1):
@@ -57,7 +57,7 @@ def _par_51(ctx, tri, st):
          source="corollary 5.2", n_min=2)
 def _par_52(ctx, tri, st):
     w = tri.w
-    s = _sign_1rad(F(-(w.N + 2 * w.tN + 2)), F(2 * w.N + 1), w.p)
+    s = _sign_1rad(-(w.N + 2 * w.tN + 2), 2 * w.N + 1, w.p)
     return HOLD if (w.h % 2 == 0) == (s > 0) else violate("mu vs 2{mu sqrt(p)}")
 
 
@@ -68,7 +68,7 @@ def _par_52(ctx, tri, st):
 def _par_53(ctx, tri, st):
     w = tri.w
     odd = w.h % 2 == 1
-    if odd != (mu_sqrtp_frac_cmp(w, F(1, 2)) > 0):
+    if odd != (mu_sqrtp_frac_cmp(w, 1, 2) > 0):
         return violate("half-line position mismatch")
     t2N = isqrt(4 * w.N * w.N * w.p)
     if odd != (t2N == 2 * w.tN):
@@ -83,7 +83,7 @@ def _par_53(ctx, tri, st):
          source="corollary 5.4", n_min=2)
 def _par_54(ctx, tri, st):
     w = tri.w
-    s = _sign_1rad(F(-(w.N + w.tN + 1)), F(w.N + 1), w.p)
+    s = _sign_1rad(-(w.N + w.tN + 1), w.N + 1, w.p)
     return HOLD if (w.h % 2 == 1) == (s < 0) else violate("mu vs {mu sqrt(p)}")
 
 
@@ -99,7 +99,7 @@ def _mono_55(ctx, tri, st):
     w = tri.w
     tNq = isqrt(w.Nq * w.Nq * w.q)
     # frac(mu' sqrt(q)) - frac(mu sqrt(p)) = (tNq - tN) + N sqrt(p) - Nq sqrt(q)
-    s = _sign_2rad(F(tNq - w.tN), F(w.N), w.p, F(-w.Nq), w.q)
+    s = _sign_2rad(tNq - w.tN, w.N, w.p, -w.Nq, w.q)
     return HOLD if s > 0 else violate("{mu sqrt(p)} not increasing")
 
 
@@ -111,7 +111,8 @@ def _mono_55(ctx, tri, st):
 def _cor_56(ctx, tri, st):
     w = tri.w
     tNq = isqrt(w.Nq * w.Nq * w.q)
-    s = _sign_2rad(F(tNq - w.tN) - F(1, 2), F(w.N), w.p, F(-w.Nq), w.q)
+    # times 2 to clear the half
+    s = _sign_2rad(2 * (tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
     if s >= 0:
         return violate("fractional difference >= 1/2")
     # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1}))
@@ -162,7 +163,7 @@ def _dpar_59(ctx, tri, st):
     lt = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0  # 2mu < 1 - Delta
     if (fd % 2 == 0) != lt:
         return violate("parity vs 2mu < 1 - Delta")
-    if lt and not mu_cmp(w, F(1, 2)) < 0:
+    if lt and not mu_cmp(w, 1, 2) < 0:
         return violate("mu >= 1/2 in the even case")
     return HOLD
 
@@ -327,7 +328,7 @@ def _ids_516(ctx, tri, st):
          source="question closing section 5", n_min=2, domain=_straddle)
 def _survey_2mu(ctx, tri, st):
     w = tri.w
-    s = _sign_2rad(F(2 * w.Nq - w.N), F(1), w.p, F(-2), w.q)
+    s = _sign_2rad(2 * w.Nq - w.N, 1, w.p, -2, w.q)
     return HOLD if s <= 0 else MISS
 
 
@@ -365,7 +366,7 @@ def _dnh_forms(ctx, tri, st):
 def _survey_dh(ctx, tri, st):
     w = tri.w
     if 2 * w.h == w.hq:
-        s = _sign_2rad(F(w.Nq - 2 * w.N), F(2), w.p, F(-1), w.q)
+        s = _sign_2rad(w.Nq - 2 * w.N, 2, w.p, -1, w.q)
         if not s > 0:
             return hard_fail("2h = h' but 2mu <= mu'")
     return HOLD if w.d == w.h else MISS
@@ -502,7 +503,7 @@ def _same_odd(ctx, tri) -> bool:
 def _same_71(ctx, tri, st):
     w = tri.w
     lhs = w.d <= w.N
-    rhs = delta_vs_rational(w, F(1, 2)) < 0
+    rhs = delta_vs_rational(w, 1, 2) < 0
     if lhs != rhs:
         return violate(f"d <= N is {lhs} but Delta < 1/2 is {rhs}")
     if not w.d * w.d < w.p:

@@ -87,7 +87,7 @@ def _twin_92(ctx, tri, st):
         if not c >= b:
             return violate("p_m2 < p_(m1+1)")
         # sqrt(c/b) < 1/(sqrt(b) Delta2)  <=>  sqrt(c)Delta2 < 1  <=>  sqrt(ce) < c+1
-        if not _sign_1rad(F(c + 1), F(-1), c * e) > 0:
+        if not _sign_1rad(c + 1, -1, c * e) > 0:
             return violate("sqrt(p_m2) Delta_m2 >= 1")
         # 1/(sqrt(b) Delta2) < 2/(D1 Delta2)  <=>  a < b
         if not a < b:
@@ -96,7 +96,7 @@ def _twin_92(ctx, tri, st):
         if not (b - a == 2 and e - c == 2):
             return hard_fail("twin identity Delta*D = 2 broken")
         # Delta1/Delta2 < 1/(sqrt(a) Delta2)  <=>  sqrt(a)Delta1 < 1
-        if not _sign_1rad(F(a + 1), F(-1), a * b) > 0:
+        if not _sign_1rad(a + 1, -1, a * b) > 0:
             return violate("sqrt(p_m1) Delta_m1 >= 1")
     return HOLD
 
@@ -112,16 +112,16 @@ def _twin_93(ctx, tri, st):
     for m1 in _twin_pair_events(st, w):
         _, a, b = m1
         c, e = w.p, w.q
-        if not _sign_2rad(F(-1), F(1), b * e, F(-1), b * c) < 0:
+        if not _sign_2rad(-1, 1, b * e, -1, b * c) < 0:
             return violate("sqrt(p_(m1+1)) Delta_m2 >= 1")
-        if not _sign_1rad(F(e - 1), F(-1), c * e) > 0:
+        if not _sign_1rad(e - 1, -1, c * e) > 0:
             return violate("sqrt(p_(m2+1)) Delta_m2 <= 1")
         # (e - sqrt(ce)) < (b - sqrt(ab))
-        if not _sign_2rad(F(e - b), F(-1), c * e, F(1), a * b) < 0:
+        if not _sign_2rad(e - b, -1, c * e, 1, a * b) < 0:
             return violate("sqrt(p_(m2+1)) Delta_m2 >= sqrt(p_(m1+1)) Delta_m1")
         if not b < e:
             return violate("sqrt(p_(m1+1)) Delta_m1 >= sqrt(p_(m2+1)) Delta_m1")
-        if not _sign_1rad(F(b) - F(5, 4), F(-1), a * b) < 0:
+        if not _sign_1rad(4 * b - 5, -4, a * b) < 0:  # times 4
             return violate("sqrt(p_(m1+1)) Delta_m1 >= 5/4")
     return HOLD
 
@@ -137,7 +137,7 @@ def _twin_94(ctx, tri, st):
         _, a, b = m1
         c, e = w.p, w.q
         # reduces exactly to sqrt(b) Delta_m2 < 1
-        if not _sign_2rad(F(-1), F(1), b * e, F(-1), b * c) < 0:
+        if not _sign_2rad(-1, 1, b * e, -1, b * c) < 0:
             return violate("2 Delta_m2 >= Delta_m1 (1 + sqrt(a/b))")
     return HOLD
 
@@ -171,7 +171,7 @@ def _twin_95(ctx, tri, st):
 
 def _frac_cmp_F(sa, pqa, sb, pqb) -> int:
     """Exact sign of (sqrt(pqa) - sa) - (sqrt(pqb) - sb)."""
-    return _sign_2rad(F(sb - sa), F(1), pqa, F(-1), pqb)
+    return _sign_2rad(sb - sa, 1, pqa, -1, pqb)
 
 
 @checker("twin-96", Kind.UNIVERSAL,
@@ -304,7 +304,7 @@ def _twin_postulate(ctx, tri, st):
         st["double"].append(w.n)
         hit = True
     # 2 D1^2 > D2^2  <=>  sqrt(2)/2 < D1/D2
-    if not _sign_2rad(F(2 * (a + b) - (c + e)), F(4), a * b, F(-2), c * e) > 0:
+    if not _sign_2rad(2 * (a + b) - (c + e), 4, a * b, -2, c * e) > 0:
         st["sqrt2"].append(w.n)
         hit = True
     return HOLD if hit else MISS

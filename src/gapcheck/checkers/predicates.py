@@ -1,31 +1,22 @@
 """Shared exact decision helpers for catalog predicates.
 
 Everything here reduces to integer arithmetic or to the exact kernel; no
-floating point enters any decision.
+floating point enters any decision.  A rational threshold t is passed as two
+ints, num and den with den > 0; each helper multiplies its quantity by den
+(or den^2) and hands plain ints to the kernel's sign procedures.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from ..exact import _sign_1rad, _sign_2rad
 from ..window import GapWindow
 
 
-def sqrt_vs_rational(m: int, t: Fraction) -> int:
-    """Exact sign of sqrt(m) - t."""
-    t = Fraction(t)
-    if t < 0:
-        return 1 if m >= 0 else -1
-    lhs = m * t.denominator * t.denominator
-    rhs = t.numerator * t.numerator
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def cmp_sqrt_sums(a: int, b: int, c: int, e: int) -> int:
     """Exact sign of (sqrt(a)+sqrt(b)) - (sqrt(c)+sqrt(e))."""
-    return _sign_2rad(Fraction(a + b - c - e), Fraction(2), a * b, Fraction(-2), c * e)
+    return _sign_2rad(a + b - c - e, 2, a * b, -2, c * e)
 
 
 def cmp_weighted_sums(ca: int, a: int, cb: int, b: int, cc: int, c: int, ce: int, e: int) -> int:
@@ -33,19 +24,17 @@ def cmp_weighted_sums(ca: int, a: int, cb: int, b: int, cc: int, c: int, ce: int
     all weights non-negative."""
     lhs_sq = ca * ca * a + cb * cb * b
     rhs_sq = cc * cc * c + ce * ce * e
-    return _sign_2rad(Fraction(lhs_sq - rhs_sq),
-                      Fraction(2 * ca * cb), a * b,
-                      Fraction(-2 * cc * ce), c * e)
+    return _sign_2rad(lhs_sq - rhs_sq, 2 * ca * cb, a * b, -2 * cc * ce, c * e)
 
 
-def delta_vs_rational(w: GapWindow, t: Fraction) -> int:
-    """Exact sign of Delta_n - t for rational t >= 0."""
-    t = Fraction(t)
-    # sign(Delta - t) = sign(Delta^2 - t^2) = sign((p + q - t^2) - 2 sqrt(pq))
-    lhs = Fraction(w.p + w.q) - t * t
+def delta_vs_rational(w: GapWindow, num: int, den: int) -> int:
+    """Exact sign of Delta_n - num/den for num >= 0."""
+    # sign(Delta - t) = sign(Delta^2 - t^2) = sign((p + q - t^2) - 2 sqrt(pq)),
+    # times den^2
+    lhs = den * den * (w.p + w.q) - num * num
     if lhs <= 0:
         return -1  # t^2 >= p + q > Delta^2
-    return _sign_1rad(lhs, Fraction(-2), w.p * w.q)
+    return _sign_1rad(lhs, -2 * den * den, w.p * w.q)
 
 
 def delta_vs_delta4(w: GapWindow) -> int:
@@ -53,25 +42,25 @@ def delta_vs_delta4(w: GapWindow) -> int:
     return cmp_sqrt_sums(w.q, 7, 11, w.p)
 
 
-def sqrtq_delta_frac_cmp(w: GapWindow, t: Fraction) -> int:
-    """Exact sign of {sqrt(q)*Delta} - t using {sqrt(q)Delta} = s+1-sqrt(pq)."""
-    return _sign_1rad(w.s + 1 - Fraction(t), Fraction(-1), w.p * w.q)
+def sqrtq_delta_frac_cmp(w: GapWindow, num: int, den: int) -> int:
+    """Exact sign of {sqrt(q)*Delta} - num/den using {sqrt(q)Delta} = s+1-sqrt(pq)."""
+    return _sign_1rad(den * (w.s + 1) - num, -den, w.p * w.q)
 
 
-def mu_cmp(w: GapWindow, t: Fraction) -> int:
-    """Exact sign of mu_n - t."""
-    return sqrt_vs_rational(w.p, w.N + Fraction(t))
+def mu_cmp(w: GapWindow, num: int, den: int) -> int:
+    """Exact sign of mu_n - num/den, from den*sqrt(p) - (den*N + num)."""
+    return _sign_1rad(-(den * w.N + num), den, w.p)
 
 
 def mu_diff_sign(w: GapWindow) -> int:
     """Exact sign of mu_n - mu_{n+1}."""
     # (sqrt(p) - N) - (sqrt(q) - Nq)
-    return _sign_2rad(Fraction(w.Nq - w.N), Fraction(1), w.p, Fraction(-1), w.q)
+    return _sign_2rad(w.Nq - w.N, 1, w.p, -1, w.q)
 
 
-def mu_sqrtp_frac_cmp(w: GapWindow, t: Fraction) -> int:
-    """Exact sign of {mu_n sqrt(p_n)} - t; the frac equals tN + 1 - N*sqrt(p)."""
-    return _sign_1rad(w.tN + 1 - Fraction(t), Fraction(-w.N), w.p)
+def mu_sqrtp_frac_cmp(w: GapWindow, num: int, den: int) -> int:
+    """Exact sign of {mu_n sqrt(p_n)} - num/den; the frac equals tN + 1 - N*sqrt(p)."""
+    return _sign_1rad(den * (w.tN + 1) - num, -den * w.N, w.p)
 
 
 def floor_D(w: GapWindow) -> int:

@@ -7,6 +7,12 @@ floating point: expressions with at most two distinct radicands get a complete
 algebraic sign procedure (iterated squaring); anything wider is bracketed by a
 certified dyadic interval with an escalating precision ladder and reported
 Undecided if the ladder is exhausted.
+
+A RootExpr holds only ints and Fractions; any other number raises TypeError.
+The sign procedures `_sign_1rad` and `_sign_2rad` take plain ints only: a sign
+does not change when every term is multiplied by the same positive integer,
+so callers clear denominators that way (`exact_sign` does it once per
+RootExpr) and never pass a Fraction.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 LADDER = (64, 128, 256)   # fixed-point precisions tried before Undecided
 
@@ -37,6 +43,13 @@ class Cmp(Enum):
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _rational(x):
+    """x itself if it is an int or a Fraction; a RootExpr takes nothing else."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"RootExpr takes int or Fraction, not {type(x).__name__}")
 
 
 @lru_cache(maxsize=1 << 20)
@@ -73,22 +86,18 @@ class RootExpr:
 
     def __init__(self, const, terms=()):
         # terms: iterable of (radicand, coef); assumed already normalized
-        self.const = const if isinstance(const, (int, Fraction)) else Fraction(const)
+        self.const = _rational(const)
         self.terms = tuple(terms)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def of(cls, value) -> "RootExpr":
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        return cls(Fraction(value))
+        return cls(value)
 
     @classmethod
     def sqrt(cls, m: int, coef=1) -> "RootExpr":
-        if not isinstance(coef, (int, Fraction)):
-            coef = Fraction(coef)
-        if coef == 0:
+        if _rational(coef) == 0:
             return cls(0)
         outer, core = _norm_radicand(m)
         if core == 1:
@@ -106,9 +115,7 @@ class RootExpr:
 
     def __add__(self, other) -> "RootExpr":
         if not isinstance(other, RootExpr):
-            if not isinstance(other, (int, Fraction)):
-                other = Fraction(other)
-            return RootExpr(self.const + other, self.terms)
+            return RootExpr(self.const + _rational(other), self.terms)
         merged = dict(self.terms)
         for m, c in other.terms:
             nc = merged.get(m, 0) + c
@@ -125,18 +132,14 @@ class RootExpr:
 
     def __sub__(self, other) -> "RootExpr":
         if not isinstance(other, RootExpr):
-            if not isinstance(other, (int, Fraction)):
-                other = Fraction(other)
-            return RootExpr(self.const - other, self.terms)
+            return RootExpr(self.const - _rational(other), self.terms)
         return self + (-other)
 
     def __rsub__(self, other) -> "RootExpr":
         return (-self) + other
 
     def scale(self, k) -> "RootExpr":
-        if not isinstance(k, (int, Fraction)):
-            k = Fraction(k)
-        if k == 0:
+        if _rational(k) == 0:
             return RootExpr(0)
         return RootExpr(self.const * k, tuple((m, c * k) for m, c in self.terms))
 
@@ -182,7 +185,7 @@ class RootExpr:
     def __truediv__(self, other) -> "RootExpr":
         if isinstance(other, RootExpr):
             return self * other.inverse()
-        return self.scale(Fraction(1) / Fraction(other))
+        return self.scale(Fraction(1, _rational(other)))
 
     # -- predicates -----------------------------------------------------------
 
@@ -202,10 +205,9 @@ class RootExpr:
 
     def __eq__(self, other):
         if not isinstance(other, RootExpr):
-            try:
-                other = RootExpr.of(other)
-            except (TypeError, ValueError):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = RootExpr(other)
         d = self - other
         return not d.terms and d.const == 0
 
@@ -216,8 +218,8 @@ class RootExpr:
 # -- exact sign for <= 2 radicands ---------------------------------------------
 
 
-def _sign_1rad(c: Fraction, b: Fraction, m: int) -> int:
-    """Exact sign of c + b*sqrt(m); m >= 0."""
+def _sign_1rad(c: int, b: int, m: int) -> int:
+    """Exact sign of c + b*sqrt(m); ints only, m >= 0."""
     if b == 0 or m == 0:
         return _sign(c)
     if c == 0:
@@ -232,8 +234,9 @@ def _sign_1rad(c: Fraction, b: Fraction, m: int) -> int:
     return sb if lhs > rhs else sc
 
 
-def _sign_2rad(c: Fraction, b1: Fraction, m1: int, b2: Fraction, m2: int) -> int:
-    """Exact sign of c + b1*sqrt(m1) + b2*sqrt(m2) via iterated squaring."""
+def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
+    """Exact sign of c + b1*sqrt(m1) + b2*sqrt(m2) via iterated squaring;
+    ints only, m1, m2 >= 0."""
     if m1 == 0 or b1 == 0:
         return _sign_1rad(c, b2, m2)
     if m2 == 0 or b2 == 0:
@@ -260,13 +263,15 @@ def exact_sign(e: RootExpr) -> int | None:
     k = len(e.terms)
     if k == 0:
         return _sign(e.const)
+    if k > 2:
+        return None
+    # times the positive lcm of the denominators: same sign, all ints
+    parts = (e.const, *(b for _, b in e.terms))
+    den = lcm(*(q.denominator for q in parts))
+    c, *bs = (q.numerator * (den // q.denominator) for q in parts)
     if k == 1:
-        (m, b) = e.terms[0]
-        return _sign_1rad(e.const, b, m)
-    if k == 2:
-        (m1, b1), (m2, b2) = e.terms
-        return _sign_2rad(e.const, b1, m1, b2, m2)
-    return None
+        return _sign_1rad(c, bs[0], e.terms[0][0])
+    return _sign_2rad(c, bs[0], e.terms[0][0], bs[1], e.terms[1][0])
 
 
 # -- certified fixed-point evaluation -------------------------------------------
@@ -307,8 +312,7 @@ class FixedApprox:
             + self.error_ulps * other.error_ulps + 2
         return FixedApprox(mant, fb, err)
 
-    def scale(self, q: Fraction) -> "FixedApprox":
-        q = Fraction(q)
+    def scale(self, q: int | Fraction) -> "FixedApprox":
         mant = self.mantissa * q.numerator // q.denominator
         num = abs(q.numerator)
         err = (num * self.error_ulps + q.denominator - 1) // q.denominator + 1
@@ -324,8 +328,7 @@ def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
     return FixedApprox(mant, frac_bits, err)
 
 
-def fixed_of_fraction(q: Fraction, frac_bits: int) -> FixedApprox:
-    q = Fraction(q)
+def fixed_of_fraction(q: int | Fraction, frac_bits: int) -> FixedApprox:
     num = q.numerator << frac_bits
     mant = num // q.denominator
     err = 0 if num % q.denominator == 0 else 1
@@ -357,7 +360,7 @@ def cmp_root(e: RootExpr, rhs=0) -> Cmp:
     diff = e - RootExpr.of(rhs)
     s = exact_sign(diff)
     if s is not None:
-        return Cmp(_sign(s))
+        return Cmp(s)
     for fb in LADDER:
         lo, hi = _interval(diff, fb)
         if lo > 0:
@@ -388,10 +391,10 @@ def floor_root(e: RootExpr) -> int | None:
         if Q < 0:
             t = -t - 1
         f = (P + t) // R
-        # fix up with exact one-radicand sign tests
-        while _sign_1rad(c - f, b, m) < 0:
+        # fix up with exact one-radicand sign tests on R*(e - f)
+        while _sign_1rad(P - f * R, Q, m) < 0:
             f -= 1
-        while _sign_1rad(c - (f + 1), b, m) >= 0:
+        while _sign_1rad(P - (f + 1) * R, Q, m) >= 0:
             f += 1
         return f
     for fb in LADDER:

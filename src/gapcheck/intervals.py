@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from math import isqrt
 
 from .exact import _sign_2rad
-from .primes import CoverageError, PrimeStore, is_prime_u64
+from .primes import CoverageError, PrimeStore
 
 
 @dataclass
@@ -83,8 +82,7 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
             q = primes[1] if len(primes) > 1 else store.next_prime(p)
             # floor(sqrt(p) + sqrt(q)) parity, exact: D in (2N, 2N+2) here
             base = N + isqrt(q)
-            above = _sign_2rad(Fraction(-(base + 1)), Fraction(1), p,
-                               Fraction(1), q) > 0
+            above = _sign_2rad(-(base + 1), 1, p, 1, q) > 0
             rep.first_prime_floor_D_even = (base + 1 if above else base) % 2 == 0
         if N >= 4 and N % 2 == 0:
             ok = True
@@ -167,19 +165,18 @@ def _scheme_n_min(k: int) -> int:
     return 1 if k <= 3 else 2
 
 
-def _subinterval_breaks(k: int, x: int, pi2k: int) -> list[Fraction]:
-    """Interior breakpoints of the window (x^k, (x+1)^k), per the explicit
-    schemes: k = 3 uses multipliers (1, 2, 4) of x(x+1)/2; k = 4 uses
-    (1/2, 1, 2, 3, 4) in units x^3; other k use pi(2^k) equal steps."""
+def _subinterval_breaks(k: int, x: int, pi2k: int) -> list[int]:
+    """Floors of the interior breakpoints of the window (x^k, (x+1)^k), per
+    the explicit schemes: k = 3 uses multipliers (1, 2, 4) of x(x+1)/2; k = 4
+    uses (1/2, 1, 2, 3, 4) in units x^3; other k use pi(2^k) equal steps."""
     lo = x ** k
     if k == 3:
-        f = Fraction(x * (x + 1), 2)
-        return [lo + m * f for m in (1, 2, 4)]
+        return [lo + m * x * (x + 1) // 2 for m in (1, 2, 4)]
     if k == 4:
         x3 = x ** 3
-        return [lo + Fraction(m) * x3 for m in (Fraction(1, 2), 1, 2, 3, 4)]
+        return [lo + x3 // 2] + [lo + m * x3 for m in (1, 2, 3, 4)]
     width = (x + 1) ** k - lo
-    return [lo + Fraction(j * width, pi2k) for j in range(1, pi2k)]
+    return [lo + (j * width) // pi2k for j in range(1, pi2k)]
 
 
 def power_reports(store: PrimeStore, k: int, n_lo: int, n_hi: int,
@@ -204,9 +201,7 @@ def power_reports(store: PrimeStore, k: int, n_lo: int, n_hi: int,
             return
         # count primes <= b with boundary primes going to the lower side:
         # pi(floor(b)) counts an exact integer boundary downward already
-        cuts = [store.pi(x) for x in (
-            lo, *(b.numerator // b.denominator for b in _subinterval_breaks(k, n, pi2k)),
-            hi - 1)]
+        cuts = [store.pi(x) for x in (lo, *_subinterval_breaks(k, n, pi2k), hi - 1)]
         counts = [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
         total = cuts[-1] - cuts[0]
         yield PowerGapReport(
@@ -216,22 +211,6 @@ def power_reports(store: PrimeStore, k: int, n_lo: int, n_hi: int,
             total_ok=total >= pi2k,
             cumulative_ok=(n < 2 or cuts[0] >= pi2k * (n - 1)),
         )
-
-
-def prime_power_windows(store: PrimeStore, k: int, budget: int = 10 ** 8):
-    """Check pi(p_{n+1}^k) - pi(p_n^k) >= pi(2^k) d_n while q^k fits the budget."""
-    pi2k = store.pi(2 ** k)
-    limit = min(budget, store.limit)
-    primes = []
-    for p in store.iter_primes():
-        if p ** k > limit:
-            break
-        primes.append(p)
-    pis = [store.pi(p ** k) for p in primes]
-    rows = []
-    for p, q, lo, hi in zip(primes, primes[1:], pis, pis[1:]):
-        rows.append((p, q, hi - lo, pi2k * (q - p), hi - lo >= pi2k * (q - p)))
-    return rows
 
 
 @dataclass
@@ -268,43 +247,3 @@ def pow2_ladder(store: PrimeStore, k_max: int = 26) -> list[Pow2Row]:
         ))
         prev = pi_2k
     return rows
-
-
-# -- extra square-window surveys --------------------------------------------------
-
-
-def even_base_report(store: PrimeStore, half_root: int) -> SquareWindowReport:
-    """The square window whose base is the even square (2*half_root)^2.
-
-    The source text indexes its prime-offset question by the half root
-    (its N = 6 window is [144, 169]); this accessor keeps that view while
-    square_reports stays on the standard one-window-per-root convention.
-    """
-    root = 2 * half_root
-    return next(iter(square_reports(store, root, root)))
-
-
-def h_value_coverage(store: PrimeStore, n_hi: int) -> dict:
-    """Which values m >= 1 occur as h = p - floor(sqrt(p))^2 for N <= n_hi."""
-    seen = set()
-    for rep in square_reports(store, 1, n_hi, keep_primes=False):
-        seen.update(rep.h_values)
-    missing = [m for m in range(1, 2 * n_hi) if m not in seen]
-    return {"max_checked": 2 * n_hi - 1, "first_missing": missing[0] if missing else None,
-            "missing_count": len(missing)}
-
-
-def even_square_decomposition(store: PrimeStore, N: int) -> bool:
-    """Is 2N = (h_i - r) + (h_j + r) solvable with both summands prime and
-    N^2 + h_i, N^2 + h_j prime?  (Equivalently: h_i + h_j = 2N over window
-    offsets with a prime pair u <= h_i, 2N - u >= h_j.)"""
-    N2 = N * N
-    hs = [p - N2 for p in store.iter_primes(N2 + 1, (N + 1) ** 2 - 1)]
-    hset = set(hs)
-    for hi_ in hs:
-        hj = 2 * N - hi_
-        if hj in hset:
-            for u in range(2, hi_ + 1):
-                if is_prime_u64(u) and is_prime_u64(2 * N - u):
-                    return True
-    return False

@@ -203,34 +203,6 @@ def _dusart_holds(n: int, j: int, fb: int) -> bool:
     raise LedgerError(f"ln precision insufficient at n={n}")
 
 
-@dataclass
-class QuestionReport:
-    n_hi: int
-    q92_first_violation: int | None
-    dusart_first_violation: int | None
-    abstract_first_violation: int | None
-    rows_checked: int
-
-
-def jn_questions(store: PrimeStore, n_hi: int) -> QuestionReport:
-    """First violation (or None) for each of the three open questions."""
-    if n_hi < 6:
-        raise ValueError("n_hi >= 6 required")
-    q92 = dusart = abstract = None
-    rows = 0
-    for row in alpha_ledger(store, n_hi):
-        rows += 1
-        if q92 is None and row.q92_holds is False:
-            q92 = row.n
-        if dusart is None and row.dusart_holds is False and row.n >= 6:
-            dusart = row.n
-        if abstract is None and row.abstract_holds is False:
-            abstract = row.n
-    return QuestionReport(n_hi=n_hi, q92_first_violation=q92,
-                          dusart_first_violation=dusart,
-                          abstract_first_violation=abstract, rows_checked=rows)
-
-
 def write_ledger_csv(rows, fh) -> None:
     """CSV per the module interface: accumulators as CSV_DECIMALS decimals,
     residual bound in ulps at FRAC_BITS."""

@@ -1,12 +1,15 @@
 """Independent oracles used to freeze expected values.
 
 These stay deliberately primitive: trial division, digit-by-digit square
-roots, a Meissel-style prime count, and brute-force pair enumeration.  None
-of them share code paths with the package, except `floor_root_general`,
-which reuses the kernel's fixed-point evaluation.
+roots, a Meissel-style prime count, isqrt brackets for radical signs, and
+brute-force pair enumeration.  None of them share code paths with the
+package, except `floor_root_general`, which reuses the kernel's fixed-point
+evaluation.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from gapcheck.exact import LADDER, eval_fixed, exact_sign
 
@@ -75,7 +78,6 @@ def meissel_pi(x: int) -> int:
     independent of the package's segmented sieve."""
     if x < 2:
         return 0
-    from math import isqrt
     r = isqrt(x)
     vals = [x // i for i in range(1, r + 1)]
     vals += list(range(vals[-1] - 1, 0, -1))
@@ -92,6 +94,33 @@ def meissel_pi(x: int) -> int:
                 break
             s[v] -= s[v // p] - sp
     return s[x]
+
+
+def radical_sign(c: int, b1: int, m1: int, b2: int = 0, m2: int = 0) -> int:
+    """Sign of c + b1*sqrt(m1) + b2*sqrt(m2) for ints, m1, m2 >= 0, from isqrt
+    brackets of the value times 2^k at doubling k.
+
+    The value is an algebraic integer of degree at most 4 whose conjugates
+    are at most H in size, so a nonzero value is at least H^-3 in size (its
+    norm is a nonzero integer).  A bracket of width 2^(1-k) < H^-3 that still
+    holds 0 therefore proves the value is 0.
+    """
+    H = abs(c) + abs(b1) * (isqrt(m1) + 1) + abs(b2) * (isqrt(m2) + 1)
+    k = 32
+    while True:
+        lo = hi = c << k
+        for b, m in ((b1, m1), (b2, m2)):
+            x = b * b * m << (2 * k)       # (b sqrt(m) 2^k)^2
+            r = isqrt(x)
+            r_up = r + (r * r != x)
+            lo, hi = (lo + r, hi + r_up) if b >= 0 else (lo - r_up, hi - r)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        if 1 << k > 2 * H ** 3:
+            return 0
+        k *= 2
 
 
 def brute_twin_count_below_index(primes: list[int], n: int) -> int:

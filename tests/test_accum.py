@@ -4,10 +4,10 @@ from math import isqrt
 
 import pytest
 
-from gapcheck.accum import (RationalTarget, ScanError, accum_scan, disjointness,
-                            mu_truncated, parse_target,
+from gapcheck.accum import (RationalTarget, ScanError, accum_scan, parse_target,
                             special_scans, write_accum_csv)
 from oracles import trial_division_is_prime
+from surveys import disjointness, mu_truncated
 
 TABLES = {
     (1, 3): [(6, 41, "0.403"), (36, 1321, "0.345"), (90, 8161, "0.338"),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, RootExpr, cmp_root, eval_fixed, exact_sign,
-                            floor_root, frac_root, sqrt_fixed)
-from oracles import floor_root_general, longhand_sqrt_digits
+from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, eval_fixed,
+                            exact_sign, floor_root, frac_root, sqrt_fixed)
+from oracles import floor_root_general, longhand_sqrt_digits, radical_sign
 
 
 def test_sqrt_fixed_exact_square():
@@ -145,8 +145,6 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
     """cmp_root orders expressions consistently with certified FixedApprox
     brackets: a certified Less means the bracket midpoints cannot disagree
     beyond the combined error."""
-    import random
-    from gapcheck.exact import eval_fixed
     rng = random.Random(21)
     primes = list(mid_store.iter_primes(2, 2000))
     for _ in range(300):
@@ -160,3 +158,96 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
             assert fa.mantissa - fa.error_ulps < 0
         elif c is Cmp.GREATER:
             assert fa.mantissa + fa.error_ulps > 0
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: RootExpr(0.1),
+    lambda: RootExpr.of(0.1),
+    lambda: RootExpr.sqrt(2, 0.5),
+    lambda: RootExpr.sqrt(2) + 0.5,
+    lambda: 0.5 + RootExpr.sqrt(2),
+    lambda: RootExpr.sqrt(2) - 0.5,
+    lambda: 0.5 - RootExpr.sqrt(2),
+    lambda: RootExpr.sqrt(2).scale(0.0),
+    lambda: RootExpr.sqrt(2) * 2.0,
+    lambda: RootExpr.sqrt(2) / 2.0,
+    lambda: cmp_root(RootExpr.sqrt(2), 1.4142135623730951),
+])
+def test_float_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        bad()
+
+
+def test_eq_with_float_is_not_implemented():
+    assert RootExpr.of(1).__eq__(1.0) is NotImplemented
+    assert RootExpr.of(1) != 1.0
+    assert RootExpr.of(1) == 1 and RootExpr.of(F(1, 2)) == F(1, 2)
+
+
+def _minus_floor(b, m):
+    """-floor(b sqrt(m))."""
+    r = isqrt(b * b * m)
+    return -r if b >= 0 else r + (r * r != b * b * m)
+
+
+def _near(c, b1, m1, b2=0, m2=0):
+    """Small c shifted next to -(b1 sqrt(m1) + b2 sqrt(m2)), where signs are
+    hardest to decide."""
+    return c + _minus_floor(b1, m1) + _minus_floor(b2, m2)
+
+
+_ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+_rads = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                  st.integers(min_value=0, max_value=1000).map(lambda r: r * r))
+
+
+@given(_ints, _ints, _rads, st.booleans())
+@settings(max_examples=300)
+def test_sign_1rad_against_isqrt_oracle(c, b, m, near):
+    if near:
+        c = _near(c % 5 - 2, b, m)
+    assert _sign_1rad(c, b, m) == radical_sign(c, b, m)
+
+
+@given(_ints, _ints, _rads, _ints, _rads, st.booleans())
+@settings(max_examples=300)
+def test_sign_2rad_against_isqrt_oracle(c, b1, m1, b2, m2, near):
+    if near:
+        c = _near(c % 5 - 2, b1, m1, b2, m2)
+    assert _sign_2rad(c, b1, m1, b2, m2) == radical_sign(c, b1, m1, b2, m2)
+
+
+@given(st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+       st.integers(min_value=0, max_value=10 ** 4),
+       st.integers(min_value=1, max_value=100),
+       st.integers(min_value=1, max_value=10 ** 4))
+@settings(max_examples=200)
+def test_sign_procedures_exact_zeros(b, k, s, m):
+    # b*k - b*sqrt(k^2), b*s*sqrt(m) - b*sqrt(s^2 m), and c + (-c)*sqrt(1)
+    assert _sign_1rad(b * k, -b, k * k) == 0
+    assert _sign_2rad(0, b * s, m, -b, s * s * m) == 0
+    assert _sign_2rad(b * k, -b, k * k, b, 0) == 0
+    assert _sign_2rad(b * (k + s), -b, k * k, -b, s * s) == 0
+
+
+@pytest.mark.parametrize("args", [
+    (0, 1, 8, -2, 2),       # sqrt(8) - 2 sqrt(2)
+    (0, 2, 3, -1, 12),      # 2 sqrt(3) - sqrt(12)
+    (5, -1, 9, -1, 4),      # 5 - 3 - 2
+    (0, 3, 50, -5, 18),     # 15 sqrt(2) - 15 sqrt(2)
+    (-7, 1, 0, 1, 49),      # sqrt(0) has no weight
+])
+def test_sign_2rad_built_zeros(args):
+    assert _sign_2rad(*args) == 0
+    assert radical_sign(*args) == 0
+    # one unit off the zero decides the sign of the offset
+    c, *rest = args
+    assert _sign_2rad(c + 1, *rest) == 1 and _sign_2rad(c - 1, *rest) == -1
+
+
+def test_exact_sign_clears_denominators():
+    # sqrt(2)/3 - sqrt(3)/5 + 1/7 > 0 and sqrt(8)/3 - sqrt(2)*2/3 = 0
+    e = RootExpr.build(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
+    assert exact_sign(e) == radical_sign(15, 35, 2, -21, 3) == 1
+    assert exact_sign(RootExpr.sqrt(8, F(1, 3)) - RootExpr.sqrt(2, F(2, 3))) == 0
+    assert exact_sign(RootExpr.build(F(-1, 2), {2: F(1, 3)})) == -1

@@ -2,13 +2,12 @@ import io
 
 import pytest
 
-from gapcheck.intervals import (brocard_reports,
-                                even_base_report, even_square_decomposition,
-                                h_value_coverage, pow2_ladder,
-                                power_reports, prime_power_windows,
+from gapcheck.intervals import (brocard_reports, pow2_ladder, power_reports,
                                 square_reports, write_square_csv)
 from gapcheck.primes import CoverageError
 from oracles import meissel_pi, trial_division_is_prime
+from surveys import (even_base_report, even_square_decomposition, h_value_coverage,
+                     prime_power_windows)
 
 
 def test_even_base_window_12(mid_store):

@@ -1,0 +1,86 @@
+"""Two paths for every helper in checkers/predicates.py: the helper's own
+integer reduction against cmp_root / floor_root of the same quantity built
+from root_views(w)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gapcheck.checkers.predicates import (cmp_sqrt_sums, cmp_weighted_sums,
+                                          delta_vs_delta4, delta_vs_rational, floor_D,
+                                          is_square, mu_cmp, mu_diff_sign,
+                                          mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp)
+from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root, frac_root
+from gapcheck.window import GapWindow, root_views
+
+
+def _sample_windows(store, count, seed):
+    """n = 1..12 (the small cases, n = 4 the Delta_4 equality) and seeded
+    random n up to the store's last window."""
+    rng = random.Random(seed)
+    ns = list(range(1, 13)) + [rng.randrange(13, store.prime_count - 1) for _ in range(count)]
+    return [GapWindow(n, store.nth_prime(n), store.nth_prime(n + 1), j=0) for n in ns]
+
+
+def _kernel_sign(e, rhs=0) -> int:
+    c = cmp_root(e, rhs)
+    assert c is not Cmp.UNDECIDED
+    return c.value
+
+
+def _thresholds(rng, e):
+    """Random num/den, half of them within 1/den of the value of e."""
+    den = rng.randrange(1, 10 ** rng.randrange(1, 7))
+    near = floor_root(e.scale(den))
+    return [(near + rng.choice((-1, 0, 1)), den),
+            (rng.randrange(-2 * den, 3 * den), den)]
+
+
+@pytest.fixture(scope="module")
+def sample(mid_store):
+    return _sample_windows(mid_store, 200, seed=11)
+
+
+def test_rational_threshold_helpers_two_paths(sample):
+    rng = random.Random(5)
+    for w in sample:
+        v = root_views(w)
+        frac_q = frac_root(v.sqrtq_delta)[1]
+        frac_mu_p = frac_root(v.mu_sqrtp)[1]
+        for num, den in _thresholds(rng, v.mu):
+            assert mu_cmp(w, num, den) == _kernel_sign(v.mu, Fraction(num, den)), w
+        for num, den in _thresholds(rng, v.delta):
+            num = abs(num)   # Delta is compared against t >= 0 only
+            assert delta_vs_rational(w, num, den) == \
+                _kernel_sign(v.delta, Fraction(num, den)), w
+        for num, den in _thresholds(rng, frac_q):
+            assert sqrtq_delta_frac_cmp(w, num, den) == \
+                _kernel_sign(frac_q, Fraction(num, den)), w
+        for num, den in _thresholds(rng, frac_mu_p):
+            assert mu_sqrtp_frac_cmp(w, num, den) == \
+                _kernel_sign(frac_mu_p, Fraction(num, den)), w
+
+
+def test_window_helpers_two_paths(sample):
+    delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
+    for w in sample:
+        v = root_views(w)
+        assert delta_vs_delta4(w) == _kernel_sign(v.delta - delta4), w
+        assert mu_diff_sign(w) == _kernel_sign(v.mu - v.mu_q), w
+        assert floor_D(w) == floor_root(v.D), w
+    assert delta_vs_delta4(sample[3]) == 0   # n = 4 attains Delta_4
+
+
+def test_sum_helpers_two_paths(sample):
+    rng = random.Random(7)
+    for w in sample:
+        u = rng.choice(sample)
+        vw, vu = root_views(w), root_views(u)
+        # Delta(w) - Delta(u), as sqrt(q) + sqrt(p') against sqrt(q') + sqrt(p)
+        assert cmp_sqrt_sums(w.q, u.p, u.q, w.p) == _kernel_sign(vw.delta - vu.delta)
+        c1, c2 = rng.randrange(1, 9), rng.randrange(1, 9)
+        assert cmp_weighted_sums(c1, w.q, c2, u.p, c2, u.q, c1, w.p) == \
+            _kernel_sign(vw.delta.scale(c1) - vu.delta.scale(c2))
+        for x in (w.p, w.N * w.N, w.p * w.q, w.d * w.d + 1):
+            assert is_square(x) == RootExpr.sqrt(x).is_rational()

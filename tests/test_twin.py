@@ -2,11 +2,11 @@ import io
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from gapcheck.twin import (alpha_ledger, jn_questions,
-                           ln_interval, ln_ln_interval,
+from gapcheck.twin import (alpha_ledger, ln_interval, ln_ln_interval,
                            same_floor_consecutive_twin_pairs,
                            twin_prime_values, write_ledger_csv)
 from oracles import brute_twin_count_below_index
+from surveys import jn_questions
 
 getcontext().prec = 60
 
