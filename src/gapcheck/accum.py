@@ -114,7 +114,8 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
     sgn = 1 if sign == "+" else -1
     a, b = r.a, r.b
     if not (0 < a < b):
-        raise ScanError("general scans need 0 < a < b; use special_scans at the ends")
+        raise ScanError("--r needs 0 < a/b < 1; for a/b = 0 use --family h_fixed, "
+                        "for a/b = 1 use --family top_family")
     if c < 1:
         raise ScanError("c must be a positive integer")
     step = b // gcd(b, 2 * a)

@@ -9,7 +9,7 @@ Checkers tagged "kernel" run through RootExpr instead, as an independent path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from ..exact import (Cmp, RootExpr, cmp_root, eval_fixed, floor_root, frac_root,
                      _sign_1rad, _sign_2rad)
@@ -280,10 +280,28 @@ def _thm_43(ctx, tri, st):
     return HOLD
 
 
-_BINOM_HALF = [F(1, 2)]
-for _k in range(1, 12):
-    _BINOM_HALF.append(_BINOM_HALF[-1] * F(2 * _k - 1, 2 * _k + 2))
-# _BINOM_HALF[k-1] = |binom(1/2, k)| for k >= 1
+# |binom(1/2, k)| = 2 Cat(k-1) / 4^k is dyadic, so _BINOM_HALF[k-1] =
+# |binom(1/2, k)| * 2^22 is an integer for k = 1..9 (and up to k = 11)
+_SERIES_SHIFT = 22
+_BINOM_HALF = [comb(2 * k - 2, k - 1) // k << (_SERIES_SHIFT + 1 - 2 * k)
+               for k in range(1, 10)]
+
+
+def _mu_series_brackets(w):
+    """(lo, hi, den) for K = 1..8: s_K N -+ |binom(1/2, K+1)| x^(K+1) N over
+    den = 2^22 N^(2K+1), where s_K is the order-K partial sum of the series
+    sqrt(1 + x) - 1 at x = h/N^2 and the second term bounds its remainder."""
+    h, N2 = w.h, w.N * w.N
+    s = 0                              # s_K * 2^22 N^(2K)
+    hk = h                             # h^(K+1) after step K
+    den = w.N << _SERIES_SHIFT         # 2^22 N^(2K+1) after step K
+    for k in range(1, 9):
+        term = _BINOM_HALF[k - 1] * hk
+        s = s * N2 + (term if k % 2 else -term)
+        hk *= h
+        den *= N2
+        mid, bound = s * N2, _BINOM_HALF[k] * hk
+        yield mid - bound, mid + bound, den
 
 
 @checker("mu-series", Kind.UNIVERSAL,
@@ -292,17 +310,8 @@ for _k in range(1, 12):
          source="statement 4.4", n_min=3)
 def _mu_series(ctx, tri, st):
     w = tri.w
-    x = F(w.h, w.N * w.N)
-    s = F(0)
-    term_sign = 1
-    for k in range(1, 9):
-        s += term_sign * _BINOM_HALF[k - 1] * x ** k
-        term_sign = -term_sign
-        bound = _BINOM_HALF[k] * x ** (k + 1) * w.N
-        sk = s * w.N
-        lo, hi = sk - bound, sk + bound
-        if not (mu_cmp(w, lo.numerator, lo.denominator) > 0
-                and mu_cmp(w, hi.numerator, hi.denominator) < 0):
+    for k, (lo, hi, den) in enumerate(_mu_series_brackets(w), 1):
+        if not (mu_cmp(w, lo, den) > 0 and mu_cmp(w, hi, den) < 0):
             return violate(f"series remainder bound failed at K={k}")
     return HOLD
 

@@ -1,18 +1,19 @@
 """Exact decision kernel for expressions built from square roots of integers.
 
-A :class:`RootExpr` is a value  q0 + sum_i qi*sqrt(mi)  with rational qi and
-positive integer radicands mi (square parts folded into coefficients during
-normalization).  Comparisons, floors and fractional parts are decided without
-floating point: expressions with at most two distinct radicands get a complete
-algebraic sign procedure (iterated squaring); anything wider is bracketed by a
-certified dyadic interval with an escalating precision ladder and reported
-Undecided if the ladder is exhausted.
+A :class:`RootExpr` is a value  (num + sum_i b_i*sqrt(m_i)) / den  with
+integers num and b_i, one integer den > 0, and positive integer radicands m_i
+(square parts folded into the b_i during normalization).  Comparisons, floors
+and fractional parts are decided without floating point: expressions with at
+most two distinct radicands get a complete algebraic sign procedure (iterated
+squaring); anything wider is bracketed by a certified dyadic interval with an
+escalating precision ladder and reported Undecided if the ladder is exhausted.
 
-A RootExpr holds only ints and Fractions; any other number raises TypeError.
-The sign procedures `_sign_1rad` and `_sign_2rad` take plain ints only: a sign
-does not change when every term is multiplied by the same positive integer,
-so callers clear denominators that way (`exact_sign` does it once per
-RootExpr) and never pass a Fraction.
+A RootExpr is built from, and combined with, ints and Fractions only; any
+other number raises TypeError.  The sign procedures `_sign_1rad` and
+`_sign_2rad` take plain ints only: a sign does not change when every term is
+multiplied by the same positive integer, so callers clear denominators that
+way and never pass a Fraction.  A RootExpr's num and b_i already are its
+terms times den > 0, so `exact_sign` passes them on as they are.
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _rational(x):
-    """x itself if it is an int or a Fraction; a RootExpr takes nothing else."""
-    if isinstance(x, (int, Fraction)):
-        return x
+def _rational(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction; a RootExpr takes
+    nothing else."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"RootExpr takes int or Fraction, not {type(x).__name__}")
 
 
@@ -77,115 +81,88 @@ def _norm_radicand(m: int) -> tuple[int, int]:
 
 
 class RootExpr:
-    """Normalized  const + sum coef*sqrt(radicand)  with rational parts.
+    """Normalized  (num + sum b*sqrt(radicand)) / den  with integer parts.
 
-    Coefficients are exact rationals, stored as plain ints whenever integral.
+    num, every b and den are ints, den > 0 and gcd(den, num, b...) = 1;
+    terms holds the (radicand, b) pairs with b != 0, sorted by radicand.
+    The form is canonical, so == and hash compare (num, terms, den).
     """
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("num", "terms", "den")
 
     def __init__(self, const, terms=()):
-        # terms: iterable of (radicand, coef); assumed already normalized
-        self.const = _rational(const)
-        self.terms = tuple(terms)
+        # const and the coefs: int or Fraction; terms: iterable of
+        # (radicand, coef) with radicands already normalized
+        parts = [(m, _rational(c)) for m, c in terms]
+        cn, cd = _rational(const)
+        den = lcm(cd, *(d for _, (_, d) in parts))
+        # over the lcm of reduced denominators the gcd is already 1
+        self.num = cn * (den // cd)
+        self.terms = tuple(sorted((m, n * (den // d)) for m, (n, d) in parts if n))
+        self.den = den
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def of(cls, value) -> "RootExpr":
-        return cls(value)
+        n, d = _rational(value)
+        return _make(n, (), d)
 
     @classmethod
     def sqrt(cls, m: int, coef=1) -> "RootExpr":
-        if _rational(coef) == 0:
-            return cls(0)
+        n, d = _rational(coef)
+        if n == 0:
+            return _make(0, (), 1)
         outer, core = _norm_radicand(m)
+        n *= outer
+        if d != 1:
+            g = gcd(n, d)
+            n, d = n // g, d // g
         if core == 1:
-            return cls(coef * outer)
-        return cls(0, ((core, coef * outer),))
-
-    @classmethod
-    def build(cls, const, parts: dict) -> "RootExpr":
-        e = cls.of(const)
-        for m, coef in parts.items():
-            e = e + cls.sqrt(m, coef)
-        return e
+            return _make(n, (), d)
+        return _make(0, ((core, n),), d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "RootExpr":
-        if not isinstance(other, RootExpr):
-            return RootExpr(self.const + _rational(other), self.terms)
-        merged = dict(self.terms)
-        for m, c in other.terms:
-            nc = merged.get(m, 0) + c
-            if nc:
-                merged[m] = nc
-            else:
-                merged.pop(m, None)
-        return RootExpr(self.const + other.const, sorted(merged.items()))
+        if isinstance(other, RootExpr):
+            return _combine(self, other, 1)
+        return _add_rational(self, *_rational(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RootExpr":
-        return RootExpr(-self.const, tuple((m, -c) for m, c in self.terms))
+        return _neg(self)
 
     def __sub__(self, other) -> "RootExpr":
-        if not isinstance(other, RootExpr):
-            return RootExpr(self.const - _rational(other), self.terms)
-        return self + (-other)
+        if isinstance(other, RootExpr):
+            return _combine(self, other, -1)
+        n, d = _rational(other)
+        return _add_rational(self, -n, d)
 
     def __rsub__(self, other) -> "RootExpr":
-        return (-self) + other
+        return _add_rational(_neg(self), *_rational(other))
 
     def scale(self, k) -> "RootExpr":
-        if _rational(k) == 0:
-            return RootExpr(0)
-        return RootExpr(self.const * k, tuple((m, c * k) for m, c in self.terms))
+        return _scale(self, *_rational(k))
 
     def __mul__(self, other) -> "RootExpr":
-        if not isinstance(other, RootExpr):
-            return self.scale(other)
-        out = RootExpr(self.const * other.const)
-        if other.const:
-            out = out + RootExpr(0, tuple((m, c * other.const) for m, c in self.terms))
-        if self.const:
-            out = out + RootExpr(0, tuple((m, c * self.const) for m, c in other.terms))
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                g = gcd(m1, m2)
-                out = out + RootExpr.sqrt((m1 // g) * (m2 // g), c1 * c2 * g)
-        return out
+        if isinstance(other, RootExpr):
+            return _mul(self, other)
+        return _scale(self, *_rational(other))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RootExpr":
-        k = len(self.terms)
-        if k == 0:
-            if self.const == 0:
-                raise ZeroDivisionError("inverse of zero RootExpr")
-            return RootExpr(Fraction(1) / self.const)
-        if k == 1:
-            (m, b), c = self.terms[0], self.const
-            den = c * c - b * b * m
-            if den == 0:
-                raise ZeroDivisionError("inverse of zero RootExpr")
-            return RootExpr(Fraction(c) / den, ((m, Fraction(-b) / den),))
-        if k == 2:
-            (m2, b2) = self.terms[1]
-            head = RootExpr(self.const, self.terms[:1])
-            # conjugate over sqrt(m2): den = (const + b1*sqrt(m1))^2 - b2^2*m2
-            den = head * head - RootExpr(b2 * b2 * m2)
-            if not den.terms and den.const == 0:
-                raise ZeroDivisionError("inverse of zero RootExpr")
-            num = head + RootExpr.sqrt(m2, -b2)
-            return num * den.inverse()
-        raise KernelError("inverse supported for at most 2 distinct radicands")
+        return _inverse(self)
 
     def __truediv__(self, other) -> "RootExpr":
         if isinstance(other, RootExpr):
-            return self * other.inverse()
-        return self.scale(Fraction(1, _rational(other)))
+            return _mul(self, _inverse(other))
+        n, d = _rational(other)
+        if n == 0:
+            raise ZeroDivisionError("RootExpr divided by zero")
+        return _scale(self, d, n) if n > 0 else _scale(self, -d, -n)
 
     # -- predicates -----------------------------------------------------------
 
@@ -195,24 +172,165 @@ class RootExpr:
     def as_fraction(self) -> Fraction:
         if self.terms:
             raise KernelError("expression is irrational")
-        return Fraction(self.const)
+        return Fraction(self.num, self.den)
 
     def __repr__(self):
-        parts = [str(self.const)] if self.const or not self.terms else []
-        for m, c in self.terms:
-            parts.append(f"{c}*sqrt({m})")
-        return "RootExpr(" + " + ".join(parts) + ")"
+        parts = [str(self.num)] if self.num or not self.terms else []
+        for m, b in self.terms:
+            parts.append(f"{b}*sqrt({m})")
+        body = " + ".join(parts)
+        return f"RootExpr(({body}) / {self.den})" if self.den != 1 else f"RootExpr({body})"
 
     def __eq__(self, other):
-        if not isinstance(other, RootExpr):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RootExpr(other)
-        d = self - other
-        return not d.terms and d.const == 0
+        if isinstance(other, RootExpr):
+            return (self.num == other.num and self.den == other.den
+                    and self.terms == other.terms)
+        if isinstance(other, (int, Fraction)):
+            return (not self.terms and self.num == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.const, self.terms))
+        return hash((self.num, self.terms, self.den))
+
+
+# -- integer arithmetic behind RootExpr ------------------------------------------
+# Module functions rather than methods, so that composite operations make no
+# further method calls.
+
+_new = object.__new__
+
+
+def _make(num: int, terms: tuple, den: int) -> RootExpr:
+    """RootExpr from parts already in normal form."""
+    e = _new(RootExpr)
+    e.num = num
+    e.terms = terms
+    e.den = den
+    return e
+
+
+def _reduced(num: int, terms: tuple, den: int) -> RootExpr:
+    """RootExpr of (num + sum b*sqrt(m)) / den for den > 0, divided through by
+    gcd(den, num, b...)."""
+    if den != 1:
+        g = gcd(den, num)
+        for _, b in terms:
+            if g == 1:
+                break
+            g = gcd(g, b)
+        if g != 1:
+            num //= g
+            den //= g
+            terms = tuple((m, b // g) for m, b in terms)
+    return _make(num, terms, den)
+
+
+def _neg(e: RootExpr) -> RootExpr:
+    return _make(-e.num, tuple((m, -b) for m, b in e.terms), e.den)
+
+
+def _combine(a: RootExpr, b: RootExpr, sign: int) -> RootExpr:
+    """a + sign*b for sign = +1 or -1."""
+    d1, d2 = a.den, b.den
+    if d1 == d2:
+        f1, f2, den = 1, sign, d1
+    else:
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, sign * (d1 // g)
+        den = d1 * f1
+    num = a.num * f1 + b.num * f2
+    t1, t2 = a.terms, b.terms
+    if not t2:
+        terms = t1 if f1 == 1 else tuple((m, c * f1) for m, c in t1)
+    elif not t1:
+        terms = t2 if f2 == 1 else tuple((m, c * f2) for m, c in t2)
+    else:
+        merged = {m: c * f1 for m, c in t1} if f1 != 1 else dict(t1)
+        for m, c in t2:
+            nc = merged.get(m, 0) + c * f2
+            if nc:
+                merged[m] = nc
+            else:
+                del merged[m]
+        terms = tuple(sorted(merged.items()))
+    return _reduced(num, terms, den)
+
+
+def _add_rational(e: RootExpr, n: int, d: int) -> RootExpr:
+    """e + n/d for d > 0."""
+    if d == 1:
+        # adding a multiple of den leaves gcd(den, num, b...) alone
+        return _make(e.num + n * e.den, e.terms, e.den)
+    return _combine(e, _make(n, (), d), 1)
+
+
+def _scale(e: RootExpr, kn: int, kd: int) -> RootExpr:
+    """e * kn/kd for kd > 0."""
+    if kn == 0:
+        return _make(0, (), 1)
+    den = e.den * kd
+    if kd == 1 and den != 1:
+        # gcd(den, num, b...) = 1, so only gcd(den, kn) can cancel
+        g = gcd(den, kn)
+        if g != 1:
+            den //= g
+            kn //= g
+        return _make(e.num * kn, tuple((m, b * kn) for m, b in e.terms), den)
+    return _reduced(e.num * kn, tuple((m, b * kn) for m, b in e.terms), den)
+
+
+def _mul(a: RootExpr, b: RootExpr) -> RootExpr:
+    n1, n2 = a.num, b.num
+    const = n1 * n2
+    acc = {}
+    if n2:
+        for m, c in a.terms:
+            acc[m] = c * n2
+    if n1:
+        for m, c in b.terms:
+            acc[m] = acc.get(m, 0) + c * n1
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            g = gcd(m1, m2)
+            outer, core = _norm_radicand((m1 // g) * (m2 // g))
+            c = c1 * c2 * g * outer
+            if core == 1:
+                const += c
+            else:
+                acc[core] = acc.get(core, 0) + c
+    terms = tuple(sorted((m, c) for m, c in acc.items() if c))
+    return _reduced(const, terms, a.den * b.den)
+
+
+def _inverse(e: RootExpr) -> RootExpr:
+    num, terms, den = e.num, e.terms, e.den
+    k = len(terms)
+    if k == 0:
+        if num == 0:
+            raise ZeroDivisionError("inverse of zero RootExpr")
+        return _make(den, (), num) if num > 0 else _make(-den, (), -num)
+    if k == 1:
+        # den / (num + b sqrt(m)) = den (num - b sqrt(m)) / (num^2 - b^2 m)
+        (m, b), = terms
+        norm = num * num - b * b * m
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero RootExpr")
+        if norm < 0:
+            den, norm = -den, -norm
+        return _reduced(den * num, ((m, -den * b),), norm)
+    if k == 2:
+        # conjugate over sqrt(m2): with A = num + b1 sqrt(m1),
+        # den / (A + b2 sqrt(m2)) = den (A - b2 sqrt(m2)) / (A^2 - b2^2 m2)
+        (m1, b1), (m2, b2) = terms
+        c = num * num + b1 * b1 * m1 - b2 * b2 * m2
+        s = 2 * num * b1
+        if c == 0 and s == 0:
+            raise ZeroDivisionError("inverse of zero RootExpr")
+        norm = _make(c, ((m1, s),) if s else (), 1)
+        conj = _reduced(den * num, ((m1, den * b1), (m2, -den * b2)), 1)
+        return _mul(conj, _inverse(norm))
+    raise KernelError("inverse supported for at most 2 distinct radicands")
 
 
 # -- exact sign for <= 2 radicands ---------------------------------------------
@@ -260,18 +378,17 @@ def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
 
 def exact_sign(e: RootExpr) -> int | None:
     """Exact sign when the expression has at most 2 radicands, else None."""
-    k = len(e.terms)
+    terms = e.terms
+    k = len(terms)
     if k == 0:
-        return _sign(e.const)
-    if k > 2:
-        return None
-    # times the positive lcm of the denominators: same sign, all ints
-    parts = (e.const, *(b for _, b in e.terms))
-    den = lcm(*(q.denominator for q in parts))
-    c, *bs = (q.numerator * (den // q.denominator) for q in parts)
+        return _sign(e.num)
     if k == 1:
-        return _sign_1rad(c, bs[0], e.terms[0][0])
-    return _sign_2rad(c, bs[0], e.terms[0][0], bs[1], e.terms[1][0])
+        (m, b), = terms
+        return _sign_1rad(e.num, b, m)
+    if k == 2:
+        (m1, b1), (m2, b2) = terms
+        return _sign_2rad(e.num, b1, m1, b2, m2)
+    return None
 
 
 # -- certified fixed-point evaluation -------------------------------------------
@@ -312,12 +429,6 @@ class FixedApprox:
             + self.error_ulps * other.error_ulps + 2
         return FixedApprox(mant, fb, err)
 
-    def scale(self, q: int | Fraction) -> "FixedApprox":
-        mant = self.mantissa * q.numerator // q.denominator
-        num = abs(q.numerator)
-        err = (num * self.error_ulps + q.denominator - 1) // q.denominator + 1
-        return FixedApprox(mant, self.frac_bits, err)
-
 
 def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
     """Certified fixed-point sqrt: mantissa = isqrt(m * 4^frac_bits)."""
@@ -328,19 +439,22 @@ def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
     return FixedApprox(mant, frac_bits, err)
 
 
-def fixed_of_fraction(q: int | Fraction, frac_bits: int) -> FixedApprox:
-    num = q.numerator << frac_bits
-    mant = num // q.denominator
-    err = 0 if num % q.denominator == 0 else 1
-    return FixedApprox(mant, frac_bits, err)
-
-
 def eval_fixed(e: RootExpr, frac_bits: int) -> FixedApprox:
-    """Evaluate a RootExpr to a certified FixedApprox at the given precision."""
-    acc = fixed_of_fraction(e.const, frac_bits)
-    for m, c in e.terms:
-        acc = acc + sqrt_fixed(m, frac_bits).scale(c)
-    return acc
+    """Evaluate a RootExpr to a certified FixedApprox at the given precision.
+
+    num/den contributes floor(num 2^fb / den), exact or 1 ulp off; each
+    b/den * sqrt(m) with sqrt(m) at x +- err ulps contributes floor(x b / den)
+    with ceil(|b| err / den) + 1 ulps.  Neither depends on reducing b/den.
+    """
+    den = e.den
+    x = e.num << frac_bits
+    mant = x // den
+    err = 0 if mant * den == x else 1
+    for m, b in e.terms:
+        s = sqrt_fixed(m, frac_bits)
+        mant += s.mantissa * b // den
+        err += (abs(b) * s.error_ulps + den - 1) // den + 1
+    return FixedApprox(mant, frac_bits, err)
 
 
 def _interval(e: RootExpr, frac_bits: int) -> tuple[int, int]:
@@ -357,7 +471,8 @@ def cmp_root(e: RootExpr, rhs=0) -> Cmp:
     Equal is returned only when provable exactly; Undecided only after the
     precision ladder is exhausted on a >2-radicand expression.
     """
-    diff = e - RootExpr.of(rhs)
+    n, d = _rational(rhs)
+    diff = _add_rational(e, -n, d)
     s = exact_sign(diff)
     if s is not None:
         return Cmp(s)
@@ -379,14 +494,10 @@ def floor_root(e: RootExpr) -> int | None:
     """
     k = len(e.terms)
     if k == 0:
-        c = e.const
-        return c.numerator // c.denominator
+        return e.num // e.den
     if k == 1:
-        (m, b), c = e.terms[0], e.const
         # floor((P + Q*sqrt(m)) / R) with R > 0
-        R = c.denominator * b.denominator
-        P = c.numerator * b.denominator
-        Q = b.numerator * c.denominator
+        P, ((m, Q),), R = e.num, e.terms, e.den
         t = isqrt(Q * Q * m)
         if Q < 0:
             t = -t - 1
@@ -404,9 +515,9 @@ def floor_root(e: RootExpr) -> int | None:
             return fl
     if k == 2:
         f = lo >> fb
-        while exact_sign(e - f) < 0:
+        while exact_sign(_add_rational(e, -f, 1)) < 0:
             f -= 1
-        while exact_sign(e - (f + 1)) >= 0:
+        while exact_sign(_add_rational(e, -(f + 1), 1)) >= 0:
             f += 1
         return f
     return None
@@ -417,4 +528,4 @@ def frac_root(e: RootExpr) -> tuple[int, RootExpr] | None:
     f = floor_root(e)
     if f is None:
         return None
-    return f, e - f
+    return f, _add_rational(e, -f, 1)

@@ -5,7 +5,9 @@ p = p_n, q = p_{n+1}, the gap d, the integral parts N = floor(sqrt(p)) and
 Nq = floor(sqrt(q)), the square offsets h = p - N^2 and hq = q - Nq^2, the
 single integer s = floor(sqrt(p*q)) that decides all the floor identities of
 the sqrt(p)*Delta family, the division q = k*d + r (n >= 2), the helper
-tN = floor(N*sqrt(p)), and the twin-pair prefix count j.
+tN = floor(N*sqrt(p)), and the twin-pair prefix count j.  Its RootExpr
+views (`root_views`) are built once, on first use, and shared by every
+checker that reads the window.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class JCheckpoint:
 
 
 class GapWindow:
-    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "k", "r", "tN", "j")
+    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "k", "r", "tN", "j",
+                 "views")
 
     def __init__(self, n, p, q, j, N=None):
         self.n = n
@@ -61,6 +64,7 @@ class GapWindow:
             self.k = self.r = None
         self.tN = isqrt(self.N * self.N * p)
         self.j = j
+        self.views = None   # RootViews, filled by root_views
 
     @property
     def straddle(self) -> bool:
@@ -80,18 +84,22 @@ class GapWindow:
 
 
 class RootViews:
-    """Named RootExpr views over one window; built lazily, all normalized."""
+    """Named RootExpr views over one window; built lazily, all normalized.
+
+    It keeps the window's integers rather than the window, so the window's
+    `views` slot makes no reference cycle.
+    """
 
     def __init__(self, w: GapWindow):
-        self._w = w
+        self._p, self._q, self._N, self._Nq = w.p, w.q, w.N, w.Nq
 
     @cached_property
     def sqrt_p(self) -> RootExpr:
-        return RootExpr.sqrt(self._w.p)
+        return RootExpr.sqrt(self._p)
 
     @cached_property
     def sqrt_q(self) -> RootExpr:
-        return RootExpr.sqrt(self._w.q)
+        return RootExpr.sqrt(self._q)
 
     @cached_property
     def delta(self) -> RootExpr:
@@ -103,39 +111,44 @@ class RootViews:
 
     @cached_property
     def mu(self) -> RootExpr:
-        return self.sqrt_p - self._w.N
+        return self.sqrt_p - self._N
 
     @cached_property
     def mu_q(self) -> RootExpr:
-        return self.sqrt_q - self._w.Nq
+        return self.sqrt_q - self._Nq
 
     @cached_property
     def sqrtq_delta(self) -> RootExpr:
         # sqrt(q)*Delta = q - sqrt(pq)
-        return RootExpr.sqrt(self._w.p * self._w.q, -1) + self._w.q
+        return RootExpr.sqrt(self._p * self._q, -1) + self._q
 
     @cached_property
     def sqrtp_delta(self) -> RootExpr:
         # sqrt(p)*Delta = sqrt(pq) - p
-        return RootExpr.sqrt(self._w.p * self._w.q) - self._w.p
+        return RootExpr.sqrt(self._p * self._q) - self._p
 
     @cached_property
     def mu_sqrtp(self) -> RootExpr:
         # mu*sqrt(p) = p - N*sqrt(p)
-        return RootExpr.sqrt(self._w.p, -self._w.N) + self._w.p
+        return RootExpr.sqrt(self._p, -self._N) + self._p
 
     @cached_property
     def mu_q_sqrtq(self) -> RootExpr:
-        return RootExpr.sqrt(self._w.q, -self._w.Nq) + self._w.q
+        return RootExpr.sqrt(self._q, -self._Nq) + self._q
 
     @cached_property
     def ratio_frac(self) -> RootExpr:
         # Delta/sqrt(p) = (sqrt(pq) - p)/p, rational-coefficient form
-        return self.sqrtp_delta / self._w.p
+        return self.sqrtp_delta / self._p
 
 
 def root_views(w: GapWindow) -> RootViews:
-    return RootViews(w)
+    """The window's RootViews, built on first use; RootExprs are immutable,
+    so every checker of the window shares them."""
+    v = w.views
+    if v is None:
+        v = w.views = RootViews(w)
+    return v
 
 
 def _twin_prefix(store: PrimeStore, n_lo: int) -> int:

@@ -1,17 +1,19 @@
 """Independent oracles used to freeze expected values.
 
 These stay deliberately primitive: trial division, digit-by-digit square
-roots, a Meissel-style prime count, isqrt brackets for radical signs, and
-brute-force pair enumeration.  None of them share code paths with the
-package, except `floor_root_general`, which reuses the kernel's fixed-point
-evaluation.
+roots, a Meissel-style prime count, isqrt brackets for radical signs,
+brute-force pair enumeration, a Fraction-coefficient model of RootExpr and
+the Fraction partial sums of the mu series.  None of them share code paths
+with the package, except `floor_root_general`, which reuses the kernel's
+fixed-point evaluation, and `build_root`, a shorthand for building RootExprs.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
 
-from gapcheck.exact import LADDER, eval_fixed, exact_sign
+from gapcheck.exact import LADDER, RootExpr, eval_fixed, exact_sign
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -142,7 +144,7 @@ def floor_root_general(e) -> int | None:
     fallback once the ladder is exhausted.
     """
     if not e.terms:
-        return e.const.numerator // e.const.denominator
+        return e.num // e.den
     for fb in LADDER:
         lo, hi = eval_fixed(e, fb).interval()
         fl, fh = lo >> fb, hi >> fb
@@ -156,3 +158,131 @@ def floor_root_general(e) -> int | None:
             f += 1
         return f
     return None
+
+
+def build_root(const, parts: dict) -> RootExpr:
+    """const + sum coef*sqrt(m) over parts = {m: coef}, through the kernel's
+    own constructors."""
+    e = RootExpr.of(const)
+    for m, coef in parts.items():
+        e = e + RootExpr.sqrt(m, coef)
+    return e
+
+
+def squarefree_split(m: int) -> tuple[int, int]:
+    """m = outer^2 * core with core square-free, by trial division."""
+    outer, core, d = 1, 1, 2
+    while d * d <= m:
+        while m % (d * d) == 0:
+            m //= d * d
+            outer *= d
+        if m % d == 0:
+            m //= d
+            core *= d
+        d += 1
+    return outer, core * m
+
+
+class RefRoot:
+    """Reference model of RootExpr: a Fraction constant plus a dict from
+    square-free radicand to nonzero Fraction coefficient."""
+
+    def __init__(self, const=0, coefs=None):
+        self.const = Fraction(const)
+        self.coefs = {m: Fraction(c) for m, c in (coefs or {}).items() if c}
+
+    @classmethod
+    def sqrt(cls, m: int, coef=1) -> "RefRoot":
+        outer, core = squarefree_split(m)
+        if core == 1:
+            return cls(Fraction(coef) * outer)
+        return cls(0, {core: Fraction(coef) * outer})
+
+    def __add__(self, other: "RefRoot") -> "RefRoot":
+        coefs = dict(self.coefs)
+        for m, c in other.coefs.items():
+            coefs[m] = coefs.get(m, 0) + c
+        return RefRoot(self.const + other.const, coefs)
+
+    def __neg__(self) -> "RefRoot":
+        return self.scale(-1)
+
+    def __sub__(self, other: "RefRoot") -> "RefRoot":
+        return self + (-other)
+
+    def scale(self, k) -> "RefRoot":
+        return RefRoot(self.const * k, {m: c * k for m, c in self.coefs.items()})
+
+    def __mul__(self, other: "RefRoot") -> "RefRoot":
+        out = RefRoot(self.const * other.const)
+        out = out + RefRoot(0, {m: c * other.const for m, c in self.coefs.items()})
+        out = out + RefRoot(0, {m: c * self.const for m, c in other.coefs.items()})
+        for m1, c1 in self.coefs.items():
+            for m2, c2 in other.coefs.items():
+                out = out + RefRoot.sqrt(m1 * m2, c1 * c2)
+        return out
+
+    def conjugate(self, m: int) -> "RefRoot":
+        """The same value with the sign of sqrt(m) flipped."""
+        return RefRoot(self.const, {r: -c if r == m else c for r, c in self.coefs.items()})
+
+    def inverse(self) -> "RefRoot":
+        """1/x = (product of the other conjugates) / (product of all of them);
+        the product of all conjugates is rational."""
+        if len(self.coefs) > 2:
+            raise ValueError("inverse of more than 2 radicands")
+        conj = [self]
+        for m in self.coefs:
+            conj += [c.conjugate(m) for c in conj]
+        num = RefRoot(1)
+        for c in conj[1:]:
+            num = num * c
+        norm = num * self
+        if norm.coefs or norm.const == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return num.scale(1 / norm.const)
+
+    def __eq__(self, other) -> bool:
+        return self.const == other.const and self.coefs == other.coefs
+
+    def sign(self) -> int:
+        """Exact sign for at most 2 radicands, by `radical_sign` on the value
+        times the lcm of its denominators."""
+        items = sorted(self.coefs.items())
+        if len(items) > 2:
+            raise ValueError("sign of more than 2 radicands")
+        den = lcm(self.const.denominator, *(c.denominator for _, c in items))
+        args = [int(self.const * den), 0, 0, 0, 0]
+        for i, (m, c) in enumerate(items):
+            args[2 * i + 1:2 * i + 3] = int(c * den), m
+        return radical_sign(*args)
+
+    def floor(self) -> int:
+        """Exact floor for at most 2 radicands: isqrt estimate, then signs."""
+        f = self.const.numerator // self.const.denominator
+        for m, c in self.coefs.items():
+            f += (c.numerator * isqrt(c.denominator ** 2 * m)) // c.denominator ** 2 - 1
+        while (self - RefRoot(f)).sign() < 0:
+            f -= 1
+        while (self - RefRoot(f + 1)).sign() >= 0:
+            f += 1
+        return f
+
+    def to_root(self) -> RootExpr:
+        """The kernel's RootExpr of this value, through its public constructor."""
+        return RootExpr(self.const, sorted(self.coefs.items()))
+
+
+def mu_series_brackets_fraction(h: int, N: int):
+    """Fraction (lo, hi) for K = 1..8: the order-K partial sum of
+    N (sqrt(1 + x) - 1) at x = h/N^2, minus and plus its remainder bound
+    N |binom(1/2, K+1)| x^(K+1)."""
+    binom_half = [Fraction(1, 2)]
+    for k in range(1, 9):
+        binom_half.append(binom_half[-1] * Fraction(2 * k - 1, 2 * k + 2))
+    x = Fraction(h, N * N)
+    s = Fraction(0)
+    for k in range(1, 9):
+        s += (-1) ** (k + 1) * binom_half[k - 1] * x ** k
+        bound = binom_half[k] * x ** (k + 1) * N
+        yield s * N - bound, s * N + bound

@@ -71,6 +71,14 @@ def test_accum_first_row():
     assert lines[1].startswith("6,41,")
 
 
+def test_accum_end_targets_name_the_families():
+    for target, family in (("0/1", "--family h_fixed"), ("1/1", "--family top_family")):
+        r = run("accum", "--r", target, "--sign", "+", "--n-max", "100")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert family in r.stderr and "special_scans" not in r.stderr
+
+
 def test_squares_csv_and_exit():
     r = run("squares", "--n-hi", "40", "--limit", "2000")
     assert r.returncode == 0

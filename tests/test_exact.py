@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, eval_fixed,
-                            exact_sign, floor_root, frac_root, sqrt_fixed)
-from oracles import floor_root_general, longhand_sqrt_digits, radical_sign
+from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign_1rad, _sign_2rad, cmp_root,
+                            eval_fixed, exact_sign, floor_root, frac_root, sqrt_fixed)
+from oracles import (RefRoot, build_root, floor_root_general, longhand_sqrt_digits,
+                     radical_sign)
 
 
 def test_sqrt_fixed_exact_square():
@@ -47,23 +48,23 @@ def test_cmp_root_examples():
 
 def test_cmp_root_identity_window4():
     # Delta_4^2 + 2 {sqrt(7) Delta_4} = 2 exactly
-    d4sq = RootExpr.build(18, {77: -2})
-    _, frac = frac_root(RootExpr.build(-7, {77: 1}))
+    d4sq = build_root(18, {77: -2})
+    _, frac = frac_root(build_root(-7, {77: 1}))
     assert cmp_root(d4sq + frac.scale(2), 2) is Cmp.EQUAL
 
 
 def test_floor_root_examples():
-    assert floor_root(RootExpr.build(22, {77: -2})) == 4
-    assert floor_root(RootExpr.build(-7, {77: 1})) == 1
+    assert floor_root(build_root(22, {77: -2})) == 4
+    assert floor_root(build_root(-7, {77: 1})) == 1
     h_over_mu = RootExpr.of(4) / (RootExpr.sqrt(13) - 3)
-    assert h_over_mu == RootExpr.build(3, {13: 1})
+    assert h_over_mu == build_root(3, {13: 1})
     assert floor_root(h_over_mu) == 6
 
 
 def test_frac_root_examples():
     assert frac_root(RootExpr.sqrt(4)) == (2, RootExpr.of(0))
     f, fr = frac_root(RootExpr.sqrt(11))
-    assert f == 3 and fr == RootExpr.build(-3, {11: 1})
+    assert f == 3 and fr == build_root(-3, {11: 1})
     f, _ = frac_root(RootExpr.sqrt(101))
     assert f == 10
 
@@ -103,7 +104,7 @@ def test_floor_paths_agree_random_windows(mid_store):
         p, q = primes[i], primes[i + 1]
         a = F(rng.randrange(-50, 50), rng.randrange(1, 7))
         b = F(rng.randrange(-9, 9) or 1, rng.randrange(1, 5))
-        e = RootExpr.build(a, {p * q: b})
+        e = build_root(a, {p * q: b})
         assert floor_root(e) == floor_root_general(e)
 
 
@@ -112,7 +113,7 @@ def test_floor_paths_agree_random_windows(mid_store):
        st.integers(min_value=1, max_value=60))
 @settings(max_examples=200)
 def test_floor_root_single_radicand_property(m, num, den):
-    e = RootExpr.build(F(num, den), {m: 1})
+    e = build_root(F(num, den), {m: 1})
     f = floor_root(e)
     # f <= e < f + 1, certified by the exact comparator
     assert cmp_root(e - f) in (Cmp.GREATER, Cmp.EQUAL)
@@ -151,7 +152,7 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
         i = rng.randrange(len(primes) - 1)
         p, q = primes[i], primes[i + 1]
         a = F(rng.randrange(-30, 30), rng.randrange(1, 5))
-        e = RootExpr.build(a, {p: 1, q: -1})
+        e = build_root(a, {p: 1, q: -1})
         c = cmp_root(e)
         fa = eval_fixed(e, 96)
         if c is Cmp.LESS:
@@ -247,7 +248,85 @@ def test_sign_2rad_built_zeros(args):
 
 def test_exact_sign_clears_denominators():
     # sqrt(2)/3 - sqrt(3)/5 + 1/7 > 0 and sqrt(8)/3 - sqrt(2)*2/3 = 0
-    e = RootExpr.build(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
+    e = build_root(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
     assert exact_sign(e) == radical_sign(15, 35, 2, -21, 3) == 1
     assert exact_sign(RootExpr.sqrt(8, F(1, 3)) - RootExpr.sqrt(2, F(2, 3))) == 0
-    assert exact_sign(RootExpr.build(F(-1, 2), {2: F(1, 3)})) == -1
+    assert exact_sign(build_root(F(-1, 2), {2: F(1, 3)})) == -1
+
+
+# -- the integer RootExpr against the Fraction-coefficient reference model ------
+
+_fracs = st.builds(F, st.integers(min_value=-40, max_value=40),
+                   st.integers(min_value=1, max_value=12))
+_nonzero_fracs = _fracs.filter(bool)
+_core_sets = st.lists(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 77)),
+                      min_size=1, max_size=2, unique=True)
+
+
+@st.composite
+def _root_pairs(draw, cores):
+    """A RootExpr and its reference model built from the same parts: a
+    rational constant plus up to three coef*sqrt(core * square) terms, so
+    square parts, merges and cancellations all occur."""
+    const = draw(_fracs)
+    e, ref = RootExpr.of(const), RefRoot(const)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        m = draw(st.sampled_from(cores)) * draw(st.sampled_from((1, 1, 4, 9, 49)))
+        c = draw(_fracs)
+        e, ref = e + RootExpr.sqrt(m, c), ref + RefRoot.sqrt(m, c)
+    return e, ref
+
+
+def _agrees(e, ref):
+    """e is in normal form and has the reference's value, term by term."""
+    assert e.den > 0
+    assert gcd(e.den, e.num, *(b for _, b in e.terms)) == 1
+    radicands = [m for m, _ in e.terms]
+    assert radicands == sorted(set(radicands)) and all(b for _, b in e.terms)
+    assert F(e.num, e.den) == ref.const
+    assert {m: F(b, e.den) for m, b in e.terms} == ref.coefs
+    built = ref.to_root()
+    assert e == built and hash(e) == hash(built)
+    return True
+
+
+@given(st.data(), _core_sets)
+@settings(max_examples=300)
+def test_kernel_agrees_with_reference_arithmetic(data, cores):
+    a, ra = data.draw(_root_pairs(cores))
+    b, rb = data.draw(_root_pairs(cores))
+    k = data.draw(st.one_of(st.integers(min_value=-9, max_value=9), _fracs))
+    assert _agrees(a, ra) and _agrees(b, rb)
+    assert _agrees(a + b, ra + rb) and _agrees(a - b, ra - rb)
+    assert _agrees(a * b, ra * rb)
+    assert _agrees(a.scale(k), ra.scale(k)) and _agrees(a * k, ra.scale(k))
+    assert _agrees(a + k, ra + RefRoot(k)) and _agrees(k - a, RefRoot(k) - ra)
+    if k:
+        assert _agrees(a / k, ra.scale(1 / F(k)))
+    if ra == RefRoot(0):
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        assert _agrees(a.inverse(), ra.inverse())
+        assert _agrees(b / a, rb * ra.inverse())
+
+
+@given(st.data(), _core_sets)
+@settings(max_examples=300)
+def test_kernel_agrees_with_reference_predicates(data, cores):
+    a, ra = data.draw(_root_pairs(cores))
+    b, rb = data.draw(_root_pairs(cores))
+    assert (a == b) == (ra == rb) and (a != b) == (not ra == rb)
+    assert a == (a + b) - b and hash(a) == hash((a + b) - b)
+    assert a.is_rational() == (not ra.coefs)
+    if ra.coefs:
+        with pytest.raises(KernelError):
+            a.as_fraction()
+    else:
+        assert a.as_fraction() == ra.const and a == ra.const
+    r = data.draw(_fracs)
+    assert cmp_root(a, r).value == (ra - RefRoot(r)).sign()
+    assert cmp_root(a - b).value == (ra - rb).sign()
+    assert floor_root(a) == ra.floor()
+    f, frac = frac_root(a)
+    assert f == ra.floor() and _agrees(frac, ra - RefRoot(f))

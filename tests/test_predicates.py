@@ -1,18 +1,22 @@
 """Two paths for every helper in checkers/predicates.py: the helper's own
 integer reduction against cmp_root / floor_root of the same quantity built
-from root_views(w)."""
+from root_views(w).  mu-series' integer partial sums are checked the same
+way, against the Fraction partial sums of `oracles`."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from gapcheck.checkers import Triple, registry
+from gapcheck.checkers.catalog_floor import _mu_series_brackets
 from gapcheck.checkers.predicates import (cmp_sqrt_sums, cmp_weighted_sums,
                                           delta_vs_delta4, delta_vs_rational, floor_D,
                                           is_square, mu_cmp, mu_diff_sign,
                                           mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp)
 from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root, frac_root
-from gapcheck.window import GapWindow, root_views
+from gapcheck.window import GapWindow, root_views, windows
+from oracles import mu_series_brackets_fraction
 
 
 def _sample_windows(store, count, seed):
@@ -84,3 +88,29 @@ def test_sum_helpers_two_paths(sample):
             _kernel_sign(vw.delta.scale(c1) - vu.delta.scale(c2))
         for x in (w.p, w.N * w.N, w.p * w.q, w.d * w.d + 1):
             assert is_square(x) == RootExpr.sqrt(x).is_rational()
+
+
+def test_mu_series_two_paths(mid_store):
+    """mu-series' integer brackets over one denominator against the Fraction
+    partial sums, order by order: the same rational ends, the same mu_cmp
+    decisions, both confirmed by cmp_root on root_views(w).mu, and the
+    checker holds exactly when every order's bracket holds mu."""
+    rng = random.Random(17)
+    ws = list(windows(mid_store, 3, 2000))
+    ws += [GapWindow(n, mid_store.nth_prime(n), mid_store.nth_prime(n + 1), j=0)
+           for n in rng.sample(range(2001, mid_store.prime_count - 1), 300)]
+    evaluate = registry()["mu-series"].evaluate
+    for w in ws:
+        mu = root_views(w).mu
+        ints = list(_mu_series_brackets(w))
+        fracs = list(mu_series_brackets_fraction(w.h, w.N))
+        assert len(ints) == len(fracs) == 8
+        holds = True
+        for (lo, hi, den), (lo_f, hi_f) in zip(ints, fracs):
+            assert (Fraction(lo, den), Fraction(hi, den)) == (lo_f, hi_f), w
+            inside = mu_cmp(w, lo, den) > 0 and mu_cmp(w, hi, den) < 0
+            assert inside == (mu_cmp(w, lo_f.numerator, lo_f.denominator) > 0
+                              and mu_cmp(w, hi_f.numerator, hi_f.denominator) < 0), w
+            assert inside == (_kernel_sign(mu, lo_f) > 0 and _kernel_sign(mu, hi_f) < 0), w
+            holds = holds and inside
+        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == holds, w

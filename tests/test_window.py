@@ -120,8 +120,7 @@ def test_section3_integer_forms_match_general_floor_path(mid_store):
     """The s-based integer floors and the FixedApprox general path agree on
     a sampled set of windows (the dual-route check for the floor family)."""
     import random
-    from gapcheck.exact import RootExpr
-    from oracles import floor_root_general
+    from oracles import build_root, floor_root_general
     rng = random.Random(9)
     ns = sorted(rng.sample(range(2, 50000), 200))
     ws = {w.n: w for w in windows(mid_store, 1, max(ns))}
@@ -129,7 +128,7 @@ def test_section3_integer_forms_match_general_floor_path(mid_store):
         w = ws[n]
         pq = w.p * w.q
         # floor(2 sqrt(q) Delta) = d, floor(sqrt(p) Delta) = s - p
-        e1 = RootExpr.build(2 * w.q, {pq: -2})
-        e2 = RootExpr.build(-w.p, {pq: 1})
+        e1 = build_root(2 * w.q, {pq: -2})
+        e2 = build_root(-w.p, {pq: 1})
         assert floor_root_general(e1) == w.d == 2 * (w.q - w.s - 1)
         assert floor_root_general(e2) == w.s - w.p == w.d // 2 - 1
