@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..primes import PrimeStore
-from ..window import JCheckpoint, windows
+from ..window import windows
 from .types import (CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
                     Verdict, registry)
 
@@ -190,8 +190,6 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                 f"checkpoint continues at n={resume['next_n']}, not {n_lo}")
         tallies = {cid: _Tally.from_json(resume["per"][cid]) for cid in ids}
         report_lo = resume["n_lo"]
-        j_prev = resume["j_prev"]
-        prev_n = resume["next_n"] - 1
     else:
         tallies = {cid: _Tally() for cid in ids}
         for cid in ids:
@@ -199,8 +197,6 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
             if spec.state_init is not None:
                 tallies[cid].state = spec.state_init()
         report_lo = n_lo
-        j_prev = None
-        prev_n = None
 
     ctx = EvalContext(store=store, opts=opts, n_lo=report_lo, n_hi=n_hi)
 
@@ -208,11 +204,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     start = max(1, n_lo - 1)
     want_end = n_hi + 1
     end = want_end if want_end + 1 <= store.prime_count else n_hi
-    j_origin = None
-    if j_prev is not None and start == prev_n:
-        j_origin = JCheckpoint(n=start, j=j_prev)
-
-    stream = windows(store, start, end, j_origin=j_origin)
+    stream = windows(store, start, end)
     prev = None
     cur = next(stream)
     if cur.n < n_lo:
@@ -220,7 +212,6 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     nxt = next(stream, None)
 
     live = [(reg[cid], tallies[cid]) for cid in ids]
-    last_j_prev = None
     while True:
         tri = Triple(prev, cur, nxt)
         for spec, tally in live:
@@ -233,7 +224,6 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                 tally.error = f"checker error at n={cur.n}: {exc!r}"
                 tally.notes.append(tally.error)
                 tally.counts.undecided += 1
-        last_j_prev = cur.j
         if cur.n >= n_hi or nxt is None:
             break
         prev, cur, nxt = cur, nxt, next(stream, None)
@@ -241,7 +231,6 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     checkpoint = {
         "n_lo": report_lo,
         "next_n": cur.n + 1,
-        "j_prev": last_j_prev,
         # the last window had no successor in the sieve, so needs_next
         # checkers skipped it; a continuation would not equal a single run
         "sieve_edge": nxt is None,

@@ -405,30 +405,6 @@ class FixedApprox:
     def interval(self) -> tuple[int, int]:
         return self.mantissa - self.error_ulps, self.mantissa + self.error_ulps
 
-    def __add__(self, other: "FixedApprox") -> "FixedApprox":
-        if other.frac_bits != self.frac_bits:
-            raise KernelError("mismatched frac_bits")
-        return FixedApprox(self.mantissa + other.mantissa, self.frac_bits,
-                           self.error_ulps + other.error_ulps)
-
-    def __neg__(self) -> "FixedApprox":
-        return FixedApprox(-self.mantissa, self.frac_bits, self.error_ulps)
-
-    def __sub__(self, other: "FixedApprox") -> "FixedApprox":
-        return self + (-other)
-
-    def __mul__(self, other: "FixedApprox") -> "FixedApprox":
-        if other.frac_bits != self.frac_bits:
-            raise KernelError("mismatched frac_bits")
-        fb = self.frac_bits
-        prod = self.mantissa * other.mantissa
-        mant = prod >> fb
-        # |x*y - mant*2^-fb| <= |x|e2 + |y|e1 + e1e2 + 1 (in ulps)
-        err = ((abs(self.mantissa) * other.error_ulps
-                + abs(other.mantissa) * self.error_ulps) >> fb) \
-            + self.error_ulps * other.error_ulps + 2
-        return FixedApprox(mant, fb, err)
-
 
 def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
     """Certified fixed-point sqrt: mantissa = isqrt(m * 4^frac_bits)."""

@@ -144,6 +144,7 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
     sq_lo = isqrt(2 << (2 * fb))          # sqrt(p_1 = 2) bracket
     sq_hi = sq_lo + 1
     ln_fb = 96
+    j = 0                                 # j_n = #{i < n : d_i = 2}
     for w in windows(store, 1, n_hi):
         # sqrt(q) bracket at fb bits
         sqq_lo = isqrt(w.q << (2 * fb))
@@ -156,7 +157,7 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
         else:
             A = (A[0] + one - thi, A[1] + one - tlo)
         # identity: sqrt(2 q) = 2 + 2 j_{n+1} - (B - A)
-        j_next = w.j + (1 if w.d == 2 else 0)
+        j_next = j + (1 if w.d == 2 else 0)
         lhs_lo = isqrt(2 * w.q << (2 * fb))
         lhs_hi = lhs_lo + 1
         rhs_lo = (2 + 2 * j_next) * one - (B[1] - A[0])
@@ -167,14 +168,15 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
         b_gt_a = B[0] > A[1]
         sandwich_ok = 2 * w.n - 1 <= w.p and 2 * w.p <= (w.n + 1) ** 2
         q92 = _q92_holds(w, j_next) if w.n >= 5 else None
-        dusart = _dusart_holds(w.n, w.j, ln_fb) if w.n >= 3 else None
-        abstract = w.p < 2 * w.j * w.j if w.n >= 6 else None
-        yield AlphaRow(n=w.n, j=w.j, A=A, B=B,
+        dusart = _dusart_holds(w.n, j, ln_fb) if w.n >= 3 else None
+        abstract = w.p < 2 * j * j if w.n >= 6 else None
+        yield AlphaRow(n=w.n, j=j, A=A, B=B,
                        residual_bound=residual_bound, identity_ok=identity_ok,
                        b_gt_a=b_gt_a, sandwich_ok=sandwich_ok,
                        q92_holds=q92, dusart_holds=dusart,
                        abstract_holds=abstract)
         sq_lo, sq_hi = sqq_lo, sqq_hi
+        j = j_next
 
 
 def _q92_holds(w, j_next: int) -> bool:

@@ -4,26 +4,20 @@ A GapWindow packages every integer a checker needs for one index n:
 p = p_n, q = p_{n+1}, the gap d, the integral parts N = floor(sqrt(p)) and
 Nq = floor(sqrt(q)), the square offsets h = p - N^2 and hq = q - Nq^2, the
 single integer s = floor(sqrt(p*q)) that decides all the floor identities of
-the sqrt(p)*Delta family, the division q = k*d + r (n >= 2), the helper
-tN = floor(N*sqrt(p)), and the twin-pair prefix count j.  Its RootExpr
-views (`root_views`) are built once, on first use, and shared by every
-checker that reads the window.
+the sqrt(p)*Delta family, the division q = k*d + r (n >= 2) and the helper
+tN = floor(N*sqrt(p)).  Its RootExpr views (`root_views`) are built once,
+on first use, and shared by every checker that reads the window.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, pairwise
 from math import isqrt
 
 from .exact import RootExpr
 from .primes import PrimeStore, CoverageError
-
-
-class CheckpointMismatch(ValueError):
-    """Supplied j-checkpoint does not match the requested stream origin."""
 
 
 class SquareLawViolation(AssertionError):
@@ -34,19 +28,10 @@ class SquareLawViolation(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class JCheckpoint:
-    """Twin-prefix origin for a stream starting above n = 1."""
-
-    n: int          # first index the checkpoint is valid for
-    j: int          # number of i < n with d_i = 2
-
-
 class GapWindow:
-    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "k", "r", "tN", "j",
-                 "views")
+    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "k", "r", "tN", "views")
 
-    def __init__(self, n, p, q, j, N=None):
+    def __init__(self, n, p, q, N=None):
         self.n = n
         self.p = p
         self.q = q
@@ -63,7 +48,6 @@ class GapWindow:
         else:
             self.k = self.r = None
         self.tN = isqrt(self.N * self.N * p)
-        self.j = j
         self.views = None   # RootViews, filled by root_views
 
     @property
@@ -80,7 +64,7 @@ class GapWindow:
 
     def __repr__(self):
         return (f"GapWindow(n={self.n}, p={self.p}, q={self.q}, d={self.d}, "
-                f"N={self.N}, h={self.h}, hq={self.hq}, s={self.s}, j={self.j})")
+                f"N={self.N}, h={self.h}, hq={self.hq}, s={self.s})")
 
 
 class RootViews:
@@ -151,33 +135,13 @@ def root_views(w: GapWindow) -> RootViews:
     return v
 
 
-def _twin_prefix(store: PrimeStore, n_lo: int) -> int:
-    """Count of i < n_lo with d_i = 2 by a direct prefix scan."""
-    return sum(q - p == 2 for p, q in pairwise(islice(store.iter_primes(), n_lo)))
-
-
-def windows(store: PrimeStore, n_lo: int, n_hi: int,
-            j_origin: JCheckpoint | None = None):
-    """Yield GapWindow for n in [n_lo, n_hi], strictly increasing n.
-
-    The twin-prefix count j needs an absolute origin: n_lo = 1, a supplied
-    checkpoint, or (fallback) an internal prefix scan from 1.
-    """
+def windows(store: PrimeStore, n_lo: int, n_hi: int):
+    """Yield GapWindow for n in [n_lo, n_hi], strictly increasing n."""
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("need 1 <= n_lo <= n_hi")
     if n_hi + 1 > store.prime_count:
         raise CoverageError(
             f"p_{n_hi + 1} not covered by store limit {store.limit}")
-    if j_origin is not None:
-        if j_origin.n != n_lo:
-            raise CheckpointMismatch(
-                f"checkpoint opens at n={j_origin.n}, not at n={n_lo}")
-        j = j_origin.j
-    elif n_lo == 1:
-        j = 0
-    else:
-        j = _twin_prefix(store, n_lo)
-
     start_p = store.nth_prime(n_lo)
     n = n_lo
     prev = None
@@ -187,10 +151,8 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int,
             prev = p
             prev_N = isqrt(p)
             continue
-        w = GapWindow(n, prev, p, j, N=prev_N)
+        w = GapWindow(n, prev, p, N=prev_N)
         yield w
-        if w.d == 2:
-            j += 1
         n += 1
         if n > n_hi:
             return
@@ -198,19 +160,19 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int,
         prev_N = w.Nq
 
 
-def twin_pairs(store: PrimeStore, n_lo: int, n_hi: int) -> list[int]:
-    """Sorted indices m in [n_lo, n_hi] with d_m = 2."""
-    return [w.n for w in windows(store, n_lo, n_hi) if w.d == 2]
-
-
 CSV_COLUMNS = ["n", "p", "q", "d", "N", "h", "hq", "s", "k", "r", "j"]
 
 
 def dump_windows_csv(store: PrimeStore, n_lo: int, n_hi: int, fh) -> None:
-    """Write the window stream as CSV (exact integers; k,r blank at n = 1)."""
+    """Write the window stream as CSV (exact integers; k,r blank at n = 1)
+    with the twin-pair prefix count j_n = #{i < n : d_i = 2}."""
     writer = csv.writer(fh)
     writer.writerow(CSV_COLUMNS)
+    j = None
     for w in windows(store, n_lo, n_hi):
+        if j is None:   # counted once windows() has accepted the range
+            j = sum(q - p == 2 for p, q in pairwise(islice(store.iter_primes(), n_lo)))
         writer.writerow([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s,
                          "" if w.k is None else w.k,
-                         "" if w.r is None else w.r, w.j])
+                         "" if w.r is None else w.r, j])
+        j += w.d == 2

@@ -5,7 +5,8 @@ roots, a Meissel-style prime count, isqrt brackets for radical signs,
 brute-force pair enumeration, a Fraction-coefficient model of RootExpr and
 the Fraction partial sums of the mu series.  None of them share code paths
 with the package, except `floor_root_general`, which reuses the kernel's
-fixed-point evaluation, and `build_root`, a shorthand for building RootExprs.
+fixed-point evaluation, `build_root`, a shorthand for building RootExprs, and
+`twin_pairs`, a filter over the window stream.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from gapcheck.exact import LADDER, RootExpr, eval_fixed, exact_sign
+from gapcheck.window import windows
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -132,6 +134,11 @@ def brute_twin_count_below_index(primes: list[int], n: int) -> int:
         if primes[i] - primes[i - 1] == 2:
             count += 1
     return count
+
+
+def twin_pairs(store, n_lo: int, n_hi: int) -> list[int]:
+    """Sorted indices m in [n_lo, n_hi] with d_m = 2."""
+    return [w.n for w in windows(store, n_lo, n_hi) if w.d == 2]
 
 
 def floor_root_general(e) -> int | None:

@@ -16,8 +16,8 @@ from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root
 from gapcheck.intervals import brocard_reports, pow2_ladder, power_reports, square_reports
 from gapcheck.primes import build_store
 from gapcheck.twin import alpha_ledger, same_floor_consecutive_twin_pairs
-from gapcheck.window import twin_pairs, windows
-from oracles import build_root, floor_root_general, meissel_pi
+from gapcheck.window import windows
+from oracles import build_root, floor_root_general, meissel_pi, twin_pairs
 
 N_MILLION = 10 ** 6
 

@@ -211,6 +211,19 @@ def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
         assert r.counts.out_of_domain == 1000 and r.counts.total() == 1000, cid
 
 
+def test_resume_ignores_old_j_prev(mid_store):
+    """Checkpoints no longer carry the twin count j_prev; one written before
+    j left the window stream still resumes, its j_prev unread."""
+    ids = sorted(registry())
+    single, _ = run_many(ids, mid_store, 1, 700)
+    _, cp = run_many(ids, mid_store, 1, 300)
+    assert "j_prev" not in cp
+    cp["j_prev"] = 123
+    resumed, _ = run_many(ids, mid_store, 301, 700, resume=json.loads(json.dumps(cp)))
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+
+
 def test_resume_mismatch_rejected(mid_store):
     _, cp = run_many(["conj-gap-sq"], mid_store, 1, 50)
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Two paths for every helper in checkers/predicates.py: the helper's own
 integer reduction against cmp_root / floor_root of the same quantity built
 from root_views(w).  mu-series' integer partial sums are checked the same
-way, against the Fraction partial sums of `oracles`."""
+way, against the Fraction partial sums of `oracles`, and so are the
+reductions thm-34 and dpar-58/59 write inline."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ def _sample_windows(store, count, seed):
     random n up to the store's last window."""
     rng = random.Random(seed)
     ns = list(range(1, 13)) + [rng.randrange(13, store.prime_count - 1) for _ in range(count)]
-    return [GapWindow(n, store.nth_prime(n), store.nth_prime(n + 1), j=0) for n in ns]
+    return [GapWindow(n, store.nth_prime(n), store.nth_prime(n + 1)) for n in ns]
 
 
 def _kernel_sign(e, rhs=0) -> int:
@@ -97,7 +98,7 @@ def test_mu_series_two_paths(mid_store):
     checker holds exactly when every order's bracket holds mu."""
     rng = random.Random(17)
     ws = list(windows(mid_store, 3, 2000))
-    ws += [GapWindow(n, mid_store.nth_prime(n), mid_store.nth_prime(n + 1), j=0)
+    ws += [GapWindow(n, mid_store.nth_prime(n), mid_store.nth_prime(n + 1))
            for n in rng.sample(range(2001, mid_store.prime_count - 1), 300)]
     evaluate = registry()["mu-series"].evaluate
     for w in ws:
@@ -114,3 +115,32 @@ def test_mu_series_two_paths(mid_store):
             assert inside == (_kernel_sign(mu, lo_f) > 0 and _kernel_sign(mu, hi_f) < 0), w
             holds = holds and inside
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == holds, w
+
+
+@pytest.fixture(scope="module")
+def from_two(mid_store, sample):
+    """n = 2..2000 and the seeded sample's windows past n = 1."""
+    return list(windows(mid_store, 2, 2000)) + [w for w in sample if w.n >= 2]
+
+
+def test_thm34_half_bound_two_paths(from_two):
+    """thm-34's 4pq > (2s+1)^2 against {sqrt(q) Delta} < 1/2 from the kernel;
+    the checker holds exactly when the kernel bound does."""
+    evaluate = registry()["thm-34"].evaluate
+    for w in from_two:
+        below = _kernel_sign(frac_root(root_views(w).sqrtq_delta)[1], Fraction(1, 2)) < 0
+        assert (4 * w.p * w.q > (2 * w.s + 1) ** 2) == below, w
+        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == below, w
+
+
+def test_dpar_parity_two_paths(from_two):
+    """dpar-58/59's sqrt(p) + sqrt(q) < 2N + 1 on shared windows against the
+    parity of floor(D) from the kernel; both checkers hold on every window."""
+    reg = registry()
+    shared = [w for w in from_two if w.same_part]
+    assert len(shared) > 1000
+    for w in shared:
+        even = floor_root(root_views(w).D) % 2 == 0
+        assert (cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0) == even, w
+        for cid in ("dpar-58", "dpar-59"):
+            assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gapcheck.exact import Cmp, cmp_root, floor_root
-from gapcheck.primes import CoverageError
-from gapcheck.window import (CheckpointMismatch, JCheckpoint, dump_windows_csv,
-                             root_views, twin_pairs, windows)
+from gapcheck.primes import CoverageError, PrimeStore
+from gapcheck.window import dump_windows_csv, root_views, windows
+from oracles import brute_twin_count_below_index, trial_division_primes, twin_pairs
 
 
 def test_window_n4(small_store):
@@ -23,14 +23,12 @@ def test_window_n6(small_store):
 
 def test_window_n1(small_store):
     w = next(windows(small_store, 1, 1))
-    assert (w.p, w.q, w.d, w.N, w.h, w.j) == (2, 3, 1, 1, 1, 0)
+    assert (w.p, w.q, w.d, w.N, w.h) == (2, 3, 1, 1, 1)
     assert w.k is None and w.r is None
 
 
 def test_twin_pairs_enumeration(small_store):
     assert twin_pairs(small_store, 1, 10) == [2, 3, 5, 7, 10]
-    ws = {w.n: w for w in windows(small_store, 1, 3)}
-    assert ws[3].j == 1  # only d_2 = 2 before n = 3
 
 
 def test_first_same_floor_consecutive_twins(small_store):
@@ -80,20 +78,38 @@ def test_q_reconstruction_sampled(mid_store):
         assert mid_store.next_prime(w.p) == w.p + w.d
 
 
-def test_j_checkpoint_roundtrip(small_store):
-    mid = 15
-    j_mid = sum(1 for w in windows(small_store, 1, mid - 1) if w.d == 2)
-    cp = JCheckpoint(n=mid, j=j_mid)
-    a = [(w.n, w.j) for w in windows(small_store, mid, 25, j_origin=cp)]
-    b = [(w.n, w.j) for w in windows(small_store, 1, 25)][mid - 1:]
-    c = [(w.n, w.j) for w in windows(small_store, mid, 25)]  # auto prefix
-    assert a == b == c
+def _csv_rows(store, n_lo, n_hi):
+    buf = io.StringIO()
+    dump_windows_csv(store, n_lo, n_hi, buf)
+    return buf.getvalue().splitlines()[1:]
 
 
-def test_checkpoint_mismatch(small_store):
-    cp = JCheckpoint(n=10, j=3)
-    with pytest.raises(CheckpointMismatch):
-        next(windows(small_store, 11, 12, j_origin=cp))
+def test_csv_j_from_any_start(mid_store):
+    """The CSV dump counts j_n itself: from any start its rows equal the
+    matching rows of the dump from n = 1, and j_n = #{i < n : d_i = 2}."""
+    rng = random.Random(13)
+    starts = [2, 3, 4, 5, 6, 7, 10, 11] + rng.sample(range(12, 5001), 20)
+    full = _csv_rows(mid_store, 1, 5010)
+    primes = trial_division_primes(50000)   # p_5011 = 48751
+    for n_lo in starts:
+        rows = _csv_rows(mid_store, n_lo, n_lo + 9)
+        assert rows == full[n_lo - 1:n_lo + 9], n_lo
+        for n, row in enumerate(rows, n_lo):
+            assert int(row.split(",")[-1]) == brute_twin_count_below_index(primes, n)
+
+
+def test_windows_start_without_prefix_walk(mid_store, monkeypatch):
+    """A stream from n_lo opens at p_{n_lo}: no prime below it is walked."""
+    starts = []
+    iter_primes = PrimeStore.iter_primes
+
+    def recording(self, start=2, stop=None):
+        starts.append(start)
+        return iter_primes(self, start, stop)
+
+    monkeypatch.setattr(PrimeStore, "iter_primes", recording)
+    assert [w.n for w in windows(mid_store, 5000, 5010)] == list(range(5000, 5011))
+    assert starts and min(starts) >= mid_store.nth_prime(5000)
 
 
 def test_coverage_error(small_store):
