@@ -11,13 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-from ..exact import (Cmp, RootExpr, cmp_root, eval_fixed, floor_root, frac_root,
+from ..exact import (Cmp, RootExpr, cmp_root, eval_fixed, frac_root,
                      _sign_1rad, _sign_2rad)
-from ..window import root_views
+from ..window import HALF, root_views
 from .predicates import cmp_sqrt_sums, mu_cmp, mu_diff_sign, sqrtq_delta_frac_cmp
 from .types import HOLD, MISS, Kind, checker, undecided, violate
 
 F = Fraction
+
+QUARTER = F(1, 4)
+THREE_QUARTERS = F(3, 4)
 
 
 @checker("floor-31", Kind.UNIVERSAL,
@@ -38,10 +41,7 @@ def _floor_31(ctx, tri, st):
          source="proposition 3.2", n_min=2)
 def _floor_32(ctx, tri, st):
     w = tri.w
-    expr = RootExpr.sqrt(w.p * w.q) - (w.p + F(1, 2))
-    f = floor_root(expr)
-    if f is None:
-        return undecided()
+    f = root_views(w).floor_sqrtp_delta_half
     return HOLD if f == w.d // 2 - 1 else violate(f"floor {f}")
 
 
@@ -49,12 +49,8 @@ def _floor_32(ctx, tri, st):
          title="{sqrt(p) Delta - 1/2} < 1/2",
          source="corollary 3.3", n_min=2)
 def _frac_33(ctx, tri, st):
-    w = tri.w
-    got = frac_root(RootExpr.sqrt(w.p * w.q) - (w.p + F(1, 2)))
-    if got is None:
-        return undecided()
-    _, frac = got
-    c = cmp_root(frac, F(1, 2))
+    v = root_views(tri.w)
+    c = cmp_root(v.sqrtp_delta_half - v.floor_sqrtp_delta_half, HALF)
     if c is Cmp.UNDECIDED:
         return undecided()
     return HOLD if c is Cmp.LESS else violate("frac >= 1/2")
@@ -87,26 +83,18 @@ def _thm_34(ctx, tri, st):
                "the printed n >= 1 on the quarter bound fails at n = 1)",
          source="statement 3.5", n_min=2)
 def _thm_35(ctx, tri, st):
-    w = tri.w
-    v = root_views(w)
-    delta_sq = v.delta * v.delta
-    got = frac_root(v.sqrtq_delta)
-    if got is None:
-        return undecided()
-    _, frac_q = got
-    if not (delta_sq - frac_q.scale(2)).is_rational():
+    v = root_views(tri.w)
+    frac_q, frac_p = v.frac_sqrtq_delta, v.frac_sqrtp_delta
+    gap = v.delta_sq - frac_q.scale(2)
+    if not gap.is_rational():
         return undecided("identity did not reduce to a rational")
-    if (delta_sq - frac_q.scale(2)).as_fraction() != 0:
+    if gap.as_fraction() != 0:
         return violate("Delta^2 != 2 {sqrt(q) Delta}")
-    got = frac_root(v.sqrtp_delta)
-    if got is None:
-        return undecided()
-    _, frac_p = got
-    ident = delta_sq + frac_p.scale(2)
+    ident = v.delta_sq + frac_p.scale(2)
     if not (ident.is_rational() and ident.as_fraction() == 2):
         return violate("Delta^2 + 2 {sqrt(p) Delta} != 2")
-    cq = cmp_root(frac_q, F(1, 4))
-    cp = cmp_root(frac_p, F(3, 4))
+    cq = cmp_root(frac_q, QUARTER)
+    cp = cmp_root(frac_p, THREE_QUARTERS)
     if Cmp.UNDECIDED in (cq, cp):
         return undecided()
     if cq is not Cmp.LESS:
@@ -120,16 +108,14 @@ def _thm_35(ctx, tri, st):
          title="{1 + 2 sqrt(p) Delta} = 2 {sqrt(p) Delta} - 1 = 1 - {2 sqrt(q) Delta}",
          source="corollary 3.6", n_min=2)
 def _cor_36(ctx, tri, st):
-    w = tri.w
-    v = root_views(w)
-    a = frac_root(v.sqrtp_delta.scale(2) + 1)
-    b = frac_root(v.sqrtp_delta)
+    v = root_views(tri.w)
+    a = frac_root(v.two_sqrtp_delta + 1)
     c = frac_root(v.sqrtq_delta.scale(2))
-    if a is None or b is None or c is None:
+    if a is None or c is None:
         return undecided()
     lhs = a[1]
-    mid = b[1].scale(2) - 1
-    rhs = RootExpr.of(1) - c[1]
+    mid = v.frac_sqrtp_delta.scale(2) - 1
+    rhs = 1 - c[1]
     if lhs == mid == rhs:
         return HOLD
     return violate("three-way fractional identity failed")
@@ -208,8 +194,7 @@ def _h_def(ctx, tri, st):
     if w.h % 2 == w.N % 2:
         return violate("h and N share parity")
     v = root_views(w)
-    lhs = (RootExpr.of(w.h) - v.mu * v.mu) / v.mu
-    if lhs != RootExpr.of(2 * w.N):
+    if (w.h - v.mu_sq) / v.mu != 2 * w.N:
         return violate("(h - mu^2)/mu != 2N")
     return HOLD
 
@@ -269,13 +254,9 @@ def _thm_43(ctx, tri, st):
     if w.p - w.h != w.N * w.N:
         return violate("p - h is not N^2")
     v = root_views(w)
-    ratio = RootExpr.of(w.h) / v.mu
-    f = floor_root(ratio)
-    if f is None:
-        return undecided()
-    if f != 2 * w.N:
+    if v.floor_h_over_mu != 2 * w.N:
         return violate("floor(h/mu) != 2N")
-    if ratio - f != v.mu:
+    if v.frac_h_over_mu != v.mu:
         return violate("{h/mu} != mu")
     return HOLD
 
@@ -423,12 +404,12 @@ def _n2p1_family(ctx, tri, st):
     # {2 mu N} = 1 - mu^2 reduces to h = p - N^2, checked by construction;
     # verify via the kernel for independence
     v = root_views(w)
-    frac = v.mu.scale(2 * w.N) - (w.h - 1)
-    if frac != RootExpr.of(1) - v.mu * v.mu:
+    one_minus_mu_sq = 1 - v.mu_sq
+    if v.mu.scale(2 * w.N) - (w.h - 1) != one_minus_mu_sq:
         return violate("{2 mu N} != 1 - mu^2")
     if w.h != 1:
         return HOLD
-    if (RootExpr.of(1) - v.mu * v.mu) / v.mu.scale(2) + v.mu != v.sqrt_p:
+    if one_minus_mu_sq / v.mu.scale(2) + v.mu != v.sqrt_p:
         return violate("sqrt(p) identity on the h = 1 family")
     if w.p - w.tN - 1 != 0:
         return violate("mu sqrt(p) not already fractional")

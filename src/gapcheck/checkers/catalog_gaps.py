@@ -114,10 +114,9 @@ def _eq_15_3(ctx, tri, st):
          source="statement 1.5(4)")
 def _eq_15_4(ctx, tri, st):
     w = tri.w
-    # rhs expands exactly to p + sqrt(2q) + q/(2p)
-    rhs = RootExpr.sqrt(2 * w.q) + (w.p + F(w.q, 2 * w.p))
-    lhs = F(w.q) * (1 + F(1, 2 * w.p))
-    c = cmp_root(rhs - lhs)
+    # rhs expands exactly to p + sqrt(2q) + q/(2p); lhs is q (2p + 1)/(2p)
+    rhs = RootExpr.sqrt(2 * w.q) + F(2 * w.p * w.p + w.q, 2 * w.p)
+    c = cmp_root(rhs, F(w.q * (2 * w.p + 1), 2 * w.p))
     if c is Cmp.UNDECIDED:
         return undecided()
     item = c is Cmp.GREATER

@@ -13,12 +13,14 @@ from math import isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, floor_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
-from ..window import root_views
-from .predicates import (cmp_sqrt_sums, delta_vs_rational, floor_D, mu_cmp,
-                         mu_sqrtp_frac_cmp)
+from ..window import HALF, root_views
+from .predicates import cmp_sqrt_sums, delta_vs_rational, mu_cmp, mu_sqrtp_frac_cmp
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, undecided, violate
 
 F = Fraction
+
+# Delta_4 / 2 = (sqrt(11) - sqrt(7)) / 2
+DELTA4_HALF = (RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(HALF)
 
 
 def _same(ctx, tri) -> bool:
@@ -97,9 +99,8 @@ def _mono_55_domain(ctx, tri) -> bool:
          source="statement 5.5", n_min=2, domain=_mono_55_domain)
 def _mono_55(ctx, tri, st):
     w = tri.w
-    tNq = isqrt(w.Nq * w.Nq * w.q)
     # frac(mu' sqrt(q)) - frac(mu sqrt(p)) = (tNq - tN) + N sqrt(p) - Nq sqrt(q)
-    s = _sign_2rad(tNq - w.tN, w.N, w.p, -w.Nq, w.q)
+    s = _sign_2rad(root_views(w).tNq - w.tN, w.N, w.p, -w.Nq, w.q)
     return HOLD if s > 0 else violate("{mu sqrt(p)} not increasing")
 
 
@@ -110,13 +111,14 @@ def _mono_55(ctx, tri, st):
          source="corollary 5.6", n_min=2, domain=_same)
 def _cor_56(ctx, tri, st):
     w = tri.w
-    tNq = isqrt(w.Nq * w.Nq * w.q)
+    v = root_views(w)
     # times 2 to clear the half
-    s = _sign_2rad(2 * (tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
+    s = _sign_2rad(2 * (v.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
     if s >= 0:
         return violate("fractional difference >= 1/2")
-    # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1}))
-    alt = floor_root(RootExpr.sqrt(w.p * w.q) - RootExpr.sqrt(w.q, w.N))
+    # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1})), where
+    # mu_n sqrt(p_{n+1}) = sqrt(pq) - N sqrt(q) and N = Nq on shared windows
+    alt = floor_root(v.sqrt_pq - v.Nq_sqrtq)
     if alt is not None and alt != w.p - w.tN - 1:
         return Outcome("hold", "printed-form condition differs from the "
                                "shared-window reading")
@@ -129,11 +131,12 @@ def _cor_56(ctx, tri, st):
 def _dpar_57(ctx, tri, st):
     w = tri.w
     v = root_views(w)
-    if v.D - (v.mu_q + v.mu) != RootExpr.of(2 * w.N):
+    if v.D - v.mu_sum != 2 * w.N:
         return violate("D - (mu' + mu) != 2N")
-    if v.D.scale(F(1, 2)) - (v.mu_q + v.mu).scale(F(1, 2)) + v.mu != v.sqrt_p:
+    half_gap = v.D.scale(HALF) - v.mu_sum.scale(HALF)
+    if half_gap + v.mu != v.sqrt_p:
         return violate("sqrt(p) reconstruction failed")
-    if v.D.scale(F(1, 2)) - (v.mu_q + v.mu).scale(F(1, 2)) + v.mu_q != v.sqrt_q:
+    if half_gap + v.mu_q != v.sqrt_q:
         return violate("sqrt(q) reconstruction failed")
     return HOLD
 
@@ -144,7 +147,7 @@ def _dpar_57(ctx, tri, st):
          source="corollary 5.8", n_min=2, domain=_same)
 def _dpar_58(ctx, tri, st):
     w = tri.w
-    fd = floor_D(w)
+    fd = root_views(w).floor_D
     below = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0
     if (fd % 2 == 0) != below:
         return violate("parity of floor(D) vs mu' + mu")
@@ -159,7 +162,7 @@ def _dpar_58(ctx, tri, st):
          source="corollary 5.9", n_min=2, domain=_same)
 def _dpar_59(ctx, tri, st):
     w = tri.w
-    fd = floor_D(w)
+    fd = root_views(w).floor_D
     lt = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0  # 2mu < 1 - Delta
     if (fd % 2 == 0) != lt:
         return violate("parity vs 2mu < 1 - Delta")
@@ -176,17 +179,9 @@ def _ids_510(ctx, tri, st):
     if w.d != w.hq - w.h:
         return violate("d != h' - h")
     v = root_views(w)
-    ratio = RootExpr.of(w.h) / v.mu
-    f = floor_root(ratio)
-    if f is None:
-        return undecided()
-    if ratio - f != v.mu:
+    if v.frac_h_over_mu != v.mu:
         return violate("{h/mu} != mu")
-    ratio_q = RootExpr.of(w.hq) / v.mu_q
-    fq = floor_root(ratio_q)
-    if fq is None:
-        return undecided()
-    if (ratio_q - fq) - (ratio - f) != v.delta:
+    if v.frac_hq_over_mu_q - v.frac_h_over_mu != v.delta:
         return violate("Delta != {h'/mu'} - {h/mu}")
     return HOLD
 
@@ -199,19 +194,19 @@ def _ids_510(ctx, tri, st):
          source="corollary 5.11 with proposition 5.10(2)", n_min=2, domain=_same)
 def _ids_511(ctx, tri, st):
     w = tri.w
-    tNq = isqrt(w.Nq * w.Nq * w.q)
-    X = RootExpr.of(w.q - w.p) + RootExpr.sqrt(w.p, w.N) - RootExpr.sqrt(w.q, w.Nq)
+    v = root_views(w)
+    tNq = v.tNq
+    radicals = v.N_sqrtp - v.Nq_sqrtq
+    X = radicals + (w.q - w.p)
     fX = floor_root(X)
     if fX is None:
         return undecided()
     fracX = X - fX
-    rhs = RootExpr.of(tNq - w.tN) + RootExpr.sqrt(w.p, w.N) - RootExpr.sqrt(w.q, w.Nq)
-    if fracX != rhs:
+    if fracX != radicals + (tNq - w.tN):
         return violate("fractional split fails on a shared window")
     if fX != w.d // 2:
         return violate("floor != d/2")
-    v = root_views(w)
-    half_sq = (v.mu_q * v.mu_q - v.mu * v.mu).scale(F(1, 2))
+    half_sq = (v.mu_q_sq - v.mu_sq).scale(HALF)
     if fracX != half_sq:
         return violate("fractional part != (mu'^2 - mu^2)/2")
     if fX != (w.q - tNq - 1) - (w.p - w.tN - 1):
@@ -229,10 +224,9 @@ def _ids_512(ctx, tri, st):
     # {h/mu} = mu and {h'/mu'} = mu' hold on straddles too
     if v.delta != v.mu_q + 1 - v.mu:
         return violate("Delta != {h'/mu'} + 1 - {h/mu}")
-    lhs = RootExpr.of(F(w.d, 2) - w.N)
     rhs = (v.mu_q_sqrtq - v.mu_sqrtp
-           - (v.mu_q * v.mu_q - v.mu * v.mu - 1).scale(F(1, 2)))
-    if lhs != rhs:
+           - (v.mu_q_sq - v.mu_sq - 1).scale(HALF))
+    if rhs != F(w.d - 2 * w.N, 2):
         return violate("second straddle identity")
     return HOLD
 
@@ -243,17 +237,18 @@ def _ids_512(ctx, tri, st):
          source="corollary 5.13", n_min=2, domain=_straddle)
 def _ids_513(ctx, tri, st):
     w = tri.w
-    tNq = isqrt(w.Nq * w.Nq * w.q)
-    X = RootExpr.of(w.p - w.q) - RootExpr.sqrt(w.p, w.N) + RootExpr.sqrt(w.q, w.Nq)
+    v = root_views(w)
+    tNq = v.tNq
+    X = v.Nq_sqrtq - v.N_sqrtp + (w.p - w.q)
     fX = floor_root(X)
     if fX is None:
         return undecided()
     fracX = X - fX
-    fr_p = RootExpr.of(w.tN + 1) - RootExpr.sqrt(w.p, w.N)     # {mu sqrt(p)}
-    fr_q = RootExpr.of(tNq + 1) - RootExpr.sqrt(w.q, w.Nq)     # {mu' sqrt(q)}
+    fr_p = (w.tN + 1) - v.N_sqrtp     # {mu sqrt(p)}
+    fr_q = (tNq + 1) - v.Nq_sqrtq     # {mu' sqrt(q)}
     fl_p, fl_q = w.p - w.tN - 1, w.q - tNq - 1
     if w.h % 2 == 0:
-        if fracX != RootExpr.of(1) + fr_p - fr_q:
+        if fracX != fr_p - fr_q + 1:
             return violate("even-h fractional split")
         if fX != fl_p - fl_q - 1:
             return violate("even-h floor difference")
@@ -273,9 +268,9 @@ def _ids_514(ctx, tri, st):
     w = tri.w
     v = root_views(w)
     half = v.delta.inverse().scale(F(w.d, 2))
-    if RootExpr.of(w.N) != half - (v.mu_q + v.mu + 1).scale(F(1, 2)):
+    if half - (v.mu_sum + 1).scale(HALF) != w.N:
         return violate("sqrt(p) - mu straddle identity")
-    if v.sqrt_q != half - (v.mu_q + v.mu - 1).scale(F(1, 2)) + v.mu_q:
+    if v.sqrt_q != half - (v.mu_sum - 1).scale(HALF) + v.mu_q:
         return violate("sqrt(q) straddle identity")
     return HOLD
 
@@ -285,7 +280,7 @@ def _ids_514(ctx, tri, st):
          source="corollary 5.15", n_min=2, domain=_straddle)
 def _ids_515(ctx, tri, st):
     w = tri.w
-    fd = floor_D(w)
+    fd = root_views(w).floor_D
     above = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 2) ** 2, 0) > 0  # mu' + mu > 1
     if (fd % 2 == 0) != above:
         return violate("parity of floor(D) vs mu' + mu")
@@ -300,21 +295,18 @@ def _ids_515(ctx, tri, st):
          source="corollary 5.16", n_min=2, domain=_straddle)
 def _ids_516(ctx, tri, st):
     w = tri.w
-    fd = floor_D(w)
+    v = root_views(w)
     gt = cmp_sqrt_sums(w.p, w.q, 4 * w.Nq * w.Nq, 0) > 0  # 2mu' > Delta
-    if (fd % 2 == 0) != gt:
+    if (v.floor_D % 2 == 0) != gt:
         return violate("parity vs 2mu' - Delta")
-    delta4_half = (RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(F(1, 2))
     if gt:
-        bound = RootExpr.sqrt(w.p) - w.N - 1 + delta4_half
-        c = cmp_root(bound)
+        c = cmp_root(v.mu - 1 + DELTA4_HALF)
         if c is Cmp.UNDECIDED:
             return undecided()
         if c is not Cmp.GREATER:
             return violate("mu <= 1 - Delta_4/2 in the even case")
     else:
-        bound = RootExpr.sqrt(w.q) - w.Nq - delta4_half
-        c = cmp_root(bound)
+        c = cmp_root(v.mu_q - DELTA4_HALF)
         if c is Cmp.UNDECIDED:
             return undecided()
         if c is not Cmp.LESS:
@@ -341,9 +333,9 @@ def _survey_2mu(ctx, tri, st):
 def _eq_61(ctx, tri, st):
     w = tri.w
     v = root_views(w)
-    lhs = v.sqrtp_delta.scale(2)
-    rhs = RootExpr.of(w.d) - v.delta * v.delta
-    return HOLD if lhs == rhs else violate("2 sqrt(p) Delta != d - Delta^2")
+    if v.two_sqrtp_delta != w.d - v.delta_sq:
+        return violate("2 sqrt(p) Delta != d - Delta^2")
+    return HOLD
 
 
 @checker("dnh-forms", Kind.UNIVERSAL,
@@ -681,7 +673,7 @@ def _odd_713(ctx, tri, st):
          domain=lambda ctx, tri: tri.w.N >= 2 and tri.prev.N < tri.w.N)
 def _first_after_square(ctx, tri, st):
     w = tri.w
-    fd = floor_D(w)
+    fd = root_views(w).floor_D
     return HOLD if fd % 2 == 0 else violate(f"floor(D) = {fd} odd")
 
 
@@ -693,7 +685,7 @@ def _first_after_square(ctx, tri, st):
          finalize=lambda ctx, st, extra: extra.update(st))
 def _survey_last_before_square(ctx, tri, st):
     w = tri.w
-    if floor_D(w) % 2 == 0:
+    if root_views(w).floor_D % 2 == 0:
         if len(st["N_values"]) < 1000:
             st["N_values"].append(w.N)
         return HOLD

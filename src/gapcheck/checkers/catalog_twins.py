@@ -11,14 +11,12 @@ deterministic geometric sample of earlier twins.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..exact import RootExpr, _sign_1rad, _sign_2rad
-from ..window import root_views
+from ..window import HALF, root_views
 from .predicates import cmp_sqrt_sums, cmp_weighted_sums
 from .types import HOLD, MISS, Kind, checker, hard_fail, undecided, violate
 
-F = Fraction
+SQRT2_HALF = RootExpr.sqrt(2, HALF)
 
 
 def _scaled_delta_cmp(c1: int, w1, c2: int, w2) -> int:
@@ -42,7 +40,7 @@ def _twin_91(ctx, tri, st):
     item2 = w.s - w.p == 0              # floor(sqrt(p)Delta) = 0
     item3 = w.q - w.s - 1 == 1          # floor(sqrt(q)Delta) = 1
     v = root_views(w)
-    ident = v.delta * v.delta + v.sqrtp_delta.scale(2)
+    ident = v.delta_sq + v.two_sqrtp_delta
     if not ident.is_rational():
         return undecided()
     item4 = ident.as_fraction() == 2
@@ -348,11 +346,9 @@ def _alpha_props(ctx, tri, st):
         return HOLD
     # identity alpha_m1 - alpha_n = Delta_n - Delta_m1 (sqrt(2)/2 cancels)
     m1 = st["last_twin"]
-    a_m1 = RootExpr.sqrt(2, F(1, 2)) - (RootExpr.sqrt(m1[2]) - RootExpr.sqrt(m1[1]))
-    a_n = RootExpr.sqrt(2, F(1, 2)) - (RootExpr.sqrt(w.q) - RootExpr.sqrt(w.p))
-    delta_diff = (RootExpr.sqrt(w.q) - RootExpr.sqrt(w.p)) - (
-        RootExpr.sqrt(m1[2]) - RootExpr.sqrt(m1[1]))
-    if a_m1 - a_n != delta_diff:
+    delta_m1 = RootExpr.sqrt(m1[2]) - RootExpr.sqrt(m1[1])
+    delta_n = root_views(w).delta
+    if (SQRT2_HALF - delta_m1) - (SQRT2_HALF - delta_n) != delta_n - delta_m1:
         return violate("alpha difference identity")
     # alpha_m1 > alpha_n  <=>  Delta_n > Delta_m1
     if not _scaled_delta_cmp(1, [w.n, w.p, w.q], 1, m1) > 0:

@@ -6,7 +6,16 @@ the range (p_{n_hi+2}); on a store whose last window is n_hi, checkers that
 need the next window count that one out of domain.  Long ranges can be split:
 the engine returns a JSON-able checkpoint from which a later run continues,
 on the same or a larger sieve, and the merged result equals a single
-uninterrupted run.
+uninterrupted run.  A checkpoint records the witness cap; resuming under
+another cap raises ValueError.
+
+Per run, each spec's evaluate, domain and tally are bound once.  A spec's
+static filters (n_min, needs_prev, needs_next) are tested only on edge
+windows: those below the largest n_min of the run, or missing their
+predecessor or successor.  Elsewhere none of them can exclude a window, so
+only `domain` is called; out_of_domain counts are as if every filter were
+tested on every window.  A checker that raises is isolated: its error is
+noted, that window counts as undecided and every later one as out of domain.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ..primes import PrimeStore
 from ..window import windows
-from .types import (CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
+from .types import (HOLD, CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
                     Verdict, registry)
 
 
@@ -64,6 +73,10 @@ class _Tally:
         return t
 
 
+def _cap_text(cap) -> str:
+    return "unlimited" if cap is None else str(cap)
+
+
 def _witness(tally: _Tally, cap, w, note):
     if cap is None or len(tally.witnesses) < cap:
         entry = w.snapshot()
@@ -72,16 +85,9 @@ def _witness(tally: _Tally, cap, w, note):
         tally.witnesses.append(entry)
 
 
-def _apply(spec: CheckerSpec, tally: _Tally, ctx: EvalContext, tri: Triple):
-    w = tri.w
-    if (w.n < spec.n_min
-            or (spec.needs_prev and tri.prev is None)
-            or (spec.needs_next and tri.nxt is None)
-            or (spec.domain is not None and not spec.domain(ctx, tri))):
-        tally.counts.out_of_domain += 1
-        return
-    out: Outcome = spec.evaluate(ctx, tri, tally.state)
-    cap = ctx.opts.witness_cap
+def _record(spec: CheckerSpec, tally: _Tally, cap, w, out: Outcome):
+    """Tally one outcome; run_many counts a plain HOLD from a non-SURVEY
+    checker itself, without calling this."""
     if out.res == "hold":
         tally.counts.holds += 1
         if spec.kind is Kind.SURVEY:
@@ -188,6 +194,13 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         if resume["next_n"] != n_lo:
             raise ValueError(
                 f"checkpoint continues at n={resume['next_n']}, not {n_lo}")
+        # the cap decides which witnesses the first part kept; a checkpoint
+        # written before the cap was recorded resumes as it always did
+        if "witness_cap" in resume and resume["witness_cap"] != opts.witness_cap:
+            raise ValueError(
+                f"checkpoint was taken with witness cap "
+                f"{_cap_text(resume['witness_cap'])}, this run has "
+                f"{_cap_text(opts.witness_cap)}; resume with the same --witnesses")
         tallies = {cid: _Tally.from_json(resume["per"][cid]) for cid in ids}
         report_lo = resume["n_lo"]
     else:
@@ -211,19 +224,38 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         prev, cur = cur, next(stream)
     nxt = next(stream, None)
 
-    live = [(reg[cid], tallies[cid]) for cid in ids]
+    # Per checker, bound once per run: (spec, tally, counts, state, evaluate,
+    # domain, fast).  fast: a plain HOLD only needs its count bumped.
+    live = [(spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
+             spec.evaluate, spec.domain, spec.kind is not Kind.SURVEY)
+            for cid, spec in zip(ids, specs)]
+    # n_min, needs_prev and needs_next can only exclude an edge window: one
+    # below the largest n_min, or one missing its predecessor or successor
+    n_edge = max((spec.n_min for spec in specs), default=1)
+    cap = opts.witness_cap
     while True:
         tri = Triple(prev, cur, nxt)
-        for spec, tally in live:
+        edge = cur.n < n_edge or prev is None or nxt is None
+        for spec, tally, counts, state, evaluate, domain, fast in live:
             if tally.error:
-                tally.counts.out_of_domain += 1
+                counts.out_of_domain += 1
                 continue
             try:
-                _apply(spec, tally, ctx, tri)
+                if ((edge and (cur.n < spec.n_min
+                               or (spec.needs_prev and prev is None)
+                               or (spec.needs_next and nxt is None)))
+                        or (domain is not None and not domain(ctx, tri))):
+                    counts.out_of_domain += 1
+                    continue
+                out = evaluate(ctx, tri, state)
+                if out is HOLD and fast:
+                    counts.holds += 1
+                else:
+                    _record(spec, tally, cap, cur, out)
             except Exception as exc:  # noqa: BLE001 - isolate failing checker
                 tally.error = f"checker error at n={cur.n}: {exc!r}"
                 tally.notes.append(tally.error)
-                tally.counts.undecided += 1
+                counts.undecided += 1
         if cur.n >= n_hi or nxt is None:
             break
         prev, cur, nxt = cur, nxt, next(stream, None)
@@ -235,6 +267,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         # checkers skipped it; a continuation would not equal a single run
         "sieve_edge": nxt is None,
         "ids": sorted(ids),
+        "witness_cap": opts.witness_cap,
         "per": {cid: tallies[cid].as_json() for cid in ids},
     }
     reports = {cid: _assemble(reg[cid], tallies[cid], ctx) for cid in ids}

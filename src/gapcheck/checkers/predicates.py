@@ -63,15 +63,6 @@ def mu_sqrtp_frac_cmp(w: GapWindow, num: int, den: int) -> int:
     return _sign_1rad(den * (w.tN + 1) - num, -den * w.N, w.p)
 
 
-def floor_D(w: GapWindow) -> int:
-    """floor(sqrt(p) + sqrt(q)), decided exactly."""
-    base = w.N + w.Nq
-    # D in (base, base+2); compare against base+1
-    s = cmp_sqrt_sums(w.p, w.q, (base + 1) * (base + 1), 0)
-    # sqrt((base+1)^2) + sqrt(0) = base+1; equality impossible (D irrational)
-    return base + 1 if s > 0 else base
-
-
 def is_square(x: int) -> bool:
     if x < 0:
         return False

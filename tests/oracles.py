@@ -177,9 +177,11 @@ def build_root(const, parts: dict) -> RootExpr:
 
 
 def squarefree_split(m: int) -> tuple[int, int]:
-    """m = outer^2 * core with core square-free, by trial division."""
+    """m = outer^2 * core with core square-free, by trial division up to the
+    cube root of what is left: the rest then has at most two prime factors,
+    so it is square-free unless it is a perfect square."""
     outer, core, d = 1, 1, 2
-    while d * d <= m:
+    while d * d * d <= m:
         while m % (d * d) == 0:
             m //= d * d
             outer *= d
@@ -187,6 +189,9 @@ def squarefree_split(m: int) -> tuple[int, int]:
             m //= d
             core *= d
         d += 1
+    r = isqrt(m)
+    if m > 1 and r * r == m:
+        return outer * r, core
     return outer, core * m
 
 

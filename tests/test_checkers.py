@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-from gapcheck.checkers import (Kind, RunOpts, Verdict, catalog, registry,
-                               run_all, run_checker, run_many)
+from gapcheck.checkers import (EvalContext, Kind, RunOpts, Triple, Verdict, catalog,
+                               registry, run_all, run_checker, run_many)
+from gapcheck.window import GapWindow
 
 
 def test_catalog_membership_and_size():
@@ -230,6 +232,91 @@ def test_resume_mismatch_rejected(mid_store):
         run_many(["conj-gap-sq"], mid_store, 99, 120, resume=cp)
     with pytest.raises(ValueError):
         run_many(["andrica"], mid_store, 51, 120, resume=cp)
+
+
+def test_resume_with_other_witness_cap_rejected(mid_store):
+    """The cap decides which witnesses the first part keeps, so a resume
+    under another cap would not equal a single run: it is refused, naming
+    the recorded cap.  A checkpoint without the key resumes as before."""
+    ids = ["conj-gap-sq", "delta-gt-half", "odd-710", "survey-dh"]
+    capped = RunOpts(witness_cap=2)
+    _, cp = run_many(ids, mid_store, 1, 1000, capped)
+    cp = json.loads(json.dumps(cp))
+    assert cp["witness_cap"] == 2
+    with pytest.raises(ValueError, match="witness cap 2"):
+        run_many(ids, mid_store, 1001, 2000, RunOpts(witness_cap=None), resume=cp)
+    single, _ = run_many(ids, mid_store, 1, 2000, capped)
+    resumed, _ = run_many(ids, mid_store, 1001, 2000, capped, resume=cp)
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+    _, cp = run_many(ids, mid_store, 1, 1000, RunOpts(witness_cap=None))
+    cp = json.loads(json.dumps(cp))
+    assert cp["witness_cap"] is None
+    with pytest.raises(ValueError, match="witness cap unlimited"):
+        run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
+    del cp["witness_cap"]
+    run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
+
+
+def _triples(store, n_lo, n_hi) -> list:
+    """The (prev, w, nxt) the engine sees over [n_lo, n_hi]: the window before
+    the range and after it where the store holds them."""
+    def window(n):
+        if n < max(1, n_lo - 1) or n + 1 > store.prime_count:
+            return None
+        return GapWindow(n, store.nth_prime(n), store.nth_prime(n + 1))
+
+    return [Triple(window(n - 1), window(n), window(n + 1)) for n in range(n_lo, n_hi + 1)]
+
+
+def test_out_of_domain_counts_match_specs(small_store):
+    """The engine tests n_min/needs_prev/needs_next on edge windows only;
+    every checker's out_of_domain count still equals the count recomputed
+    straight from its spec, from n = 1 and on a run ending on the store's
+    last window (no successor)."""
+    reg = registry()
+    ids = sorted(reg)
+    last = small_store.prime_count - 1
+    for n_lo, n_hi in ((1, 12), (last - 150, last)):
+        reports, cp = run_many(ids, small_store, n_lo, n_hi)
+        assert cp["sieve_edge"] == (n_hi == last)
+        ctx = EvalContext(store=small_store, opts=RunOpts(), n_lo=n_lo, n_hi=n_hi)
+        triples = _triples(small_store, n_lo, n_hi)
+        for cid in ids:
+            spec, rep = reg[cid], reports[cid]
+            assert not any("error" in note for note in rep.notes), (cid, rep.notes)
+            expected = sum(
+                1 for tri in triples
+                if tri.w.n < spec.n_min or (spec.needs_prev and tri.prev is None)
+                or (spec.needs_next and tri.nxt is None)
+                or (spec.domain is not None and not spec.domain(ctx, tri)))
+            assert rep.counts.out_of_domain == expected, (cid, n_lo, n_hi)
+
+
+# sha256 of the JSON reports of all 109 checkers over 1..3000, one line each
+# in id order (the stdout of `verify --checker all --n-hi 3000 --format json`),
+# recorded before the per-window quantities moved onto RootViews
+CATALOG_3000_SHA256 = "23fde644ad951f0b8c68b4b74bc0f4da73a7d8f02e7c8f9def4cffce963b1751"
+
+
+def test_catalog_digest_pinned(mid_store):
+    """Every report byte past the benchmark's n <= 600 is pinned: a single
+    run over 1..3000 and a run split at 1234 (checkpoint through JSON) both
+    hash to the recorded digest."""
+    ids = sorted(registry())
+    assert len(ids) == 109
+
+    def digest(reports):
+        h = hashlib.sha256()
+        for cid in ids:
+            h.update(reports[cid].to_json().encode() + b"\n")
+        return h.hexdigest()
+
+    single, _ = run_many(ids, mid_store, 1, 3000)
+    assert digest(single) == CATALOG_3000_SHA256
+    _, cp = run_many(ids, mid_store, 1, 1234)
+    resumed, _ = run_many(ids, mid_store, 1235, 3000, resume=json.loads(json.dumps(cp)))
+    assert digest(resumed) == CATALOG_3000_SHA256
 
 
 def test_witness_cap(small_store):

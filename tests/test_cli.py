@@ -116,6 +116,26 @@ def test_manifest_resume_identical(tmp_path):
     assert r2.stdout == r3.stdout
 
 
+def test_resume_with_other_witnesses_exits_3(tmp_path):
+    """A manifest written under --witnesses 2 resumes only under the same
+    cap; another cap ends with exit 3 and a message naming the recorded one."""
+    m = tmp_path / "m.json"
+    ids = "conj-gap-sq,delta-gt-half"
+    r1 = run("verify", "--checker", ids, "--n-hi", "1000", "--limit", "100000",
+             "--witnesses", "2", "--manifest-out", str(m), "--format", "json")
+    assert r1.returncode == 0
+    r2 = run("verify", "--resume", str(m), "--n-hi", "2000", "--limit", "100000",
+             "--witnesses", "0", "--format", "json")
+    assert r2.returncode == 3 and r2.stdout == ""
+    assert "witness cap 2" in r2.stderr
+    r3 = run("verify", "--resume", str(m), "--n-hi", "2000", "--limit", "100000",
+             "--witnesses", "2", "--format", "json")
+    r4 = run("verify", "--checker", ids, "--n-hi", "2000", "--limit", "100000",
+             "--witnesses", "2", "--format", "json")
+    assert r3.returncode == 0 and r4.returncode == 0
+    assert r3.stdout == r4.stdout
+
+
 def test_resume_with_larger_limit(tmp_path):
     m = tmp_path / "m.json"
     ids = "conj-gap-sq,twin-95,delta-gt-half"
