@@ -6,6 +6,11 @@ numbers, so pi(x) and p_n each read one checkpoint and scan inside one
 block.  Segments are re-sieved on demand and kept in a small LRU cache, so a
 store covering 10^8 costs a few hundred MB-seconds to build but only
 O(segment) memory to hold.
+
+Walks over the sieve search its bytes: iter_primes finds each set entry,
+and iter_twin_lows finds each twin pair (p, p + 2) as two adjacent set
+entries, b"\x01\x01", plus one test per segment edge, so a caller that
+wants only twins pays one Python step per twin, not per prime.
 """
 
 from __future__ import annotations
@@ -156,6 +161,28 @@ class PrimeStore:
                 yield base + 2 * pos
                 pos = seg.find(1, pos + 1, end)
             i = (k + 1) * SEGMENT_ENTRIES
+
+    def iter_twin_lows(self, stop: int | None = None):
+        """Yield p with p and p + 2 both prime and p + 2 <= stop (stop
+        defaults to limit): each is a b"\\x01\\x01" in the sieve bytes."""
+        if stop is None:
+            stop = self.limit
+        if stop > self.limit:
+            raise CoverageError(f"stop {stop} beyond limit {self.limit}")
+        E = SEGMENT_ENTRIES
+        last = (stop - 3) // 2   # entry of the last odd <= stop
+        edge = 0                 # last entry of the previous segment
+        for k in range(last // E + 1):
+            base = 3 + 2 * k * E
+            end = min(E, last - k * E + 1)
+            seg = self._segment(k)
+            if edge and seg[0]:  # a pair straddling the segment edge
+                yield base - 2
+            pos = seg.find(b"\x01\x01", 0, end)
+            while pos >= 0:
+                yield base + 2 * pos
+                pos = seg.find(b"\x01\x01", pos + 1, end)
+            edge = seg[-1]
 
     def next_prime(self, x: int) -> int:
         """Smallest prime > x within coverage."""

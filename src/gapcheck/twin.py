@@ -10,9 +10,15 @@ against the tracked bound.  j_n counts indices i < n with d_i = 2, the
 convention fixed by the identity itself and by p_n < 2 j_n^2 from n = 6 on
 (j_6 = 3 via the pairs (3,5), (5,7), (11,13)).
 
-Every decision is integer or interval arithmetic; the natural log needed by
-the explicit lower-bound question is a certified dyadic interval computed
-from the atanh series with an explicit tail bound.
+Every decision is integer or interval arithmetic.  The explicit lower-bound
+question n (ln n + ln ln n - 1) < 2 j_n^2 is first put to a certified
+integer filter built from bitlen(n), which accepts every row past n = 33 up
+to at least 10^5; only the rows it cannot accept pay for the natural log, a
+certified dyadic interval from the atanh series with an explicit tail bound.
+
+The same-floor consecutive twin pairs are read from the store's twin scan,
+which finds each pair as two adjacent primes in the sieve bytes, so the
+walk costs one step per twin pair, not per prime.
 """
 
 from __future__ import annotations
@@ -191,7 +197,16 @@ def _q92_holds(w, j_next: int) -> bool:
 
 
 def _dusart_holds(n: int, j: int, fb: int) -> bool:
-    """n (ln n + ln ln n - 1) < 2 j_n^2 decided with certified brackets."""
+    """n (ln n + ln ln n - 1) < 2 j_n^2, decided first by an integer filter,
+    then with certified brackets.
+
+    The filter: with L = bitlen(n), ln n < L ln 2 < 0.7 L and ln ln n <=
+    ln n - 1, so the left side is below n (14 L - 20) / 10.  Whatever it
+    cannot accept, every False and every LedgerError included, goes to the
+    atanh brackets.
+    """
+    if n * (14 * n.bit_length() - 20) < 20 * j * j:
+        return True
     one = 1 << fb
     lo1, hi1 = ln_interval(n, 1, fb)
     lo2, hi2 = ln_ln_interval(n, fb)
@@ -226,22 +241,12 @@ def write_ledger_csv(rows, fh) -> None:
                          tri(r.abstract_holds)])
 
 
-def twin_prime_values(store: PrimeStore, limit: int | None = None):
-    """Yield lower members p of twin pairs (p, p+2) with p+2 <= limit."""
-    limit = store.limit if limit is None else limit
-    prev = None
-    for p in store.iter_primes(2, limit):
-        if prev is not None and p - prev == 2:
-            yield prev
-        prev = p
-
-
 def same_floor_consecutive_twin_pairs(store: PrimeStore, limit: int | None = None):
     """Consecutive twin pairs (p, p') with floor(sqrt(p)) = floor(sqrt(p')),
     yielded as (p, p', N); the 31 p > 25 p' bound is the caller's claim."""
-    prev = None
-    for p in twin_prime_values(store, limit):
-        if prev is not None and isqrt(prev) == isqrt(p):
-            yield prev, p, isqrt(p)
-        prev = p
-
+    prev = prev_N = None
+    for p in store.iter_twin_lows(limit):
+        N = isqrt(p)
+        if N == prev_N:
+            yield prev, p, N
+        prev, prev_N = p, N

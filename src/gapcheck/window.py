@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from itertools import islice, pairwise
 from math import isqrt
 
 from .exact import RootExpr, _sign_1rad, floor_root
@@ -311,7 +310,7 @@ def dump_windows_csv(store: PrimeStore, n_lo: int, n_hi: int, fh) -> None:
     j = None
     for w in windows(store, n_lo, n_hi):
         if j is None:   # counted once windows() has accepted the range
-            j = sum(q - p == 2 for p, q in pairwise(islice(store.iter_primes(), n_lo)))
+            j = sum(1 for _ in store.iter_twin_lows(w.p))
         writer.writerow([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s,
                          "" if w.k is None else w.k,
                          "" if w.r is None else w.r, j])

@@ -110,6 +110,37 @@ def test_queries_across_block_and_segment_edges(limit):
         store.nth_prime(store.prime_count + 1)
 
 
+def _twin_lows_reference(store, stop, start=2):
+    primes = list(store.iter_primes(start, stop))
+    return [p for p, q in zip(primes, primes[1:]) if q - p == 2]
+
+
+def test_twin_lows_against_reference(mid_store):
+    """The byte-pattern scan against consecutive-prime pairs of iter_primes."""
+    stores = [build_store(limit) for limit in range(2, 14)] + [mid_store]
+    for store in stores:
+        limit = store.limit
+        for stop in (None, limit, limit - 1, limit - 2):
+            want = _twin_lows_reference(store, limit if stop is None else stop)
+            assert list(store.iter_twin_lows(stop)) == want, (limit, stop)
+        with pytest.raises(CoverageError):
+            list(store.iter_twin_lows(limit + 1))
+    # the 3-5-7 overlap yields both 3 and 5
+    assert list(mid_store.iter_twin_lows(7)) == [3, 5]
+    assert list(mid_store.iter_twin_lows(6)) == [3]
+    # the first pair that straddles a segment edge: 2*50*E + 1 is the last
+    # entry of segment 49 and its partner the first entry of segment 50
+    p = 2 * 50 * SEGMENT_ENTRIES + 1
+    assert (p - 3) // 2 == 50 * SEGMENT_ENTRIES - 1
+    store = build_store(p + 2)
+    assert store.is_prime(p) and store.is_prime(p + 2)
+    lows = list(store.iter_twin_lows())
+    assert lows[-1] == p
+    assert len(lows) == len(set(lows)) and lows == sorted(lows)
+    assert [x for x in lows if x >= p - 20000] == _twin_lows_reference(store, p + 2, p - 20000)
+    assert list(store.iter_twin_lows(p + 1))[-1] < p
+
+
 def test_coverage_and_capacity_errors(small_store):
     with pytest.raises(CoverageError):
         small_store.pi(10 ** 6)

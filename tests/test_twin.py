@@ -1,10 +1,16 @@
+import hashlib
 import io
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import isqrt
 
-from gapcheck.twin import (alpha_ledger, ln_interval, ln_ln_interval,
-                           same_floor_consecutive_twin_pairs,
-                           twin_prime_values, write_ledger_csv)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gapcheck.twin as twin
+from gapcheck.twin import (LedgerError, alpha_ledger, ln_interval, ln_ln_interval,
+                           same_floor_consecutive_twin_pairs, write_ledger_csv)
 from oracles import brute_twin_count_below_index
 from surveys import jn_questions
 
@@ -94,8 +100,74 @@ def test_ledger_csv(mid_store):
     assert lines[1].split(",")[0] == "1"
 
 
+def test_ledger_csv_digest(mid_store):
+    """The ledger CSV over 1..3000, byte for byte as the brackets alone
+    decide every Dusart row."""
+    buf = io.StringIO()
+    write_ledger_csv(alpha_ledger(mid_store, 3000), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "5798c8e66f674e75d3a8411e9249450733f78adb22048fecfb4511545153120e")
+
+
+def _counting_ln(calls):
+    """twin.ln_interval, appending each call's arguments to calls."""
+    ln = twin.ln_interval
+
+    def counting(*args):
+        calls.append(args)
+        return ln(*args)
+    return counting
+
+
+def test_dusart_filter_leaves_few_rows_to_ln(mid_store, monkeypatch):
+    """The integer filter decides every row of 1..8000 but 11, all with
+    n <= 33, and each of those takes 4 ln_interval calls."""
+    calls = []
+    monkeypatch.setattr(twin, "ln_interval", _counting_ln(calls))
+    rows = list(alpha_ledger(mid_store, 8000))
+    assert all(r.dusart_holds for r in rows if r.n >= 6)
+    assert len(calls) == 44
+
+
+def _dusart_lhs(n):
+    ln = Decimal(n).ln()
+    return n * (ln + ln.ln() - 1)
+
+
+@st.composite
+def _n_and_j(draw):
+    """n in 3..1e7 and j within a few units of the filter's boundary or of
+    the true boundary sqrt(n (ln n + ln ln n - 1) / 2)."""
+    n = draw(st.integers(min_value=3, max_value=10 ** 7))
+    if draw(st.booleans()):
+        j0 = isqrt(n * (14 * n.bit_length() - 20) // 20)
+    else:
+        j0 = int((_dusart_lhs(n) / 2).sqrt())
+    return n, max(0, j0 + draw(st.integers(min_value=-3, max_value=3)))
+
+
+@given(_n_and_j())
+@settings(max_examples=300, deadline=None)
+def test_dusart_filter_against_decimal(nj):
+    """Whatever the integer filter accepts (no ln_interval call) is true at
+    60 digits, and the brackets agree with Decimal on the rest."""
+    n, j = nj
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twin, "ln_interval", _counting_ln(calls))
+        try:
+            holds = twin._dusart_holds(n, j, 96)
+        except LedgerError:
+            holds = None
+    truth = _dusart_lhs(n) < 2 * j * j
+    if not calls:
+        assert holds is True and truth, (n, j)
+    elif holds is not None:
+        assert holds == truth, (n, j)
+
+
 def test_twin_values_and_same_floor_pairs(mid_store):
-    assert list(twin_prime_values(mid_store, 100)) == [3, 5, 11, 17, 29, 41, 59, 71]
+    assert list(mid_store.iter_twin_lows(100)) == [3, 5, 11, 17, 29, 41, 59, 71]
     pairs = list(same_floor_consecutive_twin_pairs(mid_store, 300))
     assert (101, 107, 10) in pairs
     assert (179, 191, 13) in pairs
