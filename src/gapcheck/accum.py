@@ -7,6 +7,13 @@ precision, the exact deviation |mu - a/b| as a decimal, and flags for the
 side, envelope and monotone-approach claims.  Every flag is decided exactly
 (mu is a one-radicand value); violations are reported in the record, never
 raised, since the monotone claim is only argued for the +-1 families.
+The side of a/b is decided once per record and feeds the side flag, the
+deviation's rounding and the monotone comparison.
+
+Primality is decided by is_prime_u64, below 2^64 only.  Every scan checks
+its range once, up front: the polynomials increase in N, so a scan whose
+value at its last N reaches 2^64 raises ScanError before it tests any
+value (the CLI exits 3 with the message), never a partial result.
 """
 
 from __future__ import annotations
@@ -85,19 +92,38 @@ def _abs_err_cmp(p1: int, p2: int, side: int) -> int:
     return _sign_2rad(side * (m2 - m1), side, p1, -side, p2)
 
 
-def _err_decimal(p: int, a: int, b: int, digits: int = 6) -> str:
-    """|{sqrt(p)} - a/b| truncated to the given digits."""
+def _err_decimal(p: int, a: int, b: int, side: int, digits: int = 6) -> str:
+    """|{sqrt(p)} - a/b| truncated to the given digits, where side is the
+    sign of {sqrt(p)} - a/b (from _mu_side)."""
     M = isqrt(p)
-    s = _mu_side(p, a, b)
     scale = 10 ** digits
     big = isqrt(p * (scale * b) ** 2)       # floor(sqrt(p) b scale)
     off = (M * b + a) * scale
-    if s > 0:
+    if side > 0:
         val = (big - off) // b
     else:
         val = (off - big - 1) // b
     val = max(val, 0)
     return f"{val // scale}.{val % scale:0{digits}d}"
+
+
+def _record(N: int, p: int, a: int, b: int, side: int, prev_p) -> AccumRecord:
+    """The record for prime p scanned toward a/b from the given side; the
+    monotone flag compares it with the previous record's prime, if any."""
+    s = _mu_side(p, a, b)
+    rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
+                      abs_err_digits=_err_decimal(p, a, b, s), side_ok=s == side)
+    if prev_p is not None and rec.side_ok:
+        rec.monotone_ok = _abs_err_cmp(p, prev_p, side) < 0
+    return rec
+
+
+def _check_range(what: str, N: int, val: int) -> None:
+    """Refuse a scan whose value val at its last N leaves is_prime_u64's
+    range; the polynomials increase in N, so val bounds every value tested."""
+    if val >= 1 << 64:
+        raise ScanError(f"{what} at N = {N} is {val} >= 2^64; primality is "
+                        "decided only below 2^64, so lower the scan's N_max")
 
 
 def accum_scan(r: RationalTarget, sign: str, c: int = 1,
@@ -107,7 +133,8 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
     Exact per-record checks: the prime equals the polynomial value with
     floor(sqrt(p)) = N, mu sits on the claimed side of a/b, the +-1 envelope
     holds, and |mu - a/b| strictly decreases along the emitted sequence.
-    An empty result is valid output.
+    An empty result is valid output.  A scan whose value at the last
+    admissible N reaches 2^64 raises ScanError before it starts.
     """
     if sign not in ("+", "-"):
         raise ScanError("sign must be '+' or '-'")
@@ -119,21 +146,23 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
     if c < 1:
         raise ScanError("c must be a positive integer")
     step = b // gcd(b, 2 * a)
+    N_last = N_max - N_max % step
+    if N_last >= step:
+        _check_range(f"N^2 + (2*{a}/{b})N {sign} {c}", N_last,
+                     N_last * N_last + (2 * a * N_last) // b + sgn * c)
     records: list[AccumRecord] = []
     prev_p = None
     for N in range(step, N_max + 1, step):
         if c != 1 and N % c == 0:
             continue  # the prime-q variant requires N not divisible by q
         val = N * N + (2 * a * N) // b + sgn * c
-        if val < 2 or val >= 1 << 64 or not is_prime_u64(val):
+        if val < 2 or not is_prime_u64(val):
             continue
         if isqrt(val) != N:
             continue  # mu would measure against a different root
         p = val
         M = N
-        rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
-                          abs_err_digits=_err_decimal(p, a, b))
-        rec.side_ok = _mu_side(p, a, b) == sgn
+        rec = _record(N, p, a, b, sgn, prev_p)
         if c == 1:
             # lower ends times 2bp, upper ends times 2bN
             if sign == "-":
@@ -145,55 +174,37 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
                 lo_ok = _sign_1rad(-2 * p * (b * M + a), 2 * b * p + 2 * a - b, p) > 0
                 hi_ok = _sign_1rad(-b - 2 * N * (b * M + a), 2 * b * N, p) < 0
             rec.envelope_ok = lo_ok and hi_ok
-        if prev_p is not None and rec.side_ok:
-            rec.monotone_ok = _abs_err_cmp(p, prev_p, sgn) < 0
         records.append(rec)
         prev_p = p
     return records
 
 
 def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumRecord]:
-    """The endpoint families: h_fixed(h) scans N^2 + h (mu decreasing toward
-    0 at h = 1, generally h/(2N)-small); near_half_minus / near_half_plus
-    scan N^2 + N -+ 1 toward 1/2; top_family scans N^2 + 2N - 1 (mu toward 1).
+    """The endpoint families: h_fixed(h) scans N^2 + h over N >= h/2 (mu
+    decreasing toward 0 at h = 1, generally h/(2N)-small); near_half_minus /
+    near_half_plus scan N^2 + N -+ 1 toward 1/2; top_family scans
+    N^2 + 2N - 1 (mu toward 1).  A scan whose value at N_max reaches 2^64
+    raises ScanError before it starts.
     """
-    records: list[AccumRecord] = []
-    prev = None
-
-    def emit(N, p, side, a, b):
-        """Record p, scanned toward the target a/b from the given side."""
-        nonlocal prev
-        rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
-                          abs_err_digits=_err_decimal(p, a, b))
-        rec.side_ok = _mu_side(p, a, b) == side
-        if prev is not None and rec.side_ok:
-            rec.monotone_ok = _abs_err_cmp(p, prev, side) < 0
-        records.append(rec)
-        prev = p
-
-    if kind == "h_fixed":
-        lo_N = max(1, (h + 1) // 2)
-        for N in range(lo_N, N_max + 1):
-            p = N * N + h
-            if h <= 2 * N and is_prime_u64(p):
-                emit(N, p, +1, 0, 1)
-    elif kind == "near_half_minus":
-        for N in range(2, N_max + 1):
-            p = N * N + N - 1
-            if is_prime_u64(p):
-                emit(N, p, -1, 1, 2)
-    elif kind == "near_half_plus":
-        for N in range(1, N_max + 1):
-            p = N * N + N + 1
-            if is_prime_u64(p):
-                emit(N, p, +1, 1, 2)
-    elif kind == "top_family":
-        for N in range(1, N_max + 1):
-            p = N * N + 2 * N - 1
-            if is_prime_u64(p):
-                emit(N, p, -1, 1, 1)
-    else:
+    # kind -> (first N, u, v, side, a, b): N^2 + uN + v toward a/b from side
+    families = {
+        "h_fixed": (max(1, (h + 1) // 2), 0, h, +1, 0, 1),
+        "near_half_minus": (2, 1, -1, -1, 1, 2),
+        "near_half_plus": (1, 1, 1, +1, 1, 2),
+        "top_family": (1, 2, -1, -1, 1, 1),
+    }
+    if kind not in families:
         raise ScanError(f"unknown special scan kind {kind!r}")
+    lo_N, u, v, side, a, b = families[kind]
+    if N_max >= lo_N:
+        _check_range(kind, N_max, N_max * N_max + u * N_max + v)
+    records: list[AccumRecord] = []
+    prev_p = None
+    for N in range(lo_N, N_max + 1):
+        p = N * N + u * N + v
+        if is_prime_u64(p):
+            records.append(_record(N, p, a, b, side, prev_p))
+            prev_p = p
     return records
 
 

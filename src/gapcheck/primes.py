@@ -11,13 +11,21 @@ Walks over the sieve search its bytes: iter_primes finds each set entry,
 and iter_twin_lows finds each twin pair (p, p + 2) as two adjacent set
 entries, b"\x01\x01", plus one test per segment edge, so a caller that
 wants only twins pays one Python step per twin, not per prime.
+
+is_prime_u64 decides primality of any 0 <= x < 2^64 without the store: one
+gcd with the product of the primes up to 37 screens out small factors, then
+Miller-Rabin runs on the first k prime bases, with k picked from x by the
+table of psi_k, the least strong pseudoprime to the first k prime bases
+(OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math.
+Comp. 86, 2017).  Below 3.2e9 that is at most four bases; only x >= psi_9
+~ 3.8e18 pays all twelve.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from math import isqrt
+from math import gcd, isqrt
 
 
 class CoverageError(ValueError):
@@ -198,34 +206,55 @@ def build_store(limit: int) -> PrimeStore:
 
 # -- 64-bit deterministic primality ------------------------------------------
 
-# Deterministic Miller-Rabin witness set for all n < 2^64.
+# The first twelve primes; together they are a deterministic Miller-Rabin
+# witness set for every x < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PRODUCT = 7420738134810  # the product of _MR_BASES
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233), for k = 1..11: x < psi_k is decided by _MR_BASES[:k].  psi_7 =
+# psi_8 and psi_9 = psi_10 = psi_11; psi_12 > 2^64.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051)
 
 
 def is_prime_u64(x: int) -> bool:
-    """Deterministic primality for 0 <= x < 2^64."""
+    """Deterministic primality for 0 <= x < 2^64, at a cost sized to x.
+
+    x below 38 is looked up among _MR_BASES; otherwise one gcd with their
+    product rejects every x with a factor up to 37, and strong-probable-prime
+    tests run on the first k prime bases, k = 1 + #{psi_i <= x}:
+
+        x < 2047                      base 2
+        x < 1373653                   2, 3
+        x < 25326001                  2, 3, 5
+        x < 3215031751                2 .. 7
+        x < 2152302898747             2 .. 11
+        x < 3474749660383             2 .. 13
+        x < 341550071728321           2 .. 17
+        x < 3825123056546413051       2 .. 23
+        x < 2^64                      2 .. 37
+
+    Sources: Jaeschke, "On strong pseudoprimes to several bases", Math.
+    Comp. 61 (1993); Sorenson and Webster, "Strong pseudoprimes to twelve
+    prime bases", Math. Comp. 86 (2017); OEIS A014233.
+    """
     if x < 0 or x >= 1 << 64:
         raise ValueError("is_prime_u64 expects a 64-bit unsigned value")
-    if x < 2:
+    if x < 38:
+        return x in _MR_BASES
+    if gcd(x, _MR_PRODUCT) != 1:
         return False
-    for p in _SMALL:
-        if x == p:
-            return True
-        if x % p == 0:
-            return False
-    d = x - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    x1 = x - 1
+    r = (x1 & -x1).bit_length() - 1
+    d = x1 >> r
+    for a in _MR_BASES[:bisect_right(_PSI, x) + 1]:
         y = pow(a, d, x)
-        if y == 1 or y == x - 1:
+        if y == 1 or y == x1:
             continue
         for _ in range(r - 1):
             y = y * y % x
-            if y == x - 1:
+            if y == x1:
                 break
         else:
             return False

@@ -1,7 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 These stay deliberately primitive: trial division, digit-by-digit square
-roots, a Meissel-style prime count, isqrt brackets for radical signs,
+roots, a Meissel-style prime count, strong-probable-prime tests on given
+bases (and a 64-bit primality test that runs all twelve bases up to 37
+whatever the size of x), isqrt brackets for radical signs,
 brute-force pair enumeration, a Fraction-coefficient model of RootExpr and
 the Fraction partial sums of the mu series.  None of them share code paths
 with the package, except `floor_root_general`, which reuses the kernel's
@@ -42,6 +44,41 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def strong_probable_prime(x: int, bases) -> bool:
+    """Is odd x > 2 a strong probable prime to every one of the given bases?"""
+    d, r = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(r - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+ALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime_all_bases(x: int) -> bool:
+    """Primality for 0 <= x < 2^64: trial division by the twelve primes up to
+    37, then Miller-Rabin on all twelve of them, whatever the size of x."""
+    if x < 2:
+        return False
+    for p in ALL_BASES:
+        if x == p:
+            return True
+        if x % p == 0:
+            return False
+    return strong_probable_prime(x, ALL_BASES)
 
 
 def pi_trial(x: int) -> int:

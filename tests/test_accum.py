@@ -1,6 +1,7 @@
+import hashlib
 import io
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -134,3 +135,31 @@ def test_csv_shape():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "N,p,mu,abs_err"
     assert lines[1].startswith("6,41,0.40312,")
+
+
+def test_scan_range_checked_up_front():
+    # values at N = 2^32 pass 2^64; a scan that tested values first would
+    # not finish, so each of these must refuse before its loop
+    for a, b in ((1, 2), (1, 4), (3, 8)):
+        for sign in "+-":
+            with pytest.raises(ScanError, match="2\\^64"):
+                accum_scan(RationalTarget(a, b), sign, N_max=2 ** 32)
+    for kind in ("h_fixed", "near_half_minus", "near_half_plus", "top_family"):
+        with pytest.raises(ScanError, match="2\\^64"):
+            special_scans(kind, N_max=2 ** 32)
+
+
+def test_accum_csv_digest():
+    # every a/b with b in {3, 5, 7, 11} both signs to N = 20000, and the four
+    # families to N = 10000; the digest was recorded with a primality test
+    # that ran all twelve Miller-Rabin bases on every value
+    buf = io.StringIO()
+    for b in (3, 5, 7, 11):
+        for a in range(1, b):
+            if gcd(a, b) == 1:
+                for sign in "+-":
+                    write_accum_csv(accum_scan(RationalTarget(a, b), sign, N_max=20000), buf)
+    for kind in ("h_fixed", "near_half_minus", "near_half_plus", "top_family"):
+        write_accum_csv(special_scans(kind, N_max=10000), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "1c27fbd6ae0fb6d2ea02ea354e9daedf9db6992e0284950951ebb1b26e1c81c8")

@@ -79,6 +79,14 @@ def test_accum_end_targets_name_the_families():
         assert family in r.stderr and "special_scans" not in r.stderr
 
 
+def test_accum_past_two_to_64_exits_3():
+    for args in (("--r", "1/2"), ("--family", "top_family")):
+        r = run("accum", *args, "--n-max", str(2 ** 32))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "2^64" in r.stderr
+
+
 def test_squares_csv_and_exit():
     r = run("squares", "--n-hi", "40", "--limit", "2000")
     assert r.returncode == 0

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from gapcheck.primes import (BLOCK_ENTRIES, LIMIT_CAP, SEGMENT_ENTRIES, CapacityError,
-                             CoverageError, build_store, is_prime_u64)
-from oracles import meissel_pi, trial_division_is_prime, trial_division_primes
+from gapcheck.primes import (_MR_BASES, _PSI, BLOCK_ENTRIES, LIMIT_CAP, SEGMENT_ENTRIES,
+                             CapacityError, CoverageError, build_store, is_prime_u64)
+from oracles import (is_prime_all_bases, meissel_pi, strong_probable_prime,
+                     trial_division_is_prime, trial_division_primes)
 
 
 def test_first_primes(small_store):
@@ -171,3 +172,26 @@ def test_is_prime_u64_large_known():
     assert not is_prime_u64((2 ** 31 - 1) ** 2)
     with pytest.raises(ValueError):
         is_prime_u64(1 << 64)
+
+
+def test_is_prime_u64_tier_edges():
+    # psi_k (OEIS A014233) is composite but passes the first k bases, so a
+    # table shifted down by one would call it prime; it passes base k + 1
+    # too exactly when psi_{k+1} = psi_k (psi_12 > 2^64)
+    for k, psi in enumerate(_PSI, start=1):
+        assert not is_prime_u64(psi), k
+        assert strong_probable_prime(psi, _MR_BASES[:k]), k
+        assert strong_probable_prime(psi, _MR_BASES[:k + 1]) == (_PSI[k:k + 1] == (psi,)), k
+
+
+def test_is_prime_u64_against_all_bases():
+    rng = random.Random(29)
+    values = list(range(10 ** 5)) + [2 ** 64 - 59, 2 ** 64 - 1]
+    tiers = sorted(set((0,) + _PSI + (1 << 64,)))
+    for lo, hi in zip(tiers, tiers[1:]):
+        values += [rng.randrange(lo, hi) for _ in range(2000)]
+    for psi in _PSI:
+        values += range(psi - 199, psi + 200, 2)
+    for x in values:
+        assert is_prime_u64(x) == is_prime_all_bases(x), x
+    assert is_prime_u64(2 ** 64 - 59) and not is_prime_u64(2 ** 64 - 1)
