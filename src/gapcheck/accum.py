@@ -183,8 +183,8 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
     """The endpoint families: h_fixed(h) scans N^2 + h over N >= h/2 (mu
     decreasing toward 0 at h = 1, generally h/(2N)-small); near_half_minus /
     near_half_plus scan N^2 + N -+ 1 toward 1/2; top_family scans
-    N^2 + 2N - 1 (mu toward 1).  A scan whose value at N_max reaches 2^64
-    raises ScanError before it starts.
+    N^2 + 2N - 1 (mu toward 1).  h_fixed needs h >= 1, and a scan whose
+    value at N_max reaches 2^64 raises ScanError before it starts.
     """
     # kind -> (first N, u, v, side, a, b): N^2 + uN + v toward a/b from side
     families = {
@@ -195,6 +195,9 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
     }
     if kind not in families:
         raise ScanError(f"unknown special scan kind {kind!r}")
+    if kind == "h_fixed" and h < 1:
+        raise ScanError(f"--h must be at least 1 (N^2 + h has no mu toward 0 "
+                        f"otherwise), not {h}")
     lo_N, u, v, side, a, b = families[kind]
     if N_max >= lo_N:
         _check_range(kind, N_max, N_max * N_max + u * N_max + v)

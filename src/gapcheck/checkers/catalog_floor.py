@@ -88,10 +88,10 @@ def _thm_35(ctx, tri, st):
     gap = v.delta_sq - frac_q.scale(2)
     if not gap.is_rational():
         return undecided("identity did not reduce to a rational")
-    if gap.as_fraction() != 0:
+    if gap != 0:
         return violate("Delta^2 != 2 {sqrt(q) Delta}")
     ident = v.delta_sq + frac_p.scale(2)
-    if not (ident.is_rational() and ident.as_fraction() == 2):
+    if ident != 2:
         return violate("Delta^2 + 2 {sqrt(p) Delta} != 2")
     cq = cmp_root(frac_q, QUARTER)
     cp = cmp_root(frac_p, THREE_QUARTERS)
@@ -234,12 +234,11 @@ def _lemma_42(ctx, tri, st):
     gap = v.delta - (v.mu_q - v.mu)
     if not gap.is_rational():
         return undecided()
-    offset = gap.as_fraction()
     if w.same_part:
-        if offset != 0:
+        if gap != 0:
             return violate("Delta != mu' - mu on a shared window")
     else:
-        if offset != 1:
+        if gap != 1:
             return violate("Delta != 1 + mu' - mu on a straddle")
         if not mu_diff_sign(w) > 0:
             return violate("mu <= mu' on a straddle")
@@ -305,7 +304,7 @@ def _ratio_frac(ctx, tri, st):
     if not w.p < w.q < 4 * w.p:
         return violate("floor(sqrt(q/p)) != 1")
     v = root_views(w)
-    frac = RootExpr.sqrt(w.p * w.q, F(1, w.p)) - 1
+    frac = RootExpr.sqrt(w.p * w.q) / w.p - 1
     if frac != v.ratio_frac:
         return violate("{sqrt(q/p)} != Delta/sqrt(p)")
     # <= sqrt(5/3) - 1 = sqrt(15)/3 - 1, equality at n = 2; times 3p

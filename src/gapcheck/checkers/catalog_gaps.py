@@ -6,14 +6,11 @@ kernel; notes on each entry state the integer reduction used.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, _sign_1rad
 from .predicates import cmp_sqrt_sums, delta_vs_delta4, is_square
 from .types import HOLD, MISS, Kind, checker, hard_fail, undecided, violate
-
-F = Fraction
 
 
 # -- statement 1.x ------------------------------------------------------------
@@ -114,9 +111,10 @@ def _eq_15_3(ctx, tri, st):
          source="statement 1.5(4)")
 def _eq_15_4(ctx, tri, st):
     w = tri.w
-    # rhs expands exactly to p + sqrt(2q) + q/(2p); lhs is q (2p + 1)/(2p)
-    rhs = RootExpr.sqrt(2 * w.q) + F(2 * w.p * w.p + w.q, 2 * w.p)
-    c = cmp_root(rhs, F(w.q * (2 * w.p + 1), 2 * w.p))
+    # rhs expands exactly to p + sqrt(2q) + q/(2p); lhs is q (2p + 1)/(2p);
+    # both times 2p > 0
+    rhs = RootExpr.sqrt(2 * w.q, 2 * w.p) + (2 * w.p * w.p + w.q)
+    c = cmp_root(rhs, w.q * (2 * w.p + 1))
     if c is Cmp.UNDECIDED:
         return undecided()
     item = c is Cmp.GREATER

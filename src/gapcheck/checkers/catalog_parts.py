@@ -226,7 +226,7 @@ def _ids_512(ctx, tri, st):
         return violate("Delta != {h'/mu'} + 1 - {h/mu}")
     rhs = (v.mu_q_sqrtq - v.mu_sqrtp
            - (v.mu_q_sq - v.mu_sq - 1).scale(HALF))
-    if rhs != F(w.d - 2 * w.N, 2):
+    if rhs.scale(2) != w.d - 2 * w.N:
         return violate("second straddle identity")
     return HOLD
 

@@ -43,7 +43,7 @@ def _twin_91(ctx, tri, st):
     ident = v.delta_sq + v.two_sqrtp_delta
     if not ident.is_rational():
         return undecided()
-    item4 = ident.as_fraction() == 2
+    item4 = ident == 2
     if item2 != base or item3 != base or item4 != base:
         return violate(f"items ({item2},{item3},{item4}) vs twin {base}")
     return HOLD

@@ -174,8 +174,11 @@ def cmd_twins(args) -> int:
 
 
 def cmd_accum(args) -> int:
+    if args.h is not None and args.family != "h_fixed":
+        raise ValueError("--h applies only to --family h_fixed")
     if args.family:
-        records = special_scans(args.family, N_max=args.n_max, h=args.h)
+        h = 1 if args.h is None else args.h
+        records = special_scans(args.family, N_max=args.n_max, h=h)
     else:
         target = parse_target(args.r)
         records = accum_scan(target, args.sign, c=args.c, N_max=args.n_max)
@@ -240,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--family",
                    choices=("h_fixed", "near_half_minus", "near_half_plus",
                             "top_family"), default=None)
-    a.add_argument("--h", type=int, default=1)
+    a.add_argument("--h", type=int, default=None,
+                   help="h of --family h_fixed (default 1)")
     a.set_defaults(fn=cmd_accum)
 
     wsub = sub.add_parser("windows", help="dump per-index window integers as CSV")

@@ -5,15 +5,18 @@ integers num and b_i, one integer den > 0, and positive integer radicands m_i
 (square parts folded into the b_i during normalization).  Comparisons, floors
 and fractional parts are decided without floating point: expressions with at
 most two distinct radicands get a complete algebraic sign procedure (iterated
-squaring); anything wider is bracketed by a certified dyadic interval with an
-escalating precision ladder and reported Undecided if the ladder is exhausted.
+squaring), and their floors are exact: an isqrt floor of each term, then at
+most one exact sign test.  Only expressions with three or more radicands are
+bracketed by a certified dyadic interval with an escalating precision ladder,
+and reported Undecided if the ladder is exhausted.
 
 A RootExpr is built from, and combined with, ints and Fractions only; any
 other number raises TypeError.  The sign procedures `_sign_1rad` and
 `_sign_2rad` take plain ints only: a sign does not change when every term is
 multiplied by the same positive integer, so callers clear denominators that
 way and never pass a Fraction.  A RootExpr's num and b_i already are its
-terms times den > 0, so `exact_sign` passes them on as they are.
+terms times den > 0, so `exact_sign` passes them on as they are, and
+`cmp_root` against n/d passes d*num - n*den and the d*b_i.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class Cmp(Enum):
     UNDECIDED = 2
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _rational(x) -> tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction; a RootExpr takes
     nothing else."""
@@ -56,7 +55,10 @@ def _rational(x) -> tuple[int, int]:
     raise TypeError(f"RootExpr takes int or Fraction, not {type(x).__name__}")
 
 
-@lru_cache(maxsize=1 << 20)
+# A radicand recurs within its window and the next (q of one window is p of
+# the next), so a short cache hits as often as one that keeps every radicand
+# of a long run.
+@lru_cache(maxsize=1 << 10)
 def _norm_radicand(m: int) -> tuple[int, int]:
     """sqrt(m) = outer * sqrt(core); extracts perfect squares and small
     square factors.  Best effort only: correctness of the kernel never
@@ -123,8 +125,14 @@ class RootExpr:
         return _make(0, ((core, n),), d)
 
     # -- arithmetic ---------------------------------------------------------
+    # An int operand is tested with `type(x) is int` (so bool takes the
+    # general path) and needs no _rational and no gcd over the terms: adding
+    # a multiple of den leaves gcd(den, num, b...) alone, and a product can
+    # cancel only gcd(den, k).
 
     def __add__(self, other) -> "RootExpr":
+        if type(other) is int:
+            return _make(self.num + other * self.den, self.terms, self.den)
         if isinstance(other, RootExpr):
             return _combine(self, other, 1)
         return _add_rational(self, *_rational(other))
@@ -135,18 +143,27 @@ class RootExpr:
         return _neg(self)
 
     def __sub__(self, other) -> "RootExpr":
+        if type(other) is int:
+            return _make(self.num - other * self.den, self.terms, self.den)
         if isinstance(other, RootExpr):
             return _combine(self, other, -1)
         n, d = _rational(other)
         return _add_rational(self, -n, d)
 
     def __rsub__(self, other) -> "RootExpr":
+        if type(other) is int:
+            return _make(other * self.den - self.num,
+                         tuple((m, -b) for m, b in self.terms), self.den)
         return _add_rational(_neg(self), *_rational(other))
 
     def scale(self, k) -> "RootExpr":
+        if type(k) is int:
+            return _scale_int(self, k)
         return _scale(self, *_rational(k))
 
     def __mul__(self, other) -> "RootExpr":
+        if type(other) is int:
+            return _scale_int(self, other)
         if isinstance(other, RootExpr):
             return _mul(self, other)
         return _scale(self, *_rational(other))
@@ -182,6 +199,8 @@ class RootExpr:
         return f"RootExpr(({body}) / {self.den})" if self.den != 1 else f"RootExpr({body})"
 
     def __eq__(self, other):
+        if type(other) is int:
+            return not self.terms and self.den == 1 and self.num == other
         if isinstance(other, RootExpr):
             return (self.num == other.num and self.den == other.den
                     and self.terms == other.terms)
@@ -245,16 +264,46 @@ def _combine(a: RootExpr, b: RootExpr, sign: int) -> RootExpr:
         terms = t1 if f1 == 1 else tuple((m, c * f1) for m, c in t1)
     elif not t1:
         terms = t2 if f2 == 1 else tuple((m, c * f2) for m, c in t2)
+    elif len(t1) == 1 and len(t2) == 1:
+        (m1, c1), = t1
+        (m2, c2), = t2
+        if m1 == m2:
+            c = c1 * f1 + c2 * f2
+            terms = ((m1, c),) if c else ()
+        elif m1 < m2:
+            terms = ((m1, c1 * f1), (m2, c2 * f2))
+        else:
+            terms = ((m2, c2 * f2), (m1, c1 * f1))
     else:
-        merged = {m: c * f1 for m, c in t1} if f1 != 1 else dict(t1)
-        for m, c in t2:
-            nc = merged.get(m, 0) + c * f2
-            if nc:
-                merged[m] = nc
-            else:
-                del merged[m]
-        terms = tuple(sorted(merged.items()))
+        terms = _merge(t1, f1, t2, f2)
     return _reduced(num, terms, den)
+
+
+def _merge(t1: tuple, f1: int, t2: tuple, f2: int) -> tuple:
+    """The terms of f1*t1 + f2*t2, both sorted by radicand; zeros dropped."""
+    out = []
+    i = j = 0
+    n1, n2 = len(t1), len(t2)
+    while i < n1 and j < n2:
+        m1, c1 = t1[i]
+        m2, c2 = t2[j]
+        if m1 < m2:
+            out.append((m1, c1 * f1))
+            i += 1
+        elif m2 < m1:
+            out.append((m2, c2 * f2))
+            j += 1
+        else:
+            c = c1 * f1 + c2 * f2
+            if c:
+                out.append((m1, c))
+            i += 1
+            j += 1
+    for m, c in t1[i:]:
+        out.append((m, c * f1))
+    for m, c in t2[j:]:
+        out.append((m, c * f2))
+    return tuple(out)
 
 
 def _add_rational(e: RootExpr, n: int, d: int) -> RootExpr:
@@ -265,19 +314,27 @@ def _add_rational(e: RootExpr, n: int, d: int) -> RootExpr:
     return _combine(e, _make(n, (), d), 1)
 
 
-def _scale(e: RootExpr, kn: int, kd: int) -> RootExpr:
-    """e * kn/kd for kd > 0."""
-    if kn == 0:
+def _scale_int(e: RootExpr, k: int) -> RootExpr:
+    """e * k for an int k."""
+    if k == 0:
         return _make(0, (), 1)
-    den = e.den * kd
-    if kd == 1 and den != 1:
-        # gcd(den, num, b...) = 1, so only gcd(den, kn) can cancel
-        g = gcd(den, kn)
+    den = e.den
+    if den != 1:
+        # gcd(den, num, b...) = 1, so only gcd(den, k) can cancel
+        g = gcd(den, k)
         if g != 1:
             den //= g
-            kn //= g
-        return _make(e.num * kn, tuple((m, b * kn) for m, b in e.terms), den)
-    return _reduced(e.num * kn, tuple((m, b * kn) for m, b in e.terms), den)
+            k //= g
+    return _make(e.num * k, tuple((m, b * k) for m, b in e.terms), den)
+
+
+def _scale(e: RootExpr, kn: int, kd: int) -> RootExpr:
+    """e * kn/kd for kd > 0."""
+    if kd == 1:
+        return _scale_int(e, kn)
+    if kn == 0:
+        return _make(0, (), 1)
+    return _reduced(e.num * kn, tuple((m, b * kn) for m, b in e.terms), e.den * kd)
 
 
 def _mul(a: RootExpr, b: RootExpr) -> RootExpr:
@@ -339,17 +396,12 @@ def _inverse(e: RootExpr) -> RootExpr:
 def _sign_1rad(c: int, b: int, m: int) -> int:
     """Exact sign of c + b*sqrt(m); ints only, m >= 0."""
     if b == 0 or m == 0:
-        return _sign(c)
-    if c == 0:
-        return _sign(b)
-    sc, sb = _sign(c), _sign(b)
-    if sc == sb:
-        return sc
-    lhs = b * b * m
-    rhs = c * c
-    if lhs == rhs:
-        return 0
-    return sb if lhs > rhs else sc
+        return (c > 0) - (c < 0)
+    if c == 0 or (c > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # opposite signs: the larger of b^2 m and c^2 wins
+    t = b * b * m - c * c
+    return (t > 0) - (t < 0) if b > 0 else (t < 0) - (t > 0)
 
 
 def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
@@ -359,21 +411,28 @@ def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
         return _sign_1rad(c, b2, m2)
     if m2 == 0 or b2 == 0:
         return _sign_1rad(c, b1, m1)
-    s1, s2 = _sign(b1), _sign(b2)
-    if s1 == s2:
-        su = s1
+    # su: the sign of u = b1 sqrt(m1) + b2 sqrt(m2)
+    split = (b1 > 0) != (b2 > 0)
+    if not split:
+        su = 1 if b1 > 0 else -1
     else:
-        q1, q2 = b1 * b1 * m1, b2 * b2 * m2
-        su = 0 if q1 == q2 else (s1 if q1 > q2 else s2)
+        t = b1 * b1 * m1 - b2 * b2 * m2
+        su = (t > 0) - (t < 0) if b1 > 0 else (t < 0) - (t > 0)
     if c == 0:
         return su
-    sc = _sign(c)
+    sc = 1 if c > 0 else -1
     if su == 0 or sc == su:
         return sc
-    st = _sign_1rad(c * c - b1 * b1 * m1 - b2 * b2 * m2, -2 * b1 * b2, m1 * m2)
-    if st == 0:
+    # c and u have opposite signs, so the sign is sc * sign(c^2 - u^2), where
+    # c^2 - u^2 = C + B sqrt(m1 m2) with B = -2 b1 b2 > 0 exactly when split
+    q1, q2 = b1 * b1 * m1, b2 * b2 * m2
+    C = c * c - q1 - q2
+    if C == 0 or (C > 0) == split:
+        return sc if split else -sc
+    t = 4 * q1 * q2 - C * C   # B^2 m1 m2 - C^2
+    if t == 0:
         return 0
-    return sc if st > 0 else su
+    return sc if (t > 0) == split else -sc
 
 
 def exact_sign(e: RootExpr) -> int | None:
@@ -381,7 +440,8 @@ def exact_sign(e: RootExpr) -> int | None:
     terms = e.terms
     k = len(terms)
     if k == 0:
-        return _sign(e.num)
+        num = e.num
+        return (num > 0) - (num < 0)
     if k == 1:
         (m, b), = terms
         return _sign_1rad(e.num, b, m)
@@ -441,17 +501,29 @@ def _interval(e: RootExpr, frac_bits: int) -> tuple[int, int]:
 # -- comparisons, floors, fractional parts --------------------------------------
 
 
+_CMP = (Cmp.EQUAL, Cmp.GREATER, Cmp.LESS)   # indexed by a sign -1, 0 or 1
+
+
 def cmp_root(e: RootExpr, rhs=0) -> Cmp:
     """Three-way comparison of a RootExpr against a rational; certified.
 
-    Equal is returned only when provable exactly; Undecided only after the
-    precision ladder is exhausted on a >2-radicand expression.
+    Up to two radicands the comparison is one exact sign; Undecided only
+    after the precision ladder is exhausted on a >2-radicand expression.
     """
     n, d = _rational(rhs)
+    terms = e.terms
+    k = len(terms)
+    # e - n/d has the sign of (d num - n den) + sum d b_i sqrt(m_i): d, den > 0
+    c = d * e.num - n * e.den
+    if k == 0:
+        return _CMP[(c > 0) - (c < 0)]
+    if k == 1:
+        (m, b), = terms
+        return _CMP[_sign_1rad(c, d * b, m)]
+    if k == 2:
+        (m1, b1), (m2, b2) = terms
+        return _CMP[_sign_2rad(c, d * b1, m1, d * b2, m2)]
     diff = _add_rational(e, -n, d)
-    s = exact_sign(diff)
-    if s is not None:
-        return Cmp(s)
     for fb in LADDER:
         lo, hi = _interval(diff, fb)
         if lo > 0:
@@ -461,41 +533,41 @@ def cmp_root(e: RootExpr, rhs=0) -> Cmp:
     return Cmp.UNDECIDED
 
 
+def _floor_sqrt_mul(b: int, m: int) -> int:
+    """floor(b*sqrt(m)) for m >= 0, by isqrt."""
+    x = b * b * m
+    r = isqrt(x)
+    if b >= 0:
+        return r
+    return -r if r * r == x else -r - 1
+
+
 def floor_root(e: RootExpr) -> int | None:
     """Exact floor of a RootExpr; None when Undecided.
 
-    Single-radicand expressions use the isqrt fast path and are always
-    decided; wider expressions go through the interval ladder with an exact
-    two-radicand fallback.
+    With s = num + sum b_i sqrt(m_i), floor(e) = floor(floor(s) / den).  On
+    one radicand floor(s) is one isqrt.  On two it is the sum t of the two
+    isqrt floors, or t + 1, which one exact sign decides.  Three or more
+    radicands go through the interval ladder.
     """
-    k = len(e.terms)
+    terms = e.terms
+    k = len(terms)
     if k == 0:
         return e.num // e.den
     if k == 1:
-        # floor((P + Q*sqrt(m)) / R) with R > 0
-        P, ((m, Q),), R = e.num, e.terms, e.den
-        t = isqrt(Q * Q * m)
-        if Q < 0:
-            t = -t - 1
-        f = (P + t) // R
-        # fix up with exact one-radicand sign tests on R*(e - f)
-        while _sign_1rad(P - f * R, Q, m) < 0:
-            f -= 1
-        while _sign_1rad(P - (f + 1) * R, Q, m) >= 0:
-            f += 1
-        return f
+        (m, b), = terms
+        return (e.num + _floor_sqrt_mul(b, m)) // e.den
+    if k == 2:
+        (m1, b1), (m2, b2) = terms
+        t = _floor_sqrt_mul(b1, m1) + _floor_sqrt_mul(b2, m2)
+        if _sign_2rad(-t - 1, b1, m1, b2, m2) >= 0:
+            t += 1
+        return (e.num + t) // e.den
     for fb in LADDER:
         lo, hi = _interval(e, fb)
         fl, fh = lo >> fb, hi >> fb
         if fl == fh:
             return fl
-    if k == 2:
-        f = lo >> fb
-        while exact_sign(_add_rational(e, -f, 1)) < 0:
-            f -= 1
-        while exact_sign(_add_rational(e, -(f + 1), 1)) >= 0:
-            f += 1
-        return f
     return None
 
 
@@ -504,4 +576,4 @@ def frac_root(e: RootExpr) -> tuple[int, RootExpr] | None:
     f = floor_root(e)
     if f is None:
         return None
-    return f, _add_rational(e, -f, 1)
+    return f, _make(e.num - f * e.den, e.terms, e.den)

@@ -126,6 +126,9 @@ def test_bad_scan_arguments():
         accum_scan(RationalTarget(1, 3), "*", N_max=10)
     with pytest.raises(ScanError):
         special_scans("bogus")
+    for h in (0, -3):
+        with pytest.raises(ScanError, match="--h"):
+            special_scans("h_fixed", N_max=10, h=h)
 
 
 def test_csv_shape():

@@ -319,6 +319,30 @@ def test_catalog_digest_pinned(mid_store):
     assert digest(resumed) == CATALOG_3000_SHA256
 
 
+# the same digest over n = 200000..200400 (p near 2.75e6), cold started there;
+# recorded before the two-radicand floor became exact
+CATALOG_FAR_SHA256 = "58509bcf91e33377c0158f5729656b4152878946f3d431413a43fb8a0ca0ed9b"
+
+
+def test_catalog_digest_far_range(mid_store):
+    """Reports on integers larger than the pinned 1..3000 reaches: a single
+    cold-started run over 200000..200400 and a run split at 200177
+    (checkpoint through JSON) both hash to the recorded digest."""
+    ids = sorted(registry())
+
+    def digest(reports):
+        h = hashlib.sha256()
+        for cid in ids:
+            h.update(reports[cid].to_json().encode() + b"\n")
+        return h.hexdigest()
+
+    single, _ = run_many(ids, mid_store, 200000, 200400)
+    assert digest(single) == CATALOG_FAR_SHA256
+    _, cp = run_many(ids, mid_store, 200000, 200177)
+    resumed, _ = run_many(ids, mid_store, 200178, 200400, resume=json.loads(json.dumps(cp)))
+    assert digest(resumed) == CATALOG_FAR_SHA256
+
+
 def test_witness_cap(small_store):
     r = run_checker("delta-gt-half", small_store, 1, 1000,
                     opts=RunOpts(witness_cap=2))

@@ -87,6 +87,22 @@ def test_accum_past_two_to_64_exits_3():
         assert "2^64" in r.stderr
 
 
+def test_accum_h_checked():
+    for h in ("-3", "0"):
+        r = run("accum", "--family", "h_fixed", "--h", h, "--n-max", "10")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "--h" in r.stderr and "is_prime_u64" not in r.stderr
+    for args in (("--family", "top_family"), ("--r", "1/3")):
+        r = run("accum", *args, "--h", "2", "--n-max", "10")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "--h applies only to --family h_fixed" in r.stderr
+    default = run("accum", "--family", "h_fixed", "--n-max", "100")
+    assert default.returncode == 0
+    assert run("accum", "--family", "h_fixed", "--h", "1", "--n-max", "100").stdout == default.stdout
+
+
 def test_squares_csv_and_exit():
     r = run("squares", "--n-hi", "40", "--limit", "2000")
     assert r.returncode == 0

@@ -327,3 +327,100 @@ def test_kernel_agrees_with_reference_predicates(data, cores):
     assert floor_root(a) == ra.floor()
     f, frac = frac_root(a)
     assert f == ra.floor() and _agrees(frac, ra - RefRoot(f))
+
+
+# -- exact floors and comparisons on up to two radicands ------------------------
+
+
+@st.composite
+def _two_radicand_roots(draw):
+    """(c1 sqrt(m1) + c2 sqrt(m2) + k) / den with den > 1 and either sign on
+    each coefficient; half the draws sit next to an integer, as
+    sqrt(a^2 + 1) - sqrt(b^2 - 1) + k with b near a does."""
+    den = draw(st.integers(min_value=2, max_value=60))
+    k = draw(st.integers(min_value=-10 ** 4, max_value=10 ** 4))
+    s = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        a = draw(st.integers(min_value=2, max_value=10 ** 6))
+        b = max(2, a + draw(st.integers(min_value=-2, max_value=2)))
+        return (RootExpr.sqrt(a * a + 1, s) - RootExpr.sqrt(b * b - 1, s) + k) / den
+    m1, m2 = draw(st.lists(st.integers(min_value=2, max_value=10 ** 9), min_size=2,
+                           max_size=2, unique=True))
+    c1 = draw(st.integers(min_value=1, max_value=10 ** 3)) * s
+    c2 = draw(st.integers(min_value=-10 ** 3, max_value=10 ** 3).filter(bool))
+    return (RootExpr.sqrt(m1, c1) + RootExpr.sqrt(m2, c2) + k) / den
+
+
+@given(_two_radicand_roots())
+@settings(max_examples=400)
+def test_floor_root_two_radicands_against_ladder(e):
+    assert len(e.terms) <= 2
+    f = floor_root(e)
+    assert f == floor_root_general(e)
+    assert cmp_root(e, f) in (Cmp.GREATER, Cmp.EQUAL)
+    assert cmp_root(e, f + 1) is Cmp.LESS
+    assert frac_root(e) == (f, e - f)
+
+
+def test_floor_root_dependent_radicands():
+    # radicands that normalization would have folded, built directly
+    assert floor_root(RootExpr(0, [(4, -1)])) == -2
+    assert floor_root(RootExpr(F(1, 2), [(2, 1), (9, -1)])) == -2
+    assert floor_root(RootExpr(0, [(4, -1), (9, 1)])) == 1
+    # 101 sqrt(2) - sqrt(2 * 101^2) = 0 exactly: 101^2 is past the trial
+    # squares, so both radicands stay and the term floors sum to -1
+    zero = RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402)
+    assert len(zero.terms) == 2
+    assert floor_root(zero) == 0 and floor_root(zero + 7) == 7
+    assert floor_root(zero - F(1, 10 ** 9)) == -1
+    assert cmp_root(zero) is Cmp.EQUAL
+
+
+def test_two_radicand_decisions_never_use_the_ladder(monkeypatch):
+    """cmp_root and floor_root decide up to two radicands exactly, so the
+    interval evaluation runs only for three or more."""
+    import gapcheck.exact as exact
+
+    calls = []
+
+    def counting(e, frac_bits):
+        calls.append(frac_bits)
+        return eval_fixed(e, frac_bits)
+
+    monkeypatch.setattr(exact, "eval_fixed", counting)
+    rng = random.Random(5)
+    for _ in range(300):
+        m1, m2 = rng.sample(range(2, 10 ** 6), 2)
+        e = build_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
+                       {m1: F(rng.randrange(1, 50), rng.randrange(1, 5)),
+                        m2: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))})
+        for x in (e, e - RootExpr.sqrt(m2, e.terms[-1][1]), e - e.num):
+            cmp_root(x, F(rng.randrange(-99, 99), rng.randrange(1, 9)))
+            cmp_root(x)
+            floor_root(x)
+            frac_root(x)
+    assert calls == []
+    e3 = RootExpr.sqrt(2) + RootExpr.sqrt(3) - RootExpr.sqrt(10)
+    assert cmp_root(e3) is Cmp.LESS and floor_root(e3) == -1
+    assert calls and set(calls) <= set(exact.LADDER)
+
+
+@pytest.mark.parametrize("e, k, equal", [
+    (RootExpr.of(F(6, 3)), 2, True),
+    (RootExpr.sqrt(4), 2, True),
+    (RootExpr.of(F(1, 2)), 0, False),
+    (RootExpr.of(F(1, 2)), 1, False),
+    (RootExpr.of(0), 0, True),
+    (RootExpr.of(-3), -3, True),
+    (RootExpr.sqrt(2), 1, False),
+    (RootExpr.sqrt(2) - RootExpr.sqrt(2) + 5, 5, True),
+    (RootExpr.of(1), True, True),
+    (RootExpr.of(0), False, True),
+    (RootExpr.of(2), True, False),
+])
+def test_eq_int_agrees_with_fraction(e, k, equal):
+    assert (e == k) is equal and (e != k) is not equal
+    assert (e == F(k)) is equal
+    # the int paths of + - * and scale agree with the Fraction ones
+    assert e + k == e + F(k) and e - k == e - F(k) and k - e == F(k) - e
+    assert e * k == e * F(k) and e.scale(k) == e.scale(F(k))
