@@ -596,7 +596,8 @@ def _primes_between(store, a: int, b: int) -> int:
     """Number of primes in (a, b].  Past the sieve each candidate is tested
     directly, so the count does not depend on the sieve limit."""
     if b <= store.limit:
-        return store.pi(b) - store.pi(a)
+        lo = store.pi(a)   # a first: the segment cache expects ascending reads
+        return store.pi(b) - lo
     return sum(1 for x in range(a + 1, b + 1) if is_prime_u64(x))
 
 

@@ -15,8 +15,8 @@ other number raises TypeError.  The sign procedures `_sign_1rad` and
 `_sign_2rad` take plain ints only: a sign does not change when every term is
 multiplied by the same positive integer, so callers clear denominators that
 way and never pass a Fraction.  A RootExpr's num and b_i already are its
-terms times den > 0, so `exact_sign` passes them on as they are, and
-`cmp_root` against n/d passes d*num - n*den and the d*b_i.
+terms times den > 0, so `cmp_root` against n/d passes d*num - n*den and the
+d*b_i.
 """
 
 from __future__ import annotations
@@ -433,22 +433,6 @@ def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
     if t == 0:
         return 0
     return sc if (t > 0) == split else -sc
-
-
-def exact_sign(e: RootExpr) -> int | None:
-    """Exact sign when the expression has at most 2 radicands, else None."""
-    terms = e.terms
-    k = len(terms)
-    if k == 0:
-        num = e.num
-        return (num > 0) - (num < 0)
-    if k == 1:
-        (m, b), = terms
-        return _sign_1rad(e.num, b, m)
-    if k == 2:
-        (m1, b1), (m2, b2) = terms
-        return _sign_2rad(e.num, b1, m1, b2, m2)
-    return None
 
 
 # -- certified fixed-point evaluation -------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from math import isqrt
@@ -56,14 +57,24 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
     Oppermann half-window strict increases, the cumulative pi(N^2) >= 2(N-1)
     bound, evenness of floor(D) at the window's first prime, and the
     conditional two-primes-per-half claims on even N.
+
+    The store is read in ascending order, as its segment cache expects: pi
+    is queried only at the start, and every later count comes from the
+    window's own primes.  pi(N^2 + N) = pi(N^2) + #{p <= N^2 + N};
+    pi((N+1)^2) = pi(N^2) + count, as (N+1)^2 is not prime; and the next
+    window's pi((N+1)^2 - (N+1)) is this window's pi(N^2 + N).
     """
     if n_lo < 1:
         raise ValueError("N must be >= 1")
     if (n_hi + 1) ** 2 > store.limit:
         raise CoverageError(f"(N+1)^2 beyond store limit {store.limit}")
+    pi_hi, pi_next = store.pi(n_lo * n_lo - n_lo), store.pi(n_lo * n_lo)
     for N in range(n_lo, n_hi + 1):
         N2 = N * N
         primes = list(store.iter_primes(N2 + 1, (N + 1) ** 2 - 1))
+        pi_lo, pi_sq = pi_hi, pi_next
+        pi_hi = pi_sq + bisect_right(primes, N2 + N)
+        pi_next = pi_sq + len(primes)
         rep = SquareWindowReport(N=N, prime_count=len(primes))
         if keep_primes:
             rep.primes = primes
@@ -72,7 +83,6 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         rep.prime_h_values = [h for h in rep.h_values if store.is_prime(h)]
         rep.legendre = len(primes) >= 1
         rep.two_primes = len(primes) >= 2
-        pi_lo, pi_sq, pi_hi = (store.pi(x) for x in (N2 - N, N2, N2 + N))
         if N >= 2:
             rep.oppermann_lo = pi_lo < pi_sq
             rep.oppermann_hi = pi_sq < pi_hi
@@ -86,13 +96,16 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
             rep.first_prime_floor_D_even = (base + 1 if above else base) % 2 == 0
         if N >= 4 and N % 2 == 0:
             ok = True
-            if store.is_prime(N2 + 1):
+            # N^2 + 1 and N^2 + 2N - 1 are the window's first and last odd
+            # numbers (N^2 + 2N = N(N + 2) is not prime), so each is prime
+            # exactly when it is the window's first or last prime
+            if primes and primes[0] == N2 + 1:
                 ok = ok and pi_hi - pi_sq >= 2
-            if N > 4 and store.is_prime(N2 + 2 * N - 1):
+            if N > 4 and primes and primes[-1] == N2 + 2 * N - 1:
                 # primes[0] is the first prime after the square
                 if primes[0] < N2 + 2 * N - 1:
                     # pi(N^2 + 2N) = pi((N+1)^2): the square itself is not prime
-                    ok = ok and store.pi((N + 1) ** 2) - pi_hi >= 2
+                    ok = ok and pi_next - pi_hi >= 2
             rep.half_claims_ok = ok
         yield rep
 

@@ -3,9 +3,28 @@
 The central object is :class:`PrimeStore`, a segmented odd-only sieve with a
 prime-count checkpoint at the start of every block of BLOCK_ENTRIES odd
 numbers, so pi(x) and p_n each read one checkpoint and scan inside one
-block.  Segments are re-sieved on demand and kept in a small LRU cache, so a
-store covering 10^8 costs a few hundred MB-seconds to build but only
-O(segment) memory to hold.
+block.  Segments are re-sieved on demand and at most CACHE_SEGMENTS of them
+are kept, so a store covering 10^8 costs a few hundred MB-seconds to build
+but only O(segment) memory to hold.
+
+The cache is tuned for ascending sweeps, which is how the tables and the
+twin scan read the store.  On a miss at segment k >= 2 with a full cache,
+if the most recently used segment is k - 1, that one is evicted: a sweep
+does not read it again, while the older segments are the ones the next
+sweep reads first.  Otherwise the least recently used segment goes, so a
+segment that point queries keep reading during a sweep stays cached.
+Segment 0 is never evicted by the sweep rule: it holds every number below
+2*SEGMENT_ENTRIES + 3, which point queries such as the square tables'
+offsets h <= 2N keep reading.  Plain LRU evicts exactly the segment a sweep
+needs next once a store has more segments than the cache (Johnson and
+Shasha, "2Q", VLDB 1994).  A caller that steps back to a lower segment
+after a sweep has moved on pays a re-sieve, so the tables read the store in
+ascending order.
+
+Each segment starts as a copy of one precomputed wheel pattern with the
+multiples of 3, 5, 7, 11 and 13 already cleared (wheel pre-sieving; Bays
+and Hudson, BIT 17, 1977), so only base primes from 17 up are struck one by
+one.
 
 Walks over the sieve search its bytes: iter_primes finds each set entry,
 and iter_twin_lows finds each twin pair (p, p + 2) as two adjacent set
@@ -38,7 +57,7 @@ class CapacityError(ValueError):
 
 SEGMENT_ENTRIES = 1 << 20  # odd numbers per segment
 BLOCK_ENTRIES = 1 << 14    # odd numbers per prime-count checkpoint
-CACHE_SEGMENTS = 8         # sieved segments kept in the LRU cache
+CACHE_SEGMENTS = 8         # sieved segments kept (see the eviction rule above)
 LIMIT_CAP = 1 << 34
 
 
@@ -55,6 +74,44 @@ def _small_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+# The wheel: entry j of the odd-only sieve is 3 + 2j, so the multiples of an
+# odd p recur every p entries and those of 3*5*7*11*13 = 15015 every 15015.
+# _WHEEL holds two periods with those multiples cleared, so any rotation of
+# one period is one slice of it.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = 15015
+
+
+def _wheel_pattern() -> bytes:
+    w = bytearray([1]) * _WHEEL_PERIOD
+    for p in _WHEEL_PRIMES:
+        i = (p - 3) // 2   # the entry of p itself
+        w[i::p] = b"\x00" * ((_WHEEL_PERIOD - i + p - 1) // p)
+    return bytes(w) * 2
+
+
+_WHEEL = _wheel_pattern()
+# entries 0..5 of segment 0 are 3, 5, 7, 9, 11, 13: the wheel primes come back
+_WHEEL_HEAD = b"\x01\x01\x01\x00\x01\x01"
+
+
+def _wheel_segment(first: int, n_entries: int) -> bytearray:
+    """n_entries bytes of the wheel pattern from global entry `first` on.
+
+    One period is copied, then the filled prefix is doubled in place, so the
+    bytearray is allocated once at exactly its final size."""
+    seg = bytearray(n_entries)
+    r = first % _WHEEL_PERIOD
+    filled = min(n_entries, _WHEEL_PERIOD)
+    with memoryview(seg) as mv:
+        mv[:filled] = _WHEEL[r:r + filled]
+        while filled < n_entries:
+            c = min(filled, n_entries - filled)
+            mv[filled:filled + c] = mv[:c]
+            filled += c
+    return seg
+
+
 class PrimeStore:
     """Immutable queryable store of primes in [2, limit].
 
@@ -68,7 +125,8 @@ class PrimeStore:
         if limit > LIMIT_CAP:
             raise CapacityError(f"limit {limit} exceeds budget {LIMIT_CAP}")
         self.limit = limit
-        self._base = _small_sieve(isqrt(limit))
+        # base primes past the wheel, the ones each segment strikes itself
+        self._base = [p for p in _small_sieve(isqrt(limit)) if p > _WHEEL_PRIMES[-1]]
         self._cache: OrderedDict[int, bytearray] = OrderedDict()
         # entry i is the odd number 3 + 2i; segment k holds entries
         # [k*E, (k+1)*E); checkpoint[b] = primes (2 included) below block b
@@ -85,17 +143,19 @@ class PrimeStore:
     # -- segment machinery -------------------------------------------------
 
     def _segment(self, k: int) -> bytearray:
-        seg = self._cache.get(k)
+        cache = self._cache
+        seg = cache.get(k)
         if seg is not None:
-            self._cache.move_to_end(k)
+            cache.move_to_end(k)
             return seg
         lo = 3 + 2 * k * SEGMENT_ENTRIES
         hi = min(lo + 2 * SEGMENT_ENTRIES, self.limit + 1)
         n_entries = (hi - lo + 1) // 2
-        seg = bytearray([1]) * n_entries
+        seg = _wheel_segment(k * SEGMENT_ENTRIES, n_entries)
+        if k == 0:
+            n = min(n_entries, len(_WHEEL_HEAD))
+            seg[:n] = _WHEEL_HEAD[:n]
         for p in self._base:
-            if p == 2:
-                continue
             if p * p >= hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
@@ -105,9 +165,12 @@ class PrimeStore:
                 continue
             i = (start - lo) // 2
             seg[i::p] = b"\x00" * ((n_entries - i + p - 1) // p)
-        self._cache[k] = seg
-        if len(self._cache) > CACHE_SEGMENTS:
-            self._cache.popitem(last=False)
+        if len(cache) >= CACHE_SEGMENTS:
+            if k > 1 and next(reversed(cache)) == k - 1:
+                cache.popitem()   # the sweep's previous segment
+            else:                 # the least recent one but segment 0
+                del cache[next((j for j in cache if j), 0)]
+        cache[k] = seg
         return seg
 
     def _locate(self, x: int) -> tuple[int, int]:

@@ -1,14 +1,15 @@
 """Independent oracles used to freeze expected values.
 
-These stay deliberately primitive: trial division, digit-by-digit square
-roots, a Meissel-style prime count, strong-probable-prime tests on given
-bases (and a 64-bit primality test that runs all twelve bases up to 37
-whatever the size of x), isqrt brackets for radical signs,
-brute-force pair enumeration, a Fraction-coefficient model of RootExpr and
-the Fraction partial sums of the mu series.  None of them share code paths
-with the package, except `floor_root_general`, which reuses the kernel's
-fixed-point evaluation, `build_root`, a shorthand for building RootExprs, and
-`twin_pairs`, a filter over the window stream.
+These stay deliberately primitive: trial division, a plain odd-only sieve,
+digit-by-digit square roots, a Meissel-style prime count,
+strong-probable-prime tests on given bases (and a 64-bit primality test
+that runs all twelve bases up to 37 whatever the size of x), isqrt brackets
+for radical signs, brute-force pair enumeration, a Fraction-coefficient
+model of RootExpr and the Fraction partial sums of the mu series.  None of
+them share code paths with the package, except `exact_sign`, which hands
+a RootExpr's terms to the kernel's sign procedures, `floor_root_general`,
+which reuses the kernel's fixed-point evaluation, `build_root`, a shorthand
+for building RootExprs, and `twin_pairs`, a filter over the window stream.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from gapcheck.exact import LADDER, RootExpr, eval_fixed, exact_sign
+from gapcheck.exact import LADDER, RootExpr, _sign_1rad, _sign_2rad, eval_fixed
 from gapcheck.window import windows
 
 
@@ -79,6 +80,19 @@ def is_prime_all_bases(x: int) -> bool:
         if x % p == 0:
             return False
     return strong_probable_prime(x, ALL_BASES)
+
+
+def odd_only_sieve(limit: int) -> bytearray:
+    """Flags of the odd numbers 3, 5, ..., up to limit: byte i is 1 exactly
+    when 3 + 2i is prime.  Plain Eratosthenes over one array, every odd p up
+    to sqrt(limit) struck from p^2: no wheel, no segments."""
+    n = max(0, (limit - 1) // 2)
+    flags = bytearray([1]) * n
+    for p in range(3, isqrt(limit) + 1, 2):
+        if flags[(p - 3) // 2]:
+            i = (p * p - 3) // 2
+            flags[i::p] = bytes(len(range(i, n, p)))
+    return flags
 
 
 def pi_trial(x: int) -> int:
@@ -178,14 +192,30 @@ def twin_pairs(store, n_lo: int, n_hi: int) -> list[int]:
     return [w.n for w in windows(store, n_lo, n_hi) if w.d == 2]
 
 
+def exact_sign(e) -> int | None:
+    """Exact sign of a RootExpr with at most two radicands through the
+    kernel's sign procedures, else None.  Its num and b_i already are its
+    terms times den > 0, so they pass on as they are."""
+    terms = e.terms
+    if len(terms) == 0:
+        return (e.num > 0) - (e.num < 0)
+    if len(terms) == 1:
+        (m, b), = terms
+        return _sign_1rad(e.num, b, m)
+    if len(terms) == 2:
+        (m1, b1), (m2, b2) = terms
+        return _sign_2rad(e.num, b1, m1, b2, m2)
+    return None
+
+
 def floor_root_general(e) -> int | None:
     """Floor of a RootExpr through the fixed-point ladder only, with no isqrt
     fast path; None when Undecided.  Cross-checks `exact.floor_root`.
 
     Unlike the other oracles here, this one reuses the package's
-    `eval_fixed` and `exact_sign`: it is independent of the fast path, not
-    of the kernel.  Expressions with at most two radicands get an exact
-    fallback once the ladder is exhausted.
+    `eval_fixed` and, through `exact_sign`, its sign procedures: it is
+    independent of the fast path, not of the kernel.  Expressions with at
+    most two radicands get an exact fallback once the ladder is exhausted.
     """
     if not e.terms:
         return e.num // e.den

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign_1rad, _sign_2rad, cmp_root,
-                            eval_fixed, exact_sign, floor_root, frac_root, sqrt_fixed)
-from oracles import (RefRoot, build_root, floor_root_general, longhand_sqrt_digits,
-                     radical_sign)
+                            eval_fixed, floor_root, frac_root, sqrt_fixed)
+from oracles import (RefRoot, build_root, exact_sign, floor_root_general,
+                     longhand_sqrt_digits, radical_sign)
 
 
 def test_sqrt_fixed_exact_square():

@@ -1,10 +1,14 @@
 import random
+from bisect import bisect_right
+from math import isqrt
 
 import pytest
 
+from gapcheck import primes
+from gapcheck.intervals import square_reports
 from gapcheck.primes import (_MR_BASES, _PSI, BLOCK_ENTRIES, LIMIT_CAP, SEGMENT_ENTRIES,
                              CapacityError, CoverageError, build_store, is_prime_u64)
-from oracles import (is_prime_all_bases, meissel_pi, strong_probable_prime,
+from oracles import (is_prime_all_bases, meissel_pi, odd_only_sieve, strong_probable_prime,
                      trial_division_is_prime, trial_division_primes)
 
 
@@ -140,6 +144,122 @@ def test_twin_lows_against_reference(mid_store):
     assert len(lows) == len(set(lows)) and lows == sorted(lows)
     assert [x for x in lows if x >= p - 20000] == _twin_lows_reference(store, p + 2, p - 20000)
     assert list(store.iter_twin_lows(p + 1))[-1] < p
+
+
+@pytest.mark.parametrize("limits", [
+    range(2, 41),  # the restored wheel primes 3..13 and the p^2 >= hi cutoff
+    [15015 * j + d for j in (1, 2, 4) for d in range(-2, 3)],  # wheel period edges
+    [4 * SEGMENT_ENTRIES + 3, 4 * SEGMENT_ENTRIES + 5],
+])
+def test_wheel_segments_equal_plain_sieve(limits):
+    """Every segment, wheel pattern plus base primes from 17, is byte-equal
+    to the same slice of one plain odd-only sieve."""
+    E = SEGMENT_ENTRIES
+    rotated = False  # a segment compared that starts mid-period of the wheel
+    for limit in limits:
+        store = build_store(limit)
+        segs = [store._segment(k) for k in range(((limit - 3) // 2 + E) // E)]
+        plain = odd_only_sieve(limit)
+        assert sum(map(len, segs)) == len(plain), limit
+        for k, seg in enumerate(segs):
+            assert seg == plain[k * E:(k + 1) * E], (limit, k)
+            rotated |= k * E % 15015 != 0
+    assert rotated == (max(limits) > 2 * E)
+
+
+@pytest.fixture
+def tight_cache(monkeypatch):
+    """A 10E store (five segments) under CACHE_SEGMENTS = 3, with the list of
+    the segments sieved after its build, in order."""
+    E = SEGMENT_ENTRIES
+    monkeypatch.setattr(primes, "CACHE_SEGMENTS", 3)
+    sieved = []
+    wheel_segment = primes._wheel_segment
+    monkeypatch.setattr(primes, "_wheel_segment",
+                        lambda first, n: sieved.append(first // E) or wheel_segment(first, n))
+    store = build_store(10 * E)
+    nseg = len(sieved)
+    assert sieved == list(range(nseg)) and nseg > 3
+    sieved.clear()
+    plain = odd_only_sieve(store.limit)
+    return store, nseg, sieved, plain
+
+
+def test_ascending_sweeps_resieve_past_the_cache_only(tight_cache):
+    """With more segments than the cache holds, a second ascending sweep
+    re-sieves at most nseg - CACHE_SEGMENTS + 1 segments (plain LRU would
+    re-sieve all nseg)."""
+    store, nseg, sieved, plain = tight_cache
+    E = SEGMENT_ENTRIES
+    want = [2] + [3 + 2 * i for i, f in enumerate(plain) if f]
+    want_twins = [3 + 2 * i for i in range(len(plain) - 1) if plain[i] and plain[i + 1]]
+    points = [3 + 2 * (k * E + off) for k in range(nseg) for off in (0, E // 3, E - 1)
+              if k * E + off < len(plain)] + [store.limit]
+
+    bound = nseg - 3 + 1
+    before = len(sieved)
+    assert list(store.iter_primes()) == want
+    assert len(sieved) - before <= bound
+    before = len(sieved)
+    assert list(store.iter_twin_lows()) == want_twins
+    assert len(sieved) - before <= bound
+    before = len(sieved)
+    assert [store.pi(x) for x in points] == [bisect_right(want, x) for x in points]
+    assert len(sieved) - before <= bound
+
+
+def test_point_queries_keep_segment_zero_cached(tight_cache):
+    """is_prime on segment 0 never re-sieves it: not after a miss elsewhere
+    while segment 0 is the least recently used, and not before a sweep and
+    after each segment the sweep opens, from segment 2 on, where plain LRU
+    keeps it too, or from segment 0, where it is the sweep's previous
+    segment when the sweep misses on segment 1."""
+    store, nseg, sieved, plain = tight_cache
+    E = SEGMENT_ENTRIES
+    want = [2] + [3 + 2 * i for i, f in enumerate(plain) if f]
+    small = range(2, 200)
+    small_primes = [x in want[:50] for x in small]
+    # the build read segment 0 first, so it is the least recent one now
+    assert store.pi(3 + 4 * E) == bisect_right(want, 3 + 4 * E)
+    assert [store.is_prime(x) for x in small] == small_primes
+    assert sieved == [2]
+    for first in (2, 0):   # the sweep from 2 evicts segment 1
+        before = len(sieved)
+        assert [store.is_prime(x) for x in small] == small_primes
+        got, opened = [], []
+        for p in store.iter_primes(3 + 2 * first * E):
+            got.append(p)
+            k = (p - 3) // 2 // E
+            if k not in opened:
+                opened.append(k)
+                assert [store.is_prime(x) for x in small] == small_primes
+        assert got == [p for p in want if p >= 3 + 2 * first * E]
+        assert opened == list(range(first, nseg))
+        assert 0 not in sieved[before:]
+    assert 1 in sieved[before:]   # the sweep from 0 did miss on segment 1
+
+
+def test_square_reports_never_step_back(tight_cache):
+    """Square windows that cross every segment edge on a full cache sieve no
+    segment twice: every count after the first window comes from the
+    windows' own primes, so no query returns to a segment the sweep left."""
+    store, nseg, sieved, plain = tight_cache
+    want = [2] + [3 + 2 * i for i, f in enumerate(plain) if f]
+    n_lo, n_hi = 1440, isqrt(store.limit) - 1   # (1441)^2 lies in segment 0
+    reps = list(square_reports(store, n_lo, n_hi))
+    assert len(sieved) == len(set(sieved)) and sieved == sorted(sieved)
+    assert (n_lo * n_lo - 3) // 2 // SEGMENT_ENTRIES == 0
+    assert ((n_hi + 1) ** 2 - 3) // 2 // SEGMENT_ENTRIES == nseg - 1
+
+    def pi(x):
+        return bisect_right(want, x)
+    for rep in reps:
+        N2 = rep.N * rep.N
+        assert rep.primes == want[pi(N2):pi((rep.N + 1) ** 2)]
+        assert rep.prime_h_values == [h for h in rep.h_values if pi(h) > pi(h - 1)]
+        assert rep.oppermann_lo == (pi(N2 - rep.N) < pi(N2))
+        assert rep.oppermann_hi == (pi(N2) < pi(N2 + rep.N))
+        assert rep.cumulative == (pi(N2) >= 2 * (rep.N - 1))
 
 
 def test_coverage_and_capacity_errors(small_store):
