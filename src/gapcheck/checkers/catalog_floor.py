@@ -15,7 +15,7 @@ from ..exact import (Cmp, RootExpr, cmp_root, eval_fixed, frac_root,
                      _sign_1rad, _sign_2rad)
 from ..window import HALF, root_views
 from .predicates import cmp_sqrt_sums, mu_cmp, mu_diff_sign, sqrtq_delta_frac_cmp
-from .types import HOLD, MISS, Kind, checker, undecided, violate
+from .types import HOLD, MISS, Kind, checker, violate
 
 F = Fraction
 
@@ -51,8 +51,6 @@ def _floor_32(ctx, tri, st):
 def _frac_33(ctx, tri, st):
     v = root_views(tri.w)
     c = cmp_root(v.sqrtp_delta_half - v.floor_sqrtp_delta_half, HALF)
-    if c is Cmp.UNDECIDED:
-        return undecided()
     return HOLD if c is Cmp.LESS else violate("frac >= 1/2")
 
 
@@ -85,18 +83,13 @@ def _thm_34(ctx, tri, st):
 def _thm_35(ctx, tri, st):
     v = root_views(tri.w)
     frac_q, frac_p = v.frac_sqrtq_delta, v.frac_sqrtp_delta
-    gap = v.delta_sq - frac_q.scale(2)
-    if not gap.is_rational():
-        return undecided("identity did not reduce to a rational")
-    if gap != 0:
+    if v.delta_sq != frac_q.scale(2):
         return violate("Delta^2 != 2 {sqrt(q) Delta}")
     ident = v.delta_sq + frac_p.scale(2)
     if ident != 2:
         return violate("Delta^2 + 2 {sqrt(p) Delta} != 2")
     cq = cmp_root(frac_q, QUARTER)
     cp = cmp_root(frac_p, THREE_QUARTERS)
-    if Cmp.UNDECIDED in (cq, cp):
-        return undecided()
     if cq is not Cmp.LESS:
         return violate("{sqrt(q) Delta} >= 1/4")
     if cp is not Cmp.GREATER:
@@ -109,13 +102,9 @@ def _thm_35(ctx, tri, st):
          source="corollary 3.6", n_min=2)
 def _cor_36(ctx, tri, st):
     v = root_views(tri.w)
-    a = frac_root(v.two_sqrtp_delta + 1)
-    c = frac_root(v.sqrtq_delta.scale(2))
-    if a is None or c is None:
-        return undecided()
-    lhs = a[1]
+    lhs = frac_root(v.two_sqrtp_delta + 1)[1]
     mid = v.frac_sqrtp_delta.scale(2) - 1
-    rhs = 1 - c[1]
+    rhs = 1 - frac_root(v.sqrtq_delta.scale(2))[1]
     if lhs == mid == rhs:
         return HOLD
     return violate("three-way fractional identity failed")
@@ -212,10 +201,7 @@ def _mu_bounds(ctx, tri, st):
         return violate("mu >= h/(2N)")
     if w.same_part:
         v = root_views(w)
-        c = cmp_root(v.mu * (v.D - 1) - w.h)
-        if c is Cmp.UNDECIDED:
-            return undecided()
-        if c is not Cmp.LESS:
+        if cmp_root(v.mu * (v.D - 1) - w.h) is not Cmp.LESS:
             return violate("mu >= h/(D-1) on a shared window")
     else:
         # mu (2 sqrt(p) - 1) < h  <=>  (2p + N - h) - (2N+1) sqrt(p) < 0
@@ -232,8 +218,6 @@ def _lemma_42(ctx, tri, st):
     w = tri.w
     v = root_views(w)
     gap = v.delta - (v.mu_q - v.mu)
-    if not gap.is_rational():
-        return undecided()
     if w.same_part:
         if gap != 0:
             return violate("Delta != mu' - mu on a shared window")

@@ -10,7 +10,7 @@ from math import isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, _sign_1rad
 from .predicates import cmp_sqrt_sums, delta_vs_delta4, is_square
-from .types import HOLD, MISS, Kind, checker, hard_fail, undecided, violate
+from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 
 # -- statement 1.x ------------------------------------------------------------
@@ -114,10 +114,7 @@ def _eq_15_4(ctx, tri, st):
     # rhs expands exactly to p + sqrt(2q) + q/(2p); lhs is q (2p + 1)/(2p);
     # both times 2p > 0
     rhs = RootExpr.sqrt(2 * w.q, 2 * w.p) + (2 * w.p * w.p + w.q)
-    c = cmp_root(rhs, w.q * (2 * w.p + 1))
-    if c is Cmp.UNDECIDED:
-        return undecided()
-    item = c is Cmp.GREATER
+    item = cmp_root(rhs, w.q * (2 * w.p + 1)) is Cmp.GREATER
     return HOLD if item == _base_2q(w) else violate(f"item {item}")
 
 

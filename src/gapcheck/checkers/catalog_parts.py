@@ -15,7 +15,7 @@ from ..exact import Cmp, RootExpr, cmp_root, floor_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
 from ..window import HALF, root_views
 from .predicates import cmp_sqrt_sums, delta_vs_rational, mu_cmp, mu_sqrtp_frac_cmp
-from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, undecided, violate
+from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
 
 F = Fraction
 
@@ -199,8 +199,6 @@ def _ids_511(ctx, tri, st):
     radicals = v.N_sqrtp - v.Nq_sqrtq
     X = radicals + (w.q - w.p)
     fX = floor_root(X)
-    if fX is None:
-        return undecided()
     fracX = X - fX
     if fracX != radicals + (tNq - w.tN):
         return violate("fractional split fails on a shared window")
@@ -241,8 +239,6 @@ def _ids_513(ctx, tri, st):
     tNq = v.tNq
     X = v.Nq_sqrtq - v.N_sqrtp + (w.p - w.q)
     fX = floor_root(X)
-    if fX is None:
-        return undecided()
     fracX = X - fX
     fr_p = (w.tN + 1) - v.N_sqrtp     # {mu sqrt(p)}
     fr_q = (tNq + 1) - v.Nq_sqrtq     # {mu' sqrt(q)}
@@ -300,16 +296,10 @@ def _ids_516(ctx, tri, st):
     if (v.floor_D % 2 == 0) != gt:
         return violate("parity vs 2mu' - Delta")
     if gt:
-        c = cmp_root(v.mu - 1 + DELTA4_HALF)
-        if c is Cmp.UNDECIDED:
-            return undecided()
-        if c is not Cmp.GREATER:
+        if cmp_root(v.mu - 1 + DELTA4_HALF) is not Cmp.GREATER:
             return violate("mu <= 1 - Delta_4/2 in the even case")
     else:
-        c = cmp_root(v.mu_q - DELTA4_HALF)
-        if c is Cmp.UNDECIDED:
-            return undecided()
-        if c is not Cmp.LESS:
+        if cmp_root(v.mu_q - DELTA4_HALF) is not Cmp.LESS:
             return violate("mu' >= Delta_4/2 in the odd case")
     return HOLD
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..exact import RootExpr, _sign_1rad, _sign_2rad
 from ..window import HALF, root_views
 from .predicates import cmp_sqrt_sums, cmp_weighted_sums
-from .types import HOLD, MISS, Kind, checker, hard_fail, undecided, violate
+from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 SQRT2_HALF = RootExpr.sqrt(2, HALF)
 
@@ -40,10 +40,7 @@ def _twin_91(ctx, tri, st):
     item2 = w.s - w.p == 0              # floor(sqrt(p)Delta) = 0
     item3 = w.q - w.s - 1 == 1          # floor(sqrt(q)Delta) = 1
     v = root_views(w)
-    ident = v.delta_sq + v.two_sqrtp_delta
-    if not ident.is_rational():
-        return undecided()
-    item4 = ident == 2
+    item4 = v.delta_sq + v.two_sqrtp_delta == 2
     if item2 != base or item3 != base or item4 != base:
         return violate(f"items ({item2},{item3},{item4}) vs twin {base}")
     return HOLD

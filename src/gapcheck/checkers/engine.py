@@ -15,7 +15,8 @@ windows: those below the largest n_min of the run, or missing their
 predecessor or successor.  Elsewhere none of them can exclude a window, so
 only `domain` is called; out_of_domain counts are as if every filter were
 tested on every window.  A checker that raises is isolated: its error is
-noted, that window counts as undecided and every later one as out of domain.
+noted, that window counts as undecided and every later one as out of domain,
+so the report is UNDECIDED_PRESENT unless its counts already fail it.
 """
 
 from __future__ import annotations
@@ -108,17 +109,16 @@ def _record(spec: CheckerSpec, tally: _Tally, cap, w, out: Outcome):
         tally.notes.append(f"hard violation at n={w.n}: {out.note}")
         _witness(tally, cap, w, out.note)
         tally.error = tally.error or f"hard violation at n={w.n}"
-    elif out.res == "undecided":
-        tally.counts.undecided += 1
-        _witness(tally, cap, w, out.note or "undecided")
     else:  # pragma: no cover
         raise ValueError(f"bad outcome {out!r} from {spec.id}")
 
 
 def _verdict(spec: CheckerSpec, tally: _Tally, n_lo: int, n_hi: int) -> Verdict:
-    if tally.error:
-        return Verdict.FAIL
     c = tally.counts
+    # a hard violation or a finalize error fails the report; a checker that
+    # raised counted its window undecided and is judged on its counts
+    if tally.error and not c.undecided:
+        return Verdict.FAIL
     if spec.kind is Kind.EXCEPTION_SET:
         expected = {e for e in spec.expected_exceptions if n_lo <= e <= n_hi}
         got = set(tally.violations)

@@ -35,7 +35,6 @@ class Outcome(NamedTuple):
          'miss'      - SURVEY only: evaluated, not collected
          'violate'   - predicate failed; compared against expected exceptions
          'hard'      - a companion clause that tolerates no exceptions failed
-         'undecided' - the exact kernel could not decide at max precision
     """
 
     res: str
@@ -52,10 +51,6 @@ def violate(note: str | None = None) -> Outcome:
 
 def hard_fail(note: str | None = None) -> Outcome:
     return Outcome("hard", note)
-
-
-def undecided(note: str | None = None) -> Outcome:
-    return Outcome("undecided", note)
 
 
 class Triple(NamedTuple):

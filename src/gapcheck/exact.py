@@ -2,21 +2,19 @@
 
 A :class:`RootExpr` is a value  (num + sum_i b_i*sqrt(m_i)) / den  with
 integers num and b_i, one integer den > 0, and positive integer radicands m_i
-(square parts folded into the b_i during normalization).  Comparisons, floors
-and fractional parts are decided without floating point: expressions with at
-most two distinct radicands get a complete algebraic sign procedure (iterated
-squaring), and their floors are exact: an isqrt floor of each term, then at
-most one exact sign test.  Only expressions with three or more radicands are
-bracketed by a certified dyadic interval with an escalating precision ladder,
-and reported Undecided if the ladder is exhausted.
+(square parts folded into the b_i during normalization).  Comparisons,
+equality, floors and fractional parts are decided without floating point and
+never left undecided: each takes exact signs from one procedure, `_sign`,
+whatever the number of radicands.  A floor is the sum of the isqrt floors of
+the terms, stepped up by at most one exact sign per term beyond the first.
 
 A RootExpr is built from, and combined with, ints and Fractions only; any
-other number raises TypeError.  The sign procedures `_sign_1rad` and
-`_sign_2rad` take plain ints only: a sign does not change when every term is
-multiplied by the same positive integer, so callers clear denominators that
-way and never pass a Fraction.  A RootExpr's num and b_i already are its
-terms times den > 0, so `cmp_root` against n/d passes d*num - n*den and the
-d*b_i.
+other number raises TypeError.  The sign procedures take plain ints only: a
+sign does not change when every term is multiplied by the same positive
+integer, so callers clear denominators that way and never pass a Fraction.
+A RootExpr's num and b_i already are its terms times den > 0, so `cmp_root`
+against n/d passes d*num - n*den and the d*b_i.  `eval_fixed` approximates a
+value for display only.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-
-LADDER = (64, 128, 256)   # fixed-point precisions tried before Undecided
+from math import gcd, isqrt
 
 # trial square factors extracted during radicand normalization
 _NORM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -42,7 +38,7 @@ class Cmp(Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-    UNDECIDED = 2
+    UNDECIDED = 2   # never returned; bench/tracer.py still reads it
 
 
 def _rational(x) -> tuple[int, int]:
@@ -87,21 +83,13 @@ class RootExpr:
 
     num, every b and den are ints, den > 0 and gcd(den, num, b...) = 1;
     terms holds the (radicand, b) pairs with b != 0, sorted by radicand.
-    The form is canonical, so == and hash compare (num, terms, den).
+    == compares values: equal parts answer at once, anything else takes the
+    exact sign of the difference.  Equal values need not have equal parts
+    (a radicand's square factors above 97 stay in it), so a RootExpr has
+    no hash.
     """
 
     __slots__ = ("num", "terms", "den")
-
-    def __init__(self, const, terms=()):
-        # const and the coefs: int or Fraction; terms: iterable of
-        # (radicand, coef) with radicands already normalized
-        parts = [(m, _rational(c)) for m, c in terms]
-        cn, cd = _rational(const)
-        den = lcm(cd, *(d for _, (_, d) in parts))
-        # over the lcm of reduced denominators the gcd is already 1
-        self.num = cn * (den // cd)
-        self.terms = tuple(sorted((m, n * (den // d)) for m, (n, d) in parts if n))
-        self.den = den
 
     # -- construction -------------------------------------------------------
 
@@ -183,14 +171,6 @@ class RootExpr:
 
     # -- predicates -----------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return not self.terms
-
-    def as_fraction(self) -> Fraction:
-        if self.terms:
-            raise KernelError("expression is irrational")
-        return Fraction(self.num, self.den)
-
     def __repr__(self):
         parts = [str(self.num)] if self.num or not self.terms else []
         for m, b in self.terms:
@@ -200,17 +180,18 @@ class RootExpr:
 
     def __eq__(self, other):
         if type(other) is int:
-            return not self.terms and self.den == 1 and self.num == other
+            if not self.terms:
+                return self.den == 1 and self.num == other
+            return _sign(self.num - other * self.den, self.terms) == 0
         if isinstance(other, RootExpr):
-            return (self.num == other.num and self.den == other.den
-                    and self.terms == other.terms)
+            if (self.num == other.num and self.den == other.den
+                    and self.terms == other.terms):
+                return True
+            diff = _combine(self, other, -1)
+            return _sign(diff.num, diff.terms) == 0
         if isinstance(other, (int, Fraction)):
-            return (not self.terms and self.num == other.numerator
-                    and self.den == other.denominator)
+            return cmp_root(self, other) is Cmp.EQUAL
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.terms, self.den))
 
 
 # -- integer arithmetic behind RootExpr ------------------------------------------
@@ -390,7 +371,7 @@ def _inverse(e: RootExpr) -> RootExpr:
     raise KernelError("inverse supported for at most 2 distinct radicands")
 
 
-# -- exact sign for <= 2 radicands ---------------------------------------------
+# -- exact signs ---------------------------------------------------------------
 
 
 def _sign_1rad(c: int, b: int, m: int) -> int:
@@ -435,6 +416,99 @@ def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
     return sc if (t > 0) == split else -sc
 
 
+def _coprime_basis(ms) -> list[int]:
+    """Pairwise coprime integers > 1 that every m in ms is a product of
+    powers of, by factor refinement with gcds only (Bach, Driscoll and
+    Shallit, J. Algorithms 15, 1993): a basis element b that shares g > 1
+    with x is divided out of it, or split into b/g and g when g != b."""
+    basis = []
+    todo = sorted(ms, reverse=True)   # smallest first, so divisors come early
+    while todo:
+        x = todo.pop()
+        i = 0
+        while x > 1 and i < len(basis):
+            b = basis[i]
+            g = gcd(x, b)
+            if g == 1:
+                i += 1
+            elif g == b:
+                x //= b
+            else:
+                del basis[i]
+                todo += (b // g, g)
+                x //= g
+        if x > 1:
+            basis.append(x)
+    return basis
+
+
+def _sign(c: int, terms, basis=None) -> int:
+    """Exact sign of c + sum b*sqrt(m) over terms ((m, b), ...); ints only,
+    every m >= 1.  Past two radicands, a generator g of a coprime basis of
+    the radicands splits the value as X + Y*sqrt(g): m = g^e r gives
+    g^(e//2) b sqrt(r) to Y when e is odd, to X when it is even, so square
+    factors need not be known.  When the signs of X and Y differ, the sign
+    is sign(X) * sign(X^2 - g Y^2).  All three are signs over one generator
+    fewer (after Blomer, FOCS 1991)."""
+    k = len(terms)
+    if k == 0:
+        return (c > 0) - (c < 0)
+    if k == 1:
+        (m, b), = terms
+        return _sign_1rad(c, b, m)
+    if k == 2:
+        (m1, b1), (m2, b2) = terms
+        return _sign_2rad(c, b1, m1, b2, m2)
+    if basis is None:
+        basis = _coprime_basis([m for m, _ in terms])
+    # split by the generator in the most radicands
+    most = 0
+    for x in basis:
+        n = 0
+        for m, _ in terms:
+            if m % x == 0:
+                n += 1
+        if n > most:
+            most, g = n, x
+    rest = [x for x in basis if x != g]
+    xs, ys = {1: c}, {}
+    for m, b in terms:
+        odd = False
+        while m % g == 0:
+            m //= g
+            if odd:
+                b *= g
+            odd = not odd
+        side = ys if odd else xs
+        side[m] = side.get(m, 0) + b
+    xc, yc = xs.pop(1), ys.pop(1, 0)
+    xt = [(m, b) for m, b in xs.items() if b]
+    yt = [(m, b) for m, b in ys.items() if b]
+    sx, sy = _sign(xc, xt, rest), _sign(yc, yt, rest)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    rads = {m for m, _ in xt} | {m for m, _ in yt}
+    if len(rads) < 2:
+        # X = xc + x1 sqrt(a) and Y = yc + y1 sqrt(a): X^2 - g Y^2 in ints
+        a = rads.pop() if rads else 0
+        x1, y1 = xs.get(a, 0), ys.get(a, 0)
+        return sx * _sign_1rad(xc * xc + x1 * x1 * a - g * (yc * yc + y1 * y1 * a),
+                               2 * (xc * x1 - g * yc * y1), a)
+    # X^2 - g Y^2, the constants taken as terms over radicand 1
+    acc = {}
+    for w, part in ((1, [(1, xc)] + xt), (-g, [(1, yc)] + yt)):
+        for i, (m1, b1) in enumerate(part):
+            for j in range(i, len(part)):
+                m2, b2 = part[j]
+                h = gcd(m1, m2)   # sqrt(m1) sqrt(m2) = h sqrt((m1/h) (m2/h))
+                r = (m1 // h) * (m2 // h)
+                acc[r] = acc.get(r, 0) + (w if i == j else 2 * w) * b1 * b2 * h
+    const = acc.pop(1)
+    return sx * _sign(const, [(m, b) for m, b in acc.items() if b], rest)
+
+
 # -- certified fixed-point evaluation -------------------------------------------
 
 
@@ -445,9 +519,6 @@ class FixedApprox:
     mantissa: int
     frac_bits: int
     error_ulps: int
-
-    def interval(self) -> tuple[int, int]:
-        return self.mantissa - self.error_ulps, self.mantissa + self.error_ulps
 
 
 def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
@@ -477,11 +548,6 @@ def eval_fixed(e: RootExpr, frac_bits: int) -> FixedApprox:
     return FixedApprox(mant, frac_bits, err)
 
 
-def _interval(e: RootExpr, frac_bits: int) -> tuple[int, int]:
-    fa = eval_fixed(e, frac_bits)
-    return fa.interval()
-
-
 # -- comparisons, floors, fractional parts --------------------------------------
 
 
@@ -489,75 +555,35 @@ _CMP = (Cmp.EQUAL, Cmp.GREATER, Cmp.LESS)   # indexed by a sign -1, 0 or 1
 
 
 def cmp_root(e: RootExpr, rhs=0) -> Cmp:
-    """Three-way comparison of a RootExpr against a rational; certified.
-
-    Up to two radicands the comparison is one exact sign; Undecided only
-    after the precision ladder is exhausted on a >2-radicand expression.
-    """
+    """Three-way comparison of a RootExpr against a rational: one exact sign,
+    whatever the number of radicands."""
     n, d = _rational(rhs)
-    terms = e.terms
-    k = len(terms)
     # e - n/d has the sign of (d num - n den) + sum d b_i sqrt(m_i): d, den > 0
-    c = d * e.num - n * e.den
-    if k == 0:
-        return _CMP[(c > 0) - (c < 0)]
-    if k == 1:
-        (m, b), = terms
-        return _CMP[_sign_1rad(c, d * b, m)]
-    if k == 2:
-        (m1, b1), (m2, b2) = terms
-        return _CMP[_sign_2rad(c, d * b1, m1, d * b2, m2)]
-    diff = _add_rational(e, -n, d)
-    for fb in LADDER:
-        lo, hi = _interval(diff, fb)
-        if lo > 0:
-            return Cmp.GREATER
-        if hi < 0:
-            return Cmp.LESS
-    return Cmp.UNDECIDED
-
-
-def _floor_sqrt_mul(b: int, m: int) -> int:
-    """floor(b*sqrt(m)) for m >= 0, by isqrt."""
-    x = b * b * m
-    r = isqrt(x)
-    if b >= 0:
-        return r
-    return -r if r * r == x else -r - 1
-
-
-def floor_root(e: RootExpr) -> int | None:
-    """Exact floor of a RootExpr; None when Undecided.
-
-    With s = num + sum b_i sqrt(m_i), floor(e) = floor(floor(s) / den).  On
-    one radicand floor(s) is one isqrt.  On two it is the sum t of the two
-    isqrt floors, or t + 1, which one exact sign decides.  Three or more
-    radicands go through the interval ladder.
-    """
     terms = e.terms
-    k = len(terms)
-    if k == 0:
-        return e.num // e.den
-    if k == 1:
-        (m, b), = terms
-        return (e.num + _floor_sqrt_mul(b, m)) // e.den
-    if k == 2:
-        (m1, b1), (m2, b2) = terms
-        t = _floor_sqrt_mul(b1, m1) + _floor_sqrt_mul(b2, m2)
-        if _sign_2rad(-t - 1, b1, m1, b2, m2) >= 0:
-            t += 1
-        return (e.num + t) // e.den
-    for fb in LADDER:
-        lo, hi = _interval(e, fb)
-        fl, fh = lo >> fb, hi >> fb
-        if fl == fh:
-            return fl
-    return None
+    if d != 1:
+        terms = tuple((m, d * b) for m, b in terms)
+    return _CMP[_sign(d * e.num - n * e.den, terms)]
 
 
-def frac_root(e: RootExpr) -> tuple[int, RootExpr] | None:
-    """(floor, fractional part) of a RootExpr; None when Undecided."""
+def floor_root(e: RootExpr) -> int:
+    """Exact floor of a RootExpr: floor(e) = floor(floor(s) / den) for
+    s = num + sum b_i sqrt(m_i).  Each term lies in [its isqrt floor, that
+    + 1), so floor(s) - num lies in [t, t + k - 1] for t the sum of the term
+    floors and k radicands; at most k - 1 exact signs step t up to it."""
+    terms = e.terms
+    t = 0
+    for m, b in terms:
+        x = b * b * m   # floor(b sqrt(m)) by isqrt
+        r = isqrt(x)
+        t += r if b >= 0 else -r - (r * r != x)
+    for _ in range(len(terms) - 1):
+        if _sign(-t - 1, terms) < 0:
+            break
+        t += 1
+    return (e.num + t) // e.den
+
+
+def frac_root(e: RootExpr) -> tuple[int, RootExpr]:
+    """(floor, fractional part) of a RootExpr."""
     f = floor_root(e)
-    if f is None:
-        return None
     return f, _make(e.num - f * e.den, e.terms, e.den)

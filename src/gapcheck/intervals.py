@@ -69,6 +69,10 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
     if (n_hi + 1) ** 2 > store.limit:
         raise CoverageError(f"(N+1)^2 beyond store limit {store.limit}")
     pi_hi, pi_next = store.pi(n_lo * n_lo - n_lo), store.pi(n_lo * n_lo)
+    # every offset h = p - N^2 is at most 2N <= 2 n_hi < (n_hi + 1)^2
+    small_prime = bytearray(2 * n_hi + 1)
+    for h in store.iter_primes(2, 2 * n_hi):
+        small_prime[h] = 1
     for N in range(n_lo, n_hi + 1):
         N2 = N * N
         primes = list(store.iter_primes(N2 + 1, (N + 1) ** 2 - 1))
@@ -79,8 +83,7 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         if keep_primes:
             rep.primes = primes
         rep.h_values = [p - N2 for p in primes]
-        # h <= 2N < (N+1)^2, so the store itself tests the offsets
-        rep.prime_h_values = [h for h in rep.h_values if store.is_prime(h)]
+        rep.prime_h_values = [h for h in rep.h_values if small_prime[h]]
         rep.legendre = len(primes) >= 1
         rep.two_primes = len(primes) >= 2
         if N >= 2:

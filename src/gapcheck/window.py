@@ -116,8 +116,7 @@ class RootViews:
       floor_D              floor(sqrt(p) + sqrt(q))      (dpar-58, dpar-59,
                              ids-515, ids-516, first-after-square,
                              survey-last-before-square)
-    The floor_root calls here all take one-radicand expressions, which it
-    always decides; floor_D is one exact integer sign and tNq one isqrt.
+    floor_D is one exact integer sign and tNq one isqrt.
 
     It keeps the window's integers rather than the window, so the window's
     `views` slot makes no reference cycle.

@@ -8,8 +8,9 @@ for radical signs, brute-force pair enumeration, a Fraction-coefficient
 model of RootExpr and the Fraction partial sums of the mu series.  None of
 them share code paths with the package, except `exact_sign`, which hands
 a RootExpr's terms to the kernel's sign procedures, `floor_root_general`,
-which reuses the kernel's fixed-point evaluation, `build_root`, a shorthand
-for building RootExprs, and `twin_pairs`, a filter over the window stream.
+which reuses the kernel's fixed-point evaluation, `build_root` and
+`raw_root`, shorthands for building RootExprs, and `twin_pairs`, a filter
+over the window stream.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from gapcheck.exact import LADDER, RootExpr, _sign_1rad, _sign_2rad, eval_fixed
+from gapcheck.exact import RootExpr, _make, _rational, _sign_1rad, _sign_2rad, eval_fixed
 from gapcheck.window import windows
+
+LADDER = (64, 128, 256)   # fixed-point precisions `floor_root_general` tries
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -151,21 +154,24 @@ def meissel_pi(x: int) -> int:
     return s[x]
 
 
-def radical_sign(c: int, b1: int, m1: int, b2: int = 0, m2: int = 0) -> int:
-    """Sign of c + b1*sqrt(m1) + b2*sqrt(m2) for ints, m1, m2 >= 0, from isqrt
-    brackets of the value times 2^k at doubling k.
+def radical_sign(c: int, *bm: int) -> int:
+    """Sign of c + b1*sqrt(m1) + ... + bk*sqrt(mk) for ints, every m >= 0,
+    given as radical_sign(c, b1, m1, ..., bk, mk), from isqrt brackets of the
+    value times 2^j at doubling j.
 
-    The value is an algebraic integer of degree at most 4 whose conjugates
-    are at most H in size, so a nonzero value is at least H^-3 in size (its
-    norm is a nonzero integer).  A bracket of width 2^(1-k) < H^-3 that still
-    holds 0 therefore proves the value is 0.
+    The value is an algebraic integer of degree at most 2^k whose conjugates
+    are at most H in size, so a nonzero value is at least H^-(2^k - 1) in
+    size (its norm is a nonzero integer).  A bracket of width at most
+    k 2^-j < H^-(2^k - 1) that still holds 0 therefore proves the value is 0.
     """
-    H = abs(c) + abs(b1) * (isqrt(m1) + 1) + abs(b2) * (isqrt(m2) + 1)
-    k = 32
+    pairs = list(zip(bm[0::2], bm[1::2]))
+    k = max(2, len(pairs))
+    H = abs(c) + sum(abs(b) * (isqrt(m) + 1) for b, m in pairs)
+    j = 32
     while True:
-        lo = hi = c << k
-        for b, m in ((b1, m1), (b2, m2)):
-            x = b * b * m << (2 * k)       # (b sqrt(m) 2^k)^2
+        lo = hi = c << j
+        for b, m in pairs:
+            x = b * b * m << (2 * j)       # (b sqrt(m) 2^j)^2
             r = isqrt(x)
             r_up = r + (r * r != x)
             lo, hi = (lo + r, hi + r_up) if b >= 0 else (lo - r_up, hi - r)
@@ -173,9 +179,9 @@ def radical_sign(c: int, b1: int, m1: int, b2: int = 0, m2: int = 0) -> int:
             return 1
         if hi < 0:
             return -1
-        if 1 << k > 2 * H ** 3:
+        if 1 << j > k * H ** (2 ** k - 1):
             return 0
-        k *= 2
+        j *= 2
 
 
 def brute_twin_count_below_index(primes: list[int], n: int) -> int:
@@ -208,30 +214,29 @@ def exact_sign(e) -> int | None:
     return None
 
 
-def floor_root_general(e) -> int | None:
-    """Floor of a RootExpr through the fixed-point ladder only, with no isqrt
-    fast path; None when Undecided.  Cross-checks `exact.floor_root`.
+def floor_root_general(e) -> int:
+    """Floor of a RootExpr through the fixed-point ladder, with no isqrt term
+    floors and no kernel sign.  Cross-checks `exact.floor_root`.
 
     Unlike the other oracles here, this one reuses the package's
-    `eval_fixed` and, through `exact_sign`, its sign procedures: it is
-    independent of the fast path, not of the kernel.  Expressions with at
-    most two radicands get an exact fallback once the ladder is exhausted.
+    `eval_fixed`: it is independent of the kernel's floors and signs, not of
+    its evaluation.  Once the ladder is exhausted, `radical_sign` settles
+    the floor next to the last bracket.
     """
     if not e.terms:
         return e.num // e.den
     for fb in LADDER:
-        lo, hi = eval_fixed(e, fb).interval()
+        fa = eval_fixed(e, fb)
+        lo, hi = fa.mantissa - fa.error_ulps, fa.mantissa + fa.error_ulps
         fl, fh = lo >> fb, hi >> fb
         if fl == fh:
             return fl
-    if len(e.terms) <= 2:
-        f = lo >> fb
-        while exact_sign(e - f) < 0:
-            f -= 1
-        while exact_sign(e - (f + 1)) >= 0:
-            f += 1
-        return f
-    return None
+    f = lo >> fb
+    while radical_sign(*root_sign_args(e - f)) < 0:
+        f -= 1
+    while radical_sign(*root_sign_args(e - (f + 1))) >= 0:
+        f += 1
+    return f
 
 
 def build_root(const, parts: dict) -> RootExpr:
@@ -241,6 +246,28 @@ def build_root(const, parts: dict) -> RootExpr:
     for m, coef in parts.items():
         e = e + RootExpr.sqrt(m, coef)
     return e
+
+
+def raw_root(const, parts) -> RootExpr:
+    """(const + sum coef*sqrt(m) over parts = [(m, coef), ...]) with each
+    radicand kept as given, not normalized: square factors, perfect squares
+    and dependent radicands stay.  const and the coefs are ints or Fractions;
+    the radicands are distinct and positive."""
+    parts = [(m, _rational(c)) for m, c in parts]
+    cn, cd = _rational(const)
+    den = lcm(cd, *(d for _, (_, d) in parts))
+    # over the lcm of reduced denominators the gcd is already 1
+    terms = tuple(sorted((m, n * (den // d)) for m, (n, d) in parts if n))
+    return _make(cn * (den // cd), terms, den)
+
+
+def root_sign_args(e) -> list[int]:
+    """[num, b1, m1, ..., bk, mk] of a RootExpr, for `radical_sign`: its
+    num and b_i are its terms times den > 0."""
+    args = [e.num]
+    for m, b in e.terms:
+        args += [b, m]
+    return args
 
 
 def squarefree_split(m: int) -> tuple[int, int]:
@@ -348,8 +375,8 @@ class RefRoot:
         return f
 
     def to_root(self) -> RootExpr:
-        """The kernel's RootExpr of this value, through its public constructor."""
-        return RootExpr(self.const, sorted(self.coefs.items()))
+        """The kernel's RootExpr of this value, built term by term."""
+        return raw_root(self.const, self.coefs.items())
 
 
 def mu_series_brackets_fraction(h: int, N: int):

@@ -376,3 +376,33 @@ def test_cor27_printed_endpoints(small_store):
     # and the catalog checker reports exactly {4} on a desk range
     r = run_checker("cor-27", small_store, 1, 2000)
     assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED and r.violations == [4]
+
+
+def test_checker_error_counts_undecided(monkeypatch, capsys):
+    """A checker that raises is the one source of Undecided: its window
+    counts undecided, every later one out of domain, and the report is
+    UNDECIDED_PRESENT, so `verify` exits 2."""
+    import dataclasses
+
+    from gapcheck import cli
+    from gapcheck.primes import build_store
+
+    spec = registry()["thm-35"]
+
+    def raising(ctx, tri, st):
+        if tri.w.n == 50:
+            raise RuntimeError("injected")
+        return spec.evaluate(ctx, tri, st)
+
+    monkeypatch.setitem(registry(), "thm-35", dataclasses.replace(spec, evaluate=raising))
+    rep = run_many(["thm-35", "thm-34"], build_store(10 ** 4), 1, 100)[0]
+    r = rep["thm-35"]
+    assert (r.counts.holds, r.counts.fails, r.counts.undecided,
+            r.counts.out_of_domain) == (48, 0, 1, 51)
+    assert r.notes == ["checker error at n=50: RuntimeError('injected')"]
+    assert r.verdict is Verdict.UNDECIDED_PRESENT
+    assert rep["thm-34"].verdict is Verdict.PASS
+    code = cli.main(["verify", "--checker", "thm-34,thm-35", "--n-hi", "100",
+                     "--limit", "10000"])
+    assert code == cli.EXIT_UNDECIDED == 2
+    assert "thm-35" in capsys.readouterr().out

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign_1rad, _sign_2rad, cmp_root,
-                            eval_fixed, floor_root, frac_root, sqrt_fixed)
+from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, eval_fixed,
+                            floor_root, frac_root, sqrt_fixed)
 from oracles import (RefRoot, build_root, exact_sign, floor_root_general,
-                     longhand_sqrt_digits, radical_sign)
+                     longhand_sqrt_digits, radical_sign, raw_root, root_sign_args)
 
 
 def test_sqrt_fixed_exact_square():
@@ -88,10 +88,12 @@ def test_inverse():
         RootExpr.of(0).inverse()
 
 
-def test_three_radicands_interval_sign():
+def test_three_radicands_exact_sign():
     e = RootExpr.sqrt(2) + RootExpr.sqrt(3) - RootExpr.sqrt(10)
     assert cmp_root(e) is Cmp.LESS
-    assert exact_sign(e) is None  # too wide for the algebraic path
+    assert cmp_root(e).value == radical_sign(*root_sign_args(e)) == -1
+    assert exact_sign(e) is None  # past the oracle's two-radicand procedures
+    assert floor_root(e) == -1 and frac_root(e) == (-1, e + 1)
 
 
 def test_floor_paths_agree_random_windows(mid_store):
@@ -124,7 +126,8 @@ def test_fixed_error_tracking():
     """eval_fixed's certified interval holds the true value, decided
     exactly by cmp_root at both ends."""
     e = RootExpr.sqrt(2) + RootExpr.sqrt(3)
-    lo, hi = eval_fixed(e, 64).interval()
+    fa = eval_fixed(e, 64)
+    lo, hi = fa.mantissa - fa.error_ulps, fa.mantissa + fa.error_ulps
     assert cmp_root(e, F(lo, 2 ** 64)) is Cmp.GREATER
     assert cmp_root(e, F(hi, 2 ** 64)) is Cmp.LESS
 
@@ -159,7 +162,7 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
 
 
 @pytest.mark.parametrize("bad", [
-    lambda: RootExpr(0.1),
+    lambda: cmp_root(RootExpr.sqrt(2) + RootExpr.sqrt(3) + RootExpr.sqrt(5), 0.5),
     lambda: RootExpr.of(0.1),
     lambda: RootExpr.sqrt(2, 0.5),
     lambda: RootExpr.sqrt(2) + 0.5,
@@ -283,7 +286,8 @@ def _agrees(e, ref):
     assert F(e.num, e.den) == ref.const
     assert {m: F(b, e.den) for m, b in e.terms} == ref.coefs
     built = ref.to_root()
-    assert e == built and hash(e) == hash(built)
+    assert (e.num, e.terms, e.den) == (built.num, built.terms, built.den)
+    assert e == built
     return True
 
 
@@ -314,13 +318,9 @@ def test_kernel_agrees_with_reference_predicates(data, cores):
     a, ra = data.draw(_root_pairs(cores))
     b, rb = data.draw(_root_pairs(cores))
     assert (a == b) == (ra == rb) and (a != b) == (not ra == rb)
-    assert a == (a + b) - b and hash(a) == hash((a + b) - b)
-    assert a.is_rational() == (not ra.coefs)
-    if ra.coefs:
-        with pytest.raises(KernelError):
-            a.as_fraction()
-    else:
-        assert a.as_fraction() == ra.const and a == ra.const
+    assert a == (a + b) - b
+    # on square-free cores a value is rational exactly when it has no terms
+    assert (a == ra.const) == (not ra.coefs) and (a - b == 0) == (ra == rb)
     r = data.draw(_fracs)
     assert cmp_root(a, r).value == (ra - RefRoot(r)).sign()
     assert cmp_root(a - b).value == (ra - rb).sign()
@@ -364,9 +364,11 @@ def test_floor_root_two_radicands_against_ladder(e):
 
 def test_floor_root_dependent_radicands():
     # radicands that normalization would have folded, built directly
-    assert floor_root(RootExpr(0, [(4, -1)])) == -2
-    assert floor_root(RootExpr(F(1, 2), [(2, 1), (9, -1)])) == -2
-    assert floor_root(RootExpr(0, [(4, -1), (9, 1)])) == 1
+    assert floor_root(raw_root(0, [(4, -1)])) == -2
+    assert floor_root(raw_root(F(1, 2), [(2, 1), (9, -1)])) == -2
+    assert floor_root(raw_root(0, [(4, -1), (9, 1)])) == 1
+    assert floor_root(raw_root(0, [(4, -1), (9, 1), (16, 1)])) == 5
+    assert floor_root(raw_root(F(1, 2), [(2, 1), (8, -1), (18, 1)])) == 3
     # 101 sqrt(2) - sqrt(2 * 101^2) = 0 exactly: 101^2 is past the trial
     # squares, so both radicands stay and the term floors sum to -1
     zero = RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402)
@@ -376,9 +378,130 @@ def test_floor_root_dependent_radicands():
     assert cmp_root(zero) is Cmp.EQUAL
 
 
-def test_two_radicand_decisions_never_use_the_ladder(monkeypatch):
-    """cmp_root and floor_root decide up to two radicands exactly, so the
-    interval evaluation runs only for three or more."""
+# -- exact signs and floors on three or more radicands ---------------------------
+
+_P, _Q = 99991, 100003   # consecutive primes, as a window's p and q
+# the window shape p, q, pq; radicands with a square factor past the trial
+# squares (20402 = 2 * 101^2 and 3 * 101^2); radicands that share factors
+_TOWER_RADICANDS = (_P, _Q, _P * _Q, 2, 3, 5, 6, 7, 11, 12, 18, 77,
+                    20402, 3 * 101 ** 2, 101)
+
+
+@st.composite
+def _tower_terms(draw, k):
+    """k distinct radicands with nonzero int coefficients."""
+    pool = st.one_of(st.sampled_from(_TOWER_RADICANDS),
+                     st.integers(min_value=2, max_value=10 ** 5))
+    ms = draw(st.lists(pool, min_size=k, max_size=k, unique=True))
+    bs = draw(st.lists(st.integers(min_value=-10 ** 3, max_value=10 ** 3).filter(bool),
+                       min_size=k, max_size=k))
+    return list(zip(ms, bs))
+
+
+@given(st.data(), st.sampled_from((3, 4)), st.integers(min_value=-3, max_value=3),
+       st.booleans())
+@settings(max_examples=300)
+def test_cmp_root_many_radicands_against_isqrt_oracle(data, k, c, near):
+    terms = data.draw(_tower_terms(k))
+    if near:
+        c += sum(_minus_floor(b, m) for m, b in terms)
+    e = raw_root(c, terms)
+    assert cmp_root(e).value == radical_sign(*root_sign_args(e))
+    r = F(data.draw(st.integers(min_value=-9, max_value=9)), 7)
+    assert cmp_root(e, r).value == radical_sign(*root_sign_args(e - r))
+
+
+def _expand(x0, xs: dict, y0, ys: dict):
+    """(x0 + sum xs[m] sqrt(m)) (y0 + sum ys[m] sqrt(m)) multiplied out with
+    every radicand product m1 m2 kept as it is."""
+    const, acc = x0 * y0, {}
+    for (m1, c1) in [(1, x0)] + list(xs.items()):
+        for (m2, c2) in [(1, y0)] + list(ys.items()):
+            if m1 * m2 == 1:
+                continue
+            acc[m1 * m2] = acc.get(m1 * m2, 0) + c1 * c2
+    return raw_root(const, [(m, c) for m, c in acc.items() if c])
+
+
+_small_ints = st.integers(min_value=-30, max_value=30)
+
+
+@given(st.lists(st.sampled_from(_TOWER_RADICANDS), min_size=3, max_size=3, unique=True),
+       st.lists(_small_ints, min_size=8, max_size=8), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200)
+def test_built_zeros_in_three_generators(ms, cs, scale):
+    """x y from the kernel against x y multiplied out over unreduced radicand
+    products (perfect squares such as a^2, and p^2 q): equal values whose
+    terms differ, so their difference is a zero over up to three
+    generators."""
+    a, b, c = ms
+    xs, ys = dict(zip(ms, cs[1:4])), dict(zip(ms, cs[5:8]))
+    x = build_root(cs[0], xs)
+    y = build_root(cs[4], ys)
+    product = (x * y).scale(scale)
+    expanded = _expand(cs[0] * scale, {m: v * scale for m, v in xs.items()}, cs[4], ys)
+    assert expanded == product and product == expanded
+    zero = expanded - product
+    assert cmp_root(zero) is Cmp.EQUAL and zero == 0
+    assert cmp_root(zero, F(1, 10 ** 12)) is Cmp.LESS
+    assert cmp_root(zero, F(-1, 10 ** 12)) is Cmp.GREATER
+    assert floor_root(zero) == 0 and floor_root(zero - F(1, 10 ** 12)) == -1
+    assert floor_root(expanded) == floor_root(product)
+    # a nonzero third radicand decides the sign on its own
+    assert cmp_root(zero + RootExpr.sqrt(a * b * c + 1, -3)) is Cmp.LESS
+
+
+@pytest.mark.parametrize("e, sign", [
+    # 101 sqrt(2) - sqrt(2 * 101^2) = 0 beside a third radicand
+    (raw_root(0, [(2, 101), (20402, -1), (7, 1)]), 1),
+    (raw_root(0, [(2, 101), (20402, -1), (7, -1)]), -1),
+    (raw_root(-2, [(2, 101), (20402, -1), (7, 1)]), 1),     # sqrt(7) > 2
+    (raw_root(-3, [(2, 101), (20402, -1), (7, 1)]), -1),
+    (raw_root(0, [(3, 101), (3 * 101 ** 2, -1), (2, 101), (20402, -1)]), 0),
+    (raw_root(1, [(3, 101), (3 * 101 ** 2, -1), (5, 1), (20, -1)]), -1),  # 1 - sqrt(5)
+    (raw_root(0, [(_P, 1), (_Q, 1), (_P * _Q, -1)]), -1),
+    # 2 sqrt(p) + 3 sqrt(q) - 2 sqrt(pq), less itself written over square
+    # multiples of the same radicands
+    (raw_root(0, [(_P, 2), (_Q, 3), (_P * _Q, -2), (4 * _P * _Q, 1),
+                  (4 * _P, -1), (9 * _Q, -1)]), 0),
+])
+def test_three_and_more_radicand_built_signs(e, sign):
+    assert cmp_root(e).value == radical_sign(*root_sign_args(e)) == sign
+    assert (e == 0) is (sign == 0)
+
+
+@given(st.data(), st.sampled_from((3, 4)), st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+       st.integers(min_value=1, max_value=60), st.booleans())
+@settings(max_examples=200)
+def test_floor_root_many_radicands_against_ladder(data, k, c, den, near):
+    terms = data.draw(_tower_terms(k))
+    if near:
+        c = c % 7 - 3 + sum(_minus_floor(b, m) for m, b in terms)
+    e = raw_root(F(c, den), [(m, F(b, den)) for m, b in terms])
+    f = floor_root(e)
+    assert f == floor_root_general(e)
+    assert cmp_root(e, f) in (Cmp.GREATER, Cmp.EQUAL)
+    assert cmp_root(e, f + 1) is Cmp.LESS
+    assert frac_root(e) == (f, e - f)
+
+
+def test_eq_by_value():
+    a, b = RootExpr.sqrt(2, 101), RootExpr.sqrt(20402)
+    assert a.terms != b.terms and a == b and not a != b
+    assert a - b == 0 and a - b == F(0) and a - b + F(1, 3) == F(1, 3)
+    assert RootExpr.sqrt(3 * 101 ** 2) == RootExpr.sqrt(3, 101)
+    three = a - b + RootExpr.sqrt(5)
+    assert len(three.terms) == 3
+    assert three == RootExpr.sqrt(5) and three != RootExpr.sqrt(5) + 1
+    assert three != 2 and three != F(9, 4)
+    assert a != RootExpr.sqrt(20403) and a - b != F(1, 10 ** 30)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_decisions_never_use_the_ladder(monkeypatch):
+    """cmp_root, floor_root and frac_root decide exactly on any number of
+    radicands, so the fixed-point evaluation never runs for a decision."""
     import gapcheck.exact as exact
 
     calls = []
@@ -389,20 +512,21 @@ def test_two_radicand_decisions_never_use_the_ladder(monkeypatch):
 
     monkeypatch.setattr(exact, "eval_fixed", counting)
     rng = random.Random(5)
-    for _ in range(300):
-        m1, m2 = rng.sample(range(2, 10 ** 6), 2)
-        e = build_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
-                       {m1: F(rng.randrange(1, 50), rng.randrange(1, 5)),
-                        m2: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))})
-        for x in (e, e - RootExpr.sqrt(m2, e.terms[-1][1]), e - e.num):
-            cmp_root(x, F(rng.randrange(-99, 99), rng.randrange(1, 9)))
-            cmp_root(x)
-            floor_root(x)
-            frac_root(x)
-    assert calls == []
+    for k in (2, 3, 4):
+        for _ in range(100):
+            ms = rng.sample(range(2, 10 ** 6), k)
+            e = build_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
+                           {m: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))
+                            for m in ms})
+            for x in (e, e - RootExpr.sqrt(e.terms[-1][0], F(e.terms[-1][1], e.den)),
+                      e - F(e.num, e.den)):
+                cmp_root(x, F(rng.randrange(-99, 99), rng.randrange(1, 9)))
+                cmp_root(x)
+                floor_root(x)
+                frac_root(x)
     e3 = RootExpr.sqrt(2) + RootExpr.sqrt(3) - RootExpr.sqrt(10)
     assert cmp_root(e3) is Cmp.LESS and floor_root(e3) == -1
-    assert calls and set(calls) <= set(exact.LADDER)
+    assert calls == []
 
 
 @pytest.mark.parametrize("e, k, equal", [

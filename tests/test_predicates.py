@@ -94,7 +94,7 @@ def test_sum_helpers_two_paths(sample):
         assert cmp_weighted_sums(c1, w.q, c2, u.p, c2, u.q, c1, w.p) == \
             _kernel_sign(vw.delta.scale(c1) - vu.delta.scale(c2))
         for x in (w.p, w.N * w.N, w.p * w.q, w.d * w.d + 1):
-            assert is_square(x) == RootExpr.sqrt(x).is_rational()
+            assert is_square(x) == (RootExpr.sqrt(x) == isqrt(x))
 
 
 def test_mu_series_two_paths(mid_store):
