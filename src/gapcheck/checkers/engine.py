@@ -6,8 +6,9 @@ the range (p_{n_hi+2}); on a store whose last window is n_hi, checkers that
 need the next window count that one out of domain.  Long ranges can be split:
 the engine returns a JSON-able checkpoint from which a later run continues,
 on the same or a larger sieve, and the merged result equals a single
-uninterrupted run.  A checkpoint records the witness cap; resuming under
-another cap raises ValueError.
+uninterrupted run.  A checkpoint records the witness cap and the tool
+version; resuming under another cap or from another version raises
+ValueError.
 
 Per run, each spec's evaluate, domain and tally are bound once.  A spec's
 static filters (n_min, needs_prev, needs_next) are tested only on edge
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import __version__
 from ..primes import PrimeStore
 from ..window import windows
 from .types import (HOLD, CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
@@ -201,6 +203,12 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                 f"checkpoint was taken with witness cap "
                 f"{_cap_text(resume['witness_cap'])}, this run has "
                 f"{_cap_text(opts.witness_cap)}; resume with the same --witnesses")
+        # another version may tally differently; a checkpoint written before
+        # the version was recorded resumes as it always did
+        if "tool_version" in resume and resume["tool_version"] != __version__:
+            raise ValueError(
+                f"checkpoint was written by gapcheck {resume['tool_version']}, "
+                f"this is gapcheck {__version__}; rerun the range from its start")
         tallies = {cid: _Tally.from_json(resume["per"][cid]) for cid in ids}
         report_lo = resume["n_lo"]
     else:
@@ -268,6 +276,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         "sieve_edge": nxt is None,
         "ids": sorted(ids),
         "witness_cap": opts.witness_cap,
+        "tool_version": __version__,
         "per": {cid: tallies[cid].as_json() for cid in ids},
     }
     reports = {cid: _assemble(reg[cid], tallies[cid], ctx) for cid in ids}

@@ -38,6 +38,14 @@ table of psi_k, the least strong pseudoprime to the first k prime bases
 (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math.
 Comp. 86, 2017).  Below 3.2e9 that is at most four bases; only x >= psi_9
 ~ 3.8e18 pays all twelve.
+
+quadratic_prime_flags decides every value of f(x) = x^2 + u x + v over a
+range of x at once, the core step of the quadratic sieve (Pomerance, "The
+quadratic sieve factoring algorithm", EUROCRYPT '84, LNCS 209): for each
+prime ell up to sqrt(f(hi)) it strikes the x at the two roots of f mod ell,
+which come from a square root of the discriminant by Tonelli-Shanks
+(Shanks, "Five number-theoretic algorithms", 1973).  Each root is checked
+before it strikes, so a wrong root raises instead of dropping a prime.
 """
 
 from __future__ import annotations
@@ -322,3 +330,102 @@ def is_prime_u64(x: int) -> bool:
         else:
             return False
     return True
+
+
+# -- quadratic sieve over a polynomial's values -------------------------------
+
+def _sqrt_mod(a: int, ell: int) -> int | None:
+    """A square root of a modulo the odd prime ell, or None when a is not a
+    square mod ell.  ell = 3 (mod 4) takes one pow, r = a^((ell+1)/4),
+    whose square is a times Euler's criterion, so r^2 = -a marks a
+    non-residue; otherwise Euler's criterion screens a, then Tonelli-Shanks
+    (Shanks, "Five number-theoretic algorithms", 1973) finds r.  Every root
+    is checked, r^2 = a (mod ell), and a failed check raises ArithmeticError.
+    """
+    a %= ell
+    if a == 0:
+        return 0
+    if ell & 3 == 3:
+        r = pow(a, (ell + 1) >> 2, ell)
+        if r * r % ell == ell - a:
+            return None
+    else:
+        half = (ell - 1) >> 1
+        if pow(a, half, ell) != 1:
+            return None
+        # ell - 1 = q 2^s, q odd; z is a non-residue
+        s = ((ell - 1) & (1 - ell)).bit_length() - 1
+        q = (ell - 1) >> s
+        z = 2
+        while pow(z, half, ell) != ell - 1:
+            z += 1
+        m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) >> 1, ell)
+        while t != 1:
+            i, t2 = 1, t * t % ell
+            while t2 != 1:
+                i += 1
+                t2 = t2 * t2 % ell
+            b = pow(c, 1 << (m - i - 1), ell)
+            m, c = i, b * b % ell
+            t, r = t * c % ell, r * b % ell
+    if r * r % ell != a:
+        raise ArithmeticError(f"{r} is not a square root of {a} mod {ell}")
+    return r
+
+
+def quadratic_prime_flags(u: int, v: int, lo: int, hi: int) -> bytearray:
+    """Primality flags of f(x) = x^2 + u x + v for lo <= x <= hi: entry
+    x - lo is 1 exactly when f(x) is prime.  f must increase on [lo, hi]
+    (2 lo + u + 1 > 0 when hi > lo); an empty range gives an empty result.
+
+    Every value is at most f(hi), so a composite one has a prime factor at
+    most L = isqrt(f(hi)).  For each prime ell <= L the x with ell | f(x)
+    are struck: x = 0 and x = 1 are tried for ell = 2, and for odd ell the
+    roots (-u +- r)/2 of f mod ell, with r a square root of D = u^2 - 4v
+    mod ell (one double root when ell | D).  A value above L that no ell
+    struck has no prime factor up to its square root, so it is prime; a
+    struck value above L has a proper factor, so it is composite.  f
+    increases, so the x with f(x) <= L are a prefix of the range, and only
+    those few are decided directly: by is_prime_u64, a value below 2 being
+    not prime.  The sieving primes come from _small_sieve(L) on each call,
+    so the cost is pi(L) root finds plus one strike per root and period.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        return bytearray()
+    if n > 1 and 2 * lo + u + 1 <= 0:
+        raise ValueError(f"x^2 + {u}x + {v} does not increase on [{lo}, {hi}]")
+    top = hi * hi + u * hi + v
+    if top < 2:
+        return bytearray(n)
+    flags = bytearray([1]) * n
+    D = u * u - 4 * v
+
+    def strike(x0: int, ell: int) -> None:
+        i = (x0 - lo) % ell
+        if i < n:
+            flags[i::ell] = bytes((n - 1 - i) // ell + 1)
+
+    L = isqrt(top)
+    for ell in _small_sieve(L):
+        if ell == 2:
+            if v % 2 == 0:
+                strike(0, 2)
+            if (1 + u + v) % 2 == 0:
+                strike(1, 2)
+            continue
+        r = _sqrt_mod(D, ell)
+        if r is None:
+            continue
+        inv2 = (ell + 1) >> 1
+        strike((r - u) * inv2, ell)
+        if r:
+            strike((-r - u) * inv2, ell)
+    x = lo
+    while x <= hi:
+        val = x * x + u * x + v
+        if val > L:
+            break
+        flags[x - lo] = val >= 2 and is_prime_u64(val)
+        x += 1
+    return flags

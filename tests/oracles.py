@@ -6,11 +6,13 @@ strong-probable-prime tests on given bases (and a 64-bit primality test
 that runs all twelve bases up to 37 whatever the size of x), isqrt brackets
 for radical signs, brute-force pair enumeration, a Fraction-coefficient
 model of RootExpr and the Fraction partial sums of the mu series.  None of
-them share code paths with the package, except `exact_sign`, which hands
-a RootExpr's terms to the kernel's sign procedures, `floor_root_general`,
-which reuses the kernel's fixed-point evaluation, `build_root` and
-`raw_root`, shorthands for building RootExprs, and `twin_pairs`, a filter
-over the window stream.
+them share code paths with the package, except `mr_quadratic_flags`, which
+tests each value of a quadratic with is_prime_u64 (the path the
+accumulation families took before they were sieved), `exact_sign`, which
+hands a RootExpr's terms to the kernel's sign procedures,
+`floor_root_general`, which reuses the kernel's fixed-point evaluation,
+`build_root` and `raw_root`, shorthands for building RootExprs, and
+`twin_pairs`, a filter over the window stream.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from gapcheck.exact import RootExpr, _make, _rational, _sign_1rad, _sign_2rad, eval_fixed
+from gapcheck.primes import is_prime_u64
 from gapcheck.window import windows
 
 LADDER = (64, 128, 256)   # fixed-point precisions `floor_root_general` tries
@@ -83,6 +86,13 @@ def is_prime_all_bases(x: int) -> bool:
         if x % p == 0:
             return False
     return strong_probable_prime(x, ALL_BASES)
+
+
+def mr_quadratic_flags(u: int, v: int, lo: int, hi: int) -> bytearray:
+    """Primality flags of x^2 + u x + v for lo <= x <= hi, one is_prime_u64
+    call per value (a value below 2 is not prime)."""
+    return bytearray(1 if f >= 2 and is_prime_u64(f) else 0
+                     for f in (x * x + u * x + v for x in range(lo, hi + 1)))
 
 
 def odd_only_sieve(limit: int) -> bytearray:

@@ -5,9 +5,10 @@ from math import gcd, isqrt
 
 import pytest
 
+from gapcheck import accum, primes
 from gapcheck.accum import (RationalTarget, ScanError, accum_scan, parse_target,
                             special_scans, write_accum_csv)
-from oracles import trial_division_is_prime
+from oracles import mr_quadratic_flags, trial_division_is_prime
 from surveys import disjointness, mu_truncated
 
 TABLES = {
@@ -155,7 +156,8 @@ def test_scan_range_checked_up_front():
 def test_accum_csv_digest():
     # every a/b with b in {3, 5, 7, 11} both signs to N = 20000, and the four
     # families to N = 10000; the digest was recorded with a primality test
-    # that ran all twelve Miller-Rabin bases on every value
+    # that ran all twelve Miller-Rabin bases on every value, and holds
+    # unchanged now that the families are sieved
     buf = io.StringIO()
     for b in (3, 5, 7, 11):
         for a in range(1, b):
@@ -166,3 +168,82 @@ def test_accum_csv_digest():
         write_accum_csv(special_scans(kind, N_max=10000), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "1c27fbd6ae0fb6d2ea02ea354e9daedf9db6992e0284950951ebb1b26e1c81c8")
+
+
+FAMILIES = ("h_fixed", "near_half_minus", "near_half_plus", "top_family")
+
+
+def _family_poly(kind: str, h: int = 1) -> tuple[int, int, int]:
+    """(first N, u, v) of the family's N^2 + uN + v."""
+    return {"h_fixed": (max(1, (h + 1) // 2), 0, h), "near_half_minus": (2, 1, -1),
+            "near_half_plus": (1, 1, 1), "top_family": (1, 2, -1)}[kind]
+
+
+def _oracle_family(kind: str, N_max: int, h: int = 1) -> list[tuple[int, int]]:
+    lo, u, v = _family_poly(kind, h)
+    flags = mr_quadratic_flags(u, v, lo, N_max)
+    return [(N, N * N + u * N + v) for N, f in zip(range(lo, N_max + 1), flags) if f]
+
+
+def test_family_scans_match_one_test_per_value():
+    """The sieved families emit the primes one is_prime_u64 call per N finds,
+    at N_max below, at and just past the first N; at N = 1 top_family and
+    h_fixed give 2 and near_half_plus gives 3, sieving primes themselves.
+    h_fixed runs h = 1..12: even h makes ell = 2 strike, and h = 3 gives a
+    double root at ell = 3."""
+    cases = [(kind, 1) for kind in FAMILIES] + [("h_fixed", h) for h in range(1, 13)]
+    for kind, h in cases:
+        lo = _family_poly(kind, h)[0]
+        for N_max in (lo - 1, lo, lo + 1, lo + 2, 10, 97, 2000):
+            got = [(r.N, r.p) for r in special_scans(kind, N_max=N_max, h=h)]
+            assert got == _oracle_family(kind, N_max, h), (kind, h, N_max)
+    for kind in FAMILIES:
+        assert special_scans(kind, N_max=_family_poly(kind)[0] - 1) == []
+    assert [r.p for r in special_scans("top_family", N_max=1)] == [2]
+    assert [r.p for r in special_scans("h_fixed", N_max=1)] == [2]
+    assert [r.p for r in special_scans("near_half_plus", N_max=1)] == [3]
+    assert [r.p for r in special_scans("near_half_minus", N_max=2)] == [5]
+    assert [r.p for r in special_scans("top_family", N_max=40)][:2] == [2, 7]
+
+
+def test_family_scans_test_only_values_up_to_the_sieving_bound(monkeypatch):
+    """special_scans calls is_prime_u64 only for the few values at or below
+    isqrt of its last value, the sieve's bound."""
+    seen = []
+    real = primes.is_prime_u64
+
+    def spy(x):
+        seen.append(x)
+        return real(x)
+
+    monkeypatch.setattr(primes, "is_prime_u64", spy)
+    monkeypatch.setattr(accum, "is_prime_u64", spy)
+    N_max = 3000
+    for kind in FAMILIES:
+        seen.clear()
+        _, u, v = _family_poly(kind)
+        special_scans(kind, N_max=N_max)
+        bound = isqrt(N_max * N_max + u * N_max + v)
+        assert seen and max(seen) <= bound, kind
+        assert len(seen) <= isqrt(bound) + 1, kind
+
+
+# sha256 of the stdout of `accum --family <kind> [--h h] --n-max 100000`,
+# recorded with one is_prime_u64 call per N, before the families were sieved
+FAMILY_1E5_SHA256 = {
+    ("h_fixed", 1): "a075f7d1fbcfb7f8ec61f22148da815dbcaf9331f469aef98b871c42309e5b09",
+    ("near_half_minus", 1): "7092cc77c13d79c239c5654fb9373c47fa450f77fccddedf861c4fd2d80b73f4",
+    ("near_half_plus", 1): "b57fd21f5c90d96fae88ceac517a12eff04742cc2f9849970420d3e4104b7966",
+    ("top_family", 1): "c28d6ab1a028fa07bd6b1453690585546f11c8ff99fc231ce3946a9d8cc20df0",
+    ("h_fixed", 3): "6e1e08a93c2d8e512c3e4cb52e0677746a6ebaca693bd27e5d904c009ed8cac3",
+}
+
+
+def test_family_csv_digests_to_1e5():
+    """The families to N = 1e5, values past 1e10: past 2^32, where the sieve
+    runs on primes up to 1e5, and past psi_4, where Miller-Rabin took five
+    bases."""
+    for (kind, h), want in FAMILY_1E5_SHA256.items():
+        buf = io.StringIO()
+        write_accum_csv(special_scans(kind, N_max=10 ** 5, h=h), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, (kind, h)

@@ -2,10 +2,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapcheck import __version__
 from gapcheck.checkers import (EvalContext, Kind, RunOpts, Triple, Verdict, catalog,
                                registry, run_all, run_checker, run_many)
 from gapcheck.window import GapWindow
+from oracles import trial_division_primes
 
 
 def test_catalog_membership_and_size():
@@ -256,6 +260,55 @@ def test_resume_with_other_witness_cap_rejected(mid_store):
         run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
     del cp["witness_cap"]
     run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
+
+
+def test_resume_from_other_version_rejected(mid_store):
+    """A checkpoint records the version that wrote it; a resume by another
+    version is refused, naming both.  A checkpoint without the key resumes
+    as before."""
+    ids = ["conj-gap-sq", "delta-gt-half", "alpha-props"]
+    single, _ = run_many(ids, mid_store, 1, 600)
+    _, cp = run_many(ids, mid_store, 1, 250)
+    cp = json.loads(json.dumps(cp))
+    assert cp["tool_version"] == __version__
+    other = dict(cp, tool_version="0.0.1")
+    with pytest.raises(ValueError, match=f"gapcheck 0.0.1, this is gapcheck {__version__}"):
+        run_many(ids, mid_store, 251, 600, resume=other)
+    del cp["tool_version"]
+    resumed, _ = run_many(ids, mid_store, 251, 600, resume=cp)
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+
+
+# n in 1..1499 next to a twin pair (p_{n+1} - p_n = 2) or a power of two,
+# where the trend-* rows are taken: splits the property test below favours
+_PRIMES = trial_division_primes(12553)          # p_1 .. p_1500 = 12553
+_TWIN_NS = [n for n in range(1, 1500) if _PRIMES[n] - _PRIMES[n - 1] == 2]
+_EDGE_SPLITS = sorted({s for n in _TWIN_NS + [2 ** k for k in range(11)]
+                       for s in (n - 1, n, n + 1) if 1 <= s <= 1499})
+
+
+@pytest.fixture(scope="module")
+def catalog_1500(mid_store):
+    """The whole catalog over 1..1500 in one run: reports and checkpoint."""
+    return run_many(sorted(registry()), mid_store, 1, 1500)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.integers(1, 1499), st.sampled_from(_EDGE_SPLITS)))
+def test_resume_at_random_split_equals_single_run(mid_store, catalog_1500, split):
+    """The whole catalog run to a split point in 1..1499, its checkpoint
+    passed through JSON, then resumed to 1500: the reports' JSON and the
+    checkpoint's per-checker block equal those of one run."""
+    ids = sorted(registry())
+    single, single_cp = catalog_1500
+    _, cp = run_many(ids, mid_store, 1, split)
+    resumed, resumed_cp = run_many(ids, mid_store, split + 1, 1500,
+                                   resume=json.loads(json.dumps(cp)))
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), (split, cid)
+    assert (json.dumps(resumed_cp["per"], sort_keys=True)
+            == json.dumps(single_cp["per"], sort_keys=True)), split
 
 
 def _triples(store, n_lo, n_hi) -> list:

@@ -160,6 +160,33 @@ def test_resume_with_other_witnesses_exits_3(tmp_path):
     assert r3.stdout == r4.stdout
 
 
+def test_resume_from_other_version_exits_3(tmp_path):
+    """A manifest whose checkpoint another version wrote ends with exit 3
+    and a message naming both versions; without the key it resumes."""
+    m = tmp_path / "m.json"
+    ids = "conj-gap-sq,delta-gt-half"
+    r1 = run("verify", "--checker", ids, "--n-hi", "400", "--limit", "100000",
+             "--manifest-out", str(m), "--format", "json")
+    assert r1.returncode == 0
+    manifest = json.loads(m.read_text())
+    version = manifest["checkpoint"]["tool_version"]
+    assert version == manifest["tool_version"]
+    manifest["checkpoint"]["tool_version"] = "0.0.1"
+    m.write_text(json.dumps(manifest))
+    r2 = run("verify", "--resume", str(m), "--n-hi", "900", "--limit", "100000",
+             "--format", "json")
+    assert r2.returncode == 3 and r2.stdout == ""
+    assert "0.0.1" in r2.stderr and version in r2.stderr
+    del manifest["checkpoint"]["tool_version"]
+    m.write_text(json.dumps(manifest))
+    r3 = run("verify", "--resume", str(m), "--n-hi", "900", "--limit", "100000",
+             "--format", "json")
+    r4 = run("verify", "--checker", ids, "--n-hi", "900", "--limit", "100000",
+             "--format", "json")
+    assert r3.returncode == 0 and r4.returncode == 0
+    assert r3.stdout == r4.stdout
+
+
 def test_resume_with_larger_limit(tmp_path):
     m = tmp_path / "m.json"
     ids = "conj-gap-sq,twin-95,delta-gt-half"

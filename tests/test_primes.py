@@ -3,13 +3,16 @@ from bisect import bisect_right
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapcheck import primes
 from gapcheck.intervals import square_reports
 from gapcheck.primes import (_MR_BASES, _PSI, BLOCK_ENTRIES, LIMIT_CAP, SEGMENT_ENTRIES,
-                             CapacityError, CoverageError, build_store, is_prime_u64)
-from oracles import (is_prime_all_bases, meissel_pi, odd_only_sieve, strong_probable_prime,
-                     trial_division_is_prime, trial_division_primes)
+                             CapacityError, CoverageError, _sqrt_mod, build_store,
+                             is_prime_u64, quadratic_prime_flags)
+from oracles import (is_prime_all_bases, meissel_pi, mr_quadratic_flags, odd_only_sieve,
+                     strong_probable_prime, trial_division_is_prime, trial_division_primes)
 
 
 def test_first_primes(small_store):
@@ -315,3 +318,43 @@ def test_is_prime_u64_against_all_bases():
     for x in values:
         assert is_prime_u64(x) == is_prime_all_bases(x), x
     assert is_prime_u64(2 ** 64 - 59) and not is_prime_u64(2 ** 64 - 1)
+
+
+def test_sqrt_mod_against_brute_force():
+    for ell in trial_division_primes(2000)[1:]:
+        roots = {}
+        for x in range(ell):
+            roots.setdefault(x * x % ell, set()).add(x)
+        for a in range(ell):
+            r = _sqrt_mod(a, ell)
+            if a in roots:
+                assert r in roots[a], (a, ell)
+            else:
+                assert r is None, (a, ell)
+    # negative D and D divisible by ell, as the accumulation families give
+    assert _sqrt_mod(-3, 7) in (2, 5) and _sqrt_mod(5, 7) is None
+    assert _sqrt_mod(-4 * 3, 3) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(-3000, 3000), st.integers(0, 1500),
+       st.integers(-1, 3000))
+def test_quadratic_flags_against_one_test_per_value(u, v, offset, length):
+    """On any range where x^2 + ux + v increases, hi <= 3000, the sieve's
+    flags equal one is_prime_u64 call per value."""
+    lo = (-u - 1) // 2 + 1 + offset     # the least lo with 2 lo + u + 1 > 0
+    hi = min(3000, lo + length)
+    assert quadratic_prime_flags(u, v, lo, hi) == mr_quadratic_flags(u, v, lo, hi)
+
+
+def test_quadratic_flags_edges():
+    assert quadratic_prime_flags(0, 1, 5, 4) == bytearray()
+    assert quadratic_prime_flags(0, 1, 1, 1) == bytearray([1])      # 2
+    assert quadratic_prime_flags(2, -1, 1, 1) == bytearray([1])     # 2
+    assert quadratic_prime_flags(0, -10, 0, 3) == bytearray(4)      # all below 2
+    # values that are sieving primes themselves: 2, 5, 10, 17, 26, 37, ...
+    assert quadratic_prime_flags(0, 1, 1, 40) == mr_quadratic_flags(0, 1, 1, 40)
+    with pytest.raises(ValueError, match="increase"):
+        quadratic_prime_flags(0, 1, -3, 5)
+    with pytest.raises(ValueError, match="increase"):
+        quadratic_prime_flags(-5, 7, 2, 10)
