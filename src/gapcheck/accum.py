@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
 
-from .exact import _sign_1rad, _sign_2rad
+from .exact import _sign_1rad
 from .primes import is_prime_u64, quadratic_prime_flags
+from .window import mu_order
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,6 @@ def _mu_side(p: int, a: int, b: int) -> int:
     return _sign_1rad(-(b * isqrt(p) + a), b, p)
 
 
-def _abs_err_cmp(p1: int, p2: int, side: int) -> int:
-    """sign(|mu(p1) - r| - |mu(p2) - r|) when both mus sit on the same given
-    side of r (side = -1: mu < r, +1: mu > r); r cancels."""
-    m1, m2 = isqrt(p1), isqrt(p2)
-    return _sign_2rad(side * (m2 - m1), side, p1, -side, p2)
-
-
 def _err_decimal(p: int, a: int, b: int, side: int, digits: int = 6) -> str:
     """|{sqrt(p)} - a/b| truncated to the given digits, where side is the
     sign of {sqrt(p)} - a/b (from _mu_side)."""
@@ -127,7 +121,9 @@ def _record(N: int, p: int, a: int, b: int, side: int, prev_p) -> AccumRecord:
     rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
                       abs_err_digits=_err_decimal(p, a, b, s), side_ok=s == side)
     if prev_p is not None and rec.side_ok:
-        rec.monotone_ok = _abs_err_cmp(p, prev_p, side) < 0
+        # both mus lie on the given side of a/b, which cancels:
+        # |mu(p) - a/b| - |mu(prev_p) - a/b| = side (mu(p) - mu(prev_p))
+        rec.monotone_ok = side * mu_order(p, isqrt(p), prev_p, isqrt(prev_p)) < 0
     return rec
 
 

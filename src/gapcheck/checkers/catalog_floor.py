@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-from ..exact import (Cmp, RootExpr, cmp_root, eval_fixed, frac_root,
-                     _sign_1rad, _sign_2rad)
-from ..window import HALF, root_views
-from .predicates import cmp_sqrt_sums, mu_cmp, mu_diff_sign, sqrtq_delta_frac_cmp
+from ..exact import Cmp, RootExpr, cmp_root, frac_root, _sign_1rad, _sign_2rad
+from ..window import HALF, delta_order, mu_order, root_views
+from .predicates import mu_cmp, sqrtq_delta_frac_cmp
 from .types import HOLD, MISS, Kind, checker, violate
 
 F = Fraction
@@ -161,9 +160,7 @@ def _fixedgap_mono(ctx, tri, st):
     st["last"][key] = [w.n, w.p, w.q]
     if prev is None:
         return HOLD
-    _, pp, pq_ = prev
-    # Delta_new < Delta_prev  <=>  sqrt(q)+sqrt(pp) < sqrt(pq_)+sqrt(p)
-    if cmp_sqrt_sums(w.q, pp, pq_, w.p) < 0:
+    if delta_order(w.p, w.q, prev[1], prev[2]) < 0:
         return HOLD
     return violate(f"Delta not decreasing within gap class {w.d}")
 
@@ -224,7 +221,7 @@ def _lemma_42(ctx, tri, st):
     else:
         if gap != 1:
             return violate("Delta != 1 + mu' - mu on a straddle")
-        if not mu_diff_sign(w) > 0:
+        if not mu_order(w.p, w.N, w.q, w.Nq) > 0:
             return violate("mu <= mu' on a straddle")
     return HOLD
 
@@ -311,10 +308,11 @@ def _trend_delta_final(ctx, st, extra):
     running_max_at_4 = True
     for key in sorted(st["blocks"], key=int):
         n, p, q = st["blocks"][key]
-        fa = eval_fixed(RootExpr.sqrt(q) - RootExpr.sqrt(p), 64)
-        rows.append([int(key), n, round(fa.mantissa / 2 ** 64, 6)])
+        # display only: each root floored to 64 fraction bits
+        mant = isqrt(q << 128) - isqrt(p << 128)
+        rows.append([int(key), n, round(mant / 2 ** 64, 6)])
         # cumulative max must stay the n = 4 value: no later block beats it
-        if n > 4 and cmp_sqrt_sums(q, 7, 11, p) > 0:
+        if n > 4 and delta_order(p, q, 7, 11) > 0:
             running_max_at_4 = False
     extra["block_max"] = rows
     extra["running_max_attained_at_4"] = running_max_at_4
@@ -330,18 +328,13 @@ def _trend_delta(ctx, tri, st):
     w = tri.w
     key = str(w.n.bit_length() - 1)
     cur = st["blocks"].get(key)
-    if cur is None or cmp_sqrt_sums(w.q, cur[1], cur[2], w.p) > 0:
+    if cur is None or delta_order(w.p, w.q, cur[1], cur[2]) > 0:
         st["blocks"][key] = [w.n, w.p, w.q]
     return HOLD
 
 
 def _trend_mu_state():
     return {"min": None, "max": None, "rows": []}
-
-
-def _mu_less(a, b) -> bool:
-    # mu(a) < mu(b), entries [n, p, N]
-    return _sign_2rad(b[2] - a[2], 1, a[1], -1, b[1]) < 0
 
 
 def _trend_mu_final(ctx, st, extra):
@@ -360,15 +353,14 @@ def _trend_mu(ctx, tri, st):
         st["min"] = me
         st["max"] = me
     else:
-        if _mu_less(me, st["min"]):
+        if mu_order(w.p, w.N, st["min"][1], st["min"][2]) < 0:
             st["min"] = me
-        if _mu_less(st["max"], me):
+        if mu_order(w.p, w.N, st["max"][1], st["max"][2]) > 0:
             st["max"] = me
     if w.n & (w.n - 1) == 0:  # power of two
-        lo = eval_fixed(RootExpr.sqrt(st["min"][1]) - st["min"][2], 64)
-        hi = eval_fixed(RootExpr.sqrt(st["max"][1]) - st["max"][2], 64)
-        st["rows"].append([w.n, round(lo.mantissa / 2 ** 64, 6),
-                           round(hi.mantissa / 2 ** 64, 6)])
+        # display only: sqrt(p) floored to 64 fraction bits, less N
+        lo, hi = (isqrt(p << 128) - (N << 64) for _, p, N in (st["min"], st["max"]))
+        st["rows"].append([w.n, round(lo / 2 ** 64, 6), round(hi / 2 ** 64, 6)])
     return HOLD
 
 
@@ -401,7 +393,7 @@ def _n2p1_family(ctx, tri, st):
         return violate("floor(2 mu sqrt(p)) != 1")
     if w.n >= 3:
         prev = st["prev_h1"]
-        if prev is not None and not _mu_less([w.n, w.p, w.N], prev):
+        if prev is not None and not mu_order(w.p, w.N, prev[1], prev[2]) < 0:
             return violate("mu not decreasing along the h = 1 family")
         st["prev_h1"] = [w.n, w.p, w.N]
         if w.p > 5 and not 16 * w.p < (4 * w.N + 1) ** 2:

@@ -9,7 +9,8 @@ from __future__ import annotations
 from math import isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, _sign_1rad
-from .predicates import cmp_sqrt_sums, delta_vs_delta4, is_square
+from ..window import delta_order
+from .predicates import is_square
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 
@@ -312,13 +313,10 @@ def _sharp_finalize(ctx, st, extra):
          state_init=_sharp_state, finalize=_sharp_finalize)
 def _andrica_sharp(ctx, tri, st):
     w = tri.w
-    s = delta_vs_delta4(w)
-    if st["max"] is None:
+    s = delta_order(w.p, w.q, 7, 11)   # Delta_n against Delta_4
+    mx = st["max"]
+    if mx is None or delta_order(w.p, w.q, mx[1], mx[2]) > 0:
         st["max"] = [w.n, w.p, w.q]
-    else:
-        mn, mp, mq = st["max"]
-        if cmp_sqrt_sums(w.q, mp, mq, w.p) > 0:
-            st["max"] = [w.n, w.p, w.q]
     if s > 0:
         return violate("Delta exceeds sqrt(11)-sqrt(7)")
     if s == 0 and w.n != 4:

@@ -14,7 +14,7 @@ from math import isqrt
 from ..exact import Cmp, RootExpr, cmp_root, floor_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
 from ..window import HALF, root_views
-from .predicates import cmp_sqrt_sums, delta_vs_rational, mu_cmp, mu_sqrtp_frac_cmp
+from .predicates import delta_vs_rational, mu_cmp, mu_sqrtp_frac_cmp
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
 
 F = Fraction
@@ -118,8 +118,7 @@ def _cor_56(ctx, tri, st):
         return violate("fractional difference >= 1/2")
     # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1})), where
     # mu_n sqrt(p_{n+1}) = sqrt(pq) - N sqrt(q) and N = Nq on shared windows
-    alt = floor_root(v.sqrt_pq - v.Nq_sqrtq)
-    if alt is not None and alt != w.p - w.tN - 1:
+    if floor_root(v.sqrt_pq - v.Nq_sqrtq) != w.p - w.tN - 1:
         return Outcome("hold", "printed-form condition differs from the "
                                "shared-window reading")
     return HOLD
@@ -148,7 +147,8 @@ def _dpar_57(ctx, tri, st):
 def _dpar_58(ctx, tri, st):
     w = tri.w
     fd = root_views(w).floor_D
-    below = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0
+    # D = 2N + mu' + mu here, so mu' + mu < 1 iff D < 2N + 1 iff floor(D) < 2N + 1
+    below = fd < 2 * w.N + 1
     if (fd % 2 == 0) != below:
         return violate("parity of floor(D) vs mu' + mu")
     if fd != (2 * w.N if below else 2 * w.N + 1):
@@ -163,7 +163,8 @@ def _dpar_58(ctx, tri, st):
 def _dpar_59(ctx, tri, st):
     w = tri.w
     fd = root_views(w).floor_D
-    lt = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0  # 2mu < 1 - Delta
+    # Delta = mu' - mu here, so 2mu < 1 - Delta iff mu' + mu < 1 iff floor(D) < 2N + 1
+    lt = fd < 2 * w.N + 1
     if (fd % 2 == 0) != lt:
         return violate("parity vs 2mu < 1 - Delta")
     if lt and not mu_cmp(w, 1, 2) < 0:
@@ -277,7 +278,8 @@ def _ids_514(ctx, tri, st):
 def _ids_515(ctx, tri, st):
     w = tri.w
     fd = root_views(w).floor_D
-    above = cmp_sqrt_sums(w.p, w.q, (2 * w.N + 2) ** 2, 0) > 0  # mu' + mu > 1
+    # D = 2N + 1 + mu' + mu here, so mu' + mu > 1 iff floor(D) > 2N + 1
+    above = fd > 2 * w.N + 1
     if (fd % 2 == 0) != above:
         return violate("parity of floor(D) vs mu' + mu")
     if fd != (2 * w.N + 2 if above else 2 * w.N + 1):
@@ -292,8 +294,10 @@ def _ids_515(ctx, tri, st):
 def _ids_516(ctx, tri, st):
     w = tri.w
     v = root_views(w)
-    gt = cmp_sqrt_sums(w.p, w.q, 4 * w.Nq * w.Nq, 0) > 0  # 2mu' > Delta
-    if (v.floor_D % 2 == 0) != gt:
+    fd = v.floor_D
+    # Delta = 1 + mu' - mu here, so 2mu' > Delta iff mu' + mu > 1 iff floor(D) > 2N + 1
+    gt = fd > 2 * w.N + 1
+    if (fd % 2 == 0) != gt:
         return violate("parity vs 2mu' - Delta")
     if gt:
         if cmp_root(v.mu - 1 + DELTA4_HALF) is not Cmp.GREATER:

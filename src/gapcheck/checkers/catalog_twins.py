@@ -1,8 +1,9 @@
 """Checker catalog: twin-prime orderings (source statements 9.1 - 9.15).
 
-Cross-index comparisons of Delta values are decided exactly: a difference of
-two weighted sums of square roots is reduced by one squaring to a
-two-radicand expression, which the kernel signs completely.
+Cross-index comparisons of Delta values are decided exactly by
+`window.delta_order`: a difference of two weighted sums of square roots is
+reduced by one squaring to a two-radicand expression, which the kernel signs
+completely.
 
 Stateful checkers keep JSON-able window stubs [n, p, q]; a "pair" checker
 fires at each twin index against the previous twin (consecutive pairs) plus a
@@ -11,19 +12,9 @@ deterministic geometric sample of earlier twins.
 
 from __future__ import annotations
 
-from ..exact import RootExpr, _sign_1rad, _sign_2rad
-from ..window import HALF, root_views
-from .predicates import cmp_sqrt_sums, cmp_weighted_sums
+from ..exact import _sign_1rad, _sign_2rad
+from ..window import delta_order, root_views
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
-
-SQRT2_HALF = RootExpr.sqrt(2, HALF)
-
-
-def _scaled_delta_cmp(c1: int, w1, c2: int, w2) -> int:
-    """Exact sign of c1*Delta(w1) - c2*Delta(w2); w = [n, p, q] stubs or windows."""
-    n1, p1, q1 = w1 if isinstance(w1, list) else (w1.n, w1.p, w1.q)
-    n2, p2, q2 = w2 if isinstance(w2, list) else (w2.n, w2.p, w2.q)
-    return cmp_weighted_sums(c1, q1, c2, p2, c2, q2, c1, p1)
 
 
 def _is_twin(w) -> bool:
@@ -154,19 +145,14 @@ def _from_one(ctx, tri):
 def _twin_95(ctx, tri, st):
     w = tri.w
     out = HOLD
-    if _is_twin(w) and w.n >= 5 and st["min"] is not None:
-        mn, mp, mq = st["min"]
-        # min over n < m of Delta must still exceed Delta_m
-        if not cmp_sqrt_sums(mq, w.p, w.q, mp) > 0:
-            out = violate(f"Delta_{mn} <= Delta_{w.n}")
-    if st["min"] is None or cmp_sqrt_sums(w.q, st["min"][1], st["min"][2], w.p) < 0:
+    mn = st["min"]
+    s = -1 if mn is None else delta_order(w.p, w.q, mn[1], mn[2])   # Delta_n - min
+    # min over n < m of Delta must still exceed Delta_m
+    if _is_twin(w) and w.n >= 5 and mn is not None and s >= 0:
+        out = violate(f"Delta_{mn[0]} <= Delta_{w.n}")
+    if s < 0:
         st["min"] = [w.n, w.p, w.q]
     return out
-
-
-def _frac_cmp_F(sa, pqa, sb, pqb) -> int:
-    """Exact sign of (sqrt(pqa) - sa) - (sqrt(pqb) - sb)."""
-    return _sign_2rad(sb - sa, 1, pqa, -1, pqb)
 
 
 @checker("twin-96", Kind.UNIVERSAL,
@@ -177,17 +163,29 @@ def _frac_cmp_F(sa, pqa, sb, pqb) -> int:
 def _twin_96(ctx, tri, st):
     w = tri.w
     out = HOLD
-    F_me = (w.s, w.p * w.q)
-    if _is_twin(w) and w.n >= 5:
-        # {sqrt(q)Delta} = s+1-sqrt(pq): minimal iff F = sqrt(pq)-s maximal
-        if st["maxF"] is not None:
-            mn, ms, mpq = st["maxF"]
-            if not _frac_cmp_F(F_me[0], F_me[1], ms, mpq) > 0:
-                out = violate(f"{{sqrt(p)Delta}} not above n={mn}")
-    if st["maxF"] is None or _frac_cmp_F(F_me[0], F_me[1],
-                                         st["maxF"][1], st["maxF"][2]) > 0:
-        st["maxF"] = [w.n, F_me[0], F_me[1]]
+    pq = w.p * w.q
+    # {sqrt(q)Delta} = s+1-sqrt(pq): minimal iff F = sqrt(pq)-s maximal;
+    # up is the sign of F_n - max F = (sqrt(pq) - s) - (sqrt(pq') - s')
+    mx = st["maxF"]
+    up = 1 if mx is None else _sign_2rad(mx[1] - w.s, 1, pq, -1, mx[2])
+    if _is_twin(w) and w.n >= 5 and mx is not None and up <= 0:
+        out = violate(f"{{sqrt(p)Delta}} not above n={mx[0]}")
+    if up > 0:
+        st["maxF"] = [w.n, w.s, pq]
     return out
+
+
+def _interior_step(st, w):
+    """Advance the state twin-97 and twin-99 share: a twin becomes the last
+    twin and opens an empty interior; any other window keeps the interior's
+    least Delta."""
+    if _is_twin(w):
+        st["last_twin"] = [w.n, w.p, w.q]
+        st["interior_min"] = None
+        return
+    im = st["interior_min"]
+    if im is None or delta_order(w.p, w.q, im[1], im[2]) < 0:
+        st["interior_min"] = [w.n, w.p, w.q]
 
 
 @checker("twin-97", Kind.UNIVERSAL,
@@ -197,21 +195,15 @@ def _twin_96(ctx, tri, st):
          state_init=lambda: {"last_twin": None, "interior_min": None})
 def _twin_97(ctx, tri, st):
     w = tri.w
-    if _is_twin(w):
-        out = HOLD
-        if st["last_twin"] is not None and st["interior_min"] is not None:
-            if not _scaled_delta_cmp(1, st["interior_min"], 1, st["last_twin"]) > 0:
-                out = violate("interior Delta <= left twin Delta")
-            elif not _scaled_delta_cmp(1, st["interior_min"], 1, w) > 0:
-                out = violate("interior Delta <= right twin Delta")
-        st["last_twin"] = [w.n, w.p, w.q]
-        st["interior_min"] = None
-        return out
-    me = [w.n, w.p, w.q]
-    if st["interior_min"] is None or _scaled_delta_cmp(
-            1, me, 1, st["interior_min"]) < 0:
-        st["interior_min"] = me
-    return HOLD
+    out = HOLD
+    lt, im = st["last_twin"], st["interior_min"]
+    if _is_twin(w) and lt is not None and im is not None:
+        if not delta_order(im[1], im[2], lt[1], lt[2]) > 0:
+            out = violate("interior Delta <= left twin Delta")
+        elif not delta_order(im[1], im[2], w.p, w.q) > 0:
+            out = violate("interior Delta <= right twin Delta")
+    _interior_step(st, w)
+    return out
 
 
 @checker("twin-98", Kind.UNIVERSAL,
@@ -227,8 +219,9 @@ def _twin_98(ctx, tri, st):
     if w.d < 4 or st["last_twin"] is None:
         return HOLD
     _, a, b = st["last_twin"]
-    # d (sqrt(a)+sqrt(b)) > 2 (sqrt(p)+sqrt(q))
-    if not cmp_weighted_sums(w.d, a, w.d, b, 2, w.p, 2, w.q) > 0:
+    # d (sqrt(a)+sqrt(b)) > 2 (sqrt(p)+sqrt(q)), both sides squared
+    dd = w.d * w.d
+    if not _sign_2rad(dd * (a + b) - 4 * (w.p + w.q), 2 * dd, a * b, -8, w.p * w.q) > 0:
         return violate("d_n D_m1 <= 2 D_n")
     return HOLD
 
@@ -239,23 +232,15 @@ def _twin_98(ctx, tri, st):
          state_init=lambda: {"last_twin": None, "interior_min": None})
 def _twin_99(ctx, tri, st):
     w = tri.w
-    if _is_twin(w):
-        out = HOLD
-        if st["last_twin"] is not None:
-            if not _scaled_delta_cmp(1, st["last_twin"], 1, w) > 0:
-                out = violate("Delta_m1 <= Delta_m2")
-            elif (st["interior_min"] is not None
-                  and not _scaled_delta_cmp(1, st["interior_min"], 1,
-                                            st["last_twin"]) > 0):
-                out = violate("interior Delta <= Delta_m1")
-        st["last_twin"] = [w.n, w.p, w.q]
-        st["interior_min"] = None
-        return out
-    me = [w.n, w.p, w.q]
-    if st["interior_min"] is None or _scaled_delta_cmp(
-            1, me, 1, st["interior_min"]) < 0:
-        st["interior_min"] = me
-    return HOLD
+    out = HOLD
+    lt, im = st["last_twin"], st["interior_min"]
+    if _is_twin(w) and lt is not None:
+        if not delta_order(lt[1], lt[2], w.p, w.q) > 0:
+            out = violate("Delta_m1 <= Delta_m2")
+        elif im is not None and not delta_order(im[1], im[2], lt[1], lt[2]) > 0:
+            out = violate("interior Delta <= Delta_m1")
+    _interior_step(st, w)
+    return out
 
 
 @checker("twin-910", Kind.UNIVERSAL,
@@ -266,11 +251,11 @@ def _twin_99(ctx, tri, st):
 def _twin_910(ctx, tri, st):
     w = tri.w
     out = HOLD
-    if w.n >= 5 and st["min"] is not None:
-        mn, mp, mq = st["min"]
-        if cmp_sqrt_sums(mq, w.p, w.q, mp) > 0 and w.d != 2:
-            out = violate("fresh Delta minimum at a non-twin index")
-    if st["min"] is None or cmp_sqrt_sums(w.q, st["min"][1], st["min"][2], w.p) < 0:
+    mn = st["min"]
+    s = -1 if mn is None else delta_order(w.p, w.q, mn[1], mn[2])   # Delta_n - min
+    if w.n >= 5 and mn is not None and s < 0 and w.d != 2:
+        out = violate("fresh Delta minimum at a non-twin index")
+    if s < 0:
         st["min"] = [w.n, w.p, w.q]
     return out
 
@@ -292,10 +277,10 @@ def _twin_postulate(ctx, tri, st):
     _, a, b = prev
     c, e = w.p, w.q
     hit = False
-    if not _scaled_delta_cmp(2, prev, 3, st["prev"]) < 0:  # 2 Delta1 < 3 Delta2
+    if not delta_order(a, b, c, e, 2, 3) < 0:  # 2 Delta1 < 3 Delta2
         st["ratio32"].append(w.n)
         hit = True
-    if not _scaled_delta_cmp(2, st["prev"], 1, prev) > 0:  # 2 Delta2 > Delta1
+    if not delta_order(c, e, a, b, 2, 1) > 0:  # 2 Delta2 > Delta1
         st["double"].append(w.n)
         hit = True
     # 2 D1^2 > D2^2  <=>  sqrt(2)/2 < D1/D2
@@ -333,28 +318,24 @@ def _alpha_props(ctx, tri, st):
     if _is_twin(w):
         out = HOLD
         if st["min_scaled"] is not None:
-            entry = st["min_scaled"]  # [n, p, q, d] minimizing (2/d) Delta
-            if not _scaled_delta_cmp(2, entry[:3], entry[3], w) > 0:
+            _, a, b, d = st["min_scaled"]  # [n, p, q, d] minimizing (2/d) Delta
+            if not delta_order(a, b, w.p, w.q, 2, d) > 0:
                 out = violate("alpha_m2 <= alpha_n + (d_n-2)/D_n on the interior")
         st["last_twin"] = [w.n, w.p, w.q]
         st["min_scaled"] = None
         return out
     if w.d < 4 or st["last_twin"] is None:
         return HOLD
-    # identity alpha_m1 - alpha_n = Delta_n - Delta_m1 (sqrt(2)/2 cancels)
-    m1 = st["last_twin"]
-    delta_m1 = RootExpr.sqrt(m1[2]) - RootExpr.sqrt(m1[1])
-    delta_n = root_views(w).delta
-    if (SQRT2_HALF - delta_m1) - (SQRT2_HALF - delta_n) != delta_n - delta_m1:
-        return violate("alpha difference identity")
+    # alpha_m1 - alpha_n = Delta_n - Delta_m1, as sqrt(2)/2 cancels, so
     # alpha_m1 > alpha_n  <=>  Delta_n > Delta_m1
-    if not _scaled_delta_cmp(1, [w.n, w.p, w.q], 1, m1) > 0:
+    _, a, b = st["last_twin"]
+    if not delta_order(w.p, w.q, a, b) > 0:
         return violate("alpha_m1 <= alpha_n")
     # middle chain term: alpha_n + (d-2)/D_n > alpha_m1  <=>  d Delta_m1 > 2 Delta_n
-    if not _scaled_delta_cmp(w.d, m1, 2, [w.n, w.p, w.q]) > 0:
+    if not delta_order(a, b, w.p, w.q, w.d, 2) > 0:
         return violate("alpha_n + (d_n-2)/D_n <= alpha_m1")
-    me = [w.n, w.p, w.q, w.d]
+    # (2/d_n) Delta_n < (2/d) Delta  <=>  d Delta_n < d_n Delta
     cur = st["min_scaled"]
-    if cur is None or _scaled_delta_cmp(2 * cur[3], me[:3], 2 * me[3], cur[:3]) < 0:
-        st["min_scaled"] = me
+    if cur is None or delta_order(w.p, w.q, cur[1], cur[2], cur[3], w.d) < 0:
+        st["min_scaled"] = [w.n, w.p, w.q, w.d]
     return HOLD

@@ -13,13 +13,11 @@ other number raises TypeError.  The sign procedures take plain ints only: a
 sign does not change when every term is multiplied by the same positive
 integer, so callers clear denominators that way and never pass a Fraction.
 A RootExpr's num and b_i already are its terms times den > 0, so `cmp_root`
-against n/d passes d*num - n*den and the d*b_i.  `eval_fixed` approximates a
-value for display only.
+against n/d passes d*num - n*den and the d*b_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -507,45 +505,6 @@ def _sign(c: int, terms, basis=None) -> int:
                 acc[r] = acc.get(r, 0) + (w if i == j else 2 * w) * b1 * b2 * h
     const = acc.pop(1)
     return sx * _sign(const, [(m, b) for m, b in acc.items() if b], rest)
-
-
-# -- certified fixed-point evaluation -------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedApprox:
-    """mantissa * 2^-frac_bits with |true - represented| <= error_ulps ulps."""
-
-    mantissa: int
-    frac_bits: int
-    error_ulps: int
-
-
-def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
-    """Certified fixed-point sqrt: mantissa = isqrt(m * 4^frac_bits)."""
-    if m < 0:
-        raise KernelError("sqrt of negative integer")
-    mant = isqrt(m << (2 * frac_bits))
-    err = 0 if mant * mant == m << (2 * frac_bits) else 1
-    return FixedApprox(mant, frac_bits, err)
-
-
-def eval_fixed(e: RootExpr, frac_bits: int) -> FixedApprox:
-    """Evaluate a RootExpr to a certified FixedApprox at the given precision.
-
-    num/den contributes floor(num 2^fb / den), exact or 1 ulp off; each
-    b/den * sqrt(m) with sqrt(m) at x +- err ulps contributes floor(x b / den)
-    with ceil(|b| err / den) + 1 ulps.  Neither depends on reducing b/den.
-    """
-    den = e.den
-    x = e.num << frac_bits
-    mant = x // den
-    err = 0 if mant * den == x else 1
-    for m, b in e.terms:
-        s = sqrt_fixed(m, frac_bits)
-        mant += s.mantissa * b // den
-        err += (abs(b) * s.error_ulps + den - 1) // den + 1
-    return FixedApprox(mant, frac_bits, err)
 
 
 # -- comparisons, floors, fractional parts --------------------------------------

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import isqrt
 
-from .exact import _sign_2rad
 from .primes import CoverageError, PrimeStore
+from .window import floor_sqrt_sum
 
 
 @dataclass
@@ -93,10 +93,7 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
         if primes and N >= 2:
             p = primes[0]
             q = primes[1] if len(primes) > 1 else store.next_prime(p)
-            # floor(sqrt(p) + sqrt(q)) parity, exact: D in (2N, 2N+2) here
-            base = N + isqrt(q)
-            above = _sign_2rad(-(base + 1), 1, p, 1, q) > 0
-            rep.first_prime_floor_D_even = (base + 1 if above else base) % 2 == 0
+            rep.first_prime_floor_D_even = floor_sqrt_sum(p, q, N, isqrt(q)) % 2 == 0
         if N >= 4 and N % 2 == 0:
             ok = True
             # N^2 + 1 and N^2 + 2N - 1 are the window's first and last odd

@@ -13,6 +13,13 @@ checker that reads the window; whatever two checkers read lives there, so
 no checker rebuilds it.  The list is in the RootViews docstring.  Only
 checkers build views: a stream that never asks for them (the ledger, the
 CSV dump) pays nothing for them.
+
+Three window comparisons recur through the catalog, the square tables and
+the accumulation scans, and each is decided here, in one function:
+floor(sqrt(p) + sqrt(q)) (`floor_sqrt_sum`), the order of two gaps
+c1 Delta_1 against c2 Delta_2 (`delta_order`) and the order of two
+fractional parts mu = {sqrt(p)} (`mu_order`).  Each takes one exact integer
+sign.
 """
 
 from __future__ import annotations
@@ -21,11 +28,36 @@ import csv
 from fractions import Fraction
 from math import isqrt
 
-from .exact import RootExpr, _sign_1rad, floor_root
+from .exact import RootExpr, _sign_1rad, _sign_2rad, floor_root
 from .primes import PrimeStore, CoverageError
 
 
 HALF = Fraction(1, 2)
+
+
+def floor_sqrt_sum(p: int, q: int, N: int, Nq: int) -> int:
+    """floor(sqrt(p) + sqrt(q)) for non-square p and q with N = isqrt(p) and
+    Nq = isqrt(q).  The sum lies in (N + Nq, N + Nq + 2) and is irrational,
+    so one sign decides:
+    sqrt(p) + sqrt(q) > N + Nq + 1  <=>  p + q + 2 sqrt(pq) > (N + Nq + 1)^2."""
+    base = N + Nq
+    above = _sign_1rad(p + q - (base + 1) ** 2, 2, p * q)
+    return base + 1 if above > 0 else base
+
+
+def delta_order(p1: int, q1: int, p2: int, q2: int, c1: int = 1, c2: int = 1) -> int:
+    """Exact sign of c1 Delta(p1, q1) - c2 Delta(p2, q2) for c1, c2 > 0,
+    where Delta(p, q) = sqrt(q) - sqrt(p)."""
+    # L = c1 sqrt(q1) + c2 sqrt(p2) and R = c2 sqrt(q2) + c1 sqrt(p1) are
+    # positive, so L - R has the sign of L^2 - R^2
+    a, b, k = c1 * c1, c2 * c2, 2 * c1 * c2
+    return _sign_2rad(a * (q1 - p1) + b * (p2 - q2), k, q1 * p2, -k, q2 * p1)
+
+
+def mu_order(p1: int, N1: int, p2: int, N2: int) -> int:
+    """Exact sign of mu(p1) - mu(p2), where mu(p) = sqrt(p) - isqrt(p) and
+    N1, N2 are isqrt(p1), isqrt(p2)."""
+    return _sign_2rad(N2 - N1, 1, p1, -1, p2)
 
 
 class SquareLawViolation(AssertionError):
@@ -116,7 +148,9 @@ class RootViews:
       floor_D              floor(sqrt(p) + sqrt(q))      (dpar-58, dpar-59,
                              ids-515, ids-516, first-after-square,
                              survey-last-before-square)
-    floor_D is one exact integer sign and tNq one isqrt.
+    floor_D is one exact integer sign (`floor_sqrt_sum`, which the square
+    tables share) and tNq one isqrt; the checkers that read floor_D take
+    their sqrt(p) + sqrt(q) against 2N + 1 or 2N + 2 from it.
 
     It keeps the window's integers rather than the window, so the window's
     `views` slot makes no reference cycle.
@@ -253,11 +287,7 @@ class RootViews:
 
     @_view
     def floor_D(self) -> int:
-        # D lies in (base, base + 2) and is irrational, so one sign decides:
-        # sqrt(p) + sqrt(q) > base + 1  <=>  p + q + 2 sqrt(pq) > (base + 1)^2
-        base = self._N + self._Nq
-        above = _sign_1rad(self._p + self._q - (base + 1) ** 2, 2, self._p * self._q)
-        return base + 1 if above > 0 else base
+        return floor_sqrt_sum(self._p, self._q, self._N, self._Nq)
 
 
 def _frac(e: RootExpr) -> RootExpr:

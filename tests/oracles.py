@@ -9,18 +9,18 @@ model of RootExpr and the Fraction partial sums of the mu series.  None of
 them share code paths with the package, except `mr_quadratic_flags`, which
 tests each value of a quadratic with is_prime_u64 (the path the
 accumulation families took before they were sieved), `exact_sign`, which
-hands a RootExpr's terms to the kernel's sign procedures,
-`floor_root_general`, which reuses the kernel's fixed-point evaluation,
-`build_root` and `raw_root`, shorthands for building RootExprs, and
-`twin_pairs`, a filter over the window stream.
+hands a RootExpr's terms to the kernel's sign procedures, `eval_fixed`,
+which reads a RootExpr's parts, `build_root` and `raw_root`, shorthands for
+building RootExprs, and `twin_pairs`, a filter over the window stream.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from gapcheck.exact import RootExpr, _make, _rational, _sign_1rad, _sign_2rad, eval_fixed
+from gapcheck.exact import RootExpr, _make, _rational, _sign_1rad, _sign_2rad
 from gapcheck.primes import is_prime_u64
 from gapcheck.window import windows
 
@@ -224,14 +224,47 @@ def exact_sign(e) -> int | None:
     return None
 
 
-def floor_root_general(e) -> int:
-    """Floor of a RootExpr through the fixed-point ladder, with no isqrt term
-    floors and no kernel sign.  Cross-checks `exact.floor_root`.
+@dataclass(frozen=True)
+class FixedApprox:
+    """mantissa * 2^-frac_bits with |true - represented| <= error_ulps ulps."""
 
-    Unlike the other oracles here, this one reuses the package's
-    `eval_fixed`: it is independent of the kernel's floors and signs, not of
-    its evaluation.  Once the ladder is exhausted, `radical_sign` settles
-    the floor next to the last bracket.
+    mantissa: int
+    frac_bits: int
+    error_ulps: int
+
+
+def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
+    """Certified fixed-point sqrt: mantissa = isqrt(m * 4^frac_bits)."""
+    if m < 0:
+        raise ValueError("sqrt of negative integer")
+    mant = isqrt(m << (2 * frac_bits))
+    err = 0 if mant * mant == m << (2 * frac_bits) else 1
+    return FixedApprox(mant, frac_bits, err)
+
+
+def eval_fixed(e, frac_bits: int) -> FixedApprox:
+    """Evaluate a RootExpr to a certified FixedApprox at the given precision.
+
+    num/den contributes floor(num 2^fb / den), exact or 1 ulp off; each
+    b/den * sqrt(m) with sqrt(m) at x +- err ulps contributes floor(x b / den)
+    with ceil(|b| err / den) + 1 ulps.  Neither depends on reducing b/den.
+    """
+    den = e.den
+    x = e.num << frac_bits
+    mant = x // den
+    err = 0 if mant * den == x else 1
+    for m, b in e.terms:
+        s = sqrt_fixed(m, frac_bits)
+        mant += s.mantissa * b // den
+        err += (abs(b) * s.error_ulps + den - 1) // den + 1
+    return FixedApprox(mant, frac_bits, err)
+
+
+def floor_root_general(e) -> int:
+    """Floor of a RootExpr through the fixed-point ladder of `eval_fixed`,
+    with no isqrt term floors and no kernel sign.  Cross-checks
+    `exact.floor_root`.  Once the ladder is exhausted, `radical_sign`
+    settles the floor next to the last bracket.
     """
     if not e.terms:
         return e.num // e.den

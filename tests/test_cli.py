@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,17 @@ def test_list_prints_catalog():
     lines = r.stdout.splitlines()
     assert len(lines) >= 70
     assert any(line.startswith("conj-gap-sq ") for line in lines)
+
+
+# sha256 of the stdout of `list`: the id, kind, source and title of each of
+# the 109 checkers
+LIST_SHA256 = "07363ee1a7a1a8fa0c0281a3e3d15893311611a71b890a68821741a82eb59682"
+
+
+def test_list_output_pinned():
+    r = run("list")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == LIST_SHA256
 
 
 def test_verify_exception_set_exit_zero():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, eval_fixed,
-                            floor_root, frac_root, sqrt_fixed)
-from oracles import (RefRoot, build_root, exact_sign, floor_root_general,
-                     longhand_sqrt_digits, radical_sign, raw_root, root_sign_args)
+from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root,
+                            frac_root)
+from gapcheck.window import root_views, windows
+from oracles import (RefRoot, build_root, eval_fixed, exact_sign, floor_root_general,
+                     longhand_sqrt_digits, radical_sign, raw_root, root_sign_args, sqrt_fixed)
 
 
 def test_sqrt_fixed_exact_square():
@@ -140,6 +141,27 @@ def test_pq_never_perfect_square(mid_store):
             s = isqrt(prev * p)
             assert s * s != prev * p
         prev = p
+
+
+def test_alpha_difference_identity_on_twin_interiors(mid_store):
+    """(c - Delta_m1) - (c - Delta_n) = Delta_n - Delta_m1 for c = sqrt(2)/2,
+    the alpha-form identity of propositions 9.14 and 9.15, through RootExpr
+    arithmetic and ==: on every window n <= 20000 with d_n >= 4 past a twin
+    m1, against that twin's Delta_m1, up to five radicands.  The identity
+    holds for any values, so it tests the kernel, not the primes, and it is
+    checked here rather than by a catalog checker."""
+    c = RootExpr.sqrt(2, F(1, 2))
+    delta_m1 = None
+    count = 0
+    for w in windows(mid_store, 1, 20000):
+        if w.d == 2:
+            delta_m1 = RootExpr.sqrt(w.q) - RootExpr.sqrt(w.p)
+        elif w.d >= 4 and delta_m1 is not None:
+            delta_n = root_views(w).delta
+            lhs = (c - delta_m1) - (c - delta_n)
+            assert lhs == delta_n - delta_m1 and lhs != delta_m1 - delta_n, w
+            count += 1
+    assert count > 10000
 
 
 def test_cmp_consistent_with_fixed_eval(mid_store):
@@ -499,18 +521,11 @@ def test_eq_by_value():
         hash(a)
 
 
-def test_decisions_never_use_the_ladder(monkeypatch):
-    """cmp_root, floor_root and frac_root decide exactly on any number of
-    radicands, so the fixed-point evaluation never runs for a decision."""
-    import gapcheck.exact as exact
-
-    calls = []
-
-    def counting(e, frac_bits):
-        calls.append(frac_bits)
-        return eval_fixed(e, frac_bits)
-
-    monkeypatch.setattr(exact, "eval_fixed", counting)
+def test_decisions_never_use_the_ladder():
+    """cmp_root, floor_root and frac_root decide on two to four radicands,
+    and on what is left when one radicand or the rational part is taken
+    away, by exact signs alone: no decision raises, and the package keeps no
+    fixed-point evaluation to fall back on."""
     rng = random.Random(5)
     for k in (2, 3, 4):
         for _ in range(100):
@@ -526,7 +541,6 @@ def test_decisions_never_use_the_ladder(monkeypatch):
                 frac_root(x)
     e3 = RootExpr.sqrt(2) + RootExpr.sqrt(3) - RootExpr.sqrt(10)
     assert cmp_root(e3) is Cmp.LESS and floor_root(e3) == -1
-    assert calls == []
 
 
 @pytest.mark.parametrize("e, k, equal", [

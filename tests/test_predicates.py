@@ -1,10 +1,11 @@
-"""Two paths for every helper in checkers/predicates.py: the helper's own
-integer reduction against cmp_root / floor_root of the same quantity built
-from root_views(w).  mu-series' integer partial sums are checked the same
-way, against the Fraction partial sums of `oracles`, and so are the
-reductions thm-34, dpar-58/59, floor-31, chain-37, cor-56 and ids-516 write
-inline.  The shared RootViews quantities are checked against the oracles'
-Fraction model of RootExpr."""
+"""Two paths for every helper in checkers/predicates.py and for the window
+comparisons of window.py (floor_sqrt_sum, delta_order, mu_order): the
+helper's own integer reduction against cmp_root / floor_root of the same
+quantity built from root_views(w).  mu-series' integer partial sums are
+checked the same way, against the Fraction partial sums of `oracles`, and so
+are the reductions thm-34, floor-31, chain-37 and cor-56 write inline and
+the parities dpar-58/59 and ids-516 read from floor_D.  The shared RootViews
+quantities are checked against the oracles' Fraction model of RootExpr."""
 
 import random
 from fractions import Fraction
@@ -14,12 +15,12 @@ import pytest
 
 from gapcheck.checkers import Triple, registry
 from gapcheck.checkers.catalog_floor import _mu_series_brackets
-from gapcheck.checkers.predicates import (cmp_sqrt_sums, cmp_weighted_sums,
-                                          delta_vs_delta4, delta_vs_rational,
-                                          is_square, mu_cmp, mu_diff_sign,
+from gapcheck.checkers.predicates import (delta_vs_rational, is_square, mu_cmp,
                                           mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp)
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
-from gapcheck.window import GapWindow, root_views, windows
+from gapcheck.intervals import square_reports
+from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_order, root_views,
+                             windows)
 from oracles import (RefRoot, floor_root_general, longhand_sqrt_digits,
                      mu_series_brackets_fraction)
 
@@ -77,10 +78,10 @@ def test_window_helpers_two_paths(sample):
     delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
     for w in sample:
         v = root_views(w)
-        assert delta_vs_delta4(w) == _kernel_sign(v.delta - delta4), w
-        assert mu_diff_sign(w) == _kernel_sign(v.mu - v.mu_q), w
-        assert v.floor_D == floor_root(v.D), w
-    assert delta_vs_delta4(sample[3]) == 0   # n = 4 attains Delta_4
+        assert delta_order(w.p, w.q, 7, 11) == _kernel_sign(v.delta - delta4), w
+        assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(v.mu - v.mu_q), w
+        assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == floor_root(v.D), w
+    assert delta_order(sample[3].p, sample[3].q, 7, 11) == 0   # n = 4 attains Delta_4
 
 
 def test_sum_helpers_two_paths(sample):
@@ -88,13 +89,44 @@ def test_sum_helpers_two_paths(sample):
     for w in sample:
         u = rng.choice(sample)
         vw, vu = root_views(w), root_views(u)
-        # Delta(w) - Delta(u), as sqrt(q) + sqrt(p') against sqrt(q') + sqrt(p)
-        assert cmp_sqrt_sums(w.q, u.p, u.q, w.p) == _kernel_sign(vw.delta - vu.delta)
+        assert delta_order(w.p, w.q, u.p, u.q) == _kernel_sign(vw.delta - vu.delta)
         c1, c2 = rng.randrange(1, 9), rng.randrange(1, 9)
-        assert cmp_weighted_sums(c1, w.q, c2, u.p, c2, u.q, c1, w.p) == \
+        assert delta_order(w.p, w.q, u.p, u.q, c1, c2) == \
             _kernel_sign(vw.delta.scale(c1) - vu.delta.scale(c2))
         for x in (w.p, w.N * w.N, w.p * w.q, w.d * w.d + 1):
             assert is_square(x) == (RootExpr.sqrt(x) == isqrt(x))
+
+
+def test_mu_order_two_paths(sample):
+    """mu_order on random window pairs against cmp_root(mu_a - mu_b), and
+    accum's monotone comparison, side * mu_order, against the kernel's
+    |mu_a - r| - |mu_b - r| for random targets r that both mus lie on the
+    same side of."""
+    rng = random.Random(13)
+    for a in sample:
+        b = rng.choice(sample)
+        va, vb = root_views(a), root_views(b)
+        s = mu_order(a.p, a.N, b.p, b.N)
+        assert s == _kernel_sign(va.mu - vb.mu), (a, b)
+        for _ in range(4):
+            r = Fraction(rng.randrange(1, 1000), 1000)
+            side = _kernel_sign(va.mu, r)
+            if side != _kernel_sign(vb.mu, r):
+                continue
+            # |mu - r| = side (mu - r) for both
+            err_a, err_b = (va.mu - r).scale(side), (vb.mu - r).scale(side)
+            assert side * s == _kernel_sign(err_a - err_b), (a, b, r)
+
+
+def test_square_first_prime_floor_D_two_paths(big_store):
+    """square_reports' first_prime_floor_D_even, from floor_sqrt_sum, against
+    floor_root(sqrt(p) + sqrt(q)) at each window's first prime p and the
+    next prime q, for N = 2..3000."""
+    for rep in square_reports(big_store, 2, 3000):
+        p = rep.primes[0]
+        q = rep.primes[1] if len(rep.primes) > 1 else big_store.next_prime(p)
+        fd = floor_root(RootExpr.sqrt(p) + RootExpr.sqrt(q))
+        assert rep.first_prime_floor_D_even == (fd % 2 == 0), rep.N
 
 
 def test_mu_series_two_paths(mid_store):
@@ -140,14 +172,16 @@ def test_thm34_half_bound_two_paths(from_two):
 
 
 def test_dpar_parity_two_paths(from_two):
-    """dpar-58/59's sqrt(p) + sqrt(q) < 2N + 1 on shared windows against the
-    parity of floor(D) from the kernel; both checkers hold on every window."""
+    """dpar-58/59's mu' + mu < 1 on shared windows, read from floor_D as
+    floor(D) < 2N + 1, against mu' + mu and the parity of floor(D) from the
+    kernel; both checkers hold on every window."""
     reg = registry()
     shared = [w for w in from_two if w.same_part]
     assert len(shared) > 1000
     for w in shared:
-        even = floor_root(root_views(w).D) % 2 == 0
-        assert (cmp_sqrt_sums(w.p, w.q, (2 * w.N + 1) ** 2, 0) < 0) == even, w
+        v = root_views(w)
+        even = floor_root(v.D) % 2 == 0
+        assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(v.mu_sum, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
             assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
 
@@ -205,15 +239,15 @@ def test_cor56_two_paths(from_two):
 
 
 def test_ids516_two_paths(from_two):
-    """ids-516's sqrt(p) + sqrt(q) > 2 Nq against 2 mu' > Delta from the
-    kernel, and the parity of floor_root(D); the checker holds on every
-    straddle."""
+    """ids-516's 2 mu' > Delta, read from floor_D as floor(D) > 2N + 1,
+    against 2 mu' > Delta from the kernel, and the parity of
+    floor_root(D); the checker holds on every straddle."""
     straddles = [w for w in from_two if w.straddle]
     assert len(straddles) > 100
     for w in straddles:
         v = root_views(w)
         gt = _kernel_sign(v.mu_q.scale(2) - v.delta) > 0
-        assert (cmp_sqrt_sums(w.p, w.q, 4 * w.Nq * w.Nq, 0) > 0) == gt, w
+        assert (v.floor_D > 2 * w.N + 1) == gt, w
         assert (floor_root(v.D) % 2 == 0) == gt, w
         assert _holds("ids-516", w), w
 
