@@ -37,7 +37,7 @@ from math import gcd, isqrt
 
 from .exact import _sign_1rad
 from .primes import is_prime_u64, quadratic_prime_flags
-from .window import mu_order
+from .window import mu_order, mu_vs_rational
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,9 @@ def mu_decimal(p: int, digits: int = 5) -> str:
     return f"0.{rounded:0{digits}d}"
 
 
-def _mu_side(p: int, a: int, b: int) -> int:
-    """Exact sign of {sqrt(p)} - a/b, from b*sqrt(p) - (b*floor(sqrt(p)) + a)."""
-    return _sign_1rad(-(b * isqrt(p) + a), b, p)
-
-
 def _err_decimal(p: int, a: int, b: int, side: int, digits: int = 6) -> str:
     """|{sqrt(p)} - a/b| truncated to the given digits, where side is the
-    sign of {sqrt(p)} - a/b (from _mu_side)."""
+    sign of {sqrt(p)} - a/b (from mu_vs_rational)."""
     M = isqrt(p)
     scale = 10 ** digits
     big = isqrt(p * (scale * b) ** 2)       # floor(sqrt(p) b scale)
@@ -117,13 +112,14 @@ def _err_decimal(p: int, a: int, b: int, side: int, digits: int = 6) -> str:
 def _record(N: int, p: int, a: int, b: int, side: int, prev_p) -> AccumRecord:
     """The record for prime p scanned toward a/b from the given side; the
     monotone flag compares it with the previous record's prime, if any."""
-    s = _mu_side(p, a, b)
+    M = isqrt(p)
+    s = mu_vs_rational(p, M, a, b)
     rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
                       abs_err_digits=_err_decimal(p, a, b, s), side_ok=s == side)
     if prev_p is not None and rec.side_ok:
         # both mus lie on the given side of a/b, which cancels:
         # |mu(p) - a/b| - |mu(prev_p) - a/b| = side (mu(p) - mu(prev_p))
-        rec.monotone_ok = side * mu_order(p, isqrt(p), prev_p, isqrt(prev_p)) < 0
+        rec.monotone_ok = side * mu_order(p, M, prev_p, isqrt(prev_p)) < 0
     return rec
 
 

@@ -8,18 +8,12 @@ Checkers tagged "kernel" run through RootExpr instead, as an independent path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, frac_root, _sign_1rad, _sign_2rad
-from ..window import HALF, delta_order, mu_order, root_views
-from .predicates import mu_cmp, sqrtq_delta_frac_cmp
+from ..window import delta_order, mu_order, mu_vs_rational, root_views
+from .predicates import delta_vs_rational, sqrtq_delta_frac_cmp
 from .types import HOLD, MISS, Kind, checker, violate
-
-F = Fraction
-
-QUARTER = F(1, 4)
-THREE_QUARTERS = F(3, 4)
 
 
 @checker("floor-31", Kind.UNIVERSAL,
@@ -49,7 +43,8 @@ def _floor_32(ctx, tri, st):
          source="corollary 3.3", n_min=2)
 def _frac_33(ctx, tri, st):
     v = root_views(tri.w)
-    c = cmp_root(v.sqrtp_delta_half - v.floor_sqrtp_delta_half, HALF)
+    # the fractional part against 1/2, times 2
+    c = cmp_root((v.sqrtp_delta_half - v.floor_sqrtp_delta_half).scale(2), 1)
     return HOLD if c is Cmp.LESS else violate("frac >= 1/2")
 
 
@@ -87,8 +82,9 @@ def _thm_35(ctx, tri, st):
     ident = v.delta_sq + frac_p.scale(2)
     if ident != 2:
         return violate("Delta^2 + 2 {sqrt(p) Delta} != 2")
-    cq = cmp_root(frac_q, QUARTER)
-    cp = cmp_root(frac_p, THREE_QUARTERS)
+    # against 1/4 and 3/4, times 4
+    cq = cmp_root(frac_q.scale(4), 1)
+    cp = cmp_root(frac_p.scale(4), 3)
     if cq is not Cmp.LESS:
         return violate("{sqrt(q) Delta} >= 1/4")
     if cp is not Cmp.GREATER:
@@ -137,8 +133,8 @@ def _chain_37(ctx, tri, st):
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
 def _survey_quarter(ctx, tri, st):
     w = tri.w
-    hit = (4 * (w.p + w.q) - 1) ** 2 >= 64 * w.p * w.q
-    return HOLD if hit else MISS
+    # Delta^2 >= 1/4 iff Delta >= 1/2
+    return HOLD if delta_vs_rational(w, 1, 2) >= 0 else MISS
 
 
 @checker("survey-prod", Kind.SURVEY,
@@ -194,7 +190,7 @@ def _mu_bounds(ctx, tri, st):
     # mu > h/(2 sqrt(p)):  (1 - h/(2p)) sqrt(p) - N > 0, times 2p
     if not _sign_1rad(-2 * w.p * w.N, 2 * w.p - w.h, w.p) > 0:
         return violate("mu <= h/(2 sqrt(p))")
-    if not mu_cmp(w, w.h, 2 * w.N) < 0:
+    if not mu_vs_rational(w.p, w.N, w.h, 2 * w.N) < 0:
         return violate("mu >= h/(2N)")
     if w.same_part:
         v = root_views(w)
@@ -272,7 +268,8 @@ def _mu_series_brackets(w):
 def _mu_series(ctx, tri, st):
     w = tri.w
     for k, (lo, hi, den) in enumerate(_mu_series_brackets(w), 1):
-        if not (mu_cmp(w, lo, den) > 0 and mu_cmp(w, hi, den) < 0):
+        if not (mu_vs_rational(w.p, w.N, lo, den) > 0
+                and mu_vs_rational(w.p, w.N, hi, den) < 0):
             return violate(f"series remainder bound failed at K={k}")
     return HOLD
 

@@ -8,19 +8,16 @@ mu*sqrt(p) floor a pure-integer statement.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
-from ..exact import Cmp, RootExpr, cmp_root, floor_root, _sign_1rad, _sign_2rad
+from ..exact import Cmp, RootExpr, cmp_root, floor_root, frac_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
-from ..window import HALF, root_views
-from .predicates import delta_vs_rational, mu_cmp, mu_sqrtp_frac_cmp
+from ..window import mu_vs_rational, root_views
+from .predicates import delta_vs_rational, mu_sqrtp_frac_cmp
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
 
-F = Fraction
-
 # Delta_4 / 2 = (sqrt(11) - sqrt(7)) / 2
-DELTA4_HALF = (RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(HALF)
+DELTA4_HALF = (RootExpr.sqrt(11) - RootExpr.sqrt(7)) / 2
 
 
 def _same(ctx, tri) -> bool:
@@ -132,7 +129,7 @@ def _dpar_57(ctx, tri, st):
     v = root_views(w)
     if v.D - v.mu_sum != 2 * w.N:
         return violate("D - (mu' + mu) != 2N")
-    half_gap = v.D.scale(HALF) - v.mu_sum.scale(HALF)
+    half_gap = v.D / 2 - v.mu_sum / 2
     if half_gap + v.mu != v.sqrt_p:
         return violate("sqrt(p) reconstruction failed")
     if half_gap + v.mu_q != v.sqrt_q:
@@ -167,7 +164,7 @@ def _dpar_59(ctx, tri, st):
     lt = fd < 2 * w.N + 1
     if (fd % 2 == 0) != lt:
         return violate("parity vs 2mu < 1 - Delta")
-    if lt and not mu_cmp(w, 1, 2) < 0:
+    if lt and not mu_vs_rational(w.p, w.N, 1, 2) < 0:
         return violate("mu >= 1/2 in the even case")
     return HOLD
 
@@ -198,14 +195,12 @@ def _ids_511(ctx, tri, st):
     v = root_views(w)
     tNq = v.tNq
     radicals = v.N_sqrtp - v.Nq_sqrtq
-    X = radicals + (w.q - w.p)
-    fX = floor_root(X)
-    fracX = X - fX
+    fX, fracX = frac_root(radicals + (w.q - w.p))
     if fracX != radicals + (tNq - w.tN):
         return violate("fractional split fails on a shared window")
     if fX != w.d // 2:
         return violate("floor != d/2")
-    half_sq = (v.mu_q_sq - v.mu_sq).scale(HALF)
+    half_sq = (v.mu_q_sq - v.mu_sq) / 2
     if fracX != half_sq:
         return violate("fractional part != (mu'^2 - mu^2)/2")
     if fX != (w.q - tNq - 1) - (w.p - w.tN - 1):
@@ -224,7 +219,7 @@ def _ids_512(ctx, tri, st):
     if v.delta != v.mu_q + 1 - v.mu:
         return violate("Delta != {h'/mu'} + 1 - {h/mu}")
     rhs = (v.mu_q_sqrtq - v.mu_sqrtp
-           - (v.mu_q_sq - v.mu_sq - 1).scale(HALF))
+           - (v.mu_q_sq - v.mu_sq - 1) / 2)
     if rhs.scale(2) != w.d - 2 * w.N:
         return violate("second straddle identity")
     return HOLD
@@ -238,9 +233,7 @@ def _ids_513(ctx, tri, st):
     w = tri.w
     v = root_views(w)
     tNq = v.tNq
-    X = v.Nq_sqrtq - v.N_sqrtp + (w.p - w.q)
-    fX = floor_root(X)
-    fracX = X - fX
+    fX, fracX = frac_root(v.Nq_sqrtq - v.N_sqrtp + (w.p - w.q))
     fr_p = (w.tN + 1) - v.N_sqrtp     # {mu sqrt(p)}
     fr_q = (tNq + 1) - v.Nq_sqrtq     # {mu' sqrt(q)}
     fl_p, fl_q = w.p - w.tN - 1, w.q - tNq - 1
@@ -264,10 +257,10 @@ def _ids_513(ctx, tri, st):
 def _ids_514(ctx, tri, st):
     w = tri.w
     v = root_views(w)
-    half = v.delta.inverse().scale(F(w.d, 2))
-    if half - (v.mu_sum + 1).scale(HALF) != w.N:
+    half = v.delta.inverse().scale(w.d) / 2
+    if half - (v.mu_sum + 1) / 2 != w.N:
         return violate("sqrt(p) - mu straddle identity")
-    if v.sqrt_q != half - (v.mu_sum - 1).scale(HALF) + v.mu_q:
+    if v.sqrt_q != half - (v.mu_sum - 1) / 2 + v.mu_q:
         return violate("sqrt(q) straddle identity")
     return HOLD
 
@@ -457,7 +450,7 @@ def _survey_dsq_p(ctx, tri, st):
     w = tri.w
     if w.d * w.d > w.p and len(st["d_gt_sqrt_p"]) < 1000:
         st["d_gt_sqrt_p"].append(w.n)
-    if (4 * (w.p + w.q) - 1) ** 2 > 64 * w.p * w.q and len(st["delta_gt_half"]) < 1000:
+    if delta_vs_rational(w, 1, 2) > 0 and len(st["delta_gt_half"]) < 1000:
         st["delta_gt_half"].append(w.n)
     return HOLD if w.d * w.d > w.q else MISS
 
@@ -469,7 +462,7 @@ def _survey_dsq_p(ctx, tri, st):
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
 def _delta_gt_half(ctx, tri, st):
     w = tri.w
-    return HOLD if (4 * (w.p + w.q) - 1) ** 2 > 64 * w.p * w.q else MISS
+    return HOLD if delta_vs_rational(w, 1, 2) > 0 else MISS
 
 
 # -- statement 7.x ---------------------------------------------------------------

@@ -128,10 +128,6 @@ def _twin_94(ctx, tri, st):
     return HOLD
 
 
-def _runmin_state():
-    return {"min": None, "maxF": None, "minfq": None}
-
-
 def _from_one(ctx, tri):
     """Claims over every n < m need the running extremum from n = 1; a run
     that starts later cannot decide them.  A resumed run keeps its first n_lo."""
@@ -141,7 +137,7 @@ def _from_one(ctx, tri):
 @checker("twin-95", Kind.UNIVERSAL,
          title="Delta_n > Delta_m for every n < m when d_m = 2, m >= 5",
          source="statement 9.5", domain=_from_one,
-         state_init=_runmin_state)
+         state_init=lambda: {"min": None})
 def _twin_95(ctx, tri, st):
     w = tri.w
     out = HOLD
@@ -159,7 +155,7 @@ def _twin_95(ctx, tri, st):
          title="{sqrt(q)Delta} at a twin m >= 5 sits below all earlier values, "
                "{sqrt(p)Delta} above them",
          source="corollary 9.6", domain=_from_one,
-         state_init=_runmin_state)
+         state_init=lambda: {"maxF": None})
 def _twin_96(ctx, tri, st):
     w = tri.w
     out = HOLD
@@ -247,7 +243,7 @@ def _twin_99(ctx, tri, st):
          title="converse ordering: if Delta_n > Delta_m for all n < m (m >= 5) "
                "then d_m = 2",
          source="corollary 9.10", domain=_from_one,
-         state_init=_runmin_state)
+         state_init=lambda: {"min": None})
 def _twin_910(ctx, tri, st):
     w = tri.w
     out = HOLD

@@ -1,12 +1,12 @@
 """Shared exact decision helpers for catalog predicates: one window quantity
 against a rational threshold.
 
-Everything here reduces to integer arithmetic or to the exact kernel; no
-floating point enters any decision.  A rational threshold t is passed as two
-ints, num and den with den > 0; each helper multiplies its quantity by den
-(or den^2) and hands plain ints to the kernel's sign procedure.  Comparisons
-between two windows (floor(sqrt(p) + sqrt(q)), the Delta order and the mu
-order) live in `window`.
+Everything here reduces to integer arithmetic; no floating point and no
+Fraction enters any decision.  A rational threshold t is passed as two ints,
+num and den with den > 0; each helper multiplies its quantity by den (or
+den^2) and hands plain ints to the kernel's sign procedure.  The window
+comparisons (floor(sqrt(p) + sqrt(q)), the Delta order, the mu order and mu
+against a rational) live in `window`.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ def delta_vs_rational(w: GapWindow, num: int, den: int) -> int:
 def sqrtq_delta_frac_cmp(w: GapWindow, num: int, den: int) -> int:
     """Exact sign of {sqrt(q)*Delta} - num/den using {sqrt(q)Delta} = s+1-sqrt(pq)."""
     return _sign_1rad(den * (w.s + 1) - num, -den, w.p * w.q)
-
-
-def mu_cmp(w: GapWindow, num: int, den: int) -> int:
-    """Exact sign of mu_n - num/den, from den*sqrt(p) - (den*N + num)."""
-    return _sign_1rad(-(den * w.N + num), den, w.p)
 
 
 def mu_sqrtp_frac_cmp(w: GapWindow, num: int, den: int) -> int:

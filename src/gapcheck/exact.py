@@ -8,20 +8,21 @@ never left undecided: each takes exact signs from one procedure, `_sign`,
 whatever the number of radicands.  A floor is the sum of the isqrt floors of
 the terms, stepped up by at most one exact sign per term beyond the first.
 
-A RootExpr is built from, and combined with, ints and Fractions only; any
-other number raises TypeError.  The sign procedures take plain ints only: a
-sign does not change when every term is multiplied by the same positive
-integer, so callers clear denominators that way and never pass a Fraction.
-A RootExpr's num and b_i already are its terms times den > 0, so `cmp_root`
-against n/d passes d*num - n*den and the d*b_i.
+A RootExpr is built from, combined with and compared against ints and
+RootExprs only; any other operand, a Fraction or a float included, raises
+TypeError, in == as well.  A sign does not change when every term is
+multiplied by the same positive integer, so a caller clears denominators
+that way: x against n/d is x.scale(d) against n, and half of x is x / 2.  A
+RootExpr's num and b_i already are its terms times den > 0, so the sign
+procedures, which take plain ints, get them as they are.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import index
 
 # trial square factors extracted during radicand normalization
 _NORM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -37,16 +38,6 @@ class Cmp(Enum):
     EQUAL = 0
     GREATER = 1
     UNDECIDED = 2   # never returned; bench/tracer.py still reads it
-
-
-def _rational(x) -> tuple[int, int]:
-    """(numerator, denominator) of an int or a Fraction; a RootExpr takes
-    nothing else."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    raise TypeError(f"RootExpr takes int or Fraction, not {type(x).__name__}")
 
 
 # A radicand recurs within its window and the next (q of one window is p of
@@ -92,36 +83,29 @@ class RootExpr:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def of(cls, value) -> "RootExpr":
-        n, d = _rational(value)
-        return _make(n, (), d)
+    def of(cls, value: int) -> "RootExpr":
+        return _make(index(value), (), 1)
 
     @classmethod
-    def sqrt(cls, m: int, coef=1) -> "RootExpr":
-        n, d = _rational(coef)
+    def sqrt(cls, m: int, coef: int = 1) -> "RootExpr":
+        n = index(coef)
         if n == 0:
             return _make(0, (), 1)
         outer, core = _norm_radicand(m)
-        n *= outer
-        if d != 1:
-            g = gcd(n, d)
-            n, d = n // g, d // g
         if core == 1:
-            return _make(n, (), d)
-        return _make(0, ((core, n),), d)
+            return _make(n * outer, (), 1)
+        return _make(0, ((core, n * outer),), 1)
 
     # -- arithmetic ---------------------------------------------------------
-    # An int operand is tested with `type(x) is int` (so bool takes the
-    # general path) and needs no _rational and no gcd over the terms: adding
-    # a multiple of den leaves gcd(den, num, b...) alone, and a product can
-    # cancel only gcd(den, k).
+    # Every operand other than a RootExpr goes through operator.index, so a
+    # Fraction or a float raises TypeError.  An int operand needs no gcd over
+    # the terms: adding a multiple of den leaves gcd(den, num, b...) alone,
+    # and a product can cancel only gcd(den, k).
 
     def __add__(self, other) -> "RootExpr":
-        if type(other) is int:
-            return _make(self.num + other * self.den, self.terms, self.den)
         if isinstance(other, RootExpr):
             return _combine(self, other, 1)
-        return _add_rational(self, *_rational(other))
+        return _make(self.num + index(other) * self.den, self.terms, self.den)
 
     __radd__ = __add__
 
@@ -129,30 +113,21 @@ class RootExpr:
         return _neg(self)
 
     def __sub__(self, other) -> "RootExpr":
-        if type(other) is int:
-            return _make(self.num - other * self.den, self.terms, self.den)
         if isinstance(other, RootExpr):
             return _combine(self, other, -1)
-        n, d = _rational(other)
-        return _add_rational(self, -n, d)
+        return _make(self.num - index(other) * self.den, self.terms, self.den)
 
     def __rsub__(self, other) -> "RootExpr":
-        if type(other) is int:
-            return _make(other * self.den - self.num,
-                         tuple((m, -b) for m, b in self.terms), self.den)
-        return _add_rational(_neg(self), *_rational(other))
+        return _make(index(other) * self.den - self.num,
+                     tuple((m, -b) for m, b in self.terms), self.den)
 
-    def scale(self, k) -> "RootExpr":
-        if type(k) is int:
-            return _scale_int(self, k)
-        return _scale(self, *_rational(k))
+    def scale(self, k: int) -> "RootExpr":
+        return _scale_int(self, index(k))
 
     def __mul__(self, other) -> "RootExpr":
-        if type(other) is int:
-            return _scale_int(self, other)
         if isinstance(other, RootExpr):
             return _mul(self, other)
-        return _scale(self, *_rational(other))
+        return _scale_int(self, index(other))
 
     __rmul__ = __mul__
 
@@ -162,10 +137,11 @@ class RootExpr:
     def __truediv__(self, other) -> "RootExpr":
         if isinstance(other, RootExpr):
             return _mul(self, _inverse(other))
-        n, d = _rational(other)
-        if n == 0:
+        k = index(other)
+        if k == 0:
             raise ZeroDivisionError("RootExpr divided by zero")
-        return _scale(self, d, n) if n > 0 else _scale(self, -d, -n)
+        e = self if k > 0 else _neg(self)
+        return _reduced(e.num, e.terms, e.den * abs(k))
 
     # -- predicates -----------------------------------------------------------
 
@@ -177,19 +153,16 @@ class RootExpr:
         return f"RootExpr(({body}) / {self.den})" if self.den != 1 else f"RootExpr({body})"
 
     def __eq__(self, other):
-        if type(other) is int:
-            if not self.terms:
-                return self.den == 1 and self.num == other
-            return _sign(self.num - other * self.den, self.terms) == 0
         if isinstance(other, RootExpr):
             if (self.num == other.num and self.den == other.den
                     and self.terms == other.terms):
                 return True
             diff = _combine(self, other, -1)
             return _sign(diff.num, diff.terms) == 0
-        if isinstance(other, (int, Fraction)):
-            return cmp_root(self, other) is Cmp.EQUAL
-        return NotImplemented
+        k = index(other)
+        if not self.terms:
+            return self.den == 1 and self.num == k
+        return _sign(self.num - k * self.den, self.terms) == 0
 
 
 # -- integer arithmetic behind RootExpr ------------------------------------------
@@ -285,14 +258,6 @@ def _merge(t1: tuple, f1: int, t2: tuple, f2: int) -> tuple:
     return tuple(out)
 
 
-def _add_rational(e: RootExpr, n: int, d: int) -> RootExpr:
-    """e + n/d for d > 0."""
-    if d == 1:
-        # adding a multiple of den leaves gcd(den, num, b...) alone
-        return _make(e.num + n * e.den, e.terms, e.den)
-    return _combine(e, _make(n, (), d), 1)
-
-
 def _scale_int(e: RootExpr, k: int) -> RootExpr:
     """e * k for an int k."""
     if k == 0:
@@ -305,15 +270,6 @@ def _scale_int(e: RootExpr, k: int) -> RootExpr:
             den //= g
             k //= g
     return _make(e.num * k, tuple((m, b * k) for m, b in e.terms), den)
-
-
-def _scale(e: RootExpr, kn: int, kd: int) -> RootExpr:
-    """e * kn/kd for kd > 0."""
-    if kd == 1:
-        return _scale_int(e, kn)
-    if kn == 0:
-        return _make(0, (), 1)
-    return _reduced(e.num * kn, tuple((m, b * kn) for m, b in e.terms), e.den * kd)
 
 
 def _mul(a: RootExpr, b: RootExpr) -> RootExpr:
@@ -513,15 +469,12 @@ def _sign(c: int, terms, basis=None) -> int:
 _CMP = (Cmp.EQUAL, Cmp.GREATER, Cmp.LESS)   # indexed by a sign -1, 0 or 1
 
 
-def cmp_root(e: RootExpr, rhs=0) -> Cmp:
-    """Three-way comparison of a RootExpr against a rational: one exact sign,
-    whatever the number of radicands."""
-    n, d = _rational(rhs)
-    # e - n/d has the sign of (d num - n den) + sum d b_i sqrt(m_i): d, den > 0
-    terms = e.terms
-    if d != 1:
-        terms = tuple((m, d * b) for m, b in terms)
-    return _CMP[_sign(d * e.num - n * e.den, terms)]
+def cmp_root(e: RootExpr, n: int = 0) -> Cmp:
+    """Three-way comparison of a RootExpr against an int n: one exact sign,
+    whatever the number of radicands.  Against n/d for d > 0, compare
+    e.scale(d) against n."""
+    # e - n has the sign of (num - n den) + sum b_i sqrt(m_i), as den > 0
+    return _CMP[_sign(e.num - index(n) * e.den, e.terms)]
 
 
 def floor_root(e: RootExpr) -> int:

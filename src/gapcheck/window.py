@@ -14,25 +14,21 @@ no checker rebuilds it.  The list is in the RootViews docstring.  Only
 checkers build views: a stream that never asks for them (the ledger, the
 CSV dump) pays nothing for them.
 
-Three window comparisons recur through the catalog, the square tables and
+Four window comparisons recur through the catalog, the square tables and
 the accumulation scans, and each is decided here, in one function:
 floor(sqrt(p) + sqrt(q)) (`floor_sqrt_sum`), the order of two gaps
-c1 Delta_1 against c2 Delta_2 (`delta_order`) and the order of two
-fractional parts mu = {sqrt(p)} (`mu_order`).  Each takes one exact integer
-sign.
+c1 Delta_1 against c2 Delta_2 (`delta_order`), the order of two
+fractional parts mu = {sqrt(p)} (`mu_order`) and mu against a rational
+(`mu_vs_rational`).  Each takes one exact integer sign.
 """
 
 from __future__ import annotations
 
 import csv
-from fractions import Fraction
 from math import isqrt
 
-from .exact import RootExpr, _sign_1rad, _sign_2rad, floor_root
+from .exact import RootExpr, _sign_1rad, _sign_2rad, floor_root, frac_root
 from .primes import PrimeStore, CoverageError
-
-
-HALF = Fraction(1, 2)
 
 
 def floor_sqrt_sum(p: int, q: int, N: int, Nq: int) -> int:
@@ -58,6 +54,12 @@ def mu_order(p1: int, N1: int, p2: int, N2: int) -> int:
     """Exact sign of mu(p1) - mu(p2), where mu(p) = sqrt(p) - isqrt(p) and
     N1, N2 are isqrt(p1), isqrt(p2)."""
     return _sign_2rad(N2 - N1, 1, p1, -1, p2)
+
+
+def mu_vs_rational(p: int, N: int, num: int, den: int) -> int:
+    """Exact sign of mu(p) - num/den for den > 0, where N = isqrt(p): the
+    sign of den sqrt(p) - (den N + num)."""
+    return _sign_1rad(-(den * N + num), den, p)
 
 
 class SquareLawViolation(AssertionError):
@@ -228,16 +230,16 @@ class RootViews:
 
     @_view
     def frac_sqrtq_delta(self) -> RootExpr:
-        return _frac(self.sqrtq_delta)
+        return frac_root(self.sqrtq_delta)[1]
 
     @_view
     def frac_sqrtp_delta(self) -> RootExpr:
-        return _frac(self.sqrtp_delta)
+        return frac_root(self.sqrtp_delta)[1]
 
     @_view
     def sqrtp_delta_half(self) -> RootExpr:
-        # sqrt(p)*Delta - 1/2 = sqrt(pq) - (p + 1/2)
-        return self.sqrtp_delta - HALF
+        # sqrt(p)*Delta - 1/2 = (2 sqrt(pq) - (2p + 1)) / 2
+        return (self.two_sqrtp_delta - 1) / 2
 
     @_view
     def floor_sqrtp_delta_half(self) -> int:
@@ -288,10 +290,6 @@ class RootViews:
     @_view
     def floor_D(self) -> int:
         return floor_sqrt_sum(self._p, self._q, self._N, self._Nq)
-
-
-def _frac(e: RootExpr) -> RootExpr:
-    return e - floor_root(e)
 
 
 def root_views(w: GapWindow) -> RootViews:

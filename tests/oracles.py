@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from gapcheck.exact import RootExpr, _make, _rational, _sign_1rad, _sign_2rad
+from gapcheck.exact import RootExpr, _make, _sign_1rad, _sign_2rad
 from gapcheck.primes import is_prime_u64
 from gapcheck.window import windows
 
@@ -284,11 +284,16 @@ def floor_root_general(e) -> int:
 
 def build_root(const, parts: dict) -> RootExpr:
     """const + sum coef*sqrt(m) over parts = {m: coef}, through the kernel's
-    own constructors."""
-    e = RootExpr.of(const)
-    for m, coef in parts.items():
-        e = e + RootExpr.sqrt(m, coef)
-    return e
+    own constructors, which take ints only: const and the coefs are ints or
+    Fractions, taken times the lcm of their denominators, which the result
+    is then divided by."""
+    const = Fraction(const)
+    coefs = {m: Fraction(c) for m, c in parts.items()}
+    den = lcm(const.denominator, *(c.denominator for c in coefs.values()))
+    e = RootExpr.of(int(const * den))
+    for m, coef in coefs.items():
+        e = e + RootExpr.sqrt(m, int(coef * den))
+    return e / den
 
 
 def raw_root(const, parts) -> RootExpr:
@@ -296,12 +301,12 @@ def raw_root(const, parts) -> RootExpr:
     radicand kept as given, not normalized: square factors, perfect squares
     and dependent radicands stay.  const and the coefs are ints or Fractions;
     the radicands are distinct and positive."""
-    parts = [(m, _rational(c)) for m, c in parts]
-    cn, cd = _rational(const)
-    den = lcm(cd, *(d for _, (_, d) in parts))
+    const = Fraction(const)
+    parts = [(m, Fraction(c)) for m, c in parts]
+    den = lcm(const.denominator, *(c.denominator for _, c in parts))
     # over the lcm of reduced denominators the gcd is already 1
-    terms = tuple(sorted((m, n * (den // d)) for m, (n, d) in parts if n))
-    return _make(cn * (den // cd), terms, den)
+    terms = tuple(sorted((m, int(c * den)) for m, c in parts if c))
+    return _make(int(const * den), terms, den)
 
 
 def root_sign_args(e) -> list[int]:

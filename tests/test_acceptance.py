@@ -75,8 +75,9 @@ def test_criterion_02_sharp_andrica(store_16m):
     ok = r.verdict is Verdict.PASS and r.extra["max_at"] == 4
     ok &= r.extra["max_delta"] == "sqrt(11)-sqrt(7)"
     d4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
-    ok &= cmp_root(d4, Fraction(7, 10)) is Cmp.LESS
-    ok &= cmp_root(RootExpr.sqrt(2, Fraction(1, 2)), Fraction(7, 10)) is Cmp.GREATER
+    # against 7/10: Delta_4 times 10 and sqrt(2)/2 times 10 = 5 sqrt(2) against 7
+    ok &= cmp_root(d4.scale(10), 7) is Cmp.LESS
+    ok &= cmp_root(RootExpr.sqrt(2).scale(5), 7) is Cmp.GREATER
     _report(2, "max Delta at n = 4, exactly sqrt(11)-sqrt(7) < 7/10 < sqrt(2)/2", ok)
 
 

@@ -234,6 +234,23 @@ def test_resume_ignores_old_j_prev(mid_store):
         assert resumed[cid].to_json() == single[cid].to_json(), cid
 
 
+def test_resume_ignores_old_runmin_keys(mid_store):
+    """twin-95, twin-96 and twin-910 each keep only the running extremum they
+    read; a checkpoint written when all three carried min, maxF and minfq
+    still resumes, the keys a checker does not read left unread."""
+    ids = ["twin-95", "twin-96", "twin-910"]
+    single, _ = run_many(ids, mid_store, 1, 3000)
+    _, cp = run_many(ids, mid_store, 1, 1234)
+    assert {cid: set(cp["per"][cid]["state"]) for cid in ids} == \
+        {"twin-95": {"min"}, "twin-96": {"maxF"}, "twin-910": {"min"}}
+    for cid in ids:
+        cp["per"][cid]["state"] = {"min": None, "maxF": None, "minfq": None,
+                                   **cp["per"][cid]["state"]}
+    resumed, _ = run_many(ids, mid_store, 1235, 3000, resume=json.loads(json.dumps(cp)))
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+
+
 def test_resume_mismatch_rejected(mid_store):
     _, cp = run_many(["conj-gap-sq"], mid_store, 1, 50)
     with pytest.raises(ValueError):

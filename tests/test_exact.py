@@ -41,10 +41,11 @@ def test_norm_merging():
 
 def test_cmp_root_examples():
     assert cmp_root(RootExpr.sqrt(4) - 2) is Cmp.EQUAL
-    assert cmp_root(RootExpr.sqrt(11) - RootExpr.sqrt(7), F(7, 10)) is Cmp.LESS
-    assert cmp_root(RootExpr.sqrt(11) - RootExpr.sqrt(7), F(67, 100)) is Cmp.GREATER
+    # against 7/10 and 67/100: the value times 10 or 100 against 7 or 67
+    assert cmp_root((RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(10), 7) is Cmp.LESS
+    assert cmp_root((RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(100), 67) is Cmp.GREATER
     # sqrt(2)/2 above 7/10
-    assert cmp_root(RootExpr.sqrt(2, F(1, 2)), F(7, 10)) is Cmp.GREATER
+    assert cmp_root((RootExpr.sqrt(2) / 2).scale(10), 7) is Cmp.GREATER
 
 
 def test_cmp_root_identity_window4():
@@ -72,8 +73,8 @@ def test_frac_root_examples():
 
 def test_two_radicand_exact():
     e = RootExpr.sqrt(2) + RootExpr.sqrt(3)
-    assert cmp_root(e, F(314, 100)) is Cmp.GREATER
-    assert cmp_root(e, F(315, 100)) is Cmp.LESS
+    assert cmp_root(e.scale(100), 314) is Cmp.GREATER
+    assert cmp_root(e.scale(100), 315) is Cmp.LESS
     assert cmp_root(RootExpr.sqrt(2, 2) - RootExpr.sqrt(8)) is Cmp.EQUAL
     assert floor_root(e) == 3
     assert floor_root(RootExpr.sqrt(3) - RootExpr.sqrt(2)) == 0
@@ -129,8 +130,8 @@ def test_fixed_error_tracking():
     e = RootExpr.sqrt(2) + RootExpr.sqrt(3)
     fa = eval_fixed(e, 64)
     lo, hi = fa.mantissa - fa.error_ulps, fa.mantissa + fa.error_ulps
-    assert cmp_root(e, F(lo, 2 ** 64)) is Cmp.GREATER
-    assert cmp_root(e, F(hi, 2 ** 64)) is Cmp.LESS
+    assert cmp_root(e.scale(2 ** 64), lo) is Cmp.GREATER
+    assert cmp_root(e.scale(2 ** 64), hi) is Cmp.LESS
 
 
 def test_pq_never_perfect_square(mid_store):
@@ -150,7 +151,7 @@ def test_alpha_difference_identity_on_twin_interiors(mid_store):
     m1, against that twin's Delta_m1, up to five radicands.  The identity
     holds for any values, so it tests the kernel, not the primes, and it is
     checked here rather than by a catalog checker."""
-    c = RootExpr.sqrt(2, F(1, 2))
+    c = RootExpr.sqrt(2) / 2
     delta_m1 = None
     count = 0
     for w in windows(mid_store, 1, 20000):
@@ -201,10 +202,41 @@ def test_float_raises_type_error(bad):
         bad()
 
 
+@pytest.mark.parametrize("bad", [
+    lambda: RootExpr.of(F(1, 2)),
+    lambda: RootExpr.of(F(2)),
+    lambda: RootExpr.sqrt(2, F(1, 2)),
+    lambda: RootExpr.sqrt(2) + F(1, 2),
+    lambda: F(1, 2) + RootExpr.sqrt(2),
+    lambda: RootExpr.sqrt(2) - F(1, 2),
+    lambda: F(1, 2) - RootExpr.sqrt(2),
+    lambda: RootExpr.sqrt(2).scale(F(1, 2)),
+    lambda: RootExpr.sqrt(2) * F(2),
+    lambda: F(2) * RootExpr.sqrt(2),
+    lambda: RootExpr.sqrt(2) / F(2),
+    lambda: cmp_root(RootExpr.sqrt(2), F(7, 5)),
+    lambda: RootExpr.of(0) == F(0),
+    lambda: RootExpr.of(0) != F(0),
+    lambda: F(0) == RootExpr.of(0),
+    lambda: RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402) == F(0),
+])
+def test_fraction_raises_type_error(bad):
+    """The kernel takes ints and RootExprs only: a Fraction operand raises
+    rather than answer, so e == Fraction(0) cannot fall through to
+    Fraction.__eq__ and read False."""
+    with pytest.raises(TypeError):
+        bad()
+
+
 def test_eq_with_float_is_not_implemented():
-    assert RootExpr.of(1).__eq__(1.0) is NotImplemented
-    assert RootExpr.of(1) != 1.0
-    assert RootExpr.of(1) == 1 and RootExpr.of(F(1, 2)) == F(1, 2)
+    """== and != against a float raise TypeError, as arithmetic does."""
+    with pytest.raises(TypeError):
+        RootExpr.of(1).__eq__(1.0)
+    with pytest.raises(TypeError):
+        RootExpr.of(1) != 1.0
+    with pytest.raises(TypeError):
+        1.0 == RootExpr.of(1)
+    assert RootExpr.of(1) == 1 and RootExpr.of(1) / 2 == RootExpr.of(2) / 4
 
 
 def _minus_floor(b, m):
@@ -272,7 +304,7 @@ def test_exact_sign_clears_denominators():
     # sqrt(2)/3 - sqrt(3)/5 + 1/7 > 0 and sqrt(8)/3 - sqrt(2)*2/3 = 0
     e = build_root(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
     assert exact_sign(e) == radical_sign(15, 35, 2, -21, 3) == 1
-    assert exact_sign(RootExpr.sqrt(8, F(1, 3)) - RootExpr.sqrt(2, F(2, 3))) == 0
+    assert exact_sign(RootExpr.sqrt(8) / 3 - RootExpr.sqrt(2, 2) / 3) == 0
     assert exact_sign(build_root(F(-1, 2), {2: F(1, 3)})) == -1
 
 
@@ -289,13 +321,15 @@ _core_sets = st.lists(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 77)),
 def _root_pairs(draw, cores):
     """A RootExpr and its reference model built from the same parts: a
     rational constant plus up to three coef*sqrt(core * square) terms, so
-    square parts, merges and cancellations all occur."""
+    square parts, merges and cancellations all occur.  The RootExpr takes
+    each rational n/d as an int divided by d."""
     const = draw(_fracs)
-    e, ref = RootExpr.of(const), RefRoot(const)
+    e, ref = RootExpr.of(const.numerator) / const.denominator, RefRoot(const)
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         m = draw(st.sampled_from(cores)) * draw(st.sampled_from((1, 1, 4, 9, 49)))
         c = draw(_fracs)
-        e, ref = e + RootExpr.sqrt(m, c), ref + RefRoot.sqrt(m, c)
+        e = e + RootExpr.sqrt(m, c.numerator) / c.denominator
+        ref = ref + RefRoot.sqrt(m, c)
     return e, ref
 
 
@@ -318,14 +352,20 @@ def _agrees(e, ref):
 def test_kernel_agrees_with_reference_arithmetic(data, cores):
     a, ra = data.draw(_root_pairs(cores))
     b, rb = data.draw(_root_pairs(cores))
-    k = data.draw(st.one_of(st.integers(min_value=-9, max_value=9), _fracs))
+    k = data.draw(st.integers(min_value=-9, max_value=9))
+    r = data.draw(_fracs)
     assert _agrees(a, ra) and _agrees(b, rb)
     assert _agrees(a + b, ra + rb) and _agrees(a - b, ra - rb)
     assert _agrees(a * b, ra * rb)
     assert _agrees(a.scale(k), ra.scale(k)) and _agrees(a * k, ra.scale(k))
     assert _agrees(a + k, ra + RefRoot(k)) and _agrees(k - a, RefRoot(k) - ra)
-    if k:
-        assert _agrees(a / k, ra.scale(1 / F(k)))
+    assert _agrees(a.scale(r.numerator) / r.denominator, ra.scale(r))
+    # division by an int: either sign, k = 1, and k = 0 raising
+    for j in (k, 1, -1, -r.denominator):
+        if j:
+            assert _agrees(a / j, ra.scale(F(1, j)))
+    with pytest.raises(ZeroDivisionError):
+        a / 0
     if ra == RefRoot(0):
         with pytest.raises(ZeroDivisionError):
             a.inverse()
@@ -342,9 +382,11 @@ def test_kernel_agrees_with_reference_predicates(data, cores):
     assert (a == b) == (ra == rb) and (a != b) == (not ra == rb)
     assert a == (a + b) - b
     # on square-free cores a value is rational exactly when it has no terms
-    assert (a == ra.const) == (not ra.coefs) and (a - b == 0) == (ra == rb)
+    c = ra.const
+    assert (a.scale(c.denominator) == c.numerator) == (not ra.coefs)
+    assert (a - b == 0) == (ra == rb)
     r = data.draw(_fracs)
-    assert cmp_root(a, r).value == (ra - RefRoot(r)).sign()
+    assert cmp_root(a.scale(r.denominator), r.numerator).value == (ra - RefRoot(r)).sign()
     assert cmp_root(a - b).value == (ra - rb).sign()
     assert floor_root(a) == ra.floor()
     f, frac = frac_root(a)
@@ -396,7 +438,7 @@ def test_floor_root_dependent_radicands():
     zero = RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402)
     assert len(zero.terms) == 2
     assert floor_root(zero) == 0 and floor_root(zero + 7) == 7
-    assert floor_root(zero - F(1, 10 ** 9)) == -1
+    assert floor_root(zero - RootExpr.of(1) / 10 ** 9) == -1
     assert cmp_root(zero) is Cmp.EQUAL
 
 
@@ -429,8 +471,9 @@ def test_cmp_root_many_radicands_against_isqrt_oracle(data, k, c, near):
         c += sum(_minus_floor(b, m) for m, b in terms)
     e = raw_root(c, terms)
     assert cmp_root(e).value == radical_sign(*root_sign_args(e))
-    r = F(data.draw(st.integers(min_value=-9, max_value=9)), 7)
-    assert cmp_root(e, r).value == radical_sign(*root_sign_args(e - r))
+    # against r/7: e times 7 against r
+    r = data.draw(st.integers(min_value=-9, max_value=9))
+    assert cmp_root(e.scale(7), r).value == radical_sign(*root_sign_args(e.scale(7) - r))
 
 
 def _expand(x0, xs: dict, y0, ys: dict):
@@ -465,9 +508,9 @@ def test_built_zeros_in_three_generators(ms, cs, scale):
     assert expanded == product and product == expanded
     zero = expanded - product
     assert cmp_root(zero) is Cmp.EQUAL and zero == 0
-    assert cmp_root(zero, F(1, 10 ** 12)) is Cmp.LESS
-    assert cmp_root(zero, F(-1, 10 ** 12)) is Cmp.GREATER
-    assert floor_root(zero) == 0 and floor_root(zero - F(1, 10 ** 12)) == -1
+    assert cmp_root(zero.scale(10 ** 12), 1) is Cmp.LESS
+    assert cmp_root(zero.scale(10 ** 12), -1) is Cmp.GREATER
+    assert floor_root(zero) == 0 and floor_root(zero - RootExpr.of(1) / 10 ** 12) == -1
     assert floor_root(expanded) == floor_root(product)
     # a nonzero third radicand decides the sign on its own
     assert cmp_root(zero + RootExpr.sqrt(a * b * c + 1, -3)) is Cmp.LESS
@@ -510,13 +553,16 @@ def test_floor_root_many_radicands_against_ladder(data, k, c, den, near):
 def test_eq_by_value():
     a, b = RootExpr.sqrt(2, 101), RootExpr.sqrt(20402)
     assert a.terms != b.terms and a == b and not a != b
-    assert a - b == 0 and a - b == F(0) and a - b + F(1, 3) == F(1, 3)
+    third = RootExpr.of(1) / 3
+    assert a - b == 0 and a - b + third == third
+    with pytest.raises(TypeError):
+        a - b == F(0)
     assert RootExpr.sqrt(3 * 101 ** 2) == RootExpr.sqrt(3, 101)
     three = a - b + RootExpr.sqrt(5)
     assert len(three.terms) == 3
     assert three == RootExpr.sqrt(5) and three != RootExpr.sqrt(5) + 1
-    assert three != 2 and three != F(9, 4)
-    assert a != RootExpr.sqrt(20403) and a - b != F(1, 10 ** 30)
+    assert three != 2 and three != RootExpr.of(9) / 4
+    assert a != RootExpr.sqrt(20403) and a - b != RootExpr.of(1) / 10 ** 30
     with pytest.raises(TypeError):
         hash(a)
 
@@ -533,9 +579,9 @@ def test_decisions_never_use_the_ladder():
             e = build_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
                            {m: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))
                             for m in ms})
-            for x in (e, e - RootExpr.sqrt(e.terms[-1][0], F(e.terms[-1][1], e.den)),
-                      e - F(e.num, e.den)):
-                cmp_root(x, F(rng.randrange(-99, 99), rng.randrange(1, 9)))
+            m, b = e.terms[-1]
+            for x in (e, e - RootExpr.sqrt(m, b) / e.den, e - RootExpr.of(e.num) / e.den):
+                cmp_root(x.scale(rng.randrange(1, 9)), rng.randrange(-99, 99))
                 cmp_root(x)
                 floor_root(x)
                 frac_root(x)
@@ -544,10 +590,10 @@ def test_decisions_never_use_the_ladder():
 
 
 @pytest.mark.parametrize("e, k, equal", [
-    (RootExpr.of(F(6, 3)), 2, True),
+    (RootExpr.of(6) / 3, 2, True),
     (RootExpr.sqrt(4), 2, True),
-    (RootExpr.of(F(1, 2)), 0, False),
-    (RootExpr.of(F(1, 2)), 1, False),
+    (RootExpr.of(1) / 2, 0, False),
+    (RootExpr.of(1) / 2, 1, False),
     (RootExpr.of(0), 0, True),
     (RootExpr.of(-3), -3, True),
     (RootExpr.sqrt(2), 1, False),
@@ -557,8 +603,10 @@ def test_decisions_never_use_the_ladder():
     (RootExpr.of(2), True, False),
 ])
 def test_eq_int_agrees_with_fraction(e, k, equal):
+    """The int paths of ==, +, -, * and scale against the same int as a
+    RootExpr; a bool counts as an int."""
     assert (e == k) is equal and (e != k) is not equal
-    assert (e == F(k)) is equal
-    # the int paths of + - * and scale agree with the Fraction ones
-    assert e + k == e + F(k) and e - k == e - F(k) and k - e == F(k) - e
-    assert e * k == e * F(k) and e.scale(k) == e.scale(F(k))
+    r = RootExpr.of(k)
+    assert (e == r) is equal
+    assert e + k == e + r and e - k == e - r and k - e == r - e
+    assert e * k == e * r and e.scale(k) == e * r

@@ -1,5 +1,6 @@
 """Two paths for every helper in checkers/predicates.py and for the window
-comparisons of window.py (floor_sqrt_sum, delta_order, mu_order): the
+comparisons of window.py (floor_sqrt_sum, delta_order, mu_order,
+mu_vs_rational): the
 helper's own integer reduction against cmp_root / floor_root of the same
 quantity built from root_views(w).  mu-series' integer partial sums are
 checked the same way, against the Fraction partial sums of `oracles`, and so
@@ -15,16 +16,14 @@ import pytest
 
 from gapcheck.checkers import Triple, registry
 from gapcheck.checkers.catalog_floor import _mu_series_brackets
-from gapcheck.checkers.predicates import (delta_vs_rational, is_square, mu_cmp,
-                                          mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp)
+from gapcheck.checkers.predicates import (delta_vs_rational, is_square, mu_sqrtp_frac_cmp,
+                                          sqrtq_delta_frac_cmp)
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
 from gapcheck.intervals import square_reports
-from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_order, root_views,
-                             windows)
+from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_order, mu_vs_rational,
+                             root_views, windows)
 from oracles import (RefRoot, floor_root_general, longhand_sqrt_digits,
                      mu_series_brackets_fraction)
-
-HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
 def _sample_windows(store, count, seed):
@@ -35,8 +34,9 @@ def _sample_windows(store, count, seed):
     return [GapWindow(n, store.nth_prime(n), store.nth_prime(n + 1)) for n in ns]
 
 
-def _kernel_sign(e, rhs=0) -> int:
-    c = cmp_root(e, rhs)
+def _kernel_sign(e, num=0, den=1) -> int:
+    """The sign of e - num/den from the kernel, as e times den > 0 against num."""
+    c = cmp_root(e.scale(den), num)
     assert c is not Cmp.UNDECIDED
     return c.value
 
@@ -61,17 +61,14 @@ def test_rational_threshold_helpers_two_paths(sample):
         frac_q = frac_root(v.sqrtq_delta)[1]
         frac_mu_p = frac_root(v.mu_sqrtp)[1]
         for num, den in _thresholds(rng, v.mu):
-            assert mu_cmp(w, num, den) == _kernel_sign(v.mu, Fraction(num, den)), w
+            assert mu_vs_rational(w.p, w.N, num, den) == _kernel_sign(v.mu, num, den), w
         for num, den in _thresholds(rng, v.delta):
             num = abs(num)   # Delta is compared against t >= 0 only
-            assert delta_vs_rational(w, num, den) == \
-                _kernel_sign(v.delta, Fraction(num, den)), w
+            assert delta_vs_rational(w, num, den) == _kernel_sign(v.delta, num, den), w
         for num, den in _thresholds(rng, frac_q):
-            assert sqrtq_delta_frac_cmp(w, num, den) == \
-                _kernel_sign(frac_q, Fraction(num, den)), w
+            assert sqrtq_delta_frac_cmp(w, num, den) == _kernel_sign(frac_q, num, den), w
         for num, den in _thresholds(rng, frac_mu_p):
-            assert mu_sqrtp_frac_cmp(w, num, den) == \
-                _kernel_sign(frac_mu_p, Fraction(num, den)), w
+            assert mu_sqrtp_frac_cmp(w, num, den) == _kernel_sign(frac_mu_p, num, den), w
 
 
 def test_window_helpers_two_paths(sample):
@@ -100,8 +97,8 @@ def test_sum_helpers_two_paths(sample):
 def test_mu_order_two_paths(sample):
     """mu_order on random window pairs against cmp_root(mu_a - mu_b), and
     accum's monotone comparison, side * mu_order, against the kernel's
-    |mu_a - r| - |mu_b - r| for random targets r that both mus lie on the
-    same side of."""
+    |mu_a - r| - |mu_b - r| for random targets r = t/1000 that both mus lie
+    on the same side of (the errors taken times 1000)."""
     rng = random.Random(13)
     for a in sample:
         b = rng.choice(sample)
@@ -109,13 +106,14 @@ def test_mu_order_two_paths(sample):
         s = mu_order(a.p, a.N, b.p, b.N)
         assert s == _kernel_sign(va.mu - vb.mu), (a, b)
         for _ in range(4):
-            r = Fraction(rng.randrange(1, 1000), 1000)
-            side = _kernel_sign(va.mu, r)
-            if side != _kernel_sign(vb.mu, r):
+            t = rng.randrange(1, 1000)
+            side = _kernel_sign(va.mu, t, 1000)
+            if side != _kernel_sign(vb.mu, t, 1000):
                 continue
             # |mu - r| = side (mu - r) for both
-            err_a, err_b = (va.mu - r).scale(side), (vb.mu - r).scale(side)
-            assert side * s == _kernel_sign(err_a - err_b), (a, b, r)
+            err_a = (va.mu.scale(1000) - t).scale(side)
+            err_b = (vb.mu.scale(1000) - t).scale(side)
+            assert side * s == _kernel_sign(err_a - err_b), (a, b, t)
 
 
 def test_square_first_prime_floor_D_two_paths(big_store):
@@ -131,8 +129,8 @@ def test_square_first_prime_floor_D_two_paths(big_store):
 
 def test_mu_series_two_paths(mid_store):
     """mu-series' integer brackets over one denominator against the Fraction
-    partial sums, order by order: the same rational ends, the same mu_cmp
-    decisions, both confirmed by cmp_root on root_views(w).mu, and the
+    partial sums, order by order: the same rational ends, the same
+    mu_vs_rational decisions, both confirmed by cmp_root on root_views(w).mu, and the
     checker holds exactly when every order's bracket holds mu."""
     rng = random.Random(17)
     ws = list(windows(mid_store, 3, 2000))
@@ -147,10 +145,13 @@ def test_mu_series_two_paths(mid_store):
         holds = True
         for (lo, hi, den), (lo_f, hi_f) in zip(ints, fracs):
             assert (Fraction(lo, den), Fraction(hi, den)) == (lo_f, hi_f), w
-            inside = mu_cmp(w, lo, den) > 0 and mu_cmp(w, hi, den) < 0
-            assert inside == (mu_cmp(w, lo_f.numerator, lo_f.denominator) > 0
-                              and mu_cmp(w, hi_f.numerator, hi_f.denominator) < 0), w
-            assert inside == (_kernel_sign(mu, lo_f) > 0 and _kernel_sign(mu, hi_f) < 0), w
+            inside = (mu_vs_rational(w.p, w.N, lo, den) > 0
+                      and mu_vs_rational(w.p, w.N, hi, den) < 0)
+            ends = (lo_f.numerator, lo_f.denominator), (hi_f.numerator, hi_f.denominator)
+            assert inside == (mu_vs_rational(w.p, w.N, *ends[0]) > 0
+                              and mu_vs_rational(w.p, w.N, *ends[1]) < 0), w
+            assert inside == (_kernel_sign(mu, *ends[0]) > 0
+                              and _kernel_sign(mu, *ends[1]) < 0), w
             holds = holds and inside
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == holds, w
 
@@ -166,7 +167,7 @@ def test_thm34_half_bound_two_paths(from_two):
     the checker holds exactly when the kernel bound does."""
     evaluate = registry()["thm-34"].evaluate
     for w in from_two:
-        below = _kernel_sign(frac_root(root_views(w).sqrtq_delta)[1], Fraction(1, 2)) < 0
+        below = _kernel_sign(frac_root(root_views(w).sqrtq_delta)[1], 1, 2) < 0
         assert (4 * w.p * w.q > (2 * w.s + 1) ** 2) == below, w
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == below, w
 
@@ -206,19 +207,21 @@ def test_chain37_two_paths(mid_store, from_two):
     """Each link of chain-37, as the checker's integer sign (the test's copy)
     and as cmp_root of the same RootExprs; the checker holds exactly when
     every kernel link does."""
+    half = RootExpr.of(1) / 2
     for w in list(windows(mid_store, 1, 1)) + from_two:
         v = root_views(w)
-        pq, half_d = w.p * w.q, Fraction(w.d, 2)
+        pq = w.p * w.q
         ints = [_sign_1rad(-2 * w.p - w.d, 2, pq) < 0,
                 _sign_1rad(2 * w.q - w.d, -2, pq) > 0,
                 _sign_1rad(4 * w.q - 2 * w.d - 1, -4, pq) < 0,
                 _sign_1rad(-4 * w.p - 2 * w.d + 1, 4, pq) > 0,
                 _sign_2rad(-2 * w.p, 2, pq, -1, 2 * w.p) < 0]
-        kernel = [_kernel_sign(v.sqrtp_delta, half_d) < 0,
-                  _kernel_sign(v.sqrtq_delta, half_d) > 0,
-                  _kernel_sign(v.sqrtq_delta, half_d + QUARTER) < 0,
-                  _kernel_sign(v.sqrtp_delta + HALF, half_d + QUARTER) > 0,
-                  _kernel_sign(v.sqrtp_delta + HALF - RootExpr.sqrt(2 * w.p, HALF), HALF) < 0]
+        # against d/2 and d/2 + 1/4 = (2d + 1)/4
+        kernel = [_kernel_sign(v.sqrtp_delta, w.d, 2) < 0,
+                  _kernel_sign(v.sqrtq_delta, w.d, 2) > 0,
+                  _kernel_sign(v.sqrtq_delta, 2 * w.d + 1, 4) < 0,
+                  _kernel_sign(v.sqrtp_delta + half, 2 * w.d + 1, 4) > 0,
+                  _kernel_sign(v.sqrtp_delta + half - RootExpr.sqrt(2 * w.p) / 2, 1, 2) < 0]
         assert ints == kernel, w
         assert _holds("chain-37", w) == all(kernel), w
 
@@ -233,7 +236,7 @@ def test_cor56_two_paths(from_two):
         fl_p, fr_p = frac_root(v.mu_sqrtp)
         fl_q, fr_q = frac_root(v.mu_q_sqrtq)
         assert (fl_p, fl_q) == (w.p - w.tN - 1, w.q - v.tNq - 1), w
-        below = _kernel_sign(fr_q - fr_p, HALF) < 0
+        below = _kernel_sign(fr_q - fr_p, 1, 2) < 0
         assert (_sign_2rad(2 * (v.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q) < 0) == below, w
         assert _holds("cor-56", w) == below, w
 
@@ -272,7 +275,7 @@ def test_root_views_against_oracles(sample):
         delta, D = sq - sp, sq + sp
         mu, mu_q = sp - RefRoot(w.N), sq - RefRoot(w.Nq)
         sqrtq_delta, sqrtp_delta = sq * delta, sp * delta
-        half_shift = sqrtp_delta - RefRoot(HALF)
+        half_shift = sqrtp_delta - RefRoot(Fraction(1, 2))
         h_over_mu = RefRoot(w.h) * mu.inverse()
         hq_over_mu_q = RefRoot(w.hq) * mu_q.inverse()
         roots = {

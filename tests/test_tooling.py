@@ -1,7 +1,7 @@
 """Static checks over the source tree, run with the tier-1 suite.
 
-- The kernel's sign procedures take plain ints: no `_sign_1rad`/`_sign_2rad`
-  call in src/gapcheck passes a Fraction built in its arguments.
+- Every decision takes plain ints: no module under src/gapcheck imports
+  `fractions`.
 - No module in src/ or tests/ imports a name it never uses (names listed in
   `__all__` and import lines marked `# noqa: F401` are exports or imported
   for their side effect).
@@ -11,7 +11,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIGN_PROCEDURES = {"_sign_1rad", "_sign_2rad"}
 
 
 def _modules(*dirs):
@@ -20,37 +19,19 @@ def _modules(*dirs):
             yield path, ast.parse(path.read_text(), str(path))
 
 
-def _fraction_names(tree) -> set[str]:
-    """Names bound to fractions.Fraction: its own name, `as` aliases and
-    plain assignments such as `F = Fraction`."""
-    names = {"Fraction"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
-            names.update(a.asname or a.name for a in node.names if a.name == "Fraction")
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
-                and node.value.id in names):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return names
-
-
-def _called_name(call: ast.Call) -> str | None:
-    f = call.func
-    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-
-
-def test_sign_procedures_get_no_fraction():
+def test_src_imports_no_fractions():
     bad = []
     for path, tree in _modules("src/gapcheck"):
-        fraction = _fraction_names(tree)
-        for call in ast.walk(tree):
-            if not (isinstance(call, ast.Call) and _called_name(call) in SIGN_PROCEDURES):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
                 continue
-            args = (*call.args, *(k.value for k in call.keywords))
-            if any(isinstance(n, ast.Call) and _called_name(n) in fraction
-                   for arg in args for n in ast.walk(arg)):
-                bad.append(f"{path.relative_to(ROOT)}:{call.lineno}")
-    assert not bad, f"Fraction passed to a sign procedure at {bad}"
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                bad.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not bad, f"fractions imported at {bad}"
 
 
 def _imported(tree, lines) -> dict[str, int]:

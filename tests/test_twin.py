@@ -66,7 +66,7 @@ def test_sandwich_bounds(mid_store):
 def test_alpha4_positive(mid_store):
     # alpha_4 = sqrt(2)/2 - (sqrt(11) - sqrt(7)) > 0
     from gapcheck.exact import Cmp, RootExpr, cmp_root
-    a4 = RootExpr.sqrt(2, Fraction(1, 2)) - (RootExpr.sqrt(11) - RootExpr.sqrt(7))
+    a4 = RootExpr.sqrt(2) / 2 - (RootExpr.sqrt(11) - RootExpr.sqrt(7))
     assert cmp_root(a4) is Cmp.GREATER
 
 
