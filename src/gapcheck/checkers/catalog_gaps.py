@@ -77,6 +77,8 @@ def _base_2q(w) -> bool:
          title="p > d(d/2 - 1)  iff  d^2 < 2q",
          source="statement 1.5(1)")
 def _eq_15_1(ctx, tri, st):
+    """Holds for every integer window: 2p > d(d - 2) is 2(p + d) > d^2,
+    and 4p > 2p."""
     w = tri.w
     item = 2 * w.p > w.d * (w.d - 2)
     if item != _base_2q(w):
@@ -91,6 +93,7 @@ def _eq_15_1(ctx, tri, st):
          title="sum_{i<=d} i - sum_{i<=n} d_i < d/2 + 2  iff  d^2 < 2q",
          source="statement 1.5(2)")
 def _eq_15_2(ctx, tri, st):
+    """Holds for every integer window: the item is d^2 - 2q + 4 < 4."""
     w = tri.w
     # sum of d_i over i <= n telescopes to q - 2
     item = w.d * (w.d + 1) - 2 * (w.q - 2) < w.d + 4
@@ -101,6 +104,8 @@ def _eq_15_2(ctx, tri, st):
          title="sqrt(q) < sqrt(p + 1/2) + sqrt(2)/2  iff  d^2 < 2q",
          source="statement 1.5(3)")
 def _eq_15_3(ctx, tri, st):
+    """Holds for every integer window: d - 1 >= 0, so d - 1 < sqrt(2p + 1)
+    is d^2 - 2d < 2p, that is d^2 < 2q."""
     w = tri.w
     # after the displayed rearrangement: q - p - 1 < sqrt(2p+1)
     item = _sign_1rad(w.d - 1, -1, 2 * w.p + 1) < 0
@@ -111,6 +116,8 @@ def _eq_15_3(ctx, tri, st):
          title="(1 + 1/(2p)) q < (sqrt(p) + (sqrt(2)/2) sqrt(q/p))^2  iff  d^2 < 2q",
          source="statement 1.5(4)")
 def _eq_15_4(ctx, tri, st):
+    """Holds for every integer window: less 2p^2 + q on both sides, the
+    item is 2p sqrt(2q) > 2p(q - p), that is sqrt(2q) > d."""
     w = tri.w
     # rhs expands exactly to p + sqrt(2q) + q/(2p); lhs is q (2p + 1)/(2p);
     # both times 2p > 0
@@ -169,6 +176,9 @@ def _eq_qr(ctx, tri, st):
          title="1/p - 1/q <= 1/6 with equality iff n = 1",
          source="proposition 2.1")
 def _inv_diff(ctx, tri, st):
+    """Holds for every integer window with p >= 5 and n >= 2:
+    pq - 6d = q(p - 6) + 6p > 0 for p >= 6, and p = 5 forces q <= 15 < 30.
+    The equality at n = 1 (p = 2, q = 3) is the one case tied to primes."""
     w = tri.w
     lhs, rhs = 6 * w.d, w.p * w.q
     if w.n == 1:
@@ -291,6 +301,7 @@ def _eq_28_2(ctx, tri, st):
          title="d/2 + sum_{i<=d-1} i < p  iff  d^2 < 2p",
          source="statement 2.8(3)", n_min=2, domain=_not_n4)
 def _eq_28_3(ctx, tri, st):
+    """Holds for every integer window: d + d(d - 1) = d^2."""
     w = tri.w
     item = w.d + w.d * (w.d - 1) < 2 * w.p
     return HOLD if item == _base_2p(w) else violate("sum form mismatch")
@@ -328,6 +339,8 @@ def _andrica_sharp(ctx, tri, st):
          title="a run of consecutive composites contains at most one perfect square",
          source="corollary 2.10")
 def _sq_in_gap(ctx, tri, st):
+    """Holds for every window the stream yields: GapWindow raises
+    SquareLawViolation when isqrt(q) > isqrt(p) + 1."""
     w = tri.w
     squares = isqrt(w.q - 1) - w.N
     return HOLD if squares <= 1 else violate(f"{squares} squares inside the gap")
@@ -346,6 +359,8 @@ def _gap_85(ctx, tri, st):
          source="proposition 2.12 at a = sqrt(2)",
          domain=lambda ctx, tri: _base_2p(tri.w))
 def _prop_212(ctx, tri, st):
+    """Holds for every integer window: Delta = d/D < d/(2 sqrt(p)), below
+    sqrt(2)/2 when d^2 < 2p."""
     w = tri.w
     # Delta < sqrt(2)/2  <=>  2(p+q) - 1 < 4 sqrt(pq); D-bound is the same claim
     ok = _sign_1rad(2 * (w.p + w.q) - 1, -4, w.p * w.q) < 0

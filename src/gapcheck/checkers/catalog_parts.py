@@ -4,6 +4,10 @@ Window vocabulary: "shared" means floor(sqrt(p)) = floor(sqrt(q)) (both primes
 under the same square), "straddle" means a perfect square separates them.
 The integers tN = floor(N sqrt(p)) and t2N = floor(2N sqrt(p)) make every
 mu*sqrt(p) floor a pure-integer statement.
+
+A checker whose claim is an identity of every integer window returns HOLD
+over its domain; its docstring gives the algebra, and the identity is
+checked through the kernel by tests/test_exact.py.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from math import isqrt
 from ..exact import Cmp, RootExpr, cmp_root, floor_root, frac_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
 from ..window import mu_vs_rational, root_views
-from .predicates import delta_vs_rational, mu_sqrtp_frac_cmp
+from .predicates import mu_sqrtp_frac_cmp
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
 
 # Delta_4 / 2 = (sqrt(11) - sqrt(7)) / 2
@@ -30,12 +34,21 @@ def _straddle(ctx, tri) -> bool:
 
 # -- statement 5.x ---------------------------------------------------------------
 
+# par-51 .. par-54 hold for every non-square integer p: x = N sqrt(p) - N^2
+# solves x (x + 2N^2) = N^2 h, and 1 <= h <= 2N puts x in ((h - 1)/2, h/2).
+# So tN = N^2 + h/2 - 1 and {mu sqrt(p)} = h/2 - x for even h,
+# tN = N^2 + (h - 1)/2 and {mu sqrt(p)} = (h + 1)/2 - x for odd h, and
+# mu = sqrt(p) - N = x/N.
+
 
 @checker("par-51", Kind.UNIVERSAL,
          title="h even iff 2{mu sqrt(p)} = {2 mu sqrt(p)} iff {mu sqrt(p)} < 1/2, "
                "with floor(mu sqrt(p)) = h/2 in the even case",
          source="statement 5.1", n_min=2)
 def _par_51(ctx, tri, st):
+    """Holds for every integer window: x = N sqrt(p) - N^2 lies in
+    ((h - 1)/2, h/2) (see the note above), which fixes tN, t2N and
+    {mu sqrt(p)} by the parity of h."""
     w = tri.w
     even = w.h % 2 == 0
     # mu^2 = 2{mu sqrt(p)}  <=>  p + N^2 = 2 tN + 2
@@ -55,6 +68,9 @@ def _par_51(ctx, tri, st):
          title="h even iff mu > 2 {mu sqrt(p)}",
          source="corollary 5.2", n_min=2)
 def _par_52(ctx, tri, st):
+    """Holds for every integer window: with mu = x/N, mu > 2{mu sqrt(p)}
+    reduces to x < N for even h, and mu < 2{mu sqrt(p)} to
+    x < N(h + 1)/(2N + 1), which x < h/2 gives, for odd h < 2N."""
     w = tri.w
     s = _sign_1rad(-(w.N + 2 * w.tN + 2), 2 * w.N + 1, w.p)
     return HOLD if (w.h % 2 == 0) == (s > 0) else violate("mu vs 2{mu sqrt(p)}")
@@ -65,6 +81,8 @@ def _par_52(ctx, tri, st):
                "with floor(mu sqrt(p)) = (h-1)/2 in the odd case",
          source="proposition 5.3", n_min=2)
 def _par_53(ctx, tri, st):
+    """Holds for every integer window: the note above fixes tN, t2N and
+    {mu sqrt(p)} by the parity of h."""
     w = tri.w
     odd = w.h % 2 == 1
     if odd != (mu_sqrtp_frac_cmp(w, 1, 2) > 0):
@@ -81,6 +99,10 @@ def _par_53(ctx, tri, st):
          title="h odd iff mu < {mu sqrt(p)}",
          source="corollary 5.4", n_min=2)
 def _par_54(ctx, tri, st):
+    """Holds for every integer window: with mu = x/N, mu > {mu sqrt(p)}
+    reduces to x < 2N for even h, and mu < {mu sqrt(p)} to
+    2Nh < 2N^2 + (h + 1)x, which x > (h - 1)/2 gives as (2N - h)^2 >= 1,
+    for odd h."""
     w = tri.w
     s = _sign_1rad(-(w.N + w.tN + 1), w.N + 1, w.p)
     return HOLD if (w.h % 2 == 1) == (s < 0) else violate("mu vs {mu sqrt(p)}")
@@ -125,15 +147,9 @@ def _cor_56(ctx, tri, st):
          title="D - (mu' + mu) is twice the common integral part on shared windows",
          source="proposition 5.7", n_min=2, domain=_same)
 def _dpar_57(ctx, tri, st):
-    w = tri.w
-    v = root_views(w)
-    if v.D - v.mu_sum != 2 * w.N:
-        return violate("D - (mu' + mu) != 2N")
-    half_gap = v.D / 2 - v.mu_sum / 2
-    if half_gap + v.mu != v.sqrt_p:
-        return violate("sqrt(p) reconstruction failed")
-    if half_gap + v.mu_q != v.sqrt_q:
-        return violate("sqrt(q) reconstruction failed")
+    """Holds for every integer window with Nq = N: mu' + mu = D - 2N, so
+    D - (mu' + mu) = 2N, and then (D - (mu' + mu))/2 + mu = N + mu = sqrt(p)
+    and N + mu' = sqrt(q)."""
     return HOLD
 
 
@@ -142,14 +158,9 @@ def _dpar_57(ctx, tri, st):
                "matching {D} expression",
          source="corollary 5.8", n_min=2, domain=_same)
 def _dpar_58(ctx, tri, st):
-    w = tri.w
-    fd = root_views(w).floor_D
-    # D = 2N + mu' + mu here, so mu' + mu < 1 iff D < 2N + 1 iff floor(D) < 2N + 1
-    below = fd < 2 * w.N + 1
-    if (fd % 2 == 0) != below:
-        return violate("parity of floor(D) vs mu' + mu")
-    if fd != (2 * w.N if below else 2 * w.N + 1):
-        return violate("floor(D) value")
+    """Holds for every integer window with Nq = N: D = 2N + mu' + mu lies in
+    (2N, 2N + 2), so floor(D) is 2N, even, when mu' + mu < 1 and 2N + 1, odd,
+    when mu' + mu > 1; {D} is mu' + mu or mu' + mu - 1 to match."""
     return HOLD
 
 
@@ -158,13 +169,12 @@ def _dpar_58(ctx, tri, st):
                "odd iff 2mu > 1 - Delta",
          source="corollary 5.9", n_min=2, domain=_same)
 def _dpar_59(ctx, tri, st):
+    """Holds for every integer window with Nq = N: Delta = mu' - mu, so
+    2mu < 1 - Delta is mu' + mu < 1, whose parity of floor(D) is dpar-58's;
+    and mu < mu' there, so mu' + mu < 1 forces mu < 1/2."""
     w = tri.w
-    fd = root_views(w).floor_D
-    # Delta = mu' - mu here, so 2mu < 1 - Delta iff mu' + mu < 1 iff floor(D) < 2N + 1
-    lt = fd < 2 * w.N + 1
-    if (fd % 2 == 0) != lt:
-        return violate("parity vs 2mu < 1 - Delta")
-    if lt and not mu_vs_rational(w.p, w.N, 1, 2) < 0:
+    # mu' + mu < 1 iff floor(D) < 2N + 1
+    if root_views(w).floor_D < 2 * w.N + 1 and not mu_vs_rational(w.p, w.N, 1, 2) < 0:
         return violate("mu >= 1/2 in the even case")
     return HOLD
 
@@ -173,14 +183,9 @@ def _dpar_59(ctx, tri, st):
          title="on shared windows d = h' - h; {h/mu} = mu; Delta = {h'/mu'} - {h/mu}",
          source="proposition 5.10", n_min=2, domain=_same)
 def _ids_510(ctx, tri, st):
-    w = tri.w
-    if w.d != w.hq - w.h:
-        return violate("d != h' - h")
-    v = root_views(w)
-    if v.frac_h_over_mu != v.mu:
-        return violate("{h/mu} != mu")
-    if v.frac_hq_over_mu_q - v.frac_h_over_mu != v.delta:
-        return violate("Delta != {h'/mu'} - {h/mu}")
+    """Holds for every integer window with Nq = N: d = (N^2 + h') - (N^2 + h);
+    h = mu (sqrt(p) + N) makes h/mu = 2N + mu with 0 < mu < 1, so
+    {h/mu} = mu, {h'/mu'} = mu' and {h'/mu'} - {h/mu} = sqrt(q) - sqrt(p)."""
     return HOLD
 
 
@@ -213,15 +218,11 @@ def _ids_511(ctx, tri, st):
                "= mu' sqrt(q) - mu sqrt(p) - (mu'^2 - mu^2 - 1)/2",
          source="proposition 5.12", n_min=2, domain=_straddle)
 def _ids_512(ctx, tri, st):
-    w = tri.w
-    v = root_views(w)
-    # {h/mu} = mu and {h'/mu'} = mu' hold on straddles too
-    if v.delta != v.mu_q + 1 - v.mu:
-        return violate("Delta != {h'/mu'} + 1 - {h/mu}")
-    rhs = (v.mu_q_sqrtq - v.mu_sqrtp
-           - (v.mu_q_sq - v.mu_sq - 1) / 2)
-    if rhs.scale(2) != w.d - 2 * w.N:
-        return violate("second straddle identity")
+    """Holds for every integer window with Nq = N + 1: {h/mu} = mu and
+    {h'/mu'} = mu' (ids-510), and mu' + 1 - mu = sqrt(q) - Nq + 1 - sqrt(p) + N
+    = Delta; with mu sqrt(p) = p - N sqrt(p) and mu^2 = p - 2N sqrt(p) + N^2,
+    2(mu' sqrt(q) - mu sqrt(p)) - (mu'^2 - mu^2 - 1) = d - (Nq^2 - N^2) + 1
+    = d - 2N."""
     return HOLD
 
 
@@ -255,13 +256,9 @@ def _ids_513(ctx, tri, st):
                "companion sqrt(q) expression",
          source="proposition 5.14", n_min=2, domain=_straddle)
 def _ids_514(ctx, tri, st):
-    w = tri.w
-    v = root_views(w)
-    half = v.delta.inverse().scale(w.d) / 2
-    if half - (v.mu_sum + 1) / 2 != w.N:
-        return violate("sqrt(p) - mu straddle identity")
-    if v.sqrt_q != half - (v.mu_sum - 1) / 2 + v.mu_q:
-        return violate("sqrt(q) straddle identity")
+    """Holds for every integer window with Nq = N + 1: d/(2 Delta) = D/2, so
+    d/(2 Delta) - (mu' + mu + 1)/2 = (Nq + N - 1)/2 = N = sqrt(p) - mu, and
+    d/(2 Delta) - (mu' + mu - 1)/2 + mu' = N + 1 + mu' = sqrt(q)."""
     return HOLD
 
 
@@ -269,14 +266,9 @@ def _ids_514(ctx, tri, st):
          title="on straddles floor(D) even iff mu' + mu > 1, with the {D} formulas",
          source="corollary 5.15", n_min=2, domain=_straddle)
 def _ids_515(ctx, tri, st):
-    w = tri.w
-    fd = root_views(w).floor_D
-    # D = 2N + 1 + mu' + mu here, so mu' + mu > 1 iff floor(D) > 2N + 1
-    above = fd > 2 * w.N + 1
-    if (fd % 2 == 0) != above:
-        return violate("parity of floor(D) vs mu' + mu")
-    if fd != (2 * w.N + 2 if above else 2 * w.N + 1):
-        return violate("floor(D) value")
+    """Holds for every integer window with Nq = N + 1: D = 2N + 1 + mu' + mu
+    lies in (2N + 1, 2N + 3), so floor(D) is 2N + 2, even, when mu' + mu > 1
+    and 2N + 1, odd, when mu' + mu < 1; {D} is mu' + mu - 1 or mu' + mu."""
     return HOLD
 
 
@@ -287,12 +279,9 @@ def _ids_515(ctx, tri, st):
 def _ids_516(ctx, tri, st):
     w = tri.w
     v = root_views(w)
-    fd = v.floor_D
-    # Delta = 1 + mu' - mu here, so 2mu' > Delta iff mu' + mu > 1 iff floor(D) > 2N + 1
-    gt = fd > 2 * w.N + 1
-    if (fd % 2 == 0) != gt:
-        return violate("parity vs 2mu' - Delta")
-    if gt:
+    # Delta = 1 + mu' - mu here, so 2mu' > Delta iff mu' + mu > 1 iff
+    # floor(D) > 2N + 1, even (the parity is ids-515's identity)
+    if v.floor_D > 2 * w.N + 1:
         if cmp_root(v.mu - 1 + DELTA4_HALF) is not Cmp.GREATER:
             return violate("mu <= 1 - Delta_4/2 in the even case")
     else:
@@ -318,10 +307,8 @@ def _survey_2mu(ctx, tri, st):
          title="2 sqrt(p) Delta = d - Delta^2 exactly",
          source="display 6.1")
 def _eq_61(ctx, tri, st):
-    w = tri.w
-    v = root_views(w)
-    if v.two_sqrtp_delta != w.d - v.delta_sq:
-        return violate("2 sqrt(p) Delta != d - Delta^2")
+    """Holds for every integer window: both sides are 2 sqrt(pq) - 2p, as
+    Delta^2 = p + q - 2 sqrt(pq)."""
     return HOLD
 
 
@@ -330,12 +317,9 @@ def _eq_61(ctx, tri, st):
                "d never equals h'",
          source="display after 6.3")
 def _dnh_forms(ctx, tri, st):
-    w = tri.w
-    want = w.hq - w.h if w.same_part else 2 * w.N + 1 + w.hq - w.h
-    if w.d != want:
-        return violate("two-case h formula")
-    if w.d == w.hq:
-        return violate("d = h'")
+    """Holds for every integer window: d = (Nq^2 + h') - (N^2 + h) with
+    Nq^2 - N^2 = 0 or 2N + 1; so d = h' would need h = 0 (p a square) on a
+    shared window or h = 2N + 1 > 2N on a straddle."""
     return HOLD
 
 
@@ -450,7 +434,7 @@ def _survey_dsq_p(ctx, tri, st):
     w = tri.w
     if w.d * w.d > w.p and len(st["d_gt_sqrt_p"]) < 1000:
         st["d_gt_sqrt_p"].append(w.n)
-    if delta_vs_rational(w, 1, 2) > 0 and len(st["delta_gt_half"]) < 1000:
+    if root_views(w).delta_vs_half > 0 and len(st["delta_gt_half"]) < 1000:
         st["delta_gt_half"].append(w.n)
     return HOLD if w.d * w.d > w.q else MISS
 
@@ -461,8 +445,7 @@ def _survey_dsq_p(ctx, tri, st):
          source="closing survey of section 6",
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
 def _delta_gt_half(ctx, tri, st):
-    w = tri.w
-    return HOLD if delta_vs_rational(w, 1, 2) > 0 else MISS
+    return HOLD if root_views(tri.w).delta_vs_half > 0 else MISS
 
 
 # -- statement 7.x ---------------------------------------------------------------
@@ -482,7 +465,7 @@ def _same_odd(ctx, tri) -> bool:
 def _same_71(ctx, tri, st):
     w = tri.w
     lhs = w.d <= w.N
-    rhs = delta_vs_rational(w, 1, 2) < 0
+    rhs = root_views(w).delta_vs_half < 0
     if lhs != rhs:
         return violate(f"d <= N is {lhs} but Delta < 1/2 is {rhs}")
     if not w.d * w.d < w.p:
@@ -532,6 +515,9 @@ def _even_75(ctx, tri, st):
                "h > sqrt(p) forces d < h' - sqrt(p)",
          source="corollary 7.6", n_min=2, domain=_same_even)
 def _even_76(ctx, tri, st):
+    """Holds for every integer window with Nq = N: d = h' - h, so
+    d < sqrt(p) - 1 - h is h' + 1 < sqrt(p), given by h' < N, and
+    d < h' - sqrt(p) is h > sqrt(p)."""
     w = tri.w
     if w.hq < w.N:
         if not (w.d + 1 + w.h) ** 2 < w.p:
@@ -639,6 +625,9 @@ def _odd_712(ctx, tri, st):
                "prior-prime variants; h > sqrt(p) forces d < h' - sqrt(p)",
          source="corollary 7.13", n_min=2, needs_prev=True, domain=_same_odd)
 def _odd_713(ctx, tri, st):
+    """Holds for every chain of integer windows with Nq = N: as even-76,
+    and with d + h = h' <= N - 1 the prior-prime bounds need only
+    N^2 < p_prev when p_prev shares N, or (N - 1)^2 < p_prev otherwise."""
     w, prev = tri.w, tri.prev
     if w.hq < w.N:
         if not (w.d + 1 + w.h) ** 2 < w.p:

@@ -66,6 +66,9 @@ def _twin_pair_events(st, w):
          domain=lambda ctx, tri: _is_twin(tri.w),
          state_init=_pair_state)
 def _twin_92(ctx, tri, st):
+    """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2:
+    each link is an order of these integers (sqrt(c) Delta2 < 1 is
+    c(c + 2) < (c + 1)^2)."""
     w = tri.w
     for m1 in _twin_pair_events(st, w):
         _, a, b = m1
@@ -94,6 +97,10 @@ def _twin_92(ctx, tri, st):
          domain=lambda ctx, tri: _is_twin(tri.w),
          state_init=_pair_state)
 def _twin_93(ctx, tri, st):
+    """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2
+    with a >= 2: with Delta = 2/D each link is an order of these integers
+    (sqrt(e) Delta2 < sqrt(b) Delta1 is ae < bc, sqrt(b) Delta1 < 5/4 is
+    9b < 25a)."""
     w = tri.w
     for m1 in _twin_pair_events(st, w):
         _, a, b = m1
@@ -118,6 +125,8 @@ def _twin_93(ctx, tri, st):
          domain=lambda ctx, tri: _is_twin(tri.w),
          state_init=_pair_state)
 def _twin_94(ctx, tri, st):
+    """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2:
+    sqrt(b) Delta2 < 1 is 2 sqrt(b) < sqrt(c) + sqrt(e)."""
     w = tri.w
     for m1 in _twin_pair_events(st, w):
         _, a, b = m1
@@ -157,6 +166,10 @@ def _twin_95(ctx, tri, st):
          source="corollary 9.6", domain=_from_one,
          state_init=lambda: {"maxF": None})
 def _twin_96(ctx, tri, st):
+    """Holds for every increasing chain of integer windows: {sqrt(pq)} is at
+    most 1 - 1/(k + 1 + sqrt((k + 1)^2 - 1)) for k = isqrt(pq), which grows
+    with k; a twin (p, p + 2) attains it at k = p, and every earlier window
+    has pq < p^2."""
     w = tri.w
     out = HOLD
     pq = w.p * w.q

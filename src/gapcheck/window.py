@@ -134,25 +134,25 @@ class RootViews:
     computed once per window.  The RootExprs are normalized and immutable;
     the integers are exact.  Besides the radicals (sqrt_p, sqrt_q, sqrt_pq,
     Delta, D, mu, mu', N sqrt(p), Nq sqrt(q)) they are:
-      delta_sq             Delta^2                       (thm-35, twin-91, eq-61)
-      two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, eq-61, twin-91)
+      delta_sq             Delta^2                       (thm-35, twin-91)
+      two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
       frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
       frac_sqrtp_delta                                   (thm-35, cor-36)
       sqrtp_delta_half,    sqrt(pq) - (p + 1/2) and its floor
       floor_sqrtp_delta_half                             (floor-32, frac-33)
-      mu_sq, mu_q_sq,      mu^2, mu'^2, mu' + mu         (h-def, n2p1-family,
-      mu_sum                 ids-511, ids-512, dpar-57, ids-514)
-      floor_/frac_h_over_mu, floor_/frac_hq_over_mu_q
-                           h/mu and h'/mu' split         (thm-43, ids-510)
+      mu_sq, mu_q_sq       mu^2, mu'^2                   (h-def, n2p1-family,
+                                                          ids-511)
       N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
       tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
                                                           ids-511, ids-513)
-      floor_D              floor(sqrt(p) + sqrt(q))      (dpar-58, dpar-59,
-                             ids-515, ids-516, first-after-square,
-                             survey-last-before-square)
+      floor_D              floor(sqrt(p) + sqrt(q))      (dpar-59, ids-516,
+                             first-after-square, survey-last-before-square)
+      delta_vs_half        sign of Delta - 1/2           (same-71, delta-gt-half,
+                             survey-quarter, survey-dsq-p)
     floor_D is one exact integer sign (`floor_sqrt_sum`, which the square
-    tables share) and tNq one isqrt; the checkers that read floor_D take
-    their sqrt(p) + sqrt(q) against 2N + 1 or 2N + 2 from it.
+    tables share), delta_vs_half another and tNq one isqrt; the checkers
+    that read floor_D take their sqrt(p) + sqrt(q) against 2N + 1 or 2N + 2
+    from it.
 
     It keeps the window's integers rather than the window, so the window's
     `views` slot makes no reference cycle.
@@ -160,7 +160,6 @@ class RootViews:
 
     def __init__(self, w: GapWindow):
         self._p, self._q, self._N, self._Nq = w.p, w.q, w.N, w.Nq
-        self._h, self._hq = w.h, w.hq
 
     @_view
     def sqrt_p(self) -> RootExpr:
@@ -211,10 +210,6 @@ class RootViews:
         return self.mu_q * self.mu_q
 
     @_view
-    def mu_sum(self) -> RootExpr:
-        return self.mu_q + self.mu
-
-    @_view
     def sqrtq_delta(self) -> RootExpr:
         # sqrt(q)*Delta = q - sqrt(pq)
         return self._q - self.sqrt_pq
@@ -246,39 +241,6 @@ class RootViews:
         return floor_root(self.sqrtp_delta_half)
 
     @_view
-    def h_over_mu(self) -> RootExpr:
-        return self.mu.inverse().scale(self._h)
-
-    @_view
-    def floor_h_over_mu(self) -> int:
-        return floor_root(self.h_over_mu)
-
-    @_view
-    def frac_h_over_mu(self) -> RootExpr:
-        return self.h_over_mu - self.floor_h_over_mu
-
-    @_view
-    def hq_over_mu_q(self) -> RootExpr:
-        return self.mu_q.inverse().scale(self._hq)
-
-    @_view
-    def floor_hq_over_mu_q(self) -> int:
-        return floor_root(self.hq_over_mu_q)
-
-    @_view
-    def frac_hq_over_mu_q(self) -> RootExpr:
-        return self.hq_over_mu_q - self.floor_hq_over_mu_q
-
-    @_view
-    def mu_sqrtp(self) -> RootExpr:
-        # mu*sqrt(p) = p - N*sqrt(p)
-        return self._p - self.N_sqrtp
-
-    @_view
-    def mu_q_sqrtq(self) -> RootExpr:
-        return self._q - self.Nq_sqrtq
-
-    @_view
     def ratio_frac(self) -> RootExpr:
         # Delta/sqrt(p) = (sqrt(pq) - p)/p, rational-coefficient form
         return self.sqrtp_delta / self._p
@@ -290,6 +252,12 @@ class RootViews:
     @_view
     def floor_D(self) -> int:
         return floor_sqrt_sum(self._p, self._q, self._N, self._Nq)
+
+    @_view
+    def delta_vs_half(self) -> int:
+        # Delta > 0, so Delta - 1/2 has the sign of 4 Delta^2 - 1
+        # = 4(p + q) - 1 - 8 sqrt(pq)
+        return _sign_1rad(4 * (self._p + self._q) - 1, -8, self._p * self._q)
 
 
 def root_views(w: GapWindow) -> RootViews:

@@ -12,6 +12,8 @@ accumulation families took before they were sieved), `exact_sign`, which
 hands a RootExpr's terms to the kernel's sign procedures, `eval_fixed`,
 which reads a RootExpr's parts, `build_root` and `raw_root`, shorthands for
 building RootExprs, and `twin_pairs`, a filter over the window stream.
+`random_chain` draws integer windows that need not be prime, for the
+tests that tell claims needing primes from identities of integers.
 """
 
 from __future__ import annotations
@@ -440,3 +442,27 @@ def mu_series_brackets_fraction(h: int, N: int):
         s += (-1) ** (k + 1) * binom_half[k - 1] * x ** k
         bound = binom_half[k] * x ** (k + 1) * N
         yield s * N - bound, s * N + bound
+
+
+# p ranges of the random integer windows: desk-sized, the sieved range and
+# past every sieve the tests build
+RANDOM_RANGES = ((5, 2000), (10 ** 4, 10 ** 7), (10 ** 11, 10 ** 12))
+
+
+def random_chain(rng, lo: int, hi: int, length: int) -> list[int]:
+    """length + 1 increasing non-square integers, the first in [lo, hi), each
+    consecutive pair p < q a window with isqrt(q) <= isqrt(p) + 1.  Each step
+    q - p is drawn up to 2, up to 32 or up to the last such q, a third of
+    the steps each; primality is not asked."""
+    chain = []
+    while not chain:
+        p = rng.randrange(lo, hi)
+        if isqrt(p) ** 2 != p:
+            chain.append(p)
+    while len(chain) <= length:
+        p = chain[-1]
+        top = (isqrt(p) + 2) ** 2 - 1 - p
+        q = p + rng.randint(1, min(rng.choice((2, 32, top)), top))
+        if isqrt(q) ** 2 != q:
+            chain.append(q)
+    return chain

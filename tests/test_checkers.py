@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from gapcheck import __version__
 from gapcheck.checkers import (EvalContext, Kind, RunOpts, Triple, Verdict, catalog,
                                registry, run_all, run_checker, run_many)
 from gapcheck.window import GapWindow
-from oracles import trial_division_primes
+from oracles import RANDOM_RANGES, random_chain, trial_division_primes
 
 
 def test_catalog_membership_and_size():
@@ -343,6 +345,13 @@ def _triples(store, n_lo, n_hi) -> list:
     return [Triple(window(n - 1), window(n), window(n + 1)) for n in range(n_lo, n_hi + 1)]
 
 
+def _out_of_domain(ctx, spec, tri) -> bool:
+    """spec's filters exclude tri, as recomputed straight from the spec."""
+    return (tri.w.n < spec.n_min or (spec.needs_prev and tri.prev is None)
+            or (spec.needs_next and tri.nxt is None)
+            or (spec.domain is not None and not spec.domain(ctx, tri)))
+
+
 def test_out_of_domain_counts_match_specs(small_store):
     """The engine tests n_min/needs_prev/needs_next on edge windows only;
     every checker's out_of_domain count still equals the count recomputed
@@ -359,11 +368,7 @@ def test_out_of_domain_counts_match_specs(small_store):
         for cid in ids:
             spec, rep = reg[cid], reports[cid]
             assert not any("error" in note for note in rep.notes), (cid, rep.notes)
-            expected = sum(
-                1 for tri in triples
-                if tri.w.n < spec.n_min or (spec.needs_prev and tri.prev is None)
-                or (spec.needs_next and tri.nxt is None)
-                or (spec.domain is not None and not spec.domain(ctx, tri)))
+            expected = sum(1 for tri in triples if _out_of_domain(ctx, spec, tri))
             assert rep.counts.out_of_domain == expected, (cid, n_lo, n_hi)
 
 
@@ -480,3 +485,148 @@ def test_checker_error_counts_undecided(monkeypatch, capsys):
                      "--limit", "10000"])
     assert code == cli.EXIT_UNDECIDED == 2
     assert "thm-35" in capsys.readouterr().out
+
+
+# -- which claims need primes --------------------------------------------------
+#
+# A random integer window is a pair of non-square integers p < q with
+# isqrt(q) <= isqrt(p) + 1; primality is not asked (oracles.random_chain).
+# A claim that no such window fails is an identity or inequality of
+# sqrt(p), sqrt(q), N and h, so over primes it tests arithmetic, not the
+# primes.  Only claims are classified: SURVEY and TREND checkers collect.
+
+# stateless claims drawn per p range (the first range holds most of the
+# small-N cases that fail) and stateful claims' random sequences per range
+_STATELESS_DRAWS = (12000, 1500, 1500)
+_SEQUENCES, _SEQUENCE_LENGTH = 100, 24
+
+# the claims no sampled window fails: 26 stateless, then eight stateful
+# ones.  Of these eight, alpha-props, twin-98 and twin-913 hold only on
+# short chains: they fail past a long stretch without a twin window (p
+# about four times the last twin's) or on two twin windows under one
+# square with N <= 8 (10, 12 and 13, 15), which short random chains miss
+_GENERIC = frozenset({
+    "dnh-forms", "dpar-57", "dpar-58", "dpar-59", "eq-15-1", "eq-15-2",
+    "eq-15-3", "eq-15-4", "eq-28-3", "eq-61", "even-76", "ids-510", "ids-512",
+    "ids-514", "ids-515", "inv-diff", "mu-bounds", "mu-series", "odd-713",
+    "par-51", "par-52", "par-53", "par-54", "prop-212", "sq-in-gap", "thm-43",
+    "alpha-props", "fixedgap-mono", "twin-913", "twin-92", "twin-93",
+    "twin-94", "twin-96", "twin-98",
+})
+
+# for each stateless claim outside _GENERIC, the first sampled chain
+# p0 < p < q < q1 whose middle window (p, q), at n = 1000, fails it
+_FAILS_AT = {
+    "andrica": (30, 31, 48, 62),
+    "chain-37": (1569, 1601, 1661, 1676),
+    "conj-gap-sq": (1569, 1601, 1661, 1676),
+    "conj-gap-sq2": (1569, 1601, 1661, 1676),
+    "cor-12": (1569, 1601, 1661, 1676),
+    "cor-13": (152, 180, 200, 201),
+    "cor-14": (30, 31, 48, 62),
+    "cor-26": (1569, 1601, 1661, 1676),
+    "cor-27": (1569, 1601, 1661, 1676),
+    "cor-36": (972, 1021, 1022, 1050),
+    "cor-56": (972, 1021, 1022, 1050),
+    "cor-62": (626, 658, 709, 714),
+    "cor-64": (365, 389, 427, 456),
+    "cor-67": (853, 854, 924, 1003),
+    "eq-16-1": (972, 1021, 1022, 1050),
+    "eq-16-2": (972, 1021, 1022, 1050),
+    "eq-16-3": (1450, 1474, 1529, 1627),
+    "eq-28-1": (23, 34, 35, 39),
+    "eq-28-2": (463, 474, 498, 506),
+    "eq-64": (1349, 1368, 1389, 1420),
+    "eq-qr": (972, 1021, 1022, 1050),
+    "even-72": (11, 18, 24, 29),
+    "even-73": (326, 328, 346, 374),
+    "even-74": (326, 328, 346, 374),
+    "even-75": (1569, 1601, 1661, 1676),
+    "even-77": (1569, 1601, 1661, 1676),
+    "ext-63": (365, 389, 427, 456),
+    "first-after-square": (23, 34, 35, 39),
+    "floor-31": (30, 31, 48, 62),
+    "floor-32": (853, 854, 924, 1003),
+    "frac-33": (972, 1021, 1022, 1050),
+    "gap-85": (626, 658, 709, 714),
+    "gap-half": (30, 31, 48, 62),
+    "gap-next": (8, 10, 17, 28),
+    "gap-transfer": (1569, 1601, 1661, 1676),
+    "h-def": (23, 34, 35, 39),
+    "ids-511": (972, 1021, 1022, 1050),
+    "ids-513": (1839, 1931, 1986, 2035),
+    "ids-516": (626, 658, 709, 714),
+    "ishikawa-plus": (1851, 1853, 1854, 1993),
+    "lemma-42": (30, 31, 48, 62),
+    "max-gap-61": (626, 658, 709, 714),
+    "mono-55": (23, 34, 35, 39),
+    "odd-710": (363, 364, 382, 384),
+    "odd-711": (372, 373, 393, 395),
+    "odd-712": (372, 373, 393, 395),
+    "odd-79": (10, 12, 14, 24),
+    "ratio-53": (13, 14, 24, 31),
+    "ratio-frac": (21, 26, 43, 48),
+    "ratio-sqrt": (30, 31, 48, 62),
+    "same-71": (1569, 1601, 1661, 1676),
+    "straddle-65": (1839, 1931, 1986, 2035),
+    "straddle-66": (1839, 1931, 1986, 2035),
+    "thm-34": (972, 1021, 1022, 1050),
+    "thm-35": (972, 1021, 1022, 1050),
+    "thm-78": (92, 117, 119, 120),
+    "twin-91": (972, 1021, 1022, 1050),
+    "twin-sq": (611, 675, 677, 679),
+}
+
+
+def _chain_triples(chain, n0) -> list:
+    """The (prev, w, nxt) triples of the windows of chain, numbered from n0."""
+    ws = [GapWindow(n0 + i, p, q) for i, (p, q) in enumerate(zip(chain, chain[1:]))]
+    return [Triple(ws[i - 1] if i else None, w, ws[i + 1] if i + 1 < len(ws) else None)
+            for i, w in enumerate(ws)]
+
+
+def _fails(ctx, spec, tri, state) -> bool:
+    """tri is in spec's domain and spec's evaluate fails on it."""
+    return (not _out_of_domain(ctx, spec, tri)
+            and spec.evaluate(ctx, tri, state).res in ("violate", "hard"))
+
+
+def _first_failures(ctx, claims, seed) -> dict:
+    """claim id -> the first random chain that fails it.  A stateless claim
+    sees the middle window (n = 1000) of chains p0 < p < q < q1; a stateful
+    one sees every window of a chain, from n = 1000."""
+    rng = random.Random(seed)
+    found = {}
+    for (lo, hi), draws in zip(RANDOM_RANGES, _STATELESS_DRAWS):
+        for _ in range(draws):
+            chain = random_chain(rng, lo, hi, 3)
+            tri = _chain_triples(chain, 999)[1]
+            for cid, spec in claims.items():
+                if not spec.state_init and cid not in found and _fails(ctx, spec, tri, {}):
+                    found[cid] = tuple(chain)
+        for _ in range(_SEQUENCES):
+            chain = random_chain(rng, lo, hi, _SEQUENCE_LENGTH)
+            tris = _chain_triples(chain, 1000)
+            for cid, spec in claims.items():
+                if spec.state_init and cid not in found:
+                    state = spec.state_init()
+                    if any(_fails(ctx, spec, tri, state) for tri in tris):
+                        found[cid] = tuple(chain)
+    return found
+
+
+def test_generic_classification(small_store):
+    """Seeded random integer windows over p in 5..2000, 1e4..1e7 and
+    1e11..1e12 fail every claim outside _GENERIC and none inside it; each
+    stateless claim outside fails on its pinned chain.  A claim that crosses
+    from one group to the other fails this test."""
+    claims = {cid: spec for cid, spec in registry().items()
+              if spec.kind not in (Kind.SURVEY, Kind.TREND)}
+    ctx = EvalContext(store=small_store, opts=RunOpts(), n_lo=1, n_hi=10 ** 9)
+    found = _first_failures(ctx, claims, seed=1)
+    assert sorted(set(claims) - set(found)) == sorted(_GENERIC)
+    stateless = {cid for cid, spec in claims.items() if not spec.state_init}
+    assert sorted(_FAILS_AT) == sorted(stateless - _GENERIC)
+    for cid, chain in _FAILS_AT.items():
+        assert all(isqrt(x) ** 2 != x for x in chain), cid
+        assert _fails(ctx, claims[cid], _chain_triples(chain, 999)[1], {}), cid

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root,
                             frac_root)
-from gapcheck.window import root_views, windows
-from oracles import (RefRoot, build_root, eval_fixed, exact_sign, floor_root_general,
-                     longhand_sqrt_digits, radical_sign, raw_root, root_sign_args, sqrt_fixed)
+from gapcheck.window import GapWindow, root_views, windows
+from oracles import (RANDOM_RANGES, RefRoot, build_root, eval_fixed, exact_sign,
+                     floor_root_general, longhand_sqrt_digits, radical_sign, random_chain,
+                     raw_root, root_sign_args, sqrt_fixed)
 
 
 def test_sqrt_fixed_exact_square():
@@ -163,6 +164,75 @@ def test_alpha_difference_identity_on_twin_interiors(mid_store):
             assert lhs == delta_n - delta_m1 and lhs != delta_m1 - delta_n, w
             count += 1
     assert count > 10000
+
+
+def test_generic_identities_through_the_kernel(mid_store):
+    """The identities of eq-61, dpar-57, dpar-58, ids-510, ids-512, ids-514,
+    ids-515, thm-43 and dnh-forms, and the floor(D) parities of dpar-59 and
+    ids-516, hold for every integer window, so no checker evaluates them per
+    window.  Each is built here through RootExpr arithmetic, ==, floor_root
+    and frac_root, with a perturbed form that must differ, on seeded random
+    integer windows (primality not asked) and on every window n <= 20000.
+    On the random windows with p < 1e7, floor(h/mu) = 2N and {h/mu} = mu,
+    for p and for q, are also checked against oracles.RefRoot (whose
+    products split radicands near p^2 by trial division)."""
+    rng = random.Random(23)
+    randoms = [GapWindow(1000, *random_chain(rng, lo, hi, 1))
+               for lo, hi in RANDOM_RANGES for _ in range(300)]
+    for w in (w for w in randoms if w.p < 10 ** 7):
+        for x, N, mu in ((w.p, w.N, root_views(w).mu), (w.q, w.Nq, root_views(w).mu_q)):
+            ref = RefRoot(x - N * N) * (RefRoot.sqrt(x) - RefRoot(N)).inverse()
+            fl = ref.floor()
+            assert fl == 2 * N and (ref - RefRoot(fl)).to_root() == mu, w
+
+    def check(name, lhs, rhs, perturbed):
+        assert lhs == rhs and lhs != perturbed, (name, w)
+
+    counts = {"shared": 0, "straddle": 0}
+    for w in randoms + list(windows(mid_store, 1, 20000)):
+        v = root_views(w)
+        N, d, h, hq = w.N, w.d, w.h, w.hq
+        mu, mu_q, delta, D = v.mu, v.mu_q, v.delta, v.D
+        mu_sum = mu_q + mu
+        check("eq-61", v.two_sqrtp_delta, d - v.delta_sq, d + v.delta_sq)
+        # thm-43 and ids-510: h/mu = 2N + mu, h'/mu' = 2Nq + mu'
+        assert w.p - h == N * N, w
+        check("thm-43", frac_root(mu.inverse().scale(h)), (2 * N, mu), (2 * N, mu_q))
+        check("h'/mu'", frac_root(mu_q.inverse().scale(hq)), (2 * w.Nq, mu_q), (2 * w.Nq, mu))
+        # dpar-58 and ids-515: D = N + Nq + mu' + mu, and mu' + mu is never 1
+        above = cmp_root(mu_sum, 1) is Cmp.GREATER
+        fl_D, fr_D = frac_root(D)
+        check("floor and {D}", (fl_D, fr_D), (N + w.Nq + above, mu_sum - above),
+              (N + w.Nq + above, mu_sum - (not above)))
+        even = fl_D % 2 == 0
+        if w.same_part:
+            counts["shared"] += 1
+            assert d == hq - h != 2 * N + 1 + hq - h and d != hq, w   # dnh-forms
+            check("dpar-57", D - mu_sum, 2 * N, D - (mu_q - mu))
+            half_gap = D / 2 - mu_sum / 2
+            check("dpar-57 sqrt(p)", half_gap + mu, v.sqrt_p, half_gap + mu_q)
+            check("dpar-57 sqrt(q)", half_gap + mu_q, v.sqrt_q, half_gap + mu)
+            assert even == (not above), w                               # dpar-58
+            lt = cmp_root(mu.scale(2) + delta, 1)                      # dpar-59
+            assert even == (lt is Cmp.LESS) != (lt is Cmp.GREATER), w
+            check("ids-510", mu_q - mu, delta, mu - mu_q)
+        else:
+            counts["straddle"] += 1
+            assert d == 2 * N + 1 + hq - h != hq - h and d != hq, w     # dnh-forms
+            check("ids-512", mu_q + 1 - mu, delta, mu_q - mu)
+            two_rhs = (mu_q * v.sqrt_q - mu * v.sqrt_p
+                       - (v.mu_q_sq - v.mu_sq - 1) / 2).scale(2)
+            off = (mu_q * v.sqrt_q - mu * v.sqrt_p
+                   - (v.mu_q_sq - v.mu_sq + 1) / 2).scale(2)
+            check("ids-512 second", two_rhs, d - 2 * N, off)
+            half = delta.inverse().scale(d) / 2
+            check("ids-514 sqrt(p)", half - (mu_sum + 1) / 2, N, half - (mu_sum - 1) / 2)
+            check("ids-514 sqrt(q)", half - (mu_sum - 1) / 2 + mu_q, v.sqrt_q,
+                  half - (mu_sum + 1) / 2 + mu_q)
+            assert even == above, w                                     # ids-515
+            gt = cmp_root(mu_q.scale(2) - delta)                       # ids-516
+            assert even == (gt is Cmp.GREATER) != (gt is Cmp.LESS), w
+    assert min(counts.values()) > 500, counts
 
 
 def test_cmp_consistent_with_fixed_eval(mid_store):

@@ -1,12 +1,12 @@
-"""Two paths for every helper in checkers/predicates.py and for the window
+"""Two paths for every helper in checkers/predicates.py, for the window
 comparisons of window.py (floor_sqrt_sum, delta_order, mu_order,
-mu_vs_rational): the
-helper's own integer reduction against cmp_root / floor_root of the same
-quantity built from root_views(w).  mu-series' integer partial sums are
-checked the same way, against the Fraction partial sums of `oracles`, and so
-are the reductions thm-34, floor-31, chain-37 and cor-56 write inline and
-the parities dpar-58/59 and ids-516 read from floor_D.  The shared RootViews
-quantities are checked against the oracles' Fraction model of RootExpr."""
+mu_vs_rational) and for the delta_vs_half view: the helper's own integer
+reduction against cmp_root / floor_root of the same quantity built from
+root_views(w).  mu-series' integer partial sums are checked the same way,
+against the Fraction partial sums of `oracles`, and so are the reductions
+thm-34, floor-31, chain-37 and cor-56 write inline and the comparisons
+dpar-59 and ids-516 read from floor_D.  The shared RootViews quantities are
+checked against the oracles' Fraction model of RootExpr."""
 
 import random
 from fractions import Fraction
@@ -16,8 +16,7 @@ import pytest
 
 from gapcheck.checkers import Triple, registry
 from gapcheck.checkers.catalog_floor import _mu_series_brackets
-from gapcheck.checkers.predicates import (delta_vs_rational, is_square, mu_sqrtp_frac_cmp,
-                                          sqrtq_delta_frac_cmp)
+from gapcheck.checkers.predicates import is_square, mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
 from gapcheck.intervals import square_reports
 from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_order, mu_vs_rational,
@@ -59,12 +58,10 @@ def test_rational_threshold_helpers_two_paths(sample):
     for w in sample:
         v = root_views(w)
         frac_q = frac_root(v.sqrtq_delta)[1]
-        frac_mu_p = frac_root(v.mu_sqrtp)[1]
+        frac_mu_p = frac_root(w.p - v.N_sqrtp)[1]   # mu sqrt(p) = p - N sqrt(p)
         for num, den in _thresholds(rng, v.mu):
             assert mu_vs_rational(w.p, w.N, num, den) == _kernel_sign(v.mu, num, den), w
-        for num, den in _thresholds(rng, v.delta):
-            num = abs(num)   # Delta is compared against t >= 0 only
-            assert delta_vs_rational(w, num, den) == _kernel_sign(v.delta, num, den), w
+        assert v.delta_vs_half == _kernel_sign(v.delta, 1, 2), w
         for num, den in _thresholds(rng, frac_q):
             assert sqrtq_delta_frac_cmp(w, num, den) == _kernel_sign(frac_q, num, den), w
         for num, den in _thresholds(rng, frac_mu_p):
@@ -173,16 +170,16 @@ def test_thm34_half_bound_two_paths(from_two):
 
 
 def test_dpar_parity_two_paths(from_two):
-    """dpar-58/59's mu' + mu < 1 on shared windows, read from floor_D as
+    """dpar-59's mu' + mu < 1 on shared windows, read from floor_D as
     floor(D) < 2N + 1, against mu' + mu and the parity of floor(D) from the
-    kernel; both checkers hold on every window."""
+    kernel; dpar-58 and dpar-59 hold on every window."""
     reg = registry()
     shared = [w for w in from_two if w.same_part]
     assert len(shared) > 1000
     for w in shared:
         v = root_views(w)
         even = floor_root(v.D) % 2 == 0
-        assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(v.mu_sum, 1) < 0), w
+        assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(v.mu_q + v.mu, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
             assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
 
@@ -233,8 +230,8 @@ def test_cor56_two_paths(from_two):
     shared = [w for w in from_two if w.same_part]
     for w in shared:
         v = root_views(w)
-        fl_p, fr_p = frac_root(v.mu_sqrtp)
-        fl_q, fr_q = frac_root(v.mu_q_sqrtq)
+        fl_p, fr_p = frac_root(w.p - v.N_sqrtp)
+        fl_q, fr_q = frac_root(w.q - v.Nq_sqrtq)
         assert (fl_p, fl_q) == (w.p - w.tN - 1, w.q - v.tNq - 1), w
         below = _kernel_sign(fr_q - fr_p, 1, 2) < 0
         assert (_sign_2rad(2 * (v.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q) < 0) == below, w
@@ -267,8 +264,9 @@ def _ref_floor_frac(x: RefRoot):
 def test_root_views_against_oracles(sample):
     """Every shared RootViews quantity against the same quantity built from
     its definition in oracles.RefRoot (Fraction coefficients, its own
-    radicand split and inverse), floors by RefRoot.floor and by the
-    fixed-point ladder of floor_root_general, integers by longhand isqrt."""
+    radicand split), floors by RefRoot.floor and by the fixed-point ladder
+    of floor_root_general, the sign of Delta - 1/2 by RefRoot.sign and
+    integers by longhand isqrt."""
     for w in sample:
         v = root_views(w)
         sp, sq = RefRoot.sqrt(w.p), RefRoot.sqrt(w.q)
@@ -276,8 +274,6 @@ def test_root_views_against_oracles(sample):
         mu, mu_q = sp - RefRoot(w.N), sq - RefRoot(w.Nq)
         sqrtq_delta, sqrtp_delta = sq * delta, sp * delta
         half_shift = sqrtp_delta - RefRoot(Fraction(1, 2))
-        h_over_mu = RefRoot(w.h) * mu.inverse()
-        hq_over_mu_q = RefRoot(w.hq) * mu_q.inverse()
         roots = {
             "sqrt_pq": RefRoot.sqrt(w.p * w.q),
             "N_sqrtp": sp.scale(w.N), "Nq_sqrtq": sq.scale(w.Nq),
@@ -286,23 +282,18 @@ def test_root_views_against_oracles(sample):
             "frac_sqrtq_delta": _ref_floor_frac(sqrtq_delta)[1],
             "frac_sqrtp_delta": _ref_floor_frac(sqrtp_delta)[1],
             "sqrtp_delta_half": half_shift,
-            "mu_sq": mu * mu, "mu_q_sq": mu_q * mu_q, "mu_sum": mu_q + mu,
-            "frac_h_over_mu": _ref_floor_frac(h_over_mu)[1],
-            "frac_hq_over_mu_q": _ref_floor_frac(hq_over_mu_q)[1],
+            "mu_sq": mu * mu, "mu_q_sq": mu_q * mu_q,
         }
         for name, ref in roots.items():
             assert getattr(v, name) == ref.to_root(), (name, w)
         ints = {
             "floor_sqrtp_delta_half": half_shift.floor(),
-            "floor_h_over_mu": h_over_mu.floor(),
-            "floor_hq_over_mu_q": hq_over_mu_q.floor(),
             "floor_D": D.floor(),
+            "delta_vs_half": (delta - RefRoot(Fraction(1, 2))).sign(),
             "tNq": _longhand_isqrt(w.Nq * w.Nq * w.q),
         }
         for name, ref in ints.items():
             assert getattr(v, name) == ref, (name, w)
         for name, e in (("floor_sqrtp_delta_half", v.sqrtp_delta_half),
-                        ("floor_h_over_mu", v.h_over_mu),
-                        ("floor_hq_over_mu_q", v.hq_over_mu_q),
                         ("floor_D", v.D), ("tNq", v.Nq_sqrtq)):
             assert floor_root_general(e) == ints[name], (name, w)

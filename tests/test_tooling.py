@@ -5,6 +5,8 @@
 - No module in src/ or tests/ imports a name it never uses (names listed in
   `__all__` and import lines marked `# noqa: F401` are exports or imported
   for their side effect).
+- Every `RootViews` view is read under src/gapcheck: by a module outside
+  the views, or by a view that is itself read.
 """
 
 import ast
@@ -66,3 +68,31 @@ def test_no_unused_imports():
         bad += [f"{path.relative_to(ROOT)}:{line} {name}"
                 for name, line in _imported(tree, lines).items() if name not in used]
     assert not bad, f"unused imports: {bad}"
+
+
+def test_every_root_view_has_a_reader():
+    """A view is live when code outside the views reads its name as an
+    attribute, or a live view does; every view must be live, so a view left
+    without a reader is deleted with its last reader."""
+    bodies, outside = {}, set()
+    for path, tree in _modules("src/gapcheck"):
+        inside = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "RootViews":
+                for fn in cls.body:
+                    if (isinstance(fn, ast.FunctionDef) and any(
+                            isinstance(d, ast.Name) and d.id == "_view"
+                            for d in fn.decorator_list)):
+                        bodies[fn.name] = {n.attr for n in ast.walk(fn)
+                                           if isinstance(n, ast.Attribute)}
+                        inside.update(id(n) for n in ast.walk(fn))
+        outside.update(n.attr for n in ast.walk(tree)
+                       if isinstance(n, ast.Attribute) and id(n) not in inside)
+    assert len(bodies) > 10
+    live = set(bodies) & outside
+    grown = True
+    while grown:
+        reached = set().union(*(bodies[v] for v in live)) & set(bodies)
+        grown = not reached <= live
+        live |= reached
+    assert sorted(set(bodies) - live) == []
