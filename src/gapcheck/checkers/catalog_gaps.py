@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ..exact import Cmp, RootExpr, cmp_root, _sign_1rad
+from ..exact import _sign_1rad
 from ..window import delta_order
 from .predicates import is_square
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
@@ -120,9 +120,8 @@ def _eq_15_4(ctx, tri, st):
     item is 2p sqrt(2q) > 2p(q - p), that is sqrt(2q) > d."""
     w = tri.w
     # rhs expands exactly to p + sqrt(2q) + q/(2p); lhs is q (2p + 1)/(2p);
-    # both times 2p > 0
-    rhs = RootExpr.sqrt(2 * w.q, 2 * w.p) + (2 * w.p * w.p + w.q)
-    item = cmp_root(rhs, w.q * (2 * w.p + 1)) is Cmp.GREATER
+    # rhs - lhs times 2p > 0 is one sign over sqrt(2q)
+    item = _sign_1rad(2 * w.p * w.p + w.q - w.q * (2 * w.p + 1), 2 * w.p, 2 * w.q) > 0
     return HOLD if item == _base_2q(w) else violate(f"item {item}")
 
 

@@ -196,20 +196,23 @@ def _ids_510(ctx, tri, st):
                "e.g. n = 2; checked on its shared-window scope)",
          source="corollary 5.11 with proposition 5.10(2)", n_min=2, domain=_same)
 def _ids_511(ctx, tri, st):
+    """X = mu' sqrt(q) - mu sqrt(p) = N sqrt(p) - N sqrt(q) + d on a shared
+    window.  Two clauses are identities of every integer window once the
+    first two hold, and tests/test_exact.py checks them through the kernel:
+    (mu'^2 - mu^2)/2 = X - d/2, so the fractional part equals it exactly when
+    floor(X) = d/2, which after the floor clause is d even; and
+    {X} = X - floor(X), so the floor difference is the fractional split
+    restated.  The split and the floor stay per window."""
     w = tri.w
     v = root_views(w)
-    tNq = v.tNq
     radicals = v.N_sqrtp - v.Nq_sqrtq
     fX, fracX = frac_root(radicals + (w.q - w.p))
-    if fracX != radicals + (tNq - w.tN):
+    if fracX != radicals + (v.tNq - w.tN):
         return violate("fractional split fails on a shared window")
     if fX != w.d // 2:
         return violate("floor != d/2")
-    half_sq = (v.mu_q_sq - v.mu_sq) / 2
-    if fracX != half_sq:
+    if w.d % 2:
         return violate("fractional part != (mu'^2 - mu^2)/2")
-    if fX != (w.q - tNq - 1) - (w.p - w.tN - 1):
-        return violate("floor difference identity")
     return HOLD
 
 

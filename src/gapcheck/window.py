@@ -19,7 +19,8 @@ the accumulation scans, and each is decided here, in one function:
 floor(sqrt(p) + sqrt(q)) (`floor_sqrt_sum`), the order of two gaps
 c1 Delta_1 against c2 Delta_2 (`delta_order`), the order of two
 fractional parts mu = {sqrt(p)} (`mu_order`) and mu against a rational
-(`mu_vs_rational`).  Each takes one exact integer sign.
+(`mu_vs_rational`).  Each takes one exact integer sign.  Many brackets of mu
+over one denominator (`mu_in_brackets`) take one isqrt between them.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def mu_vs_rational(p: int, N: int, num: int, den: int) -> int:
     """Exact sign of mu(p) - num/den for den > 0, where N = isqrt(p): the
     sign of den sqrt(p) - (den N + num)."""
     return _sign_1rad(-(den * N + num), den, p)
+
+
+def mu_in_brackets(p: int, N: int, den: int, brackets) -> list[bool]:
+    """For each (lo, hi) of brackets, whether lo/den < mu(p) < hi/den, for
+    non-square p, N = isqrt(p) and den > 0.  den mu is irrational, so it
+    lies strictly inside (r, r + 1) for r = isqrt(den^2 p) - den N, and
+    lo < den mu  <=>  lo <= r,  den mu < hi  <=>  r < hi."""
+    r = isqrt(den * den * p) - den * N
+    return [lo <= r < hi for lo, hi in brackets]
 
 
 class SquareLawViolation(AssertionError):
@@ -133,15 +143,14 @@ class RootViews:
     The rule: a quantity that two or more checkers read lives here, so it is
     computed once per window.  The RootExprs are normalized and immutable;
     the integers are exact.  Besides the radicals (sqrt_p, sqrt_q, sqrt_pq,
-    Delta, D, mu, mu', N sqrt(p), Nq sqrt(q)) they are:
+    Delta) they are:
       delta_sq             Delta^2                       (thm-35, twin-91)
       two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
       frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
       frac_sqrtp_delta                                   (thm-35, cor-36)
       sqrtp_delta_half,    sqrt(pq) - (p + 1/2) and its floor
       floor_sqrtp_delta_half                             (floor-32, frac-33)
-      mu_sq, mu_q_sq       mu^2, mu'^2                   (h-def, n2p1-family,
-                                                          ids-511)
+      mu, mu_q             mu, mu'                       (ids-516)
       N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
       tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
                                                           ids-511, ids-513)
@@ -190,24 +199,12 @@ class RootViews:
         return self.delta * self.delta
 
     @_view
-    def D(self) -> RootExpr:
-        return self.sqrt_q + self.sqrt_p
-
-    @_view
     def mu(self) -> RootExpr:
         return self.sqrt_p - self._N
 
     @_view
     def mu_q(self) -> RootExpr:
         return self.sqrt_q - self._Nq
-
-    @_view
-    def mu_sq(self) -> RootExpr:
-        return self.mu * self.mu
-
-    @_view
-    def mu_q_sq(self) -> RootExpr:
-        return self.mu_q * self.mu_q
 
     @_view
     def sqrtq_delta(self) -> RootExpr:
@@ -239,11 +236,6 @@ class RootViews:
     @_view
     def floor_sqrtp_delta_half(self) -> int:
         return floor_root(self.sqrtp_delta_half)
-
-    @_view
-    def ratio_frac(self) -> RootExpr:
-        # Delta/sqrt(p) = (sqrt(pq) - p)/p, rational-coefficient form
-        return self.sqrtp_delta / self._p
 
     @_view
     def tNq(self) -> int:

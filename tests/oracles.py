@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from gapcheck.exact import RootExpr, _make, _sign_1rad, _sign_2rad
 from gapcheck.primes import is_prime_u64
@@ -375,7 +375,11 @@ class RefRoot:
         out = out + RefRoot(0, {m: c * self.const for m, c in other.coefs.items()})
         for m1, c1 in self.coefs.items():
             for m2, c2 in other.coefs.items():
-                out = out + RefRoot.sqrt(m1 * m2, c1 * c2)
+                # sqrt(m1) sqrt(m2) = g sqrt((m1/g) (m2/g)) for g = gcd(m1, m2);
+                # the keys are square-free, so the new radicand is too
+                g = gcd(m1, m2)
+                core, c = (m1 // g) * (m2 // g), c1 * c2 * g
+                out = out + (RefRoot(c) if core == 1 else RefRoot(0, {core: c}))
         return out
 
     def conjugate(self, m: int) -> "RefRoot":

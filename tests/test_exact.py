@@ -168,37 +168,51 @@ def test_alpha_difference_identity_on_twin_interiors(mid_store):
 
 def test_generic_identities_through_the_kernel(mid_store):
     """The identities of eq-61, dpar-57, dpar-58, ids-510, ids-512, ids-514,
-    ids-515, thm-43 and dnh-forms, and the floor(D) parities of dpar-59 and
-    ids-516, hold for every integer window, so no checker evaluates them per
-    window.  Each is built here through RootExpr arithmetic, ==, floor_root
-    and frac_root, with a perturbed form that must differ, on seeded random
-    integer windows (primality not asked) and on every window n <= 20000.
-    On the random windows with p < 1e7, floor(h/mu) = 2N and {h/mu} = mu,
-    for p and for q, are also checked against oracles.RefRoot (whose
-    products split radicands near p^2 by trial division)."""
+    ids-515, thm-43 and dnh-forms, the floor(D) parities of dpar-59 and
+    ids-516, and the identity clauses of h-def, lemma-42, ratio-frac,
+    n2p1-family and ids-511 hold for every integer window, so no checker
+    evaluates them per window.  Each is built here through RootExpr
+    arithmetic, ==, floor_root and frac_root, with a perturbed form that
+    must differ, on seeded random integer windows (primality not asked),
+    on random windows with h = 1 and on every window n <= 20000.  On the
+    random windows, floor(h/mu) = 2N and {h/mu} = mu, for p and for q, are
+    also checked against oracles.RefRoot."""
     rng = random.Random(23)
     randoms = [GapWindow(1000, *random_chain(rng, lo, hi, 1))
                for lo, hi in RANDOM_RANGES for _ in range(300)]
-    for w in (w for w in randoms if w.p < 10 ** 7):
+    for w in randoms:
         for x, N, mu in ((w.p, w.N, root_views(w).mu), (w.q, w.Nq, root_views(w).mu_q)):
             ref = RefRoot(x - N * N) * (RefRoot.sqrt(x) - RefRoot(N)).inverse()
             fl = ref.floor()
             assert fl == 2 * N and (ref - RefRoot(fl)).to_root() == mu, w
+    # p = N^2 + 1: the h = 1 family of n2p1-family
+    h_one = [GapWindow(1000, N * N + 1, N * N + 2)
+             for lo, hi in RANDOM_RANGES for N in rng.sample(range(isqrt(lo), isqrt(hi)), 30)]
 
     def check(name, lhs, rhs, perturbed):
         assert lhs == rhs and lhs != perturbed, (name, w)
 
-    counts = {"shared": 0, "straddle": 0}
-    for w in randoms + list(windows(mid_store, 1, 20000)):
+    counts = {"shared": 0, "straddle": 0, "h = 1": 0}
+    for w in randoms + h_one + list(windows(mid_store, 1, 20000)):
         v = root_views(w)
         N, d, h, hq = w.N, w.d, w.h, w.hq
-        mu, mu_q, delta, D = v.mu, v.mu_q, v.delta, v.D
-        mu_sum = mu_q + mu
+        mu, mu_q, delta, D = v.mu, v.mu_q, v.delta, v.sqrt_q + v.sqrt_p
+        mu_sum, mu_sq, mu_q_sq = mu_q + mu, mu * mu, mu_q * mu_q
         check("eq-61", v.two_sqrtp_delta, d - v.delta_sq, d + v.delta_sq)
         # thm-43 and ids-510: h/mu = 2N + mu, h'/mu' = 2Nq + mu'
         assert w.p - h == N * N, w
         check("thm-43", frac_root(mu.inverse().scale(h)), (2 * N, mu), (2 * N, mu_q))
         check("h'/mu'", frac_root(mu_q.inverse().scale(hq)), (2 * w.Nq, mu_q), (2 * w.Nq, mu))
+        # h-def: h - mu^2 = 2N mu
+        check("h-def", (h - mu_sq) / mu, 2 * N, (h + mu_sq) / mu)
+        # n2p1-family: 2 mu N = h - mu^2, and with h = 1, N + mu = sqrt(p)
+        check("n2p1-family", frac_root(mu.scale(2 * N)), (h - 1, 1 - mu_sq), (h - 1, mu_sq))
+        if h == 1:
+            counts["h = 1"] += 1
+            check("n2p1-family h = 1", (1 - mu_sq) / mu.scale(2) + mu, v.sqrt_p,
+                  (1 - mu_sq) / mu.scale(2) - mu)
+        # ratio-frac: sqrt(pq)/p - 1 and Delta/sqrt(p) are (sqrt(pq) - p)/p
+        check("ratio-frac", v.sqrt_pq / w.p - 1, delta / v.sqrt_p, delta / v.sqrt_q)
         # dpar-58 and ids-515: D = N + Nq + mu' + mu, and mu' + mu is never 1
         above = cmp_root(mu_sum, 1) is Cmp.GREATER
         fl_D, fr_D = frac_root(D)
@@ -215,15 +229,21 @@ def test_generic_identities_through_the_kernel(mid_store):
             assert even == (not above), w                               # dpar-58
             lt = cmp_root(mu.scale(2) + delta, 1)                      # dpar-59
             assert even == (lt is Cmp.LESS) != (lt is Cmp.GREATER), w
-            check("ids-510", mu_q - mu, delta, mu - mu_q)
+            check("ids-510, lemma-42", mu_q - mu, delta, mu - mu_q)
+            # ids-511: X = mu' sqrt(q) - mu sqrt(p) = N sqrt(p) - N sqrt(q) + d
+            radicals = v.N_sqrtp - v.Nq_sqrtq
+            X = radicals + d
+            check("ids-511 X", mu_q * v.sqrt_q - mu * v.sqrt_p, X, X - 1)
+            check("ids-511 (mu'^2 - mu^2)/2", mu_q_sq - mu_sq, X.scale(2) - d, X.scale(2) + d)
+            fX, fracX = frac_root(X)
+            tN, tNq = isqrt(N * N * w.p), isqrt(N * N * w.q)
+            assert (fracX == radicals + (tNq - tN)) == (fX == d - tNq + tN), w
         else:
             counts["straddle"] += 1
             assert d == 2 * N + 1 + hq - h != hq - h and d != hq, w     # dnh-forms
-            check("ids-512", mu_q + 1 - mu, delta, mu_q - mu)
-            two_rhs = (mu_q * v.sqrt_q - mu * v.sqrt_p
-                       - (v.mu_q_sq - v.mu_sq - 1) / 2).scale(2)
-            off = (mu_q * v.sqrt_q - mu * v.sqrt_p
-                   - (v.mu_q_sq - v.mu_sq + 1) / 2).scale(2)
+            check("ids-512, lemma-42", mu_q + 1 - mu, delta, mu_q - mu)
+            two_rhs = (mu_q * v.sqrt_q - mu * v.sqrt_p - (mu_q_sq - mu_sq - 1) / 2).scale(2)
+            off = (mu_q * v.sqrt_q - mu * v.sqrt_p - (mu_q_sq - mu_sq + 1) / 2).scale(2)
             check("ids-512 second", two_rhs, d - 2 * N, off)
             half = delta.inverse().scale(d) / 2
             check("ids-514 sqrt(p)", half - (mu_sum + 1) / 2, N, half - (mu_sum - 1) / 2)
@@ -232,7 +252,7 @@ def test_generic_identities_through_the_kernel(mid_store):
             assert even == above, w                                     # ids-515
             gt = cmp_root(mu_q.scale(2) - delta)                       # ids-516
             assert even == (gt is Cmp.GREATER) != (gt is Cmp.LESS), w
-    assert min(counts.values()) > 500, counts
+    assert counts["h = 1"] > 100 and min(counts["shared"], counts["straddle"]) > 500, counts
 
 
 def test_cmp_consistent_with_fixed_eval(mid_store):

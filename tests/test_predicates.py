@@ -1,12 +1,13 @@
 """Two paths for every helper in checkers/predicates.py, for the window
 comparisons of window.py (floor_sqrt_sum, delta_order, mu_order,
-mu_vs_rational) and for the delta_vs_half view: the helper's own integer
-reduction against cmp_root / floor_root of the same quantity built from
-root_views(w).  mu-series' integer partial sums are checked the same way,
-against the Fraction partial sums of `oracles`, and so are the reductions
-thm-34, floor-31, chain-37 and cor-56 write inline and the comparisons
-dpar-59 and ids-516 read from floor_D.  The shared RootViews quantities are
-checked against the oracles' Fraction model of RootExpr."""
+mu_vs_rational, mu_in_brackets) and for the delta_vs_half view: the
+helper's own integer reduction against cmp_root / floor_root of the same
+quantity built from root_views(w).  mu-series' integer partial sums are
+checked the same way, against the Fraction partial sums of `oracles`, and so
+are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and eq-15-4
+write inline and the comparisons dpar-59 and ids-516 read from floor_D.  The
+shared RootViews quantities are checked against the oracles' Fraction model
+of RootExpr."""
 
 import random
 from fractions import Fraction
@@ -19,10 +20,10 @@ from gapcheck.checkers.catalog_floor import _mu_series_brackets
 from gapcheck.checkers.predicates import is_square, mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
 from gapcheck.intervals import square_reports
-from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_order, mu_vs_rational,
-                             root_views, windows)
-from oracles import (RefRoot, floor_root_general, longhand_sqrt_digits,
-                     mu_series_brackets_fraction)
+from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_in_brackets, mu_order,
+                             mu_vs_rational, root_views, windows)
+from oracles import (RANDOM_RANGES, RefRoot, floor_root_general, longhand_sqrt_digits,
+                     mu_series_brackets_fraction, random_chain)
 
 
 def _sample_windows(store, count, seed):
@@ -74,7 +75,7 @@ def test_window_helpers_two_paths(sample):
         v = root_views(w)
         assert delta_order(w.p, w.q, 7, 11) == _kernel_sign(v.delta - delta4), w
         assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(v.mu - v.mu_q), w
-        assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == floor_root(v.D), w
+        assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == floor_root(v.sqrt_p + v.sqrt_q), w
     assert delta_order(sample[3].p, sample[3].q, 7, 11) == 0   # n = 4 attains Delta_4
 
 
@@ -124,33 +125,101 @@ def test_square_first_prime_floor_D_two_paths(big_store):
         assert rep.first_prime_floor_D_even == (fd % 2 == 0), rep.N
 
 
-def test_mu_series_two_paths(mid_store):
+@pytest.fixture(scope="module")
+def generic_windows(mid_store):
+    """Seeded random integer windows over oracles.RANDOM_RANGES (primality
+    not asked, 1e11..1e12 included) and every window n <= 20000."""
+    rng = random.Random(19)
+    randoms = [GapWindow(1000, *random_chain(rng, lo, hi, 1))
+               for lo, hi in RANDOM_RANGES for _ in range(200)]
+    return randoms + list(windows(mid_store, 1, 20000))
+
+
+def test_mu_series_two_paths(mid_store, generic_windows):
     """mu-series' integer brackets over one denominator against the Fraction
-    partial sums, order by order: the same rational ends, the same
-    mu_vs_rational decisions, both confirmed by cmp_root on root_views(w).mu, and the
-    checker holds exactly when every order's bracket holds mu."""
+    partial sums, order by order: the same rational ends, and mu_in_brackets'
+    one-isqrt decision equal to mu_vs_rational at both ends, on the generic
+    windows past N = 1.  On every window n = 3..2000, 300 random prime
+    windows past it and 200 generic windows, the Fraction ends give the
+    same mu_vs_rational decisions, both confirmed by cmp_root on
+    root_views(w).mu.  mu_in_brackets also meets mu_vs_rational on brackets
+    whose ends lie within 2/den of mu, where an off-by-one isqrt or a
+    non-strict end differs.  The checker holds exactly when every order's
+    bracket holds mu."""
     rng = random.Random(17)
-    ws = list(windows(mid_store, 3, 2000))
-    ws += [GapWindow(n, mid_store.nth_prime(n), mid_store.nth_prime(n + 1))
-           for n in rng.sample(range(2001, mid_store.prime_count - 1), 300)]
+    sample = list(windows(mid_store, 3, 2000))
+    sample += [GapWindow(n, mid_store.nth_prime(n), mid_store.nth_prime(n + 1))
+               for n in rng.sample(range(2001, mid_store.prime_count - 1), 300)]
+    sample += rng.sample([w for w in generic_windows if w.N > 1], 200)
     evaluate = registry()["mu-series"].evaluate
-    for w in ws:
+    for w in (w for w in generic_windows if w.N > 1):
+        den, brackets = _mu_series_brackets(w)
+        assert len(brackets) == 8 and den == w.N ** 17 << 22
+        inside = mu_in_brackets(w.p, w.N, den, brackets)
+        for (lo, hi), got in zip(brackets, inside):
+            assert got == (mu_vs_rational(w.p, w.N, lo, den) > 0
+                           and mu_vs_rational(w.p, w.N, hi, den) < 0), w
+        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == all(inside), w
+        near = floor_root(root_views(w).mu.scale(den))
+        ends = [near + k for k in (-1, 0, 1, 2)]
+        tight = [(lo, hi) for lo in ends for hi in ends]
+        for (lo, hi), got in zip(tight, mu_in_brackets(w.p, w.N, den, tight)):
+            assert got == (mu_vs_rational(w.p, w.N, lo, den) > 0
+                           and mu_vs_rational(w.p, w.N, hi, den) < 0), (w, lo - near, hi - near)
+        assert mu_in_brackets(w.p, w.N, den, [(near, near + 1)]) == [True], w
+    for w in sample:
         mu = root_views(w).mu
-        ints = list(_mu_series_brackets(w))
+        den, brackets = _mu_series_brackets(w)
         fracs = list(mu_series_brackets_fraction(w.h, w.N))
-        assert len(ints) == len(fracs) == 8
-        holds = True
-        for (lo, hi, den), (lo_f, hi_f) in zip(ints, fracs):
+        assert len(fracs) == 8
+        inside = mu_in_brackets(w.p, w.N, den, brackets)
+        for (lo, hi), (lo_f, hi_f), got in zip(brackets, fracs, inside):
             assert (Fraction(lo, den), Fraction(hi, den)) == (lo_f, hi_f), w
-            inside = (mu_vs_rational(w.p, w.N, lo, den) > 0
-                      and mu_vs_rational(w.p, w.N, hi, den) < 0)
             ends = (lo_f.numerator, lo_f.denominator), (hi_f.numerator, hi_f.denominator)
-            assert inside == (mu_vs_rational(w.p, w.N, *ends[0]) > 0
-                              and mu_vs_rational(w.p, w.N, *ends[1]) < 0), w
-            assert inside == (_kernel_sign(mu, *ends[0]) > 0
-                              and _kernel_sign(mu, *ends[1]) < 0), w
-            holds = holds and inside
+            assert got == (mu_vs_rational(w.p, w.N, *ends[0]) > 0
+                           and mu_vs_rational(w.p, w.N, *ends[1]) < 0), w
+            assert got == (_kernel_sign(mu, *ends[0]) > 0 and _kernel_sign(mu, *ends[1]) < 0), w
+        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == all(inside), w
+
+
+def test_mu_bounds_shared_sign_two_paths(generic_windows):
+    """mu-bounds' factored sign of mu (D - 1) - h, a product of two signs over
+    one radicand each, against cmp_root of mu (D - 1) - h built from
+    root_views(w); and the checker holds exactly when the kernel's forms of
+    its three bounds hold."""
+    evaluate = registry()["mu-bounds"].evaluate
+    for w in generic_windows:
+        v = root_views(w)
+        mu, D = v.mu, v.sqrt_p + v.sqrt_q
+        factored = _sign_1rad(-w.N, 1, w.p) * _sign_1rad(-(w.N + 1), 1, w.q)
+        assert factored == cmp_root(mu * (D - 1) - w.h).value, w
+        refined = D - 1 if w.same_part else v.sqrt_p.scale(2) - 1
+        holds = (_kernel_sign(mu * v.sqrt_p.scale(2) - w.h) > 0
+                 and _kernel_sign(mu, w.h, 2 * w.N) < 0
+                 and _kernel_sign(mu * refined - w.h) < 0)
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == holds, w
+
+
+def test_eq_15_4_two_paths(generic_windows):
+    """eq-15-4's item, one sign over sqrt(2q), against the RootExpr form of
+    (sqrt(p) + (sqrt(2)/2) sqrt(q/p))^2 - (1 + 1/(2p)) q times 2p; the
+    checker holds exactly when the kernel's item equals d^2 < 2q.  Besides
+    the generic windows, integer windows with d^2 - 2q in {-2, 0, 2} put the
+    item on and next to its zero."""
+    evaluate = registry()["eq-15-4"].evaluate
+    edges = [GapWindow(1000, q - 2 * k, q) for k in range(2, 300)
+             for q in (2 * k * k - 1, 2 * k * k, 2 * k * k + 1)
+             if not is_square(q - 2 * k) and not is_square(q)]
+    assert sum(w.d * w.d == 2 * w.q for w in edges) > 250
+    for w in generic_windows + edges:
+        p, q = w.p, w.q
+        item = _sign_1rad(2 * p * p + q - q * (2 * p + 1), 2 * p, 2 * q)
+        rhs = RootExpr.sqrt(2 * q, 2 * p) + (2 * p * p + q)
+        assert item == cmp_root(rhs, q * (2 * p + 1)).value, w
+        assert (item == 0) == (w.d * w.d == 2 * q), w
+        base = w.d * w.d < 2 * q
+        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == \
+            ((item > 0) == base), w
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +247,7 @@ def test_dpar_parity_two_paths(from_two):
     assert len(shared) > 1000
     for w in shared:
         v = root_views(w)
-        even = floor_root(v.D) % 2 == 0
+        even = floor_root(v.sqrt_p + v.sqrt_q) % 2 == 0
         assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(v.mu_q + v.mu, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
             assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
@@ -248,7 +317,7 @@ def test_ids516_two_paths(from_two):
         v = root_views(w)
         gt = _kernel_sign(v.mu_q.scale(2) - v.delta) > 0
         assert (v.floor_D > 2 * w.N + 1) == gt, w
-        assert (floor_root(v.D) % 2 == 0) == gt, w
+        assert (floor_root(v.sqrt_p + v.sqrt_q) % 2 == 0) == gt, w
         assert _holds("ids-516", w), w
 
 
@@ -282,7 +351,7 @@ def test_root_views_against_oracles(sample):
             "frac_sqrtq_delta": _ref_floor_frac(sqrtq_delta)[1],
             "frac_sqrtp_delta": _ref_floor_frac(sqrtp_delta)[1],
             "sqrtp_delta_half": half_shift,
-            "mu_sq": mu * mu, "mu_q_sq": mu_q * mu_q,
+            "mu": mu, "mu_q": mu_q,
         }
         for name, ref in roots.items():
             assert getattr(v, name) == ref.to_root(), (name, w)
@@ -295,5 +364,5 @@ def test_root_views_against_oracles(sample):
         for name, ref in ints.items():
             assert getattr(v, name) == ref, (name, w)
         for name, e in (("floor_sqrtp_delta_half", v.sqrtp_delta_half),
-                        ("floor_D", v.D), ("tNq", v.Nq_sqrtq)):
+                        ("floor_D", v.sqrt_p + v.sqrt_q), ("tNq", v.Nq_sqrtq)):
             assert floor_root_general(e) == ints[name], (name, w)
