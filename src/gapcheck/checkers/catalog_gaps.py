@@ -10,7 +10,7 @@ from math import isqrt
 
 from ..exact import _sign_1rad
 from ..window import delta_order
-from .predicates import is_square
+from .predicates import is_square, twin
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 
@@ -398,7 +398,7 @@ def _ishikawa_emp(ctx, tri, st):
          title="the only twin pair (p, p+2) with p+2 = M^2 + 1 is (3, 5)",
          source="remark after 4.10",
          expected_exceptions=frozenset({2}),
-         domain=lambda ctx, tri: tri.w.d == 2)
+         domain=twin)
 def _twin_sq(ctx, tri, st):
     w = tri.w
     return violate("upper twin one above a square") if is_square(w.q - 1) else HOLD

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ..exact import Cmp, RootExpr, cmp_root, floor_root, frac_root, _sign_1rad, _sign_2rad
+from ..exact import floor_root, frac_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
 from ..window import mu_vs_rational, root_views
 from .predicates import mu_sqrtp_frac_cmp
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
-
-# Delta_4 / 2 = (sqrt(11) - sqrt(7)) / 2
-DELTA4_HALF = (RootExpr.sqrt(11) - RootExpr.sqrt(7)) / 2
 
 
 def _same(ctx, tri) -> bool:
@@ -30,6 +27,10 @@ def _same(ctx, tri) -> bool:
 
 def _straddle(ctx, tri) -> bool:
     return tri.w.straddle
+
+
+def _straddle_n2(ctx, tri) -> bool:
+    return tri.w.straddle and tri.w.N >= 2
 
 
 # -- statement 5.x ---------------------------------------------------------------
@@ -283,12 +284,18 @@ def _ids_516(ctx, tri, st):
     w = tri.w
     v = root_views(w)
     # Delta = 1 + mu' - mu here, so 2mu' > Delta iff mu' + mu > 1 iff
-    # floor(D) > 2N + 1, even (the parity is ids-515's identity)
+    # floor(D) > 2N + 1, even (the parity is ids-515's identity).  With
+    # Delta_4 = sqrt(11) - sqrt(7), each bound orders two positive sides,
+    # squared into one sign over two radicands
     if v.floor_D > 2 * w.N + 1:
-        if cmp_root(v.mu - 1 + DELTA4_HALF) is not Cmp.GREATER:
+        # mu - 1 + Delta_4/2 > 0  <=>  2 sqrt(p) + sqrt(11) > 2(N + 1) + sqrt(7)
+        M = w.N + 1
+        if not _sign_2rad(4 * w.p + 4 - 4 * M * M, 4, 11 * w.p, -4 * M, 7) > 0:
             return violate("mu <= 1 - Delta_4/2 in the even case")
     else:
-        if cmp_root(v.mu_q - DELTA4_HALF) is not Cmp.LESS:
+        # mu' < Delta_4/2  <=>  2 sqrt(q) + sqrt(7) < 2 Nq + sqrt(11)
+        Nq = w.Nq
+        if not _sign_2rad(4 * w.q - 4 - 4 * Nq * Nq, 4, 7 * w.q, -4 * Nq, 11) < 0:
             return violate("mu' >= Delta_4/2 in the odd case")
     return HOLD
 
@@ -392,7 +399,7 @@ def _cor_64(ctx, tri, st):
 @checker("straddle-65", Kind.UNIVERSAL,
          title="on straddles with N >= 2: h' <= N < sqrt(p) < N + 1 <= h",
          source="statement 6.5",
-         domain=lambda ctx, tri: tri.w.straddle and tri.w.N >= 2)
+         domain=_straddle_n2)
 def _straddle_65(ctx, tri, st):
     w = tri.w
     if w.hq > w.N:
@@ -405,7 +412,7 @@ def _straddle_65(ctx, tri, st):
 @checker("straddle-66", Kind.UNIVERSAL,
          title="on straddles with N >= 2: mu > 1/2 > mu'",
          source="statement 6.6",
-         domain=lambda ctx, tri: tri.w.straddle and tri.w.N >= 2)
+         domain=_straddle_n2)
 def _straddle_66(ctx, tri, st):
     w = tri.w
     if not 4 * w.p > (2 * w.N + 1) ** 2:

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from ..exact import _sign_1rad, _sign_2rad
 from ..window import delta_order, root_views
+from .predicates import twin
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
-
-
-def _is_twin(w) -> bool:
-    return w.d == 2
 
 
 @checker("twin-91", Kind.EQUIVALENCE,
@@ -63,7 +60,7 @@ def _twin_pair_events(st, w):
          title="the ratio chain 1 <= sqrt(p_m2/p_(m1+1)) < 1/(sqrt(p_(m1+1)) D2) "
                "< 2/(D_m1 D2) = D_m1/D2-ratios < D_m2/(2 sqrt(p_m1)) over twin pairs",
          source="statement 9.2", n_min=2,
-         domain=lambda ctx, tri: _is_twin(tri.w),
+         domain=twin,
          state_init=_pair_state)
 def _twin_92(ctx, tri, st):
     """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2:
@@ -94,7 +91,7 @@ def _twin_92(ctx, tri, st):
          title="sqrt(p_(m1+1))D2 < 1 < sqrt(p_(m2+1))D2 < sqrt(p_(m1+1))D1 "
                "< sqrt(p_(m2+1))D1, and sqrt(p_(m1+1))D1 < 5/4, over twin pairs",
          source="corollary 9.3", n_min=2,
-         domain=lambda ctx, tri: _is_twin(tri.w),
+         domain=twin,
          state_init=_pair_state)
 def _twin_93(ctx, tri, st):
     """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2
@@ -122,7 +119,7 @@ def _twin_93(ctx, tri, st):
 @checker("twin-94", Kind.UNIVERSAL,
          title="2 Delta_m2 < Delta_m1 (1 + sqrt(p_m1/p_(m1+1))) over twin pairs",
          source="corollary 9.4", n_min=2,
-         domain=lambda ctx, tri: _is_twin(tri.w),
+         domain=twin,
          state_init=_pair_state)
 def _twin_94(ctx, tri, st):
     """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2:
@@ -153,7 +150,7 @@ def _twin_95(ctx, tri, st):
     mn = st["min"]
     s = -1 if mn is None else delta_order(w.p, w.q, mn[1], mn[2])   # Delta_n - min
     # min over n < m of Delta must still exceed Delta_m
-    if _is_twin(w) and w.n >= 5 and mn is not None and s >= 0:
+    if w.d == 2 and w.n >= 5 and mn is not None and s >= 0:
         out = violate(f"Delta_{mn[0]} <= Delta_{w.n}")
     if s < 0:
         st["min"] = [w.n, w.p, w.q]
@@ -177,7 +174,7 @@ def _twin_96(ctx, tri, st):
     # up is the sign of F_n - max F = (sqrt(pq) - s) - (sqrt(pq') - s')
     mx = st["maxF"]
     up = 1 if mx is None else _sign_2rad(mx[1] - w.s, 1, pq, -1, mx[2])
-    if _is_twin(w) and w.n >= 5 and mx is not None and up <= 0:
+    if w.d == 2 and w.n >= 5 and mx is not None and up <= 0:
         out = violate(f"{{sqrt(p)Delta}} not above n={mx[0]}")
     if up > 0:
         st["maxF"] = [w.n, w.s, pq]
@@ -188,7 +185,7 @@ def _interior_step(st, w):
     """Advance the state twin-97 and twin-99 share: a twin becomes the last
     twin and opens an empty interior; any other window keeps the interior's
     least Delta."""
-    if _is_twin(w):
+    if w.d == 2:
         st["last_twin"] = [w.n, w.p, w.q]
         st["interior_min"] = None
         return
@@ -206,7 +203,7 @@ def _twin_97(ctx, tri, st):
     w = tri.w
     out = HOLD
     lt, im = st["last_twin"], st["interior_min"]
-    if _is_twin(w) and lt is not None and im is not None:
+    if w.d == 2 and lt is not None and im is not None:
         if not delta_order(im[1], im[2], lt[1], lt[2]) > 0:
             out = violate("interior Delta <= left twin Delta")
         elif not delta_order(im[1], im[2], w.p, w.q) > 0:
@@ -222,7 +219,7 @@ def _twin_97(ctx, tri, st):
          state_init=lambda: {"last_twin": None})
 def _twin_98(ctx, tri, st):
     w = tri.w
-    if _is_twin(w):
+    if w.d == 2:
         st["last_twin"] = [w.n, w.p, w.q]
         return HOLD
     if w.d < 4 or st["last_twin"] is None:
@@ -243,7 +240,7 @@ def _twin_99(ctx, tri, st):
     w = tri.w
     out = HOLD
     lt, im = st["last_twin"], st["interior_min"]
-    if _is_twin(w) and lt is not None:
+    if w.d == 2 and lt is not None:
         if not delta_order(lt[1], lt[2], w.p, w.q) > 0:
             out = violate("Delta_m1 <= Delta_m2")
         elif im is not None and not delta_order(im[1], im[2], lt[1], lt[2]) > 0:
@@ -274,7 +271,7 @@ def _twin_910(ctx, tri, st):
                "3/2, of Delta_m2 > Delta_m1 - Delta_m2, and of sqrt(2)/2 < "
                "D_m1/D_m2 (the open postulate-type ratios)",
          source="postulate discussion 9.2", n_min=2, conjecture=True,
-         domain=lambda ctx, tri: _is_twin(tri.w),
+         domain=twin,
          state_init=lambda: {"prev": None, "ratio32": [], "double": [], "sqrt2": []},
          finalize=lambda ctx, st, extra: extra.update(
              {k: st[k] for k in ("ratio32", "double", "sqrt2")}))
@@ -302,7 +299,7 @@ def _twin_postulate(ctx, tri, st):
 @checker("twin-913", Kind.UNIVERSAL,
          title="twin pairs sharing floor(sqrt(.)): 31 p_m1 > 25 p_m2",
          source="statement 9.13", n_min=2,
-         domain=lambda ctx, tri: _is_twin(tri.w),
+         domain=twin,
          state_init=lambda: {"N": None, "list": []})
 def _twin_913(ctx, tri, st):
     w = tri.w
@@ -324,7 +321,7 @@ def _twin_913(ctx, tri, st):
          state_init=lambda: {"last_twin": None, "min_scaled": None})
 def _alpha_props(ctx, tri, st):
     w = tri.w
-    if _is_twin(w):
+    if w.d == 2:
         out = HOLD
         if st["min_scaled"] is not None:
             _, a, b, d = st["min_scaled"]  # [n, p, q, d] minimizing (2/d) Delta

@@ -10,14 +10,18 @@ uninterrupted run.  A checkpoint records the witness cap and the tool
 version; resuming under another cap or from another version raises
 ValueError.
 
-Per run, each spec's evaluate, domain and tally are bound once.  A spec's
-static filters (n_min, needs_prev, needs_next) are tested only on edge
-windows: those below the largest n_min of the run, or missing their
-predecessor or successor.  Elsewhere none of them can exclude a window, so
-only `domain` is called; out_of_domain counts are as if every filter were
-tested on every window.  A checker that raises is isolated: its error is
-noted, that window counts as undecided and every later one as out of domain,
-so the report is UNDECIDED_PRESENT unless its counts already fail it.
+Per run, each spec's evaluate and tally are bound once, and the specs are
+grouped by the identity of their domain function (specs without one form a
+group too).  A spec's static filters (n_min, needs_prev, needs_next) are
+tested only on edge windows: those below the largest n_min of the run, or
+missing their predecessor or successor; elsewhere none of them can exclude a
+window.  Per window, a group's domain is called at most once, when the first
+of its checkers gets past those filters, and the rest of the group reuses
+the answer: in, out, or the exception it raised.  out_of_domain counts are
+as if every filter and domain were tested for every checker on every window.
+A checker that raises, in its domain or its evaluate, is isolated: its error
+is noted, that window counts as undecided and every later one as out of
+domain, so the report is UNDECIDED_PRESENT unless its counts already fail it.
 """
 
 from __future__ import annotations
@@ -113,6 +117,13 @@ def _record(spec: CheckerSpec, tally: _Tally, cap, w, out: Outcome):
         tally.error = tally.error or f"hard violation at n={w.n}"
     else:  # pragma: no cover
         raise ValueError(f"bad outcome {out!r} from {spec.id}")
+
+
+def _error(tally: _Tally, w, exc: Exception):
+    """Isolate a checker whose domain or evaluate raised on window w."""
+    tally.error = f"checker error at n={w.n}: {exc!r}"
+    tally.notes.append(tally.error)
+    tally.counts.undecided += 1
 
 
 def _verdict(spec: CheckerSpec, tally: _Tally, n_lo: int, n_hi: int) -> Verdict:
@@ -233,10 +244,14 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     nxt = next(stream, None)
 
     # Per checker, bound once per run: (spec, tally, counts, state, evaluate,
-    # domain, fast).  fast: a plain HOLD only needs its count bumped.
-    live = [(spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
-             spec.evaluate, spec.domain, spec.kind is not Kind.SURVEY)
-            for cid, spec in zip(ids, specs)]
+    # fast).  fast: a plain HOLD only needs its count bumped.  Checkers that
+    # share a domain function form one group, in order of first appearance.
+    groups: dict = {}
+    for cid, spec in zip(ids, specs):
+        groups.setdefault(spec.domain, []).append(
+            (spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
+             spec.evaluate, spec.kind is not Kind.SURVEY))
+    groups = list(groups.items())
     # n_min, needs_prev and needs_next can only exclude an edge window: one
     # below the largest n_min, or one missing its predecessor or successor
     n_edge = max((spec.n_min for spec in specs), default=1)
@@ -244,26 +259,39 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     while True:
         tri = Triple(prev, cur, nxt)
         edge = cur.n < n_edge or prev is None or nxt is None
-        for spec, tally, counts, state, evaluate, domain, fast in live:
-            if tally.error:
-                counts.out_of_domain += 1
-                continue
-            try:
-                if ((edge and (cur.n < spec.n_min
-                               or (spec.needs_prev and prev is None)
-                               or (spec.needs_next and nxt is None)))
-                        or (domain is not None and not domain(ctx, tri))):
+        for domain, members in groups:
+            # the group's domain answer: True, False or the exception it
+            # raised; None until a member gets past its static filters
+            inside = None
+            for spec, tally, counts, state, evaluate, fast in members:
+                if tally.error:
                     counts.out_of_domain += 1
                     continue
-                out = evaluate(ctx, tri, state)
-                if out is HOLD and fast:
-                    counts.holds += 1
-                else:
-                    _record(spec, tally, cap, cur, out)
-            except Exception as exc:  # noqa: BLE001 - isolate failing checker
-                tally.error = f"checker error at n={cur.n}: {exc!r}"
-                tally.notes.append(tally.error)
-                counts.undecided += 1
+                if edge and (cur.n < spec.n_min
+                             or (spec.needs_prev and prev is None)
+                             or (spec.needs_next and nxt is None)):
+                    counts.out_of_domain += 1
+                    continue
+                if domain is not None:
+                    if inside is None:
+                        try:
+                            inside = True if domain(ctx, tri) else False
+                        except Exception as exc:  # noqa: BLE001 - noted per checker
+                            inside = exc
+                    if inside is not True:
+                        if inside is False:
+                            counts.out_of_domain += 1
+                        else:
+                            _error(tally, cur, inside)
+                        continue
+                try:
+                    out = evaluate(ctx, tri, state)
+                    if out is HOLD and fast:
+                        counts.holds += 1
+                    else:
+                        _record(spec, tally, cap, cur, out)
+                except Exception as exc:  # noqa: BLE001 - isolate failing checker
+                    _error(tally, cur, exc)
         if cur.n >= n_hi or nxt is None:
             break
         prev, cur, nxt = cur, nxt, next(stream, None)

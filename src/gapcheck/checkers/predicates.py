@@ -1,5 +1,6 @@
 """Shared exact decision helpers for catalog predicates: a window's
-fractional part against a rational threshold, and the square test.
+fractional part against a rational threshold, the square test, and the twin
+domain.
 
 Everything here reduces to integer arithmetic; no floating point and no
 Fraction enters any decision.  A rational threshold t is passed as two ints,
@@ -33,3 +34,9 @@ def is_square(x: int) -> bool:
         return False
     r = isqrt(x)
     return r * r == x
+
+
+def twin(ctx, tri) -> bool:
+    """The domain d = 2 of every checker that fires on twin windows only:
+    one function, so the engine asks it once per window for all of them."""
+    return tri.w.d == 2

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import index
 
 # trial square factors extracted during radicand normalization
 _NORM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_NORM_PRODUCT = prod(_NORM_PRIMES)
 
 
 class KernelError(ValueError):
@@ -53,6 +54,8 @@ def _norm_radicand(m: int) -> tuple[int, int]:
     r = isqrt(m)
     if r * r == m:
         return r, 1
+    if gcd(m, _NORM_PRODUCT) == 1:   # no square factor to extract
+        return 1, m
     outer = 1
     for p in _NORM_PRIMES:
         sq = p * p
@@ -118,14 +121,16 @@ class RootExpr:
         return _make(self.num - index(other) * self.den, self.terms, self.den)
 
     def __rsub__(self, other) -> "RootExpr":
-        return _make(index(other) * self.den - self.num,
-                     tuple((m, -b) for m, b in self.terms), self.den)
+        return _make(index(other) * self.den - self.num, _neg_terms(self.terms),
+                     self.den)
 
     def scale(self, k: int) -> "RootExpr":
         return _scale_int(self, index(k))
 
     def __mul__(self, other) -> "RootExpr":
         if isinstance(other, RootExpr):
+            if other is self and len(self.terms) <= 2:
+                return _square(self)
             return _mul(self, other)
         return _scale_int(self, index(other))
 
@@ -197,8 +202,15 @@ def _reduced(num: int, terms: tuple, den: int) -> RootExpr:
     return _make(num, terms, den)
 
 
+def _neg_terms(terms: tuple) -> tuple:
+    if len(terms) == 1:
+        (m, b), = terms
+        return ((m, -b),)
+    return tuple((m, -b) for m, b in terms)
+
+
 def _neg(e: RootExpr) -> RootExpr:
-    return _make(-e.num, tuple((m, -b) for m, b in e.terms), e.den)
+    return _make(-e.num, _neg_terms(e.terms), e.den)
 
 
 def _combine(a: RootExpr, b: RootExpr, sign: int) -> RootExpr:
@@ -269,7 +281,13 @@ def _scale_int(e: RootExpr, k: int) -> RootExpr:
         if g != 1:
             den //= g
             k //= g
-    return _make(e.num * k, tuple((m, b * k) for m, b in e.terms), den)
+    terms = e.terms
+    if len(terms) == 1:
+        (m, b), = terms
+        terms = ((m, b * k),)
+    elif terms:
+        terms = tuple((m, b * k) for m, b in terms)
+    return _make(e.num * k, terms, den)
 
 
 def _mul(a: RootExpr, b: RootExpr) -> RootExpr:
@@ -293,6 +311,42 @@ def _mul(a: RootExpr, b: RootExpr) -> RootExpr:
                 acc[core] = acc.get(core, 0) + c
     terms = tuple(sorted((m, c) for m, c in acc.items() if c))
     return _reduced(const, terms, a.den * b.den)
+
+
+def _square(e: RootExpr) -> RootExpr:
+    """e * e for e with at most two terms: the parts _mul(e, e) gives,
+    without its dict and sort.  (n + b1 sqrt(m1) + b2 sqrt(m2))^2 is
+    n^2 + b1^2 m1 + b2^2 m2 + 2n b1 sqrt(m1) + 2n b2 sqrt(m2) plus the cross
+    term 2 b1 b2 g outer sqrt(core), for g = gcd(m1, m2) and
+    (m1/g)(m2/g) = outer^2 core.  The core is neither m1 nor m2: core = m1
+    would make m2 = g^2 outer^2 a perfect square, which normalization never
+    leaves as a radicand."""
+    n, terms = e.num, e.terms
+    if not terms:
+        return _reduced(n * n, (), e.den * e.den)
+    if len(terms) == 1:
+        (m, b), = terms
+        return _reduced(n * n + b * b * m, ((m, 2 * n * b),) if n else (),
+                        e.den * e.den)
+    (m1, b1), (m2, b2) = terms
+    const = n * n + b1 * b1 * m1 + b2 * b2 * m2
+    g = gcd(m1, m2)
+    outer, core = _norm_radicand((m1 // g) * (m2 // g))
+    c = 2 * b1 * b2 * g * outer
+    if core == 1:
+        const += c
+        terms = ((m1, 2 * n * b1), (m2, 2 * n * b2)) if n else ()
+    elif not n:
+        terms = ((core, c),)
+    else:
+        t1, t2 = (m1, 2 * n * b1), (m2, 2 * n * b2)
+        if core < m1:
+            terms = ((core, c), t1, t2)
+        elif core < m2:
+            terms = (t1, (core, c), t2)
+        else:
+            terms = (t1, t2, (core, c))
+    return _reduced(const, terms, e.den * e.den)
 
 
 def _inverse(e: RootExpr) -> RootExpr:
@@ -483,6 +537,11 @@ def floor_root(e: RootExpr) -> int:
     + 1), so floor(s) - num lies in [t, t + k - 1] for t the sum of the term
     floors and k radicands; at most k - 1 exact signs step t up to it."""
     terms = e.terms
+    if len(terms) == 1:
+        (m, b), = terms
+        x = b * b * m
+        r = isqrt(x)
+        return (e.num + (r if b >= 0 else -r - (r * r != x))) // e.den
     t = 0
     for m, b in terms:
         x = b * b * m   # floor(b sqrt(m)) by isqrt

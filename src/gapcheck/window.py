@@ -150,7 +150,6 @@ class RootViews:
       frac_sqrtp_delta                                   (thm-35, cor-36)
       sqrtp_delta_half,    sqrt(pq) - (p + 1/2) and its floor
       floor_sqrtp_delta_half                             (floor-32, frac-33)
-      mu, mu_q             mu, mu'                       (ids-516)
       N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
       tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
                                                           ids-511, ids-513)
@@ -197,14 +196,6 @@ class RootViews:
     @_view
     def delta_sq(self) -> RootExpr:
         return self.delta * self.delta
-
-    @_view
-    def mu(self) -> RootExpr:
-        return self.sqrt_p - self._N
-
-    @_view
-    def mu_q(self) -> RootExpr:
-        return self.sqrt_q - self._Nq
 
     @_view
     def sqrtq_delta(self) -> RootExpr:

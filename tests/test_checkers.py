@@ -487,6 +487,67 @@ def test_checker_error_counts_undecided(monkeypatch, capsys):
     assert "thm-35" in capsys.readouterr().out
 
 
+def test_partitioned_runs_merge_to_one_run(mid_store, catalog_1500):
+    """The engine groups checkers by domain function in order of first
+    appearance, so a run's id order and its companions decide which checker
+    calls a shared domain.  For seeded random permutations and partitions of
+    the catalog, the parts' reports and checkpoint `per` blocks, merged as a
+    dict union, equal one run's byte for byte."""
+    single, single_cp = catalog_1500
+    rng = random.Random(29)
+    for _ in range(6):
+        ids = sorted(registry())
+        rng.shuffle(ids)
+        cuts = sorted(rng.sample(range(1, len(ids)), rng.randrange(1, 5)))
+        reports, per = {}, {}
+        for lo, hi in zip([0] + cuts, cuts + [len(ids)]):
+            part_reports, part_cp = run_many(ids[lo:hi], mid_store, 1, 1500)
+            reports.update(part_reports)
+            per.update(part_cp["per"])
+        assert sorted(reports) == sorted(single)
+        for cid in reports:
+            assert reports[cid].to_json() == single[cid].to_json(), (cuts, cid)
+        assert (json.dumps(per, sort_keys=True)
+                == json.dumps(single_cp["per"], sort_keys=True)), cuts
+
+
+def test_shared_domain_error_isolates_its_group(monkeypatch, small_store):
+    """A domain that 11 checkers share raises at n = 50: the engine asks it
+    once per window, each checker of its group notes the error and counts
+    what a run of that checker alone counts, and no other report moves."""
+    import dataclasses
+
+    from gapcheck.checkers.catalog_parts import _straddle
+
+    reg = registry()
+    ids = sorted(reg)
+    clean = run_many(ids, small_store, 1, 100)[0]
+    calls = []
+
+    def raising(ctx, tri):
+        calls.append(tri.w.n)
+        if tri.w.n == 50:
+            raise RuntimeError("injected")
+        return _straddle(ctx, tri)
+
+    group = [cid for cid in ids if reg[cid].domain is _straddle]
+    assert len(group) == 11
+    for cid in group:
+        monkeypatch.setitem(reg, cid, dataclasses.replace(reg[cid], domain=raising))
+    reports = run_many(ids, small_store, 1, 100)[0]
+    assert calls == list(range(1, 51))   # once per window, none after the error
+    for cid in ids:
+        r = reports[cid]
+        if cid not in group:
+            assert r.to_json() == clean[cid].to_json(), cid
+            continue
+        alone = run_many([cid], small_store, 1, 100)[0][cid]
+        assert r.to_json() == alone.to_json(), cid
+        assert r.notes[-1:] == ["checker error at n=50: RuntimeError('injected')"], cid
+        assert r.counts.undecided == 1 and r.counts.out_of_domain >= 50, cid
+        assert r.verdict is Verdict.UNDECIDED_PRESENT or r.counts.fails, cid
+
+
 # -- which claims need primes --------------------------------------------------
 #
 # A random integer window is a pair of non-square integers p < q with

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root,
-                            frac_root)
+from gapcheck.exact import (_NORM_PRIMES, Cmp, RootExpr, _mul, _norm_radicand, _sign,
+                            _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root)
 from gapcheck.window import GapWindow, root_views, windows
 from oracles import (RANDOM_RANGES, RefRoot, build_root, eval_fixed, exact_sign,
                      floor_root_general, longhand_sqrt_digits, radical_sign, random_chain,
@@ -181,7 +181,8 @@ def test_generic_identities_through_the_kernel(mid_store):
     randoms = [GapWindow(1000, *random_chain(rng, lo, hi, 1))
                for lo, hi in RANDOM_RANGES for _ in range(300)]
     for w in randoms:
-        for x, N, mu in ((w.p, w.N, root_views(w).mu), (w.q, w.Nq, root_views(w).mu_q)):
+        for x, N, mu in ((w.p, w.N, root_views(w).sqrt_p - w.N),
+                         (w.q, w.Nq, root_views(w).sqrt_q - w.Nq)):
             ref = RefRoot(x - N * N) * (RefRoot.sqrt(x) - RefRoot(N)).inverse()
             fl = ref.floor()
             assert fl == 2 * N and (ref - RefRoot(fl)).to_root() == mu, w
@@ -196,7 +197,7 @@ def test_generic_identities_through_the_kernel(mid_store):
     for w in randoms + h_one + list(windows(mid_store, 1, 20000)):
         v = root_views(w)
         N, d, h, hq = w.N, w.d, w.h, w.hq
-        mu, mu_q, delta, D = v.mu, v.mu_q, v.delta, v.sqrt_q + v.sqrt_p
+        mu, mu_q, delta, D = v.sqrt_p - N, v.sqrt_q - w.Nq, v.delta, v.sqrt_q + v.sqrt_p
         mu_sum, mu_sq, mu_q_sq = mu_q + mu, mu * mu, mu_q * mu_q
         check("eq-61", v.two_sqrtp_delta, d - v.delta_sq, d + v.delta_sq)
         # thm-43 and ids-510: h/mu = 2N + mu, h'/mu' = 2Nq + mu'
@@ -446,7 +447,7 @@ def test_kernel_agrees_with_reference_arithmetic(data, cores):
     r = data.draw(_fracs)
     assert _agrees(a, ra) and _agrees(b, rb)
     assert _agrees(a + b, ra + rb) and _agrees(a - b, ra - rb)
-    assert _agrees(a * b, ra * rb)
+    assert _agrees(a * b, ra * rb) and _agrees(a * a, ra * ra)
     assert _agrees(a.scale(k), ra.scale(k)) and _agrees(a * k, ra.scale(k))
     assert _agrees(a + k, ra + RefRoot(k)) and _agrees(k - a, RefRoot(k) - ra)
     assert _agrees(a.scale(r.numerator) / r.denominator, ra.scale(r))
@@ -700,3 +701,113 @@ def test_eq_int_agrees_with_fraction(e, k, equal):
     assert (e == r) is equal
     assert e + k == e + r and e - k == e - r and k - e == r - e
     assert e * k == e * r and e.scale(k) == e * r
+
+
+# -- the kernel's short paths against its general ones --------------------------
+#
+# _norm_radicand screens with one gcd, x * x squares without _mul's dict and
+# sort, and _scale_int, negation, int - RootExpr and floor_root unroll the
+# one-term case.  Each must give the parts (num, terms, den) that the general
+# code gives, not just an equal value.
+
+
+def _norm_by_trial_division(m):
+    """sqrt(m) = outer * sqrt(core) with every square of _NORM_PRIMES divided
+    out of m by trial division alone, with no gcd screen."""
+    r = isqrt(m)
+    if r * r == m:
+        return r, 1
+    outer = 1
+    for p in _NORM_PRIMES:
+        while m % (p * p) == 0:
+            m //= p * p
+            outer *= p
+    r = isqrt(m)
+    return (outer * r, 1) if r * r == m else (outer, m)
+
+
+def _parts(e):
+    return e.num, e.terms, e.den
+
+
+def _two_term_roots(rng, count):
+    """Random RootExprs with one or two terms and den > 1 (most of them):
+    cores drawn with planted squares, and pairs whose product carries a
+    square factor, its core above both (6 * 10 = 4 * 15), below both
+    (10 * 15 = 25 * 6) or between (15 * 35 = 25 * 21), or is a square
+    (2 and 2 * 101^2)."""
+    pairs = [(6, 10), (10, 15), (15, 35), (2, 2 * 101 ** 2), (3, 3 * 5 * 103 ** 2), (7, 11)]
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            m1, m2 = rng.choice(pairs)
+        else:
+            m1 = rng.randrange(2, 10 ** 6) * rng.choice((1, 4, 9, 101 ** 2))
+            m2 = rng.randrange(2, 10 ** 12)
+        e = (RootExpr.of(rng.choice((0, rng.randrange(-10 ** 6, 10 ** 6))))
+             + RootExpr.sqrt(m1, rng.randrange(1, 999) * rng.choice((1, -1))))
+        if i % 4:
+            e = e + RootExpr.sqrt(m2, rng.randrange(-999, 999) or 1)
+        out.append(e / rng.randrange(1, 10 ** 4))
+    return out
+
+
+def test_norm_radicand_screen_against_trial_division():
+    """The gcd screen against trial division on seeded m: planted p^2 factors
+    with p <= 97, products of two primes above 97, perfect squares and
+    squares of primes above 97 times a core."""
+    rng = random.Random(41)
+    big = [p for p in range(101, 3000) if all(p % d for d in range(2, isqrt(p) + 1))]
+    ms = []
+    for _ in range(400):
+        planted = 1
+        for p in rng.sample(_NORM_PRIMES, rng.randrange(1, 4)):
+            planted *= p ** (2 * rng.randrange(1, 3))
+        ms.append(planted * rng.randrange(1, 10 ** 6))
+        ms.append(rng.choice(big) * rng.choice(big))
+        ms.append(rng.randrange(1, 10 ** 9) ** 2)
+        ms.append(rng.choice(big) ** 2 * rng.randrange(2, 10 ** 4))
+        ms.append(rng.randrange(1, 10 ** 15))
+    for m in ms:
+        assert _norm_radicand.__wrapped__(m) == _norm_by_trial_division(m), m
+
+
+def test_square_path_against_general_product():
+    """x * x on at most two terms gives the parts of the general _mul(x, x)."""
+    rng = random.Random(43)
+    roots = _two_term_roots(rng, 600)
+    roots += [RootExpr.of(7) / 3, RootExpr.of(0), RootExpr.sqrt(6) + RootExpr.sqrt(10)]
+    assert sum(len(e.terms) == 2 and e.den > 1 for e in roots) > 200
+    for e in roots:
+        assert _parts(e * e) == _parts(_mul(e, e)), e
+    x = RootExpr.sqrt(6) - RootExpr.sqrt(10) + 1
+    assert _parts(x * x) == (17, ((6, 2), (10, -2), (15, -4)), 1)
+    x = RootExpr.sqrt(10) + RootExpr.sqrt(15) + 1
+    assert _parts(x * x) == (26, ((6, 10), (10, 2), (15, 2)), 1)
+
+
+def test_one_term_unrolls_against_general_loops():
+    """scale, negation, int - RootExpr and floor_root on one-term RootExprs
+    against the loops they unroll, written out here."""
+    rng = random.Random(47)
+    for e in _two_term_roots(rng, 600):
+        k = rng.randrange(-10 ** 6, 10 ** 6)
+        n, terms, den = _parts(e)
+        g = gcd(den, k) if k else den
+        want = ((0, (), 1) if k == 0 else
+                (n * (k // g), tuple((m, b * (k // g)) for m, b in terms), den // g))
+        assert _parts(e.scale(k)) == _parts(e * k) == want, (e, k)
+        neg = tuple((m, -b) for m, b in terms)
+        assert _parts(-e) == (-n, neg, den), e
+        assert _parts(k - e) == (k * den - n, neg, den), (e, k)
+        for x in (e, e.scale(den)):   # e.scale(den) has den 1, so its floor shows t
+            t = 0
+            for m, b in x.terms:
+                y = b * b * m
+                r = isqrt(y)
+                t += r if b >= 0 else -r - (r * r != y)
+            for _ in range(len(x.terms) - 1):
+                if _sign(-t - 1, x.terms) < 0:
+                    break
+                t += 1
+            assert floor_root(x) == (x.num + t) // x.den == floor_root_general(x), x

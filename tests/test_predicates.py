@@ -41,6 +41,11 @@ def _kernel_sign(e, num=0, den=1) -> int:
     return c.value
 
 
+def _mu(w):
+    """mu = sqrt(p) - N as a RootExpr over the window's views."""
+    return root_views(w).sqrt_p - w.N
+
+
 def _thresholds(rng, e):
     """Random num/den, half of them within 1/den of the value of e."""
     den = rng.randrange(1, 10 ** rng.randrange(1, 7))
@@ -60,8 +65,9 @@ def test_rational_threshold_helpers_two_paths(sample):
         v = root_views(w)
         frac_q = frac_root(v.sqrtq_delta)[1]
         frac_mu_p = frac_root(w.p - v.N_sqrtp)[1]   # mu sqrt(p) = p - N sqrt(p)
-        for num, den in _thresholds(rng, v.mu):
-            assert mu_vs_rational(w.p, w.N, num, den) == _kernel_sign(v.mu, num, den), w
+        mu = v.sqrt_p - w.N
+        for num, den in _thresholds(rng, mu):
+            assert mu_vs_rational(w.p, w.N, num, den) == _kernel_sign(mu, num, den), w
         assert v.delta_vs_half == _kernel_sign(v.delta, 1, 2), w
         for num, den in _thresholds(rng, frac_q):
             assert sqrtq_delta_frac_cmp(w, num, den) == _kernel_sign(frac_q, num, den), w
@@ -74,7 +80,7 @@ def test_window_helpers_two_paths(sample):
     for w in sample:
         v = root_views(w)
         assert delta_order(w.p, w.q, 7, 11) == _kernel_sign(v.delta - delta4), w
-        assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(v.mu - v.mu_q), w
+        assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(v.sqrt_p - w.N - v.sqrt_q + w.Nq), w
         assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == floor_root(v.sqrt_p + v.sqrt_q), w
     assert delta_order(sample[3].p, sample[3].q, 7, 11) == 0   # n = 4 attains Delta_4
 
@@ -100,17 +106,16 @@ def test_mu_order_two_paths(sample):
     rng = random.Random(13)
     for a in sample:
         b = rng.choice(sample)
-        va, vb = root_views(a), root_views(b)
         s = mu_order(a.p, a.N, b.p, b.N)
-        assert s == _kernel_sign(va.mu - vb.mu), (a, b)
+        assert s == _kernel_sign(_mu(a) - _mu(b)), (a, b)
         for _ in range(4):
             t = rng.randrange(1, 1000)
-            side = _kernel_sign(va.mu, t, 1000)
-            if side != _kernel_sign(vb.mu, t, 1000):
+            side = _kernel_sign(_mu(a), t, 1000)
+            if side != _kernel_sign(_mu(b), t, 1000):
                 continue
             # |mu - r| = side (mu - r) for both
-            err_a = (va.mu.scale(1000) - t).scale(side)
-            err_b = (vb.mu.scale(1000) - t).scale(side)
+            err_a = (_mu(a).scale(1000) - t).scale(side)
+            err_b = (_mu(b).scale(1000) - t).scale(side)
             assert side * s == _kernel_sign(err_a - err_b), (a, b, t)
 
 
@@ -142,7 +147,7 @@ def test_mu_series_two_paths(mid_store, generic_windows):
     windows past N = 1.  On every window n = 3..2000, 300 random prime
     windows past it and 200 generic windows, the Fraction ends give the
     same mu_vs_rational decisions, both confirmed by cmp_root on
-    root_views(w).mu.  mu_in_brackets also meets mu_vs_rational on brackets
+    sqrt(p) - N from root_views.  mu_in_brackets also meets mu_vs_rational on brackets
     whose ends lie within 2/den of mu, where an off-by-one isqrt or a
     non-strict end differs.  The checker holds exactly when every order's
     bracket holds mu."""
@@ -160,7 +165,7 @@ def test_mu_series_two_paths(mid_store, generic_windows):
             assert got == (mu_vs_rational(w.p, w.N, lo, den) > 0
                            and mu_vs_rational(w.p, w.N, hi, den) < 0), w
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == all(inside), w
-        near = floor_root(root_views(w).mu.scale(den))
+        near = floor_root(_mu(w).scale(den))
         ends = [near + k for k in (-1, 0, 1, 2)]
         tight = [(lo, hi) for lo in ends for hi in ends]
         for (lo, hi), got in zip(tight, mu_in_brackets(w.p, w.N, den, tight)):
@@ -168,7 +173,7 @@ def test_mu_series_two_paths(mid_store, generic_windows):
                            and mu_vs_rational(w.p, w.N, hi, den) < 0), (w, lo - near, hi - near)
         assert mu_in_brackets(w.p, w.N, den, [(near, near + 1)]) == [True], w
     for w in sample:
-        mu = root_views(w).mu
+        mu = _mu(w)
         den, brackets = _mu_series_brackets(w)
         fracs = list(mu_series_brackets_fraction(w.h, w.N))
         assert len(fracs) == 8
@@ -190,7 +195,7 @@ def test_mu_bounds_shared_sign_two_paths(generic_windows):
     evaluate = registry()["mu-bounds"].evaluate
     for w in generic_windows:
         v = root_views(w)
-        mu, D = v.mu, v.sqrt_p + v.sqrt_q
+        mu, D = v.sqrt_p - w.N, v.sqrt_p + v.sqrt_q
         factored = _sign_1rad(-w.N, 1, w.p) * _sign_1rad(-(w.N + 1), 1, w.q)
         assert factored == cmp_root(mu * (D - 1) - w.h).value, w
         refined = D - 1 if w.same_part else v.sqrt_p.scale(2) - 1
@@ -248,7 +253,8 @@ def test_dpar_parity_two_paths(from_two):
     for w in shared:
         v = root_views(w)
         even = floor_root(v.sqrt_p + v.sqrt_q) % 2 == 0
-        assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(v.mu_q + v.mu, 1) < 0), w
+        mu_sum = v.sqrt_q - w.Nq + v.sqrt_p - w.N
+        assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(mu_sum, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
             assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
 
@@ -307,18 +313,49 @@ def test_cor56_two_paths(from_two):
         assert _holds("cor-56", w) == below, w
 
 
+def _random_straddles(count, seed):
+    """Integer windows p < q with isqrt(q) = isqrt(p) + 1 = N + 1, N < 1e6,
+    neither a square; primality is not asked."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        N = rng.randrange(2, 10 ** rng.randrange(2, 7))
+        p = N * N + rng.randrange(1, 2 * N + 1)
+        q = (N + 1) ** 2 + rng.randrange(1, 2 * N + 3)
+        out.append(GapWindow(i + 2, p, q))
+    return out
+
+
 def test_ids516_two_paths(from_two):
     """ids-516's 2 mu' > Delta, read from floor_D as floor(D) > 2N + 1,
     against 2 mu' > Delta from the kernel, and the parity of
-    floor_root(D); the checker holds on every straddle."""
+    floor_root(D); the checker holds on every straddle.  Its two bounds,
+    each squared into one sign over two radicands, against cmp_root of
+    2(mu - 1) + Delta_4 and 2 mu' - Delta_4 over sqrt(p) or sqrt(q),
+    sqrt(7) and sqrt(11), on every straddle of n = 2..2000, the sample,
+    and 20000 random integer straddles, on which the checker holds exactly
+    when the kernel's bound for its case does."""
+    delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
     straddles = [w for w in from_two if w.straddle]
     assert len(straddles) > 100
     for w in straddles:
         v = root_views(w)
-        gt = _kernel_sign(v.mu_q.scale(2) - v.delta) > 0
+        gt = _kernel_sign((v.sqrt_q - w.Nq).scale(2) - v.delta) > 0
         assert (v.floor_D > 2 * w.N + 1) == gt, w
         assert (floor_root(v.sqrt_p + v.sqrt_q) % 2 == 0) == gt, w
         assert _holds("ids-516", w), w
+    below = 0
+    for w in straddles + _random_straddles(20000, seed=17):
+        v = root_views(w)
+        M, Nq = w.N + 1, w.Nq
+        even = _sign_2rad(4 * w.p + 4 - 4 * M * M, 4, 11 * w.p, -4 * M, 7)
+        assert even == _kernel_sign((v.sqrt_p - M).scale(2) + delta4), w
+        odd = _sign_2rad(4 * w.q - 4 - 4 * Nq * Nq, 4, 7 * w.q, -4 * Nq, 11)
+        assert odd == _kernel_sign((v.sqrt_q - Nq).scale(2) - delta4), w
+        # the checker takes the bound its floor(D) parity names
+        assert _holds("ids-516", w) == (even > 0 if v.floor_D > 2 * w.N + 1 else odd < 0), w
+        below += even < 0 or odd > 0
+    assert below > 1000   # random straddles fail the bounds too
 
 
 def _longhand_isqrt(x: int) -> int:
@@ -340,7 +377,6 @@ def test_root_views_against_oracles(sample):
         v = root_views(w)
         sp, sq = RefRoot.sqrt(w.p), RefRoot.sqrt(w.q)
         delta, D = sq - sp, sq + sp
-        mu, mu_q = sp - RefRoot(w.N), sq - RefRoot(w.Nq)
         sqrtq_delta, sqrtp_delta = sq * delta, sp * delta
         half_shift = sqrtp_delta - RefRoot(Fraction(1, 2))
         roots = {
@@ -351,7 +387,6 @@ def test_root_views_against_oracles(sample):
             "frac_sqrtq_delta": _ref_floor_frac(sqrtq_delta)[1],
             "frac_sqrtp_delta": _ref_floor_frac(sqrtp_delta)[1],
             "sqrtp_delta_half": half_shift,
-            "mu": mu, "mu_q": mu_q,
         }
         for name, ref in roots.items():
             assert getattr(v, name) == ref.to_root(), (name, w)

@@ -7,6 +7,8 @@
   for their side effect).
 - Every `RootViews` view is read under src/gapcheck: by a module outside
   the views, or by a view that is itself read.
+- Checkers that share a domain share one domain function: the engine asks
+  a domain once per window for every checker that holds the same function.
 """
 
 import ast
@@ -96,3 +98,20 @@ def test_every_root_view_has_a_reader():
         grown = not reached <= live
         live |= reached
     assert sorted(set(bodies) - live) == []
+
+
+def test_equal_domains_are_one_function():
+    """No two registered domains with the same code (co_code, co_consts,
+    co_names) are different function objects."""
+    from gapcheck.checkers import registry
+
+    seen = {}
+    for cid, spec in sorted(registry().items()):
+        fn = spec.domain
+        if fn is None:
+            continue
+        code = fn.__code__
+        first_id, first_fn = seen.setdefault(
+            (code.co_code, code.co_consts, code.co_names), (cid, fn))
+        assert first_fn is fn, f"{first_id} and {cid} hold equal domains apart"
+    assert len(seen) >= 10

@@ -49,8 +49,9 @@ def test_root_views_n4(small_store):
     assert floor_root(v.sqrtq_delta) == w.d // 2 == 2
     assert v.sqrtq_delta + v.sqrtp_delta == w.d
     # mu = sqrt(7) - 2 around 0.6458
-    assert cmp_root(v.mu.scale(10 ** 4), 6457) is Cmp.GREATER
-    assert cmp_root(v.mu.scale(10 ** 4), 6458) is Cmp.LESS
+    mu = v.sqrt_p - w.N
+    assert cmp_root(mu.scale(10 ** 4), 6457) is Cmp.GREATER
+    assert cmp_root(mu.scale(10 ** 4), 6458) is Cmp.LESS
 
 
 def test_sandwich_3_1(small_store):
