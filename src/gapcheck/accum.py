@@ -8,19 +8,27 @@ side, envelope and monotone-approach claims.  Every flag is decided exactly
 (mu is a one-radicand value); violations are reported in the record, never
 raised, since the monotone claim is only argued for the +-1 families.
 The side of a/b is decided once per record and feeds the side flag, the
-deviation's rounding and the monotone comparison.
+deviation's rounding and the monotone comparison.  Each record takes one
+isqrt(p), which its mu and deviation decimals share and which the next
+record's monotone comparison reuses.
 
-accum_scan tests each candidate N with is_prime_u64.  The endpoint
-families of special_scans test every N in a range, so they are sieved
-instead: primes.quadratic_prime_flags strikes the roots of the family's
+accum_scan's candidates are only every step-th N (step 3 to 11 for b = 3,
+5, 7, 11), N = step m, and their values A m^2 + B m + C are screened in
+bulk: one bytearray over m strikes each m whose value exceeds 37 and has a
+factor among the primes up to 37 (the ones is_prime_u64's gcd screen
+rejects), at the roots of the quadratic mod each such prime, and
+is_prime_u64 decides every m left.  Deciding the candidates of the
+benchmark's eight accum scans (both signs, N_max = 2e4) took 41 ms so,
+against 56 ms with one is_prime_u64 call per candidate (in process,
+medians of 9, Python 3.11, 2 cores).  A full sieve over the candidates,
+by every prime up to the square root of the last value, pays a root find
+for each of up to 2,262 primes at N_max = 2e4; an earlier measurement
+put it at 61 ms where one call per candidate took 39 ms.
+
+The endpoint families of special_scans test every N in a range, so they
+are sieved: primes.quadratic_prime_flags strikes the roots of the family's
 quadratic mod each prime up to the square root of its last value, and
 calls is_prime_u64 only for the few values at or below that bound.
-accum_scan's candidates are only every step-th N (step 3 to 11 for b = 3,
-5, 7, 11), while a sieve over them pays a root find for each of up to
-2,262 primes at N_max = 2e4: deciding the candidates of the benchmark's
-eight accum scans (both signs, N_max = 2e4) took 39 ms by Miller-Rabin
-against 61 ms by such a sieve (in process, medians of 9, Python 3.11,
-2 cores).
 
 Primality is decided below 2^64 only.  Every scan checks its range once, up
 front: the polynomials increase in N, so a scan whose value at its last N
@@ -30,13 +38,12 @@ with the message), never a partial result.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
 
 from .exact import _sign_1rad
-from .primes import is_prime_u64, quadratic_prime_flags
+from .primes import _MR_BASES, is_prime_u64, quadratic_prime_flags
 from .window import mu_order, mu_vs_rational
 
 
@@ -72,9 +79,6 @@ class AccumRecord:
     envelope_ok: bool = True
     monotone_ok: bool = True
 
-    def row(self) -> list:
-        return [self.N, self.p, self.mu_digits, self.abs_err_digits]
-
     @property
     def ok(self) -> bool:
         return self.side_ok and self.envelope_ok and self.monotone_ok
@@ -84,9 +88,9 @@ class ScanError(ValueError):
     pass
 
 
-def mu_decimal(p: int, digits: int = 5) -> str:
-    """{sqrt(p)} rounded to the given digits, via exact integer sqrt."""
-    M = isqrt(p)
+def mu_decimal(p: int, M: int, digits: int = 5) -> str:
+    """{sqrt(p)} rounded to the given digits, via exact integer sqrt; M is
+    isqrt(p)."""
     u = isqrt(4 * p * 10 ** (2 * digits))  # floor(2 sqrt(p) 10^digits)
     rounded = (u + 1) // 2 - M * 10 ** digits
     if rounded >= 10 ** digits:  # rounds up to 1.000...
@@ -94,10 +98,9 @@ def mu_decimal(p: int, digits: int = 5) -> str:
     return f"0.{rounded:0{digits}d}"
 
 
-def _err_decimal(p: int, a: int, b: int, side: int, digits: int = 6) -> str:
-    """|{sqrt(p)} - a/b| truncated to the given digits, where side is the
-    sign of {sqrt(p)} - a/b (from mu_vs_rational)."""
-    M = isqrt(p)
+def _err_decimal(p: int, M: int, a: int, b: int, side: int, digits: int = 6) -> str:
+    """|{sqrt(p)} - a/b| truncated to the given digits, where M is isqrt(p)
+    and side is the sign of {sqrt(p)} - a/b (from mu_vs_rational)."""
     scale = 10 ** digits
     big = isqrt(p * (scale * b) ** 2)       # floor(sqrt(p) b scale)
     off = (M * b + a) * scale
@@ -109,17 +112,16 @@ def _err_decimal(p: int, a: int, b: int, side: int, digits: int = 6) -> str:
     return f"{val // scale}.{val % scale:0{digits}d}"
 
 
-def _record(N: int, p: int, a: int, b: int, side: int, prev_p) -> AccumRecord:
-    """The record for prime p scanned toward a/b from the given side; the
-    monotone flag compares it with the previous record's prime, if any."""
-    M = isqrt(p)
+def _record(N: int, p: int, M: int, a: int, b: int, side: int, prev) -> AccumRecord:
+    """The record for prime p, with M = isqrt(p), scanned toward a/b from
+    the given side; the monotone flag compares it with prev, the previous
+    record's (p, isqrt(p)), if any.  The scan takes the one isqrt."""
     s = mu_vs_rational(p, M, a, b)
-    rec = AccumRecord(N=N, p=p, mu_digits=mu_decimal(p),
-                      abs_err_digits=_err_decimal(p, a, b, s), side_ok=s == side)
-    if prev_p is not None and rec.side_ok:
+    rec = AccumRecord(N, p, mu_decimal(p, M), _err_decimal(p, M, a, b, s), s == side)
+    if prev is not None and rec.side_ok:
         # both mus lie on the given side of a/b, which cancels:
         # |mu(p) - a/b| - |mu(prev_p) - a/b| = side (mu(p) - mu(prev_p))
-        rec.monotone_ok = side * mu_order(p, M, prev_p, isqrt(prev_p)) < 0
+        rec.monotone_ok = side * mu_order(p, M, *prev) < 0
     return rec
 
 
@@ -129,6 +131,27 @@ def _check_range(what: str, N: int, val: int) -> None:
     if val >= 1 << 64:
         raise ScanError(f"{what} at N = {N} is {val} >= 2^64; primality is "
                         "decided only below 2^64, so lower the scan's N_max")
+
+
+def _screen(A: int, B: int, C: int, m_hi: int) -> bytearray:
+    """Flags over m = 0 .. m_hi of f(m) = A m^2 + B m + C, with A > 0 and
+    B >= 0, so f increases from m = 1 on: entry m is 0 when m = 0 or when
+    f(m) > 37 has a prime factor in _MR_BASES, the values is_prime_u64's
+    gcd screen rejects, and 1 otherwise.  The roots of f mod each such
+    prime ell are found by trying all ell residues; the m with f(m) <= 37
+    are a prefix and stay 1, for is_prime_u64 to decide."""
+    flags = bytearray([1]) * (m_hi + 1)
+    flags[0] = 0
+    m0 = 1
+    while m0 <= m_hi and A * m0 * m0 + B * m0 + C <= 37:
+        m0 += 1
+    for ell in _MR_BASES:
+        for t in range(ell):
+            if (A * t * t + B * t + C) % ell == 0:
+                i = m0 + (t - m0) % ell
+                if i <= m_hi:
+                    flags[i::ell] = bytes((m_hi - i) // ell + 1)
+    return flags
 
 
 def accum_scan(r: RationalTarget, sign: str, c: int = 1,
@@ -155,19 +178,23 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
     if N_last >= step:
         _check_range(f"N^2 + (2*{a}/{b})N {sign} {c}", N_last,
                      N_last * N_last + (2 * a * N_last) // b + sgn * c)
+    # with N = step m the value is A m^2 + B m + C
+    A, B, C = step * step, 2 * a * step // b, sgn * c
+    m_hi = N_max // step
     records: list[AccumRecord] = []
-    prev_p = None
-    for N in range(step, N_max + 1, step):
+    prev = None
+    for m in compress(range(m_hi + 1), _screen(A, B, C, m_hi)):
+        N = step * m
         if c != 1 and N % c == 0:
             continue  # the prime-q variant requires N not divisible by q
-        val = N * N + (2 * a * N) // b + sgn * c
+        val = N * N + B * m + C
         if val < 2 or not is_prime_u64(val):
             continue
-        if isqrt(val) != N:
+        M = isqrt(val)
+        if M != N:
             continue  # mu would measure against a different root
         p = val
-        M = N
-        rec = _record(N, p, a, b, sgn, prev_p)
+        rec = _record(N, p, M, a, b, sgn, prev)
         if c == 1:
             # lower ends times 2bp, upper ends times 2bN
             if sign == "-":
@@ -180,7 +207,7 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
                 hi_ok = _sign_1rad(-b - 2 * N * (b * M + a), 2 * b * N, p) < 0
             rec.envelope_ok = lo_ok and hi_ok
         records.append(rec)
-        prev_p = p
+        prev = p, M
     return records
 
 
@@ -212,16 +239,18 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
     if N_max >= lo_N:
         _check_range(kind, N_max, N_max * N_max + u * N_max + v)
     records: list[AccumRecord] = []
-    prev_p = None
+    prev = None
     for N in compress(range(lo_N, N_max + 1), quadratic_prime_flags(u, v, lo_N, N_max)):
         p = N * N + u * N + v
-        records.append(_record(N, p, a, b, side, prev_p))
-        prev_p = p
+        M = isqrt(p)
+        records.append(_record(N, p, M, a, b, side, prev))
+        prev = p, M
     return records
 
 
 def write_accum_csv(records, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["N", "p", "mu", "abs_err"])
+    """N, p, mu and |mu - a/b| per record, one write per CRLF-ended line;
+    no field needs quoting."""
+    fh.write("N,p,mu,abs_err\r\n")
     for rec in records:
-        writer.writerow(rec.row())
+        fh.write(f"{rec.N},{rec.p},{rec.mu_digits},{rec.abs_err_digits}\r\n")

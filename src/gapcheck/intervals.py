@@ -14,7 +14,6 @@ in integers, where S is the number of subintervals and W = (x+1)^k - x^k
 
 from __future__ import annotations
 
-import csv
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -41,12 +40,6 @@ class SquareWindowReport:
     cumulative: bool = True      # pi(N^2) >= 2(N-1)
     first_prime_floor_D_even: bool = True
     half_claims_ok: bool = True  # triggered two-primes-per-half claims
-
-    def row(self) -> list:
-        return [self.N, self.prime_count, int(self.oppermann_lo),
-                int(self.oppermann_hi),
-                min(self.h_values) if self.h_values else "",
-                max(self.h_values) if self.h_values else ""]
 
 
 def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
@@ -111,10 +104,14 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
 
 
 def write_square_csv(reports, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["N", "count", "oppermann_lo", "oppermann_hi", "min_h", "max_h"])
+    """One CRLF-ended line per report, written as it comes; the Oppermann
+    flags as 1 or 0, min_h and max_h blank for a window without primes."""
+    fh.write("N,count,oppermann_lo,oppermann_hi,min_h,max_h\r\n")
     for rep in reports:
-        writer.writerow(rep.row())
+        h = rep.h_values
+        lo, hi = (min(h), max(h)) if h else ("", "")
+        fh.write(f"{rep.N},{rep.prime_count},{rep.oppermann_lo:d},"
+                 f"{rep.oppermann_hi:d},{lo},{hi}\r\n")
 
 
 @dataclass

@@ -10,6 +10,15 @@ against the tracked bound.  j_n counts indices i < n with d_i = 2, the
 convention fixed by the identity itself and by p_n < 2 j_n^2 from n = 6 on
 (j_6 = 3 via the pairs (3,5), (5,7), (11,13)).
 
+Each row brackets sqrt(2) a_n by two products, the low ends together and
+the high ends together, which is the outward-rounded product only while
+the bracket of a_n is non-negative.  It is on every prime row: Delta_n <
+sqrt(2)/2 holds by value for n <= 4 (the largest, Delta_4 = sqrt(11) -
+sqrt(7), is about 0.671) and from n = 5 on is the exact prefix the
+display-9.2 question checks.  A row whose certified lower end of a_n is
+negative raises LedgerError, like the ledger's other certification guards,
+rather than carrying a bracket that would no longer hold the true value.
+
 Every decision is integer or interval arithmetic.  The explicit lower-bound
 question n (ln n + ln ln n - 1) < 2 j_n^2 is first put to a certified
 integer filter built from bitlen(n), which accepts every row past n = 33 up
@@ -23,7 +32,6 @@ walk costs one step per twin pair, not per prime.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import isqrt
 
@@ -127,12 +135,6 @@ class LedgerError(ValueError):
     pass
 
 
-def _imul(alo, ahi, blo, bhi, fb):
-    """Outward-rounded interval product at fb bits."""
-    cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(cands) >> fb, (max(cands) >> fb) + 1
-
-
 def alpha_ledger(store: PrimeStore, n_hi: int):
     """Yield AlphaRow for n = 1 .. n_hi.
 
@@ -157,7 +159,12 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
         sqq_hi = sqq_lo + 1
         dlo, dhi = sqq_lo - sq_hi, sqq_hi - sq_lo          # Delta_n
         alo, ahi = half_lo - dhi, half_hi - dlo            # alpha_n
-        tlo, thi = _imul(r2lo, r2hi, alo, ahi, fb)         # sqrt(2) alpha
+        if alo < 0:
+            raise LedgerError(f"alpha_n = sqrt(2)/2 - Delta_n not certified "
+                              f"non-negative at n={w.n}")
+        # sqrt(2) alpha: with both brackets non-negative the outward product
+        # takes the low ends together and the high ends together
+        tlo, thi = r2lo * alo >> fb, (r2hi * ahi >> fb) + 1
         if w.d == 2:
             B = (B[0] + one + tlo, B[1] + one + thi)
         else:
@@ -176,11 +183,9 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
         q92 = _q92_holds(w, j_next) if w.n >= 5 else None
         dusart = _dusart_holds(w.n, j, ln_fb) if w.n >= 3 else None
         abstract = w.p < 2 * j * j if w.n >= 6 else None
-        yield AlphaRow(n=w.n, j=j, A=A, B=B,
-                       residual_bound=residual_bound, identity_ok=identity_ok,
-                       b_gt_a=b_gt_a, sandwich_ok=sandwich_ok,
-                       q92_holds=q92, dusart_holds=dusart,
-                       abstract_holds=abstract)
+        # positional, in field order: keywords cost a microsecond a row
+        yield AlphaRow(w.n, j, A, B, residual_bound, identity_ok, b_gt_a,
+                       sandwich_ok, q92, dusart, abstract)
         sq_lo, sq_hi = sqq_lo, sqq_hi
         j = j_next
 
@@ -222,23 +227,19 @@ def _dusart_holds(n: int, j: int, fb: int) -> bool:
 
 def write_ledger_csv(rows, fh) -> None:
     """CSV per the module interface: accumulators as CSV_DECIMALS decimals,
-    residual bound in ulps at FRAC_BITS."""
-    writer = csv.writer(fh)
-    writer.writerow(["n", "j_n", "A_n", "B_n", "identity_residual_bound",
-                     "q92_holds", "dusart_holds", "abstract_holds"])
+    residual bound in ulps at FRAC_BITS, the questions as 1, 0 or blank
+    (undefined).  One write per line, each ended by CRLF; no field needs
+    quoting."""
+    fh.write("n,j_n,A_n,B_n,identity_residual_bound,"
+             "q92_holds,dusart_holds,abstract_holds\r\n")
     scale = 1 << FRAC_BITS
-
-    def dec(interval):
-        mid = (interval[0] + interval[1]) // 2
-        return f"{mid / scale:.{CSV_DECIMALS}f}"
-
-    def tri(v):
-        return "" if v is None else int(v)
-
+    tri = {None: "", False: "0", True: "1"}
     for r in rows:
-        writer.writerow([r.n, r.j, dec(r.A), dec(r.B), r.residual_bound,
-                         tri(r.q92_holds), tri(r.dusart_holds),
-                         tri(r.abstract_holds)])
+        A, B = r.A, r.B
+        fh.write(f"{r.n},{r.j},{(A[0] + A[1]) // 2 / scale:.{CSV_DECIMALS}f},"
+                 f"{(B[0] + B[1]) // 2 / scale:.{CSV_DECIMALS}f},"
+                 f"{r.residual_bound},{tri[r.q92_holds]},{tri[r.dusart_holds]},"
+                 f"{tri[r.abstract_holds]}\r\n")
 
 
 def same_floor_consecutive_twin_pairs(store: PrimeStore, limit: int | None = None):

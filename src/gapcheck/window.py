@@ -25,7 +25,6 @@ over one denominator (`mu_in_brackets`) take one isqrt between them.
 
 from __future__ import annotations
 
-import csv
 from math import isqrt
 
 from .exact import RootExpr, _sign_1rad, _sign_2rad, floor_root, frac_root
@@ -277,19 +276,15 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int):
         prev_N = w.Nq
 
 
-CSV_COLUMNS = ["n", "p", "q", "d", "N", "h", "hq", "s", "k", "r", "j"]
-
-
 def dump_windows_csv(store: PrimeStore, n_lo: int, n_hi: int, fh) -> None:
     """Write the window stream as CSV (exact integers; k,r blank at n = 1)
-    with the twin-pair prefix count j_n = #{i < n : d_i = 2}."""
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
+    with the twin-pair prefix count j_n = #{i < n : d_i = 2}, one write per
+    CRLF-ended line."""
+    fh.write("n,p,q,d,N,h,hq,s,k,r,j\r\n")
     j = None
     for w in windows(store, n_lo, n_hi):
         if j is None:   # counted once windows() has accepted the range
             j = sum(1 for _ in store.iter_twin_lows(w.p))
-        writer.writerow([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s,
-                         "" if w.k is None else w.k,
-                         "" if w.r is None else w.r, j])
+        k, r = ("", "") if w.k is None else (w.k, w.r)
+        fh.write(f"{w.n},{w.p},{w.q},{w.d},{w.N},{w.h},{w.hq},{w.s},{k},{r},{j}\r\n")
         j += w.d == 2

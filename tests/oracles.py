@@ -8,16 +8,22 @@ for radical signs, brute-force pair enumeration, a Fraction-coefficient
 model of RootExpr and the Fraction partial sums of the mu series.  None of
 them share code paths with the package, except `mr_quadratic_flags`, which
 tests each value of a quadratic with is_prime_u64 (the path the
-accumulation families took before they were sieved), `exact_sign`, which
+accumulation families took before they were sieved), `mr_accum_hits`,
+which tests each admissible N of an accum scan with is_prime_u64 (the path
+accum_scan took before it screened its candidates), `exact_sign`, which
 hands a RootExpr's terms to the kernel's sign procedures, `eval_fixed`,
 which reads a RootExpr's parts, `build_root` and `raw_root`, shorthands for
 building RootExprs, and `twin_pairs`, a filter over the window stream.
 `random_chain` draws integer windows that need not be prime, for the
 tests that tell claims needing primes from identities of integers.
+`excel_csv_lines` writes rows with the standard library's csv.writer, the
+reference for the package's CSV writers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -95,6 +101,31 @@ def mr_quadratic_flags(u: int, v: int, lo: int, hi: int) -> bytearray:
     call per value (a value below 2 is not prime)."""
     return bytearray(1 if f >= 2 and is_prime_u64(f) else 0
                      for f in (x * x + u * x + v for x in range(lo, hi + 1)))
+
+
+def mr_accum_hits(a: int, b: int, sgn: int, c: int, N_max: int) -> list[tuple[int, int]]:
+    """(N, p) for each admissible N <= N_max (a multiple of the least step
+    making 2aN/b integral, and for c != 1 not a multiple of c) whose value
+    p = N^2 + 2aN/b + sgn c is prime with isqrt(p) = N: one is_prime_u64
+    call per admissible N with p >= 2."""
+    step = b // gcd(b, 2 * a)
+    out = []
+    for N in range(step, N_max + 1, step):
+        if c != 1 and N % c == 0:
+            continue
+        p = N * N + 2 * a * N // b + sgn * c
+        if p >= 2 and is_prime_u64(p) and isqrt(p) == N:
+            out.append((N, p))
+    return out
+
+
+def excel_csv_lines(rows) -> list[str]:
+    """The lines, ends kept, that csv.writer writes for rows: the excel
+    dialect, fields joined by commas, each line ended by CRLF, quoted only
+    where a field needs it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().splitlines(keepends=True)
 
 
 def odd_only_sieve(limit: int) -> bytearray:

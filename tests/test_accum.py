@@ -8,7 +8,8 @@ import pytest
 from gapcheck import accum, primes
 from gapcheck.accum import (RationalTarget, ScanError, accum_scan, parse_target,
                             special_scans, write_accum_csv)
-from oracles import mr_quadratic_flags, trial_division_is_prime
+from oracles import (excel_csv_lines, mr_accum_hits, mr_quadratic_flags,
+                     trial_division_is_prime)
 from surveys import disjointness, mu_truncated
 
 TABLES = {
@@ -139,6 +140,68 @@ def test_csv_shape():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "N,p,mu,abs_err"
     assert lines[1].startswith("6,41,0.40312,")
+
+
+def test_csv_matches_csv_writer():
+    """write_accum_csv's lines are csv.writer's, for a scan and a family."""
+    for recs in (accum_scan(RationalTarget(9, 22), "-", N_max=20000),
+                 special_scans("near_half_plus", N_max=10000)):
+        assert recs
+        buf = io.StringIO()
+        write_accum_csv(recs, buf)
+        assert buf.getvalue().splitlines(keepends=True) == excel_csv_lines(
+            [["N", "p", "mu", "abs_err"]]
+            + [[r.N, r.p, r.mu_digits, r.abs_err_digits] for r in recs])
+
+
+SCAN_TARGETS = [(a, b) for b in (3, 5, 7, 11)
+                for a in range(1, b) if gcd(a, b) == 1] + [(9, 22)]
+
+
+def test_screened_scans_match_one_test_per_admissible_N():
+    """accum_scan, which strikes the candidates with a factor up to 37
+    before is_prime_u64 sees them, emits the primes one is_prime_u64 call
+    per admissible N finds: below, at and just past the first admissible N,
+    and further on, for c = 1 and the prime-q variants, both signs."""
+    for a, b in SCAN_TARGETS:
+        step = b // gcd(b, 2 * a)
+        for c in (1, 3, 5):
+            for sign, sgn in (("+", 1), ("-", -1)):
+                for N_max in (step - 1, step, step + 1, 97, 2000):
+                    got = [(r.N, r.p) for r in accum_scan(RationalTarget(a, b), sign,
+                                                          c=c, N_max=N_max)]
+                    assert got == mr_accum_hits(a, b, sgn, c, N_max), (a, b, c, sign, N_max)
+
+
+def test_screen_keeps_the_values_up_to_37():
+    """A value up to 37 is left to is_prime_u64, though the screen's roots
+    fall on it: 1/2 (step 1) has the records 3, 7, 13 and 31, and 2/3 with
+    c = 7 starts at 6^2 + 4 - 7 = 37."""
+    for a, b, c, sign, sgn in ((1, 2, 1, "+", 1), (1, 2, 1, "-", -1), (1, 2, 3, "+", 1),
+                               (1, 2, 5, "-", -1), (2, 3, 7, "-", -1)):
+        got = [(r.N, r.p) for r in accum_scan(RationalTarget(a, b), sign, c=c, N_max=97)]
+        assert got == mr_accum_hits(a, b, sgn, c, 97), (a, b, c, sign)
+        assert got[0][1] <= 37, (a, b, c, sign)
+    assert [r.p for r in accum_scan(RationalTarget(1, 2), "+", N_max=5)] == [3, 7, 13, 31]
+
+
+def test_scans_screen_small_factors_before_primality(monkeypatch):
+    """No value above 37 with a prime factor up to 37 reaches is_prime_u64:
+    the screen has struck it."""
+    seen = []
+    real = primes.is_prime_u64
+
+    def spy(x):
+        seen.append(x)
+        return real(x)
+
+    monkeypatch.setattr(accum, "is_prime_u64", spy)
+    for a, b in SCAN_TARGETS:
+        for c in (1, 3, 5):
+            for sign in "+-":
+                accum_scan(RationalTarget(a, b), sign, c=c, N_max=2000)
+    assert min(seen) <= 37 < max(seen)
+    assert all(x <= 37 or all(x % ell for ell in primes._MR_BASES) for x in seen)
 
 
 def test_scan_range_checked_up_front():

@@ -2,10 +2,10 @@ import io
 
 import pytest
 
-from gapcheck.intervals import (brocard_reports, pow2_ladder, power_reports,
-                                square_reports, write_square_csv)
+from gapcheck.intervals import (SquareWindowReport, brocard_reports, pow2_ladder,
+                                power_reports, square_reports, write_square_csv)
 from gapcheck.primes import CoverageError
-from oracles import meissel_pi, trial_division_is_prime
+from oracles import excel_csv_lines, meissel_pi, trial_division_is_prime
 from surveys import (even_base_report, even_square_decomposition, h_value_coverage,
                      prime_power_windows)
 
@@ -65,6 +65,22 @@ def test_square_csv(mid_store):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "N,count,oppermann_lo,oppermann_hi,min_h,max_h"
     assert lines[1].startswith("2,2,1,1,")
+
+
+def test_square_csv_matches_csv_writer(mid_store):
+    """write_square_csv's lines are csv.writer's, min_h and max_h blank for
+    a report without h values."""
+    reports = list(square_reports(mid_store, 1, 300, keep_primes=False))
+    reports.append(SquareWindowReport(N=301, prime_count=0, oppermann_hi=False))
+    buf = io.StringIO()
+    write_square_csv(reports, buf)
+    want = excel_csv_lines(
+        [["N", "count", "oppermann_lo", "oppermann_hi", "min_h", "max_h"]]
+        + [[r.N, r.prime_count, int(r.oppermann_lo), int(r.oppermann_hi),
+            min(r.h_values) if r.h_values else "",
+            max(r.h_values) if r.h_values else ""] for r in reports])
+    assert buf.getvalue().splitlines(keepends=True) == want
+    assert want[-1] == "301,0,1,0,,\r\n"
 
 
 def test_brocard_first_rows(mid_store):

@@ -2,6 +2,8 @@
 
 - Every decision takes plain ints: no module under src/gapcheck imports
   `fractions`.
+- The CSV writers format their own lines: no module under src/gapcheck
+  imports `csv`.
 - No module in src/ or tests/ imports a name it never uses (names listed in
   `__all__` and import lines marked `# noqa: F401` are exports or imported
   for their side effect).
@@ -23,7 +25,8 @@ def _modules(*dirs):
             yield path, ast.parse(path.read_text(), str(path))
 
 
-def test_src_imports_no_fractions():
+def _src_imports_of(top: str) -> list[str]:
+    """path:line of every import of the module top under src/gapcheck."""
     bad = []
     for path, tree in _modules("src/gapcheck"):
         for node in ast.walk(tree):
@@ -33,9 +36,19 @@ def test_src_imports_no_fractions():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "fractions" for m in modules):
+            if any(m.split(".")[0] == top for m in modules):
                 bad.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return bad
+
+
+def test_src_imports_no_fractions():
+    bad = _src_imports_of("fractions")
     assert not bad, f"fractions imported at {bad}"
+
+
+def test_src_imports_no_csv():
+    bad = _src_imports_of("csv")
+    assert not bad, f"csv imported at {bad}"
 
 
 def _imported(tree, lines) -> dict[str, int]:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import gapcheck.twin as twin
 from gapcheck.twin import (LedgerError, alpha_ledger, ln_interval, ln_ln_interval,
                            same_floor_consecutive_twin_pairs, write_ledger_csv)
-from oracles import brute_twin_count_below_index
+from gapcheck.primes import PrimeStore
+from oracles import brute_twin_count_below_index, excel_csv_lines
 from surveys import jn_questions
 
 getcontext().prec = 60
@@ -107,6 +108,43 @@ def test_ledger_csv_digest(mid_store):
     write_ledger_csv(alpha_ledger(mid_store, 3000), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "5798c8e66f674e75d3a8411e9249450733f78adb22048fecfb4511545153120e")
+
+
+def test_ledger_csv_matches_csv_writer(mid_store):
+    """write_ledger_csv's lines are csv.writer's over the fields the ledger
+    reports, the questions blank where undefined (n < 5, n < 6)."""
+    rows = list(alpha_ledger(mid_store, 3000))
+    assert rows[3].q92_holds is None and rows[4].q92_holds is not None
+    assert rows[4].abstract_holds is None and rows[5].abstract_holds is not None
+    scale = 1 << twin.FRAC_BITS
+
+    def dec(interval):
+        return f"{(interval[0] + interval[1]) // 2 / scale:.{twin.CSV_DECIMALS}f}"
+
+    def tri(v):
+        return "" if v is None else int(v)
+
+    buf = io.StringIO()
+    write_ledger_csv(rows, buf)
+    assert buf.getvalue().splitlines(keepends=True) == excel_csv_lines(
+        [["n", "j_n", "A_n", "B_n", "identity_residual_bound",
+          "q92_holds", "dusart_holds", "abstract_holds"]]
+        + [[r.n, r.j, dec(r.A), dec(r.B), r.residual_bound, tri(r.q92_holds),
+            tri(r.dusart_holds), tri(r.abstract_holds)] for r in rows])
+
+
+def test_alpha_guard_refuses_a_negative_alpha(small_store, monkeypatch):
+    """A stream whose first window is (2, 5) has Delta_1 = sqrt(5) - sqrt(2),
+    about 0.822 > sqrt(2)/2, so alpha_1 < 0 and the ledger refuses row 1
+    rather than bracket sqrt(2) alpha_1 by its two products."""
+    iter_primes = PrimeStore.iter_primes
+
+    def without_3(self, start=2, stop=None):
+        return (p for p in iter_primes(self, start, stop) if p != 3)
+
+    monkeypatch.setattr(PrimeStore, "iter_primes", without_3)
+    with pytest.raises(LedgerError, match="n=1\\b"):
+        next(alpha_ledger(small_store, 5))
 
 
 def _counting_ln(calls):

@@ -6,7 +6,8 @@ import pytest
 from gapcheck.exact import Cmp, cmp_root, floor_root
 from gapcheck.primes import CoverageError, PrimeStore
 from gapcheck.window import dump_windows_csv, root_views, windows
-from oracles import brute_twin_count_below_index, trial_division_primes, twin_pairs
+from oracles import (brute_twin_count_below_index, excel_csv_lines,
+                     trial_division_primes, twin_pairs)
 
 
 def test_window_n4(small_store):
@@ -124,6 +125,19 @@ def test_csv_dump(small_store):
     assert lines[0] == "n,p,q,d,N,h,hq,s,k,r,j"
     assert lines[1] == "1,2,3,1,1,1,2,2,,,0"
     assert lines[4] == "4,7,11,4,2,3,2,8,2,3,2"
+
+
+def test_csv_dump_matches_csv_writer(small_store):
+    """dump_windows_csv's lines are csv.writer's, k and r blank at n = 1."""
+    rows, j = [], 0
+    for w in windows(small_store, 1, 2000):
+        rows.append([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s,
+                     "" if w.k is None else w.k, "" if w.r is None else w.r, j])
+        j += w.d == 2
+    buf = io.StringIO()
+    dump_windows_csv(small_store, 1, 2000, buf)
+    assert buf.getvalue().splitlines(keepends=True) == excel_csv_lines(
+        [["n", "p", "q", "d", "N", "h", "hq", "s", "k", "r", "j"]] + rows)
 
 
 def test_nq_within_one(mid_store):
