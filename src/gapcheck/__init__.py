@@ -1,3 +1,3 @@
 """gapcheck: exact-arithmetic verification of finitely checkable prime-gap claims."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

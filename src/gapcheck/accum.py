@@ -180,7 +180,7 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
                      N_last * N_last + (2 * a * N_last) // b + sgn * c)
     # with N = step m the value is A m^2 + B m + C
     A, B, C = step * step, 2 * a * step // b, sgn * c
-    m_hi = N_max // step
+    m_hi = max(N_max, 0) // step   # N_max < 0 scans m = 0 alone, as N_max = 0
     records: list[AccumRecord] = []
     prev = None
     for m in compress(range(m_hi + 1), _screen(A, B, C, m_hi)):

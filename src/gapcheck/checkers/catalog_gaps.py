@@ -154,8 +154,9 @@ def _eq_16_2(ctx, tri, st):
          source="statement 1.6(3)", n_min=2)
 def _eq_16_3(ctx, tri, st):
     w = tri.w
-    item = 2 * w.k >= w.d
-    return HOLD if item == _base_2q(w) else violate(f"k={w.k} d={w.d}")
+    k = w.q // w.d
+    item = 2 * k >= w.d
+    return HOLD if item == _base_2q(w) else violate(f"k={k} d={w.d}")
 
 
 @checker("eq-qr", Kind.EQUIVALENCE,
@@ -209,7 +210,7 @@ def _ratio_sqrt(ctx, tri, st):
 
 @checker("gap-next", Kind.UNIVERSAL,
          title="p_n >= d_{n+1}, equality iff n = 1",
-         source="display 2.1", needs_next=True)
+         source="display 2.1")
 def _gap_next(ctx, tri, st):
     w, nxt = tri.w, tri.nxt
     if w.n == 1:
@@ -377,7 +378,7 @@ def _gap_transfer(ctx, tri, st):
 
 @checker("ishikawa-plus", Kind.UNIVERSAL,
          title="p_{n+2} < p_n + 1 + 2 sqrt(2 p_n)",
-         source="statement 2.14", needs_next=True, conjecture=True)
+         source="statement 2.14", conjecture=True)
 def _ishikawa_plus(ctx, tri, st):
     w, nxt = tri.w, tri.nxt
     g = nxt.q - w.p - 1
@@ -386,7 +387,7 @@ def _ishikawa_plus(ctx, tri, st):
 
 @checker("ishikawa-emp", Kind.SURVEY,
          title="collect n with p_{n+2} >= p_n + 2 sqrt(2 p_n) (expected none)",
-         source="remark 2.15", needs_next=True, conjecture=True,
+         source="remark 2.15", conjecture=True,
          expected_survey=frozenset())
 def _ishikawa_emp(ctx, tri, st):
     w, nxt = tri.w, tri.nxt

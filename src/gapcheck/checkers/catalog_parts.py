@@ -541,7 +541,7 @@ def _even_76(ctx, tri, st):
 @checker("even-77", Kind.UNIVERSAL,
          title="even-N (>= 4) shared windows except n = 8: d <= N - 2, below the "
                "prior prime's square-root cases",
-         source="statement 7.7 with display 7.1", n_min=2, needs_prev=True,
+         source="statement 7.7 with display 7.1", n_min=2,
          domain=lambda ctx, tri: (tri.w.same_part and tri.w.N % 2 == 0
                                   and tri.w.N >= 4 and tri.w.n != 8))
 def _even_77(ctx, tri, st):
@@ -615,7 +615,7 @@ def _odd_711(ctx, tri, st):
 @checker("odd-712", Kind.UNIVERSAL,
          title="odd-N shared windows: d <= floor(sqrt(p)) - 1, below the prior "
                "prime's square-root cases",
-         source="corollary 7.12 with display 7.2", n_min=2, needs_prev=True,
+         source="corollary 7.12 with display 7.2", n_min=2,
          domain=_same_odd)
 def _odd_712(ctx, tri, st):
     w, prev = tri.w, tri.prev
@@ -633,7 +633,7 @@ def _odd_712(ctx, tri, st):
 @checker("odd-713", Kind.UNIVERSAL,
          title="odd-N shared windows: h' < N forces d < sqrt(p) - 1 - h with the "
                "prior-prime variants; h > sqrt(p) forces d < h' - sqrt(p)",
-         source="corollary 7.13", n_min=2, needs_prev=True, domain=_same_odd)
+         source="corollary 7.13", n_min=2, domain=_same_odd)
 def _odd_713(ctx, tri, st):
     """Holds for every chain of integer windows with Nq = N: as even-76,
     and with d + h = h' <= N - 1 the prior-prime bounds need only
@@ -656,7 +656,7 @@ def _odd_713(ctx, tri, st):
 
 @checker("first-after-square", Kind.UNIVERSAL,
          title="when p is the smallest prime above N^2 (N >= 2), floor(D) is even",
-         source="closing statement of section 7", n_min=2, needs_prev=True,
+         source="closing statement of section 7", n_min=2,
          domain=lambda ctx, tri: tri.w.N >= 2 and tri.prev.N < tri.w.N)
 def _first_after_square(ctx, tri, st):
     w = tri.w

@@ -1,24 +1,24 @@
 """Checker evaluation engine: streams GapWindows, tallies outcomes, emits reports.
 
 Evaluation is deterministic: the same (ids, range, opts) always produce
-byte-identical serialized reports on any store that holds the window after
-the range (p_{n_hi+2}); on a store whose last window is n_hi, checkers that
-need the next window count that one out of domain.  Long ranges can be split:
-the engine returns a JSON-able checkpoint from which a later run continues,
-on the same or a larger sieve, and the merged result equals a single
-uninterrupted run.  A checkpoint records the witness cap and the tool
-version; resuming under another cap or from another version raises
+byte-identical serialized reports.  Every window of the range has both
+neighbours: the stream runs from the window before n_lo (from n = 1 when
+n_lo is 1, where no window precedes) to the one after n_hi, so the store
+must hold p_{n_hi+2}, or `windows` raises CoverageError.  Long ranges can
+be split: the engine returns a JSON-able checkpoint from which a later run
+continues, on the same or a larger sieve, and the merged result equals a
+single uninterrupted run.  A checkpoint resumes only under the version
+that wrote it and with the witness cap it records; anything else raises
 ValueError.
 
 Per run, each spec's evaluate and tally are bound once, and the specs are
 grouped by the identity of their domain function (specs without one form a
-group too).  A spec's static filters (n_min, needs_prev, needs_next) are
-tested only on edge windows: those below the largest n_min of the run, or
-missing their predecessor or successor; elsewhere none of them can exclude a
-window.  Per window, a group's domain is called at most once, when the first
-of its checkers gets past those filters, and the rest of the group reuses
-the answer: in, out, or the exception it raised.  out_of_domain counts are
-as if every filter and domain were tested for every checker on every window.
+group too).  A spec's n_min is tested only on windows below the largest
+n_min of the run; elsewhere it cannot exclude a window.  Per window, a
+group's domain is called at most once, when the first of its checkers gets
+past n_min, and the rest of the group reuses the answer: in, out, or the
+exception it raised.  out_of_domain counts are as if n_min and the domain
+were tested for every checker on every window.
 A checker that raises, in its domain or its evaluate, is isolated: its error
 is noted, that window counts as undecided and every later one as out of
 domain, so the report is UNDECIDED_PRESENT unless its counts already fail it.
@@ -36,6 +36,7 @@ from .types import (HOLD, CheckReport, CheckerSpec, Counts, Kind, Outcome, Tripl
 
 
 SURVEY_CAP = 10000   # indices a SURVEY report lists before noting truncation
+_CHECKPOINT_KEYS = {"n_lo", "next_n", "ids", "witness_cap", "tool_version", "per"}
 
 
 @dataclass
@@ -76,7 +77,7 @@ class _Tally:
         t.survey = list(d["survey"])
         t.notes = list(d["notes"])
         t.state = dict(d["state"])
-        t.error = d.get("error")
+        t.error = d["error"]
         return t
 
 
@@ -185,6 +186,8 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     checkpoint as `resume` continues it; the final reports are identical to a
     single uninterrupted run over the union range.
     """
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError(f"need 1 <= n_lo <= n_hi, not n_lo={n_lo}, n_hi={n_hi}")
     opts = opts or RunOpts()
     reg = registry()
     specs = []
@@ -194,32 +197,23 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         specs.append(reg[cid])
 
     if resume is not None:
-        if sorted(resume["ids"]) != sorted(ids):
+        # another version may tally differently or write other keys
+        if resume.get("tool_version") != __version__:
+            raise ValueError(
+                f"checkpoint was written by gapcheck "
+                f"{resume.get('tool_version', 'of no recorded version')}, "
+                f"this is gapcheck {__version__}; rerun the range from its start")
+        if set(resume) != _CHECKPOINT_KEYS or sorted(resume["ids"]) != sorted(ids):
             raise ValueError("checkpoint does not match this run")
-        if "sieve_edge" not in resume:
-            # older checkpoints record only their limit, not whether they
-            # stopped at the sieve's edge: resume them on the same sieve
-            if resume.get("store_limit") != store.limit:
-                raise ValueError("checkpoint does not match this run")
-        elif resume["sieve_edge"]:
-            raise ValueError("checkpoint was taken at the end of its sieve; "
-                             "rerun it with a larger limit to resume")
         if resume["next_n"] != n_lo:
             raise ValueError(
                 f"checkpoint continues at n={resume['next_n']}, not {n_lo}")
-        # the cap decides which witnesses the first part kept; a checkpoint
-        # written before the cap was recorded resumes as it always did
-        if "witness_cap" in resume and resume["witness_cap"] != opts.witness_cap:
+        # the cap decided which witnesses the first part kept
+        if resume["witness_cap"] != opts.witness_cap:
             raise ValueError(
                 f"checkpoint was taken with witness cap "
                 f"{_cap_text(resume['witness_cap'])}, this run has "
                 f"{_cap_text(opts.witness_cap)}; resume with the same --witnesses")
-        # another version may tally differently; a checkpoint written before
-        # the version was recorded resumes as it always did
-        if "tool_version" in resume and resume["tool_version"] != __version__:
-            raise ValueError(
-                f"checkpoint was written by gapcheck {resume['tool_version']}, "
-                f"this is gapcheck {__version__}; rerun the range from its start")
         tallies = {cid: _Tally.from_json(resume["per"][cid]) for cid in ids}
         report_lo = resume["n_lo"]
     else:
@@ -232,16 +226,10 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
 
     ctx = EvalContext(store=store, opts=opts, n_lo=report_lo, n_hi=n_hi)
 
-    # stream one window before and after the range when available
-    start = max(1, n_lo - 1)
-    want_end = n_hi + 1
-    end = want_end if want_end + 1 <= store.prime_count else n_hi
-    stream = windows(store, start, end)
-    prev = None
-    cur = next(stream)
-    if cur.n < n_lo:
-        prev, cur = cur, next(stream)
-    nxt = next(stream, None)
+    # stream the window before the range (none before n = 1) and the one after
+    stream = windows(store, max(1, n_lo - 1), n_hi + 1)
+    prev = next(stream) if n_lo > 1 else None
+    cur, nxt = next(stream), next(stream)
 
     # Per checker, bound once per run: (spec, tally, counts, state, evaluate,
     # fast).  fast: a plain HOLD only needs its count bumped.  Checkers that
@@ -252,24 +240,21 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
             (spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
              spec.evaluate, spec.kind is not Kind.SURVEY))
     groups = list(groups.items())
-    # n_min, needs_prev and needs_next can only exclude an edge window: one
-    # below the largest n_min, or one missing its predecessor or successor
+    # n_min can only exclude a window below the largest n_min
     n_edge = max((spec.n_min for spec in specs), default=1)
     cap = opts.witness_cap
     while True:
         tri = Triple(prev, cur, nxt)
-        edge = cur.n < n_edge or prev is None or nxt is None
+        edge = cur.n < n_edge
         for domain, members in groups:
             # the group's domain answer: True, False or the exception it
-            # raised; None until a member gets past its static filters
+            # raised; None until a member gets past its n_min
             inside = None
             for spec, tally, counts, state, evaluate, fast in members:
                 if tally.error:
                     counts.out_of_domain += 1
                     continue
-                if edge and (cur.n < spec.n_min
-                             or (spec.needs_prev and prev is None)
-                             or (spec.needs_next and nxt is None)):
+                if edge and cur.n < spec.n_min:
                     counts.out_of_domain += 1
                     continue
                 if domain is not None:
@@ -292,16 +277,13 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                         _record(spec, tally, cap, cur, out)
                 except Exception as exc:  # noqa: BLE001 - isolate failing checker
                     _error(tally, cur, exc)
-        if cur.n >= n_hi or nxt is None:
+        if cur.n >= n_hi:
             break
-        prev, cur, nxt = cur, nxt, next(stream, None)
+        prev, cur, nxt = cur, nxt, next(stream)
 
     checkpoint = {
         "n_lo": report_lo,
         "next_n": cur.n + 1,
-        # the last window had no successor in the sieve, so needs_next
-        # checkers skipped it; a continuation would not equal a single run
-        "sieve_edge": nxt is None,
         "ids": sorted(ids),
         "witness_cap": opts.witness_cap,
         "tool_version": __version__,

@@ -54,9 +54,9 @@ def hard_fail(note: str | None = None) -> Outcome:
 
 
 class Triple(NamedTuple):
-    prev: Optional[GapWindow]
+    prev: Optional[GapWindow]   # None only at n = 1
     w: GapWindow
-    nxt: Optional[GapWindow]
+    nxt: GapWindow
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,6 @@ class CheckerSpec:
     evaluate: Callable            # (ctx, triple, state) -> Outcome
     n_min: int = 1
     domain: Optional[Callable] = None   # (ctx, triple) -> bool, beyond n_min
-    needs_prev: bool = False
-    needs_next: bool = False
     expected_exceptions: frozenset = frozenset()
     expected_survey: Optional[frozenset] = None
     conjecture: bool = False

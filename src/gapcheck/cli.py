@@ -86,6 +86,10 @@ def _emit_reports(reports, fmt):
 
 def cmd_verify(args) -> int:
     t0 = time.time()
+    if args.witnesses < 0:
+        print(f"--witnesses must be 0 (unlimited) or a positive cap, "
+              f"not {args.witnesses}", file=sys.stderr)
+        return EXIT_USAGE
     resume = None
     if args.resume:
         with open(args.resume) as fh:

@@ -4,8 +4,7 @@ A GapWindow packages every integer a checker needs for one index n:
 p = p_n, q = p_{n+1}, the gap d, the integral parts N = floor(sqrt(p)) and
 Nq = floor(sqrt(q)), the square offsets h = p - N^2 and hq = q - Nq^2, the
 single integer s = floor(sqrt(p*q)) that decides all the floor identities of
-the sqrt(p)*Delta family, the division q = k*d + r (n >= 2) and the helper
-tN = floor(N*sqrt(p)).
+the sqrt(p)*Delta family, and the helper tN = floor(N*sqrt(p)).
 
 Its RootViews (`root_views`) hold the window's RootExprs and the integers
 derived from them.  Each is built once, on first use, and shared by every
@@ -80,7 +79,7 @@ class SquareLawViolation(AssertionError):
 
 
 class GapWindow:
-    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "k", "r", "tN", "views")
+    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "tN", "views")
 
     def __init__(self, n, p, q, N=None):
         self.n = n
@@ -94,10 +93,6 @@ class GapWindow:
         self.h = p - self.N * self.N
         self.hq = q - self.Nq * self.Nq
         self.s = isqrt(p * q)
-        if n >= 2:
-            self.k, self.r = divmod(q, self.d)
-        else:
-            self.k = self.r = None
         self.tN = isqrt(self.N * self.N * p)
         self.views = None   # RootViews, filled by root_views
 
@@ -285,6 +280,6 @@ def dump_windows_csv(store: PrimeStore, n_lo: int, n_hi: int, fh) -> None:
     for w in windows(store, n_lo, n_hi):
         if j is None:   # counted once windows() has accepted the range
             j = sum(1 for _ in store.iter_twin_lows(w.p))
-        k, r = ("", "") if w.k is None else (w.k, w.r)
+        k, r = ("", "") if w.n == 1 else divmod(w.q, w.d)
         fh.write(f"{w.n},{w.p},{w.q},{w.d},{w.N},{w.h},{w.hq},{w.s},{k},{r},{j}\r\n")
         j += w.d == 2

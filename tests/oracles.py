@@ -16,6 +16,8 @@ which reads a RootExpr's parts, `build_root` and `raw_root`, shorthands for
 building RootExprs, and `twin_pairs`, a filter over the window stream.
 `random_chain` draws integer windows that need not be prime, for the
 tests that tell claims needing primes from identities of integers.
+`reads` tells from a checker's compiled code whether it reads a window's
+neighbour.
 `excel_csv_lines` writes rows with the standard library's csv.writer, the
 reference for the package's CSV writers.
 """
@@ -501,3 +503,11 @@ def random_chain(rng, lo: int, hi: int, length: int) -> list[int]:
         if isqrt(q) ** 2 != q:
             chain.append(q)
     return chain
+
+
+def reads(spec, name: str) -> bool:
+    """spec's evaluate or domain reads the attribute name of its triple, as
+    "prev" for tri.prev or "nxt" for tri.nxt: the name is among the
+    attribute and global names of their compiled code."""
+    return any(name in fn.__code__.co_names
+               for fn in (spec.evaluate, spec.domain) if fn is not None)

@@ -161,13 +161,14 @@ SCAN_TARGETS = [(a, b) for b in (3, 5, 7, 11)
 def test_screened_scans_match_one_test_per_admissible_N():
     """accum_scan, which strikes the candidates with a factor up to 37
     before is_prime_u64 sees them, emits the primes one is_prime_u64 call
-    per admissible N finds: below, at and just past the first admissible N,
-    and further on, for c = 1 and the prime-q variants, both signs."""
+    per admissible N finds: for N_max below 0, at 0, below, at and just past
+    the first admissible N, and further on, for c = 1 and the prime-q
+    variants, both signs."""
     for a, b in SCAN_TARGETS:
         step = b // gcd(b, 2 * a)
         for c in (1, 3, 5):
             for sign, sgn in (("+", 1), ("-", -1)):
-                for N_max in (step - 1, step, step + 1, 97, 2000):
+                for N_max in (-5, -1, 0, step - 1, step, step + 1, 97, 2000):
                     got = [(r.N, r.p) for r in accum_scan(RationalTarget(a, b), sign,
                                                           c=c, N_max=N_max)]
                     assert got == mr_accum_hits(a, b, sgn, c, N_max), (a, b, c, sign, N_max)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gapcheck import __version__
 from gapcheck.checkers import (EvalContext, Kind, RunOpts, Triple, Verdict, catalog,
                                registry, run_all, run_checker, run_many)
+from gapcheck.primes import CoverageError
 from gapcheck.window import GapWindow
-from oracles import RANDOM_RANGES, random_chain, trial_division_primes
+from oracles import RANDOM_RANGES, random_chain, reads, trial_division_primes
 
 
 def test_catalog_membership_and_size():
@@ -193,26 +194,11 @@ def test_resume_on_larger_store(small_store, mid_store):
     resumed, _ = run_many(["thm-78"], mid_store, split + 1, 12000, resume=cp)
     single, _ = run_many(["thm-78"], mid_store, 1, 12000)
     assert resumed["thm-78"].to_json() == single["thm-78"].to_json()
-    # a run that used up its sieve skipped its last window's successor
-    _, cp = run_many(["gap-next"], small_store, 1, small_store.prime_count - 1)
-    with pytest.raises(ValueError):
-        run_many(["gap-next"], mid_store, small_store.prime_count, 12000, resume=cp)
-
-
-def test_resume_old_checkpoint_needs_same_store(small_store, mid_store):
-    """A checkpoint without `sieve_edge` cannot tell whether it stopped at
-    its sieve's edge, so it resumes only on a sieve of its own limit."""
-    ids = ["gap-next", "conj-gap-sq"]
-    single, _ = run_many(ids, mid_store, 1, 120)
-    _, cp = run_many(ids, mid_store, 1, 50)
-    del cp["sieve_edge"]
-    cp["store_limit"] = mid_store.limit
-    resumed, _ = run_many(ids, mid_store, 51, 120, resume=cp)
-    for cid in ids:
-        assert resumed[cid].to_json() == single[cid].to_json(), cid
-    cp["store_limit"] = small_store.limit
-    with pytest.raises(ValueError):
-        run_many(ids, mid_store, 51, 120, resume=cp)
+    # every window of a run has its successor: a run whose last window
+    # would have none is refused before it starts
+    last = small_store.prime_count - 1
+    with pytest.raises(CoverageError, match=f"p_{last + 2} not covered"):
+        run_many(["gap-next"], small_store, 1, last)
 
 
 def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
@@ -221,19 +207,6 @@ def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
         r = run_checker(cid, mid_store, 100001, 101000)
         assert r.verdict is not Verdict.FAIL, cid
         assert r.counts.out_of_domain == 1000 and r.counts.total() == 1000, cid
-
-
-def test_resume_ignores_old_j_prev(mid_store):
-    """Checkpoints no longer carry the twin count j_prev; one written before
-    j left the window stream still resumes, its j_prev unread."""
-    ids = sorted(registry())
-    single, _ = run_many(ids, mid_store, 1, 700)
-    _, cp = run_many(ids, mid_store, 1, 300)
-    assert "j_prev" not in cp
-    cp["j_prev"] = 123
-    resumed, _ = run_many(ids, mid_store, 301, 700, resume=json.loads(json.dumps(cp)))
-    for cid in ids:
-        assert resumed[cid].to_json() == single[cid].to_json(), cid
 
 
 def test_resume_ignores_old_runmin_keys(mid_store):
@@ -259,12 +232,15 @@ def test_resume_mismatch_rejected(mid_store):
         run_many(["conj-gap-sq"], mid_store, 99, 120, resume=cp)
     with pytest.raises(ValueError):
         run_many(["andrica"], mid_store, 51, 120, resume=cp)
+    # a key this version does not write, as the j_prev of older checkpoints
+    with pytest.raises(ValueError, match="checkpoint does not match this run"):
+        run_many(["conj-gap-sq"], mid_store, 51, 120, resume=dict(cp, j_prev=0))
 
 
 def test_resume_with_other_witness_cap_rejected(mid_store):
     """The cap decides which witnesses the first part keeps, so a resume
     under another cap would not equal a single run: it is refused, naming
-    the recorded cap.  A checkpoint without the key resumes as before."""
+    the recorded cap.  A checkpoint without the key is refused."""
     ids = ["conj-gap-sq", "delta-gt-half", "odd-710", "survey-dh"]
     capped = RunOpts(witness_cap=2)
     _, cp = run_many(ids, mid_store, 1, 1000, capped)
@@ -282,13 +258,14 @@ def test_resume_with_other_witness_cap_rejected(mid_store):
     with pytest.raises(ValueError, match="witness cap unlimited"):
         run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
     del cp["witness_cap"]
-    run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
+    with pytest.raises(ValueError, match="checkpoint does not match this run"):
+        run_many(ids, mid_store, 1001, 2000, RunOpts(), resume=cp)
 
 
 def test_resume_from_other_version_rejected(mid_store):
     """A checkpoint records the version that wrote it; a resume by another
-    version is refused, naming both.  A checkpoint without the key resumes
-    as before."""
+    version is refused, naming both, and so is a checkpoint without the
+    key."""
     ids = ["conj-gap-sq", "delta-gt-half", "alpha-props"]
     single, _ = run_many(ids, mid_store, 1, 600)
     _, cp = run_many(ids, mid_store, 1, 250)
@@ -297,10 +274,12 @@ def test_resume_from_other_version_rejected(mid_store):
     other = dict(cp, tool_version="0.0.1")
     with pytest.raises(ValueError, match=f"gapcheck 0.0.1, this is gapcheck {__version__}"):
         run_many(ids, mid_store, 251, 600, resume=other)
-    del cp["tool_version"]
     resumed, _ = run_many(ids, mid_store, 251, 600, resume=cp)
     for cid in ids:
         assert resumed[cid].to_json() == single[cid].to_json(), cid
+    del cp["tool_version"]
+    with pytest.raises(ValueError, match="rerun the range from its start"):
+        run_many(ids, mid_store, 251, 600, resume=cp)
 
 
 # n in 1..1499 next to a twin pair (p_{n+1} - p_n = 2) or a power of two,
@@ -335,10 +314,10 @@ def test_resume_at_random_split_equals_single_run(mid_store, catalog_1500, split
 
 
 def _triples(store, n_lo, n_hi) -> list:
-    """The (prev, w, nxt) the engine sees over [n_lo, n_hi]: the window before
-    the range and after it where the store holds them."""
+    """The (prev, w, nxt) the engine sees over [n_lo, n_hi]: every window
+    has both neighbours, but the one at n = 1 has no predecessor."""
     def window(n):
-        if n < max(1, n_lo - 1) or n + 1 > store.prime_count:
+        if n < 1:
             return None
         return GapWindow(n, store.nth_prime(n), store.nth_prime(n + 1))
 
@@ -347,22 +326,20 @@ def _triples(store, n_lo, n_hi) -> list:
 
 def _out_of_domain(ctx, spec, tri) -> bool:
     """spec's filters exclude tri, as recomputed straight from the spec."""
-    return (tri.w.n < spec.n_min or (spec.needs_prev and tri.prev is None)
-            or (spec.needs_next and tri.nxt is None)
+    return (tri.w.n < spec.n_min
             or (spec.domain is not None and not spec.domain(ctx, tri)))
 
 
 def test_out_of_domain_counts_match_specs(small_store):
-    """The engine tests n_min/needs_prev/needs_next on edge windows only;
+    """The engine tests n_min on windows below the run's largest n_min only;
     every checker's out_of_domain count still equals the count recomputed
-    straight from its spec, from n = 1 and on a run ending on the store's
-    last window (no successor)."""
+    straight from its spec, from n = 1 and on a run ending on the last
+    window the store can give a successor."""
     reg = registry()
     ids = sorted(reg)
     last = small_store.prime_count - 1
-    for n_lo, n_hi in ((1, 12), (last - 150, last)):
-        reports, cp = run_many(ids, small_store, n_lo, n_hi)
-        assert cp["sieve_edge"] == (n_hi == last)
+    for n_lo, n_hi in ((1, 12), (last - 151, last - 1)):
+        reports, _ = run_many(ids, small_store, n_lo, n_hi)
         ctx = EvalContext(store=small_store, opts=RunOpts(), n_lo=n_lo, n_hi=n_hi)
         triples = _triples(small_store, n_lo, n_hi)
         for cid in ids:
@@ -647,8 +624,11 @@ def _chain_triples(chain, n0) -> list:
 
 
 def _fails(ctx, spec, tri, state) -> bool:
-    """tri is in spec's domain and spec's evaluate fails on it."""
-    return (not _out_of_domain(ctx, spec, tri)
+    """tri has the neighbours spec's code reads, is in spec's domain, and
+    spec's evaluate fails on it."""
+    return (not (tri.prev is None and reads(spec, "prev"))
+            and not (tri.nxt is None and reads(spec, "nxt"))
+            and not _out_of_domain(ctx, spec, tri)
             and spec.evaluate(ctx, tri, state).res in ("violate", "hard"))
 
 

@@ -60,6 +60,31 @@ def test_verify_usage_error():
     r = run("verify", "--checker", "not-a-checker", "--n-hi", "100",
             "--limit", "100000")
     assert r.returncode == 3
+    for n_lo, n_hi in (("0", "5"), ("10", "9"), ("10", "8")):
+        r = run("verify", "--checker", "gap-half", "--n-lo", n_lo, "--n-hi", n_hi,
+                "--limit", "100000")
+        assert r.returncode == 3 and r.stdout == "", (n_lo, n_hi)
+        assert "need 1 <= n_lo <= n_hi" in r.stderr, (n_lo, n_hi)
+
+
+def test_verify_negative_witnesses_exits_3():
+    """A negative cap would keep no witness in a FAIL report; 0 means
+    unlimited."""
+    r = run("verify", "--checker", "gap-half", "--n-hi", "300", "--limit", "100000",
+            "--witnesses", "-1")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "--witnesses" in r.stderr
+
+
+def test_verify_store_must_hold_the_window_after_the_range():
+    """p_1229 is the last prime below 10000: the window after n_hi = 1228
+    needs p_1230, so that run exits 3 naming it, and n_hi = 1227 runs."""
+    r = run("verify", "--checker", "gap-next", "--n-hi", "1228", "--limit", "10000")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "p_1230 not covered by store limit 10000" in r.stderr
+    r = run("verify", "--checker", "gap-next", "--n-hi", "1227", "--limit", "10000")
+    assert r.returncode == 0
+    assert "PASS" in r.stdout
 
 
 def test_unknown_command_usage_error():
@@ -174,7 +199,7 @@ def test_resume_with_other_witnesses_exits_3(tmp_path):
 
 def test_resume_from_other_version_exits_3(tmp_path):
     """A manifest whose checkpoint another version wrote ends with exit 3
-    and a message naming both versions; without the key it resumes."""
+    and a message naming both versions, and so does one without the key."""
     m = tmp_path / "m.json"
     ids = "conj-gap-sq,delta-gt-half"
     r1 = run("verify", "--checker", ids, "--n-hi", "400", "--limit", "100000",
@@ -193,10 +218,8 @@ def test_resume_from_other_version_exits_3(tmp_path):
     m.write_text(json.dumps(manifest))
     r3 = run("verify", "--resume", str(m), "--n-hi", "900", "--limit", "100000",
              "--format", "json")
-    r4 = run("verify", "--checker", ids, "--n-hi", "900", "--limit", "100000",
-             "--format", "json")
-    assert r3.returncode == 0 and r4.returncode == 0
-    assert r3.stdout == r4.stdout
+    assert r3.returncode == 3 and r3.stdout == ""
+    assert "rerun the range from its start" in r3.stderr
 
 
 def test_resume_with_larger_limit(tmp_path):

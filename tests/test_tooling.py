@@ -11,10 +11,16 @@
   the views, or by a view that is itself read.
 - Checkers that share a domain share one domain function: the engine asks
   a domain once per window for every checker that holds the same function.
+- A checker that reads a window's predecessor starts at n_min >= 2: the
+  window at n = 1 is the only one without a predecessor.
+- The package's `__version__` is pyproject.toml's version.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from oracles import reads
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,3 +134,23 @@ def test_equal_domains_are_one_function():
             (code.co_code, code.co_consts, code.co_names), (cid, fn))
         assert first_fn is fn, f"{first_id} and {cid} hold equal domains apart"
     assert len(seen) >= 10
+
+
+def test_readers_of_prev_start_at_two():
+    """Every window the engine evaluates has both neighbours except the
+    one at n = 1, which has no predecessor; a checker whose evaluate or
+    domain reads tri.prev must exclude it by n_min."""
+    from gapcheck.checkers import registry
+
+    readers = {cid: spec.n_min for cid, spec in registry().items() if reads(spec, "prev")}
+    assert len(readers) >= 4
+    assert {cid: n for cid, n in readers.items() if n < 2} == {}
+
+
+def test_version_matches_pyproject():
+    """Checkpoints resume only under the version that wrote them, so the
+    package and its metadata must name the same one."""
+    from gapcheck import __version__
+
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__

@@ -12,8 +12,7 @@ from oracles import (brute_twin_count_below_index, excel_csv_lines,
 
 def test_window_n4(small_store):
     w = next(windows(small_store, 4, 4))
-    assert (w.p, w.q, w.d, w.N, w.Nq, w.h, w.hq, w.s, w.k, w.r) == \
-        (7, 11, 4, 2, 3, 3, 2, 8, 2, 3)
+    assert (w.p, w.q, w.d, w.N, w.Nq, w.h, w.hq, w.s) == (7, 11, 4, 2, 3, 3, 2, 8)
 
 
 def test_window_n6(small_store):
@@ -24,7 +23,6 @@ def test_window_n6(small_store):
 def test_window_n1(small_store):
     w = next(windows(small_store, 1, 1))
     assert (w.p, w.q, w.d, w.N, w.h) == (2, 3, 1, 1, 1)
-    assert w.k is None and w.r is None
 
 
 def test_twin_pairs_enumeration(small_store):
@@ -131,8 +129,8 @@ def test_csv_dump_matches_csv_writer(small_store):
     """dump_windows_csv's lines are csv.writer's, k and r blank at n = 1."""
     rows, j = [], 0
     for w in windows(small_store, 1, 2000):
-        rows.append([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s,
-                     "" if w.k is None else w.k, "" if w.r is None else w.r, j])
+        k, r = divmod(w.q, w.d) if w.n >= 2 else ("", "")
+        rows.append([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s, k, r, j])
         j += w.d == 2
     buf = io.StringIO()
     dump_windows_csv(small_store, 1, 2000, buf)
