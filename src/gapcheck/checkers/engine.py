@@ -47,7 +47,6 @@ class RunOpts:
 @dataclass
 class EvalContext:
     store: PrimeStore
-    opts: RunOpts
     n_lo: int
     n_hi: int
 
@@ -224,7 +223,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                 tallies[cid].state = spec.state_init()
         report_lo = n_lo
 
-    ctx = EvalContext(store=store, opts=opts, n_lo=report_lo, n_hi=n_hi)
+    ctx = EvalContext(store=store, n_lo=report_lo, n_hi=n_hi)
 
     # stream the window before the range (none before n = 1) and the one after
     stream = windows(store, max(1, n_lo - 1), n_hi + 1)

@@ -1,20 +1,26 @@
-"""Exact decision kernel for expressions built from square roots of integers.
+"""Exact decision kernel for the values of a window's field Q(sqrt(p), sqrt(q)).
 
 A :class:`RootExpr` is a value  (num + sum_i b_i*sqrt(m_i)) / den  with
 integers num and b_i, one integer den > 0, and positive integer radicands m_i
-(square parts folded into the b_i during normalization).  Comparisons,
-equality, floors and fractional parts are decided without floating point and
-never left undecided: each takes exact signs from one procedure, `_sign`,
-whatever the number of radicands.  A floor is the sum of the isqrt floors of
-the terms, stepped up by at most one exact sign per term beyond the first.
+(square parts folded into the b_i during normalization).  Every claim of the
+catalog lives in Q(sqrt(p), sqrt(q)): Delta_n, {sqrt(q) Delta}, mu sqrt(p),
+floor(sqrt(p) + sqrt(q)) and the rest.  So every value the kernel decides on
+has at most two of the radicands p, q and pq.  Comparisons, equality, floors
+and fractional parts are decided without floating point and never left
+undecided.  Each takes exact signs from one procedure, `_sign`: one squaring
+over one radicand (`_sign_1rad`), iterated squaring over two (`_sign_2rad`).
+A sign over three or more radicands raises KernelError rather than answer.
+A floor is the sum of the isqrt floors of the terms, stepped up by at most
+one exact sign.
 
-A RootExpr is built from, combined with and compared against ints and
-RootExprs only; any other operand, a Fraction or a float included, raises
-TypeError, in == as well.  A sign does not change when every term is
-multiplied by the same positive integer, so a caller clears denominators
-that way: x against n/d is x.scale(d) against n, and half of x is x / 2.  A
-RootExpr's num and b_i already are its terms times den > 0, so the sign
-procedures, which take plain ints, get them as they are.
+A RootExpr is built by `sqrt`, added to and subtracted from ints and
+RootExprs, multiplied and divided by ints, and compared against ints and
+RootExprs; any other operand raises TypeError, in == as well: a Fraction, a
+float, and a RootExpr factor or divisor.  A sign does not change when every
+term is multiplied by the same positive integer, so a caller clears
+denominators that way: x against n/d is x.scale(d) against n, and half of x
+is x / 2.  A RootExpr's num and b_i already are its terms times den > 0, so
+the sign procedures, which take plain ints, get them as they are.
 """
 
 from __future__ import annotations
@@ -76,18 +82,14 @@ class RootExpr:
     num, every b and den are ints, den > 0 and gcd(den, num, b...) = 1;
     terms holds the (radicand, b) pairs with b != 0, sorted by radicand.
     == compares values: equal parts answer at once, anything else takes the
-    exact sign of the difference.  Equal values need not have equal parts
-    (a radicand's square factors above 97 stay in it), so a RootExpr has
-    no hash.
+    exact sign of the difference, over at most two radicands.  Equal values
+    need not have equal parts (a radicand's square factors above 97 stay in
+    it), so a RootExpr has no hash.
     """
 
     __slots__ = ("num", "terms", "den")
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def of(cls, value: int) -> "RootExpr":
-        return _make(index(value), (), 1)
 
     @classmethod
     def sqrt(cls, m: int, coef: int = 1) -> "RootExpr":
@@ -100,8 +102,9 @@ class RootExpr:
         return _make(0, ((core, n * outer),), 1)
 
     # -- arithmetic ---------------------------------------------------------
-    # Every operand other than a RootExpr goes through operator.index, so a
-    # Fraction or a float raises TypeError.  An int operand needs no gcd over
+    # + and - take RootExprs and ints, * and / ints only.  Every int operand
+    # goes through operator.index, so a Fraction, a float or a RootExpr
+    # factor raises TypeError.  An int operand needs no gcd over
     # the terms: adding a multiple of den leaves gcd(den, num, b...) alone,
     # and a product can cancel only gcd(den, k).
 
@@ -127,21 +130,9 @@ class RootExpr:
     def scale(self, k: int) -> "RootExpr":
         return _scale_int(self, index(k))
 
-    def __mul__(self, other) -> "RootExpr":
-        if isinstance(other, RootExpr):
-            if other is self and len(self.terms) <= 2:
-                return _square(self)
-            return _mul(self, other)
-        return _scale_int(self, index(other))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RootExpr":
-        return _inverse(self)
+    __mul__ = __rmul__ = scale
 
     def __truediv__(self, other) -> "RootExpr":
-        if isinstance(other, RootExpr):
-            return _mul(self, _inverse(other))
         k = index(other)
         if k == 0:
             raise ZeroDivisionError("RootExpr divided by zero")
@@ -290,95 +281,6 @@ def _scale_int(e: RootExpr, k: int) -> RootExpr:
     return _make(e.num * k, terms, den)
 
 
-def _mul(a: RootExpr, b: RootExpr) -> RootExpr:
-    n1, n2 = a.num, b.num
-    const = n1 * n2
-    acc = {}
-    if n2:
-        for m, c in a.terms:
-            acc[m] = c * n2
-    if n1:
-        for m, c in b.terms:
-            acc[m] = acc.get(m, 0) + c * n1
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            g = gcd(m1, m2)
-            outer, core = _norm_radicand((m1 // g) * (m2 // g))
-            c = c1 * c2 * g * outer
-            if core == 1:
-                const += c
-            else:
-                acc[core] = acc.get(core, 0) + c
-    terms = tuple(sorted((m, c) for m, c in acc.items() if c))
-    return _reduced(const, terms, a.den * b.den)
-
-
-def _square(e: RootExpr) -> RootExpr:
-    """e * e for e with at most two terms: the parts _mul(e, e) gives,
-    without its dict and sort.  (n + b1 sqrt(m1) + b2 sqrt(m2))^2 is
-    n^2 + b1^2 m1 + b2^2 m2 + 2n b1 sqrt(m1) + 2n b2 sqrt(m2) plus the cross
-    term 2 b1 b2 g outer sqrt(core), for g = gcd(m1, m2) and
-    (m1/g)(m2/g) = outer^2 core.  The core is neither m1 nor m2: core = m1
-    would make m2 = g^2 outer^2 a perfect square, which normalization never
-    leaves as a radicand."""
-    n, terms = e.num, e.terms
-    if not terms:
-        return _reduced(n * n, (), e.den * e.den)
-    if len(terms) == 1:
-        (m, b), = terms
-        return _reduced(n * n + b * b * m, ((m, 2 * n * b),) if n else (),
-                        e.den * e.den)
-    (m1, b1), (m2, b2) = terms
-    const = n * n + b1 * b1 * m1 + b2 * b2 * m2
-    g = gcd(m1, m2)
-    outer, core = _norm_radicand((m1 // g) * (m2 // g))
-    c = 2 * b1 * b2 * g * outer
-    if core == 1:
-        const += c
-        terms = ((m1, 2 * n * b1), (m2, 2 * n * b2)) if n else ()
-    elif not n:
-        terms = ((core, c),)
-    else:
-        t1, t2 = (m1, 2 * n * b1), (m2, 2 * n * b2)
-        if core < m1:
-            terms = ((core, c), t1, t2)
-        elif core < m2:
-            terms = (t1, (core, c), t2)
-        else:
-            terms = (t1, t2, (core, c))
-    return _reduced(const, terms, e.den * e.den)
-
-
-def _inverse(e: RootExpr) -> RootExpr:
-    num, terms, den = e.num, e.terms, e.den
-    k = len(terms)
-    if k == 0:
-        if num == 0:
-            raise ZeroDivisionError("inverse of zero RootExpr")
-        return _make(den, (), num) if num > 0 else _make(-den, (), -num)
-    if k == 1:
-        # den / (num + b sqrt(m)) = den (num - b sqrt(m)) / (num^2 - b^2 m)
-        (m, b), = terms
-        norm = num * num - b * b * m
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero RootExpr")
-        if norm < 0:
-            den, norm = -den, -norm
-        return _reduced(den * num, ((m, -den * b),), norm)
-    if k == 2:
-        # conjugate over sqrt(m2): with A = num + b1 sqrt(m1),
-        # den / (A + b2 sqrt(m2)) = den (A - b2 sqrt(m2)) / (A^2 - b2^2 m2)
-        (m1, b1), (m2, b2) = terms
-        c = num * num + b1 * b1 * m1 - b2 * b2 * m2
-        s = 2 * num * b1
-        if c == 0 and s == 0:
-            raise ZeroDivisionError("inverse of zero RootExpr")
-        norm = _make(c, ((m1, s),) if s else (), 1)
-        conj = _reduced(den * num, ((m1, den * b1), (m2, -den * b2)), 1)
-        return _mul(conj, _inverse(norm))
-    raise KernelError("inverse supported for at most 2 distinct radicands")
-
-
 # -- exact signs ---------------------------------------------------------------
 
 
@@ -424,40 +326,10 @@ def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
     return sc if (t > 0) == split else -sc
 
 
-def _coprime_basis(ms) -> list[int]:
-    """Pairwise coprime integers > 1 that every m in ms is a product of
-    powers of, by factor refinement with gcds only (Bach, Driscoll and
-    Shallit, J. Algorithms 15, 1993): a basis element b that shares g > 1
-    with x is divided out of it, or split into b/g and g when g != b."""
-    basis = []
-    todo = sorted(ms, reverse=True)   # smallest first, so divisors come early
-    while todo:
-        x = todo.pop()
-        i = 0
-        while x > 1 and i < len(basis):
-            b = basis[i]
-            g = gcd(x, b)
-            if g == 1:
-                i += 1
-            elif g == b:
-                x //= b
-            else:
-                del basis[i]
-                todo += (b // g, g)
-                x //= g
-        if x > 1:
-            basis.append(x)
-    return basis
-
-
-def _sign(c: int, terms, basis=None) -> int:
-    """Exact sign of c + sum b*sqrt(m) over terms ((m, b), ...); ints only,
-    every m >= 1.  Past two radicands, a generator g of a coprime basis of
-    the radicands splits the value as X + Y*sqrt(g): m = g^e r gives
-    g^(e//2) b sqrt(r) to Y when e is odd, to X when it is even, so square
-    factors need not be known.  When the signs of X and Y differ, the sign
-    is sign(X) * sign(X^2 - g Y^2).  All three are signs over one generator
-    fewer (after Blomer, FOCS 1991)."""
+def _sign(c: int, terms) -> int:
+    """Exact sign of c + sum b*sqrt(m) over terms ((m, b), ...) of at most
+    two radicands; ints only, every m >= 1.  Three or more radicands raise
+    KernelError rather than answer: no value of the catalog has them."""
     k = len(terms)
     if k == 0:
         return (c > 0) - (c < 0)
@@ -467,54 +339,7 @@ def _sign(c: int, terms, basis=None) -> int:
     if k == 2:
         (m1, b1), (m2, b2) = terms
         return _sign_2rad(c, b1, m1, b2, m2)
-    if basis is None:
-        basis = _coprime_basis([m for m, _ in terms])
-    # split by the generator in the most radicands
-    most = 0
-    for x in basis:
-        n = 0
-        for m, _ in terms:
-            if m % x == 0:
-                n += 1
-        if n > most:
-            most, g = n, x
-    rest = [x for x in basis if x != g]
-    xs, ys = {1: c}, {}
-    for m, b in terms:
-        odd = False
-        while m % g == 0:
-            m //= g
-            if odd:
-                b *= g
-            odd = not odd
-        side = ys if odd else xs
-        side[m] = side.get(m, 0) + b
-    xc, yc = xs.pop(1), ys.pop(1, 0)
-    xt = [(m, b) for m, b in xs.items() if b]
-    yt = [(m, b) for m, b in ys.items() if b]
-    sx, sy = _sign(xc, xt, rest), _sign(yc, yt, rest)
-    if sy == 0 or sx == sy:
-        return sx
-    if sx == 0:
-        return sy
-    rads = {m for m, _ in xt} | {m for m, _ in yt}
-    if len(rads) < 2:
-        # X = xc + x1 sqrt(a) and Y = yc + y1 sqrt(a): X^2 - g Y^2 in ints
-        a = rads.pop() if rads else 0
-        x1, y1 = xs.get(a, 0), ys.get(a, 0)
-        return sx * _sign_1rad(xc * xc + x1 * x1 * a - g * (yc * yc + y1 * y1 * a),
-                               2 * (xc * x1 - g * yc * y1), a)
-    # X^2 - g Y^2, the constants taken as terms over radicand 1
-    acc = {}
-    for w, part in ((1, [(1, xc)] + xt), (-g, [(1, yc)] + yt)):
-        for i, (m1, b1) in enumerate(part):
-            for j in range(i, len(part)):
-                m2, b2 = part[j]
-                h = gcd(m1, m2)   # sqrt(m1) sqrt(m2) = h sqrt((m1/h) (m2/h))
-                r = (m1 // h) * (m2 // h)
-                acc[r] = acc.get(r, 0) + (w if i == j else 2 * w) * b1 * b2 * h
-    const = acc.pop(1)
-    return sx * _sign(const, [(m, b) for m, b in acc.items() if b], rest)
+    raise KernelError(f"exact sign over {k} radicands; the kernel decides over at most two")
 
 
 # -- comparisons, floors, fractional parts --------------------------------------
@@ -524,9 +349,8 @@ _CMP = (Cmp.EQUAL, Cmp.GREATER, Cmp.LESS)   # indexed by a sign -1, 0 or 1
 
 
 def cmp_root(e: RootExpr, n: int = 0) -> Cmp:
-    """Three-way comparison of a RootExpr against an int n: one exact sign,
-    whatever the number of radicands.  Against n/d for d > 0, compare
-    e.scale(d) against n."""
+    """Three-way comparison of a RootExpr against an int n: one exact sign.
+    Against n/d for d > 0, compare e.scale(d) against n."""
     # e - n has the sign of (num - n den) + sum b_i sqrt(m_i), as den > 0
     return _CMP[_sign(e.num - index(n) * e.den, e.terms)]
 
@@ -534,8 +358,8 @@ def cmp_root(e: RootExpr, n: int = 0) -> Cmp:
 def floor_root(e: RootExpr) -> int:
     """Exact floor of a RootExpr: floor(e) = floor(floor(s) / den) for
     s = num + sum b_i sqrt(m_i).  Each term lies in [its isqrt floor, that
-    + 1), so floor(s) - num lies in [t, t + k - 1] for t the sum of the term
-    floors and k radicands; at most k - 1 exact signs step t up to it."""
+    + 1), so for t the sum of the term floors floor(s) - num is t when there
+    is one term, and t or t + 1 when there are two: one exact sign decides."""
     terms = e.terms
     if len(terms) == 1:
         (m, b), = terms
@@ -547,9 +371,7 @@ def floor_root(e: RootExpr) -> int:
         x = b * b * m   # floor(b sqrt(m)) by isqrt
         r = isqrt(x)
         t += r if b >= 0 else -r - (r * r != x)
-    for _ in range(len(terms) - 1):
-        if _sign(-t - 1, terms) < 0:
-            break
+    if len(terms) > 1 and _sign(-t - 1, terms) >= 0:   # past two, _sign refuses
         t += 1
     return (e.num + t) // e.den
 

@@ -189,12 +189,6 @@ class PrimeStore:
 
     # -- queries ------------------------------------------------------------
 
-    def is_prime(self, x: int) -> bool:
-        k, off = self._locate(x)
-        if x < 3 or x % 2 == 0:
-            return x == 2
-        return bool(self._segment(k)[off])
-
     def pi(self, x: int) -> int:
         """Exact count of primes <= x."""
         k, off = self._locate(x)
@@ -271,7 +265,8 @@ class PrimeStore:
 
 
 def build_store(limit: int) -> PrimeStore:
-    """Build a PrimeStore answering is_prime / pi / nth_prime for values <= limit."""
+    """Build a PrimeStore answering pi / nth_prime / next_prime and iterating
+    primes and twin lows for values <= limit."""
     return PrimeStore(limit)
 
 

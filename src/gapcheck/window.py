@@ -136,9 +136,10 @@ class RootViews:
 
     The rule: a quantity that two or more checkers read lives here, so it is
     computed once per window.  The RootExprs are normalized and immutable;
-    the integers are exact.  Besides the radicals (sqrt_p, sqrt_q, sqrt_pq,
-    Delta) they are:
-      delta_sq             Delta^2                       (thm-35, twin-91)
+    the integers are exact.  Every RootExpr is built from sqrt(pq), sqrt(p)
+    or sqrt(q) and ints, so it has one radicand, and no view multiplies two
+    RootExprs.  Besides sqrt_pq they are:
+      delta_sq             Delta^2 = p + q - 2 sqrt(pq)  (thm-35, twin-91)
       two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
       frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
       frac_sqrtp_delta                                   (thm-35, cor-36)
@@ -164,14 +165,6 @@ class RootViews:
         self._p, self._q, self._N, self._Nq = w.p, w.q, w.N, w.Nq
 
     @_view
-    def sqrt_p(self) -> RootExpr:
-        return RootExpr.sqrt(self._p)
-
-    @_view
-    def sqrt_q(self) -> RootExpr:
-        return RootExpr.sqrt(self._q)
-
-    @_view
     def sqrt_pq(self) -> RootExpr:
         return RootExpr.sqrt(self._p * self._q)
 
@@ -184,12 +177,9 @@ class RootViews:
         return RootExpr.sqrt(self._q, self._Nq)
 
     @_view
-    def delta(self) -> RootExpr:
-        return self.sqrt_q - self.sqrt_p
-
-    @_view
     def delta_sq(self) -> RootExpr:
-        return self.delta * self.delta
+        # Delta^2 = p + q - 2 sqrt(pq)
+        return (self._p + self._q) - self.sqrt_pq.scale(2)
 
     @_view
     def sqrtq_delta(self) -> RootExpr:
@@ -247,12 +237,18 @@ def root_views(w: GapWindow) -> RootViews:
 
 
 def windows(store: PrimeStore, n_lo: int, n_hi: int):
-    """Yield GapWindow for n in [n_lo, n_hi], strictly increasing n."""
+    """The GapWindows for n in [n_lo, n_hi], strictly increasing n.  The range
+    and the store's coverage are checked by the call itself, before any
+    window is asked for."""
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("need 1 <= n_lo <= n_hi")
     if n_hi + 1 > store.prime_count:
         raise CoverageError(
             f"p_{n_hi + 1} not covered by store limit {store.limit}")
+    return _stream(store, n_lo, n_hi)
+
+
+def _stream(store: PrimeStore, n_lo: int, n_hi: int):
     start_p = store.nth_prime(n_lo)
     n = n_lo
     prev = None
@@ -274,12 +270,12 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int):
 def dump_windows_csv(store: PrimeStore, n_lo: int, n_hi: int, fh) -> None:
     """Write the window stream as CSV (exact integers; k,r blank at n = 1)
     with the twin-pair prefix count j_n = #{i < n : d_i = 2}, one write per
-    CRLF-ended line."""
+    CRLF-ended line.  A bad range or an undersized store raises before the
+    header is written."""
+    stream = windows(store, n_lo, n_hi)
+    j = sum(1 for _ in store.iter_twin_lows(store.nth_prime(n_lo)))
     fh.write("n,p,q,d,N,h,hq,s,k,r,j\r\n")
-    j = None
-    for w in windows(store, n_lo, n_hi):
-        if j is None:   # counted once windows() has accepted the range
-            j = sum(1 for _ in store.iter_twin_lows(w.p))
+    for w in stream:
         k, r = ("", "") if w.n == 1 else divmod(w.q, w.d)
         fh.write(f"{w.n},{w.p},{w.q},{w.d},{w.N},{w.h},{w.hq},{w.s},{k},{r},{j}\r\n")
         j += w.d == 2

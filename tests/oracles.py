@@ -4,8 +4,10 @@ These stay deliberately primitive: trial division, a plain odd-only sieve,
 digit-by-digit square roots, a Meissel-style prime count,
 strong-probable-prime tests on given bases (and a 64-bit primality test
 that runs all twelve bases up to 37 whatever the size of x), isqrt brackets
-for radical signs, brute-force pair enumeration, a Fraction-coefficient
-model of RootExpr and the Fraction partial sums of the mu series.  None of
+for radical signs over any number of radicands, brute-force pair
+enumeration, a reference model of RootExpr over square-free radicands
+(`RefRoot`, which multiplies and inverts values as the two-radicand kernel
+does not) and the Fraction partial sums of the mu series.  None of
 them share code paths with the package, except `mr_quadratic_flags`, which
 tests each value of a quadratic with is_prime_u64 (the path the
 accumulation families took before they were sieved), `mr_accum_hits`,
@@ -13,7 +15,9 @@ which tests each admissible N of an accum scan with is_prime_u64 (the path
 accum_scan took before it screened its candidates), `exact_sign`, which
 hands a RootExpr's terms to the kernel's sign procedures, `eval_fixed`,
 which reads a RootExpr's parts, `build_root` and `raw_root`, shorthands for
-building RootExprs, and `twin_pairs`, a filter over the window stream.
+building RootExprs, `RefRoot.matches`, which takes the kernel's difference
+of two RootExprs before `radical_sign` decides it, and `twin_pairs`, a
+filter over the window stream.
 `random_chain` draws integer windows that need not be prime, for the
 tests that tell claims needing primes from identities of integers.
 `reads` tells from a checker's compiled code whether it reads a window's
@@ -310,9 +314,9 @@ def floor_root_general(e) -> int:
         if fl == fh:
             return fl
     f = lo >> fb
-    while radical_sign(*root_sign_args(e - f)) < 0:
+    while root_sign(e - f) < 0:
         f -= 1
-    while radical_sign(*root_sign_args(e - (f + 1))) >= 0:
+    while root_sign(e - (f + 1)) >= 0:
         f += 1
     return f
 
@@ -325,7 +329,7 @@ def build_root(const, parts: dict) -> RootExpr:
     const = Fraction(const)
     coefs = {m: Fraction(c) for m, c in parts.items()}
     den = lcm(const.denominator, *(c.denominator for c in coefs.values()))
-    e = RootExpr.of(int(const * den))
+    e = _make(int(const * den), (), 1)
     for m, coef in coefs.items():
         e = e + RootExpr.sqrt(m, int(coef * den))
     return e / den
@@ -342,6 +346,12 @@ def raw_root(const, parts) -> RootExpr:
     # over the lcm of reduced denominators the gcd is already 1
     terms = tuple(sorted((m, int(c * den)) for m, c in parts if c))
     return _make(int(const * den), terms, den)
+
+
+def root_sign(e) -> int:
+    """Exact sign of a RootExpr over any number of radicands, by
+    `radical_sign`."""
+    return radical_sign(*root_sign_args(e))
 
 
 def root_sign_args(e) -> list[int]:
@@ -373,12 +383,25 @@ def squarefree_split(m: int) -> tuple[int, int]:
 
 
 class RefRoot:
-    """Reference model of RootExpr: a Fraction constant plus a dict from
-    square-free radicand to nonzero Fraction coefficient."""
+    """Reference model of RootExpr: (num + sum c*sqrt(m) over terms {m: c}) /
+    den with int parts, every radicand square-free by trial division
+    (`squarefree_split`), den > 0 and gcd(den, num, c...) = 1, so equal
+    values have equal parts.  It is built from ints and Fractions (`const`
+    and `coefs` read it back as Fractions), and ints and Fractions mix with
+    it in +, -, * and /.  It keeps what the kernel does not: the product of
+    two values, the inverse of one over at most two radicands, and signs and
+    floors over any number of radicands, by `radical_sign`."""
+
+    __slots__ = ("num", "terms", "den")
 
     def __init__(self, const=0, coefs=None):
-        self.const = Fraction(const)
-        self.coefs = {m: Fraction(c) for m, c in (coefs or {}).items() if c}
+        const = Fraction(const)
+        coefs = {m: Fraction(c) for m, c in (coefs or {}).items() if c}
+        # over the lcm of reduced denominators the gcd is already 1
+        den = lcm(const.denominator, *(c.denominator for c in coefs.values()))
+        self.num = const.numerator * (den // const.denominator)
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in coefs.items()}
+        self.den = den
 
     @classmethod
     def sqrt(cls, m: int, coef=1) -> "RefRoot":
@@ -387,83 +410,161 @@ class RefRoot:
             return cls(Fraction(coef) * outer)
         return cls(0, {core: Fraction(coef) * outer})
 
-    def __add__(self, other: "RefRoot") -> "RefRoot":
-        coefs = dict(self.coefs)
-        for m, c in other.coefs.items():
-            coefs[m] = coefs.get(m, 0) + c
-        return RefRoot(self.const + other.const, coefs)
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def coefs(self) -> dict:
+        return {m: Fraction(c, self.den) for m, c in self.terms.items()}
+
+    def _plus(self, other, sign: int) -> "RefRoot":
+        """self + sign * other for sign = 1 or -1."""
+        other = _ref(other)
+        f, g = other.den, sign * self.den
+        terms = {m: c * f for m, c in self.terms.items()}
+        for m, c in other.terms.items():
+            c = c * g + terms.get(m, 0)
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return _ref_parts(self.num * f + other.num * g, terms, f * self.den)
+
+    def __add__(self, other) -> "RefRoot":
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "RefRoot":
+        return self._plus(other, -1)
+
+    def __rsub__(self, other) -> "RefRoot":
+        return _ref(other)._plus(self, -1)
 
     def __neg__(self) -> "RefRoot":
         return self.scale(-1)
 
-    def __sub__(self, other: "RefRoot") -> "RefRoot":
-        return self + (-other)
-
     def scale(self, k) -> "RefRoot":
-        return RefRoot(self.const * k, {m: c * k for m, c in self.coefs.items()})
+        if isinstance(k, int):
+            a, d = k, 1
+        else:
+            k = Fraction(k)
+            a, d = k.numerator, k.denominator
+        if not a:
+            return _ref_parts(0, {}, 1)
+        return _ref_parts(self.num * a, {m: c * a for m, c in self.terms.items()}, self.den * d)
 
-    def __mul__(self, other: "RefRoot") -> "RefRoot":
-        out = RefRoot(self.const * other.const)
-        out = out + RefRoot(0, {m: c * other.const for m, c in self.coefs.items()})
-        out = out + RefRoot(0, {m: c * self.const for m, c in other.coefs.items()})
-        for m1, c1 in self.coefs.items():
-            for m2, c2 in other.coefs.items():
+    def __mul__(self, other) -> "RefRoot":
+        if not isinstance(other, RefRoot):
+            return self.scale(other)
+        a, b = self.num, other.num
+        const = a * b
+        acc = {m: c * b for m, c in self.terms.items()} if b else {}
+        if a:
+            for m, c in other.terms.items():
+                acc[m] = acc.get(m, 0) + c * a
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
                 # sqrt(m1) sqrt(m2) = g sqrt((m1/g) (m2/g)) for g = gcd(m1, m2);
                 # the keys are square-free, so the new radicand is too
                 g = gcd(m1, m2)
                 core, c = (m1 // g) * (m2 // g), c1 * c2 * g
-                out = out + (RefRoot(c) if core == 1 else RefRoot(0, {core: c}))
-        return out
+                if core == 1:
+                    const += c
+                else:
+                    acc[core] = acc.get(core, 0) + c
+        return _ref_parts(const, {m: c for m, c in acc.items() if c}, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RefRoot":
+        if isinstance(other, RefRoot):
+            return self * other.inverse()
+        return self.scale(1 / Fraction(other))
 
     def conjugate(self, m: int) -> "RefRoot":
         """The same value with the sign of sqrt(m) flipped."""
-        return RefRoot(self.const, {r: -c if r == m else c for r, c in self.coefs.items()})
+        return _ref_parts(self.num, {r: -c if r == m else c for r, c in self.terms.items()},
+                          self.den)
 
     def inverse(self) -> "RefRoot":
-        """1/x = (product of the other conjugates) / (product of all of them);
-        the product of all conjugates is rational."""
-        if len(self.coefs) > 2:
+        """1/x for x over at most two radicands, by conjugates: with m the
+        largest radicand, x = A + c sqrt(m) and A free of sqrt(m), 1/x is
+        (A - c sqrt(m)) / (A^2 - c^2 m), and A^2 - c^2 m has one radicand
+        fewer."""
+        if len(self.terms) > 2:
             raise ValueError("inverse of more than 2 radicands")
-        conj = [self]
-        for m in self.coefs:
-            conj += [c.conjugate(m) for c in conj]
-        num = RefRoot(1)
-        for c in conj[1:]:
-            num = num * c
-        norm = num * self
-        if norm.coefs or norm.const == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return num.scale(1 / norm.const)
+        if not self.terms:
+            if not self.num:
+                raise ZeroDivisionError("inverse of zero")
+            return _ref_parts(self.den, {}, self.num)
+        conj = self.conjugate(max(self.terms))
+        return conj * (self * conj).inverse()
 
     def __eq__(self, other) -> bool:
-        return self.const == other.const and self.coefs == other.coefs
+        other = _ref(other)
+        return (self.num, self.den, self.terms) == (other.num, other.den, other.terms)
 
     def sign(self) -> int:
-        """Exact sign for at most 2 radicands, by `radical_sign` on the value
-        times the lcm of its denominators."""
-        items = sorted(self.coefs.items())
-        if len(items) > 2:
-            raise ValueError("sign of more than 2 radicands")
-        den = lcm(self.const.denominator, *(c.denominator for _, c in items))
-        args = [int(self.const * den), 0, 0, 0, 0]
-        for i, (m, c) in enumerate(items):
-            args[2 * i + 1:2 * i + 3] = int(c * den), m
+        """Exact sign, by `radical_sign` on num and the terms, as den > 0."""
+        args = [self.num]
+        for m, c in sorted(self.terms.items()):
+            args += [c, m]
         return radical_sign(*args)
 
     def floor(self) -> int:
-        """Exact floor for at most 2 radicands: isqrt estimate, then signs."""
-        f = self.const.numerator // self.const.denominator
-        for m, c in self.coefs.items():
-            f += (c.numerator * isqrt(c.denominator ** 2 * m)) // c.denominator ** 2 - 1
-        while (self - RefRoot(f)).sign() < 0:
+        """Exact floor: an isqrt estimate, then signs."""
+        f = self.num
+        for m, c in self.terms.items():
+            r = isqrt(c * c * m)
+            f += r if c > 0 else -r
+        f = f // self.den - 1
+        while (self - f).sign() < 0:
             f -= 1
-        while (self - RefRoot(f + 1)).sign() >= 0:
+        while (self - (f + 1)).sign() >= 0:
             f += 1
         return f
 
+    def frac(self) -> tuple[int, "RefRoot"]:
+        """(floor, fractional part)."""
+        f = self.floor()
+        return f, self - f
+
     def to_root(self) -> RootExpr:
-        """The kernel's RootExpr of this value, built term by term."""
-        return raw_root(self.const, self.coefs.items())
+        """The kernel's RootExpr of this value, built from its parts as they
+        are."""
+        return _make(self.num, tuple(sorted(self.terms.items())), self.den)
+
+    def matches(self, e) -> bool:
+        """The RootExpr e has this value: `root_sign` of their difference is
+        0, over however many radicands it has; equal parts answer at once."""
+        r = self.to_root()
+        if (e.num, e.terms, e.den) == (r.num, r.terms, r.den):
+            return True
+        return root_sign(e - r) == 0
+
+
+def _ref_parts(num: int, terms: dict, den: int) -> RefRoot:
+    """RefRoot of (num + sum c*sqrt(m) over terms) / den for nonzero c and
+    den != 0, divided through by gcd(den, num, c...) and signed so den > 0."""
+    g = gcd(den, num, *terms.values())
+    if den < 0:
+        g = -g
+    r = object.__new__(RefRoot)
+    if g == 1:
+        r.num, r.terms, r.den = num, terms, den
+    else:
+        r.num, r.den = num // g, den // g
+        r.terms = {m: c // g for m, c in terms.items()}
+    return r
+
+
+def _ref(x) -> RefRoot:
+    """x as a RefRoot: a RefRoot as it is, an int or a Fraction as a constant."""
+    if isinstance(x, RefRoot):
+        return x
+    return _ref_parts(x, {}, 1) if isinstance(x, int) else RefRoot(x)
 
 
 def mu_series_brackets_fraction(h: int, N: int):

@@ -340,7 +340,7 @@ def test_out_of_domain_counts_match_specs(small_store):
     last = small_store.prime_count - 1
     for n_lo, n_hi in ((1, 12), (last - 151, last - 1)):
         reports, _ = run_many(ids, small_store, n_lo, n_hi)
-        ctx = EvalContext(store=small_store, opts=RunOpts(), n_lo=n_lo, n_hi=n_hi)
+        ctx = EvalContext(store=small_store, n_lo=n_lo, n_hi=n_hi)
         triples = _triples(small_store, n_lo, n_hi)
         for cid in ids:
             spec, rep = reg[cid], reports[cid]
@@ -437,10 +437,12 @@ def test_cor27_printed_endpoints(small_store):
 def test_checker_error_counts_undecided(monkeypatch, capsys):
     """A checker that raises is the one source of Undecided: its window
     counts undecided, every later one out of domain, and the report is
-    UNDECIDED_PRESENT, so `verify` exits 2."""
+    UNDECIDED_PRESENT, so `verify` exits 2.  A kernel refusal, a sign over
+    three radicands raising KernelError, is reported the same way."""
     import dataclasses
 
     from gapcheck import cli
+    from gapcheck.exact import RootExpr, cmp_root
     from gapcheck.primes import build_store
 
     spec = registry()["thm-35"]
@@ -450,12 +452,26 @@ def test_checker_error_counts_undecided(monkeypatch, capsys):
             raise RuntimeError("injected")
         return spec.evaluate(ctx, tri, st)
 
+    floor_spec = registry()["floor-31"]
+
+    def three_radicands(ctx, tri, st):
+        if tri.w.n == 70:
+            cmp_root(RootExpr.sqrt(tri.w.p) + RootExpr.sqrt(tri.w.q) - RootExpr.sqrt(2))
+        return floor_spec.evaluate(ctx, tri, st)
+
     monkeypatch.setitem(registry(), "thm-35", dataclasses.replace(spec, evaluate=raising))
-    rep = run_many(["thm-35", "thm-34"], build_store(10 ** 4), 1, 100)[0]
+    monkeypatch.setitem(registry(), "floor-31",
+                        dataclasses.replace(floor_spec, evaluate=three_radicands))
+    rep = run_many(["thm-35", "thm-34", "floor-31"], build_store(10 ** 4), 1, 100)[0]
     r = rep["thm-35"]
     assert (r.counts.holds, r.counts.fails, r.counts.undecided,
             r.counts.out_of_domain) == (48, 0, 1, 51)
     assert r.notes == ["checker error at n=50: RuntimeError('injected')"]
+    assert r.verdict is Verdict.UNDECIDED_PRESENT
+    r = rep["floor-31"]
+    assert (r.counts.holds, r.counts.fails, r.counts.undecided,
+            r.counts.out_of_domain) == (69, 0, 1, 30)
+    assert len(r.notes) == 1 and r.notes[0].startswith("checker error at n=70: KernelError(")
     assert r.verdict is Verdict.UNDECIDED_PRESENT
     assert rep["thm-34"].verdict is Verdict.PASS
     code = cli.main(["verify", "--checker", "thm-34,thm-35", "--n-hi", "100",
@@ -663,7 +679,7 @@ def test_generic_classification(small_store):
     from one group to the other fails this test."""
     claims = {cid: spec for cid, spec in registry().items()
               if spec.kind not in (Kind.SURVEY, Kind.TREND)}
-    ctx = EvalContext(store=small_store, opts=RunOpts(), n_lo=1, n_hi=10 ** 9)
+    ctx = EvalContext(store=small_store, n_lo=1, n_hi=10 ** 9)
     found = _first_failures(ctx, claims, seed=1)
     assert sorted(set(claims) - set(found)) == sorted(_GENERIC)
     stateless = {cid for cid, spec in claims.items() if not spec.state_init}

@@ -100,6 +100,17 @@ def test_windows_dump():
     assert lines[1] == "1,2,3,1,1,1,2,2,,,0"
 
 
+def test_windows_bad_range_or_small_store_writes_nothing():
+    """A bad range or a store without p_{n_hi+1} exits 3 before the CSV
+    header is written, so stdout stays empty."""
+    r = run("windows", "--n-hi", "0")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "need 1 <= n_lo <= n_hi" in r.stderr
+    r = run("windows", "--n-hi", "2000", "--limit", "100")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "p_2001 not covered by store limit 100" in r.stderr
+
+
 def test_accum_first_row():
     r = run("accum", "--r", "1/3", "--sign", "+", "--n-max", "1000")
     assert r.returncode == 0

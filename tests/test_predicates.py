@@ -2,7 +2,9 @@
 comparisons of window.py (floor_sqrt_sum, delta_order, mu_order,
 mu_vs_rational, mu_in_brackets) and for the delta_vs_half view: the
 helper's own integer reduction against cmp_root / floor_root of the same
-quantity built from root_views(w).  mu-series' integer partial sums are
+quantity built from RootExpr.sqrt and root_views(w), or, where that
+quantity has three or more radicands or a product of two values, against
+the oracles' root_sign and RefRoot.  mu-series' integer partial sums are
 checked the same way, against the Fraction partial sums of `oracles`, and so
 are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and eq-15-4
 write inline and the comparisons dpar-59 and ids-516 read from floor_D.  The
@@ -22,8 +24,8 @@ from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floo
 from gapcheck.intervals import square_reports
 from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_in_brackets, mu_order,
                              mu_vs_rational, root_views, windows)
-from oracles import (RANDOM_RANGES, RefRoot, floor_root_general, longhand_sqrt_digits,
-                     mu_series_brackets_fraction, random_chain)
+from oracles import (RANDOM_RANGES, RefRoot, build_root, floor_root_general,
+                     longhand_sqrt_digits, mu_series_brackets_fraction, random_chain, root_sign)
 
 
 def _sample_windows(store, count, seed):
@@ -41,9 +43,22 @@ def _kernel_sign(e, num=0, den=1) -> int:
     return c.value
 
 
+def _sqrt_p(w):
+    return RootExpr.sqrt(w.p)
+
+
+def _sqrt_q(w):
+    return RootExpr.sqrt(w.q)
+
+
 def _mu(w):
-    """mu = sqrt(p) - N as a RootExpr over the window's views."""
-    return root_views(w).sqrt_p - w.N
+    """mu = sqrt(p) - N as a RootExpr."""
+    return _sqrt_p(w) - w.N
+
+
+def _delta(w):
+    """Delta = sqrt(q) - sqrt(p) as a RootExpr."""
+    return _sqrt_q(w) - _sqrt_p(w)
 
 
 def _thresholds(rng, e):
@@ -65,10 +80,10 @@ def test_rational_threshold_helpers_two_paths(sample):
         v = root_views(w)
         frac_q = frac_root(v.sqrtq_delta)[1]
         frac_mu_p = frac_root(w.p - v.N_sqrtp)[1]   # mu sqrt(p) = p - N sqrt(p)
-        mu = v.sqrt_p - w.N
+        mu = _mu(w)
         for num, den in _thresholds(rng, mu):
             assert mu_vs_rational(w.p, w.N, num, den) == _kernel_sign(mu, num, den), w
-        assert v.delta_vs_half == _kernel_sign(v.delta, 1, 2), w
+        assert v.delta_vs_half == _kernel_sign(_delta(w), 1, 2), w
         for num, den in _thresholds(rng, frac_q):
             assert sqrtq_delta_frac_cmp(w, num, den) == _kernel_sign(frac_q, num, den), w
         for num, den in _thresholds(rng, frac_mu_p):
@@ -79,9 +94,11 @@ def test_window_helpers_two_paths(sample):
     delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
     for w in sample:
         v = root_views(w)
-        assert delta_order(w.p, w.q, 7, 11) == _kernel_sign(v.delta - delta4), w
-        assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(v.sqrt_p - w.N - v.sqrt_q + w.Nq), w
-        assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == floor_root(v.sqrt_p + v.sqrt_q), w
+        # Delta_n - Delta_4 has four radicands: the oracle's sign
+        assert delta_order(w.p, w.q, 7, 11) == root_sign(_delta(w) - delta4), w
+        assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(_mu(w) - _sqrt_q(w) + w.Nq), w
+        assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == \
+            floor_root(_sqrt_p(w) + _sqrt_q(w)), w
     assert delta_order(sample[3].p, sample[3].q, 7, 11) == 0   # n = 4 attains Delta_4
 
 
@@ -89,11 +106,11 @@ def test_sum_helpers_two_paths(sample):
     rng = random.Random(7)
     for w in sample:
         u = rng.choice(sample)
-        vw, vu = root_views(w), root_views(u)
-        assert delta_order(w.p, w.q, u.p, u.q) == _kernel_sign(vw.delta - vu.delta)
+        # Delta_w - Delta_u has up to four radicands: the oracle's sign
+        assert delta_order(w.p, w.q, u.p, u.q) == root_sign(_delta(w) - _delta(u))
         c1, c2 = rng.randrange(1, 9), rng.randrange(1, 9)
         assert delta_order(w.p, w.q, u.p, u.q, c1, c2) == \
-            _kernel_sign(vw.delta.scale(c1) - vu.delta.scale(c2))
+            root_sign(_delta(w).scale(c1) - _delta(u).scale(c2))
         for x in (w.p, w.N * w.N, w.p * w.q, w.d * w.d + 1):
             assert is_square(x) == (RootExpr.sqrt(x) == isqrt(x))
 
@@ -147,7 +164,7 @@ def test_mu_series_two_paths(mid_store, generic_windows):
     windows past N = 1.  On every window n = 3..2000, 300 random prime
     windows past it and 200 generic windows, the Fraction ends give the
     same mu_vs_rational decisions, both confirmed by cmp_root on
-    sqrt(p) - N from root_views.  mu_in_brackets also meets mu_vs_rational on brackets
+    sqrt(p) - N.  mu_in_brackets also meets mu_vs_rational on brackets
     whose ends lie within 2/den of mu, where an off-by-one isqrt or a
     non-strict end differs.  The checker holds exactly when every order's
     bracket holds mu."""
@@ -189,19 +206,19 @@ def test_mu_series_two_paths(mid_store, generic_windows):
 
 def test_mu_bounds_shared_sign_two_paths(generic_windows):
     """mu-bounds' factored sign of mu (D - 1) - h, a product of two signs over
-    one radicand each, against cmp_root of mu (D - 1) - h built from
-    root_views(w); and the checker holds exactly when the kernel's forms of
-    its three bounds hold."""
+    one radicand each, against the sign of mu (D - 1) - h multiplied out in
+    oracles.RefRoot; and the checker holds exactly when its three bounds
+    hold, the products among them multiplied out in RefRoot."""
     evaluate = registry()["mu-bounds"].evaluate
     for w in generic_windows:
-        v = root_views(w)
-        mu, D = v.sqrt_p - w.N, v.sqrt_p + v.sqrt_q
+        sp = RefRoot.sqrt(w.p)
+        mu, D = sp - w.N, sp + RefRoot.sqrt(w.q)
         factored = _sign_1rad(-w.N, 1, w.p) * _sign_1rad(-(w.N + 1), 1, w.q)
-        assert factored == cmp_root(mu * (D - 1) - w.h).value, w
-        refined = D - 1 if w.same_part else v.sqrt_p.scale(2) - 1
-        holds = (_kernel_sign(mu * v.sqrt_p.scale(2) - w.h) > 0
-                 and _kernel_sign(mu, w.h, 2 * w.N) < 0
-                 and _kernel_sign(mu * refined - w.h) < 0)
+        assert factored == (mu * (D - 1) - w.h).sign(), w
+        refined = D - 1 if w.same_part else sp.scale(2) - 1
+        holds = ((mu * sp.scale(2) - w.h).sign() > 0
+                 and _kernel_sign(_mu(w), w.h, 2 * w.N) < 0
+                 and (mu * refined - w.h).sign() < 0)
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == holds, w
 
 
@@ -252,8 +269,8 @@ def test_dpar_parity_two_paths(from_two):
     assert len(shared) > 1000
     for w in shared:
         v = root_views(w)
-        even = floor_root(v.sqrt_p + v.sqrt_q) % 2 == 0
-        mu_sum = v.sqrt_q - w.Nq + v.sqrt_p - w.N
+        even = floor_root(_sqrt_p(w) + _sqrt_q(w)) % 2 == 0
+        mu_sum = _sqrt_q(w) - w.Nq + _mu(w)
         assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(mu_sum, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
             assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
@@ -279,7 +296,7 @@ def test_chain37_two_paths(mid_store, from_two):
     """Each link of chain-37, as the checker's integer sign (the test's copy)
     and as cmp_root of the same RootExprs; the checker holds exactly when
     every kernel link does."""
-    half = RootExpr.of(1) / 2
+    half = build_root(Fraction(1, 2), {})
     for w in list(windows(mid_store, 1, 1)) + from_two:
         v = root_views(w)
         pq = w.p * w.q
@@ -330,9 +347,9 @@ def test_ids516_two_paths(from_two):
     """ids-516's 2 mu' > Delta, read from floor_D as floor(D) > 2N + 1,
     against 2 mu' > Delta from the kernel, and the parity of
     floor_root(D); the checker holds on every straddle.  Its two bounds,
-    each squared into one sign over two radicands, against cmp_root of
-    2(mu - 1) + Delta_4 and 2 mu' - Delta_4 over sqrt(p) or sqrt(q),
-    sqrt(7) and sqrt(11), on every straddle of n = 2..2000, the sample,
+    each squared into one sign over two radicands, against the oracle's
+    root_sign of 2(mu - 1) + Delta_4 and 2 mu' - Delta_4 over sqrt(p) or
+    sqrt(q), sqrt(7) and sqrt(11), on every straddle of n = 2..2000, the sample,
     and 20000 random integer straddles, on which the checker holds exactly
     when the kernel's bound for its case does."""
     delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
@@ -340,18 +357,18 @@ def test_ids516_two_paths(from_two):
     assert len(straddles) > 100
     for w in straddles:
         v = root_views(w)
-        gt = _kernel_sign((v.sqrt_q - w.Nq).scale(2) - v.delta) > 0
+        gt = _kernel_sign((_sqrt_q(w) - w.Nq).scale(2) - _delta(w)) > 0
         assert (v.floor_D > 2 * w.N + 1) == gt, w
-        assert (floor_root(v.sqrt_p + v.sqrt_q) % 2 == 0) == gt, w
+        assert (floor_root(_sqrt_p(w) + _sqrt_q(w)) % 2 == 0) == gt, w
         assert _holds("ids-516", w), w
     below = 0
     for w in straddles + _random_straddles(20000, seed=17):
         v = root_views(w)
         M, Nq = w.N + 1, w.Nq
         even = _sign_2rad(4 * w.p + 4 - 4 * M * M, 4, 11 * w.p, -4 * M, 7)
-        assert even == _kernel_sign((v.sqrt_p - M).scale(2) + delta4), w
+        assert even == root_sign((_sqrt_p(w) - M).scale(2) + delta4), w
         odd = _sign_2rad(4 * w.q - 4 - 4 * Nq * Nq, 4, 7 * w.q, -4 * Nq, 11)
-        assert odd == _kernel_sign((v.sqrt_q - Nq).scale(2) - delta4), w
+        assert odd == root_sign((_sqrt_q(w) - Nq).scale(2) - delta4), w
         # the checker takes the bound its floor(D) parity names
         assert _holds("ids-516", w) == (even > 0 if v.floor_D > 2 * w.N + 1 else odd < 0), w
         below += even < 0 or odd > 0
@@ -362,15 +379,10 @@ def _longhand_isqrt(x: int) -> int:
     return int(longhand_sqrt_digits(x, 0)[:-1])
 
 
-def _ref_floor_frac(x: RefRoot):
-    f = x.floor()
-    return f, x - RefRoot(f)
-
-
 def test_root_views_against_oracles(sample):
     """Every shared RootViews quantity against the same quantity built from
-    its definition in oracles.RefRoot (Fraction coefficients, its own
-    radicand split), floors by RefRoot.floor and by the fixed-point ladder
+    its definition in oracles.RefRoot (its own radicand split, product and
+    signs), floors by RefRoot.floor and by the fixed-point ladder
     of floor_root_general, the sign of Delta - 1/2 by RefRoot.sign and
     integers by longhand isqrt."""
     for w in sample:
@@ -384,8 +396,8 @@ def test_root_views_against_oracles(sample):
             "N_sqrtp": sp.scale(w.N), "Nq_sqrtq": sq.scale(w.Nq),
             "delta_sq": delta * delta,
             "two_sqrtp_delta": sqrtp_delta.scale(2),
-            "frac_sqrtq_delta": _ref_floor_frac(sqrtq_delta)[1],
-            "frac_sqrtp_delta": _ref_floor_frac(sqrtp_delta)[1],
+            "frac_sqrtq_delta": sqrtq_delta.frac()[1],
+            "frac_sqrtp_delta": sqrtp_delta.frac()[1],
             "sqrtp_delta_half": half_shift,
         }
         for name, ref in roots.items():
@@ -399,5 +411,5 @@ def test_root_views_against_oracles(sample):
         for name, ref in ints.items():
             assert getattr(v, name) == ref, (name, w)
         for name, e in (("floor_sqrtp_delta_half", v.sqrtp_delta_half),
-                        ("floor_D", v.sqrt_p + v.sqrt_q), ("tNq", v.Nq_sqrtq)):
+                        ("floor_D", _sqrt_p(w) + _sqrt_q(w)), ("tNq", v.Nq_sqrtq)):
             assert floor_root_general(e) == ints[name], (name, w)

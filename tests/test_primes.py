@@ -36,9 +36,14 @@ def test_pi_against_trial_division(small_store):
         assert small_store.pi(x) == count
 
 
+def _prime_by_pi(store, x: int) -> bool:
+    """x is prime by the store: pi steps up at x."""
+    return x >= 2 and store.pi(x) - store.pi(x - 1) == 1
+
+
 def test_is_prime_against_trial_division(small_store):
     for x in range(2, 3000):
-        assert small_store.is_prime(x) == trial_division_is_prime(x)
+        assert _prime_by_pi(small_store, x) == trial_division_is_prime(x)
 
 
 def test_nth_prime_pi_roundtrip(small_store):
@@ -99,7 +104,7 @@ def test_queries_across_block_and_segment_edges(limit):
     for edge in edges:
         for x in range(max(edge - 2, 0), min(edge + 2, limit) + 1):
             assert store.pi(x) == meissel_pi(x)
-            assert store.is_prime(x) == trial_division_is_prime(x)
+            assert _prime_by_pi(store, x) == trial_division_is_prime(x)
             nxt = _next_prime_oracle(x, limit)
             if nxt is None:
                 with pytest.raises(CoverageError):
@@ -141,7 +146,7 @@ def test_twin_lows_against_reference(mid_store):
     p = 2 * 50 * SEGMENT_ENTRIES + 1
     assert (p - 3) // 2 == 50 * SEGMENT_ENTRIES - 1
     store = build_store(p + 2)
-    assert store.is_prime(p) and store.is_prime(p + 2)
+    assert _prime_by_pi(store, p) and _prime_by_pi(store, p + 2)
     lows = list(store.iter_twin_lows())
     assert lows[-1] == p
     assert len(lows) == len(set(lows)) and lows == sorted(lows)
@@ -212,7 +217,7 @@ def test_ascending_sweeps_resieve_past_the_cache_only(tight_cache):
 
 
 def test_point_queries_keep_segment_zero_cached(tight_cache):
-    """is_prime on segment 0 never re-sieves it: not after a miss elsewhere
+    """Point queries on segment 0 never re-sieve it: not after a miss elsewhere
     while segment 0 is the least recently used, and not before a sweep and
     after each segment the sweep opens, from segment 2 on, where plain LRU
     keeps it too, or from segment 0, where it is the sweep's previous
@@ -224,18 +229,18 @@ def test_point_queries_keep_segment_zero_cached(tight_cache):
     small_primes = [x in want[:50] for x in small]
     # the build read segment 0 first, so it is the least recent one now
     assert store.pi(3 + 4 * E) == bisect_right(want, 3 + 4 * E)
-    assert [store.is_prime(x) for x in small] == small_primes
+    assert [_prime_by_pi(store, x) for x in small] == small_primes
     assert sieved == [2]
     for first in (2, 0):   # the sweep from 2 evicts segment 1
         before = len(sieved)
-        assert [store.is_prime(x) for x in small] == small_primes
+        assert [_prime_by_pi(store, x) for x in small] == small_primes
         got, opened = [], []
         for p in store.iter_primes(3 + 2 * first * E):
             got.append(p)
             k = (p - 3) // 2 // E
             if k not in opened:
                 opened.append(k)
-                assert [store.is_prime(x) for x in small] == small_primes
+                assert [_prime_by_pi(store, x) for x in small] == small_primes
         assert got == [p for p in want if p >= 3 + 2 * first * E]
         assert opened == list(range(first, nseg))
         assert 0 not in sieved[before:]
@@ -285,7 +290,7 @@ def test_is_prime_u64_against_sieve(small_store):
     rng = random.Random(11)
     for _ in range(5000):
         x = rng.randrange(0, 10 ** 5)
-        assert is_prime_u64(x) == small_store.is_prime(x)
+        assert is_prime_u64(x) == _prime_by_pi(small_store, x)
 
 
 def test_is_prime_u64_large_known():

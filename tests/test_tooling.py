@@ -9,6 +9,10 @@
   for their side effect).
 - Every `RootViews` view is read under src/gapcheck: by a module outside
   the views, or by a view that is itself read.
+- Every function, method, class and class attribute defined under
+  src/gapcheck is referenced there outside its own definition, but for
+  three named survivors that only the benchmark and the acceptance tests
+  call.
 - Checkers that share a domain share one domain function: the engine asks
   a domain once per window for every checker that holds the same function.
 - A checker that reads a window's predecessor starts at n_min >= 2: the
@@ -117,6 +121,78 @@ def test_every_root_view_has_a_reader():
         grown = not reached <= live
         live |= reached
     assert sorted(set(bodies) - live) == []
+
+
+# Definitions that nothing under src/gapcheck references, with the reason each
+# stays.  They go with the benchmark change that reads the library's own
+# counters (ROADMAP item 1).
+_SURVIVORS = {
+    "intervals.brocard_reports":
+        "the benchmark's tables workload and acceptance criterion 04 call it",
+    "twin.same_floor_consecutive_twin_pairs":
+        "the benchmark's tables workload and acceptance criterion 07 call it",
+    "exact.Cmp.UNDECIDED": "bench/tracer.py reads it",
+}
+
+
+def _definitions(node, prefix):
+    """(qualified name, name, node) of every function and class under node,
+    at any depth, and of every name a class body assigns."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child.name, child
+            if isinstance(child, ast.ClassDef):
+                for stmt in child.body:
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+                               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                    for t in targets:
+                        if isinstance(t, ast.Name):
+                            yield f"{prefix}{child.name}.{t.id}", t.id, stmt
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _registered(fn) -> bool:
+    """fn is decorated with @checker(...), which registers it."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "checker"
+               for d in getattr(fn, "decorator_list", ()))
+
+
+def test_every_definition_has_a_reader():
+    """A definition is referenced when code under src/gapcheck outside it
+    names it: as a name, an attribute or a keyword argument (a CheckerSpec
+    field the catalog sets), when @checker registers it, or when
+    checkers/__init__.py re-exports it.  Dunder names are read
+    by Python itself.  Every other definition must be referenced, but for
+    the named survivors, and each survivor must still be unreferenced."""
+    modules = list(_modules("src/gapcheck"))
+    defs = []
+    for path, tree in modules:
+        parts = path.relative_to(ROOT / "src/gapcheck").with_suffix("").parts
+        prefix = ".".join(p for p in parts if p != "__init__")
+        defs += _definitions(tree, prefix + "." if prefix else "")
+    readers: dict[str, list] = {}
+    for path, tree in modules:
+        for n in ast.walk(tree):
+            name = (n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                    else n.arg if isinstance(n, ast.keyword) else None)
+            if name is not None:
+                readers.setdefault(name, []).append(n)
+    init = ROOT / "src/gapcheck/checkers/__init__.py"
+    exported = set(ast.literal_eval(next(
+        node.value for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))))
+    assert len(defs) > 300 and {"run_checker", "run_all"} <= exported
+    unread = []
+    for qualname, name, node in defs:
+        if name.startswith("__") and name.endswith("__") or name in exported or _registered(node):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(n) in inside for n in readers.get(name, ())):
+            unread.append(qualname)
+    assert sorted(unread) == sorted(_SURVIVORS)
 
 
 def test_equal_domains_are_one_function():

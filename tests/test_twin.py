@@ -12,7 +12,7 @@ import gapcheck.twin as twin
 from gapcheck.twin import (LedgerError, alpha_ledger, ln_interval, ln_ln_interval,
                            same_floor_consecutive_twin_pairs, write_ledger_csv)
 from gapcheck.primes import PrimeStore
-from oracles import brute_twin_count_below_index, excel_csv_lines
+from oracles import RefRoot, brute_twin_count_below_index, excel_csv_lines, is_prime_all_bases
 from surveys import jn_questions
 
 getcontext().prec = 60
@@ -64,11 +64,13 @@ def test_sandwich_bounds(mid_store):
     assert all(r.sandwich_ok for r in rows)
 
 
-def test_alpha4_positive(mid_store):
-    # alpha_4 = sqrt(2)/2 - (sqrt(11) - sqrt(7)) > 0
+def test_alpha4_positive():
+    # alpha_4 = sqrt(2)/2 - (sqrt(11) - sqrt(7)) > 0: three radicands, so the
+    # oracle's sign; squared, sqrt(2)/2 + sqrt(7) > sqrt(11) is 2 sqrt(14) > 7
     from gapcheck.exact import Cmp, RootExpr, cmp_root
-    a4 = RootExpr.sqrt(2) / 2 - (RootExpr.sqrt(11) - RootExpr.sqrt(7))
-    assert cmp_root(a4) is Cmp.GREATER
+    a4 = RefRoot.sqrt(2, Fraction(1, 2)) - RefRoot.sqrt(11) + RefRoot.sqrt(7)
+    assert a4.sign() == 1
+    assert cmp_root(RootExpr.sqrt(14).scale(2), 7) is Cmp.GREATER
 
 
 def test_b_exceeds_a_at_1000(mid_store):
@@ -224,7 +226,7 @@ def test_j_against_independent_pair_enumeration(mid_store):
     for p in mid_store.iter_primes(2, p_hi):
         idx += 1
         # pairs with upper member <= p_n: check (p-2, p)
-        if p >= 5 and mid_store.is_prime(p - 2):
+        if p >= 5 and is_prime_all_bases(p - 2):
             pair_count += 1
         counts[idx] = pair_count
     for r in alpha_ledger(mid_store, n_hi):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gapcheck.exact import Cmp, cmp_root, floor_root
+from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root
 from gapcheck.primes import CoverageError, PrimeStore
 from gapcheck.window import dump_windows_csv, root_views, windows
 from oracles import (brute_twin_count_below_index, excel_csv_lines,
@@ -48,7 +48,7 @@ def test_root_views_n4(small_store):
     assert floor_root(v.sqrtq_delta) == w.d // 2 == 2
     assert v.sqrtq_delta + v.sqrtp_delta == w.d
     # mu = sqrt(7) - 2 around 0.6458
-    mu = v.sqrt_p - w.N
+    mu = RootExpr.sqrt(w.p) - w.N
     assert cmp_root(mu.scale(10 ** 4), 6457) is Cmp.GREATER
     assert cmp_root(mu.scale(10 ** 4), 6458) is Cmp.LESS
 
