@@ -49,8 +49,9 @@ def _floor_32(ctx, tri, st):
          source="corollary 3.3", n_min=2)
 def _frac_33(ctx, tri, st):
     v = root_views(tri.w)
-    # the fractional part against 1/2, times 2
-    c = cmp_root((v.sqrtp_delta_half - v.floor_sqrtp_delta_half).scale(2), 1)
+    # the fractional part against 1/2, times 2:
+    # 2 sqrt(p) Delta - 1 - 2 floor(sqrt(p) Delta - 1/2) against 1
+    c = cmp_root(v.two_sqrtp_delta - (2 * v.floor_sqrtp_delta_half + 1), 1)
     return HOLD if c is Cmp.LESS else violate("frac >= 1/2")
 
 

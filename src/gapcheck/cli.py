@@ -153,15 +153,16 @@ def cmd_powers(args) -> int:
     budget = args.budget
     limit = args.limit or min(budget, 10 ** 8)
     store = build_store(limit)
-    ok = True
+    # the ladder raises on a store too small for it, so it runs before any
+    # report is printed
+    ok = all(row.increment_ok and row.lower_bound_ok and row.identity_ok
+             for row in pow2_ladder(store, args.k_max_pow2))
     for rep in power_reports(store, args.k, 1, args.n_hi, budget=budget):
         print(rep.to_json())
         if not rep.budget_hit:
             ok = ok and rep.total_ok and rep.cumulative_ok
             if rep.subintervals_claimed:
                 ok = ok and rep.per_interval_ok
-    for row in pow2_ladder(store, args.k_max_pow2):
-        ok = ok and row.increment_ok and row.lower_bound_ok and row.identity_ok
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -135,16 +135,16 @@ class RootViews:
     by every checker of the window.
 
     The rule: a quantity that two or more checkers read lives here, so it is
-    computed once per window.  The RootExprs are normalized and immutable;
-    the integers are exact.  Every RootExpr is built from sqrt(pq), sqrt(p)
-    or sqrt(q) and ints, so it has one radicand, and no view multiplies two
-    RootExprs.  Besides sqrt_pq they are:
+    computed once per window.  The RootExprs are immutable and the integers
+    exact.  Every RootExpr is built from sqrt(pq), sqrt(p) or sqrt(q) and
+    ints, so it has one radicand, and no view multiplies two RootExprs.
+    Besides sqrt_pq they are:
       delta_sq             Delta^2 = p + q - 2 sqrt(pq)  (thm-35, twin-91)
       two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
       frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
       frac_sqrtp_delta                                   (thm-35, cor-36)
-      sqrtp_delta_half,    sqrt(pq) - (p + 1/2) and its floor
-      floor_sqrtp_delta_half                             (floor-32, frac-33)
+      floor_sqrtp_delta_half
+                           floor(sqrt(p) Delta - 1/2)    (floor-32, frac-33)
       N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
       tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
                                                           ids-511, ids-513)
@@ -204,13 +204,10 @@ class RootViews:
         return frac_root(self.sqrtp_delta)[1]
 
     @_view
-    def sqrtp_delta_half(self) -> RootExpr:
-        # sqrt(p)*Delta - 1/2 = (2 sqrt(pq) - (2p + 1)) / 2
-        return (self.two_sqrtp_delta - 1) / 2
-
-    @_view
     def floor_sqrtp_delta_half(self) -> int:
-        return floor_root(self.sqrtp_delta_half)
+        # floor(sqrt(p)*Delta - 1/2) = floor(y / 2) = floor(floor(y) / 2)
+        # for y = 2 sqrt(p)*Delta - 1
+        return floor_root(self.two_sqrtp_delta - 1) // 2
 
     @_view
     def tNq(self) -> int:

@@ -6,18 +6,19 @@ strong-probable-prime tests on given bases (and a 64-bit primality test
 that runs all twelve bases up to 37 whatever the size of x), isqrt brackets
 for radical signs over any number of radicands, brute-force pair
 enumeration, a reference model of RootExpr over square-free radicands
-(`RefRoot`, which multiplies and inverts values as the two-radicand kernel
-does not) and the Fraction partial sums of the mu series.  None of
-them share code paths with the package, except `mr_quadratic_flags`, which
-tests each value of a quadratic with is_prime_u64 (the path the
-accumulation families took before they were sieved), `mr_accum_hits`,
-which tests each admissible N of an accum scan with is_prime_u64 (the path
-accum_scan took before it screened its candidates), `exact_sign`, which
+(`RefRoot`, which divides, multiplies and inverts values as the
+two-radicand integer kernel does not) and the Fraction partial sums of the
+mu series.  None of them share code paths with the package, except
+`mr_quadratic_flags`, which tests each value of a quadratic with
+is_prime_u64 (the path the accumulation families took before they were
+sieved), `mr_accum_hits`, which tests each admissible N of an accum scan
+with is_prime_u64 (the path accum_scan took before it screened its
+candidates), `exact_sign`, which
 hands a RootExpr's terms to the kernel's sign procedures, `eval_fixed`,
-which reads a RootExpr's parts, `build_root` and `raw_root`, shorthands for
-building RootExprs, `RefRoot.matches`, which takes the kernel's difference
-of two RootExprs before `radical_sign` decides it, and `twin_pairs`, a
-filter over the window stream.
+which reads a RootExpr's parts, `build_root` and `cleared_root`, shorthands
+for building RootExprs, `RefRoot.matches`, which takes the kernel's
+difference of two RootExprs before `radical_sign` decides it, and
+`twin_pairs`, a filter over the window stream.
 `random_chain` draws integer windows that need not be prime, for the
 tests that tell claims needing primes from identities of integers.
 `reads` tells from a checker's compiled code whether it reads a window's
@@ -249,8 +250,7 @@ def twin_pairs(store, n_lo: int, n_hi: int) -> list[int]:
 
 def exact_sign(e) -> int | None:
     """Exact sign of a RootExpr with at most two radicands through the
-    kernel's sign procedures, else None.  Its num and b_i already are its
-    terms times den > 0, so they pass on as they are."""
+    kernel's sign procedures, else None."""
     terms = e.terms
     if len(terms) == 0:
         return (e.num > 0) - (e.num < 0)
@@ -284,18 +284,14 @@ def sqrt_fixed(m: int, frac_bits: int) -> FixedApprox:
 def eval_fixed(e, frac_bits: int) -> FixedApprox:
     """Evaluate a RootExpr to a certified FixedApprox at the given precision.
 
-    num/den contributes floor(num 2^fb / den), exact or 1 ulp off; each
-    b/den * sqrt(m) with sqrt(m) at x +- err ulps contributes floor(x b / den)
-    with ceil(|b| err / den) + 1 ulps.  Neither depends on reducing b/den.
+    num contributes num 2^fb exactly; each b * sqrt(m) with sqrt(m) at
+    x +- err ulps contributes x b with |b| err ulps.
     """
-    den = e.den
-    x = e.num << frac_bits
-    mant = x // den
-    err = 0 if mant * den == x else 1
+    mant, err = e.num << frac_bits, 0
     for m, b in e.terms:
         s = sqrt_fixed(m, frac_bits)
-        mant += s.mantissa * b // den
-        err += (abs(b) * s.error_ulps + den - 1) // den + 1
+        mant += s.mantissa * b
+        err += abs(b) * s.error_ulps
     return FixedApprox(mant, frac_bits, err)
 
 
@@ -306,7 +302,7 @@ def floor_root_general(e) -> int:
     settles the floor next to the last bracket.
     """
     if not e.terms:
-        return e.num // e.den
+        return e.num
     for fb in LADDER:
         fa = eval_fixed(e, fb)
         lo, hi = fa.mantissa - fa.error_ulps, fa.mantissa + fa.error_ulps
@@ -321,31 +317,25 @@ def floor_root_general(e) -> int:
     return f
 
 
-def build_root(const, parts: dict) -> RootExpr:
+def build_root(const: int, parts: dict) -> RootExpr:
     """const + sum coef*sqrt(m) over parts = {m: coef}, through the kernel's
-    own constructors, which take ints only: const and the coefs are ints or
-    Fractions, taken times the lcm of their denominators, which the result
-    is then divided by."""
+    own constructors, which take ints only and keep each radicand as given:
+    square factors, perfect squares and dependent radicands stay."""
+    e = _make(0, ()) + const
+    for m, coef in parts.items():
+        e = e + RootExpr.sqrt(m, coef)
+    return e
+
+
+def cleared_root(const, parts: dict) -> tuple[RootExpr, int]:
+    """(den x, den) for x = const + sum coef*sqrt(m) over parts = {m: coef},
+    where const and the coefs are ints or Fractions and den > 0 is the lcm
+    of their denominators: x with its denominators cleared, as a caller of
+    the kernel clears them."""
     const = Fraction(const)
     coefs = {m: Fraction(c) for m, c in parts.items()}
     den = lcm(const.denominator, *(c.denominator for c in coefs.values()))
-    e = _make(int(const * den), (), 1)
-    for m, coef in coefs.items():
-        e = e + RootExpr.sqrt(m, int(coef * den))
-    return e / den
-
-
-def raw_root(const, parts) -> RootExpr:
-    """(const + sum coef*sqrt(m) over parts = [(m, coef), ...]) with each
-    radicand kept as given, not normalized: square factors, perfect squares
-    and dependent radicands stay.  const and the coefs are ints or Fractions;
-    the radicands are distinct and positive."""
-    const = Fraction(const)
-    parts = [(m, Fraction(c)) for m, c in parts]
-    den = lcm(const.denominator, *(c.denominator for _, c in parts))
-    # over the lcm of reduced denominators the gcd is already 1
-    terms = tuple(sorted((m, int(c * den)) for m, c in parts if c))
-    return _make(int(const * den), terms, den)
+    return build_root(int(const * den), {m: int(c * den) for m, c in coefs.items()}), den
 
 
 def root_sign(e) -> int:
@@ -355,8 +345,7 @@ def root_sign(e) -> int:
 
 
 def root_sign_args(e) -> list[int]:
-    """[num, b1, m1, ..., bk, mk] of a RootExpr, for `radical_sign`: its
-    num and b_i are its terms times den > 0."""
+    """[num, b1, m1, ..., bk, mk] of a RootExpr, for `radical_sign`."""
     args = [e.num]
     for m, b in e.terms:
         args += [b, m]
@@ -388,9 +377,10 @@ class RefRoot:
     (`squarefree_split`), den > 0 and gcd(den, num, c...) = 1, so equal
     values have equal parts.  It is built from ints and Fractions (`const`
     and `coefs` read it back as Fractions), and ints and Fractions mix with
-    it in +, -, * and /.  It keeps what the kernel does not: the product of
-    two values, the inverse of one over at most two radicands, and signs and
-    floors over any number of radicands, by `radical_sign`."""
+    it in +, -, * and /.  It keeps what the kernel does not: a denominator,
+    the product of two values, the inverse of one over at most two
+    radicands, and signs and floors over any number of radicands, by
+    `radical_sign`."""
 
     __slots__ = ("num", "terms", "den")
 
@@ -533,16 +523,19 @@ class RefRoot:
 
     def to_root(self) -> RootExpr:
         """The kernel's RootExpr of this value, built from its parts as they
-        are."""
-        return _make(self.num, tuple(sorted(self.terms.items())), self.den)
+        are; a value with a denominator has none, so it raises ValueError."""
+        if self.den != 1:
+            raise ValueError(f"{self.const} + ... is not an integer value")
+        return _make(self.num, tuple(sorted(self.terms.items())))
 
     def matches(self, e) -> bool:
-        """The RootExpr e has this value: `root_sign` of their difference is
-        0, over however many radicands it has; equal parts answer at once."""
-        r = self.to_root()
-        if (e.num, e.terms, e.den) == (r.num, r.terms, r.den):
+        """The RootExpr e has this value: `root_sign` of den e less this
+        value times den is 0, over however many radicands the difference
+        has; equal parts answer at once."""
+        r = _make(self.num, tuple(sorted(self.terms.items())))
+        if self.den == 1 and (e.num, e.terms) == (r.num, r.terms):
             return True
-        return root_sign(e - r) == 0
+        return root_sign(e.scale(self.den) - r) == 0
 
 
 def _ref_parts(num: int, terms: dict, den: int) -> RefRoot:

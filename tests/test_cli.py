@@ -172,6 +172,14 @@ def test_powers_jsonl():
     assert rows[1]["total"] == 42
 
 
+def test_powers_store_too_small_for_ladder_prints_nothing():
+    """The 2^20 ladder needs a store past 2^20: with a 1000 store the command
+    exits 3 before any report is printed."""
+    r = run("powers", "--k", "2", "--n-hi", "3", "--limit", "1000")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "2^20 beyond store limit" in r.stderr
+
+
 def test_manifest_resume_identical(tmp_path):
     m = tmp_path / "m.json"
     r1 = run("verify", "--checker", "conj-gap-sq,twin-95", "--n-hi", "400",

@@ -1,17 +1,17 @@
 import random
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (_NORM_PRIMES, Cmp, KernelError, RootExpr, _norm_radicand, _sign,
-                            _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root)
+from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign, _sign_1rad, _sign_2rad,
+                            cmp_root, floor_root, frac_root)
 from gapcheck.window import GapWindow, root_views, windows
-from oracles import (RANDOM_RANGES, RefRoot, build_root, eval_fixed, exact_sign,
-                     floor_root_general, longhand_sqrt_digits, radical_sign, random_chain,
-                     raw_root, root_sign, sqrt_fixed)
+from oracles import (RANDOM_RANGES, RefRoot, build_root, cleared_root, eval_fixed,
+                     exact_sign, floor_root_general, longhand_sqrt_digits, radical_sign,
+                     random_chain, root_sign, sqrt_fixed)
 
 
 def test_sqrt_fixed_exact_square():
@@ -33,9 +33,11 @@ def test_sqrt_fixed_vs_longhand_sqrt2():
 
 
 def test_norm_merging():
-    assert RootExpr.sqrt(8) == RootExpr.sqrt(2, 2)
+    """A radicand stays as given, square factors and perfect squares too;
+    == compares the values."""
+    assert RootExpr.sqrt(8) == RootExpr.sqrt(2, 2) and RootExpr.sqrt(8).terms == ((8, 1),)
     assert RootExpr.sqrt(12) == RootExpr.sqrt(3, 2)
-    assert RootExpr.sqrt(49) == 7 and not RootExpr.sqrt(49).terms
+    assert RootExpr.sqrt(49) == 7 and RootExpr.sqrt(49).terms == ((49, 1),)
 
 
 def test_cmp_root_examples():
@@ -43,8 +45,8 @@ def test_cmp_root_examples():
     # against 7/10 and 67/100: the value times 10 or 100 against 7 or 67
     assert cmp_root((RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(10), 7) is Cmp.LESS
     assert cmp_root((RootExpr.sqrt(11) - RootExpr.sqrt(7)).scale(100), 67) is Cmp.GREATER
-    # sqrt(2)/2 above 7/10
-    assert cmp_root((RootExpr.sqrt(2) / 2).scale(10), 7) is Cmp.GREATER
+    # sqrt(2)/2 above 7/10: sqrt(2) times 10 against 7 times 2
+    assert cmp_root(RootExpr.sqrt(2).scale(10), 14) is Cmp.GREATER
 
 
 def test_cmp_root_identity_window4():
@@ -83,7 +85,8 @@ def test_two_radicand_exact():
 
 def test_floor_paths_agree_random_windows(mid_store):
     """Fast single-radicand path vs the FixedApprox general path on random
-    window-style expressions a + b*sqrt(p*q)."""
+    window-style expressions a + b*sqrt(p*q), their denominators cleared:
+    the floor of x = e / den is floor_root(e) // den."""
     rng = random.Random(3)
     primes = list(mid_store.iter_primes(2, 3000))
     for _ in range(400):
@@ -91,8 +94,9 @@ def test_floor_paths_agree_random_windows(mid_store):
         p, q = primes[i], primes[i + 1]
         a = F(rng.randrange(-50, 50), rng.randrange(1, 7))
         b = F(rng.randrange(-9, 9) or 1, rng.randrange(1, 5))
-        e = build_root(a, {p * q: b})
+        e, den = cleared_root(a, {p * q: b})
         assert floor_root(e) == floor_root_general(e)
+        assert floor_root(e) // den == (RefRoot(a) + RefRoot.sqrt(p * q, b)).floor()
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6),
@@ -100,11 +104,12 @@ def test_floor_paths_agree_random_windows(mid_store):
        st.integers(min_value=1, max_value=60))
 @settings(max_examples=200)
 def test_floor_root_single_radicand_property(m, num, den):
-    e = build_root(F(num, den), {m: 1})
-    f = floor_root(e)
-    # f <= e < f + 1, certified by the exact comparator
-    assert cmp_root(e - f) in (Cmp.GREATER, Cmp.EQUAL)
-    assert cmp_root(e - (f + 1)) is Cmp.LESS
+    # x = (num + den sqrt(m)) / den, with its floor f = floor_root(e) // den
+    e = build_root(num, {m: den})
+    f = floor_root(e) // den
+    # f <= x < f + 1, certified by the exact comparator, times den
+    assert cmp_root(e - f * den) in (Cmp.GREATER, Cmp.EQUAL)
+    assert cmp_root(e - (f + 1) * den) is Cmp.LESS
 
 
 def test_fixed_error_tracking():
@@ -149,8 +154,9 @@ def test_generic_identities_through_the_kernel(mid_store):
     asked), on random windows with h = 1 and on every window n <= 20000.
     A clause made of sums and int multiples of the window's radicals is
     built and decided by the kernel: RootExpr arithmetic, ==, cmp_root,
-    floor_root and frac_root.  A clause that multiplies or inverts values is
-    built in oracles.RefRoot, and where it meets a kernel value,
+    floor_root and frac_root; where a clause has a denominator, a positive
+    multiple of both sides is compared.  A clause that multiplies or inverts
+    values is built in oracles.RefRoot, and where it meets a kernel value,
     RefRoot.matches decides.  On the random windows, floor(h/mu) = 2N and
     {h/mu} = mu, for p and for q, are also checked through RefRoot.floor."""
     rng = random.Random(23)
@@ -193,8 +199,10 @@ def test_generic_identities_through_the_kernel(mid_store):
             counts["h = 1"] += 1
             check("n2p1-family h = 1", (1 - r_mu_sq) * inv_mu / 2 + r_mu, sqrt_p,
                   (1 - r_mu_sq) * inv_mu / 2 - r_mu)
-        # ratio-frac: sqrt(pq)/p - 1 and Delta/sqrt(p) are (sqrt(pq) - p)/p
-        check("ratio-frac", v.sqrt_pq / w.p - 1, r_delta / sp, r_delta / sq)
+        # ratio-frac: sqrt(pq)/p - 1 and Delta/sqrt(p) are (sqrt(pq) - p)/p,
+        # both sides times p
+        check("ratio-frac", v.sqrt_pq - w.p, (r_delta / sp).scale(w.p),
+              (r_delta / sq).scale(w.p))
         # dpar-58 and ids-515: D = N + Nq + mu' + mu, and mu' + mu is never 1
         above = cmp_root(mu_sum, 1) is Cmp.GREATER
         fl_D, fr_D = frac_root(D)
@@ -207,9 +215,10 @@ def test_generic_identities_through_the_kernel(mid_store):
             counts["shared"] += 1
             assert d == hq - h != 2 * N + 1 + hq - h and d != hq, w   # dnh-forms
             check("dpar-57", D - mu_sum, 2 * N, D - (mu_q - mu))
-            half_gap = D / 2 - mu_sum / 2
-            check("dpar-57 sqrt(p)", half_gap + mu, sqrt_p, half_gap + mu_q)
-            check("dpar-57 sqrt(q)", half_gap + mu_q, sqrt_q, half_gap + mu)
+            # (D - mu' - mu)/2 + mu = sqrt(p), and + mu' = sqrt(q), times 2
+            gap = D - mu_sum
+            check("dpar-57 sqrt(p)", gap + mu.scale(2), sqrt_p.scale(2), gap + mu_q.scale(2))
+            check("dpar-57 sqrt(q)", gap + mu_q.scale(2), sqrt_q.scale(2), gap + mu.scale(2))
             assert even == (not above), w                               # dpar-58
             lt = cmp_root(mu.scale(2) + delta, 1)                      # dpar-59
             assert even == (lt is Cmp.LESS) != (lt is Cmp.GREATER), w
@@ -249,7 +258,7 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
         i = rng.randrange(len(primes) - 1)
         p, q = primes[i], primes[i + 1]
         a = F(rng.randrange(-30, 30), rng.randrange(1, 5))
-        e = build_root(a, {p: 1, q: -1})
+        e, _ = cleared_root(a, {p: 1, q: -1})
         c = cmp_root(e)
         fa = eval_fixed(e, 96)
         if c is Cmp.LESS:
@@ -270,6 +279,7 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
     lambda: RootExpr.sqrt(2) * 2.0,
     lambda: RootExpr.sqrt(2) / 2.0,
     lambda: cmp_root(RootExpr.sqrt(2), 1.4142135623730951),
+    lambda: RootExpr.sqrt(2) / 2,
 ])
 def test_float_raises_type_error(bad):
     with pytest.raises(TypeError):
@@ -311,7 +321,8 @@ def test_eq_with_float_is_not_implemented():
         one != 1.0
     with pytest.raises(TypeError):
         1.0 == one
-    assert one == 1 and one / 2 == build_root(2, {}) / 4
+    # 1/2 against 2/4, both times 4
+    assert one == 1 and one.scale(2) == build_root(2, {})
 
 
 def _minus_floor(b, m):
@@ -376,56 +387,54 @@ def test_sign_2rad_built_zeros(args):
 
 
 def test_exact_sign_clears_denominators():
-    # sqrt(2)/3 - sqrt(3)/5 + 1/7 > 0 and sqrt(8)/3 - sqrt(2)*2/3 = 0
-    e = build_root(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
+    # sqrt(2)/3 - sqrt(3)/5 + 1/7 > 0 and sqrt(8)/3 - sqrt(2)*2/3 = 0, each
+    # times the lcm of its denominators
+    e, den = cleared_root(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
+    assert den == 105 and (e.num, e.terms) == (15, ((2, 35), (3, -21)))
     assert exact_sign(e) == radical_sign(15, 35, 2, -21, 3) == 1
-    assert exact_sign(RootExpr.sqrt(8) / 3 - RootExpr.sqrt(2, 2) / 3) == 0
-    assert exact_sign(build_root(F(-1, 2), {2: F(1, 3)})) == -1
+    assert exact_sign(RootExpr.sqrt(8) - RootExpr.sqrt(2, 2)) == 0
+    assert exact_sign(cleared_root(F(-1, 2), {2: F(1, 3)})[0]) == -1
 
 
 # -- the integer RootExpr against the reference model RefRoot ------------------
 
-_fracs = st.builds(F, st.integers(min_value=-40, max_value=40),
-                   st.integers(min_value=1, max_value=12))
-_core_sets = st.lists(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 77)),
-                      min_size=1, max_size=2, unique=True)
+_ints40 = st.integers(min_value=-40, max_value=40)
+_fracs = st.builds(F, _ints40, st.integers(min_value=1, max_value=12))
+# at most two radicands, so every decision over them is the kernel's; square
+# factors, perfect squares and dependent pairs (2 and 8, 3 and 12) among them
+_radicand_sets = st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 12, 49, 50, 77, 98)),
+                          min_size=1, max_size=2, unique=True)
 
 
 @st.composite
-def _root_pairs(draw, cores):
-    """A RootExpr and its reference model built from the same parts: a
-    rational constant plus up to three coef*sqrt(core * square) terms, so
-    square parts, merges and cancellations all occur.  The RootExpr takes
-    each rational n/d as an int divided by d."""
-    const = draw(_fracs)
-    e, ref = build_root(const.numerator, {}) / const.denominator, RefRoot(const)
+def _root_pairs(draw, radicands):
+    """A RootExpr and its reference model built from the same parts: an
+    int constant plus up to three coef*sqrt(m) terms over the given
+    radicands, so merges and cancellations occur; the reference splits each
+    radicand into its square-free core."""
+    const = draw(_ints40)
+    e, ref = build_root(const, {}), RefRoot(const)
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        m = draw(st.sampled_from(cores)) * draw(st.sampled_from((1, 1, 4, 9, 49)))
-        c = draw(_fracs)
-        e = e + RootExpr.sqrt(m, c.numerator) / c.denominator
+        m, c = draw(st.sampled_from(radicands)), draw(_ints40)
+        e = e + RootExpr.sqrt(m, c)
         ref = ref + RefRoot.sqrt(m, c)
     return e, ref
 
 
 def _agrees(e, ref):
-    """e is in normal form and has the reference's value, term by term."""
-    assert e.den > 0
-    assert gcd(e.den, e.num, *(b for _, b in e.terms)) == 1
+    """e's radicands are sorted and distinct with nonzero coefficients, and e
+    has the reference's value."""
     radicands = [m for m, _ in e.terms]
     assert radicands == sorted(set(radicands)) and all(b for _, b in e.terms)
-    assert F(e.num, e.den) == ref.const
-    assert {m: F(b, e.den) for m, b in e.terms} == ref.coefs
-    built = ref.to_root()
-    assert (e.num, e.terms, e.den) == (built.num, built.terms, built.den)
-    assert e == built
+    assert ref.matches(e)
     return True
 
 
-@given(st.data(), _core_sets)
+@given(st.data(), _radicand_sets)
 @settings(max_examples=300)
-def test_kernel_agrees_with_reference_arithmetic(data, cores):
-    a, ra = data.draw(_root_pairs(cores))
-    b, rb = data.draw(_root_pairs(cores))
+def test_kernel_agrees_with_reference_arithmetic(data, radicands):
+    a, ra = data.draw(_root_pairs(radicands))
+    b, rb = data.draw(_root_pairs(radicands))
     k = data.draw(st.integers(min_value=-9, max_value=9))
     r = data.draw(_fracs)
     assert _agrees(a, ra) and _agrees(b, rb)
@@ -433,20 +442,25 @@ def test_kernel_agrees_with_reference_arithmetic(data, cores):
     assert _agrees(a.scale(k), ra.scale(k)) and _agrees(a * k, ra.scale(k))
     assert _agrees(k * a, ra.scale(k))
     assert _agrees(a + k, ra + RefRoot(k)) and _agrees(k - a, RefRoot(k) - ra)
-    assert _agrees(a.scale(r.numerator) / r.denominator, ra.scale(r))
-    # division by an int: either sign, k = 1, and k = 0 raising
+    # a times r = n/d, as a caller takes it: its floor is floor(a n) // d
+    assert floor_root(a.scale(r.numerator)) // r.denominator == ra.scale(r).floor()
+    # a / j as a caller takes it, for either sign of j: with s the sign of
+    # j, floor(a/j) = floor(s a) // |j| and a/j - n has the sign of
+    # s a - n |j|
+    n = data.draw(_ints40)
     for j in (k, 1, -1, -r.denominator):
         if j:
-            assert _agrees(a / j, ra.scale(F(1, j)))
-    with pytest.raises(ZeroDivisionError):
-        a / 0
+            s = 1 if j > 0 else -1
+            quotient = ra.scale(F(1, j))
+            assert floor_root(a.scale(s)) // abs(j) == quotient.floor()
+            assert cmp_root(a.scale(s), n * abs(j)).value == (quotient - RefRoot(n)).sign()
 
 
-@given(st.data(), _core_sets)
+@given(st.data(), _radicand_sets)
 @settings(max_examples=300)
-def test_kernel_agrees_with_reference_predicates(data, cores):
-    a, ra = data.draw(_root_pairs(cores))
-    b, rb = data.draw(_root_pairs(cores))
+def test_kernel_agrees_with_reference_predicates(data, radicands):
+    a, ra = data.draw(_root_pairs(radicands))
+    b, rb = data.draw(_root_pairs(radicands))
     assert (a == b) == (ra == rb) and (a != b) == (not ra == rb)
     assert a == (a + b) - b
     # on square-free cores a value is rational exactly when it has no terms
@@ -466,21 +480,21 @@ def test_kernel_agrees_with_reference_predicates(data, cores):
 
 @st.composite
 def _two_radicand_roots(draw):
-    """(c1 sqrt(m1) + c2 sqrt(m2) + k) / den with den > 1 and either sign on
-    each coefficient; half the draws sit next to an integer, as
+    """(c1 sqrt(m1) + c2 sqrt(m2) + k) times f >= 1, with either sign on each
+    coefficient; half the draws sit next to an integer, as
     sqrt(a^2 + 1) - sqrt(b^2 - 1) + k with b near a does."""
-    den = draw(st.integers(min_value=2, max_value=60))
+    f = draw(st.integers(min_value=1, max_value=60))
     k = draw(st.integers(min_value=-10 ** 4, max_value=10 ** 4))
     s = draw(st.sampled_from((1, -1)))
     if draw(st.booleans()):
         a = draw(st.integers(min_value=2, max_value=10 ** 6))
         b = max(2, a + draw(st.integers(min_value=-2, max_value=2)))
-        return (RootExpr.sqrt(a * a + 1, s) - RootExpr.sqrt(b * b - 1, s) + k) / den
+        return (RootExpr.sqrt(a * a + 1, s) - RootExpr.sqrt(b * b - 1, s) + k).scale(f)
     m1, m2 = draw(st.lists(st.integers(min_value=2, max_value=10 ** 9), min_size=2,
                            max_size=2, unique=True))
     c1 = draw(st.integers(min_value=1, max_value=10 ** 3)) * s
     c2 = draw(st.integers(min_value=-10 ** 3, max_value=10 ** 3).filter(bool))
-    return (RootExpr.sqrt(m1, c1) + RootExpr.sqrt(m2, c2) + k) / den
+    return (RootExpr.sqrt(m1, c1) + RootExpr.sqrt(m2, c2) + k).scale(f)
 
 
 @given(_two_radicand_roots())
@@ -495,16 +509,18 @@ def test_floor_root_two_radicands_against_ladder(e):
 
 
 def test_floor_root_dependent_radicands():
-    # radicands that normalization would have folded, built directly
-    assert floor_root(raw_root(0, [(4, -1)])) == -2
-    assert floor_root(raw_root(F(1, 2), [(2, 1), (9, -1)])) == -2
-    assert floor_root(raw_root(0, [(4, -1), (9, 1)])) == 1
-    # 101 sqrt(2) - sqrt(2 * 101^2) = 0 exactly: 101^2 is past the trial
-    # squares, so both radicands stay and the term floors sum to -1
+    # perfect squares and square multiples kept as radicands
+    assert floor_root(RootExpr.sqrt(4, -1)) == -2
+    # floor(1/2 + sqrt(2) - sqrt(9)) = floor(1 + 2 sqrt(2) - 2 sqrt(9)) // 2
+    assert floor_root(build_root(1, {2: 2, 9: -2})) // 2 == -2
+    assert floor_root(build_root(0, {4: -1, 9: 1})) == 1
+    # 101 sqrt(2) - sqrt(2 * 101^2) = 0 exactly: both radicands stay and
+    # the term floors sum to -1
     zero = RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402)
     assert len(zero.terms) == 2
     assert floor_root(zero) == 0 and floor_root(zero + 7) == 7
-    assert floor_root(zero - build_root(F(1, 10 ** 9), {})) == -1
+    # zero - 10^-9, times 10^9
+    assert floor_root(zero.scale(10 ** 9) - 1) == -1
     assert cmp_root(zero) is Cmp.EQUAL
 
 
@@ -546,17 +562,16 @@ def test_refuses_past_two_radicands():
 
 @pytest.mark.parametrize("e, sign", [
     # 101 sqrt(2) - sqrt(2 * 101^2) = 0 beside a third radicand
-    (raw_root(0, [(2, 101), (20402, -1), (7, 1)]), 1),
-    (raw_root(0, [(2, 101), (20402, -1), (7, -1)]), -1),
-    (raw_root(-2, [(2, 101), (20402, -1), (7, 1)]), 1),     # sqrt(7) > 2
-    (raw_root(-3, [(2, 101), (20402, -1), (7, 1)]), -1),
-    (raw_root(0, [(3, 101), (3 * 101 ** 2, -1), (2, 101), (20402, -1)]), 0),
-    (raw_root(1, [(3, 101), (3 * 101 ** 2, -1), (5, 1), (20, -1)]), -1),  # 1 - sqrt(5)
-    (raw_root(0, [(_P, 1), (_Q, 1), (_P * _Q, -1)]), -1),
+    (build_root(0, {2: 101, 20402: -1, 7: 1}), 1),
+    (build_root(0, {2: 101, 20402: -1, 7: -1}), -1),
+    (build_root(-2, {2: 101, 20402: -1, 7: 1}), 1),     # sqrt(7) > 2
+    (build_root(-3, {2: 101, 20402: -1, 7: 1}), -1),
+    (build_root(0, {3: 101, 3 * 101 ** 2: -1, 2: 101, 20402: -1}), 0),
+    (build_root(1, {3: 101, 3 * 101 ** 2: -1, 5: 1, 20: -1}), -1),  # 1 - sqrt(5)
+    (build_root(0, {_P: 1, _Q: 1, _P * _Q: -1}), -1),
     # 2 sqrt(p) + 3 sqrt(q) - 2 sqrt(pq), less itself written over square
     # multiples of the same radicands
-    (raw_root(0, [(_P, 2), (_Q, 3), (_P * _Q, -2), (4 * _P * _Q, 1),
-                  (4 * _P, -1), (9 * _Q, -1)]), 0),
+    (build_root(0, {_P: 2, _Q: 3, _P * _Q: -2, 4 * _P * _Q: 1, 4 * _P: -1, 9 * _Q: -1}), 0),
 ])
 def test_three_and_more_radicand_built_signs(e, sign):
     """Values over three and more radicands, zeros and near misses among
@@ -571,12 +586,13 @@ def test_three_and_more_radicand_built_signs(e, sign):
 def test_eq_by_value():
     a, b = RootExpr.sqrt(2, 101), RootExpr.sqrt(20402)
     assert a.terms != b.terms and a == b and not a != b
-    third = build_root(F(1, 3), {})
-    assert a - b == 0 and a - b + third == third
+    seven = build_root(7, {})
+    assert a - b == 0 and a - b + seven == seven
     with pytest.raises(TypeError):
         a - b == F(0)
     assert RootExpr.sqrt(3 * 101 ** 2) == RootExpr.sqrt(3, 101)
-    assert a != RootExpr.sqrt(20403) and a - b != build_root(F(1, 10 ** 30), {})
+    # a - b against 10^-30, times 10^30
+    assert a != RootExpr.sqrt(20403) and (a - b).scale(10 ** 30) != 1
     with pytest.raises(TypeError):
         hash(a)
 
@@ -590,11 +606,11 @@ def test_decisions_never_use_the_ladder():
     for k in (2,):
         for _ in range(100):
             ms = rng.sample(range(2, 10 ** 6), k)
-            e = build_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
-                           {m: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))
-                            for m in ms})
+            e, _ = cleared_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
+                                {m: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))
+                                 for m in ms})
             m, b = e.terms[-1]
-            for x in (e, e - RootExpr.sqrt(m, b) / e.den, e - build_root(F(e.num, e.den), {})):
+            for x in (e, e - RootExpr.sqrt(m, b), e - e.num):
                 cmp_root(x.scale(rng.randrange(1, 9)), rng.randrange(-99, 99))
                 cmp_root(x)
                 floor_root(x)
@@ -602,10 +618,10 @@ def test_decisions_never_use_the_ladder():
 
 
 @pytest.mark.parametrize("e, k, equal", [
-    (build_root(6, {}) / 3, 2, True),
+    (build_root(2, {}), 2, True),
     (RootExpr.sqrt(4), 2, True),
-    (build_root(1, {}) / 2, 0, False),
-    (build_root(1, {}) / 2, 1, False),
+    (RootExpr.sqrt(8) - RootExpr.sqrt(2, 2) + 1, 0, False),
+    (RootExpr.sqrt(2) - RootExpr.sqrt(3) + 2, 1, False),
     (build_root(0, {}), 0, True),
     (build_root(-3, {}), -3, True),
     (RootExpr.sqrt(2), 1, False),
@@ -626,36 +642,20 @@ def test_eq_int_agrees_with_fraction(e, k, equal):
 
 # -- the kernel's short paths against its general ones --------------------------
 #
-# _norm_radicand screens with one gcd, and _scale_int, negation,
-# int - RootExpr and floor_root unroll the one-term case.  Each must give the parts (num, terms, den) that the general
-# code gives, not just an equal value.
-
-
-def _norm_by_trial_division(m):
-    """sqrt(m) = outer * sqrt(core) with every square of _NORM_PRIMES divided
-    out of m by trial division alone, with no gcd screen."""
-    r = isqrt(m)
-    if r * r == m:
-        return r, 1
-    outer = 1
-    for p in _NORM_PRIMES:
-        while m % (p * p) == 0:
-            m //= p * p
-            outer *= p
-    r = isqrt(m)
-    return (outer * r, 1) if r * r == m else (outer, m)
+# _scale_int, negation, int - RootExpr and floor_root unroll the one-term
+# case.  Each must give the parts (num, terms) that the general code gives,
+# not just an equal value.
 
 
 def _parts(e):
-    return e.num, e.terms, e.den
+    return e.num, e.terms
 
 
 def _two_term_roots(rng, count):
-    """Random RootExprs with one or two terms and den > 1 (most of them):
-    cores drawn with planted squares, and pairs whose product carries a
-    square factor, its core above both (6 * 10 = 4 * 15), below both
-    (10 * 15 = 25 * 6) or between (15 * 35 = 25 * 21), or is a square
-    (2 and 2 * 101^2)."""
+    """Random RootExprs with one or two terms: radicands drawn with planted
+    squares, and pairs whose product carries a square factor, its core above
+    both (6 * 10 = 4 * 15), below both (10 * 15 = 25 * 6) or between
+    (15 * 35 = 25 * 21), or is a square (2 and 2 * 101^2)."""
     pairs = [(6, 10), (10, 15), (15, 35), (2, 2 * 101 ** 2), (3, 3 * 5 * 103 ** 2), (7, 11)]
     out = []
     for i in range(count):
@@ -668,28 +668,8 @@ def _two_term_roots(rng, count):
         e = c + RootExpr.sqrt(m1, rng.randrange(1, 999) * rng.choice((1, -1)))
         if i % 4:
             e = e + RootExpr.sqrt(m2, rng.randrange(-999, 999) or 1)
-        out.append(e / rng.randrange(1, 10 ** 4))
+        out.append(e)
     return out
-
-
-def test_norm_radicand_screen_against_trial_division():
-    """The gcd screen against trial division on seeded m: planted p^2 factors
-    with p <= 97, products of two primes above 97, perfect squares and
-    squares of primes above 97 times a core."""
-    rng = random.Random(41)
-    big = [p for p in range(101, 3000) if all(p % d for d in range(2, isqrt(p) + 1))]
-    ms = []
-    for _ in range(400):
-        planted = 1
-        for p in rng.sample(_NORM_PRIMES, rng.randrange(1, 4)):
-            planted *= p ** (2 * rng.randrange(1, 3))
-        ms.append(planted * rng.randrange(1, 10 ** 6))
-        ms.append(rng.choice(big) * rng.choice(big))
-        ms.append(rng.randrange(1, 10 ** 9) ** 2)
-        ms.append(rng.choice(big) ** 2 * rng.randrange(2, 10 ** 4))
-        ms.append(rng.randrange(1, 10 ** 15))
-    for m in ms:
-        assert _norm_radicand.__wrapped__(m) == _norm_by_trial_division(m), m
 
 
 def test_one_term_unrolls_against_general_loops():
@@ -698,22 +678,56 @@ def test_one_term_unrolls_against_general_loops():
     rng = random.Random(47)
     for e in _two_term_roots(rng, 600):
         k = rng.randrange(-10 ** 6, 10 ** 6)
-        n, terms, den = _parts(e)
-        g = gcd(den, k) if k else den
-        want = ((0, (), 1) if k == 0 else
-                (n * (k // g), tuple((m, b * (k // g)) for m, b in terms), den // g))
+        n, terms = _parts(e)
+        want = (0, ()) if k == 0 else (n * k, tuple((m, b * k) for m, b in terms))
         assert _parts(e.scale(k)) == _parts(e * k) == want, (e, k)
         neg = tuple((m, -b) for m, b in terms)
-        assert _parts(-e) == (-n, neg, den), e
-        assert _parts(k - e) == (k * den - n, neg, den), (e, k)
-        for x in (e, e.scale(den)):   # e.scale(den) has den 1, so its floor shows t
-            t = 0
-            for m, b in x.terms:
-                y = b * b * m
-                r = isqrt(y)
-                t += r if b >= 0 else -r - (r * r != y)
-            for _ in range(len(x.terms) - 1):
-                if _sign(-t - 1, x.terms) < 0:
-                    break
-                t += 1
-            assert floor_root(x) == (x.num + t) // x.den == floor_root_general(x), x
+        assert _parts(-e) == (-n, neg), e
+        assert _parts(k - e) == (k - n, neg), (e, k)
+        t = 0
+        for m, b in terms:
+            y = b * b * m
+            r = isqrt(y)
+            t += r if b >= 0 else -r - (r * r != y)
+        for _ in range(len(terms) - 1):
+            if _sign(-t - 1, terms) < 0:
+                break
+            t += 1
+        assert floor_root(e) == n + t == floor_root_general(e), e
+
+
+def _square_factored(rng):
+    """A radicand that is not square-free: a core times the square of a
+    prime up to 97, of a prime above 97 or of both, or a perfect square."""
+    small, big = rng.choice((2, 3, 5, 7, 11, 97)), rng.choice((101, 103, 1009, 10007))
+    core = rng.randrange(1, 10 ** 4)
+    return rng.choice((core * small ** 2, core * big ** 2, core * (small * big) ** 2,
+                       rng.randrange(1, 10 ** 5) ** 2))
+
+
+def test_non_squarefree_radicands_against_reference():
+    """On radicands with square factors below and above 97 and on perfect
+    squares, kept by the kernel as given, ==, cmp_root, floor_root and
+    frac_root agree with RefRoot, which splits each radicand into its
+    square-free core.  Half the pairs are equal values with other parts:
+    c sqrt(s^2 m) against c s sqrt(m)."""
+    rng = random.Random(59)
+    for _ in range(300):
+        parts = {}
+        for _ in range(rng.randrange(1, 3)):
+            parts[_square_factored(rng)] = rng.randrange(-99, 99) or 1
+        const = rng.randrange(-10 ** 4, 10 ** 4)
+        e, ref = build_root(const, parts), RefRoot(const)
+        for m, c in parts.items():
+            ref = ref + RefRoot.sqrt(m, c)
+        (m, c), s = rng.choice(list(parts.items())), rng.randrange(2, 200)
+        other = e - RootExpr.sqrt(m * s * s, c) + RootExpr.sqrt(m, c * s)
+        if rng.randrange(2):
+            other = other + rng.choice((1, -1))
+        assert (e == other) == ref.matches(other), (e, other)
+        assert (e == other) == (other == e) == (not e != other)
+        n = floor_root_general(e) + rng.randrange(-1, 2)
+        assert cmp_root(e, n).value == (ref - RefRoot(n)).sign(), (e, n)
+        f, frac = frac_root(e)
+        assert floor_root(e) == f == ref.floor(), e
+        assert (ref - RefRoot(f)).matches(frac), e

@@ -24,8 +24,8 @@ from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floo
 from gapcheck.intervals import square_reports
 from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_in_brackets, mu_order,
                              mu_vs_rational, root_views, windows)
-from oracles import (RANDOM_RANGES, RefRoot, build_root, floor_root_general,
-                     longhand_sqrt_digits, mu_series_brackets_fraction, random_chain, root_sign)
+from oracles import (RANDOM_RANGES, RefRoot, floor_root_general, longhand_sqrt_digits,
+                     mu_series_brackets_fraction, random_chain, root_sign)
 
 
 def _sample_windows(store, count, seed):
@@ -296,7 +296,6 @@ def test_chain37_two_paths(mid_store, from_two):
     """Each link of chain-37, as the checker's integer sign (the test's copy)
     and as cmp_root of the same RootExprs; the checker holds exactly when
     every kernel link does."""
-    half = build_root(Fraction(1, 2), {})
     for w in list(windows(mid_store, 1, 1)) + from_two:
         v = root_views(w)
         pq = w.p * w.q
@@ -305,12 +304,13 @@ def test_chain37_two_paths(mid_store, from_two):
                 _sign_1rad(4 * w.q - 2 * w.d - 1, -4, pq) < 0,
                 _sign_1rad(-4 * w.p - 2 * w.d + 1, 4, pq) > 0,
                 _sign_2rad(-2 * w.p, 2, pq, -1, 2 * w.p) < 0]
-        # against d/2 and d/2 + 1/4 = (2d + 1)/4
+        # against d/2 and d/2 + 1/4 = (2d + 1)/4; a side with a half is
+        # taken times 2
         kernel = [_kernel_sign(v.sqrtp_delta, w.d, 2) < 0,
                   _kernel_sign(v.sqrtq_delta, w.d, 2) > 0,
                   _kernel_sign(v.sqrtq_delta, 2 * w.d + 1, 4) < 0,
-                  _kernel_sign(v.sqrtp_delta + half, 2 * w.d + 1, 4) > 0,
-                  _kernel_sign(v.sqrtp_delta + half - RootExpr.sqrt(2 * w.p) / 2, 1, 2) < 0]
+                  _kernel_sign(v.two_sqrtp_delta + 1, 2 * w.d + 1, 2) > 0,
+                  _kernel_sign(v.two_sqrtp_delta + 1 - RootExpr.sqrt(2 * w.p), 1) < 0]
         assert ints == kernel, w
         assert _holds("chain-37", w) == all(kernel), w
 
@@ -398,7 +398,6 @@ def test_root_views_against_oracles(sample):
             "two_sqrtp_delta": sqrtp_delta.scale(2),
             "frac_sqrtq_delta": sqrtq_delta.frac()[1],
             "frac_sqrtp_delta": sqrtp_delta.frac()[1],
-            "sqrtp_delta_half": half_shift,
         }
         for name, ref in roots.items():
             assert getattr(v, name) == ref.to_root(), (name, w)
@@ -410,6 +409,7 @@ def test_root_views_against_oracles(sample):
         }
         for name, ref in ints.items():
             assert getattr(v, name) == ref, (name, w)
-        for name, e in (("floor_sqrtp_delta_half", v.sqrtp_delta_half),
-                        ("floor_D", _sqrt_p(w) + _sqrt_q(w)), ("tNq", v.Nq_sqrtq)):
-            assert floor_root_general(e) == ints[name], (name, w)
+        # floor(sqrt(p) Delta - 1/2) is floor(2 sqrt(p) Delta - 1) // 2
+        for name, e, den in (("floor_sqrtp_delta_half", v.two_sqrtp_delta - 1, 2),
+                             ("floor_D", _sqrt_p(w) + _sqrt_q(w), 1), ("tNq", v.Nq_sqrtq, 1)):
+            assert floor_root_general(e) // den == ints[name], (name, w)
