@@ -17,8 +17,8 @@ from __future__ import annotations
 from math import comb, isqrt
 
 from ..exact import Cmp, cmp_root, frac_root, _sign_1rad, _sign_2rad
-from ..window import delta_order, mu_in_brackets, mu_order, mu_vs_rational, root_views
-from .predicates import sqrtq_delta_frac_cmp
+from ..window import (delta_order, mu_in_brackets, mu_order, mu_vs_rational,
+                      sqrtq_delta_frac_cmp)
 from .types import HOLD, MISS, Kind, checker, violate
 
 
@@ -40,7 +40,7 @@ def _floor_31(ctx, tri, st):
          source="proposition 3.2", n_min=2)
 def _floor_32(ctx, tri, st):
     w = tri.w
-    f = root_views(w).floor_sqrtp_delta_half
+    f = w.floor_sqrtp_delta_half
     return HOLD if f == w.d // 2 - 1 else violate(f"floor {f}")
 
 
@@ -48,10 +48,10 @@ def _floor_32(ctx, tri, st):
          title="{sqrt(p) Delta - 1/2} < 1/2",
          source="corollary 3.3", n_min=2)
 def _frac_33(ctx, tri, st):
-    v = root_views(tri.w)
+    w = tri.w
     # the fractional part against 1/2, times 2:
     # 2 sqrt(p) Delta - 1 - 2 floor(sqrt(p) Delta - 1/2) against 1
-    c = cmp_root(v.two_sqrtp_delta - (2 * v.floor_sqrtp_delta_half + 1), 1)
+    c = cmp_root(w.two_sqrtp_delta - (2 * w.floor_sqrtp_delta_half + 1), 1)
     return HOLD if c is Cmp.LESS else violate("frac >= 1/2")
 
 
@@ -82,11 +82,11 @@ def _thm_34(ctx, tri, st):
                "the printed n >= 1 on the quarter bound fails at n = 1)",
          source="statement 3.5", n_min=2)
 def _thm_35(ctx, tri, st):
-    v = root_views(tri.w)
-    frac_q, frac_p = v.frac_sqrtq_delta, v.frac_sqrtp_delta
-    if v.delta_sq != frac_q.scale(2):
+    w = tri.w
+    frac_q, frac_p = w.frac_sqrtq_delta, w.frac_sqrtp_delta
+    if w.delta_sq != frac_q.scale(2):
         return violate("Delta^2 != 2 {sqrt(q) Delta}")
-    ident = v.delta_sq + frac_p.scale(2)
+    ident = w.delta_sq + frac_p.scale(2)
     if ident != 2:
         return violate("Delta^2 + 2 {sqrt(p) Delta} != 2")
     # against 1/4 and 3/4, times 4
@@ -103,10 +103,10 @@ def _thm_35(ctx, tri, st):
          title="{1 + 2 sqrt(p) Delta} = 2 {sqrt(p) Delta} - 1 = 1 - {2 sqrt(q) Delta}",
          source="corollary 3.6", n_min=2)
 def _cor_36(ctx, tri, st):
-    v = root_views(tri.w)
-    lhs = frac_root(v.two_sqrtp_delta + 1)[1]
-    mid = v.frac_sqrtp_delta.scale(2) - 1
-    rhs = 1 - frac_root(v.sqrtq_delta.scale(2))[1]
+    w = tri.w
+    lhs = frac_root(w.two_sqrtp_delta + 1)[1]
+    mid = w.frac_sqrtp_delta.scale(2) - 1
+    rhs = 1 - frac_root(w.sqrtq_delta.scale(2))[1]
     if lhs == mid == rhs:
         return HOLD
     return violate("three-way fractional identity failed")
@@ -140,7 +140,7 @@ def _chain_37(ctx, tri, st):
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
 def _survey_quarter(ctx, tri, st):
     # Delta^2 >= 1/4 iff Delta >= 1/2
-    return HOLD if root_views(tri.w).delta_vs_half >= 0 else MISS
+    return HOLD if tri.w.delta_vs_half >= 0 else MISS
 
 
 @checker("survey-prod", Kind.SURVEY,

@@ -10,7 +10,6 @@ from math import isqrt
 
 from ..exact import _sign_1rad
 from ..window import delta_order
-from .predicates import is_square, twin
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 
@@ -393,6 +392,19 @@ def _ishikawa_emp(ctx, tri, st):
     w, nxt = tri.w, tri.nxt
     g = nxt.q - w.p
     return HOLD if g * g >= 8 * w.p else MISS
+
+
+def is_square(x: int) -> bool:
+    if x < 0:
+        return False
+    r = isqrt(x)
+    return r * r == x
+
+
+def twin(ctx, tri) -> bool:
+    """The domain d = 2 of every checker that fires on twin windows only:
+    one function, so the engine asks it once per window for all of them."""
+    return tri.w.d == 2
 
 
 @checker("twin-sq", Kind.EXCEPTION_SET,

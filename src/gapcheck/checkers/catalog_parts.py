@@ -16,8 +16,7 @@ from math import isqrt
 
 from ..exact import floor_root, frac_root, _sign_1rad, _sign_2rad
 from ..primes import is_prime_u64
-from ..window import mu_vs_rational, root_views
-from .predicates import mu_sqrtp_frac_cmp
+from ..window import mu_sqrtp_frac_cmp, mu_vs_rational
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
 
 
@@ -120,7 +119,7 @@ def _mono_55_domain(ctx, tri) -> bool:
 def _mono_55(ctx, tri, st):
     w = tri.w
     # frac(mu' sqrt(q)) - frac(mu sqrt(p)) = (tNq - tN) + N sqrt(p) - Nq sqrt(q)
-    s = _sign_2rad(root_views(w).tNq - w.tN, w.N, w.p, -w.Nq, w.q)
+    s = _sign_2rad(w.tNq - w.tN, w.N, w.p, -w.Nq, w.q)
     return HOLD if s > 0 else violate("{mu sqrt(p)} not increasing")
 
 
@@ -131,14 +130,13 @@ def _mono_55(ctx, tri, st):
          source="corollary 5.6", n_min=2, domain=_same)
 def _cor_56(ctx, tri, st):
     w = tri.w
-    v = root_views(w)
     # times 2 to clear the half
-    s = _sign_2rad(2 * (v.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
+    s = _sign_2rad(2 * (w.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
     if s >= 0:
         return violate("fractional difference >= 1/2")
     # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1})), where
     # mu_n sqrt(p_{n+1}) = sqrt(pq) - N sqrt(q) and N = Nq on shared windows
-    if floor_root(v.sqrt_pq - v.Nq_sqrtq) != w.p - w.tN - 1:
+    if floor_root(w.sqrt_pq - w.Nq_sqrtq) != w.p - w.tN - 1:
         return Outcome("hold", "printed-form condition differs from the "
                                "shared-window reading")
     return HOLD
@@ -175,7 +173,7 @@ def _dpar_59(ctx, tri, st):
     and mu < mu' there, so mu' + mu < 1 forces mu < 1/2."""
     w = tri.w
     # mu' + mu < 1 iff floor(D) < 2N + 1
-    if root_views(w).floor_D < 2 * w.N + 1 and not mu_vs_rational(w.p, w.N, 1, 2) < 0:
+    if w.floor_D < 2 * w.N + 1 and not mu_vs_rational(w.p, w.N, 1, 2) < 0:
         return violate("mu >= 1/2 in the even case")
     return HOLD
 
@@ -205,10 +203,9 @@ def _ids_511(ctx, tri, st):
     {X} = X - floor(X), so the floor difference is the fractional split
     restated.  The split and the floor stay per window."""
     w = tri.w
-    v = root_views(w)
-    radicals = v.N_sqrtp - v.Nq_sqrtq
+    radicals = w.N_sqrtp - w.Nq_sqrtq
     fX, fracX = frac_root(radicals + (w.q - w.p))
-    if fracX != radicals + (v.tNq - w.tN):
+    if fracX != radicals + (w.tNq - w.tN):
         return violate("fractional split fails on a shared window")
     if fX != w.d // 2:
         return violate("floor != d/2")
@@ -236,12 +233,10 @@ def _ids_512(ctx, tri, st):
          source="corollary 5.13", n_min=2, domain=_straddle)
 def _ids_513(ctx, tri, st):
     w = tri.w
-    v = root_views(w)
-    tNq = v.tNq
-    fX, fracX = frac_root(v.Nq_sqrtq - v.N_sqrtp + (w.p - w.q))
-    fr_p = (w.tN + 1) - v.N_sqrtp     # {mu sqrt(p)}
-    fr_q = (tNq + 1) - v.Nq_sqrtq     # {mu' sqrt(q)}
-    fl_p, fl_q = w.p - w.tN - 1, w.q - tNq - 1
+    fX, fracX = frac_root(w.Nq_sqrtq - w.N_sqrtp + (w.p - w.q))
+    fr_p = (w.tN + 1) - w.N_sqrtp     # {mu sqrt(p)}
+    fr_q = (w.tNq + 1) - w.Nq_sqrtq   # {mu' sqrt(q)}
+    fl_p, fl_q = w.p - w.tN - 1, w.q - w.tNq - 1
     if w.h % 2 == 0:
         if fracX != fr_p - fr_q + 1:
             return violate("even-h fractional split")
@@ -282,12 +277,11 @@ def _ids_515(ctx, tri, st):
          source="corollary 5.16", n_min=2, domain=_straddle)
 def _ids_516(ctx, tri, st):
     w = tri.w
-    v = root_views(w)
     # Delta = 1 + mu' - mu here, so 2mu' > Delta iff mu' + mu > 1 iff
     # floor(D) > 2N + 1, even (the parity is ids-515's identity).  With
     # Delta_4 = sqrt(11) - sqrt(7), each bound orders two positive sides,
     # squared into one sign over two radicands
-    if v.floor_D > 2 * w.N + 1:
+    if w.floor_D > 2 * w.N + 1:
         # mu - 1 + Delta_4/2 > 0  <=>  2 sqrt(p) + sqrt(11) > 2(N + 1) + sqrt(7)
         M = w.N + 1
         if not _sign_2rad(4 * w.p + 4 - 4 * M * M, 4, 11 * w.p, -4 * M, 7) > 0:
@@ -444,7 +438,7 @@ def _survey_dsq_p(ctx, tri, st):
     w = tri.w
     if w.d * w.d > w.p and len(st["d_gt_sqrt_p"]) < 1000:
         st["d_gt_sqrt_p"].append(w.n)
-    if root_views(w).delta_vs_half > 0 and len(st["delta_gt_half"]) < 1000:
+    if w.delta_vs_half > 0 and len(st["delta_gt_half"]) < 1000:
         st["delta_gt_half"].append(w.n)
     return HOLD if w.d * w.d > w.q else MISS
 
@@ -455,7 +449,7 @@ def _survey_dsq_p(ctx, tri, st):
          source="closing survey of section 6",
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
 def _delta_gt_half(ctx, tri, st):
-    return HOLD if root_views(tri.w).delta_vs_half > 0 else MISS
+    return HOLD if tri.w.delta_vs_half > 0 else MISS
 
 
 # -- statement 7.x ---------------------------------------------------------------
@@ -475,7 +469,7 @@ def _same_odd(ctx, tri) -> bool:
 def _same_71(ctx, tri, st):
     w = tri.w
     lhs = w.d <= w.N
-    rhs = root_views(w).delta_vs_half < 0
+    rhs = w.delta_vs_half < 0
     if lhs != rhs:
         return violate(f"d <= N is {lhs} but Delta < 1/2 is {rhs}")
     if not w.d * w.d < w.p:
@@ -660,7 +654,7 @@ def _odd_713(ctx, tri, st):
          domain=lambda ctx, tri: tri.w.N >= 2 and tri.prev.N < tri.w.N)
 def _first_after_square(ctx, tri, st):
     w = tri.w
-    fd = root_views(w).floor_D
+    fd = w.floor_D
     return HOLD if fd % 2 == 0 else violate(f"floor(D) = {fd} odd")
 
 
@@ -672,7 +666,7 @@ def _first_after_square(ctx, tri, st):
          finalize=lambda ctx, st, extra: extra.update(st))
 def _survey_last_before_square(ctx, tri, st):
     w = tri.w
-    if root_views(w).floor_D % 2 == 0:
+    if w.floor_D % 2 == 0:
         if len(st["N_values"]) < 1000:
             st["N_values"].append(w.N)
         return HOLD

@@ -13,8 +13,8 @@ deterministic geometric sample of earlier twins.
 from __future__ import annotations
 
 from ..exact import _sign_1rad, _sign_2rad
-from ..window import delta_order, root_views
-from .predicates import twin
+from ..window import delta_order
+from .catalog_gaps import twin
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 
@@ -27,8 +27,7 @@ def _twin_91(ctx, tri, st):
     base = w.d == 2
     item2 = w.s - w.p == 0              # floor(sqrt(p)Delta) = 0
     item3 = w.q - w.s - 1 == 1          # floor(sqrt(q)Delta) = 1
-    v = root_views(w)
-    item4 = v.delta_sq + v.two_sqrtp_delta == 2
+    item4 = w.delta_sq + w.two_sqrtp_delta == 2
     if item2 != base or item3 != base or item4 != base:
         return violate(f"items ({item2},{item3},{item4}) vs twin {base}")
     return HOLD

@@ -57,8 +57,8 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
     pi((N+1)^2) = pi(N^2) + count, as (N+1)^2 is not prime; and the next
     window's pi((N+1)^2 - (N+1)) is this window's pi(N^2 + N).
     """
-    if n_lo < 1:
-        raise ValueError("N must be >= 1")
+    if n_lo < 1 or n_hi < n_lo:
+        raise ValueError("need 1 <= n_lo <= n_hi")
     if (n_hi + 1) ** 2 > store.limit:
         raise CoverageError(f"(N+1)^2 beyond store limit {store.limit}")
     pi_hi, pi_next = store.pi(n_lo * n_lo - n_lo), store.pi(n_lo * n_lo)
@@ -192,6 +192,8 @@ def _subinterval_breaks(k: int, x: int, pi2k: int) -> list[int]:
 def power_reports(store: PrimeStore, k: int, n_lo: int, n_hi: int,
                   budget: int = 10 ** 8):
     """Yield a PowerGapReport per n with (n+1)^k within budget and coverage."""
+    if n_lo < 1 or n_hi < n_lo:
+        raise ValueError("need 1 <= n_lo <= n_hi")
     if k < 2:
         raise ValueError("k >= 2 required")
     pi2k = store.pi(2 ** k) if 2 ** k <= store.limit else None

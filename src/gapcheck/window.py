@@ -1,25 +1,20 @@
 """Per-index derived records for consecutive prime pairs.
 
-A GapWindow packages every integer a checker needs for one index n:
-p = p_n, q = p_{n+1}, the gap d, the integral parts N = floor(sqrt(p)) and
-Nq = floor(sqrt(q)), the square offsets h = p - N^2 and hq = q - Nq^2, the
-single integer s = floor(sqrt(p*q)) that decides all the floor identities of
-the sqrt(p)*Delta family, and the helper tN = floor(N*sqrt(p)).
+A GapWindow holds the integers of one index n: p = p_n, q = p_{n+1}, the
+gap d, N = floor(sqrt(p)), Nq = floor(sqrt(q)), h = p - N^2 and hq = q - Nq^2.
+Every other value of the window is a view, built on its first read and then
+shared by every checker of the window; the list is in the GapWindow docstring.
 
-Its RootViews (`root_views`) hold the window's RootExprs and the integers
-derived from them.  Each is built once, on first use, and shared by every
-checker that reads the window; whatever two checkers read lives there, so
-no checker rebuilds it.  The list is in the RootViews docstring.  Only
-checkers build views: a stream that never asks for them (the ledger, the
-CSV dump) pays nothing for them.
-
-Four window comparisons recur through the catalog, the square tables and
+Six window comparisons recur through the catalog, the square tables and
 the accumulation scans, and each is decided here, in one function:
 floor(sqrt(p) + sqrt(q)) (`floor_sqrt_sum`), the order of two gaps
 c1 Delta_1 against c2 Delta_2 (`delta_order`), the order of two
-fractional parts mu = {sqrt(p)} (`mu_order`) and mu against a rational
-(`mu_vs_rational`).  Each takes one exact integer sign.  Many brackets of mu
-over one denominator (`mu_in_brackets`) take one isqrt between them.
+fractional parts mu = {sqrt(p)} (`mu_order`), mu against a rational
+(`mu_vs_rational`), and {sqrt(q) Delta} and {mu sqrt(p)} against a rational
+(`sqrtq_delta_frac_cmp`, `mu_sqrtp_frac_cmp`).  Each takes one exact integer
+sign; a rational threshold is passed as two ints num and den with den > 0.
+Many brackets of mu over one denominator (`mu_in_brackets`) take one isqrt
+between them.
 """
 
 from __future__ import annotations
@@ -61,6 +56,16 @@ def mu_vs_rational(p: int, N: int, num: int, den: int) -> int:
     return _sign_1rad(-(den * N + num), den, p)
 
 
+def sqrtq_delta_frac_cmp(w: GapWindow, num: int, den: int) -> int:
+    """Exact sign of {sqrt(q)*Delta} - num/den using {sqrt(q)Delta} = s+1-sqrt(pq)."""
+    return _sign_1rad(den * (w.s + 1) - num, -den, w.p * w.q)
+
+
+def mu_sqrtp_frac_cmp(w: GapWindow, num: int, den: int) -> int:
+    """Exact sign of {mu_n sqrt(p_n)} - num/den; the frac equals tN + 1 - N*sqrt(p)."""
+    return _sign_1rad(den * (w.tN + 1) - num, -den * w.N, w.p)
+
+
 def mu_in_brackets(p: int, N: int, den: int, brackets) -> list[bool]:
     """For each (lo, hi) of brackets, whether lo/den < mu(p) < hi/den, for
     non-square p, N = isqrt(p) and den > 0.  den mu is irrational, so it
@@ -78,8 +83,54 @@ class SquareLawViolation(AssertionError):
     """
 
 
+class _view:
+    """A GapWindow attribute computed on its first read and stored in the
+    window's __dict__, so later reads are plain attribute lookups.  Python
+    3.11's functools.cached_property does the same under a lock taken on
+    every first read, which measurably slowed whole-catalog runs."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._name = fn.__name__
+
+    def __get__(self, w, owner=None):
+        if w is None:
+            return self
+        value = w.__dict__[self._name] = self._fn(w)
+        return value
+
+
 class GapWindow:
-    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "s", "tN", "views")
+    """One window (p, q) = (p_n, p_{n+1}) and every value derived from it.
+
+    The stream fills only the slots.  Every other value is a view: computed
+    on its first read, at most once, and kept on the window, so every checker
+    of the window shares it and a stream that reads none (the ledger) pays
+    nothing.  Whatever two readers need is a view.  The RootExprs are
+    immutable and the integers exact; each RootExpr is built from sqrt(pq),
+    sqrt(p) or sqrt(q) and ints, so it has one radicand.  The views are:
+      s, tN                floor(sqrt(pq)), floor(N sqrt(p))  (the floor
+                             identities of sqrt(p) Delta and mu sqrt(p))
+      sqrt_pq, sqrtq_delta, sqrtp_delta
+                           sqrt(pq), sqrt(q) Delta, sqrt(p) Delta
+      delta_sq             Delta^2 = p + q - 2 sqrt(pq)  (thm-35, twin-91)
+      two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
+      frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
+      frac_sqrtp_delta                                   (thm-35, cor-36)
+      floor_sqrtp_delta_half
+                           floor(sqrt(p) Delta - 1/2)    (floor-32, frac-33)
+      N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
+      tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
+                                                          ids-511, ids-513)
+      floor_D              floor(sqrt(p) + sqrt(q))      (dpar-59, ids-516,
+                             first-after-square, survey-last-before-square)
+      delta_vs_half        sign of Delta - 1/2           (same-71, delta-gt-half,
+                             survey-quarter, survey-dsq-p)
+    floor_D is one exact integer sign (`floor_sqrt_sum`, which the square
+    tables share), delta_vs_half another and s, tN and tNq one isqrt each.
+    """
+
+    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "__dict__")
 
     def __init__(self, n, p, q, N=None):
         self.n = n
@@ -92,9 +143,6 @@ class GapWindow:
             raise SquareLawViolation(f"n={n}: floor sqrt jumped {self.N} -> {self.Nq}")
         self.h = p - self.N * self.N
         self.hq = q - self.Nq * self.Nq
-        self.s = isqrt(p * q)
-        self.tN = isqrt(self.N * self.N * p)
-        self.views = None   # RootViews, filled by root_views
 
     @property
     def straddle(self) -> bool:
@@ -112,84 +160,40 @@ class GapWindow:
         return (f"GapWindow(n={self.n}, p={self.p}, q={self.q}, d={self.d}, "
                 f"N={self.N}, h={self.h}, hq={self.hq}, s={self.s})")
 
+    @_view
+    def s(self) -> int:
+        return isqrt(self.p * self.q)
 
-class _view:
-    """A RootViews attribute computed on its first read and stored on the
-    instance, so later reads are plain attribute lookups.  Python 3.11's
-    functools.cached_property does the same under a lock taken on every
-    first read, which measurably slowed whole-catalog runs."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._name = fn.__name__
-
-    def __get__(self, views, owner=None):
-        if views is None:
-            return self
-        value = views.__dict__[self._name] = self._fn(views)
-        return value
-
-
-class RootViews:
-    """Named views over one window, each built on first use and then shared
-    by every checker of the window.
-
-    The rule: a quantity that two or more checkers read lives here, so it is
-    computed once per window.  The RootExprs are immutable and the integers
-    exact.  Every RootExpr is built from sqrt(pq), sqrt(p) or sqrt(q) and
-    ints, so it has one radicand, and no view multiplies two RootExprs.
-    Besides sqrt_pq they are:
-      delta_sq             Delta^2 = p + q - 2 sqrt(pq)  (thm-35, twin-91)
-      two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
-      frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
-      frac_sqrtp_delta                                   (thm-35, cor-36)
-      floor_sqrtp_delta_half
-                           floor(sqrt(p) Delta - 1/2)    (floor-32, frac-33)
-      N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
-      tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
-                                                          ids-511, ids-513)
-      floor_D              floor(sqrt(p) + sqrt(q))      (dpar-59, ids-516,
-                             first-after-square, survey-last-before-square)
-      delta_vs_half        sign of Delta - 1/2           (same-71, delta-gt-half,
-                             survey-quarter, survey-dsq-p)
-    floor_D is one exact integer sign (`floor_sqrt_sum`, which the square
-    tables share), delta_vs_half another and tNq one isqrt; the checkers
-    that read floor_D take their sqrt(p) + sqrt(q) against 2N + 1 or 2N + 2
-    from it.
-
-    It keeps the window's integers rather than the window, so the window's
-    `views` slot makes no reference cycle.
-    """
-
-    def __init__(self, w: GapWindow):
-        self._p, self._q, self._N, self._Nq = w.p, w.q, w.N, w.Nq
+    @_view
+    def tN(self) -> int:
+        return isqrt(self.N * self.N * self.p)
 
     @_view
     def sqrt_pq(self) -> RootExpr:
-        return RootExpr.sqrt(self._p * self._q)
+        return RootExpr.sqrt(self.p * self.q)
 
     @_view
     def N_sqrtp(self) -> RootExpr:
-        return RootExpr.sqrt(self._p, self._N)
+        return RootExpr.sqrt(self.p, self.N)
 
     @_view
     def Nq_sqrtq(self) -> RootExpr:
-        return RootExpr.sqrt(self._q, self._Nq)
+        return RootExpr.sqrt(self.q, self.Nq)
 
     @_view
     def delta_sq(self) -> RootExpr:
         # Delta^2 = p + q - 2 sqrt(pq)
-        return (self._p + self._q) - self.sqrt_pq.scale(2)
+        return (self.p + self.q) - self.sqrt_pq.scale(2)
 
     @_view
     def sqrtq_delta(self) -> RootExpr:
         # sqrt(q)*Delta = q - sqrt(pq)
-        return self._q - self.sqrt_pq
+        return self.q - self.sqrt_pq
 
     @_view
     def sqrtp_delta(self) -> RootExpr:
         # sqrt(p)*Delta = sqrt(pq) - p
-        return self.sqrt_pq - self._p
+        return self.sqrt_pq - self.p
 
     @_view
     def two_sqrtp_delta(self) -> RootExpr:
@@ -211,26 +215,17 @@ class RootViews:
 
     @_view
     def tNq(self) -> int:
-        return isqrt(self._Nq * self._Nq * self._q)
+        return isqrt(self.Nq * self.Nq * self.q)
 
     @_view
     def floor_D(self) -> int:
-        return floor_sqrt_sum(self._p, self._q, self._N, self._Nq)
+        return floor_sqrt_sum(self.p, self.q, self.N, self.Nq)
 
     @_view
     def delta_vs_half(self) -> int:
         # Delta > 0, so Delta - 1/2 has the sign of 4 Delta^2 - 1
         # = 4(p + q) - 1 - 8 sqrt(pq)
-        return _sign_1rad(4 * (self._p + self._q) - 1, -8, self._p * self._q)
-
-
-def root_views(w: GapWindow) -> RootViews:
-    """The window's RootViews, built on first use; RootExprs are immutable,
-    so every checker of the window shares them."""
-    v = w.views
-    if v is None:
-        v = w.views = RootViews(w)
-    return v
+        return _sign_1rad(4 * (self.p + self.q) - 1, -8, self.p * self.q)
 
 
 def windows(store: PrimeStore, n_lo: int, n_hi: int):

@@ -351,7 +351,7 @@ def test_out_of_domain_counts_match_specs(small_store):
 
 # sha256 of the JSON reports of all 109 checkers over 1..3000, one line each
 # in id order (the stdout of `verify --checker all --n-hi 3000 --format json`),
-# recorded before the per-window quantities moved onto RootViews
+# recorded before the per-window quantities became shared window views
 CATALOG_3000_SHA256 = "23fde644ad951f0b8c68b4b74bc0f4da73a7d8f02e7c8f9def4cffce963b1751"
 
 

@@ -180,6 +180,18 @@ def test_powers_store_too_small_for_ladder_prints_nothing():
     assert "2^20 beyond store limit" in r.stderr
 
 
+def test_squares_and_powers_bad_range_print_nothing():
+    """An empty or inverted range exits 3 with the range message before any
+    row is printed, as `windows` and `verify` do."""
+    for args in (("squares", "--n-lo", "10", "--n-hi", "5"),
+                 ("squares", "--n-hi", "1"),
+                 ("squares", "--n-lo", "0", "--n-hi", "5"),
+                 ("powers", "--k", "3", "--n-hi", "0", "--limit", "2000000")):
+        r = run(*args)
+        assert r.returncode == 3 and r.stdout == "", args
+        assert "need 1 <= n_lo <= n_hi" in r.stderr, args
+
+
 def test_manifest_resume_identical(tmp_path):
     m = tmp_path / "m.json"
     r1 = run("verify", "--checker", "conj-gap-sq,twin-95", "--n-hi", "400",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign, _sign_1rad, _sign_2rad,
                             cmp_root, floor_root, frac_root)
-from gapcheck.window import GapWindow, root_views, windows
+from gapcheck.window import GapWindow, windows
 from oracles import (RANDOM_RANGES, RefRoot, build_root, cleared_root, eval_fixed,
                      exact_sign, floor_root_general, longhand_sqrt_digits, radical_sign,
                      random_chain, root_sign, sqrt_fixed)
@@ -176,7 +176,6 @@ def test_generic_identities_through_the_kernel(mid_store):
 
     counts = {"shared": 0, "straddle": 0, "h = 1": 0}
     for w in randoms + h_one + list(windows(mid_store, 1, 20000)):
-        v = root_views(w)
         N, d, h, hq = w.N, w.d, w.h, w.hq
         sqrt_p, sqrt_q = RootExpr.sqrt(w.p), RootExpr.sqrt(w.q)
         mu, mu_q, delta, D = sqrt_p - N, sqrt_q - w.Nq, sqrt_q - sqrt_p, sqrt_q + sqrt_p
@@ -186,7 +185,7 @@ def test_generic_identities_through_the_kernel(mid_store):
         r_mu, r_mu_q = sp - N, sq - w.Nq
         r_mu_sq, r_mu_q_sq, r_delta = r_mu * r_mu, r_mu_q * r_mu_q, sq - sp
         inv_mu = r_mu.inverse()
-        check("eq-61", v.two_sqrtp_delta, d - v.delta_sq, d + v.delta_sq)
+        check("eq-61", w.two_sqrtp_delta, d - w.delta_sq, d + w.delta_sq)
         # thm-43 and ids-510: h/mu = 2N + mu, h'/mu' = 2Nq + mu'
         assert w.p - h == N * N, w
         check("thm-43", (inv_mu * h).frac(), (2 * N, mu), (2 * N, mu_q))
@@ -201,7 +200,7 @@ def test_generic_identities_through_the_kernel(mid_store):
                   (1 - r_mu_sq) * inv_mu / 2 - r_mu)
         # ratio-frac: sqrt(pq)/p - 1 and Delta/sqrt(p) are (sqrt(pq) - p)/p,
         # both sides times p
-        check("ratio-frac", v.sqrt_pq - w.p, (r_delta / sp).scale(w.p),
+        check("ratio-frac", w.sqrt_pq - w.p, (r_delta / sp).scale(w.p),
               (r_delta / sq).scale(w.p))
         # dpar-58 and ids-515: D = N + Nq + mu' + mu, and mu' + mu is never 1
         above = cmp_root(mu_sum, 1) is Cmp.GREATER
@@ -224,7 +223,7 @@ def test_generic_identities_through_the_kernel(mid_store):
             assert even == (lt is Cmp.LESS) != (lt is Cmp.GREATER), w
             check("ids-510, lemma-42", mu_q - mu, delta, mu - mu_q)
             # ids-511: X = mu' sqrt(q) - mu sqrt(p) = N sqrt(p) - N sqrt(q) + d
-            radicals = v.N_sqrtp - v.Nq_sqrtq
+            radicals = w.N_sqrtp - w.Nq_sqrtq
             X = radicals + d
             check("ids-511 X", cross, X, X - 1)
             check("ids-511 (mu'^2 - mu^2)/2", r_mu_q_sq - r_mu_sq, X.scale(2) - d, X.scale(2) + d)

@@ -1,15 +1,15 @@
-"""Two paths for every helper in checkers/predicates.py, for the window
-comparisons of window.py (floor_sqrt_sum, delta_order, mu_order,
-mu_vs_rational, mu_in_brackets) and for the delta_vs_half view: the
-helper's own integer reduction against cmp_root / floor_root of the same
-quantity built from RootExpr.sqrt and root_views(w), or, where that
-quantity has three or more radicands or a product of two values, against
-the oracles' root_sign and RefRoot.  mu-series' integer partial sums are
-checked the same way, against the Fraction partial sums of `oracles`, and so
-are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and eq-15-4
-write inline and the comparisons dpar-59 and ids-516 read from floor_D.  The
-shared RootViews quantities are checked against the oracles' Fraction model
-of RootExpr."""
+"""Two paths for every window comparison of window.py (floor_sqrt_sum,
+delta_order, mu_order, mu_vs_rational, mu_in_brackets, sqrtq_delta_frac_cmp,
+mu_sqrtp_frac_cmp), for catalog_gaps.is_square and for the delta_vs_half
+view: the helper's own integer reduction against cmp_root / floor_root of
+the same quantity built from RootExpr.sqrt and the window's views, or, where
+that quantity has three or more radicands or a product of two values,
+against the oracles' root_sign and RefRoot.  mu-series' integer partial sums
+are checked the same way, against the Fraction partial sums of `oracles`,
+and so are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and
+eq-15-4 write inline and the comparisons dpar-59 and ids-516 read from
+floor_D.  Every GapWindow view is checked against the oracles' Fraction
+model of RootExpr."""
 
 import random
 from fractions import Fraction
@@ -19,11 +19,11 @@ import pytest
 
 from gapcheck.checkers import Triple, registry
 from gapcheck.checkers.catalog_floor import _mu_series_brackets
-from gapcheck.checkers.predicates import is_square, mu_sqrtp_frac_cmp, sqrtq_delta_frac_cmp
+from gapcheck.checkers.catalog_gaps import is_square
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
 from gapcheck.intervals import square_reports
 from gapcheck.window import (GapWindow, delta_order, floor_sqrt_sum, mu_in_brackets, mu_order,
-                             mu_vs_rational, root_views, windows)
+                             mu_sqrtp_frac_cmp, mu_vs_rational, sqrtq_delta_frac_cmp, windows)
 from oracles import (RANDOM_RANGES, RefRoot, floor_root_general, longhand_sqrt_digits,
                      mu_series_brackets_fraction, random_chain, root_sign)
 
@@ -77,13 +77,12 @@ def sample(mid_store):
 def test_rational_threshold_helpers_two_paths(sample):
     rng = random.Random(5)
     for w in sample:
-        v = root_views(w)
-        frac_q = frac_root(v.sqrtq_delta)[1]
-        frac_mu_p = frac_root(w.p - v.N_sqrtp)[1]   # mu sqrt(p) = p - N sqrt(p)
+        frac_q = frac_root(w.sqrtq_delta)[1]
+        frac_mu_p = frac_root(w.p - w.N_sqrtp)[1]   # mu sqrt(p) = p - N sqrt(p)
         mu = _mu(w)
         for num, den in _thresholds(rng, mu):
             assert mu_vs_rational(w.p, w.N, num, den) == _kernel_sign(mu, num, den), w
-        assert v.delta_vs_half == _kernel_sign(_delta(w), 1, 2), w
+        assert w.delta_vs_half == _kernel_sign(_delta(w), 1, 2), w
         for num, den in _thresholds(rng, frac_q):
             assert sqrtq_delta_frac_cmp(w, num, den) == _kernel_sign(frac_q, num, den), w
         for num, den in _thresholds(rng, frac_mu_p):
@@ -93,11 +92,10 @@ def test_rational_threshold_helpers_two_paths(sample):
 def test_window_helpers_two_paths(sample):
     delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
     for w in sample:
-        v = root_views(w)
         # Delta_n - Delta_4 has four radicands: the oracle's sign
         assert delta_order(w.p, w.q, 7, 11) == root_sign(_delta(w) - delta4), w
         assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(_mu(w) - _sqrt_q(w) + w.Nq), w
-        assert v.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == \
+        assert w.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == \
             floor_root(_sqrt_p(w) + _sqrt_q(w)), w
     assert delta_order(sample[3].p, sample[3].q, 7, 11) == 0   # n = 4 attains Delta_4
 
@@ -255,7 +253,7 @@ def test_thm34_half_bound_two_paths(from_two):
     the checker holds exactly when the kernel bound does."""
     evaluate = registry()["thm-34"].evaluate
     for w in from_two:
-        below = _kernel_sign(frac_root(root_views(w).sqrtq_delta)[1], 1, 2) < 0
+        below = _kernel_sign(frac_root(w.sqrtq_delta)[1], 1, 2) < 0
         assert (4 * w.p * w.q > (2 * w.s + 1) ** 2) == below, w
         assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == below, w
 
@@ -268,10 +266,9 @@ def test_dpar_parity_two_paths(from_two):
     shared = [w for w in from_two if w.same_part]
     assert len(shared) > 1000
     for w in shared:
-        v = root_views(w)
         even = floor_root(_sqrt_p(w) + _sqrt_q(w)) % 2 == 0
         mu_sum = _sqrt_q(w) - w.Nq + _mu(w)
-        assert (v.floor_D < 2 * w.N + 1) == even == (_kernel_sign(mu_sum, 1) < 0), w
+        assert (w.floor_D < 2 * w.N + 1) == even == (_kernel_sign(mu_sum, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
             assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
 
@@ -285,9 +282,8 @@ def test_floor31_two_paths(mid_store, from_two):
     2 sqrt(q) Delta and 2 sqrt(p) Delta; the checker holds exactly when the
     kernel floors are d and d - 1."""
     for w in list(windows(mid_store, 1, 1)) + from_two:
-        v = root_views(w)
         t2 = isqrt(4 * w.p * w.q)
-        fq, fp = floor_root(v.sqrtq_delta.scale(2)), floor_root(v.sqrtp_delta.scale(2))
+        fq, fp = floor_root(w.sqrtq_delta.scale(2)), floor_root(w.sqrtp_delta.scale(2))
         assert (2 * w.q - 1 - t2, t2 - 2 * w.p) == (fq, fp), w
         assert _holds("floor-31", w) == (fq == w.d and (w.n < 2 or fp == w.d - 1)), w
 
@@ -297,7 +293,6 @@ def test_chain37_two_paths(mid_store, from_two):
     and as cmp_root of the same RootExprs; the checker holds exactly when
     every kernel link does."""
     for w in list(windows(mid_store, 1, 1)) + from_two:
-        v = root_views(w)
         pq = w.p * w.q
         ints = [_sign_1rad(-2 * w.p - w.d, 2, pq) < 0,
                 _sign_1rad(2 * w.q - w.d, -2, pq) > 0,
@@ -306,11 +301,11 @@ def test_chain37_two_paths(mid_store, from_two):
                 _sign_2rad(-2 * w.p, 2, pq, -1, 2 * w.p) < 0]
         # against d/2 and d/2 + 1/4 = (2d + 1)/4; a side with a half is
         # taken times 2
-        kernel = [_kernel_sign(v.sqrtp_delta, w.d, 2) < 0,
-                  _kernel_sign(v.sqrtq_delta, w.d, 2) > 0,
-                  _kernel_sign(v.sqrtq_delta, 2 * w.d + 1, 4) < 0,
-                  _kernel_sign(v.two_sqrtp_delta + 1, 2 * w.d + 1, 2) > 0,
-                  _kernel_sign(v.two_sqrtp_delta + 1 - RootExpr.sqrt(2 * w.p), 1) < 0]
+        kernel = [_kernel_sign(w.sqrtp_delta, w.d, 2) < 0,
+                  _kernel_sign(w.sqrtq_delta, w.d, 2) > 0,
+                  _kernel_sign(w.sqrtq_delta, 2 * w.d + 1, 4) < 0,
+                  _kernel_sign(w.two_sqrtp_delta + 1, 2 * w.d + 1, 2) > 0,
+                  _kernel_sign(w.two_sqrtp_delta + 1 - RootExpr.sqrt(2 * w.p), 1) < 0]
         assert ints == kernel, w
         assert _holds("chain-37", w) == all(kernel), w
 
@@ -321,12 +316,11 @@ def test_cor56_two_paths(from_two):
     checker holds exactly when the kernel bound does."""
     shared = [w for w in from_two if w.same_part]
     for w in shared:
-        v = root_views(w)
-        fl_p, fr_p = frac_root(w.p - v.N_sqrtp)
-        fl_q, fr_q = frac_root(w.q - v.Nq_sqrtq)
-        assert (fl_p, fl_q) == (w.p - w.tN - 1, w.q - v.tNq - 1), w
+        fl_p, fr_p = frac_root(w.p - w.N_sqrtp)
+        fl_q, fr_q = frac_root(w.q - w.Nq_sqrtq)
+        assert (fl_p, fl_q) == (w.p - w.tN - 1, w.q - w.tNq - 1), w
         below = _kernel_sign(fr_q - fr_p, 1, 2) < 0
-        assert (_sign_2rad(2 * (v.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q) < 0) == below, w
+        assert (_sign_2rad(2 * (w.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q) < 0) == below, w
         assert _holds("cor-56", w) == below, w
 
 
@@ -356,21 +350,19 @@ def test_ids516_two_paths(from_two):
     straddles = [w for w in from_two if w.straddle]
     assert len(straddles) > 100
     for w in straddles:
-        v = root_views(w)
         gt = _kernel_sign((_sqrt_q(w) - w.Nq).scale(2) - _delta(w)) > 0
-        assert (v.floor_D > 2 * w.N + 1) == gt, w
+        assert (w.floor_D > 2 * w.N + 1) == gt, w
         assert (floor_root(_sqrt_p(w) + _sqrt_q(w)) % 2 == 0) == gt, w
         assert _holds("ids-516", w), w
     below = 0
     for w in straddles + _random_straddles(20000, seed=17):
-        v = root_views(w)
         M, Nq = w.N + 1, w.Nq
         even = _sign_2rad(4 * w.p + 4 - 4 * M * M, 4, 11 * w.p, -4 * M, 7)
         assert even == root_sign((_sqrt_p(w) - M).scale(2) + delta4), w
         odd = _sign_2rad(4 * w.q - 4 - 4 * Nq * Nq, 4, 7 * w.q, -4 * Nq, 11)
         assert odd == root_sign((_sqrt_q(w) - Nq).scale(2) - delta4), w
         # the checker takes the bound its floor(D) parity names
-        assert _holds("ids-516", w) == (even > 0 if v.floor_D > 2 * w.N + 1 else odd < 0), w
+        assert _holds("ids-516", w) == (even > 0 if w.floor_D > 2 * w.N + 1 else odd < 0), w
         below += even < 0 or odd > 0
     assert below > 1000   # random straddles fail the bounds too
 
@@ -379,20 +371,20 @@ def _longhand_isqrt(x: int) -> int:
     return int(longhand_sqrt_digits(x, 0)[:-1])
 
 
-def test_root_views_against_oracles(sample):
-    """Every shared RootViews quantity against the same quantity built from
+def test_window_views_against_oracles(sample):
+    """Every GapWindow view against the same quantity built from
     its definition in oracles.RefRoot (its own radicand split, product and
     signs), floors by RefRoot.floor and by the fixed-point ladder
     of floor_root_general, the sign of Delta - 1/2 by RefRoot.sign and
     integers by longhand isqrt."""
     for w in sample:
-        v = root_views(w)
         sp, sq = RefRoot.sqrt(w.p), RefRoot.sqrt(w.q)
         delta, D = sq - sp, sq + sp
         sqrtq_delta, sqrtp_delta = sq * delta, sp * delta
         half_shift = sqrtp_delta - RefRoot(Fraction(1, 2))
         roots = {
             "sqrt_pq": RefRoot.sqrt(w.p * w.q),
+            "sqrtq_delta": sqrtq_delta, "sqrtp_delta": sqrtp_delta,
             "N_sqrtp": sp.scale(w.N), "Nq_sqrtq": sq.scale(w.Nq),
             "delta_sq": delta * delta,
             "two_sqrtp_delta": sqrtp_delta.scale(2),
@@ -400,16 +392,18 @@ def test_root_views_against_oracles(sample):
             "frac_sqrtp_delta": sqrtp_delta.frac()[1],
         }
         for name, ref in roots.items():
-            assert getattr(v, name) == ref.to_root(), (name, w)
+            assert getattr(w, name) == ref.to_root(), (name, w)
         ints = {
             "floor_sqrtp_delta_half": half_shift.floor(),
             "floor_D": D.floor(),
             "delta_vs_half": (delta - RefRoot(Fraction(1, 2))).sign(),
+            "s": _longhand_isqrt(w.p * w.q),
+            "tN": _longhand_isqrt(w.N * w.N * w.p),
             "tNq": _longhand_isqrt(w.Nq * w.Nq * w.q),
         }
         for name, ref in ints.items():
-            assert getattr(v, name) == ref, (name, w)
+            assert getattr(w, name) == ref, (name, w)
         # floor(sqrt(p) Delta - 1/2) is floor(2 sqrt(p) Delta - 1) // 2
-        for name, e, den in (("floor_sqrtp_delta_half", v.two_sqrtp_delta - 1, 2),
-                             ("floor_D", _sqrt_p(w) + _sqrt_q(w), 1), ("tNq", v.Nq_sqrtq, 1)):
+        for name, e, den in (("floor_sqrtp_delta_half", w.two_sqrtp_delta - 1, 2),
+                             ("floor_D", _sqrt_p(w) + _sqrt_q(w), 1), ("tNq", w.Nq_sqrtq, 1)):
             assert floor_root_general(e) // den == ints[name], (name, w)

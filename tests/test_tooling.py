@@ -7,8 +7,8 @@
 - No module in src/ or tests/ imports a name it never uses (names listed in
   `__all__` and import lines marked `# noqa: F401` are exports or imported
   for their side effect).
-- Every `RootViews` view is read under src/gapcheck: by a module outside
-  the views, or by a view that is itself read.
+- Every `GapWindow` view is read under src/gapcheck: by code outside the
+  views, or by a view that is itself read.
 - Every function, method, class and class attribute defined under
   src/gapcheck is referenced there outside its own definition, but for
   three named survivors that only the benchmark and the acceptance tests
@@ -95,7 +95,7 @@ def test_no_unused_imports():
     assert not bad, f"unused imports: {bad}"
 
 
-def test_every_root_view_has_a_reader():
+def test_every_window_view_has_a_reader():
     """A view is live when code outside the views reads its name as an
     attribute, or a live view does; every view must be live, so a view left
     without a reader is deleted with its last reader."""
@@ -103,7 +103,7 @@ def test_every_root_view_has_a_reader():
     for path, tree in _modules("src/gapcheck"):
         inside = set()
         for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == "RootViews":
+            if isinstance(cls, ast.ClassDef) and cls.name == "GapWindow":
                 for fn in cls.body:
                     if (isinstance(fn, ast.FunctionDef) and any(
                             isinstance(d, ast.Name) and d.id == "_view"

@@ -1,11 +1,12 @@
 import io
 import random
+from math import isqrt
 
 import pytest
 
 from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root
 from gapcheck.primes import CoverageError, PrimeStore
-from gapcheck.window import dump_windows_csv, root_views, windows
+from gapcheck.window import GapWindow, _view, dump_windows_csv, windows
 from oracles import (brute_twin_count_below_index, excel_csv_lines,
                      trial_division_primes, twin_pairs)
 
@@ -31,7 +32,6 @@ def test_twin_pairs_enumeration(small_store):
 
 def test_first_same_floor_consecutive_twins(small_store):
     twins = twin_pairs(small_store, 1, 100)
-    from math import isqrt
     first = None
     for m1, m2 in zip(twins, twins[1:]):
         p1 = small_store.nth_prime(m1)
@@ -42,22 +42,37 @@ def test_first_same_floor_consecutive_twins(small_store):
     assert first == (26, 28)
 
 
-def test_root_views_n4(small_store):
+def test_window_views_n4(small_store):
     w = next(windows(small_store, 4, 4))
-    v = root_views(w)
-    assert floor_root(v.sqrtq_delta) == w.d // 2 == 2
-    assert v.sqrtq_delta + v.sqrtp_delta == w.d
+    assert floor_root(w.sqrtq_delta) == w.d // 2 == 2
+    assert w.sqrtq_delta + w.sqrtp_delta == w.d
     # mu = sqrt(7) - 2 around 0.6458
     mu = RootExpr.sqrt(w.p) - w.N
     assert cmp_root(mu.scale(10 ** 4), 6457) is Cmp.GREATER
     assert cmp_root(mu.scale(10 ** 4), 6458) is Cmp.LESS
 
 
+def test_views_lazy_and_computed_once(small_store):
+    """The stream computes no view: every window's __dict__ is empty until a
+    view is read, s and tN included.  A view is computed on its first read
+    and then kept, so a RootExpr view read twice is the same object."""
+    views = [k for k, v in vars(GapWindow).items() if isinstance(v, _view)]
+    assert {"s", "tN", "sqrt_pq", "floor_D", "delta_vs_half"} <= set(views)
+    for w in windows(small_store, 1, 2000):
+        assert w.__dict__ == {}, w.n
+        first = w.two_sqrtp_delta
+        assert w.two_sqrtp_delta is first
+        assert set(w.__dict__) == {"sqrt_pq", "sqrtp_delta", "two_sqrtp_delta"}
+    w = next(windows(small_store, 4, 4))
+    for name in views:
+        assert getattr(w, name) is getattr(w, name), name
+    assert set(w.__dict__) == set(views)
+
+
 def test_sandwich_3_1(small_store):
     for w in windows(small_store, 1, 300):
-        v = root_views(w)
-        assert cmp_root(v.sqrtp_delta.scale(2), w.d) is Cmp.LESS
-        assert cmp_root(v.sqrtq_delta.scale(2), w.d) is Cmp.GREATER
+        assert cmp_root(w.sqrtp_delta.scale(2), w.d) is Cmp.LESS
+        assert cmp_root(w.sqrtq_delta.scale(2), w.d) is Cmp.GREATER
 
 
 def test_h_split_identity(small_store):
@@ -126,11 +141,12 @@ def test_csv_dump(small_store):
 
 
 def test_csv_dump_matches_csv_writer(small_store):
-    """dump_windows_csv's lines are csv.writer's, k and r blank at n = 1."""
+    """dump_windows_csv's lines are csv.writer's, k and r blank at n = 1 and
+    s, a view the stream leaves uncomputed, equal to isqrt(pq)."""
     rows, j = [], 0
     for w in windows(small_store, 1, 2000):
         k, r = divmod(w.q, w.d) if w.n >= 2 else ("", "")
-        rows.append([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, w.s, k, r, j])
+        rows.append([w.n, w.p, w.q, w.d, w.N, w.h, w.hq, isqrt(w.p * w.q), k, r, j])
         j += w.d == 2
     buf = io.StringIO()
     dump_windows_csv(small_store, 1, 2000, buf)
