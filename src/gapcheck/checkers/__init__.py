@@ -5,7 +5,7 @@ them, `run_checker` / `run_all` evaluate them over an index range.
 """
 
 from . import catalog_gaps, catalog_floor, catalog_parts, catalog_twins  # noqa: F401
-from .engine import EvalContext, RunOpts, run_all, run_checker, run_many
+from .engine import EvalContext, RunOpts, check_checkpoint, run_all, run_checker, run_many
 from .types import (CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
                     Verdict, registry)
 
@@ -17,6 +17,6 @@ def catalog() -> list[CheckerSpec]:
 
 __all__ = [
     "CheckReport", "CheckerSpec", "Counts", "EvalContext", "Kind", "Outcome",
-    "RunOpts", "Triple", "Verdict", "catalog", "registry",
+    "RunOpts", "Triple", "Verdict", "catalog", "check_checkpoint", "registry",
     "run_all", "run_checker", "run_many",
 ]

@@ -25,7 +25,7 @@ from .types import HOLD, MISS, Kind, checker, violate
 @checker("floor-31", Kind.UNIVERSAL,
          title="d = floor(2 sqrt(q) Delta); d = floor(2 sqrt(p) Delta) + 1 (n >= 2)",
          source="proposition 3.1")
-def _floor_31(ctx, tri, st):
+def _floor_31(tri, st):
     w = tri.w
     t2 = isqrt(4 * w.p * w.q)  # floor(2 sqrt(pq))
     if 2 * w.q - 1 - t2 != w.d:
@@ -38,7 +38,7 @@ def _floor_31(ctx, tri, st):
 @checker("floor-32", Kind.UNIVERSAL,
          title="d/2 - 1 = floor(sqrt(p) Delta - 1/2)",
          source="proposition 3.2", n_min=2)
-def _floor_32(ctx, tri, st):
+def _floor_32(tri, st):
     w = tri.w
     f = w.floor_sqrtp_delta_half
     return HOLD if f == w.d // 2 - 1 else violate(f"floor {f}")
@@ -47,7 +47,7 @@ def _floor_32(ctx, tri, st):
 @checker("frac-33", Kind.UNIVERSAL,
          title="{sqrt(p) Delta - 1/2} < 1/2",
          source="corollary 3.3", n_min=2)
-def _frac_33(ctx, tri, st):
+def _frac_33(tri, st):
     w = tri.w
     # the fractional part against 1/2, times 2:
     # 2 sqrt(p) Delta - 1 - 2 floor(sqrt(p) Delta - 1/2) against 1
@@ -60,7 +60,7 @@ def _frac_33(ctx, tri, st):
                "d = 2(q-s-1) = 2(s-p+1), floors of opposite parity, "
                "0 < {sqrt(q) Delta} < 1/2",
          source="statement 3.4")
-def _thm_34(ctx, tri, st):
+def _thm_34(tri, st):
     w = tri.w
     fq, fp = w.q - w.s - 1, w.s - w.p
     if fq + fp + 1 != w.d:
@@ -81,7 +81,7 @@ def _thm_34(ctx, tri, st):
                "{sqrt(q) Delta} < 1/4 and {sqrt(p) Delta} > 3/4 (all for n >= 2; "
                "the printed n >= 1 on the quarter bound fails at n = 1)",
          source="statement 3.5", n_min=2)
-def _thm_35(ctx, tri, st):
+def _thm_35(tri, st):
     w = tri.w
     frac_q, frac_p = w.frac_sqrtq_delta, w.frac_sqrtp_delta
     if w.delta_sq != frac_q.scale(2):
@@ -102,7 +102,7 @@ def _thm_35(ctx, tri, st):
 @checker("cor-36", Kind.UNIVERSAL,
          title="{1 + 2 sqrt(p) Delta} = 2 {sqrt(p) Delta} - 1 = 1 - {2 sqrt(q) Delta}",
          source="corollary 3.6", n_min=2)
-def _cor_36(ctx, tri, st):
+def _cor_36(tri, st):
     w = tri.w
     lhs = frac_root(w.two_sqrtp_delta + 1)[1]
     mid = w.frac_sqrtp_delta.scale(2) - 1
@@ -116,7 +116,7 @@ def _cor_36(ctx, tri, st):
          title="sqrt(p)D < d/2 < sqrt(q)D < d/2 + 1/4 < sqrt(p)D + 1/2 "
                "< sqrt(2p)/2 + 1/2",
          source="corollary 3.7")
-def _chain_37(ctx, tri, st):
+def _chain_37(tri, st):
     w = tri.w
     pq = w.p * w.q
     # sqrt(p)Delta = sqrt(pq) - p ;  sqrt(q)Delta = q - sqrt(pq); each link
@@ -138,7 +138,7 @@ def _chain_37(ctx, tri, st):
          title="collect n with Delta^2 >= 1/4",
          source="discussion after 3.7",
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
-def _survey_quarter(ctx, tri, st):
+def _survey_quarter(tri, st):
     # Delta^2 >= 1/4 iff Delta >= 1/2
     return HOLD if tri.w.delta_vs_half >= 0 else MISS
 
@@ -146,7 +146,7 @@ def _survey_quarter(ctx, tri, st):
 @checker("survey-prod", Kind.SURVEY,
          title="collect n with {sqrt(q) Delta} > 2/d (product of parts exceeds 1)",
          source="question after 3.7", n_min=2)
-def _survey_prod(ctx, tri, st):
+def _survey_prod(tri, st):
     w = tri.w
     return HOLD if sqrtq_delta_frac_cmp(w, 2, w.d) > 0 else MISS
 
@@ -155,7 +155,7 @@ def _survey_prod(ctx, tri, st):
          title="for each even g the subsequence {Delta_n : d_n = g} strictly decreases",
          source="fixed-gap discussion closing section 3",
          state_init=lambda: {"last": {}})
-def _fixedgap_mono(ctx, tri, st):
+def _fixedgap_mono(tri, st):
     """Holds for every increasing chain of integer windows: Delta = d/D,
     and D grows along the chain."""
     w = tri.w
@@ -175,7 +175,7 @@ def _fixedgap_mono(ctx, tri, st):
 @checker("h-def", Kind.UNIVERSAL,
          title="1 <= h <= 2N, h != N, parity(h) != parity(N); (h - mu^2)/mu = 2N",
          source="statement 4.1", n_min=2)
-def _h_def(ctx, tri, st):
+def _h_def(tri, st):
     """(h - mu^2)/mu = 2N holds for every integer window, as
     h - mu^2 = mu (sqrt(p) + N) - mu^2 = 2N mu; tests/test_exact.py checks it
     through the kernel.  The bounds and parities of h stay per window."""
@@ -193,7 +193,7 @@ def _h_def(ctx, tri, st):
          title="h/(2 sqrt(p)) < mu < h/(2N); refined upper bound h/(D-1) on "
                "shared windows, h/(2 sqrt(p) - 1) on straddles",
          source="displays 4.1 and 4.2", n_min=2)
-def _mu_bounds(ctx, tri, st):
+def _mu_bounds(tri, st):
     """Holds for every integer window: mu = h/(sqrt(p) + N) with
     N < sqrt(p) < N + 1, so sqrt(p) + N lies between 2N and 2 sqrt(p), above
     D - 1 on shared windows (sqrt(q) < N + 1) and above 2 sqrt(p) - 1.
@@ -219,7 +219,7 @@ def _mu_bounds(ctx, tri, st):
          title="Delta = mu' - mu iff shared integral part, else Delta = 1 + mu' - mu "
                "and mu > mu'",
          source="lemma 4.2")
-def _lemma_42(ctx, tri, st):
+def _lemma_42(tri, st):
     """Delta = mu' - mu on shared windows and Delta = 1 + mu' - mu on
     straddles hold for every integer window, as mu' - mu = Delta - (Nq - N);
     tests/test_exact.py checks both through the kernel.  mu > mu' on a
@@ -233,7 +233,7 @@ def _lemma_42(ctx, tri, st):
 @checker("thm-43", Kind.UNIVERSAL,
          title="floor(h/mu) = 2N = 2 sqrt(p-h) and {h/mu} = mu",
          source="statement 4.3", n_min=2)
-def _thm_43(ctx, tri, st):
+def _thm_43(tri, st):
     """Holds for every integer window: p - h = N^2 defines h, and
     h = mu (sqrt(p) + N) makes h/mu = 2N + mu with 0 < mu < 1."""
     return HOLD
@@ -285,7 +285,7 @@ def _mu_series_brackets(w):
          title="partial sums of the sqrt(1 + h/N^2) series bracket mu within the "
                "alternating remainder bound, for orders K = 1..8",
          source="statement 4.4", n_min=3)
-def _mu_series(ctx, tri, st):
+def _mu_series(tri, st):
     """Holds for every integer window with N >= 2: mu = N (sqrt(1 + x) - 1)
     at x = h/N^2 <= 2/N <= 1, where the binomial series alternates with
     terms falling in size, so each partial sum lies within its next term.
@@ -300,7 +300,7 @@ def _mu_series(ctx, tri, st):
 @checker("ratio-frac", Kind.UNIVERSAL,
          title="{sqrt(q/p)} = Delta/sqrt(p) <= sqrt(5/3) - 1 < 1/3; < 1/4 for n >= 5",
          source="ratio discussion opening section 4")
-def _ratio_frac(ctx, tri, st):
+def _ratio_frac(tri, st):
     """{sqrt(q/p)} = sqrt(pq)/p - 1 = Delta/sqrt(p) holds for every integer
     window with p < q < 4p, as both are (sqrt(pq) - p)/p; tests/test_exact.py
     checks it through the kernel.  The floor and the bounds stay per window."""
@@ -322,7 +322,7 @@ def _trend_delta_state():
     return {"blocks": {}}
 
 
-def _trend_delta_final(ctx, st, extra):
+def _trend_delta_final(st, extra):
     rows = []
     running_max_at_4 = True
     for key in sorted(st["blocks"], key=int):
@@ -343,7 +343,7 @@ def _trend_delta_final(ctx, st, extra):
                "of the vanishing limit)",
          source="statement 4.5 as a finite-range diagnostic",
          state_init=_trend_delta_state, finalize=_trend_delta_final)
-def _trend_delta(ctx, tri, st):
+def _trend_delta(tri, st):
     w = tri.w
     key = str(w.n.bit_length() - 1)
     cur = st["blocks"].get(key)
@@ -356,7 +356,7 @@ def _trend_mu_state():
     return {"min": None, "max": None, "rows": []}
 
 
-def _trend_mu_final(ctx, st, extra):
+def _trend_mu_final(st, extra):
     extra["checkpoints"] = st["rows"]
 
 
@@ -365,7 +365,7 @@ def _trend_mu_final(ctx, st, extra):
                "the accumulation endpoints 0 and 1)",
          source="corollary 4.7 as a finite-range diagnostic",
          state_init=_trend_mu_state, finalize=_trend_mu_final)
-def _trend_mu(ctx, tri, st):
+def _trend_mu(tri, st):
     w = tri.w
     me = [w.n, w.p, w.N]
     if st["min"] is None:
@@ -390,7 +390,7 @@ def _trend_mu(ctx, tri, st):
                "with the next prime",
          source="statements 4.8 - 4.11", n_min=2,
          state_init=lambda: {"prev_h1": None})
-def _n2p1_family(ctx, tri, st):
+def _n2p1_family(tri, st):
     """{2 mu N} = 1 - mu^2 holds for every integer window, as
     2 mu N = h - mu^2 with 0 < mu < 1, and on h = 1 so does
     (1 - mu^2)/(2 mu) + mu = N + mu = sqrt(p); tests/test_exact.py checks

@@ -20,7 +20,7 @@ from .types import HOLD, MISS, Kind, checker, hard_fail, violate
          title="d^2 < 2q for all n; the stronger d^2 <= q fails exactly at {4, 9, 30}",
          source="conjecture 1.1",
          expected_exceptions=frozenset({4, 9, 30}), conjecture=True)
-def _conj_gap_sq(ctx, tri, st):
+def _conj_gap_sq(tri, st):
     w = tri.w
     if not w.d * w.d < 2 * w.q:
         return hard_fail(f"d^2 = {w.d * w.d} >= 2q = {2 * w.q}")
@@ -32,7 +32,7 @@ def _conj_gap_sq(ctx, tri, st):
 @checker("cor-12", Kind.UNIVERSAL,
          title="d^2 <= 2(q-1) and 2(q-1) < 4(p - 1/2)",
          source="corollary 1.2", conjecture=True)
-def _cor_12(ctx, tri, st):
+def _cor_12(tri, st):
     w = tri.w
     if w.d * w.d > 2 * (w.q - 1):
         return violate("d^2 > 2(q-1)")
@@ -45,7 +45,7 @@ def _cor_12(ctx, tri, st):
          title="no multiple of q in ]p^2-d^2, p^2[ iff d < sqrt(q); "
                "(p-d+1)q largest multiple below p^2 iff sqrt(q) < d < sqrt(2q)",
          source="corollary 1.3", n_min=2)
-def _cor_13(ctx, tri, st):
+def _cor_13(tri, st):
     w = tri.w
     p2 = w.p * w.p
     largest = w.q * ((p2 - 1) // w.q)
@@ -63,7 +63,7 @@ def _cor_13(ctx, tri, st):
 @checker("cor-14", Kind.UNIVERSAL,
          title="d < 2 sqrt(p): a prime in (x, x + 2 sqrt(x))",
          source="corollary 1.4", conjecture=True)
-def _cor_14(ctx, tri, st):
+def _cor_14(tri, st):
     w = tri.w
     return HOLD if w.d * w.d < 4 * w.p else violate("d^2 >= 4p")
 
@@ -75,7 +75,7 @@ def _base_2q(w) -> bool:
 @checker("eq-15-1", Kind.EQUIVALENCE,
          title="p > d(d/2 - 1)  iff  d^2 < 2q",
          source="statement 1.5(1)")
-def _eq_15_1(ctx, tri, st):
+def _eq_15_1(tri, st):
     """Holds for every integer window: 2p > d(d - 2) is 2(p + d) > d^2,
     and 4p > 2p."""
     w = tri.w
@@ -91,7 +91,7 @@ def _eq_15_1(ctx, tri, st):
 @checker("eq-15-2", Kind.EQUIVALENCE,
          title="sum_{i<=d} i - sum_{i<=n} d_i < d/2 + 2  iff  d^2 < 2q",
          source="statement 1.5(2)")
-def _eq_15_2(ctx, tri, st):
+def _eq_15_2(tri, st):
     """Holds for every integer window: the item is d^2 - 2q + 4 < 4."""
     w = tri.w
     # sum of d_i over i <= n telescopes to q - 2
@@ -102,7 +102,7 @@ def _eq_15_2(ctx, tri, st):
 @checker("eq-15-3", Kind.EQUIVALENCE,
          title="sqrt(q) < sqrt(p + 1/2) + sqrt(2)/2  iff  d^2 < 2q",
          source="statement 1.5(3)")
-def _eq_15_3(ctx, tri, st):
+def _eq_15_3(tri, st):
     """Holds for every integer window: d - 1 >= 0, so d - 1 < sqrt(2p + 1)
     is d^2 - 2d < 2p, that is d^2 < 2q."""
     w = tri.w
@@ -114,7 +114,7 @@ def _eq_15_3(ctx, tri, st):
 @checker("eq-15-4", Kind.EQUIVALENCE,
          title="(1 + 1/(2p)) q < (sqrt(p) + (sqrt(2)/2) sqrt(q/p))^2  iff  d^2 < 2q",
          source="statement 1.5(4)")
-def _eq_15_4(ctx, tri, st):
+def _eq_15_4(tri, st):
     """Holds for every integer window: less 2p^2 + q on both sides, the
     item is 2p sqrt(2q) > 2p(q - p), that is sqrt(2q) > d."""
     w = tri.w
@@ -127,7 +127,7 @@ def _eq_15_4(ctx, tri, st):
 @checker("eq-16-1", Kind.EQUIVALENCE,
          title="smallest odd multiple of q above p^2 is (p-(d-2))q  iff  d^2 < 2q",
          source="statement 1.6(1)", n_min=2)
-def _eq_16_1(ctx, tri, st):
+def _eq_16_1(tri, st):
     w = tri.w
     m0 = w.p * w.p // w.q + 1
     if m0 % 2 == 0:
@@ -139,7 +139,7 @@ def _eq_16_1(ctx, tri, st):
 @checker("eq-16-2", Kind.EQUIVALENCE,
          title="(d-2)q is the largest even multiple of q up to d*p  iff  d^2 < 2q",
          source="statement 1.6(2)", n_min=2)
-def _eq_16_2(ctx, tri, st):
+def _eq_16_2(tri, st):
     w = tri.w
     m1 = w.d * w.p // w.q
     if m1 % 2 == 1:
@@ -151,7 +151,7 @@ def _eq_16_2(ctx, tri, st):
 @checker("eq-16-3", Kind.EQUIVALENCE,
          title="k >= d/2 in q = k*d + r  iff  d^2 < 2q",
          source="statement 1.6(3)", n_min=2)
-def _eq_16_3(ctx, tri, st):
+def _eq_16_3(tri, st):
     w = tri.w
     k = w.q // w.d
     item = 2 * k >= w.d
@@ -161,7 +161,7 @@ def _eq_16_3(ctx, tri, st):
 @checker("eq-qr", Kind.EQUIVALENCE,
          title="(d^2/4)^2 in {1^2..((q-1)/2)^2} as integer sets  iff  d^2 < 2q",
          source="reduced-residue remark after 1.6", n_min=2)
-def _eq_qr(ctx, tri, st):
+def _eq_qr(tri, st):
     w = tri.w
     x = w.d * w.d // 4
     item = 1 <= x <= (w.q - 1) // 2
@@ -174,7 +174,7 @@ def _eq_qr(ctx, tri, st):
 @checker("inv-diff", Kind.UNIVERSAL,
          title="1/p - 1/q <= 1/6 with equality iff n = 1",
          source="proposition 2.1")
-def _inv_diff(ctx, tri, st):
+def _inv_diff(tri, st):
     """Holds for every integer window with p >= 5 and n >= 2:
     pq - 6d = q(p - 6) + 6p > 0 for p >= 6, and p = 5 forces q <= 15 < 30.
     The equality at n = 1 (p = 2, q = 3) is the one case tied to primes."""
@@ -188,7 +188,7 @@ def _inv_diff(ctx, tri, st):
 @checker("ratio-53", Kind.UNIVERSAL,
          title="q/p <= 5/3 with equality iff n = 2",
          source="proposition 2.2")
-def _ratio_53(ctx, tri, st):
+def _ratio_53(tri, st):
     w = tri.w
     if w.n == 2:
         return HOLD if 3 * w.q == 5 * w.p else violate("equality fails at n=2")
@@ -198,7 +198,7 @@ def _ratio_53(ctx, tri, st):
 @checker("ratio-sqrt", Kind.UNIVERSAL,
          title="q/p < 1 + 2/sqrt(p) for n >= 2; q/p < 3/2 for n >= 5",
          source="remarks 2.3", n_min=2)
-def _ratio_sqrt(ctx, tri, st):
+def _ratio_sqrt(tri, st):
     w = tri.w
     if not w.d * w.d < 4 * w.p:
         return violate("q/p >= 1 + 2/sqrt(p)")
@@ -210,7 +210,7 @@ def _ratio_sqrt(ctx, tri, st):
 @checker("gap-next", Kind.UNIVERSAL,
          title="p_n >= d_{n+1}, equality iff n = 1",
          source="display 2.1")
-def _gap_next(ctx, tri, st):
+def _gap_next(tri, st):
     w, nxt = tri.w, tri.nxt
     if w.n == 1:
         return HOLD if w.p == nxt.d else violate("equality fails at n=1")
@@ -220,7 +220,7 @@ def _gap_next(ctx, tri, st):
 @checker("andrica", Kind.UNIVERSAL,
          title="sqrt(q) - sqrt(p) < 1",
          source="Andrica bound, section 2", conjecture=True)
-def _andrica(ctx, tri, st):
+def _andrica(tri, st):
     w = tri.w
     ok = w.d == 1 or (w.d - 1) * (w.d - 1) < 4 * w.p
     return HOLD if ok else violate("Delta >= 1")
@@ -230,7 +230,7 @@ def _andrica(ctx, tri, st):
          title="d <= (p-1)/2 except n in {1, 2, 4}",
          source="display 2.2",
          expected_exceptions=frozenset({1, 2, 4}))
-def _gap_half(ctx, tri, st):
+def _gap_half(tri, st):
     w = tri.w
     return HOLD if 2 * w.d <= w.p - 1 else violate("2d > p-1")
 
@@ -239,7 +239,7 @@ def _gap_half(ctx, tri, st):
          title="d^2 < 2p except n = 4",
          source="conjecture 2.5",
          expected_exceptions=frozenset({4}), conjecture=True)
-def _conj_gap_sq2(ctx, tri, st):
+def _conj_gap_sq2(tri, st):
     w = tri.w
     return HOLD if w.d * w.d < 2 * w.p else violate(f"d^2 = {w.d * w.d} >= 2p")
 
@@ -248,7 +248,7 @@ def _conj_gap_sq2(ctx, tri, st):
          title="d^2 <= 2(p-1) except n = 4",
          source="corollary 2.6",
          expected_exceptions=frozenset({4}), conjecture=True)
-def _cor_26(ctx, tri, st):
+def _cor_26(tri, st):
     w = tri.w
     return HOLD if w.d * w.d <= 2 * (w.p - 1) else violate("d^2 > 2(p-1)")
 
@@ -259,7 +259,7 @@ def _cor_26(ctx, tri, st):
                "hardest integer per window is x = p",
          source="corollary 2.7",
          expected_exceptions=frozenset({4}), conjecture=True)
-def _cor_27(ctx, tri, st):
+def _cor_27(tri, st):
     # q < p + sqrt(2p)  <=>  d^2 < 2p; checked at the hardest x in [p, q)
     w = tri.w
     return HOLD if w.d * w.d < 2 * w.p else violate("no prime in (p, p+sqrt(2p))")
@@ -276,7 +276,7 @@ def _not_n4(ctx, tri) -> bool:
 @checker("eq-28-1", Kind.EQUIVALENCE,
          title="(q+d)p is the largest odd multiple of p up to q^2  iff  d^2 < 2p",
          source="statement 2.8(1)", n_min=2, domain=_not_n4)
-def _eq_28_1(ctx, tri, st):
+def _eq_28_1(tri, st):
     w = tri.w
     m2 = w.q * w.q // w.p
     if m2 % 2 == 0:
@@ -288,7 +288,7 @@ def _eq_28_1(ctx, tri, st):
 @checker("eq-28-2", Kind.EQUIVALENCE,
          title="exactly d odd multiples of p in ]p^2, q^2[  iff  d^2 < 2p",
          source="statement 2.8(2)", n_min=2, domain=_not_n4)
-def _eq_28_2(ctx, tri, st):
+def _eq_28_2(tri, st):
     w = tri.w
     a, b = w.p + 1, (w.q * w.q - 1) // w.p
     count = (b + 1) // 2 - a // 2 if b >= a else 0
@@ -299,7 +299,7 @@ def _eq_28_2(ctx, tri, st):
 @checker("eq-28-3", Kind.EQUIVALENCE,
          title="d/2 + sum_{i<=d-1} i < p  iff  d^2 < 2p",
          source="statement 2.8(3)", n_min=2, domain=_not_n4)
-def _eq_28_3(ctx, tri, st):
+def _eq_28_3(tri, st):
     """Holds for every integer window: d + d(d - 1) = d^2."""
     w = tri.w
     item = w.d + w.d * (w.d - 1) < 2 * w.p
@@ -310,7 +310,7 @@ def _sharp_state():
     return {"max": None}
 
 
-def _sharp_finalize(ctx, st, extra):
+def _sharp_finalize(st, extra):
     if st.get("max"):
         n, p, q = st["max"]
         extra["max_at"] = n
@@ -321,7 +321,7 @@ def _sharp_finalize(ctx, st, extra):
          title="Delta_n <= sqrt(11) - sqrt(7), maximum attained exactly at n = 4",
          source="statement 2.9",
          state_init=_sharp_state, finalize=_sharp_finalize)
-def _andrica_sharp(ctx, tri, st):
+def _andrica_sharp(tri, st):
     w = tri.w
     s = delta_order(w.p, w.q, 7, 11)   # Delta_n against Delta_4
     mx = st["max"]
@@ -337,7 +337,7 @@ def _andrica_sharp(ctx, tri, st):
 @checker("sq-in-gap", Kind.UNIVERSAL,
          title="a run of consecutive composites contains at most one perfect square",
          source="corollary 2.10")
-def _sq_in_gap(ctx, tri, st):
+def _sq_in_gap(tri, st):
     """Holds for every window the stream yields: GapWindow raises
     SquareLawViolation when isqrt(q) > isqrt(p) + 1."""
     w = tri.w
@@ -348,7 +348,7 @@ def _sq_in_gap(ctx, tri, st):
 @checker("gap-85", Kind.UNIVERSAL,
          title="d < (8/5) sqrt(p): a prime in (x, x + (8/5) sqrt(x))",
          source="proposition 2.11", conjecture=True)
-def _gap_85(ctx, tri, st):
+def _gap_85(tri, st):
     w = tri.w
     return HOLD if 25 * w.d * w.d < 64 * w.p else violate("d >= (8/5) sqrt(p)")
 
@@ -357,7 +357,7 @@ def _gap_85(ctx, tri, st):
          title="where d < sqrt(2p): Delta < sqrt(2)/2 and D < 2 sqrt(p) + sqrt(2)/2",
          source="proposition 2.12 at a = sqrt(2)",
          domain=lambda ctx, tri: _base_2p(tri.w))
-def _prop_212(ctx, tri, st):
+def _prop_212(tri, st):
     """Holds for every integer window: Delta = d/D < d/(2 sqrt(p)), below
     sqrt(2)/2 when d^2 < 2p."""
     w = tri.w
@@ -369,7 +369,7 @@ def _prop_212(ctx, tri, st):
 @checker("gap-transfer", Kind.UNIVERSAL,
          title="d < sqrt(2) sqrt(p) + 1/2",
          source="proposition 2.13 at a = sqrt(2)/2", conjecture=True)
-def _gap_transfer(ctx, tri, st):
+def _gap_transfer(tri, st):
     w = tri.w
     return HOLD if (2 * w.d - 1) * (2 * w.d - 1) < 8 * w.p else violate(
         "d >= sqrt(2p) + 1/2")
@@ -378,7 +378,7 @@ def _gap_transfer(ctx, tri, st):
 @checker("ishikawa-plus", Kind.UNIVERSAL,
          title="p_{n+2} < p_n + 1 + 2 sqrt(2 p_n)",
          source="statement 2.14", conjecture=True)
-def _ishikawa_plus(ctx, tri, st):
+def _ishikawa_plus(tri, st):
     w, nxt = tri.w, tri.nxt
     g = nxt.q - w.p - 1
     return HOLD if g * g < 8 * w.p else violate("two-ahead prime too far")
@@ -388,7 +388,7 @@ def _ishikawa_plus(ctx, tri, st):
          title="collect n with p_{n+2} >= p_n + 2 sqrt(2 p_n) (expected none)",
          source="remark 2.15", conjecture=True,
          expected_survey=frozenset())
-def _ishikawa_emp(ctx, tri, st):
+def _ishikawa_emp(tri, st):
     w, nxt = tri.w, tri.nxt
     g = nxt.q - w.p
     return HOLD if g * g >= 8 * w.p else MISS
@@ -412,6 +412,6 @@ def twin(ctx, tri) -> bool:
          source="remark after 4.10",
          expected_exceptions=frozenset({2}),
          domain=twin)
-def _twin_sq(ctx, tri, st):
+def _twin_sq(tri, st):
     w = tri.w
     return violate("upper twin one above a square") if is_square(w.q - 1) else HOLD

@@ -15,7 +15,6 @@ from __future__ import annotations
 from math import isqrt
 
 from ..exact import floor_root, frac_root, _sign_1rad, _sign_2rad
-from ..primes import is_prime_u64
 from ..window import mu_sqrtp_frac_cmp, mu_vs_rational
 from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
 
@@ -45,7 +44,7 @@ def _straddle_n2(ctx, tri) -> bool:
          title="h even iff 2{mu sqrt(p)} = {2 mu sqrt(p)} iff {mu sqrt(p)} < 1/2, "
                "with floor(mu sqrt(p)) = h/2 in the even case",
          source="statement 5.1", n_min=2)
-def _par_51(ctx, tri, st):
+def _par_51(tri, st):
     """Holds for every integer window: x = N sqrt(p) - N^2 lies in
     ((h - 1)/2, h/2) (see the note above), which fixes tN, t2N and
     {mu sqrt(p)} by the parity of h."""
@@ -67,7 +66,7 @@ def _par_51(ctx, tri, st):
 @checker("par-52", Kind.UNIVERSAL,
          title="h even iff mu > 2 {mu sqrt(p)}",
          source="corollary 5.2", n_min=2)
-def _par_52(ctx, tri, st):
+def _par_52(tri, st):
     """Holds for every integer window: with mu = x/N, mu > 2{mu sqrt(p)}
     reduces to x < N for even h, and mu < 2{mu sqrt(p)} to
     x < N(h + 1)/(2N + 1), which x < h/2 gives, for odd h < 2N."""
@@ -80,7 +79,7 @@ def _par_52(ctx, tri, st):
          title="h odd iff {mu sqrt(p)} > 1/2 iff 2{mu sqrt(p)} - 1 = {2 mu sqrt(p)}, "
                "with floor(mu sqrt(p)) = (h-1)/2 in the odd case",
          source="proposition 5.3", n_min=2)
-def _par_53(ctx, tri, st):
+def _par_53(tri, st):
     """Holds for every integer window: the note above fixes tN, t2N and
     {mu sqrt(p)} by the parity of h."""
     w = tri.w
@@ -98,7 +97,7 @@ def _par_53(ctx, tri, st):
 @checker("par-54", Kind.UNIVERSAL,
          title="h odd iff mu < {mu sqrt(p)}",
          source="corollary 5.4", n_min=2)
-def _par_54(ctx, tri, st):
+def _par_54(tri, st):
     """Holds for every integer window: with mu = x/N, mu > {mu sqrt(p)}
     reduces to x < 2N for even h, and mu < {mu sqrt(p)} to
     2Nh < 2N^2 + (h + 1)x, which x > (h - 1)/2 gives as (2N - h)^2 >= 1,
@@ -116,7 +115,7 @@ def _mono_55_domain(ctx, tri) -> bool:
 @checker("mono-55", Kind.UNIVERSAL,
          title="{mu sqrt(p)} increases through a pair of windows over odd squares",
          source="statement 5.5", n_min=2, domain=_mono_55_domain)
-def _mono_55(ctx, tri, st):
+def _mono_55(tri, st):
     w = tri.w
     # frac(mu' sqrt(q)) - frac(mu sqrt(p)) = (tNq - tN) + N sqrt(p) - Nq sqrt(q)
     s = _sign_2rad(w.tNq - w.tN, w.N, w.p, -w.Nq, w.q)
@@ -128,7 +127,7 @@ def _mono_55(ctx, tri, st):
                "reading; the printed condition floor(mu sqrt(p)) = floor(mu sqrt(q)) "
                "is reported when it disagrees)",
          source="corollary 5.6", n_min=2, domain=_same)
-def _cor_56(ctx, tri, st):
+def _cor_56(tri, st):
     w = tri.w
     # times 2 to clear the half
     s = _sign_2rad(2 * (w.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
@@ -145,7 +144,7 @@ def _cor_56(ctx, tri, st):
 @checker("dpar-57", Kind.UNIVERSAL,
          title="D - (mu' + mu) is twice the common integral part on shared windows",
          source="proposition 5.7", n_min=2, domain=_same)
-def _dpar_57(ctx, tri, st):
+def _dpar_57(tri, st):
     """Holds for every integer window with Nq = N: mu' + mu = D - 2N, so
     D - (mu' + mu) = 2N, and then (D - (mu' + mu))/2 + mu = N + mu = sqrt(p)
     and N + mu' = sqrt(q)."""
@@ -156,7 +155,7 @@ def _dpar_57(ctx, tri, st):
          title="on shared windows floor(D) is even iff mu' + mu < 1, with the "
                "matching {D} expression",
          source="corollary 5.8", n_min=2, domain=_same)
-def _dpar_58(ctx, tri, st):
+def _dpar_58(tri, st):
     """Holds for every integer window with Nq = N: D = 2N + mu' + mu lies in
     (2N, 2N + 2), so floor(D) is 2N, even, when mu' + mu < 1 and 2N + 1, odd,
     when mu' + mu > 1; {D} is mu' + mu or mu' + mu - 1 to match."""
@@ -167,7 +166,7 @@ def _dpar_58(ctx, tri, st):
          title="on shared windows floor(D) even iff 2mu < 1 - Delta (then mu < 1/2); "
                "odd iff 2mu > 1 - Delta",
          source="corollary 5.9", n_min=2, domain=_same)
-def _dpar_59(ctx, tri, st):
+def _dpar_59(tri, st):
     """Holds for every integer window with Nq = N: Delta = mu' - mu, so
     2mu < 1 - Delta is mu' + mu < 1, whose parity of floor(D) is dpar-58's;
     and mu < mu' there, so mu' + mu < 1 forces mu < 1/2."""
@@ -181,7 +180,7 @@ def _dpar_59(ctx, tri, st):
 @checker("ids-510", Kind.UNIVERSAL,
          title="on shared windows d = h' - h; {h/mu} = mu; Delta = {h'/mu'} - {h/mu}",
          source="proposition 5.10", n_min=2, domain=_same)
-def _ids_510(ctx, tri, st):
+def _ids_510(tri, st):
     """Holds for every integer window with Nq = N: d = (N^2 + h') - (N^2 + h);
     h = mu (sqrt(p) + N) makes h/mu = 2N + mu with 0 < mu < 1, so
     {h/mu} = mu, {h'/mu'} = mu' and {h'/mu'} - {h/mu} = sqrt(q) - sqrt(p)."""
@@ -194,7 +193,7 @@ def _ids_510(ctx, tri, st):
                "(mu'^2 - mu^2)/2 (the printed iff admits straddle instances, "
                "e.g. n = 2; checked on its shared-window scope)",
          source="corollary 5.11 with proposition 5.10(2)", n_min=2, domain=_same)
-def _ids_511(ctx, tri, st):
+def _ids_511(tri, st):
     """X = mu' sqrt(q) - mu sqrt(p) = N sqrt(p) - N sqrt(q) + d on a shared
     window.  Two clauses are identities of every integer window once the
     first two hold, and tests/test_exact.py checks them through the kernel:
@@ -218,7 +217,7 @@ def _ids_511(ctx, tri, st):
          title="on straddles Delta = {h'/mu'} + 1 - {h/mu} and d/2 - (sqrt(p) - mu) "
                "= mu' sqrt(q) - mu sqrt(p) - (mu'^2 - mu^2 - 1)/2",
          source="proposition 5.12", n_min=2, domain=_straddle)
-def _ids_512(ctx, tri, st):
+def _ids_512(tri, st):
     """Holds for every integer window with Nq = N + 1: {h/mu} = mu and
     {h'/mu'} = mu' (ids-510), and mu' + 1 - mu = sqrt(q) - Nq + 1 - sqrt(p) + N
     = Delta; with mu sqrt(p) = p - N sqrt(p) and mu^2 = p - 2N sqrt(p) + N^2,
@@ -231,7 +230,7 @@ def _ids_512(ctx, tri, st):
          title="on straddles {mu sqrt(p) - mu' sqrt(q)} splits by the parity of h, "
                "with matching floor differences",
          source="corollary 5.13", n_min=2, domain=_straddle)
-def _ids_513(ctx, tri, st):
+def _ids_513(tri, st):
     w = tri.w
     fX, fracX = frac_root(w.Nq_sqrtq - w.N_sqrtp + (w.p - w.q))
     fr_p = (w.tN + 1) - w.N_sqrtp     # {mu sqrt(p)}
@@ -254,7 +253,7 @@ def _ids_513(ctx, tri, st):
          title="on straddles sqrt(p) - mu = d/(2 Delta) - (mu' + mu + 1)/2 and the "
                "companion sqrt(q) expression",
          source="proposition 5.14", n_min=2, domain=_straddle)
-def _ids_514(ctx, tri, st):
+def _ids_514(tri, st):
     """Holds for every integer window with Nq = N + 1: d/(2 Delta) = D/2, so
     d/(2 Delta) - (mu' + mu + 1)/2 = (Nq + N - 1)/2 = N = sqrt(p) - mu, and
     d/(2 Delta) - (mu' + mu - 1)/2 + mu' = N + 1 + mu' = sqrt(q)."""
@@ -264,7 +263,7 @@ def _ids_514(ctx, tri, st):
 @checker("ids-515", Kind.UNIVERSAL,
          title="on straddles floor(D) even iff mu' + mu > 1, with the {D} formulas",
          source="corollary 5.15", n_min=2, domain=_straddle)
-def _ids_515(ctx, tri, st):
+def _ids_515(tri, st):
     """Holds for every integer window with Nq = N + 1: D = 2N + 1 + mu' + mu
     lies in (2N + 1, 2N + 3), so floor(D) is 2N + 2, even, when mu' + mu > 1
     and 2N + 1, odd, when mu' + mu < 1; {D} is mu' + mu - 1 or mu' + mu."""
@@ -275,7 +274,7 @@ def _ids_515(ctx, tri, st):
          title="on straddles floor(D) even iff 2mu' > Delta (then mu > 1 - Delta_4/2); "
                "odd iff 2mu' < Delta (then mu' < Delta_4/2)",
          source="corollary 5.16", n_min=2, domain=_straddle)
-def _ids_516(ctx, tri, st):
+def _ids_516(tri, st):
     w = tri.w
     # Delta = 1 + mu' - mu here, so 2mu' > Delta iff mu' + mu > 1 iff
     # floor(D) > 2N + 1, even (the parity is ids-515's identity).  With
@@ -298,7 +297,7 @@ def _ids_516(ctx, tri, st):
          title="collect straddles with mu <= 2 mu' (the question asks whether "
                "mu > 2 mu' always holds there)",
          source="question closing section 5", n_min=2, domain=_straddle)
-def _survey_2mu(ctx, tri, st):
+def _survey_2mu(tri, st):
     w = tri.w
     s = _sign_2rad(2 * w.Nq - w.N, 1, w.p, -2, w.q)
     return HOLD if s <= 0 else MISS
@@ -310,7 +309,7 @@ def _survey_2mu(ctx, tri, st):
 @checker("eq-61", Kind.UNIVERSAL,
          title="2 sqrt(p) Delta = d - Delta^2 exactly",
          source="display 6.1")
-def _eq_61(ctx, tri, st):
+def _eq_61(tri, st):
     """Holds for every integer window: both sides are 2 sqrt(pq) - 2p, as
     Delta^2 = p + q - 2 sqrt(pq)."""
     return HOLD
@@ -320,7 +319,7 @@ def _eq_61(ctx, tri, st):
          title="d = h' - h on shared windows, d = 2N + 1 + h' - h on straddles; "
                "d never equals h'",
          source="display after 6.3")
-def _dnh_forms(ctx, tri, st):
+def _dnh_forms(tri, st):
     """Holds for every integer window: d = (Nq^2 + h') - (N^2 + h) with
     Nq^2 - N^2 = 0 or 2N + 1; so d = h' would need h = 0 (p a square) on a
     shared window or h = 2N + 1 > 2N on a straddle."""
@@ -330,7 +329,7 @@ def _dnh_forms(ctx, tri, st):
 @checker("survey-dh", Kind.SURVEY,
          title="collect n with d = h; companion: 2h = h' forces 2mu > mu'",
          source="d = h examples after 6.3")
-def _survey_dh(ctx, tri, st):
+def _survey_dh(tri, st):
     w = tri.w
     if 2 * w.h == w.hq:
         s = _sign_2rad(w.Nq - 2 * w.N, 2, w.p, -1, w.q)
@@ -343,7 +342,7 @@ def _survey_dh(ctx, tri, st):
          title="straddle lower bounds: d >= 2 + h' (N even >= 2), d >= 3 + h' "
                "(N odd >= 3), d >= 2 (N = 1)",
          source="display 6.4", domain=_straddle)
-def _eq_64(ctx, tri, st):
+def _eq_64(tri, st):
     w = tri.w
     if w.N == 1:
         return HOLD if w.d >= 2 else violate("d < 2 at N = 1")
@@ -354,7 +353,7 @@ def _eq_64(ctx, tri, st):
 @checker("max-gap-61", Kind.UNIVERSAL,
          title="d <= 2 floor(sqrt(p)); equality only on straddles",
          source="statement 6.1")
-def _max_gap_61(ctx, tri, st):
+def _max_gap_61(tri, st):
     w = tri.w
     if w.d > 2 * w.N:
         return violate("d > 2 floor(sqrt(p))")
@@ -366,7 +365,7 @@ def _max_gap_61(ctx, tri, st):
 @checker("cor-62", Kind.UNIVERSAL,
          title="on straddles h >= h' + 1 for n >= 2",
          source="corollary 6.2", n_min=2, domain=_straddle)
-def _cor_62(ctx, tri, st):
+def _cor_62(tri, st):
     w = tri.w
     return HOLD if w.h >= w.hq + 1 else violate("h < h' + 1")
 
@@ -375,7 +374,7 @@ def _cor_62(ctx, tri, st):
          title="h = h' + 1 on a straddle exactly at n in {2, 4}",
          source="statement 6.3", n_min=2, domain=_straddle,
          expected_exceptions=frozenset({2, 4}))
-def _ext_63(ctx, tri, st):
+def _ext_63(tri, st):
     w = tri.w
     return violate("h = h' + 1") if w.h == w.hq + 1 else HOLD
 
@@ -383,7 +382,7 @@ def _ext_63(ctx, tri, st):
 @checker("cor-64", Kind.EQUIVALENCE,
          title="d = 2 floor(sqrt(p)) iff h = N + 1 and h' = N",
          source="corollary 6.4")
-def _cor_64(ctx, tri, st):
+def _cor_64(tri, st):
     w = tri.w
     lhs = w.d == 2 * w.N
     rhs = w.h == w.N + 1 and w.hq == w.N
@@ -394,7 +393,7 @@ def _cor_64(ctx, tri, st):
          title="on straddles with N >= 2: h' <= N < sqrt(p) < N + 1 <= h",
          source="statement 6.5",
          domain=_straddle_n2)
-def _straddle_65(ctx, tri, st):
+def _straddle_65(tri, st):
     w = tri.w
     if w.hq > w.N:
         return violate("h' > N")
@@ -407,7 +406,7 @@ def _straddle_65(ctx, tri, st):
          title="on straddles with N >= 2: mu > 1/2 > mu'",
          source="statement 6.6",
          domain=_straddle_n2)
-def _straddle_66(ctx, tri, st):
+def _straddle_66(tri, st):
     w = tri.w
     if not 4 * w.p > (2 * w.N + 1) ** 2:
         return violate("mu <= 1/2")
@@ -419,7 +418,7 @@ def _straddle_66(ctx, tri, st):
 @checker("cor-67", Kind.UNIVERSAL,
          title="on straddles with n >= 4: 2 + h' <= d <= N + h'",
          source="corollary 6.7", n_min=4, domain=_straddle)
-def _cor_67(ctx, tri, st):
+def _cor_67(tri, st):
     w = tri.w
     if not 2 + w.hq <= w.d:
         return violate("d < 2 + h'")
@@ -433,8 +432,8 @@ def _cor_67(ctx, tri, st):
          source="closing survey of section 6",
          expected_survey=frozenset({4, 9, 30}),
          state_init=lambda: {"d_gt_sqrt_p": [], "delta_gt_half": []},
-         finalize=lambda ctx, st, extra: extra.update(st))
-def _survey_dsq_p(ctx, tri, st):
+         finalize=lambda st, extra: extra.update(st))
+def _survey_dsq_p(tri, st):
     w = tri.w
     if w.d * w.d > w.p and len(st["d_gt_sqrt_p"]) < 1000:
         st["d_gt_sqrt_p"].append(w.n)
@@ -448,7 +447,7 @@ def _survey_dsq_p(ctx, tri, st):
                "its duplicated 9 read as a set)",
          source="closing survey of section 6",
          expected_survey=frozenset({2, 4, 6, 9, 11, 30}))
-def _delta_gt_half(ctx, tri, st):
+def _delta_gt_half(tri, st):
     return HOLD if tri.w.delta_vs_half > 0 else MISS
 
 
@@ -466,7 +465,7 @@ def _same_odd(ctx, tri) -> bool:
 @checker("same-71", Kind.UNIVERSAL,
          title="on shared windows d <= N iff Delta < 1/2; and d < sqrt(p)",
          source="statement 7.1", n_min=2, domain=_same)
-def _same_71(ctx, tri, st):
+def _same_71(tri, st):
     w = tri.w
     lhs = w.d <= w.N
     rhs = w.delta_vs_half < 0
@@ -481,7 +480,7 @@ def _same_71(ctx, tri, st):
          title="even-N shared windows reach d = 2N - 2 only at n = 3",
          source="lemma 7.2", n_min=2, domain=_same_even,
          expected_exceptions=frozenset({3}))
-def _even_72(ctx, tri, st):
+def _even_72(tri, st):
     w = tri.w
     return violate("d = 2N - 2") if w.d == 2 * w.N - 2 else HOLD
 
@@ -489,7 +488,7 @@ def _even_72(ctx, tri, st):
 @checker("even-73", Kind.EQUIVALENCE,
          title="even-N shared windows: d = N iff h' = 2N - 1 and h = N - 1",
          source="statement 7.3", n_min=2, domain=_same_even)
-def _even_73(ctx, tri, st):
+def _even_73(tri, st):
     w = tri.w
     lhs = w.d == w.N
     rhs = w.hq == 2 * w.N - 1 and w.h == w.N - 1
@@ -500,7 +499,7 @@ def _even_73(ctx, tri, st):
          title="even-N shared windows reach d = floor(sqrt(p)) exactly at n in {3, 8}",
          source="corollary 7.4", n_min=2, domain=_same_even,
          expected_exceptions=frozenset({3, 8}))
-def _even_74(ctx, tri, st):
+def _even_74(tri, st):
     w = tri.w
     return violate("d = floor(sqrt(p))") if w.d == w.N else HOLD
 
@@ -508,7 +507,7 @@ def _even_74(ctx, tri, st):
 @checker("even-75", Kind.UNIVERSAL,
          title="even-N shared windows: 0 < mu' - mu < 1/2 - Delta^2/(2 sqrt(p))",
          source="corollary 7.5", n_min=2, domain=_same_even)
-def _even_75(ctx, tri, st):
+def _even_75(tri, st):
     w = tri.w
     # the bound reduces exactly to d < sqrt(p)
     return HOLD if w.d * w.d < w.p else violate("upper bound fails")
@@ -518,7 +517,7 @@ def _even_75(ctx, tri, st):
          title="even-N shared windows: h' < N forces d < sqrt(p) - 1 - h; "
                "h > sqrt(p) forces d < h' - sqrt(p)",
          source="corollary 7.6", n_min=2, domain=_same_even)
-def _even_76(ctx, tri, st):
+def _even_76(tri, st):
     """Holds for every integer window with Nq = N: d = h' - h, so
     d < sqrt(p) - 1 - h is h' + 1 < sqrt(p), given by h' < N, and
     d < h' - sqrt(p) is h > sqrt(p)."""
@@ -538,7 +537,7 @@ def _even_76(ctx, tri, st):
          source="statement 7.7 with display 7.1", n_min=2,
          domain=lambda ctx, tri: (tri.w.same_part and tri.w.N % 2 == 0
                                   and tri.w.N >= 4 and tri.w.n != 8))
-def _even_77(ctx, tri, st):
+def _even_77(tri, st):
     w, prev = tri.w, tri.prev
     if w.d > w.N - 2:
         return violate("d > N - 2")
@@ -557,32 +556,25 @@ def _even_77(ctx, tri, st):
          source="statement 7.8", n_min=2,
          domain=lambda ctx, tri: (tri.w.same_part and tri.w.N % 2 == 0
                                   and tri.w.N >= 4))
-def _thm_78(ctx, tri, st):
+def _thm_78(tri, st):
+    """p and q are consecutive primes, so the window decides both counts.
+    h = 1: p = N^2 + 1 and q is the next prime, so (N^2, N^2+N) holds two
+    iff q < N^2 + N = N(N+1), that is h' <= N.  h' = 2N - 1: q is the last
+    prime below (N+1)^2 and p the one before it, so (N^2+N, N^2+2N) holds
+    two iff p > N^2 + N, that is h > N."""
     w = tri.w
-    N2 = w.N * w.N
-    if w.h == 1:
-        if _primes_between(ctx.store, N2, N2 + w.N) < 2:
-            return violate("fewer than two primes in (N^2, N^2+N)")
-    if w.hq == 2 * w.N - 1 and w.N > 4:
-        if _primes_between(ctx.store, N2 + w.N, N2 + 2 * w.N) < 2:
-            return violate("fewer than two primes in (N^2+N, N^2+2N)")
+    if w.h == 1 and w.hq > w.N:
+        return violate("fewer than two primes in (N^2, N^2+N)")
+    if w.hq == 2 * w.N - 1 and w.N > 4 and w.h <= w.N:
+        return violate("fewer than two primes in (N^2+N, N^2+2N)")
     return HOLD
-
-
-def _primes_between(store, a: int, b: int) -> int:
-    """Number of primes in (a, b].  Past the sieve each candidate is tested
-    directly, so the count does not depend on the sieve limit."""
-    if b <= store.limit:
-        lo = store.pi(a)   # a first: the segment cache expects ascending reads
-        return store.pi(b) - lo
-    return sum(1 for x in range(a + 1, b + 1) if is_prime_u64(x))
 
 
 @checker("odd-79", Kind.EXCEPTION_SET,
          title="odd-N (>= 3) shared windows reach d = 2N - 4 only at n = 5",
          source="lemma 7.9", n_min=2, domain=_same_odd,
          expected_exceptions=frozenset({5}))
-def _odd_79(ctx, tri, st):
+def _odd_79(tri, st):
     w = tri.w
     return violate("d = 2N - 4") if w.N >= 3 and w.d == 2 * w.N - 4 else HOLD
 
@@ -591,7 +583,7 @@ def _odd_79(ctx, tri, st):
          title="odd-N shared windows reach d = N - 1 exactly at n in {5, 16, 24}",
          source="statement 7.10", n_min=2, domain=_same_odd,
          expected_exceptions=frozenset({5, 16, 24}))
-def _odd_710(ctx, tri, st):
+def _odd_710(tri, st):
     w = tri.w
     return violate("d = N - 1") if w.d == w.N - 1 else HOLD
 
@@ -600,7 +592,7 @@ def _odd_710(ctx, tri, st):
          title="odd-N shared windows: mu' - mu < 1/2 - Delta^2/(2 sqrt(p)) "
                "- 1/(2 sqrt(p))",
          source="corollary 7.11", n_min=2, domain=_same_odd)
-def _odd_711(ctx, tri, st):
+def _odd_711(tri, st):
     w = tri.w
     # reduces exactly to d + 1 < sqrt(p)
     return HOLD if (w.d + 1) ** 2 < w.p else violate("tightened bound fails")
@@ -611,7 +603,7 @@ def _odd_711(ctx, tri, st):
                "prime's square-root cases",
          source="corollary 7.12 with display 7.2", n_min=2,
          domain=_same_odd)
-def _odd_712(ctx, tri, st):
+def _odd_712(tri, st):
     w, prev = tri.w, tri.prev
     if w.d > w.N - 1:
         return violate("d > floor(sqrt(p)) - 1")
@@ -628,7 +620,7 @@ def _odd_712(ctx, tri, st):
          title="odd-N shared windows: h' < N forces d < sqrt(p) - 1 - h with the "
                "prior-prime variants; h > sqrt(p) forces d < h' - sqrt(p)",
          source="corollary 7.13", n_min=2, domain=_same_odd)
-def _odd_713(ctx, tri, st):
+def _odd_713(tri, st):
     """Holds for every chain of integer windows with Nq = N: as even-76,
     and with d + h = h' <= N - 1 the prior-prime bounds need only
     N^2 < p_prev when p_prev shares N, or (N - 1)^2 < p_prev otherwise."""
@@ -652,7 +644,7 @@ def _odd_713(ctx, tri, st):
          title="when p is the smallest prime above N^2 (N >= 2), floor(D) is even",
          source="closing statement of section 7", n_min=2,
          domain=lambda ctx, tri: tri.w.N >= 2 and tri.prev.N < tri.w.N)
-def _first_after_square(ctx, tri, st):
+def _first_after_square(tri, st):
     w = tri.w
     fd = w.floor_D
     return HOLD if fd % 2 == 0 else violate(f"floor(D) = {fd} odd")
@@ -663,8 +655,8 @@ def _first_after_square(ctx, tri, st):
                "floor(D) even",
          source="closing question of section 7", domain=_straddle,
          state_init=lambda: {"N_values": []},
-         finalize=lambda ctx, st, extra: extra.update(st))
-def _survey_last_before_square(ctx, tri, st):
+         finalize=lambda st, extra: extra.update(st))
+def _survey_last_before_square(tri, st):
     w = tri.w
     if w.floor_D % 2 == 0:
         if len(st["N_values"]) < 1000:

@@ -22,7 +22,7 @@ from .types import HOLD, MISS, Kind, checker, hard_fail, violate
          title="d = 2 iff sqrt(p)Delta = {sqrt(p)Delta} iff sqrt(q)Delta = "
                "1 + {sqrt(q)Delta} iff Delta^2 + 2 sqrt(p)Delta = 2",
          source="statement 9.1", n_min=2)
-def _twin_91(ctx, tri, st):
+def _twin_91(tri, st):
     w = tri.w
     base = w.d == 2
     item2 = w.s - w.p == 0              # floor(sqrt(p)Delta) = 0
@@ -61,7 +61,7 @@ def _twin_pair_events(st, w):
          source="statement 9.2", n_min=2,
          domain=twin,
          state_init=_pair_state)
-def _twin_92(ctx, tri, st):
+def _twin_92(tri, st):
     """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2:
     each link is an order of these integers (sqrt(c) Delta2 < 1 is
     c(c + 2) < (c + 1)^2)."""
@@ -92,7 +92,7 @@ def _twin_92(ctx, tri, st):
          source="corollary 9.3", n_min=2,
          domain=twin,
          state_init=_pair_state)
-def _twin_93(ctx, tri, st):
+def _twin_93(tri, st):
     """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2
     with a >= 2: with Delta = 2/D each link is an order of these integers
     (sqrt(e) Delta2 < sqrt(b) Delta1 is ae < bc, sqrt(b) Delta1 < 5/4 is
@@ -120,7 +120,7 @@ def _twin_93(ctx, tri, st):
          source="corollary 9.4", n_min=2,
          domain=twin,
          state_init=_pair_state)
-def _twin_94(ctx, tri, st):
+def _twin_94(tri, st):
     """Holds for every pair of twin windows a < b = a + 2 <= c < e = c + 2:
     sqrt(b) Delta2 < 1 is 2 sqrt(b) < sqrt(c) + sqrt(e)."""
     w = tri.w
@@ -143,7 +143,7 @@ def _from_one(ctx, tri):
          title="Delta_n > Delta_m for every n < m when d_m = 2, m >= 5",
          source="statement 9.5", domain=_from_one,
          state_init=lambda: {"min": None})
-def _twin_95(ctx, tri, st):
+def _twin_95(tri, st):
     w = tri.w
     out = HOLD
     mn = st["min"]
@@ -161,7 +161,7 @@ def _twin_95(ctx, tri, st):
                "{sqrt(p)Delta} above them",
          source="corollary 9.6", domain=_from_one,
          state_init=lambda: {"maxF": None})
-def _twin_96(ctx, tri, st):
+def _twin_96(tri, st):
     """Holds for every increasing chain of integer windows: {sqrt(pq)} is at
     most 1 - 1/(k + 1 + sqrt((k + 1)^2 - 1)) for k = isqrt(pq), which grows
     with k; a twin (p, p + 2) attains it at k = p, and every earlier window
@@ -198,7 +198,7 @@ def _interior_step(st, w):
                "Deltas (the sandwich around an isolated twin)",
          source="lemma 9.7", n_min=2,
          state_init=lambda: {"last_twin": None, "interior_min": None})
-def _twin_97(ctx, tri, st):
+def _twin_97(tri, st):
     w = tri.w
     out = HOLD
     lt, im = st["last_twin"], st["interior_min"]
@@ -216,7 +216,7 @@ def _twin_97(ctx, tri, st):
                "d_n >= 4",
          source="statement 9.8", n_min=2,
          state_init=lambda: {"last_twin": None})
-def _twin_98(ctx, tri, st):
+def _twin_98(tri, st):
     w = tri.w
     if w.d == 2:
         st["last_twin"] = [w.n, w.p, w.q]
@@ -235,7 +235,7 @@ def _twin_98(ctx, tri, st):
          title="Delta_n > Delta_m1 > Delta_m2 across each consecutive twin pair",
          source="corollary 9.9", n_min=2,
          state_init=lambda: {"last_twin": None, "interior_min": None})
-def _twin_99(ctx, tri, st):
+def _twin_99(tri, st):
     w = tri.w
     out = HOLD
     lt, im = st["last_twin"], st["interior_min"]
@@ -253,7 +253,7 @@ def _twin_99(ctx, tri, st):
                "then d_m = 2",
          source="corollary 9.10", domain=_from_one,
          state_init=lambda: {"min": None})
-def _twin_910(ctx, tri, st):
+def _twin_910(tri, st):
     w = tri.w
     out = HOLD
     mn = st["min"]
@@ -272,9 +272,9 @@ def _twin_910(ctx, tri, st):
          source="postulate discussion 9.2", n_min=2, conjecture=True,
          domain=twin,
          state_init=lambda: {"prev": None, "ratio32": [], "double": [], "sqrt2": []},
-         finalize=lambda ctx, st, extra: extra.update(
+         finalize=lambda st, extra: extra.update(
              {k: st[k] for k in ("ratio32", "double", "sqrt2")}))
-def _twin_postulate(ctx, tri, st):
+def _twin_postulate(tri, st):
     w = tri.w
     prev, st["prev"] = st["prev"], [w.n, w.p, w.q]
     if prev is None:
@@ -300,7 +300,7 @@ def _twin_postulate(ctx, tri, st):
          source="statement 9.13", n_min=2,
          domain=twin,
          state_init=lambda: {"N": None, "list": []})
-def _twin_913(ctx, tri, st):
+def _twin_913(tri, st):
     w = tri.w
     if st["N"] != w.N:
         st["N"] = w.N
@@ -318,7 +318,7 @@ def _twin_913(ctx, tri, st):
                "alpha_m2 > alpha_n + (d_n - 2)/D_n over the interior",
          source="propositions 9.14 and 9.15", n_min=2,
          state_init=lambda: {"last_twin": None, "min_scaled": None})
-def _alpha_props(ctx, tri, st):
+def _alpha_props(tri, st):
     w = tri.w
     if w.d == 2:
         out = HOLD

@@ -1,15 +1,20 @@
 """Checker evaluation engine: streams GapWindows, tallies outcomes, emits reports.
 
 Evaluation is deterministic: the same (ids, range, opts) always produce
-byte-identical serialized reports.  Every window of the range has both
-neighbours: the stream runs from the window before n_lo (from n = 1 when
-n_lo is 1, where no window precedes) to the one after n_hi, so the store
-must hold p_{n_hi+2}, or `windows` raises CoverageError.  Long ranges can
-be split: the engine returns a JSON-able checkpoint from which a later run
-continues, on the same or a larger sieve, and the merged result equals a
-single uninterrupted run.  A checkpoint resumes only under the version
-that wrote it and with the witness cap it records; anything else raises
-ValueError.
+byte-identical serialized reports.  A checker sees only its windows: its
+evaluate(tri, st) gets the window triple and the checker's own state, its
+finalize(st, extra) that state and the report's extra dict, and its
+domain(ctx, tri) the triple and the reported range ctx.n_lo..ctx.n_hi.  No
+callback reaches the store.  A run names each checker at most once.
+Every window of the range has both neighbours: the stream runs from the
+window before n_lo (from n = 1 when n_lo is 1, where no window precedes) to
+the one after n_hi, so the store must hold p_{n_hi+2}, or `windows` raises
+CoverageError.  Long ranges can be split: the engine returns a JSON-able
+checkpoint from which a later run continues, on the same or a larger sieve,
+and the merged result equals a single uninterrupted run.  A checkpoint
+resumes only under the version that wrote it, with the witness cap it
+records, and when every field has the shape this version writes
+(`check_checkpoint`); anything else raises ValueError.
 
 Per run, each spec's evaluate and tally are bound once, and the specs are
 grouped by the identity of their domain function (specs without one form a
@@ -37,6 +42,9 @@ from .types import (HOLD, CheckReport, CheckerSpec, Counts, Kind, Outcome, Tripl
 
 SURVEY_CAP = 10000   # indices a SURVEY report lists before noting truncation
 _CHECKPOINT_KEYS = {"n_lo", "next_n", "ids", "witness_cap", "tool_version", "per"}
+_TALLY_LISTS = ("witnesses", "violations", "survey", "notes")
+_TALLY_KEYS = {"counts", "state", "error", *_TALLY_LISTS}
+_COUNT_KEYS = {"holds", "fails", "undecided", "out_of_domain"}
 
 
 @dataclass
@@ -46,7 +54,6 @@ class RunOpts:
 
 @dataclass
 class EvalContext:
-    store: PrimeStore
     n_lo: int
     n_hi: int
 
@@ -68,16 +75,9 @@ class _Tally:
 
     @classmethod
     def from_json(cls, d: dict) -> "_Tally":
-        t = cls()
-        c = d["counts"]
-        t.counts = Counts(c["holds"], c["fails"], c["undecided"], c["out_of_domain"])
-        t.witnesses = list(d["witnesses"])
-        t.violations = list(d["violations"])
-        t.survey = list(d["survey"])
-        t.notes = list(d["notes"])
-        t.state = dict(d["state"])
-        t.error = d["error"]
-        return t
+        """The tally of a checkpoint that passed check_checkpoint."""
+        return cls(Counts(**d["counts"]), *(list(d[k]) for k in _TALLY_LISTS),
+                   dict(d["state"]), d["error"])
 
 
 def _cap_text(cap) -> str:
@@ -157,7 +157,7 @@ def _assemble(spec: CheckerSpec, tally: _Tally, ctx: EvalContext) -> CheckReport
     extra: dict = {}
     if spec.finalize is not None and tally.error is None:
         try:
-            spec.finalize(ctx, tally.state, extra)
+            spec.finalize(tally.state, extra)
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             tally.error = f"finalize error: {exc!r}"
             tally.notes.append(tally.error)
@@ -177,6 +177,47 @@ def _assemble(spec: CheckerSpec, tally: _Tally, ctx: EvalContext) -> CheckReport
     return rep
 
 
+def check_checkpoint(cp) -> dict:
+    """cp, if it has the shape of a checkpoint this version wrote; otherwise
+    ValueError naming the first field that does not.  Callers read no field
+    of a checkpoint before it passes."""
+    if type(cp) is not dict:
+        raise ValueError("checkpoint is not a JSON object")
+    # another version may tally differently or write other keys
+    if cp.get("tool_version") != __version__:
+        raise ValueError(
+            f"checkpoint was written by gapcheck "
+            f"{cp.get('tool_version', 'of no recorded version')}, "
+            f"this is gapcheck {__version__}; rerun the range from its start")
+    if set(cp) != _CHECKPOINT_KEYS:
+        raise ValueError("checkpoint does not match this run")
+    for key in ("n_lo", "next_n"):
+        if type(cp[key]) is not int:
+            raise ValueError(f"checkpoint {key} is not an integer")
+    if cp["witness_cap"] is not None and type(cp["witness_cap"]) is not int:
+        raise ValueError("checkpoint witness_cap is neither an integer nor null")
+    ids = cp["ids"]
+    if type(ids) is not list or any(type(cid) is not str for cid in ids):
+        raise ValueError("checkpoint ids is not a list of checker ids")
+    if type(cp["per"]) is not dict or set(cp["per"]) != set(ids):
+        raise ValueError("checkpoint per does not hold one tally per id")
+    for cid, t in cp["per"].items():
+        if type(t) is not dict or set(t) != _TALLY_KEYS:
+            raise ValueError(f"checkpoint per.{cid} is not a tally")
+        c = t["counts"]
+        if (type(c) is not dict or set(c) != _COUNT_KEYS
+                or any(type(v) is not int for v in c.values())):
+            raise ValueError(f"checkpoint per.{cid}.counts is not four integer counts")
+        for key in _TALLY_LISTS:
+            if type(t[key]) is not list:
+                raise ValueError(f"checkpoint per.{cid}.{key} is not a list")
+        if type(t["state"]) is not dict:
+            raise ValueError(f"checkpoint per.{cid}.state is not a JSON object")
+        if t["error"] is not None and type(t["error"]) is not str:
+            raise ValueError(f"checkpoint per.{cid}.error is neither a string nor null")
+    return cp
+
+
 def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
              opts: RunOpts | None = None, resume: dict | None = None):
     """Evaluate several checkers in one pass over [n_lo, n_hi].
@@ -187,6 +228,9 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     """
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, not n_lo={n_lo}, n_hi={n_hi}")
+    if len(set(ids)) < len(ids):
+        repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
+        raise ValueError(f"checker id(s) given more than once: {','.join(repeated)}")
     opts = opts or RunOpts()
     reg = registry()
     specs = []
@@ -196,13 +240,8 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         specs.append(reg[cid])
 
     if resume is not None:
-        # another version may tally differently or write other keys
-        if resume.get("tool_version") != __version__:
-            raise ValueError(
-                f"checkpoint was written by gapcheck "
-                f"{resume.get('tool_version', 'of no recorded version')}, "
-                f"this is gapcheck {__version__}; rerun the range from its start")
-        if set(resume) != _CHECKPOINT_KEYS or sorted(resume["ids"]) != sorted(ids):
+        check_checkpoint(resume)
+        if sorted(resume["ids"]) != sorted(ids):
             raise ValueError("checkpoint does not match this run")
         if resume["next_n"] != n_lo:
             raise ValueError(
@@ -223,7 +262,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                 tallies[cid].state = spec.state_init()
         report_lo = n_lo
 
-    ctx = EvalContext(store=store, n_lo=report_lo, n_hi=n_hi)
+    ctx = EvalContext(n_lo=report_lo, n_hi=n_hi)
 
     # stream the window before the range (none before n = 1) and the one after
     stream = windows(store, max(1, n_lo - 1), n_hi + 1)
@@ -269,7 +308,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                             _error(tally, cur, inside)
                         continue
                 try:
-                    out = evaluate(ctx, tri, state)
+                    out = evaluate(tri, state)
                     if out is HOLD and fast:
                         counts.holds += 1
                     else:

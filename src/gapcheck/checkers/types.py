@@ -67,14 +67,14 @@ class CheckerSpec:
     kind: Kind
     title: str                    # what is being asserted, in formula form
     source: str                   # statement locus in the source text
-    evaluate: Callable            # (ctx, triple, state) -> Outcome
+    evaluate: Callable            # (triple, state) -> Outcome
     n_min: int = 1
     domain: Optional[Callable] = None   # (ctx, triple) -> bool, beyond n_min
     expected_exceptions: frozenset = frozenset()
     expected_survey: Optional[frozenset] = None
     conjecture: bool = False
     state_init: Optional[Callable] = None   # () -> JSON-able dict
-    finalize: Optional[Callable] = None     # (ctx, state, report_extra) -> None
+    finalize: Optional[Callable] = None     # (state, report_extra) -> None
 
     def __post_init__(self):
         if self.kind is not Kind.EXCEPTION_SET and self.expected_exceptions:

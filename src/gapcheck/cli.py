@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .accum import accum_scan, parse_target, special_scans, write_accum_csv
-from .checkers import RunOpts, Verdict, catalog, registry, run_many
+from .checkers import RunOpts, Verdict, catalog, check_checkpoint, registry, run_many
 from .intervals import pow2_ladder, power_reports, square_reports, write_square_csv
 from .primes import build_store
 from .twin import alpha_ledger, write_ledger_csv
@@ -94,7 +94,8 @@ def cmd_verify(args) -> int:
     if args.resume:
         with open(args.resume) as fh:
             manifest = json.load(fh)
-        resume = manifest["checkpoint"]
+        resume = check_checkpoint(manifest.get("checkpoint")
+                                  if type(manifest) is dict else manifest)
         ids = resume["ids"]
         n_lo = resume["next_n"]
         if args.n_hi is None or args.n_hi < n_lo:

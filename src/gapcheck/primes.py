@@ -14,8 +14,8 @@ does not read it again, while the older segments are the ones the next
 sweep reads first.  Otherwise the least recently used segment goes, so a
 segment that point queries keep reading during a sweep stays cached.
 Segment 0 is never evicted by the sweep rule: it holds every number below
-2*SEGMENT_ENTRIES + 3, which point queries such as the square tables'
-offsets h <= 2N keep reading.  Plain LRU evicts exactly the segment a sweep
+2*SEGMENT_ENTRIES + 3, and every table sweep restarts there (the square
+tables first read their small primes h <= 2N from it in one pass).  Plain LRU evicts exactly the segment a sweep
 needs next once a store has more segments than the cache (Johnson and
 Shasha, "2Q", VLDB 1994).  A caller that steps back to a lower segment
 after a sweep has moved on pays a re-sieve, so the tables read the store in

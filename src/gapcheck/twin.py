@@ -41,24 +41,25 @@ from .window import windows
 
 # -- certified interval natural log ---------------------------------------------
 
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
+LN_BITS = 96         # fraction bits of every ln bracket
+_LN2_CACHE: tuple[int, int] | None = None   # ln 2 at LN_BITS, built on first use
 
 
-def _atanh_interval(unum: int, uden: int, fb: int) -> tuple[int, int]:
-    """Certified [lo, hi] ulps at fb bits for atanh(unum/uden), 0 <= u < 1/2."""
-    one = 1 << fb
+def _atanh_interval(unum: int, uden: int) -> tuple[int, int]:
+    """Certified [lo, hi] ulps at LN_BITS for atanh(unum/uden), 0 <= u < 1/2."""
+    one = 1 << LN_BITS
     ulo = unum * one // uden
     uhi = ulo + (0 if unum * one % uden == 0 else 1)
-    u2lo = ulo * ulo >> fb
-    u2hi = (uhi * uhi >> fb) + 1
+    u2lo = ulo * ulo >> LN_BITS
+    u2hi = (uhi * uhi >> LN_BITS) + 1
     slo, shi = 0, 0
     plo, phi = ulo, uhi  # u^(2k+1) bracket
     k = 0
     while True:
         slo += plo // (2 * k + 1)
         shi += phi // (2 * k + 1) + 1
-        plo = plo * u2lo >> fb
-        phi = (phi * u2hi >> fb) + 1
+        plo = plo * u2lo >> LN_BITS
+        phi = (phi * u2hi >> LN_BITS) + 1
         k += 1
         if phi // (2 * k + 1) == 0:
             # remaining tail < phi/(2k+1) * 1/(1 - u^2) < 2 ulps here
@@ -67,15 +68,15 @@ def _atanh_interval(unum: int, uden: int, fb: int) -> tuple[int, int]:
     return slo, shi
 
 
-def _ln2_interval(fb: int) -> tuple[int, int]:
-    if fb not in _LN2_CACHE:
-        lo, hi = _atanh_interval(1, 3, fb)
-        _LN2_CACHE[fb] = (2 * lo, 2 * hi)
-    return _LN2_CACHE[fb]
+def _ln2_interval() -> tuple[int, int]:
+    global _LN2_CACHE
+    if _LN2_CACHE is None:   # ln 2 = 2 atanh(1/3)
+        _LN2_CACHE = tuple(2 * x for x in _atanh_interval(1, 3))
+    return _LN2_CACHE
 
 
-def ln_interval(num: int, den: int = 1, fb: int = 96) -> tuple[int, int]:
-    """Certified [lo, hi] ulps at fb bits with ln(num/den) inside."""
+def ln_interval(num: int, den: int = 1) -> tuple[int, int]:
+    """Certified [lo, hi] ulps at LN_BITS with ln(num/den) inside."""
     if num <= 0 or den <= 0:
         raise ValueError("ln of a non-positive value")
     e = num.bit_length() - den.bit_length()
@@ -94,19 +95,19 @@ def ln_interval(num: int, den: int = 1, fb: int = 96) -> tuple[int, int]:
     if unum == 0:
         mlo = mhi = 0
     else:
-        alo, ahi = _atanh_interval(unum, uden, fb)
+        alo, ahi = _atanh_interval(unum, uden)
         mlo, mhi = 2 * alo, 2 * ahi
-    l2lo, l2hi = _ln2_interval(fb)
+    l2lo, l2hi = _ln2_interval()
     if e >= 0:
         return mlo + e * l2lo, mhi + e * l2hi
     return mlo + e * l2hi, mhi + e * l2lo
 
 
-def ln_ln_interval(n: int, fb: int = 96) -> tuple[int, int]:
-    """Certified bracket of ln(ln(n)) for n >= 3."""
-    lo, hi = ln_interval(n, 1, fb)
-    llo = ln_interval(lo, 1 << fb, fb)[0]
-    lhi = ln_interval(hi, 1 << fb, fb)[1]
+def ln_ln_interval(n: int) -> tuple[int, int]:
+    """Certified bracket of ln(ln(n)) at LN_BITS for n >= 3."""
+    lo, hi = ln_interval(n)
+    llo = ln_interval(lo, 1 << LN_BITS)[0]
+    lhi = ln_interval(hi, 1 << LN_BITS)[1]
     return llo, lhi
 
 
@@ -151,7 +152,6 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
     B = (0, 0)
     sq_lo = isqrt(2 << (2 * fb))          # sqrt(p_1 = 2) bracket
     sq_hi = sq_lo + 1
-    ln_fb = 96
     j = 0                                 # j_n = #{i < n : d_i = 2}
     for w in windows(store, 1, n_hi):
         # sqrt(q) bracket at fb bits
@@ -181,7 +181,7 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
         b_gt_a = B[0] > A[1]
         sandwich_ok = 2 * w.n - 1 <= w.p and 2 * w.p <= (w.n + 1) ** 2
         q92 = _q92_holds(w, j_next) if w.n >= 5 else None
-        dusart = _dusart_holds(w.n, j, ln_fb) if w.n >= 3 else None
+        dusart = _dusart_holds(w.n, j) if w.n >= 3 else None
         abstract = w.p < 2 * j * j if w.n >= 6 else None
         # positional, in field order: keywords cost a microsecond a row
         yield AlphaRow(w.n, j, A, B, residual_bound, identity_ok, b_gt_a,
@@ -201,7 +201,7 @@ def _q92_holds(w, j_next: int) -> bool:
     return w.q < 2 * j_next * j_next
 
 
-def _dusart_holds(n: int, j: int, fb: int) -> bool:
+def _dusart_holds(n: int, j: int) -> bool:
     """n (ln n + ln ln n - 1) < 2 j_n^2, decided first by an integer filter,
     then with certified brackets.
 
@@ -212,9 +212,9 @@ def _dusart_holds(n: int, j: int, fb: int) -> bool:
     """
     if n * (14 * n.bit_length() - 20) < 20 * j * j:
         return True
-    one = 1 << fb
-    lo1, hi1 = ln_interval(n, 1, fb)
-    lo2, hi2 = ln_ln_interval(n, fb)
+    one = 1 << LN_BITS
+    lo1, hi1 = ln_interval(n)
+    lo2, hi2 = ln_ln_interval(n)
     lhs_hi = n * (hi1 + hi2 - one)
     rhs = 2 * j * j * one
     if lhs_hi < rhs:

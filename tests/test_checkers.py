@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gapcheck import __version__
 from gapcheck.checkers import (EvalContext, Kind, RunOpts, Triple, Verdict, catalog,
-                               registry, run_all, run_checker, run_many)
+                               check_checkpoint, registry, run_all, run_checker, run_many)
 from gapcheck.primes import CoverageError
 from gapcheck.window import GapWindow
 from oracles import RANDOM_RANGES, random_chain, reads, trial_division_primes
@@ -188,7 +188,8 @@ def test_resume_on_larger_store(small_store, mid_store):
     resumed, _ = run_many(ids, mid_store, 5001, 12000, resume=cp)
     for cid in ids:
         assert resumed[cid].to_json() == single[cid].to_json(), cid
-    # thm-78 counts primes up to N^2 + 2N, past the small sieve near its edge
+    # a run split a few windows before the small sieve's edge resumes on the
+    # larger one
     split = small_store.prime_count - 7
     _, cp = run_many(["thm-78"], small_store, 1, split)
     resumed, _ = run_many(["thm-78"], mid_store, split + 1, 12000, resume=cp)
@@ -235,6 +236,55 @@ def test_resume_mismatch_rejected(mid_store):
     # a key this version does not write, as the j_prev of older checkpoints
     with pytest.raises(ValueError, match="checkpoint does not match this run"):
         run_many(["conj-gap-sq"], mid_store, 51, 120, resume=dict(cp, j_prev=0))
+
+
+def test_repeated_ids_rejected(small_store):
+    """A checker named twice would tally every window twice; run_many
+    refuses the run, naming each repeated id once."""
+    with pytest.raises(ValueError, match="more than once: gap-half,twin-95$"):
+        run_many(["twin-95", "gap-half", "andrica", "gap-half", "twin-95"],
+                 small_store, 1, 100)
+
+
+def _malformed(cp):
+    """Copies of the checkpoint cp, each broken in one field, with the
+    name the refusal must give."""
+    cid = cp["ids"][0]
+
+    def tally(**kw):
+        return dict(cp, per={**cp["per"], cid: {**cp["per"][cid], **kw}})
+
+    counts = cp["per"][cid]["counts"]
+    return [
+        (dict(cp, next_n=str(cp["next_n"])), "next_n"),
+        (dict(cp, n_lo=True), "n_lo"),
+        (dict(cp, witness_cap=2.0), "witness_cap"),
+        (dict(cp, ids=cid), "ids"),
+        (dict(cp, ids=[cid, 7]), "ids"),
+        (dict(cp, per={}), "per"),
+        (tally(witnesses=None), f"per.{cid}.witnesses"),
+        (tally(notes="x"), f"per.{cid}.notes"),
+        (tally(counts=dict(counts, holds=str(counts["holds"]))), f"per.{cid}.counts"),
+        (tally(counts=dict(counts, extra=0)), f"per.{cid}.counts"),
+        (tally(state=[]), f"per.{cid}.state"),
+        (tally(error=1), f"per.{cid}.error"),
+        (tally(survey=[], extra=[]), f"per.{cid} is not a tally"),
+    ]
+
+
+def test_malformed_checkpoint_rejected(mid_store):
+    """A checkpoint of the right version whose fields have the wrong shape
+    is refused with a ValueError naming the field, before any window is
+    read; a checkpoint that is not an object is refused too."""
+    ids = ["gap-half", "twin-95"]
+    _, cp = run_many(ids, mid_store, 1, 100)
+    cp = json.loads(json.dumps(cp))
+    assert check_checkpoint(cp) is cp
+    for bad, field in _malformed(cp):
+        with pytest.raises(ValueError, match=f"checkpoint {field}"):
+            run_many(ids, mid_store, 101, 200, resume=bad)
+    with pytest.raises(ValueError, match="checkpoint is not a JSON object"):
+        run_many(ids, mid_store, 101, 200, resume=[cp])
 
 
 def test_resume_with_other_witness_cap_rejected(mid_store):
@@ -340,7 +390,7 @@ def test_out_of_domain_counts_match_specs(small_store):
     last = small_store.prime_count - 1
     for n_lo, n_hi in ((1, 12), (last - 151, last - 1)):
         reports, _ = run_many(ids, small_store, n_lo, n_hi)
-        ctx = EvalContext(store=small_store, n_lo=n_lo, n_hi=n_hi)
+        ctx = EvalContext(n_lo=n_lo, n_hi=n_hi)
         triples = _triples(small_store, n_lo, n_hi)
         for cid in ids:
             spec, rep = reg[cid], reports[cid]
@@ -447,17 +497,17 @@ def test_checker_error_counts_undecided(monkeypatch, capsys):
 
     spec = registry()["thm-35"]
 
-    def raising(ctx, tri, st):
+    def raising(tri, st):
         if tri.w.n == 50:
             raise RuntimeError("injected")
-        return spec.evaluate(ctx, tri, st)
+        return spec.evaluate(tri, st)
 
     floor_spec = registry()["floor-31"]
 
-    def three_radicands(ctx, tri, st):
+    def three_radicands(tri, st):
         if tri.w.n == 70:
             cmp_root(RootExpr.sqrt(tri.w.p) + RootExpr.sqrt(tri.w.q) - RootExpr.sqrt(2))
-        return floor_spec.evaluate(ctx, tri, st)
+        return floor_spec.evaluate(tri, st)
 
     monkeypatch.setitem(registry(), "thm-35", dataclasses.replace(spec, evaluate=raising))
     monkeypatch.setitem(registry(), "floor-31",
@@ -626,7 +676,7 @@ _FAILS_AT = {
     "straddle-66": (1839, 1931, 1986, 2035),
     "thm-34": (972, 1021, 1022, 1050),
     "thm-35": (972, 1021, 1022, 1050),
-    "thm-78": (92, 117, 119, 120),
+    "thm-78": (92, 105, 119, 120),
     "twin-91": (972, 1021, 1022, 1050),
     "twin-sq": (611, 675, 677, 679),
 }
@@ -645,7 +695,7 @@ def _fails(ctx, spec, tri, state) -> bool:
     return (not (tri.prev is None and reads(spec, "prev"))
             and not (tri.nxt is None and reads(spec, "nxt"))
             and not _out_of_domain(ctx, spec, tri)
-            and spec.evaluate(ctx, tri, state).res in ("violate", "hard"))
+            and spec.evaluate(tri, state).res in ("violate", "hard"))
 
 
 def _first_failures(ctx, claims, seed) -> dict:
@@ -672,14 +722,14 @@ def _first_failures(ctx, claims, seed) -> dict:
     return found
 
 
-def test_generic_classification(small_store):
+def test_generic_classification():
     """Seeded random integer windows over p in 5..2000, 1e4..1e7 and
     1e11..1e12 fail every claim outside _GENERIC and none inside it; each
     stateless claim outside fails on its pinned chain.  A claim that crosses
     from one group to the other fails this test."""
     claims = {cid: spec for cid, spec in registry().items()
               if spec.kind not in (Kind.SURVEY, Kind.TREND)}
-    ctx = EvalContext(store=small_store, n_lo=1, n_hi=10 ** 9)
+    ctx = EvalContext(n_lo=1, n_hi=10 ** 9)
     found = _first_failures(ctx, claims, seed=1)
     assert sorted(set(claims) - set(found)) == sorted(_GENERIC)
     stateless = {cid for cid, spec in claims.items() if not spec.state_init}

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "gapcheck.cli"]
 
 
@@ -65,6 +67,16 @@ def test_verify_usage_error():
                 "--limit", "100000")
         assert r.returncode == 3 and r.stdout == "", (n_lo, n_hi)
         assert "need 1 <= n_lo <= n_hi" in r.stderr, (n_lo, n_hi)
+
+
+def test_verify_repeated_checker_exits_3():
+    """A checker named twice would count every window twice: gap-half twice
+    reported its witnesses twice, twin-95 twice failed claims that hold."""
+    for ids in ("gap-half,gap-half", "twin-95,twin-95", "andrica,gap-half,andrica"):
+        r = run("verify", "--checker", ids, "--n-hi", "100", "--limit", "100000",
+                "--format", "json")
+        assert r.returncode == 3 and r.stdout == "", ids
+        assert "more than once" in r.stderr and ids.split(",")[0] in r.stderr, ids
 
 
 def test_verify_negative_witnesses_exits_3():
@@ -253,6 +265,54 @@ def test_resume_from_other_version_exits_3(tmp_path):
     assert "rerun the range from its start" in r3.stderr
 
 
+@pytest.fixture(scope="module")
+def gap_half_manifest(tmp_path_factory):
+    """The manifest of `verify --checker gap-half --n-hi 100`."""
+    m = tmp_path_factory.mktemp("manifest") / "m.json"
+    r = run("verify", "--checker", "gap-half", "--n-hi", "100", "--limit", "100000",
+            "--manifest-out", str(m), "--format", "json")
+    assert r.returncode == 0
+    return json.loads(m.read_text())
+
+
+def _next_n_text(cp):
+    cp["next_n"] = str(cp["next_n"])
+    return cp
+
+
+def _checkpoint_list(cp):
+    return [cp]
+
+
+def _witnesses_null(cp):
+    cp["per"]["gap-half"]["witnesses"] = None
+    return cp
+
+
+def _holds_text(cp):
+    cp["per"]["gap-half"]["counts"]["holds"] = "3"
+    return cp
+
+
+@pytest.mark.parametrize("breaks, field", [
+    (_next_n_text, "next_n"),
+    (_checkpoint_list, "checkpoint is not a JSON object"),
+    (_witnesses_null, "per.gap-half.witnesses"),
+    (_holds_text, "per.gap-half.counts"),
+])
+def test_resume_malformed_manifest_exits_3(tmp_path, gap_half_manifest, breaks, field):
+    """A checkpoint whose shape is wrong ends with exit 3 and a message
+    naming the field, not with a traceback and not as Undecided."""
+    manifest = json.loads(json.dumps(gap_half_manifest))
+    manifest["checkpoint"] = breaks(manifest["checkpoint"])
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(manifest))
+    r = run("verify", "--resume", str(m), "--n-hi", "200", "--limit", "100000",
+            "--format", "json")
+    assert r.returncode == 3 and r.stdout == ""
+    assert field in r.stderr and "Traceback" not in r.stderr
+
+
 def test_resume_with_larger_limit(tmp_path):
     m = tmp_path / "m.json"
     ids = "conj-gap-sq,twin-95,delta-gt-half"
@@ -268,8 +328,8 @@ def test_resume_with_larger_limit(tmp_path):
 
 
 def test_resume_thm78_near_sieve_edge(tmp_path):
-    """thm-78 reads primes up to N^2 + 2N, past a 1e5 sieve for p near 1e5;
-    the resumed report must still equal a single run on the larger sieve."""
+    """A thm-78 run that ends a few windows before the edge of a 1e5 sieve
+    resumes on a larger sieve and equals a single run there."""
     m = tmp_path / "m.json"
     r1 = run("verify", "--checker", "thm-78", "--n-hi", "9585", "--limit", "100000",
              "--manifest-out", str(m), "--format", "json")

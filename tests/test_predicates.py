@@ -8,8 +8,9 @@ against the oracles' root_sign and RefRoot.  mu-series' integer partial sums
 are checked the same way, against the Fraction partial sums of `oracles`,
 and so are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and
 eq-15-4 write inline and the comparisons dpar-59 and ids-516 read from
-floor_D.  Every GapWindow view is checked against the oracles' Fraction
-model of RootExpr."""
+floor_D.  thm-78's two counts, read off the window, are checked against
+the same counts taken in the sieve.  Every GapWindow view is checked
+against the oracles' Fraction model of RootExpr."""
 
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from math import isqrt
 
 import pytest
 
-from gapcheck.checkers import Triple, registry
+from gapcheck.checkers import EvalContext, Triple, registry
 from gapcheck.checkers.catalog_floor import _mu_series_brackets
 from gapcheck.checkers.catalog_gaps import is_square
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
@@ -179,7 +180,7 @@ def test_mu_series_two_paths(mid_store, generic_windows):
         for (lo, hi), got in zip(brackets, inside):
             assert got == (mu_vs_rational(w.p, w.N, lo, den) > 0
                            and mu_vs_rational(w.p, w.N, hi, den) < 0), w
-        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == all(inside), w
+        assert (evaluate(Triple(None, w, None), {}).res == "hold") == all(inside), w
         near = floor_root(_mu(w).scale(den))
         ends = [near + k for k in (-1, 0, 1, 2)]
         tight = [(lo, hi) for lo in ends for hi in ends]
@@ -199,7 +200,7 @@ def test_mu_series_two_paths(mid_store, generic_windows):
             assert got == (mu_vs_rational(w.p, w.N, *ends[0]) > 0
                            and mu_vs_rational(w.p, w.N, *ends[1]) < 0), w
             assert got == (_kernel_sign(mu, *ends[0]) > 0 and _kernel_sign(mu, *ends[1]) < 0), w
-        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == all(inside), w
+        assert (evaluate(Triple(None, w, None), {}).res == "hold") == all(inside), w
 
 
 def test_mu_bounds_shared_sign_two_paths(generic_windows):
@@ -217,7 +218,7 @@ def test_mu_bounds_shared_sign_two_paths(generic_windows):
         holds = ((mu * sp.scale(2) - w.h).sign() > 0
                  and _kernel_sign(_mu(w), w.h, 2 * w.N) < 0
                  and (mu * refined - w.h).sign() < 0)
-        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == holds, w
+        assert (evaluate(Triple(None, w, None), {}).res == "hold") == holds, w
 
 
 def test_eq_15_4_two_paths(generic_windows):
@@ -238,7 +239,7 @@ def test_eq_15_4_two_paths(generic_windows):
         assert item == cmp_root(rhs, q * (2 * p + 1)).value, w
         assert (item == 0) == (w.d * w.d == 2 * q), w
         base = w.d * w.d < 2 * q
-        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == \
+        assert (evaluate(Triple(None, w, None), {}).res == "hold") == \
             ((item > 0) == base), w
 
 
@@ -255,7 +256,7 @@ def test_thm34_half_bound_two_paths(from_two):
     for w in from_two:
         below = _kernel_sign(frac_root(w.sqrtq_delta)[1], 1, 2) < 0
         assert (4 * w.p * w.q > (2 * w.s + 1) ** 2) == below, w
-        assert (evaluate(None, Triple(None, w, None), {}).res == "hold") == below, w
+        assert (evaluate(Triple(None, w, None), {}).res == "hold") == below, w
 
 
 def test_dpar_parity_two_paths(from_two):
@@ -270,11 +271,11 @@ def test_dpar_parity_two_paths(from_two):
         mu_sum = _sqrt_q(w) - w.Nq + _mu(w)
         assert (w.floor_D < 2 * w.N + 1) == even == (_kernel_sign(mu_sum, 1) < 0), w
         for cid in ("dpar-58", "dpar-59"):
-            assert reg[cid].evaluate(None, Triple(None, w, None), {}).res == "hold", (cid, w)
+            assert reg[cid].evaluate(Triple(None, w, None), {}).res == "hold", (cid, w)
 
 
 def _holds(cid, w) -> bool:
-    return registry()[cid].evaluate(None, Triple(None, w, None), {}).res == "hold"
+    return registry()[cid].evaluate(Triple(None, w, None), {}).res == "hold"
 
 
 def test_floor31_two_paths(mid_store, from_two):
@@ -365,6 +366,33 @@ def test_ids516_two_paths(from_two):
         assert _holds("ids-516", w) == (even > 0 if w.floor_D > 2 * w.N + 1 else odd < 0), w
         below += even < 0 or odd > 0
     assert below > 1000   # random straddles fail the bounds too
+
+
+def test_thm78_two_paths(mid_store):
+    """thm-78 decides from its window whether (N^2, N^2+N) holds two primes
+    when h = 1 and whether (N^2+N, N^2+2N) does when h' = 2N - 1 and N > 4.
+    On every window n <= 2e5 of its domain the checker's outcome, note
+    included, equals the rule that counts those primes in the sieve as
+    pi(b) - pi(a) >= 2; 3e6 covers N^2 + 2N there."""
+    spec = registry()["thm-78"]
+    ctx = EvalContext(n_lo=1, n_hi=2 * 10 ** 5)
+    cases = {"h": 0, "hq": 0}
+    for w in windows(mid_store, spec.n_min, ctx.n_hi):
+        tri = Triple(None, w, None)
+        if not spec.domain(ctx, tri):
+            continue
+        N2, note = w.N * w.N, None
+        if w.h == 1:
+            cases["h"] += 1
+            if mid_store.pi(N2 + w.N) - mid_store.pi(N2) < 2:
+                note = "fewer than two primes in (N^2, N^2+N)"
+        if note is None and w.hq == 2 * w.N - 1 and w.N > 4:
+            cases["hq"] += 1
+            if mid_store.pi(N2 + 2 * w.N) - mid_store.pi(N2 + w.N) < 2:
+                note = "fewer than two primes in (N^2+N, N^2+2N)"
+        out = spec.evaluate(tri, {})
+        assert (out.res, out.note) == (("hold", None) if note is None else ("violate", note)), w
+    assert cases["h"] > 100 and cases["hq"] > 100, cases
 
 
 def _longhand_isqrt(x: int) -> int:

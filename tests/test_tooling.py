@@ -17,10 +17,14 @@
   a domain once per window for every checker that holds the same function.
 - A checker that reads a window's predecessor starts at n_min >= 2: the
   window at n = 1 is the only one without a predecessor.
+- Checkers see only their windows: no module under src/gapcheck/checkers
+  but engine.py imports gapcheck.primes, and every registered evaluate
+  takes (tri, st), every finalize (st, extra) and every domain (ctx, tri).
 - The package's `__version__` is pyproject.toml's version.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -221,6 +225,56 @@ def test_readers_of_prev_start_at_two():
     readers = {cid: spec.n_min for cid, spec in registry().items() if reads(spec, "prev")}
     assert len(readers) >= 4
     assert {cid: n for cid, n in readers.items() if n < 2} == {}
+
+
+def _absolute_imports(path, tree) -> list[tuple[int, str]]:
+    """(line, dotted module) of every module an import under src/ names,
+    relative imports resolved against path; `from m import x` names both m
+    and m.x, since x may be a submodule."""
+    package = path.relative_to(ROOT / "src").parent.parts
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + tuple(filter(None, [node.module])))
+            out.append((node.lineno, module))
+            out += [(node.lineno, f"{module}.{a.name}") for a in node.names]
+    return out
+
+
+def test_checkers_see_only_their_windows():
+    """A checker decides from its window triple and its own state: the
+    catalogs never reach the prime store, and the engine hands each
+    callback only what its protocol names."""
+    from gapcheck.checkers import registry
+
+    bad = []
+    for path, tree in _modules("src/gapcheck/checkers"):
+        if path.name == "engine.py":
+            continue
+        bad += [f"{path.relative_to(ROOT)}:{line}" for line, module in
+                _absolute_imports(path, tree)
+                if module == "gapcheck.primes" or module.startswith("gapcheck.primes.")]
+    assert not bad, f"gapcheck.primes imported at {bad}"
+    # the resolution above does see the engine's import of the store
+    engine = ROOT / "src/gapcheck/checkers/engine.py"
+    assert any(module.startswith("gapcheck.primes") for _, module in
+               _absolute_imports(engine, ast.parse(engine.read_text())))
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    specs = registry().values()
+    assert len(specs) == 109
+    for spec in specs:
+        assert params(spec.evaluate) == ["tri", "st"], spec.id
+        if spec.finalize is not None:
+            assert params(spec.finalize) == ["st", "extra"], spec.id
+        if spec.domain is not None:
+            assert params(spec.domain) == ["ctx", "tri"], spec.id
+    assert sum(spec.finalize is not None for spec in specs) == 6
 
 
 def test_version_matches_pyproject():

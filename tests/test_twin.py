@@ -18,29 +18,29 @@ from surveys import jn_questions
 getcontext().prec = 60
 
 
-def _contains(bracket, fb, true_decimal):
+def _contains(bracket, true_decimal):
     lo, hi = bracket
     t = Fraction(str(true_decimal))
-    return Fraction(lo, 1 << fb) <= t <= Fraction(hi, 1 << fb)
+    return Fraction(lo, 1 << twin.LN_BITS) <= t <= Fraction(hi, 1 << twin.LN_BITS)
 
 
 def test_ln_interval_against_decimal_oracle():
     for n in [2, 3, 6, 10, 97, 1000, 99991]:
-        assert _contains(ln_interval(n, 1, 96), 96, Decimal(n).ln())
-        lo, hi = ln_interval(n, 1, 96)
+        assert _contains(ln_interval(n), Decimal(n).ln())
+        lo, hi = ln_interval(n)
         assert hi - lo < 4096  # certified to ~2^-84 or better
 
 
 def test_ln_ln_interval_against_decimal_oracle():
     for n in [3, 6, 10, 1000, 99991]:
-        assert _contains(ln_ln_interval(n, 96), 96, Decimal(n).ln().ln())
+        assert _contains(ln_ln_interval(n), Decimal(n).ln().ln())
 
 
 def test_ln_rational_arguments():
     # ln(1/2) < 0
-    lo, hi = ln_interval(1, 2, 96)
+    lo, hi = ln_interval(1, 2)
     assert hi < 0
-    assert _contains((lo, hi), 96, Decimal("0.5").ln())
+    assert _contains((lo, hi), Decimal("0.5").ln())
 
 
 def test_j_convention(mid_store):
@@ -196,7 +196,7 @@ def test_dusart_filter_against_decimal(nj):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(twin, "ln_interval", _counting_ln(calls))
         try:
-            holds = twin._dusart_holds(n, j, 96)
+            holds = twin._dusart_holds(n, j)
         except LedgerError:
             holds = None
     truth = _dusart_lhs(n) < 2 * j * j
