@@ -88,9 +88,14 @@ class ScanError(ValueError):
     pass
 
 
-def mu_decimal(p: int, M: int, digits: int = 5) -> str:
-    """{sqrt(p)} rounded to the given digits, via exact integer sqrt; M is
+MU_DECIMALS = 5     # decimals of {sqrt(p)} in a record, rounded
+ERR_DECIMALS = 6    # decimals of |{sqrt(p)} - a/b| in a record, truncated
+
+
+def mu_decimal(p: int, M: int) -> str:
+    """{sqrt(p)} rounded to MU_DECIMALS digits, via exact integer sqrt; M is
     isqrt(p)."""
+    digits = MU_DECIMALS
     u = isqrt(4 * p * 10 ** (2 * digits))  # floor(2 sqrt(p) 10^digits)
     rounded = (u + 1) // 2 - M * 10 ** digits
     if rounded >= 10 ** digits:  # rounds up to 1.000...
@@ -98,10 +103,10 @@ def mu_decimal(p: int, M: int, digits: int = 5) -> str:
     return f"0.{rounded:0{digits}d}"
 
 
-def _err_decimal(p: int, M: int, a: int, b: int, side: int, digits: int = 6) -> str:
-    """|{sqrt(p)} - a/b| truncated to the given digits, where M is isqrt(p)
-    and side is the sign of {sqrt(p)} - a/b (from mu_vs_rational)."""
-    scale = 10 ** digits
+def _err_decimal(p: int, M: int, a: int, b: int, side: int) -> str:
+    """|{sqrt(p)} - a/b| truncated to ERR_DECIMALS digits, where M is
+    isqrt(p) and side is the sign of {sqrt(p)} - a/b (from mu_vs_rational)."""
+    scale = 10 ** ERR_DECIMALS
     big = isqrt(p * (scale * b) ** 2)       # floor(sqrt(p) b scale)
     off = (M * b + a) * scale
     if side > 0:
@@ -109,7 +114,7 @@ def _err_decimal(p: int, M: int, a: int, b: int, side: int, digits: int = 6) -> 
     else:
         val = (off - big - 1) // b
     val = max(val, 0)
-    return f"{val // scale}.{val % scale:0{digits}d}"
+    return f"{val // scale}.{val % scale:0{ERR_DECIMALS}d}"
 
 
 def _record(N: int, p: int, M: int, a: int, b: int, side: int, prev) -> AccumRecord:

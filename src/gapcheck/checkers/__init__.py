@@ -1,11 +1,11 @@
 """Claim catalog and evaluation engine.
 
 Importing this package registers every cataloged checker; `catalog()` lists
-them, `run_checker` / `run_all` evaluate them over an index range.
+them, `run_many` evaluates any of them over an index range.
 """
 
 from . import catalog_gaps, catalog_floor, catalog_parts, catalog_twins  # noqa: F401
-from .engine import EvalContext, RunOpts, check_checkpoint, run_all, run_checker, run_many
+from .engine import RunOpts, check_checkpoint, run_many
 from .types import (CheckReport, CheckerSpec, Counts, Kind, Outcome, Triple,
                     Verdict, registry)
 
@@ -16,7 +16,6 @@ def catalog() -> list[CheckerSpec]:
 
 
 __all__ = [
-    "CheckReport", "CheckerSpec", "Counts", "EvalContext", "Kind", "Outcome",
-    "RunOpts", "Triple", "Verdict", "catalog", "check_checkpoint", "registry",
-    "run_all", "run_checker", "run_many",
+    "CheckReport", "CheckerSpec", "Counts", "Kind", "Outcome", "RunOpts",
+    "Triple", "Verdict", "catalog", "check_checkpoint", "registry", "run_many",
 ]

@@ -269,7 +269,7 @@ def _base_2p(w) -> bool:
     return w.d * w.d < 2 * w.p
 
 
-def _not_n4(ctx, tri) -> bool:
+def _not_n4(tri) -> bool:
     return tri.w.n != 4
 
 
@@ -356,7 +356,7 @@ def _gap_85(tri, st):
 @checker("prop-212", Kind.UNIVERSAL,
          title="where d < sqrt(2p): Delta < sqrt(2)/2 and D < 2 sqrt(p) + sqrt(2)/2",
          source="proposition 2.12 at a = sqrt(2)",
-         domain=lambda ctx, tri: _base_2p(tri.w))
+         domain=lambda tri: _base_2p(tri.w))
 def _prop_212(tri, st):
     """Holds for every integer window: Delta = d/D < d/(2 sqrt(p)), below
     sqrt(2)/2 when d^2 < 2p."""
@@ -401,7 +401,7 @@ def is_square(x: int) -> bool:
     return r * r == x
 
 
-def twin(ctx, tri) -> bool:
+def twin(tri) -> bool:
     """The domain d = 2 of every checker that fires on twin windows only:
     one function, so the engine asks it once per window for all of them."""
     return tri.w.d == 2

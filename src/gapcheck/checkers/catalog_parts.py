@@ -14,20 +14,20 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ..exact import floor_root, frac_root, _sign_1rad, _sign_2rad
+from ..exact import frac_root, _sign_1rad, _sign_2rad
 from ..window import mu_sqrtp_frac_cmp, mu_vs_rational
-from .types import HOLD, MISS, Kind, Outcome, checker, hard_fail, violate
+from .types import HOLD, MISS, Kind, checker, hard_fail, violate
 
 
-def _same(ctx, tri) -> bool:
+def _same(tri) -> bool:
     return tri.w.same_part
 
 
-def _straddle(ctx, tri) -> bool:
+def _straddle(tri) -> bool:
     return tri.w.straddle
 
 
-def _straddle_n2(ctx, tri) -> bool:
+def _straddle_n2(tri) -> bool:
     return tri.w.straddle and tri.w.N >= 2
 
 
@@ -107,7 +107,7 @@ def _par_54(tri, st):
     return HOLD if (w.h % 2 == 1) == (s < 0) else violate("mu vs {mu sqrt(p)}")
 
 
-def _mono_55_domain(ctx, tri) -> bool:
+def _mono_55_domain(tri) -> bool:
     w = tri.w
     return w.N % 2 == 1 or w.same_part
 
@@ -128,16 +128,14 @@ def _mono_55(tri, st):
                "is reported when it disagrees)",
          source="corollary 5.6", n_min=2, domain=_same)
 def _cor_56(tri, st):
+    """The printed condition of the title is not evaluated here: it agrees
+    with this reading on every shared window n <= 2e5, which
+    tests/test_predicates.py checks, and a HOLD keeps no note to report it."""
     w = tri.w
     # times 2 to clear the half
     s = _sign_2rad(2 * (w.tNq - w.tN) - 1, 2 * w.N, w.p, -2 * w.Nq, w.q)
     if s >= 0:
         return violate("fractional difference >= 1/2")
-    # printed reading: floor(mu_n sqrt(p_n)) = floor(mu_n sqrt(p_{n+1})), where
-    # mu_n sqrt(p_{n+1}) = sqrt(pq) - N sqrt(q) and N = Nq on shared windows
-    if floor_root(w.sqrt_pq - w.Nq_sqrtq) != w.p - w.tN - 1:
-        return Outcome("hold", "printed-form condition differs from the "
-                               "shared-window reading")
     return HOLD
 
 
@@ -454,11 +452,11 @@ def _delta_gt_half(tri, st):
 # -- statement 7.x ---------------------------------------------------------------
 
 
-def _same_even(ctx, tri) -> bool:
+def _same_even(tri) -> bool:
     return tri.w.same_part and tri.w.N % 2 == 0
 
 
-def _same_odd(ctx, tri) -> bool:
+def _same_odd(tri) -> bool:
     return tri.w.same_part and tri.w.N % 2 == 1
 
 
@@ -535,8 +533,8 @@ def _even_76(tri, st):
          title="even-N (>= 4) shared windows except n = 8: d <= N - 2, below the "
                "prior prime's square-root cases",
          source="statement 7.7 with display 7.1", n_min=2,
-         domain=lambda ctx, tri: (tri.w.same_part and tri.w.N % 2 == 0
-                                  and tri.w.N >= 4 and tri.w.n != 8))
+         domain=lambda tri: (tri.w.same_part and tri.w.N % 2 == 0
+                             and tri.w.N >= 4 and tri.w.n != 8))
 def _even_77(tri, st):
     w, prev = tri.w, tri.prev
     if w.d > w.N - 2:
@@ -554,8 +552,8 @@ def _even_77(tri, st):
          title="even-N >= 4 shared windows: h = 1 gives two primes in "
                "(N^2, N^2+N); h' = 2N - 1 with N > 4 gives two in (N^2+N, N^2+2N)",
          source="statement 7.8", n_min=2,
-         domain=lambda ctx, tri: (tri.w.same_part and tri.w.N % 2 == 0
-                                  and tri.w.N >= 4))
+         domain=lambda tri: (tri.w.same_part and tri.w.N % 2 == 0
+                             and tri.w.N >= 4))
 def _thm_78(tri, st):
     """p and q are consecutive primes, so the window decides both counts.
     h = 1: p = N^2 + 1 and q is the next prime, so (N^2, N^2+N) holds two
@@ -643,7 +641,7 @@ def _odd_713(tri, st):
 @checker("first-after-square", Kind.UNIVERSAL,
          title="when p is the smallest prime above N^2 (N >= 2), floor(D) is even",
          source="closing statement of section 7", n_min=2,
-         domain=lambda ctx, tri: tri.w.N >= 2 and tri.prev.N < tri.w.N)
+         domain=lambda tri: tri.w.N >= 2 and tri.prev.N < tri.w.N)
 def _first_after_square(tri, st):
     w = tri.w
     fd = w.floor_D

@@ -133,15 +133,12 @@ def _twin_94(tri, st):
     return HOLD
 
 
-def _from_one(ctx, tri):
-    """Claims over every n < m need the running extremum from n = 1; a run
-    that starts later cannot decide them.  A resumed run keeps its first n_lo."""
-    return ctx.n_lo == 1
-
-
+# twin-95, twin-96 and twin-910 claim something over every n < m, so they
+# need the running extremum from n = 1 (from_one): a report that starts
+# later counts their windows out of domain.  A resumed run keeps its first n_lo.
 @checker("twin-95", Kind.UNIVERSAL,
          title="Delta_n > Delta_m for every n < m when d_m = 2, m >= 5",
-         source="statement 9.5", domain=_from_one,
+         source="statement 9.5", from_one=True,
          state_init=lambda: {"min": None})
 def _twin_95(tri, st):
     w = tri.w
@@ -159,7 +156,7 @@ def _twin_95(tri, st):
 @checker("twin-96", Kind.UNIVERSAL,
          title="{sqrt(q)Delta} at a twin m >= 5 sits below all earlier values, "
                "{sqrt(p)Delta} above them",
-         source="corollary 9.6", domain=_from_one,
+         source="corollary 9.6", from_one=True,
          state_init=lambda: {"maxF": None})
 def _twin_96(tri, st):
     """Holds for every increasing chain of integer windows: {sqrt(pq)} is at
@@ -251,7 +248,7 @@ def _twin_99(tri, st):
 @checker("twin-910", Kind.UNIVERSAL,
          title="converse ordering: if Delta_n > Delta_m for all n < m (m >= 5) "
                "then d_m = 2",
-         source="corollary 9.10", domain=_from_one,
+         source="corollary 9.10", from_one=True,
          state_init=lambda: {"min": None})
 def _twin_910(tri, st):
     w = tri.w

@@ -1,11 +1,15 @@
 """Checker evaluation engine: streams GapWindows, tallies outcomes, emits reports.
 
-Evaluation is deterministic: the same (ids, range, opts) always produce
-byte-identical serialized reports.  A checker sees only its windows: its
-evaluate(tri, st) gets the window triple and the checker's own state, its
-finalize(st, extra) that state and the report's extra dict, and its
-domain(ctx, tri) the triple and the reported range ctx.n_lo..ctx.n_hi.  No
-callback reaches the store.  A run names each checker at most once.
+`run_many` is the one entry point: it evaluates the named checkers over one
+index range and returns their reports and a checkpoint.  Evaluation is
+deterministic: the same (ids, range, opts) always produce byte-identical
+serialized reports.  A checker sees only its windows: its evaluate(tri, st)
+gets the window triple and the checker's own state, its finalize(st, extra)
+that state and the report's extra dict, and its domain(tri) the triple
+alone.  No callback reaches the store or the range.  A spec marked from_one
+is decided only on a report that starts at n = 1: on a later start its
+n_min for the run is n_hi + 1, so every window counts out of domain.  A run
+names each checker at most once.
 Every window of the range has both neighbours: the stream runs from the
 window before n_lo (from n = 1 when n_lo is 1, where no window precedes) to
 the one after n_hi, so the store must hold p_{n_hi+2}, or `windows` raises
@@ -13,12 +17,12 @@ CoverageError.  Long ranges can be split: the engine returns a JSON-able
 checkpoint from which a later run continues, on the same or a larger sieve,
 and the merged result equals a single uninterrupted run.  A checkpoint
 resumes only under the version that wrote it, with the witness cap it
-records, and when every field has the shape this version writes
-(`check_checkpoint`); anything else raises ValueError.
+records, and when every field has the shape and the values this version
+writes (`check_checkpoint`); anything else raises ValueError.
 
-Per run, each spec's evaluate and tally are bound once, and the specs are
-grouped by the identity of their domain function (specs without one form a
-group too).  A spec's n_min is tested only on windows below the largest
+Per run, each spec's evaluate, tally and n_min are bound once, and the specs
+are grouped by the identity of their domain function (specs without one form
+a group too).  A spec's n_min is tested only on windows below the largest
 n_min of the run; elsewhere it cannot exclude a window.  Per window, a
 group's domain is called at most once, when the first of its checkers gets
 past n_min, and the rest of the group reuses the answer: in, out, or the
@@ -50,12 +54,6 @@ _COUNT_KEYS = {"holds", "fails", "undecided", "out_of_domain"}
 @dataclass
 class RunOpts:
     witness_cap: int | None = 32
-
-
-@dataclass
-class EvalContext:
-    n_lo: int
-    n_hi: int
 
 
 @dataclass
@@ -153,7 +151,7 @@ def _verdict(spec: CheckerSpec, tally: _Tally, n_lo: int, n_hi: int) -> Verdict:
     return Verdict.SURVEY_RESULT if spec.kind is Kind.SURVEY else Verdict.TREND_RESULT
 
 
-def _assemble(spec: CheckerSpec, tally: _Tally, ctx: EvalContext) -> CheckReport:
+def _assemble(spec: CheckerSpec, tally: _Tally, n_lo: int, n_hi: int) -> CheckReport:
     extra: dict = {}
     if spec.finalize is not None and tally.error is None:
         try:
@@ -163,10 +161,10 @@ def _assemble(spec: CheckerSpec, tally: _Tally, ctx: EvalContext) -> CheckReport
             tally.notes.append(tally.error)
     rep = CheckReport(
         checker_id=spec.id,
-        n_lo=ctx.n_lo,
-        n_hi=ctx.n_hi,
+        n_lo=n_lo,
+        n_hi=n_hi,
         counts=tally.counts,
-        verdict=_verdict(spec, tally, ctx.n_lo, ctx.n_hi),
+        verdict=_verdict(spec, tally, n_lo, n_hi),
         conjecture=spec.conjecture,
         witnesses=tally.witnesses,
         violations=sorted(set(tally.violations)),
@@ -178,9 +176,9 @@ def _assemble(spec: CheckerSpec, tally: _Tally, ctx: EvalContext) -> CheckReport
 
 
 def check_checkpoint(cp) -> dict:
-    """cp, if it has the shape of a checkpoint this version wrote; otherwise
-    ValueError naming the first field that does not.  Callers read no field
-    of a checkpoint before it passes."""
+    """cp, if it has the shape and the values of a checkpoint this version
+    wrote; otherwise ValueError naming the first field that does not.
+    Callers read no field of a checkpoint before it passes."""
     if type(cp) is not dict:
         raise ValueError("checkpoint is not a JSON object")
     # another version may tally differently or write other keys
@@ -194,6 +192,10 @@ def check_checkpoint(cp) -> dict:
     for key in ("n_lo", "next_n"):
         if type(cp[key]) is not int:
             raise ValueError(f"checkpoint {key} is not an integer")
+    if not 1 <= cp["n_lo"] < cp["next_n"]:
+        raise ValueError("checkpoint n_lo is not in 1..next_n - 1")
+    # each window of n_lo..next_n - 1 adds one to one count of every tally
+    done = cp["next_n"] - cp["n_lo"]
     if cp["witness_cap"] is not None and type(cp["witness_cap"]) is not int:
         raise ValueError("checkpoint witness_cap is neither an integer nor null")
     ids = cp["ids"]
@@ -208,6 +210,9 @@ def check_checkpoint(cp) -> dict:
         if (type(c) is not dict or set(c) != _COUNT_KEYS
                 or any(type(v) is not int for v in c.values())):
             raise ValueError(f"checkpoint per.{cid}.counts is not four integer counts")
+        if any(v < 0 for v in c.values()) or sum(c.values()) != done:
+            raise ValueError(f"checkpoint per.{cid}.counts are not {done} windows "
+                             f"split four ways")
         for key in _TALLY_LISTS:
             if type(t[key]) is not list:
                 raise ValueError(f"checkpoint per.{cid}.{key} is not a list")
@@ -262,24 +267,25 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
                 tallies[cid].state = spec.state_init()
         report_lo = n_lo
 
-    ctx = EvalContext(n_lo=report_lo, n_hi=n_hi)
-
     # stream the window before the range (none before n = 1) and the one after
     stream = windows(store, max(1, n_lo - 1), n_hi + 1)
     prev = next(stream) if n_lo > 1 else None
     cur, nxt = next(stream), next(stream)
 
     # Per checker, bound once per run: (spec, tally, counts, state, evaluate,
-    # fast).  fast: a plain HOLD only needs its count bumped.  Checkers that
-    # share a domain function form one group, in order of first appearance.
+    # fast, n_min).  fast: a plain HOLD only needs its count bumped.  n_min:
+    # the spec's, or past the range for a from_one spec on a report that
+    # starts after n = 1.  Checkers that share a domain function form one
+    # group, in order of first appearance.
     groups: dict = {}
+    n_edge = 1   # n_min can only exclude a window below the largest n_min
     for cid, spec in zip(ids, specs):
+        n_min = n_hi + 1 if spec.from_one and report_lo > 1 else spec.n_min
+        n_edge = max(n_edge, n_min)
         groups.setdefault(spec.domain, []).append(
             (spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
-             spec.evaluate, spec.kind is not Kind.SURVEY))
+             spec.evaluate, spec.kind is not Kind.SURVEY, n_min))
     groups = list(groups.items())
-    # n_min can only exclude a window below the largest n_min
-    n_edge = max((spec.n_min for spec in specs), default=1)
     cap = opts.witness_cap
     while True:
         tri = Triple(prev, cur, nxt)
@@ -288,17 +294,17 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
             # the group's domain answer: True, False or the exception it
             # raised; None until a member gets past its n_min
             inside = None
-            for spec, tally, counts, state, evaluate, fast in members:
+            for spec, tally, counts, state, evaluate, fast, n_min in members:
                 if tally.error:
                     counts.out_of_domain += 1
                     continue
-                if edge and cur.n < spec.n_min:
+                if edge and cur.n < n_min:
                     counts.out_of_domain += 1
                     continue
                 if domain is not None:
                     if inside is None:
                         try:
-                            inside = True if domain(ctx, tri) else False
+                            inside = True if domain(tri) else False
                         except Exception as exc:  # noqa: BLE001 - noted per checker
                             inside = exc
                     if inside is not True:
@@ -327,19 +333,5 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
         "tool_version": __version__,
         "per": {cid: tallies[cid].as_json() for cid in ids},
     }
-    reports = {cid: _assemble(reg[cid], tallies[cid], ctx) for cid in ids}
+    reports = {cid: _assemble(reg[cid], tallies[cid], report_lo, n_hi) for cid in ids}
     return reports, checkpoint
-
-
-def run_checker(checker_id: str, store: PrimeStore, n_lo: int, n_hi: int,
-                opts: RunOpts | None = None, resume: dict | None = None) -> CheckReport:
-    reports, _ = run_many([checker_id], store, n_lo, n_hi, opts, resume)
-    return reports[checker_id]
-
-
-def run_all(store: PrimeStore, n_lo: int, n_hi: int,
-            opts: RunOpts | None = None) -> list[CheckReport]:
-    """Run the whole catalog over the range; reports sorted by checker id."""
-    ids = sorted(registry())
-    reports, _ = run_many(ids, store, n_lo, n_hi, opts)
-    return [reports[cid] for cid in ids]

@@ -69,7 +69,8 @@ class CheckerSpec:
     source: str                   # statement locus in the source text
     evaluate: Callable            # (triple, state) -> Outcome
     n_min: int = 1
-    domain: Optional[Callable] = None   # (ctx, triple) -> bool, beyond n_min
+    domain: Optional[Callable] = None   # (triple) -> bool, beyond n_min
+    from_one: bool = False        # decided only on a report that starts at n = 1
     expected_exceptions: frozenset = frozenset()
     expected_survey: Optional[frozenset] = None
     conjecture: bool = False
@@ -91,9 +92,6 @@ class Counts:
     def as_dict(self) -> dict:
         return {"holds": self.holds, "fails": self.fails,
                 "undecided": self.undecided, "out_of_domain": self.out_of_domain}
-
-    def total(self) -> int:
-        return self.holds + self.fails + self.undecided + self.out_of_domain
 
 
 @dataclass

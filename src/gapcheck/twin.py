@@ -125,7 +125,6 @@ class AlphaRow:
     B: tuple[int, int]
     residual_bound: int         # ulps; certified |identity residual| bound
     identity_ok: bool
-    b_gt_a: bool
     sandwich_ok: bool           # 2n - 1 <= p_n and 2 p_n <= (n+1)^2
     q92_holds: bool | None      # q < 2 j_{n+1}^2 (defined n >= 5)
     dusart_holds: bool | None   # n (ln n + ln ln n - 1) < 2 j_n^2 (n >= 3)
@@ -177,15 +176,13 @@ def alpha_ledger(store: PrimeStore, n_hi: int):
         rhs_hi = (2 + 2 * j_next) * one - (B[0] - A[1])
         identity_ok = lhs_lo <= rhs_hi and rhs_lo <= lhs_hi
         residual_bound = (lhs_hi - lhs_lo) + (rhs_hi - rhs_lo)
-        # B_n > A_n certified when the intervals separate (else reported False)
-        b_gt_a = B[0] > A[1]
         sandwich_ok = 2 * w.n - 1 <= w.p and 2 * w.p <= (w.n + 1) ** 2
         q92 = _q92_holds(w, j_next) if w.n >= 5 else None
         dusart = _dusart_holds(w.n, j) if w.n >= 3 else None
         abstract = w.p < 2 * j * j if w.n >= 6 else None
         # positional, in field order: keywords cost a microsecond a row
-        yield AlphaRow(w.n, j, A, B, residual_bound, identity_ok, b_gt_a,
-                       sandwich_ok, q92, dusart, abstract)
+        yield AlphaRow(w.n, j, A, B, residual_bound, identity_ok, sandwich_ok,
+                       q92, dusart, abstract)
         sq_lo, sq_hi = sqq_lo, sqq_hi
         j = j_next
 

@@ -119,7 +119,7 @@ class GapWindow:
       frac_sqrtp_delta                                   (thm-35, cor-36)
       floor_sqrtp_delta_half
                            floor(sqrt(p) Delta - 1/2)    (floor-32, frac-33)
-      N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513, cor-56)
+      N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513)
       tNq                  floor(Nq sqrt(q))             (mono-55, cor-56,
                                                           ids-511, ids-513)
       floor_D              floor(sqrt(p) + sqrt(q))      (dpar-59, ids-516,

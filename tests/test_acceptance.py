@@ -11,13 +11,14 @@ from math import isqrt
 
 import pytest
 
-from gapcheck.checkers import RunOpts, Verdict, run_checker, run_many
+from gapcheck.checkers import RunOpts, Verdict, run_many
 from gapcheck.exact import Cmp, RootExpr, cmp_root, floor_root
 from gapcheck.intervals import brocard_reports, pow2_ladder, power_reports, square_reports
 from gapcheck.primes import build_store
 from gapcheck.twin import alpha_ledger, same_floor_consecutive_twin_pairs
 from gapcheck.window import windows
-from oracles import cleared_root, floor_root_general, meissel_pi, twin_pairs
+from oracles import (cleared_root, floor_root_general, meissel_pi, trial_division_is_prime,
+                     twin_pairs)
 
 N_MILLION = 10 ** 6
 
@@ -36,13 +37,12 @@ def store_16m():
 
 @pytest.fixture(scope="module")
 def square_sweep(big_store):
-    """Slim per-window rows for N = 2..1e4 (full h-lists kept only where the
+    """Slim per-window rows for N = 2..1e4 (h-lists kept only where the
     acceptance values need them)."""
     out = []
     for rep in square_reports(big_store, 2, 10 ** 4, keep_primes=False):
         if rep.N > 100:
             rep.h_values = []
-            rep.prime_h_values = rep.prime_h_values if rep.N == 80 else []
         out.append(rep)
     return out
 
@@ -50,20 +50,20 @@ def square_sweep(big_store):
 def test_criterion_01_exception_sets(store_16m):
     opts = RunOpts()
     t0 = time.time()
-    r1 = run_checker("conj-gap-sq", store_16m, 1, N_MILLION, opts)
+    r1 = run_many(["conj-gap-sq"], store_16m, 1, N_MILLION, opts)[0]["conj-gap-sq"]
     t1 = time.time() - t0
     ok = (r1.verdict is Verdict.EXCEPTIONS_CONFIRMED
           and r1.violations == [4, 9, 30] and t1 < 60.0)
     t0 = time.time()
-    r2 = run_checker("conj-gap-sq2", store_16m, 1, N_MILLION, opts)
+    r2 = run_many(["conj-gap-sq2"], store_16m, 1, N_MILLION, opts)[0]["conj-gap-sq2"]
     ok &= time.time() - t0 < 60.0
     ok &= r2.verdict is Verdict.EXCEPTIONS_CONFIRMED and r2.violations == [4]
     t0 = time.time()
-    r3 = run_checker("survey-quarter", store_16m, 1, N_MILLION, opts)
+    r3 = run_many(["survey-quarter"], store_16m, 1, N_MILLION, opts)[0]["survey-quarter"]
     ok &= time.time() - t0 < 60.0
     ok &= r3.survey == [2, 4, 6, 9, 11, 30]
     t0 = time.time()
-    r4 = run_checker("delta-gt-half", store_16m, 1, N_MILLION, opts)
+    r4 = run_many(["delta-gt-half"], store_16m, 1, N_MILLION, opts)[0]["delta-gt-half"]
     ok &= time.time() - t0 < 60.0
     ok &= r4.survey == [2, 4, 6, 9, 11, 30]
     _report(1, "exception sets {4,9,30} / {4} / {2,4,6,9,11,30} at n <= 1e6, "
@@ -71,7 +71,7 @@ def test_criterion_01_exception_sets(store_16m):
 
 
 def test_criterion_02_sharp_andrica(store_16m):
-    r = run_checker("andrica-sharp", store_16m, 1, N_MILLION)
+    r = run_many(["andrica-sharp"], store_16m, 1, N_MILLION)[0]["andrica-sharp"]
     ok = r.verdict is Verdict.PASS and r.extra["max_at"] == 4
     ok &= r.extra["max_delta"] == "sqrt(11)-sqrt(7)"
     d4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
@@ -88,7 +88,7 @@ def test_criterion_03_integer_reductions(store_16m):
         if not (w.d == 2 * (w.q - s - 1) == 2 * (s - w.p + 1)):
             ok = False
             break
-    r = run_checker("thm-35", store_16m, 2, N_MILLION)
+    r = run_many(["thm-35"], store_16m, 2, N_MILLION)[0]["thm-35"]
     ok &= r.verdict is Verdict.PASS
     ok &= r.counts.fails == 0 and r.counts.undecided == 0
     _report(3, "d = 2(q-s-1) = 2(s-p+1) for all n in 2..1e6 and the kernel "
@@ -102,7 +102,8 @@ def test_criterion_04_square_windows(big_store, square_sweep):
     r12 = by_N[12]
     ok &= r12.prime_count == 5 and r12.h_values == [5, 7, 13, 19, 23]
     r80 = by_N[80]
-    ok &= r80.prime_count == 13 and r80.prime_h_values == [73, 151]
+    ok &= r80.prime_count == 13
+    ok &= [h for h in r80.h_values if trial_division_is_prime(h)] == [73, 151]
     ok &= all(rep.legendre and rep.two_primes and rep.oppermann_lo
               and rep.oppermann_hi for rep in square_sweep)
     rows = brocard_reports(big_store, 1, 1228)  # p_1229 = 10007 > 1e4
@@ -135,10 +136,10 @@ def test_criterion_05_powers(big_store):
 
 
 def test_criterion_06_section7_extremal(store_16m, square_sweep):
-    r_even = run_checker("even-74", store_16m, 2, N_MILLION)
+    r_even = run_many(["even-74"], store_16m, 2, N_MILLION)[0]["even-74"]
     ok = r_even.verdict is Verdict.EXCEPTIONS_CONFIRMED
     ok &= r_even.violations == [3, 8]
-    r_odd = run_checker("odd-710", store_16m, 2, N_MILLION)
+    r_odd = run_many(["odd-710"], store_16m, 2, N_MILLION)[0]["odd-710"]
     ok &= r_odd.verdict is Verdict.EXCEPTIONS_CONFIRMED
     ok &= r_odd.violations == [5, 16, 24]
     ok &= store_16m.nth_prime(16) == 53 and store_16m.nth_prime(24) == 89
@@ -150,7 +151,7 @@ def test_criterion_06_section7_extremal(store_16m, square_sweep):
 
 
 def test_criterion_07_twin_orderings(store_16m, big_store):
-    r = run_checker("twin-95", store_16m, 1, 10 ** 5)
+    r = run_many(["twin-95"], store_16m, 1, 10 ** 5)[0]["twin-95"]
     ok = r.verdict is Verdict.PASS
     twins = twin_pairs(store_16m, 1, 60)
     ok &= {26, 28, 41, 43, 57, 60} <= set(twins)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcheck import __version__
-from gapcheck.checkers import (EvalContext, Kind, RunOpts, Triple, Verdict, catalog,
-                               check_checkpoint, registry, run_all, run_checker, run_many)
+from gapcheck.checkers import (Kind, RunOpts, Triple, Verdict, catalog, check_checkpoint,
+                               registry, run_many)
 from gapcheck.primes import CoverageError
 from gapcheck.window import GapWindow
 from oracles import RANDOM_RANGES, random_chain, reads, trial_division_primes
@@ -25,35 +25,35 @@ def test_catalog_membership_and_size():
 
 
 def test_conj_gap_sq_exceptions(mid_store):
-    r = run_checker("conj-gap-sq", mid_store, 1, 10 ** 5)
+    r = run_many(["conj-gap-sq"], mid_store, 1, 10 ** 5)[0]["conj-gap-sq"]
     assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED
     assert r.violations == [4, 9, 30]
     assert r.conjecture
 
 
 def test_conj_gap_sq2_exceptions(mid_store):
-    r = run_checker("conj-gap-sq2", mid_store, 1, 10 ** 5)
+    r = run_many(["conj-gap-sq2"], mid_store, 1, 10 ** 5)[0]["conj-gap-sq2"]
     assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED
     assert r.violations == [4]
 
 
 def test_delta_gt_half_survey(mid_store):
-    r = run_checker("delta-gt-half", mid_store, 1, 10 ** 5)
+    r = run_many(["delta-gt-half"], mid_store, 1, 10 ** 5)[0]["delta-gt-half"]
     assert r.verdict is Verdict.SURVEY_RESULT
     assert r.survey == [2, 4, 6, 9, 11, 30]
-    r2 = run_checker("survey-quarter", mid_store, 1, 10 ** 5)
+    r2 = run_many(["survey-quarter"], mid_store, 1, 10 ** 5)[0]["survey-quarter"]
     assert r2.survey == [2, 4, 6, 9, 11, 30]
 
 
 def test_andrica_sharp(mid_store):
-    r = run_checker("andrica-sharp", mid_store, 1, 10 ** 4)
+    r = run_many(["andrica-sharp"], mid_store, 1, 10 ** 4)[0]["andrica-sharp"]
     assert r.verdict is Verdict.PASS
     assert r.extra["max_at"] == 4
     assert r.extra["max_delta"] == "sqrt(11)-sqrt(7)"
 
 
 def test_run_all_small_range_no_fail(small_store):
-    reports = run_all(small_store, 1, 1000)
+    reports = run_many(sorted(registry()), small_store, 1, 1000)[0].values()
     assert all(r.verdict not in (Verdict.FAIL, Verdict.UNDECIDED_PRESENT)
                for r in reports), [
         (r.checker_id, r.verdict) for r in reports
@@ -61,33 +61,33 @@ def test_run_all_small_range_no_fail(small_store):
 
 
 def test_run_all_deterministic(small_store):
-    a = [r.to_json() for r in run_all(small_store, 1, 300)]
-    b = [r.to_json() for r in run_all(small_store, 1, 300)]
+    ids = sorted(registry())
+    a = [r.to_json() for r in run_many(ids, small_store, 1, 300)[0].values()]
+    b = [r.to_json() for r in run_many(ids, small_store, 1, 300)[0].values()]
     assert a == b
 
 
 def test_run_all_out_of_domain(small_store):
-    reports = run_all(small_store, 1, 1)
-    by_id = {r.checker_id: r for r in reports}
+    by_id = run_many(sorted(registry()), small_store, 1, 1)[0]
     # checkers with n_min >= 2 see the whole range as out of domain
     assert by_id["floor-32"].counts.out_of_domain == 1
     assert by_id["floor-32"].counts.holds == 0
 
 
 def test_counts_partition_range(small_store):
-    for r in run_all(small_store, 5, 250):
-        assert r.counts.total() == 246, r.checker_id
+    for r in run_many(sorted(registry()), small_store, 5, 250)[0].values():
+        assert sum(r.counts.as_dict().values()) == 246, r.checker_id
 
 
 def test_unknown_checker(small_store):
     with pytest.raises(KeyError):
-        run_checker("no-such-id", small_store, 1, 10)
+        run_many(["no-such-id"], small_store, 1, 10)
 
 
 def test_exception_set_missing_exception_fails(small_store):
     # restricting the range so an expected exception cannot appear must
     # narrow the expected set, not fail: {4,9,30} ∩ [1,20] = {4,9}
-    r = run_checker("conj-gap-sq", small_store, 1, 20)
+    r = run_many(["conj-gap-sq"], small_store, 1, 20)[0]["conj-gap-sq"]
     assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED
     assert r.violations == [4, 9]
 
@@ -99,7 +99,7 @@ def test_survey_expected_sets_match_runs(mid_store):
     ids = sorted(cid for cid, spec in reg.items() if spec.expected_survey is not None)
     assert ids == ["delta-gt-half", "ishikawa-emp", "survey-dsq-p", "survey-quarter"]
     for cid in ids:
-        r = run_checker(cid, mid_store, 1, 10 ** 5)
+        r = run_many([cid], mid_store, 1, 10 ** 5)[0][cid]
         assert r.survey == sorted(reg[cid].expected_survey), cid
 
 
@@ -107,24 +107,24 @@ def test_equivalence_checkers_small(small_store):
     for cid in ["eq-15-1", "eq-15-2", "eq-15-3", "eq-15-4", "eq-16-1",
                 "eq-16-2", "eq-16-3", "eq-qr", "eq-28-1", "eq-28-2",
                 "eq-28-3", "twin-91", "cor-13", "cor-64", "even-73"]:
-        r = run_checker(cid, small_store, 1, 2000)
+        r = run_many([cid], small_store, 1, 2000)[0][cid]
         assert r.verdict is Verdict.PASS, (cid, r.verdict, r.witnesses[:3])
 
 
 def test_twin_sq_exception(small_store):
-    r = run_checker("twin-sq", small_store, 1, 1000)
+    r = run_many(["twin-sq"], small_store, 1, 1000)[0]["twin-sq"]
     assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED
     assert r.violations == [2]
 
 
 def test_survey_dh_collects(small_store):
-    r = run_checker("survey-dh", small_store, 1, 1000)
+    r = run_many(["survey-dh"], small_store, 1, 1000)[0]["survey-dh"]
     assert 6 in r.survey and 24 in r.survey
     assert r.verdict is Verdict.SURVEY_RESULT
 
 
 def test_survey_dsq_p_extras(mid_store):
-    r = run_checker("survey-dsq-p", mid_store, 1, 10 ** 4)
+    r = run_many(["survey-dsq-p"], mid_store, 1, 10 ** 4)[0]["survey-dsq-p"]
     assert r.survey == [4, 9, 30]
     assert set(r.extra["delta_gt_half"]) == {2, 4, 6, 9, 11, 30}
     assert 4 in r.extra["d_gt_sqrt_p"]
@@ -141,23 +141,23 @@ def test_exception_indices_specific(small_store):
         "odd-710": [5, 16, 24],
     }
     for cid, expected in cases.items():
-        r = run_checker(cid, small_store, 1, 5000)
+        r = run_many([cid], small_store, 1, 5000)[0][cid]
         assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED, (cid, r.verdict)
         assert r.violations == expected, (cid, r.violations)
 
 
 def test_trend_reports(small_store):
-    r = run_checker("trend-delta", small_store, 1, 4000)
+    r = run_many(["trend-delta"], small_store, 1, 4000)[0]["trend-delta"]
     assert r.verdict is Verdict.TREND_RESULT
     assert r.extra["running_max_attained_at_4"] is True
-    r2 = run_checker("trend-mu", small_store, 1, 4000)
+    r2 = run_many(["trend-mu"], small_store, 1, 4000)[0]["trend-mu"]
     assert r2.verdict is Verdict.TREND_RESULT
     rows = r2.extra["checkpoints"]
     assert rows[-1][1] < 0.01 and rows[-1][2] > 0.99
 
 
 def test_report_json_schema(small_store):
-    r = run_checker("conj-gap-sq", small_store, 1, 100)
+    r = run_many(["conj-gap-sq"], small_store, 1, 100)[0]["conj-gap-sq"]
     d = json.loads(r.to_json())
     assert d["id"] == "conj-gap-sq"
     assert d["range"] == [1, 100]
@@ -205,9 +205,10 @@ def test_resume_on_larger_store(small_store, mid_store):
 def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
     """Claims over every n < m cannot be decided from a start past n = 1."""
     for cid in ("twin-95", "twin-96", "twin-910"):
-        r = run_checker(cid, mid_store, 100001, 101000)
+        r = run_many([cid], mid_store, 100001, 101000)[0][cid]
         assert r.verdict is not Verdict.FAIL, cid
-        assert r.counts.out_of_domain == 1000 and r.counts.total() == 1000, cid
+        assert r.counts.as_dict() == {"holds": 0, "fails": 0, "undecided": 0,
+                                      "out_of_domain": 1000}, cid
 
 
 def test_resume_ignores_old_runmin_keys(mid_store):
@@ -266,6 +267,14 @@ def _malformed(cp):
         (tally(notes="x"), f"per.{cid}.notes"),
         (tally(counts=dict(counts, holds=str(counts["holds"]))), f"per.{cid}.counts"),
         (tally(counts=dict(counts, extra=0)), f"per.{cid}.counts"),
+        # values: n_lo past next_n, a negative count (alone, and with the
+        # four still summing to the windows done), counts one window off
+        (dict(cp, n_lo=cp["next_n"] + 49), "n_lo"),
+        (dict(cp, n_lo=0), "n_lo"),
+        (tally(counts=dict(counts, holds=-5)), f"per.{cid}.counts"),
+        (tally(counts=dict(counts, holds=-5, fails=counts["fails"] + counts["holds"] + 5)),
+         f"per.{cid}.counts"),
+        (tally(counts=dict(counts, holds=counts["holds"] + 1)), f"per.{cid}.counts"),
         (tally(state=[]), f"per.{cid}.state"),
         (tally(error=1), f"per.{cid}.error"),
         (tally(survey=[], extra=[]), f"per.{cid} is not a tally"),
@@ -273,9 +282,10 @@ def _malformed(cp):
 
 
 def test_malformed_checkpoint_rejected(mid_store):
-    """A checkpoint of the right version whose fields have the wrong shape
-    is refused with a ValueError naming the field, before any window is
-    read; a checkpoint that is not an object is refused too."""
+    """A checkpoint of the right version whose fields have the wrong shape,
+    or values no run writes, is refused with a ValueError naming the field,
+    before any window is read; a checkpoint that is not an object is
+    refused too."""
     ids = ["gap-half", "twin-95"]
     _, cp = run_many(ids, mid_store, 1, 100)
     cp = json.loads(json.dumps(cp))
@@ -374,10 +384,13 @@ def _triples(store, n_lo, n_hi) -> list:
     return [Triple(window(n - 1), window(n), window(n + 1)) for n in range(n_lo, n_hi + 1)]
 
 
-def _out_of_domain(ctx, spec, tri) -> bool:
-    """spec's filters exclude tri, as recomputed straight from the spec."""
+def _out_of_domain(spec, tri, report_lo) -> bool:
+    """spec's filters exclude tri from a report that starts at report_lo,
+    as recomputed straight from the spec: a from_one spec is decided only
+    on a report from n = 1."""
     return (tri.w.n < spec.n_min
-            or (spec.domain is not None and not spec.domain(ctx, tri)))
+            or (spec.from_one and report_lo > 1)
+            or (spec.domain is not None and not spec.domain(tri)))
 
 
 def test_out_of_domain_counts_match_specs(small_store):
@@ -390,12 +403,11 @@ def test_out_of_domain_counts_match_specs(small_store):
     last = small_store.prime_count - 1
     for n_lo, n_hi in ((1, 12), (last - 151, last - 1)):
         reports, _ = run_many(ids, small_store, n_lo, n_hi)
-        ctx = EvalContext(n_lo=n_lo, n_hi=n_hi)
         triples = _triples(small_store, n_lo, n_hi)
         for cid in ids:
             spec, rep = reg[cid], reports[cid]
             assert not any("error" in note for note in rep.notes), (cid, rep.notes)
-            expected = sum(1 for tri in triples if _out_of_domain(ctx, spec, tri))
+            expected = sum(1 for tri in triples if _out_of_domain(spec, tri, n_lo))
             assert rep.counts.out_of_domain == expected, (cid, n_lo, n_hi)
 
 
@@ -450,8 +462,8 @@ def test_catalog_digest_far_range(mid_store):
 
 
 def test_witness_cap(small_store):
-    r = run_checker("delta-gt-half", small_store, 1, 1000,
-                    opts=RunOpts(witness_cap=2))
+    r = run_many(["delta-gt-half"], small_store, 1, 1000,
+                 opts=RunOpts(witness_cap=2))[0]["delta-gt-half"]
     assert len(r.witnesses) == 2
     assert r.survey == [2, 4, 6, 9, 11, 30]  # survey list unaffected by cap
 
@@ -480,7 +492,7 @@ def test_cor27_printed_endpoints(small_store):
     # one integer later the claim holds: 11 < 8 + 4
     assert (11 - 8) ** 2 < 2 * 8
     # and the catalog checker reports exactly {4} on a desk range
-    r = run_checker("cor-27", small_store, 1, 2000)
+    r = run_many(["cor-27"], small_store, 1, 2000)[0]["cor-27"]
     assert r.verdict is Verdict.EXCEPTIONS_CONFIRMED and r.violations == [4]
 
 
@@ -567,11 +579,11 @@ def test_shared_domain_error_isolates_its_group(monkeypatch, small_store):
     clean = run_many(ids, small_store, 1, 100)[0]
     calls = []
 
-    def raising(ctx, tri):
+    def raising(tri):
         calls.append(tri.w.n)
         if tri.w.n == 50:
             raise RuntimeError("injected")
-        return _straddle(ctx, tri)
+        return _straddle(tri)
 
     group = [cid for cid in ids if reg[cid].domain is _straddle]
     assert len(group) == 11
@@ -689,16 +701,16 @@ def _chain_triples(chain, n0) -> list:
             for i, w in enumerate(ws)]
 
 
-def _fails(ctx, spec, tri, state) -> bool:
+def _fails(spec, tri, state) -> bool:
     """tri has the neighbours spec's code reads, is in spec's domain, and
     spec's evaluate fails on it."""
     return (not (tri.prev is None and reads(spec, "prev"))
             and not (tri.nxt is None and reads(spec, "nxt"))
-            and not _out_of_domain(ctx, spec, tri)
+            and not _out_of_domain(spec, tri, 1)
             and spec.evaluate(tri, state).res in ("violate", "hard"))
 
 
-def _first_failures(ctx, claims, seed) -> dict:
+def _first_failures(claims, seed) -> dict:
     """claim id -> the first random chain that fails it.  A stateless claim
     sees the middle window (n = 1000) of chains p0 < p < q < q1; a stateful
     one sees every window of a chain, from n = 1000."""
@@ -709,7 +721,7 @@ def _first_failures(ctx, claims, seed) -> dict:
             chain = random_chain(rng, lo, hi, 3)
             tri = _chain_triples(chain, 999)[1]
             for cid, spec in claims.items():
-                if not spec.state_init and cid not in found and _fails(ctx, spec, tri, {}):
+                if not spec.state_init and cid not in found and _fails(spec, tri, {}):
                     found[cid] = tuple(chain)
         for _ in range(_SEQUENCES):
             chain = random_chain(rng, lo, hi, _SEQUENCE_LENGTH)
@@ -717,7 +729,7 @@ def _first_failures(ctx, claims, seed) -> dict:
             for cid, spec in claims.items():
                 if spec.state_init and cid not in found:
                     state = spec.state_init()
-                    if any(_fails(ctx, spec, tri, state) for tri in tris):
+                    if any(_fails(spec, tri, state) for tri in tris):
                         found[cid] = tuple(chain)
     return found
 
@@ -729,11 +741,10 @@ def test_generic_classification():
     from one group to the other fails this test."""
     claims = {cid: spec for cid, spec in registry().items()
               if spec.kind not in (Kind.SURVEY, Kind.TREND)}
-    ctx = EvalContext(n_lo=1, n_hi=10 ** 9)
-    found = _first_failures(ctx, claims, seed=1)
+    found = _first_failures(claims, seed=1)
     assert sorted(set(claims) - set(found)) == sorted(_GENERIC)
     stateless = {cid for cid, spec in claims.items() if not spec.state_init}
     assert sorted(_FAILS_AT) == sorted(stateless - _GENERIC)
     for cid, chain in _FAILS_AT.items():
         assert all(isqrt(x) ** 2 != x for x in chain), cid
-        assert _fails(ctx, claims[cid], _chain_triples(chain, 999)[1], {}), cid
+        assert _fails(claims[cid], _chain_triples(chain, 999)[1], {}), cid

@@ -294,15 +294,27 @@ def _holds_text(cp):
     return cp
 
 
+def _n_lo_past_next_n(cp):
+    cp["n_lo"] = 150   # next_n is 101
+    return cp
+
+
+def _holds_negative(cp):
+    cp["per"]["gap-half"]["counts"]["holds"] = -5
+    return cp
+
+
 @pytest.mark.parametrize("breaks, field", [
     (_next_n_text, "next_n"),
     (_checkpoint_list, "checkpoint is not a JSON object"),
     (_witnesses_null, "per.gap-half.witnesses"),
     (_holds_text, "per.gap-half.counts"),
+    (_n_lo_past_next_n, "checkpoint n_lo"),
+    (_holds_negative, "per.gap-half.counts"),
 ])
 def test_resume_malformed_manifest_exits_3(tmp_path, gap_half_manifest, breaks, field):
-    """A checkpoint whose shape is wrong ends with exit 3 and a message
-    naming the field, not with a traceback and not as Undecided."""
+    """A checkpoint whose shape or values are wrong ends with exit 3 and a
+    message naming the field, not with a traceback and not as Undecided."""
     manifest = json.loads(json.dumps(gap_half_manifest))
     manifest["checkpoint"] = breaks(manifest["checkpoint"])
     m = tmp_path / "m.json"

@@ -8,7 +8,8 @@ against the oracles' root_sign and RefRoot.  mu-series' integer partial sums
 are checked the same way, against the Fraction partial sums of `oracles`,
 and so are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and
 eq-15-4 write inline and the comparisons dpar-59 and ids-516 read from
-floor_D.  thm-78's two counts, read off the window, are checked against
+floor_D.  cor-56's printed condition is checked against the reading it
+decides.  thm-78's two counts, read off the window, are checked against
 the same counts taken in the sieve.  Every GapWindow view is checked
 against the oracles' Fraction model of RootExpr."""
 
@@ -18,7 +19,7 @@ from math import isqrt
 
 import pytest
 
-from gapcheck.checkers import EvalContext, Triple, registry
+from gapcheck.checkers import Triple, registry
 from gapcheck.checkers.catalog_floor import _mu_series_brackets
 from gapcheck.checkers.catalog_gaps import is_square
 from gapcheck.exact import Cmp, RootExpr, _sign_1rad, _sign_2rad, cmp_root, floor_root, frac_root
@@ -325,6 +326,23 @@ def test_cor56_two_paths(from_two):
         assert _holds("cor-56", w) == below, w
 
 
+def test_cor56_printed_reading_agrees(mid_store):
+    """cor-56's printed condition floor(mu sqrt(p)) = floor(mu sqrt(q))
+    against the shared-window reading the checker decides: on every shared
+    window of n <= 2e5, floor(mu sqrt(q)) = floor(sqrt(pq) - N sqrt(q)),
+    by floor_root of the window's views and of the same quantity built from
+    RootExpr.sqrt, equals floor(mu sqrt(p)) = p - tN - 1."""
+    shared = 0
+    for w in windows(mid_store, 2, 2 * 10 ** 5):
+        if not w.same_part:
+            continue
+        shared += 1
+        want = w.p - w.tN - 1
+        assert floor_root(w.sqrt_pq - w.Nq_sqrtq) == want, w
+        assert floor_root(RootExpr.sqrt(w.p * w.q) - _sqrt_q(w).scale(w.N)) == want, w
+    assert shared > 10 ** 5
+
+
 def _random_straddles(count, seed):
     """Integer windows p < q with isqrt(q) = isqrt(p) + 1 = N + 1, N < 1e6,
     neither a square; primality is not asked."""
@@ -375,11 +393,10 @@ def test_thm78_two_paths(mid_store):
     included, equals the rule that counts those primes in the sieve as
     pi(b) - pi(a) >= 2; 3e6 covers N^2 + 2N there."""
     spec = registry()["thm-78"]
-    ctx = EvalContext(n_lo=1, n_hi=2 * 10 ** 5)
     cases = {"h": 0, "hq": 0}
-    for w in windows(mid_store, spec.n_min, ctx.n_hi):
+    for w in windows(mid_store, spec.n_min, 2 * 10 ** 5):
         tri = Triple(None, w, None)
-        if not spec.domain(ctx, tri):
+        if not spec.domain(tri):
             continue
         N2, note = w.N * w.N, None
         if w.h == 1:

@@ -264,7 +264,6 @@ def test_square_reports_never_step_back(tight_cache):
     for rep in reps:
         N2 = rep.N * rep.N
         assert rep.primes == want[pi(N2):pi((rep.N + 1) ** 2)]
-        assert rep.prime_h_values == [h for h in rep.h_values if pi(h) > pi(h - 1)]
         assert rep.oppermann_lo == (pi(N2 - rep.N) < pi(N2))
         assert rep.oppermann_hi == (pi(N2) < pi(N2 + rep.N))
         assert rep.cumulative == (pi(N2) >= 2 * (rep.N - 1))
