@@ -166,8 +166,8 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
     Exact per-record checks: the prime equals the polynomial value with
     floor(sqrt(p)) = N, mu sits on the claimed side of a/b, the +-1 envelope
     holds, and |mu - a/b| strictly decreases along the emitted sequence.
-    An empty result is valid output.  A scan whose value at the last
-    admissible N reaches 2^64 raises ScanError before it starts.
+    An empty result is valid output.  A scan with N_max < 1, or whose value
+    at the last admissible N reaches 2^64, raises ScanError before it starts.
     """
     if sign not in ("+", "-"):
         raise ScanError("sign must be '+' or '-'")
@@ -178,6 +178,8 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
                         "for a/b = 1 use --family top_family")
     if c < 1:
         raise ScanError("c must be a positive integer")
+    if N_max < 1:
+        raise ScanError(f"--n-max must be at least 1, not {N_max}")
     step = b // gcd(b, 2 * a)
     N_last = N_max - N_max % step
     if N_last >= step:
@@ -185,7 +187,7 @@ def accum_scan(r: RationalTarget, sign: str, c: int = 1,
                      N_last * N_last + (2 * a * N_last) // b + sgn * c)
     # with N = step m the value is A m^2 + B m + C
     A, B, C = step * step, 2 * a * step // b, sgn * c
-    m_hi = max(N_max, 0) // step   # N_max < 0 scans m = 0 alone, as N_max = 0
+    m_hi = N_max // step
     records: list[AccumRecord] = []
     prev = None
     for m in compress(range(m_hi + 1), _screen(A, B, C, m_hi)):
@@ -220,8 +222,9 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
     """The endpoint families: h_fixed(h) scans N^2 + h over N >= h/2 (mu
     decreasing toward 0 at h = 1, generally h/(2N)-small); near_half_minus /
     near_half_plus scan N^2 + N -+ 1 toward 1/2; top_family scans
-    N^2 + 2N - 1 (mu toward 1).  h_fixed needs h >= 1, and a scan whose
-    value at N_max reaches 2^64 raises ScanError before it starts.
+    N^2 + 2N - 1 (mu toward 1).  h_fixed needs h >= 1, and a scan with
+    N_max < 1 or whose value at N_max reaches 2^64 raises ScanError before
+    it starts.
 
     Each family increases in N, so one quadratic_prime_flags call over
     lo_N..N_max decides every value; the scan walks the set flags.  The
@@ -240,6 +243,8 @@ def special_scans(kind: str, N_max: int = 10 ** 4, h: int = 1) -> list[AccumReco
     if kind == "h_fixed" and h < 1:
         raise ScanError(f"--h must be at least 1 (N^2 + h has no mu toward 0 "
                         f"otherwise), not {h}")
+    if N_max < 1:
+        raise ScanError(f"--n-max must be at least 1, not {N_max}")
     lo_N, u, v, side, a, b = families[kind]
     if N_max >= lo_N:
         _check_range(kind, N_max, N_max * N_max + u * N_max + v)

@@ -3,7 +3,10 @@
 The single integer s = isqrt(p*q) decides every sqrt(p)*Delta floor exactly:
   floor(sqrt(q)*Delta) = q - s - 1,  floor(sqrt(p)*Delta) = s - p,
   {sqrt(q)*Delta} = s + 1 - sqrt(pq),  {sqrt(p)*Delta} = sqrt(pq) - s.
-Checkers tagged "kernel" run through RootExpr instead, as an independent path.
+Checkers tagged "kernel" run through RootExpr instead, as an independent path:
+each value there sits in a RootExpr's two slots over sqrt(p), sqrt(q) or
+sqrt(pq), where a third radicand would raise KernelError as it is built,
+and each decision is one exact sign over those slots.
 thm-43 states an identity of every integer window, so it returns HOLD over
 its domain, and the identity clauses of h-def, lemma-42, ratio-frac and
 n2p1-family leave their checkers the same way: each checker's docstring

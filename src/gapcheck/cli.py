@@ -106,6 +106,9 @@ def cmd_verify(args) -> int:
             ids = sorted(registry())
         else:
             ids = args.checker.split(",")
+            if "" in ids:
+                print(f"empty checker id in --checker {args.checker!r}", file=sys.stderr)
+                return EXIT_USAGE
             unknown = [c for c in ids if c not in registry()]
             if unknown:
                 print(f"unknown checker id(s): {','.join(unknown)}", file=sys.stderr)

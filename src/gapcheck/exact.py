@@ -1,18 +1,16 @@
 """Exact decision kernel for the values of a window's ring Z[sqrt(p), sqrt(q)].
 
-A :class:`RootExpr` is an integer value  num + sum_i b_i*sqrt(m_i)  with
-integers num and b_i and positive integer radicands m_i, each taken as
-given.  Every claim of the catalog lives in Z[sqrt(p), sqrt(q)] once its
-halves and quarters are cleared: Delta_n, {sqrt(q) Delta}, mu sqrt(p),
-floor(sqrt(p) + sqrt(q)) and the rest.  So every value the kernel decides on
-has at most two of the radicands p, q and pq, and those are square-free, as
-p and q are prime.  Comparisons, equality, floors and fractional parts are
-decided without floating point and never left undecided.  Each takes exact
-signs from one procedure, `_sign`: one squaring over one radicand
-(`_sign_1rad`), iterated squaring over two (`_sign_2rad`); both are exact
-for any positive radicands, square-free or not.  A sign over three or more
-radicands raises KernelError rather than answer.  A floor is the sum of the
-isqrt floors of the terms, stepped up by at most one exact sign.
+A :class:`RootExpr` is an integer value  num + b1*sqrt(m1) + b2*sqrt(m2)
+in two slots, each radicand a positive int taken as given.  Every claim of
+the catalog lives in Z[sqrt(p), sqrt(q)] once its halves and quarters are
+cleared (Delta_n, {sqrt(q) Delta}, mu sqrt(p), floor(sqrt(p) + sqrt(q)) and
+the rest), so no value needs more than two of the radicands p, q and pq; a
+sum or difference that would need a third raises KernelError where it is
+built.  Comparisons, equality, floors and fractional parts are decided
+without floating point and never left undecided, each by one exact sign of
+`_sign_2rad`: iterated squaring over the two slots, one squaring
+(`_sign_1rad`) when a slot is free, exact for any positive radicands.  A
+floor is the sum of the slots' isqrt floors, stepped up by at most one sign.
 
 A RootExpr is built by `sqrt`, added to and subtracted from ints and
 RootExprs, multiplied by ints, and compared against ints and RootExprs; any
@@ -42,26 +40,20 @@ class Cmp(Enum):
 
 
 class RootExpr:
-    """num + sum b*sqrt(radicand) with integer parts.
+    """num + b1*sqrt(m1) + b2*sqrt(m2) with int parts; a slot with b = 0 is
+    free, and + and - reuse it.  == compares values: equal parts answer at
+    once, anything else takes the exact sign of the difference.  Equal
+    values need not have equal parts (sqrt(8) and 2 sqrt(2)), so a RootExpr
+    has no hash."""
 
-    num and every b are ints; terms holds the (radicand, b) pairs with
-    b != 0, sorted by radicand, each radicand a positive int as it was given
-    to `sqrt`.  == compares values: equal parts answer at once, anything else
-    takes the exact sign of the difference, over at most two radicands.
-    Equal values need not have equal parts (sqrt(8) and 2 sqrt(2)), so a
-    RootExpr has no hash.
-    """
-
-    __slots__ = ("num", "terms")
-
-    # -- construction -------------------------------------------------------
+    __slots__ = ("num", "m1", "b1", "m2", "b2")
 
     @classmethod
     def sqrt(cls, m: int, coef: int = 1) -> "RootExpr":
         m, n = index(m), index(coef)
         if m < 1:
             raise KernelError("radicand must be positive")
-        return _make(0, ((m, n),) if n else ())
+        return _make(0, m, n, 0, 0)
 
     # -- arithmetic ---------------------------------------------------------
     # + and - take RootExprs and ints, * ints only.  Every int operand goes
@@ -71,44 +63,38 @@ class RootExpr:
     def __add__(self, other) -> "RootExpr":
         if isinstance(other, RootExpr):
             return _combine(self, other, 1)
-        return _make(self.num + index(other), self.terms)
+        return _make(self.num + index(other), self.m1, self.b1, self.m2, self.b2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RootExpr":
-        return _neg(self)
+        return _make(-self.num, self.m1, -self.b1, self.m2, -self.b2)
 
     def __sub__(self, other) -> "RootExpr":
         if isinstance(other, RootExpr):
             return _combine(self, other, -1)
-        return _make(self.num - index(other), self.terms)
+        return _make(self.num - index(other), self.m1, self.b1, self.m2, self.b2)
 
     def __rsub__(self, other) -> "RootExpr":
-        return _make(index(other) - self.num, _neg_terms(self.terms))
+        return _make(index(other) - self.num, self.m1, -self.b1, self.m2, -self.b2)
 
     def scale(self, k: int) -> "RootExpr":
-        return _scale_int(self, index(k))
+        k = index(k)
+        return _make(self.num * k, self.m1, self.b1 * k, self.m2, self.b2 * k)
 
     __mul__ = __rmul__ = scale
 
-    # -- predicates -----------------------------------------------------------
-
     def __repr__(self):
-        parts = [str(self.num)] if self.num or not self.terms else []
-        for m, b in self.terms:
-            parts.append(f"{b}*sqrt({m})")
-        return f"RootExpr({' + '.join(parts)})"
+        return f"RootExpr({self.num} + {self.b1}*sqrt({self.m1}) + {self.b2}*sqrt({self.m2}))"
 
     def __eq__(self, other):
         if isinstance(other, RootExpr):
-            if self.num == other.num and self.terms == other.terms:
+            if (self.num == other.num and self.b1 == other.b1 and self.m1 == other.m1
+                    and self.b2 == other.b2 and self.m2 == other.m2):
                 return True
-            diff = _combine(self, other, -1)
-            return _sign(diff.num, diff.terms) == 0
-        k = index(other)
-        if not self.terms:
-            return self.num == k
-        return _sign(self.num - k, self.terms) == 0
+            d = _combine(self, other, -1)
+            return _sign_2rad(d.num, d.b1, d.m1, d.b2, d.m2) == 0
+        return _sign_2rad(self.num - index(other), self.b1, self.m1, self.b2, self.m2) == 0
 
 
 # -- integer arithmetic behind RootExpr ------------------------------------------
@@ -118,85 +104,49 @@ class RootExpr:
 _new = object.__new__
 
 
-def _make(num: int, terms: tuple) -> RootExpr:
-    """RootExpr from its parts: terms sorted by radicand, no zero b."""
+def _make(num: int, m1: int, b1: int, m2: int, b2: int) -> RootExpr:
+    """RootExpr from its parts; a slot with b = 0 is free."""
     e = _new(RootExpr)
     e.num = num
-    e.terms = terms
+    e.m1 = m1
+    e.b1 = b1
+    e.m2 = m2
+    e.b2 = b2
     return e
 
 
-def _neg_terms(terms: tuple) -> tuple:
-    if len(terms) == 1:
-        (m, b), = terms
-        return ((m, -b),)
-    return tuple((m, -b) for m, b in terms)
-
-
-def _neg(e: RootExpr) -> RootExpr:
-    return _make(-e.num, _neg_terms(e.terms))
-
-
 def _combine(a: RootExpr, b: RootExpr, sign: int) -> RootExpr:
-    """a + sign*b for sign = +1 or -1."""
-    num = a.num + sign * b.num
-    t1, t2 = a.terms, b.terms
-    if not t2:
-        terms = t1
-    elif not t1:
-        terms = t2 if sign == 1 else _neg_terms(t2)
-    elif len(t1) == 1 and len(t2) == 1:
-        (m1, c1), = t1
-        (m2, c2), = t2
-        if m1 == m2:
-            c = c1 + sign * c2
-            terms = ((m1, c),) if c else ()
-        elif m1 < m2:
-            terms = ((m1, c1), (m2, sign * c2))
+    """a + sign*b for sign = +1 or -1.  Each live slot of b adds into the
+    slot of a with its radicand, else into a free one; b's slot that a
+    already has goes first, as it may free a slot for the other.  A third
+    radicand raises KernelError."""
+    m1, b1, m2, b2 = a.m1, a.b1, a.m2, a.b2
+    n1, c1, n2, c2 = b.m1, sign * b.b1, b.m2, sign * b.b2
+    if c2 and (n2 == m1 or n2 == m2):
+        n1, c1, n2, c2 = n2, c2, n1, c1
+    if c1:
+        if n1 == m1:
+            b1 += c1
+        elif n1 == m2:
+            b2 += c1
+        elif not b1:
+            m1, b1 = n1, c1
+        elif not b2:
+            m2, b2 = n1, c1
         else:
-            terms = ((m2, sign * c2), (m1, c1))
-    else:
-        terms = _merge(t1, t2, sign)
-    return _make(num, terms)
-
-
-def _merge(t1: tuple, t2: tuple, sign: int) -> tuple:
-    """The terms of t1 + sign*t2, both sorted by radicand; zeros dropped."""
-    out = []
-    i = j = 0
-    n1, n2 = len(t1), len(t2)
-    while i < n1 and j < n2:
-        m1, c1 = t1[i]
-        m2, c2 = t2[j]
-        if m1 < m2:
-            out.append((m1, c1))
-            i += 1
-        elif m2 < m1:
-            out.append((m2, sign * c2))
-            j += 1
+            raise KernelError(f"a third radicand, {n1}; a RootExpr holds two")
+    if c2:
+        if n2 == m1:
+            b1 += c2
+        elif n2 == m2:
+            b2 += c2
+        elif not b1:
+            m1, b1 = n2, c2
+        elif not b2:
+            m2, b2 = n2, c2
         else:
-            c = c1 + sign * c2
-            if c:
-                out.append((m1, c))
-            i += 1
-            j += 1
-    out.extend(t1[i:])
-    for m, c in t2[j:]:
-        out.append((m, sign * c))
-    return tuple(out)
-
-
-def _scale_int(e: RootExpr, k: int) -> RootExpr:
-    """e * k for an int k."""
-    if k == 0:
-        return _make(0, ())
-    terms = e.terms
-    if len(terms) == 1:
-        (m, b), = terms
-        terms = ((m, b * k),)
-    elif terms:
-        terms = tuple((m, b * k) for m, b in terms)
-    return _make(e.num * k, terms)
+            raise KernelError(f"a third radicand, {n2}; a RootExpr holds two")
+    return _make(a.num + sign * b.num, m1, b1, m2, b2)
 
 
 # -- exact signs ---------------------------------------------------------------
@@ -244,22 +194,6 @@ def _sign_2rad(c: int, b1: int, m1: int, b2: int, m2: int) -> int:
     return sc if (t > 0) == split else -sc
 
 
-def _sign(c: int, terms) -> int:
-    """Exact sign of c + sum b*sqrt(m) over terms ((m, b), ...) of at most
-    two radicands; ints only, every m >= 1.  Three or more radicands raise
-    KernelError rather than answer: no value of the catalog has them."""
-    k = len(terms)
-    if k == 0:
-        return (c > 0) - (c < 0)
-    if k == 1:
-        (m, b), = terms
-        return _sign_1rad(c, b, m)
-    if k == 2:
-        (m1, b1), (m2, b2) = terms
-        return _sign_2rad(c, b1, m1, b2, m2)
-    raise KernelError(f"exact sign over {k} radicands; the kernel decides over at most two")
-
-
 # -- comparisons, floors, fractional parts --------------------------------------
 
 
@@ -269,26 +203,23 @@ _CMP = (Cmp.EQUAL, Cmp.GREATER, Cmp.LESS)   # indexed by a sign -1, 0 or 1
 def cmp_root(e: RootExpr, n: int = 0) -> Cmp:
     """Three-way comparison of a RootExpr against an int n: one exact sign.
     Against n/d for d > 0, compare e.scale(d) against n."""
-    return _CMP[_sign(e.num - index(n), e.terms)]
+    return _CMP[_sign_2rad(e.num - index(n), e.b1, e.m1, e.b2, e.m2)]
 
 
 def floor_root(e: RootExpr) -> int:
-    """Exact floor of a RootExpr: num + t.  Each term lies in [its isqrt
-    floor, that + 1), so for the sum s of the term floors, t is s when there
-    is one term, and s or s + 1 when there are two: one exact sign decides.
-    For d > 0, floor(e/d) is floor_root(e) // d."""
-    terms = e.terms
-    if len(terms) == 1:
-        (m, b), = terms
-        x = b * b * m
-        r = isqrt(x)
-        return e.num + (r if b >= 0 else -r - (r * r != x))
-    t = 0
-    for m, b in terms:
-        x = b * b * m   # floor(b sqrt(m)) by isqrt
-        r = isqrt(x)
-        t += r if b >= 0 else -r - (r * r != x)
-    if len(terms) > 1 and _sign(-t - 1, terms) >= 0:   # past two, _sign refuses
+    """Exact floor of a RootExpr: num + t.  Each slot's b sqrt(m) lies in
+    [its isqrt floor, that + 1), and a free slot's is 0, so for the sum s of
+    the two floors t is s when a slot is free, and s or s + 1 when both are
+    live: one exact sign decides.  For d > 0, floor(e/d) is
+    floor_root(e) // d."""
+    b1, m1, b2, m2 = e.b1, e.m1, e.b2, e.m2
+    x = b1 * b1 * m1
+    r = isqrt(x)
+    t = r if b1 >= 0 else -r - (r * r != x)
+    x = b2 * b2 * m2
+    r = isqrt(x)
+    t += r if b2 >= 0 else -r - (r * r != x)
+    if b1 and b2 and _sign_2rad(-t - 1, b1, m1, b2, m2) >= 0:
         t += 1
     return e.num + t
 
@@ -296,4 +227,4 @@ def floor_root(e: RootExpr) -> int:
 def frac_root(e: RootExpr) -> tuple[int, RootExpr]:
     """(floor, fractional part) of a RootExpr."""
     f = floor_root(e)
-    return f, _make(e.num - f, e.terms)
+    return f, _make(e.num - f, e.m1, e.b1, e.m2, e.b2)

@@ -14,11 +14,9 @@ is_prime_u64 (the path the accumulation families took before they were
 sieved), `mr_accum_hits`, which tests each admissible N of an accum scan
 with is_prime_u64 (the path accum_scan took before it screened its
 candidates), `exact_sign`, which
-hands a RootExpr's terms to the kernel's sign procedures, `eval_fixed`,
-which reads a RootExpr's parts, `build_root` and `cleared_root`, shorthands
-for building RootExprs, `RefRoot.matches`, which takes the kernel's
-difference of two RootExprs before `radical_sign` decides it, and
-`twin_pairs`, a filter over the window stream.
+hands a RootExpr's slots to the kernel's sign procedure, `root_terms`,
+which reads them, `build_root` and `cleared_root`, shorthands for building
+RootExprs, and `twin_pairs`, a filter over the window stream.
 `random_chain` draws integer windows that need not be prime, for the
 tests that tell claims needing primes from identities of integers.
 `reads` tells from a checker's compiled code whether it reads a window's
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from gapcheck.exact import RootExpr, _make, _sign_1rad, _sign_2rad
+from gapcheck.exact import RootExpr, _sign_2rad
 from gapcheck.primes import is_prime_u64
 from gapcheck.window import windows
 
@@ -248,19 +246,14 @@ def twin_pairs(store, n_lo: int, n_hi: int) -> list[int]:
     return [w.n for w in windows(store, n_lo, n_hi) if w.d == 2]
 
 
-def exact_sign(e) -> int | None:
-    """Exact sign of a RootExpr with at most two radicands through the
-    kernel's sign procedures, else None."""
-    terms = e.terms
-    if len(terms) == 0:
-        return (e.num > 0) - (e.num < 0)
-    if len(terms) == 1:
-        (m, b), = terms
-        return _sign_1rad(e.num, b, m)
-    if len(terms) == 2:
-        (m1, b1), (m2, b2) = terms
-        return _sign_2rad(e.num, b1, m1, b2, m2)
-    return None
+def exact_sign(e) -> int:
+    """Exact sign of a RootExpr through the kernel's sign procedure."""
+    return _sign_2rad(e.num, e.b1, e.m1, e.b2, e.m2)
+
+
+def root_terms(e) -> tuple:
+    """The live slots of a RootExpr as ((m, b), ...), sorted by radicand."""
+    return tuple(sorted((m, b) for m, b in ((e.m1, e.b1), (e.m2, e.b2)) if b))
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,7 @@ def eval_fixed(e, frac_bits: int) -> FixedApprox:
     x +- err ulps contributes x b with |b| err ulps.
     """
     mant, err = e.num << frac_bits, 0
-    for m, b in e.terms:
+    for m, b in root_terms(e):
         s = sqrt_fixed(m, frac_bits)
         mant += s.mantissa * b
         err += abs(b) * s.error_ulps
@@ -301,7 +294,7 @@ def floor_root_general(e) -> int:
     `exact.floor_root`.  Once the ladder is exhausted, `radical_sign`
     settles the floor next to the last bracket.
     """
-    if not e.terms:
+    if not root_terms(e):
         return e.num
     for fb in LADDER:
         fa = eval_fixed(e, fb)
@@ -320,8 +313,9 @@ def floor_root_general(e) -> int:
 def build_root(const: int, parts: dict) -> RootExpr:
     """const + sum coef*sqrt(m) over parts = {m: coef}, through the kernel's
     own constructors, which take ints only and keep each radicand as given:
-    square factors, perfect squares and dependent radicands stay."""
-    e = _make(0, ()) + const
+    square factors, perfect squares and dependent radicands stay.  Like the
+    kernel, it raises KernelError on a third radicand."""
+    e = RootExpr.sqrt(1, 0) + const
     for m, coef in parts.items():
         e = e + RootExpr.sqrt(m, coef)
     return e
@@ -338,18 +332,14 @@ def cleared_root(const, parts: dict) -> tuple[RootExpr, int]:
     return build_root(int(const * den), {m: int(c * den) for m, c in coefs.items()}), den
 
 
-def root_sign(e) -> int:
-    """Exact sign of a RootExpr over any number of radicands, by
-    `radical_sign`."""
-    return radical_sign(*root_sign_args(e))
-
-
-def root_sign_args(e) -> list[int]:
-    """[num, b1, m1, ..., bk, mk] of a RootExpr, for `radical_sign`."""
-    args = [e.num]
-    for m, b in e.terms:
-        args += [b, m]
-    return args
+def root_sign(*values) -> int:
+    """Exact sign of a sum of RootExprs, over however many radicands they
+    hold together, by `radical_sign`."""
+    args = [sum(e.num for e in values)]
+    for e in values:
+        for m, b in root_terms(e):
+            args += [b, m]
+    return radical_sign(*args)
 
 
 def squarefree_split(m: int) -> tuple[int, int]:
@@ -526,16 +516,19 @@ class RefRoot:
         are; a value with a denominator has none, so it raises ValueError."""
         if self.den != 1:
             raise ValueError(f"{self.const} + ... is not an integer value")
-        return _make(self.num, tuple(sorted(self.terms.items())))
+        return build_root(self.num, self.terms)
 
     def matches(self, e) -> bool:
-        """The RootExpr e has this value: `root_sign` of den e less this
-        value times den is 0, over however many radicands the difference
-        has; equal parts answer at once."""
-        r = _make(self.num, tuple(sorted(self.terms.items())))
-        if self.den == 1 and (e.num, e.terms) == (r.num, r.terms):
-            return True
-        return root_sign(e.scale(self.den) - r) == 0
+        """The RootExpr e has this value: den e less this value times den,
+        its terms merged here by radicand, has `radical_sign` 0."""
+        acc = dict(self.terms)
+        for m, b in root_terms(e):
+            acc[m] = acc.get(m, 0) - b * self.den
+        args = [self.num - e.num * self.den]
+        for m, c in sorted(acc.items()):
+            if c:
+                args += [c, m]
+        return radical_sign(*args) == 0
 
 
 def _ref_parts(num: int, terms: dict, den: int) -> RefRoot:

@@ -131,6 +131,11 @@ def test_bad_scan_arguments():
     for h in (0, -3):
         with pytest.raises(ScanError, match="--h"):
             special_scans("h_fixed", N_max=10, h=h)
+    for N_max in (0, -1, -10 ** 6):
+        with pytest.raises(ScanError, match="--n-max"):
+            accum_scan(RationalTarget(1, 3), "+", N_max=N_max)
+        with pytest.raises(ScanError, match="--n-max"):
+            special_scans("top_family", N_max=N_max)
 
 
 def test_csv_shape():
@@ -161,14 +166,14 @@ SCAN_TARGETS = [(a, b) for b in (3, 5, 7, 11)
 def test_screened_scans_match_one_test_per_admissible_N():
     """accum_scan, which strikes the candidates with a factor up to 37
     before is_prime_u64 sees them, emits the primes one is_prime_u64 call
-    per admissible N finds: for N_max below 0, at 0, below, at and just past
-    the first admissible N, and further on, for c = 1 and the prime-q
-    variants, both signs."""
+    per admissible N finds: for N_max at 1, below, at and just past the
+    first admissible N, and further on, for c = 1 and the prime-q variants,
+    both signs (N_max below 1 raises ScanError, test_bad_scan_arguments)."""
     for a, b in SCAN_TARGETS:
         step = b // gcd(b, 2 * a)
         for c in (1, 3, 5):
             for sign, sgn in (("+", 1), ("-", -1)):
-                for N_max in (-5, -1, 0, step - 1, step, step + 1, 97, 2000):
+                for N_max in (1, step - 1, step, step + 1, 97, 2000):
                     got = [(r.N, r.p) for r in accum_scan(RationalTarget(a, b), sign,
                                                           c=c, N_max=N_max)]
                     assert got == mr_accum_hits(a, b, sgn, c, N_max), (a, b, c, sign, N_max)
@@ -251,18 +256,20 @@ def _oracle_family(kind: str, N_max: int, h: int = 1) -> list[tuple[int, int]]:
 
 def test_family_scans_match_one_test_per_value():
     """The sieved families emit the primes one is_prime_u64 call per N finds,
-    at N_max below, at and just past the first N; at N = 1 top_family and
-    h_fixed give 2 and near_half_plus gives 3, sieving primes themselves.
-    h_fixed runs h = 1..12: even h makes ell = 2 strike, and h = 3 gives a
-    double root at ell = 3."""
+    at N_max below (but at least 1), at and just past the first N; at N = 1
+    top_family and h_fixed give 2 and near_half_plus gives 3, sieving primes
+    themselves.  h_fixed runs h = 1..12: even h makes ell = 2 strike, and
+    h = 3 gives a double root at ell = 3."""
     cases = [(kind, 1) for kind in FAMILIES] + [("h_fixed", h) for h in range(1, 13)]
     for kind, h in cases:
         lo = _family_poly(kind, h)[0]
-        for N_max in (lo - 1, lo, lo + 1, lo + 2, 10, 97, 2000):
+        for N_max in (max(lo - 1, 1), lo, lo + 1, lo + 2, 10, 97, 2000):
             got = [(r.N, r.p) for r in special_scans(kind, N_max=N_max, h=h)]
             assert got == _oracle_family(kind, N_max, h), (kind, h, N_max)
     for kind in FAMILIES:
-        assert special_scans(kind, N_max=_family_poly(kind)[0] - 1) == []
+        lo = _family_poly(kind)[0]
+        if lo > 1:
+            assert special_scans(kind, N_max=lo - 1) == []
     assert [r.p for r in special_scans("top_family", N_max=1)] == [2]
     assert [r.p for r in special_scans("h_fixed", N_max=1)] == [2]
     assert [r.p for r in special_scans("near_half_plus", N_max=1)] == [3]

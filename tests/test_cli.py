@@ -79,6 +79,15 @@ def test_verify_repeated_checker_exits_3():
         assert "more than once" in r.stderr and ids.split(",")[0] in r.stderr, ids
 
 
+def test_verify_empty_checker_id_exits_3():
+    """An empty id in --checker is named as such, not as an unknown id with
+    no name."""
+    for ids in ("", "thm-35,", ",gap-half", "gap-half,,andrica"):
+        r = run("verify", "--checker", ids, "--n-hi", "100", "--limit", "100000")
+        assert r.returncode == 3 and r.stdout == "", ids
+        assert "empty checker id" in r.stderr and "unknown" not in r.stderr, ids
+
+
 def test_verify_negative_witnesses_exits_3():
     """A negative cap would keep no witness in a FAIL report; 0 means
     unlimited."""
@@ -145,6 +154,19 @@ def test_accum_past_two_to_64_exits_3():
         assert r.returncode == 3
         assert r.stdout == ""
         assert "2^64" in r.stderr
+
+
+def test_accum_n_max_below_one_exits_3():
+    """A scan with no N exits 3 with a message and no CSV header, as the
+    window commands do on an empty range."""
+    for args in (("--r", "1/3"), ("--r", "1/3", "--sign", "-"), ("--family", "h_fixed"),
+                 ("--family", "near_half_minus")):
+        for n_max in ("-1", "0"):
+            r = run("accum", *args, "--n-max", n_max)
+            assert r.returncode == 3 and r.stdout == "", (args, n_max)
+            assert "--n-max must be at least 1" in r.stderr, (args, n_max)
+    r = run("accum", "--r", "1/3", "--n-max", "1")
+    assert r.returncode == 0 and r.stdout.splitlines() == ["N,p,mu,abs_err"]
 
 
 def test_accum_h_checked():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign, _sign_1rad, _sign_2rad,
-                            cmp_root, floor_root, frac_root)
+from gapcheck.exact import (Cmp, KernelError, RootExpr, _sign_1rad, _sign_2rad, cmp_root,
+                            floor_root, frac_root)
 from gapcheck.window import GapWindow, windows
 from oracles import (RANDOM_RANGES, RefRoot, build_root, cleared_root, eval_fixed,
                      exact_sign, floor_root_general, longhand_sqrt_digits, radical_sign,
-                     random_chain, root_sign, sqrt_fixed)
+                     random_chain, root_terms, sqrt_fixed)
 
 
 def test_sqrt_fixed_exact_square():
@@ -35,9 +35,9 @@ def test_sqrt_fixed_vs_longhand_sqrt2():
 def test_norm_merging():
     """A radicand stays as given, square factors and perfect squares too;
     == compares the values."""
-    assert RootExpr.sqrt(8) == RootExpr.sqrt(2, 2) and RootExpr.sqrt(8).terms == ((8, 1),)
+    assert RootExpr.sqrt(8) == RootExpr.sqrt(2, 2) and root_terms(RootExpr.sqrt(8)) == ((8, 1),)
     assert RootExpr.sqrt(12) == RootExpr.sqrt(3, 2)
-    assert RootExpr.sqrt(49) == 7 and RootExpr.sqrt(49).terms == ((49, 1),)
+    assert RootExpr.sqrt(49) == 7 and root_terms(RootExpr.sqrt(49)) == ((49, 1),)
 
 
 def test_cmp_root_examples():
@@ -267,7 +267,7 @@ def test_cmp_consistent_with_fixed_eval(mid_store):
 
 
 @pytest.mark.parametrize("bad", [
-    lambda: cmp_root(RootExpr.sqrt(2) + RootExpr.sqrt(3) + RootExpr.sqrt(5), 0.5),
+    lambda: cmp_root(RootExpr.sqrt(2) + RootExpr.sqrt(3), 0.5),
     lambda: RootExpr.sqrt(0.1),
     lambda: RootExpr.sqrt(2, 0.5),
     lambda: RootExpr.sqrt(2) + 0.5,
@@ -389,7 +389,7 @@ def test_exact_sign_clears_denominators():
     # sqrt(2)/3 - sqrt(3)/5 + 1/7 > 0 and sqrt(8)/3 - sqrt(2)*2/3 = 0, each
     # times the lcm of its denominators
     e, den = cleared_root(F(1, 7), {2: F(1, 3), 3: F(-1, 5)})
-    assert den == 105 and (e.num, e.terms) == (15, ((2, 35), (3, -21)))
+    assert den == 105 and (e.num, root_terms(e)) == (15, ((2, 35), (3, -21)))
     assert exact_sign(e) == radical_sign(15, 35, 2, -21, 3) == 1
     assert exact_sign(RootExpr.sqrt(8) - RootExpr.sqrt(2, 2)) == 0
     assert exact_sign(cleared_root(F(-1, 2), {2: F(1, 3)})[0]) == -1
@@ -421,10 +421,10 @@ def _root_pairs(draw, radicands):
 
 
 def _agrees(e, ref):
-    """e's radicands are sorted and distinct with nonzero coefficients, and e
-    has the reference's value."""
-    radicands = [m for m, _ in e.terms]
-    assert radicands == sorted(set(radicands)) and all(b for _, b in e.terms)
+    """e's live slots hold distinct radicands, and e has the reference's
+    value."""
+    radicands = [m for m, _ in root_terms(e)]
+    assert len(radicands) == len(set(radicands))
     assert ref.matches(e)
     return True
 
@@ -439,7 +439,7 @@ def test_kernel_agrees_with_reference_arithmetic(data, radicands):
     assert _agrees(a, ra) and _agrees(b, rb)
     assert _agrees(a + b, ra + rb) and _agrees(a - b, ra - rb)
     assert _agrees(a.scale(k), ra.scale(k)) and _agrees(a * k, ra.scale(k))
-    assert _agrees(k * a, ra.scale(k))
+    assert _agrees(k * a, ra.scale(k)) and _agrees(-a, ra.scale(-1))
     assert _agrees(a + k, ra + RefRoot(k)) and _agrees(k - a, RefRoot(k) - ra)
     # a times r = n/d, as a caller takes it: its floor is floor(a n) // d
     assert floor_root(a.scale(r.numerator)) // r.denominator == ra.scale(r).floor()
@@ -499,7 +499,6 @@ def _two_radicand_roots(draw):
 @given(_two_radicand_roots())
 @settings(max_examples=400)
 def test_floor_root_two_radicands_against_ladder(e):
-    assert len(e.terms) <= 2
     f = floor_root(e)
     assert f == floor_root_general(e)
     assert cmp_root(e, f) in (Cmp.GREATER, Cmp.EQUAL)
@@ -516,40 +515,50 @@ def test_floor_root_dependent_radicands():
     # 101 sqrt(2) - sqrt(2 * 101^2) = 0 exactly: both radicands stay and
     # the term floors sum to -1
     zero = RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402)
-    assert len(zero.terms) == 2
+    assert len(root_terms(zero)) == 2
     assert floor_root(zero) == 0 and floor_root(zero + 7) == 7
     # zero - 10^-9, times 10^9
     assert floor_root(zero.scale(10 ** 9) - 1) == -1
     assert cmp_root(zero) is Cmp.EQUAL
 
 
-# -- three or more radicands: refused ---------------------------------------------
+# -- three or more radicands: refused where they are built ---------------------
 
 _P, _Q = 99991, 100003   # consecutive primes, as a window's p and q
 
 
-def _refusals(e) -> list:
-    """The decisions on e, each as a thunk: signs against 0 and against an
-    int, == against an int and against a RootExpr with other parts, !=,
-    floor_root and frac_root."""
-    return [lambda: cmp_root(e), lambda: cmp_root(e.scale(7), -1), lambda: e == 0,
-            lambda: e == RootExpr.sqrt(5, 3), lambda: e != 1, lambda: floor_root(e),
-            lambda: frac_root(e)]
+def _ref_root(const: int, parts: dict) -> RefRoot:
+    """const + sum coef*sqrt(m) over parts = {m: coef} in the reference model,
+    over any number of radicands."""
+    ref = RefRoot(const)
+    for m, c in parts.items():
+        ref = ref + RefRoot.sqrt(m, c)
+    return ref
+
+
+def _third_radicand_builds(x, y) -> list:
+    """x and y joined by + and by -, with the operands in either order, each
+    as a thunk."""
+    return [lambda: x + y, lambda: y + x, lambda: x - y, lambda: y - x]
 
 
 def test_refuses_past_two_radicands():
-    """Over three radicands every decision raises KernelError and none
-    returns an answer; a RootExpr factor or divisor raises TypeError, so the
-    kernel forms no product of two values and no inverse."""
-    e = RootExpr.sqrt(2) + RootExpr.sqrt(3) - RootExpr.sqrt(10)
-    three = RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402) + RootExpr.sqrt(5)
-    assert len(e.terms) == len(three.terms) == 3
-    assert root_sign(e) == -1 and root_sign(three - RootExpr.sqrt(5)) == 0
+    """A sum or difference that needs a third radicand raises KernelError
+    where it is built, in either order, so no decision ever sees one; a
+    RootExpr factor or divisor raises TypeError, so the kernel forms no
+    product of two values and no inverse.  The oracle's RefRoot decides the
+    values themselves."""
+    assert _ref_root(0, {2: 1, 3: 1, 10: -1}).sign() == -1
+    assert _ref_root(0, {2: 101, 20402: -1}).sign() == 0
     answers = []
-    for x in (e, three):
-        for decide in _refusals(x):
-            with pytest.raises(KernelError):
-                answers.append(decide())
+    for x, y in ((RootExpr.sqrt(2) + RootExpr.sqrt(3), RootExpr.sqrt(10)),
+                 (RootExpr.sqrt(2, 101) - RootExpr.sqrt(20402), RootExpr.sqrt(5)),
+                 (RootExpr.sqrt(2) + 1, RootExpr.sqrt(3) - RootExpr.sqrt(5))):
+        for build in _third_radicand_builds(x, y):
+            with pytest.raises(KernelError, match="third radicand"):
+                answers.append(build())
+    with pytest.raises(KernelError):
+        answers.append(build_root(0, {2: 1, 3: 1, 10: -1}))
     assert answers == []
     a, b = RootExpr.sqrt(2), RootExpr.sqrt(3) + 1
     for op in (lambda: a * b, lambda: b * a, lambda: a * a, lambda: a / b, lambda: b / b,
@@ -559,32 +568,62 @@ def test_refuses_past_two_radicands():
     assert answers == []
 
 
+def test_freed_slot_takes_a_new_radicand():
+    """A slot whose coefficient cancels to 0 is free, and the next radicand
+    takes it: (sqrt(2) + sqrt(3)) - sqrt(3) + sqrt(5), and sqrt(2) + sqrt(3)
+    less sqrt(3) + sqrt(5) or sqrt(5) + sqrt(3), where the shared radicand
+    must go first, build and decide like their RefRoots."""
+    s2, s3, s5 = RootExpr.sqrt(2), RootExpr.sqrt(3), RootExpr.sqrt(5)
+    r2, r3, r5 = RefRoot.sqrt(2), RefRoot.sqrt(3), RefRoot.sqrt(5)
+    for e, ref in (((s2 + s3) - s3 + s5, (r2 + r3) - r3 + r5),
+                   ((s2 + s3) - (s3 + s5), r2 - r5),
+                   ((s2 + s3) - (s5 + s3), r2 - r5),
+                   (-(s5 + s3) + (s3 + s2), r2 - r5),
+                   ((s2 + s3).scale(0) + s5 + s3, r5 + r3)):
+        assert ref.matches(e) and len(root_terms(e)) == 2, e
+        f, frac = frac_root(e)
+        assert floor_root(e) == f == ref.floor() and (ref - RefRoot(f)).matches(frac), e
+        for n in range(f - 2, f + 3):
+            assert cmp_root(e, n).value == (ref - RefRoot(n)).sign(), (e, n)
+        assert e == ref.to_root() and e != ref.to_root() + 1, e
+        with pytest.raises(KernelError):
+            e + RootExpr.sqrt(7)
+
+
 @pytest.mark.parametrize("e, sign", [
     # 101 sqrt(2) - sqrt(2 * 101^2) = 0 beside a third radicand
-    (build_root(0, {2: 101, 20402: -1, 7: 1}), 1),
-    (build_root(0, {2: 101, 20402: -1, 7: -1}), -1),
-    (build_root(-2, {2: 101, 20402: -1, 7: 1}), 1),     # sqrt(7) > 2
-    (build_root(-3, {2: 101, 20402: -1, 7: 1}), -1),
-    (build_root(0, {3: 101, 3 * 101 ** 2: -1, 2: 101, 20402: -1}), 0),
-    (build_root(1, {3: 101, 3 * 101 ** 2: -1, 5: 1, 20: -1}), -1),  # 1 - sqrt(5)
-    (build_root(0, {_P: 1, _Q: 1, _P * _Q: -1}), -1),
+    ((0, {2: 101, 20402: -1, 7: 1}), 1),
+    ((0, {2: 101, 20402: -1, 7: -1}), -1),
+    ((-2, {2: 101, 20402: -1, 7: 1}), 1),     # sqrt(7) > 2
+    ((-3, {2: 101, 20402: -1, 7: 1}), -1),
+    ((0, {3: 101, 3 * 101 ** 2: -1, 2: 101, 20402: -1}), 0),
+    ((1, {3: 101, 3 * 101 ** 2: -1, 5: 1, 20: -1}), -1),  # 1 - sqrt(5)
+    ((0, {_P: 1, _Q: 1, _P * _Q: -1}), -1),
     # 2 sqrt(p) + 3 sqrt(q) - 2 sqrt(pq), less itself written over square
     # multiples of the same radicands
-    (build_root(0, {_P: 2, _Q: 3, _P * _Q: -2, 4 * _P * _Q: 1, 4 * _P: -1, 9 * _Q: -1}), 0),
+    ((0, {_P: 2, _Q: 3, _P * _Q: -2, 4 * _P * _Q: 1, 4 * _P: -1, 9 * _Q: -1}), 0),
 ])
 def test_three_and_more_radicand_built_signs(e, sign):
     """Values over three and more radicands, zeros and near misses among
-    them, that the oracle's sign decides: the kernel refuses each with
-    KernelError rather than answer."""
-    assert root_sign(e) == sign
-    for decide in _refusals(e):
-        with pytest.raises(KernelError):
-            decide()
+    them, e = (const, {m: coef}), that the oracle's RefRoot decides: the
+    kernel refuses to build each with KernelError, whether its first two
+    radicands meet the next one or two by + or -, in either order."""
+    const, parts = e
+    assert _ref_root(const, parts).sign() == sign
+    terms = [RootExpr.sqrt(m, c) for m, c in parts.items()]
+    x, y = terms[0] + terms[1] + const, terms[2]
+    if len(terms) > 3:
+        y = y + terms[3]
+    for build in _third_radicand_builds(x, y):
+        with pytest.raises(KernelError, match="third radicand"):
+            build()
+    with pytest.raises(KernelError):
+        build_root(const, parts)
 
 
 def test_eq_by_value():
     a, b = RootExpr.sqrt(2, 101), RootExpr.sqrt(20402)
-    assert a.terms != b.terms and a == b and not a != b
+    assert root_terms(a) != root_terms(b) and a == b and not a != b
     seven = build_root(7, {})
     assert a - b == 0 and a - b + seven == seven
     with pytest.raises(TypeError):
@@ -608,7 +647,7 @@ def test_decisions_never_use_the_ladder():
             e, _ = cleared_root(F(rng.randrange(-99, 99), rng.randrange(1, 9)),
                                 {m: F(rng.randrange(-50, 50) or 1, rng.randrange(1, 5))
                                  for m in ms})
-            m, b = e.terms[-1]
+            m, b = root_terms(e)[-1]
             for x in (e, e - RootExpr.sqrt(m, b), e - e.num):
                 cmp_root(x.scale(rng.randrange(1, 9)), rng.randrange(-99, 99))
                 cmp_root(x)
@@ -639,15 +678,15 @@ def test_eq_int_agrees_with_fraction(e, k, equal):
     assert e * k == k * e == e.scale(k) == e.scale(k - 1) + e
 
 
-# -- the kernel's short paths against its general ones --------------------------
+# -- slot arithmetic against loops over the terms --------------------------------
 #
-# _scale_int, negation, int - RootExpr and floor_root unroll the one-term
-# case.  Each must give the parts (num, terms) that the general code gives,
-# not just an equal value.
+# scale, negation, int - RootExpr and floor_root act on both slots at once.
+# Each must give the parts (num, live terms) that a loop over the terms
+# gives, not just an equal value.
 
 
 def _parts(e):
-    return e.num, e.terms
+    return e.num, root_terms(e)
 
 
 def _two_term_roots(rng, count):
@@ -671,9 +710,9 @@ def _two_term_roots(rng, count):
     return out
 
 
-def test_one_term_unrolls_against_general_loops():
-    """scale, negation, int - RootExpr and floor_root on one-term RootExprs
-    against the loops they unroll, written out here."""
+def test_slot_arithmetic_against_term_loops():
+    """scale, negation, int - RootExpr and floor_root on one- and two-term
+    RootExprs against loops over their terms, written out here."""
     rng = random.Random(47)
     for e in _two_term_roots(rng, 600):
         k = rng.randrange(-10 ** 6, 10 ** 6)
@@ -688,10 +727,9 @@ def test_one_term_unrolls_against_general_loops():
             y = b * b * m
             r = isqrt(y)
             t += r if b >= 0 else -r - (r * r != y)
-        for _ in range(len(terms) - 1):
-            if _sign(-t - 1, terms) < 0:
-                break
-            t += 1
+        if len(terms) == 2:
+            (m1, b1), (m2, b2) = terms
+            t += _sign_2rad(-t - 1, b1, m1, b2, m2) >= 0
         assert floor_root(e) == n + t == floor_root_general(e), e
 
 
@@ -709,7 +747,8 @@ def test_non_squarefree_radicands_against_reference():
     squares, kept by the kernel as given, ==, cmp_root, floor_root and
     frac_root agree with RefRoot, which splits each radicand into its
     square-free core.  Half the pairs are equal values with other parts:
-    c sqrt(s^2 m) against c s sqrt(m)."""
+    s times the value, whose slot holds c s sqrt(m), against the same value
+    with c sqrt(s^2 m) in that slot."""
     rng = random.Random(59)
     for _ in range(300):
         parts = {}
@@ -720,11 +759,12 @@ def test_non_squarefree_radicands_against_reference():
         for m, c in parts.items():
             ref = ref + RefRoot.sqrt(m, c)
         (m, c), s = rng.choice(list(parts.items())), rng.randrange(2, 200)
-        other = e - RootExpr.sqrt(m * s * s, c) + RootExpr.sqrt(m, c * s)
+        es = e.scale(s)
+        other = es - RootExpr.sqrt(m, c * s) + RootExpr.sqrt(m * s * s, c)
         if rng.randrange(2):
             other = other + rng.choice((1, -1))
-        assert (e == other) == ref.matches(other), (e, other)
-        assert (e == other) == (other == e) == (not e != other)
+        assert (es == other) == ref.scale(s).matches(other), (e, other)
+        assert (es == other) == (other == es) == (not es != other)
         n = floor_root_general(e) + rng.randrange(-1, 2)
         assert cmp_root(e, n).value == (ref - RefRoot(n)).sign(), (e, n)
         f, frac = frac_root(e)

@@ -4,11 +4,11 @@ mu_sqrtp_frac_cmp), for catalog_gaps.is_square and for the delta_vs_half
 view: the helper's own integer reduction against cmp_root / floor_root of
 the same quantity built from RootExpr.sqrt and the window's views, or, where
 that quantity has three or more radicands or a product of two values,
-against the oracles' root_sign and RefRoot.  mu-series' integer partial sums
-are checked the same way, against the Fraction partial sums of `oracles`,
-and so are the reductions thm-34, floor-31, chain-37, cor-56, mu-bounds and
-eq-15-4 write inline and the comparisons dpar-59 and ids-516 read from
-floor_D.  cor-56's printed condition is checked against the reading it
+against the oracles' root_sign of a sum of RootExprs and RefRoot.
+mu-series' integer partial sums are checked the same way, against the
+Fraction partial sums of `oracles`, and so are the reductions thm-34,
+floor-31, chain-37, cor-56, mu-bounds and eq-15-4 write inline and the
+comparisons dpar-59 and ids-516 read from floor_D.  cor-56's printed condition is checked against the reading it
 decides.  thm-78's two counts, read off the window, are checked against
 the same counts taken in the sieve.  Every GapWindow view is checked
 against the oracles' Fraction model of RootExpr."""
@@ -94,8 +94,8 @@ def test_rational_threshold_helpers_two_paths(sample):
 def test_window_helpers_two_paths(sample):
     delta4 = RootExpr.sqrt(11) - RootExpr.sqrt(7)
     for w in sample:
-        # Delta_n - Delta_4 has four radicands: the oracle's sign
-        assert delta_order(w.p, w.q, 7, 11) == root_sign(_delta(w) - delta4), w
+        # Delta_n - Delta_4 has four radicands: the oracle's sign of the sum
+        assert delta_order(w.p, w.q, 7, 11) == root_sign(_delta(w), -delta4), w
         assert mu_order(w.p, w.N, w.q, w.Nq) == _kernel_sign(_mu(w) - _sqrt_q(w) + w.Nq), w
         assert w.floor_D == floor_sqrt_sum(w.p, w.q, w.N, w.Nq) == \
             floor_root(_sqrt_p(w) + _sqrt_q(w)), w
@@ -106,11 +106,11 @@ def test_sum_helpers_two_paths(sample):
     rng = random.Random(7)
     for w in sample:
         u = rng.choice(sample)
-        # Delta_w - Delta_u has up to four radicands: the oracle's sign
-        assert delta_order(w.p, w.q, u.p, u.q) == root_sign(_delta(w) - _delta(u))
+        # Delta_w - Delta_u has up to four radicands: the oracle's sign of the sum
+        assert delta_order(w.p, w.q, u.p, u.q) == root_sign(_delta(w), -_delta(u))
         c1, c2 = rng.randrange(1, 9), rng.randrange(1, 9)
         assert delta_order(w.p, w.q, u.p, u.q, c1, c2) == \
-            root_sign(_delta(w).scale(c1) - _delta(u).scale(c2))
+            root_sign(_delta(w).scale(c1), _delta(u).scale(-c2))
         for x in (w.p, w.N * w.N, w.p * w.q, w.d * w.d + 1):
             assert is_square(x) == (RootExpr.sqrt(x) == isqrt(x))
 
@@ -377,9 +377,9 @@ def test_ids516_two_paths(from_two):
     for w in straddles + _random_straddles(20000, seed=17):
         M, Nq = w.N + 1, w.Nq
         even = _sign_2rad(4 * w.p + 4 - 4 * M * M, 4, 11 * w.p, -4 * M, 7)
-        assert even == root_sign((_sqrt_p(w) - M).scale(2) + delta4), w
+        assert even == root_sign((_sqrt_p(w) - M).scale(2), delta4), w
         odd = _sign_2rad(4 * w.q - 4 - 4 * Nq * Nq, 4, 7 * w.q, -4 * Nq, 11)
-        assert odd == root_sign((_sqrt_q(w) - Nq).scale(2) - delta4), w
+        assert odd == root_sign((_sqrt_q(w) - Nq).scale(2), -delta4), w
         # the checker takes the bound its floor(D) parity names
         assert _holds("ids-516", w) == (even > 0 if w.floor_D > 2 * w.N + 1 else odd < 0), w
         below += even < 0 or odd > 0

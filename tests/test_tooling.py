@@ -11,9 +11,10 @@
   views, or by a view that is itself read.
 - Every function, method, class and class attribute defined under
   src/gapcheck is read there outside its own definition (a load or a
-  keyword argument; a store or an `__all__` entry is not a read), but for
-  three named survivors that only the benchmark and the acceptance tests
-  call.
+  keyword argument; a store or an `__all__` entry is not a read; a class
+  member is read only as an attribute or a keyword, resolved to its class
+  where the reader names it), but for four named survivors that only the
+  benchmark and the tests reach.
 - Checkers that share a domain share one domain function: the engine asks
   a domain once per window for every checker that holds the same function.
 - A checker that reads a window's predecessor starts at n_min >= 2: the
@@ -130,32 +131,58 @@ def test_every_window_view_has_a_reader():
 
 # Definitions that nothing under src/gapcheck references, with the reason each
 # stays.  They go with the benchmark change that reads the library's own
-# counters (ROADMAP item 1).
+# counters (ROADMAP item 2).
 _SURVIVORS = {
     "intervals.brocard_reports":
         "the benchmark's tables workload and acceptance criterion 04 call it",
     "twin.same_floor_consecutive_twin_pairs":
         "the benchmark's tables workload and acceptance criterion 07 call it",
     "exact.Cmp.UNDECIDED": "bench/tracer.py reads it",
+    "intervals.SquareWindowReport.primes":
+        "only tests read it; it goes with square_reports' keep_primes, which the "
+        "benchmark's tables workload passes",
 }
 
 
-def _definitions(node, prefix):
-    """(qualified name, name, node) of every function and class under node,
-    at any depth, and of every name a class body assigns."""
+def _definitions(node, prefix, owner=None):
+    """(qualified name, name, owning class or None, node) of every function
+    and class under node, at any depth, and of every name a class body
+    assigns; the owner is the class whose body defines the name."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield prefix + child.name, child.name, child
+            yield prefix + child.name, child.name, owner, child
             if isinstance(child, ast.ClassDef):
                 for stmt in child.body:
                     targets = (stmt.targets if isinstance(stmt, ast.Assign) else
                                [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
                     for t in targets:
                         if isinstance(t, ast.Name):
-                            yield f"{prefix}{child.name}.{t.id}", t.id, stmt
-            yield from _definitions(child, f"{prefix}{child.name}.")
+                            yield f"{prefix}{child.name}.{t.id}", t.id, child.name, stmt
+            inner = child.name if isinstance(child, ast.ClassDef) else None
+            yield from _definitions(child, f"{prefix}{child.name}.", inner)
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, owner)
+
+
+def _reads(node, members: dict, cls=None):
+    """(node, name, class or None) for every load of a name or an attribute
+    and every keyword argument under node.  An attribute read off self or
+    cls in a method of a class C, or off C's name, and a keyword passed in
+    a call of C's name, resolve to C where C defines the name; any other
+    read leaves the class open (None)."""
+    for child in ast.iter_child_nodes(node):
+        base = None
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child, child.id, None
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            if isinstance(child.value, ast.Name):
+                base = cls if child.value.id in ("self", "cls") else child.value.id
+            yield child, child.attr, base if child.attr in members.get(base, ()) else None
+        elif isinstance(child, ast.keyword) and child.arg:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                base = node.func.id
+            yield child, child.arg, base if child.arg in members.get(base, ()) else None
+        yield from _reads(child, members, child.name if isinstance(child, ast.ClassDef) else cls)
 
 
 def _registered(fn) -> bool:
@@ -165,35 +192,41 @@ def _registered(fn) -> bool:
 
 
 def test_every_definition_has_a_reader():
-    """A definition is read when code under src/gapcheck outside it loads
-    its name, as a name or an attribute, or passes it as a keyword argument
-    (a CheckerSpec field the catalog sets), or when @checker registers it.
-    A store is not a read: a field that code only assigns has no reader,
-    and neither does a name that a module only lists in `__all__`.  Dunder
-    names are read by Python itself.  Every other definition must be read,
-    but for the named survivors, and each survivor must still be unread."""
+    """A module-level definition is read when code under src/gapcheck
+    outside it loads its name, as a name or an attribute, or passes it as a
+    keyword argument, or when @checker registers it.  A class's method or
+    attribute is read only through an attribute load or a keyword (a
+    CheckerSpec field the catalog sets): an attribute of self or cls in a
+    class's own methods or of the class's name, and a keyword in a call of
+    the class's name, count for that class alone, so a field is not kept
+    alive by another class's field or by a local of the same name.  A store is not a read: a field that code only
+    assigns has no reader, and neither does a name that a module only lists
+    in `__all__`.  Dunder names are read by Python itself.  Every other
+    definition must be read, but for the named survivors, and each survivor
+    must still be unread."""
     modules = list(_modules("src/gapcheck"))
     defs = []
     for path, tree in modules:
         parts = path.relative_to(ROOT / "src/gapcheck").with_suffix("").parts
         prefix = ".".join(p for p in parts if p != "__init__")
         defs += _definitions(tree, prefix + "." if prefix else "")
+    members: dict[str, set] = {}
+    for _, name, owner, _ in defs:
+        if owner is not None:
+            members.setdefault(owner, set()).add(name)
     readers: dict[str, list] = {}
     for path, tree in modules:
-        for n in ast.walk(tree):
-            if isinstance(n, (ast.Name, ast.Attribute)) and not isinstance(n.ctx, ast.Load):
-                continue
-            name = (n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
-                    else n.arg if isinstance(n, ast.keyword) else None)
-            if name is not None:
-                readers.setdefault(name, []).append(n)
+        for n, name, cls in _reads(tree, members):
+            readers.setdefault(name, []).append((n, cls))
     assert len(defs) > 300
     unread = []
-    for qualname, name, node in defs:
+    for qualname, name, owner, node in defs:
         if name.startswith("__") and name.endswith("__") or _registered(node):
             continue
         inside = {id(n) for n in ast.walk(node)}
-        if all(id(n) in inside for n in readers.get(name, ())):
+        if not any(id(n) not in inside and (owner is None or
+                                            not isinstance(n, ast.Name) and cls in (None, owner))
+                   for n, cls in readers.get(name, ())):
             unread.append(qualname)
     assert sorted(unread) == sorted(_SURVIVORS)
 
