@@ -386,8 +386,7 @@ def _ishikawa_plus(tri, st):
 
 @checker("ishikawa-emp", Kind.SURVEY,
          title="collect n with p_{n+2} >= p_n + 2 sqrt(2 p_n) (expected none)",
-         source="remark 2.15", conjecture=True,
-         expected_survey=frozenset())
+         source="remark 2.15", conjecture=True)
 def _ishikawa_emp(tri, st):
     w, nxt = tri.w, tri.nxt
     g = nxt.q - w.p

@@ -72,7 +72,6 @@ class CheckerSpec:
     domain: Optional[Callable] = None   # (triple) -> bool, beyond n_min
     from_one: bool = False        # decided only on a report that starts at n = 1
     expected_exceptions: frozenset = frozenset()
-    expected_survey: Optional[frozenset] = None
     conjecture: bool = False
     state_init: Optional[Callable] = None   # () -> JSON-able dict
     finalize: Optional[Callable] = None     # (state, report_extra) -> None
@@ -136,19 +135,14 @@ class CheckReport:
 _REGISTRY: dict[str, CheckerSpec] = {}
 
 
-def register(spec: CheckerSpec) -> CheckerSpec:
-    if spec.id in _REGISTRY:
-        raise ValueError(f"duplicate checker id {spec.id}")
-    _REGISTRY[spec.id] = spec
-    return spec
-
-
 def checker(id: str, kind: Kind, title: str, source: str, **kw):
     """Decorator registering an evaluate function as a CheckerSpec."""
 
     def wrap(fn):
-        register(CheckerSpec(id=id, kind=kind, title=title, source=source,
-                             evaluate=fn, **kw))
+        if id in _REGISTRY:
+            raise ValueError(f"duplicate checker id {id}")
+        _REGISTRY[id] = CheckerSpec(id=id, kind=kind, title=title, source=source,
+                                    evaluate=fn, **kw)
         return fn
 
     return wrap

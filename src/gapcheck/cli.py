@@ -24,6 +24,8 @@ from .twin import alpha_ledger, write_ledger_csv
 from .window import dump_windows_csv
 
 EXIT_OK, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE = 0, 1, 2, 3
+POWERS_BUDGET = 10 ** 8     # `powers`: default sieve limit and the (n+1)^k budget
+POWERS_POW2_K_MAX = 20      # `powers`: the ladder's top power of two
 
 
 def limit_for_index(n: int) -> int:
@@ -92,6 +94,11 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     resume = None
     if args.resume:
+        for given, option in ((args.checker, "--checker"), (args.n_lo, "--n-lo")):
+            if given is not None:
+                print(f"{option} does not apply to --resume: the checkpoint "
+                      f"fixes the checkers and the start", file=sys.stderr)
+                return EXIT_USAGE
         with open(args.resume) as fh:
             manifest = json.load(fh)
         resume = check_checkpoint(manifest.get("checkpoint")
@@ -102,7 +109,7 @@ def cmd_verify(args) -> int:
             print("--n-hi must extend a resumed range", file=sys.stderr)
             return EXIT_USAGE
     else:
-        if args.checker == "all":
+        if args.checker in (None, "all"):
             ids = sorted(registry())
         else:
             ids = args.checker.split(",")
@@ -113,7 +120,7 @@ def cmd_verify(args) -> int:
             if unknown:
                 print(f"unknown checker id(s): {','.join(unknown)}", file=sys.stderr)
                 return EXIT_USAGE
-        n_lo = args.n_lo
+        n_lo = 1 if args.n_lo is None else args.n_lo
     n_hi = args.n_hi if args.n_hi is not None else 1000
     limit = args.limit or max(limit_for_index(n_hi), 10 ** 7)
     store = build_store(limit)
@@ -154,14 +161,12 @@ def cmd_squares(args) -> int:
 
 
 def cmd_powers(args) -> int:
-    budget = args.budget
-    limit = args.limit or min(budget, 10 ** 8)
-    store = build_store(limit)
+    store = build_store(args.limit or POWERS_BUDGET)
     # the ladder raises on a store too small for it, so it runs before any
     # report is printed
     ok = all(row.increment_ok and row.lower_bound_ok and row.identity_ok
-             for row in pow2_ladder(store, args.k_max_pow2))
-    for rep in power_reports(store, args.k, 1, args.n_hi, budget=budget):
+             for row in pow2_ladder(store, POWERS_POW2_K_MAX))
+    for rep in power_reports(store, args.k, 1, args.n_hi, budget=POWERS_BUDGET):
         print(rep.to_json())
         if not rep.budget_hit:
             ok = ok and rep.total_ok and rep.cumulative_ok
@@ -186,11 +191,15 @@ def cmd_accum(args) -> int:
     if args.h is not None and args.family != "h_fixed":
         raise ValueError("--h applies only to --family h_fixed")
     if args.family:
+        for given, option in ((args.r, "--r"), (args.sign, "--sign"), (args.c, "--c")):
+            if given is not None:
+                raise ValueError(f"{option} does not apply to --family")
         h = 1 if args.h is None else args.h
         records = special_scans(args.family, N_max=args.n_max, h=h)
     else:
-        target = parse_target(args.r)
-        records = accum_scan(target, args.sign, c=args.c, N_max=args.n_max)
+        target = parse_target("1/3" if args.r is None else args.r)
+        records = accum_scan(target, args.sign or "+",
+                             c=1 if args.c is None else args.c, N_max=args.n_max)
     write_accum_csv(records, sys.stdout)
     return EXIT_OK if all(r.ok for r in records) else EXIT_FAIL
 
@@ -212,9 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="print the checker catalog").set_defaults(fn=cmd_list)
 
     v = sub.add_parser("verify", help="run checkers over an index range")
-    v.add_argument("--checker", default="all",
-                   help="checker id, comma list, or 'all'")
-    v.add_argument("--n-lo", type=int, default=1)
+    v.add_argument("--checker", default=None,
+                   help="checker id, comma list, or 'all' (default: all; "
+                        "not with --resume)")
+    v.add_argument("--n-lo", type=int, default=None,
+                   help="first index (default: 1; not with --resume)")
     v.add_argument("--n-hi", type=int, default=None)
     v.add_argument("--limit", type=int, default=None,
                    help="sieve limit (default: sized from --n-hi, at least 1e7)")
@@ -234,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("powers", help="k-th power window counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 8)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--k-max-pow2", type=int, default=20)
     p.set_defaults(fn=cmd_powers)
 
     t = sub.add_parser("twins", help="twin-count ledger and question surveys")
@@ -245,9 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_twins)
 
     a = sub.add_parser("accum", help="accumulation-point scans")
-    a.add_argument("--r", default="1/3", help="rational target a/b")
-    a.add_argument("--sign", choices=("+", "-"), default="+")
-    a.add_argument("--c", type=int, default=1)
+    a.add_argument("--r", default=None,
+                   help="rational target a/b (default: 1/3; not with --family)")
+    a.add_argument("--sign", choices=("+", "-"), default=None,
+                   help="sign before c (default: +; not with --family)")
+    a.add_argument("--c", type=int, default=None,
+                   help="constant c (default: 1; not with --family)")
     a.add_argument("--n-max", type=int, default=10 ** 4)
     a.add_argument("--family",
                    choices=("h_fixed", "near_half_minus", "near_half_plus",

@@ -42,7 +42,6 @@ from .window import windows
 # -- certified interval natural log ---------------------------------------------
 
 LN_BITS = 96         # fraction bits of every ln bracket
-_LN2_CACHE: tuple[int, int] | None = None   # ln 2 at LN_BITS, built on first use
 
 
 def _atanh_interval(unum: int, uden: int) -> tuple[int, int]:
@@ -68,39 +67,28 @@ def _atanh_interval(unum: int, uden: int) -> tuple[int, int]:
     return slo, shi
 
 
-def _ln2_interval() -> tuple[int, int]:
-    global _LN2_CACHE
-    if _LN2_CACHE is None:   # ln 2 = 2 atanh(1/3)
-        _LN2_CACHE = tuple(2 * x for x in _atanh_interval(1, 3))
-    return _LN2_CACHE
+_LN2 = tuple(2 * x for x in _atanh_interval(1, 3))   # ln 2 = 2 atanh(1/3)
 
 
 def ln_interval(num: int, den: int = 1) -> tuple[int, int]:
-    """Certified [lo, hi] ulps at LN_BITS with ln(num/den) inside."""
-    if num <= 0 or den <= 0:
-        raise ValueError("ln of a non-positive value")
+    """Certified [lo, hi] ulps at LN_BITS with ln(num/den) inside, for
+    num/den >= 1: the ledger takes the ln of an integer n >= 3 and of a
+    bracket end of ln n over 2^LN_BITS, both above 1, so the power of two
+    split off, e, is never negative.  A smaller value raises ValueError."""
+    if not 0 < den <= num:
+        raise ValueError(f"ln_interval needs num/den >= 1, not {num}/{den}")
     e = num.bit_length() - den.bit_length()
-    if e >= 0:
-        scaled_den = den << e
-    else:
-        num, scaled_den = num << (-e), den
-    if num < scaled_den:  # ensure 1 <= m < 2
+    if num < den << e:
         e -= 1
-        if e >= 0:
-            scaled_den = den << e
-        else:
-            num, scaled_den = num * 2, den
     # m = num/scaled_den in [1, 2); u = (m-1)/(m+1)
+    scaled_den = den << e
     unum, uden = num - scaled_den, num + scaled_den
     if unum == 0:
         mlo = mhi = 0
     else:
         alo, ahi = _atanh_interval(unum, uden)
         mlo, mhi = 2 * alo, 2 * ahi
-    l2lo, l2hi = _ln2_interval()
-    if e >= 0:
-        return mlo + e * l2lo, mhi + e * l2hi
-    return mlo + e * l2hi, mhi + e * l2lo
+    return mlo + e * _LN2[0], mhi + e * _LN2[1]
 
 
 def ln_ln_interval(n: int) -> tuple[int, int]:

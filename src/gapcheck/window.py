@@ -114,9 +114,9 @@ class GapWindow:
       sqrt_pq, sqrtq_delta, sqrtp_delta
                            sqrt(pq), sqrt(q) Delta, sqrt(p) Delta
       delta_sq             Delta^2 = p + q - 2 sqrt(pq)  (thm-35, twin-91)
-      two_sqrtp_delta      2 sqrt(p) Delta               (cor-36, twin-91)
-      frac_sqrtq_delta,    {sqrt(q) Delta}, {sqrt(p) Delta}
-      frac_sqrtp_delta                                   (thm-35, cor-36)
+      two_sqrtp_delta      2 sqrt(p) Delta               (frac-33, cor-36,
+                             twin-91, floor_sqrtp_delta_half)
+      frac_sqrtp_delta     {sqrt(p) Delta}               (thm-35, cor-36)
       floor_sqrtp_delta_half
                            floor(sqrt(p) Delta - 1/2)    (floor-32, frac-33)
       N_sqrtp, Nq_sqrtq    N sqrt(p), Nq sqrt(q)         (ids-511, ids-513)
@@ -132,12 +132,12 @@ class GapWindow:
 
     __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "__dict__")
 
-    def __init__(self, n, p, q, N=None):
+    def __init__(self, n, p, q):
         self.n = n
         self.p = p
         self.q = q
         self.d = q - p
-        self.N = isqrt(p) if N is None else N
+        self.N = isqrt(p)
         self.Nq = isqrt(q)
         if self.Nq > self.N + 1:
             raise SquareLawViolation(f"n={n}: floor sqrt jumped {self.N} -> {self.Nq}")
@@ -200,10 +200,6 @@ class GapWindow:
         return self.sqrtp_delta.scale(2)
 
     @_view
-    def frac_sqrtq_delta(self) -> RootExpr:
-        return frac_root(self.sqrtq_delta)[1]
-
-    @_view
     def frac_sqrtp_delta(self) -> RootExpr:
         return frac_root(self.sqrtp_delta)[1]
 
@@ -229,9 +225,10 @@ class GapWindow:
 
 
 def windows(store: PrimeStore, n_lo: int, n_hi: int):
-    """The GapWindows for n in [n_lo, n_hi], strictly increasing n.  The range
-    and the store's coverage are checked by the call itself, before any
-    window is asked for."""
+    """The GapWindows for n in [n_lo, n_hi], strictly increasing n, each
+    built from n, p_n and p_{n+1} alone: N and Nq have one path, the
+    window's own isqrt.  The range and the store's coverage are checked by
+    the call itself, before any window is asked for."""
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("need 1 <= n_lo <= n_hi")
     if n_hi + 1 > store.prime_count:
@@ -241,22 +238,17 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int):
 
 
 def _stream(store: PrimeStore, n_lo: int, n_hi: int):
-    start_p = store.nth_prime(n_lo)
+    """One window per consecutive prime pair from p_{n_lo} on; only the
+    prime passes from one window to the next."""
     n = n_lo
     prev = None
-    prev_N = None
-    for p in store.iter_primes(start_p):
-        if prev is None:
-            prev = p
-            prev_N = isqrt(p)
-            continue
-        w = GapWindow(n, prev, p, N=prev_N)
-        yield w
-        n += 1
-        if n > n_hi:
-            return
+    for p in store.iter_primes(store.nth_prime(n_lo)):
+        if prev is not None:
+            yield GapWindow(n, prev, p)
+            n += 1
+            if n > n_hi:
+                return
         prev = p
-        prev_N = w.Nq
 
 
 def dump_windows_csv(store: PrimeStore, n_lo: int, n_hi: int, fh) -> None:

@@ -185,6 +185,20 @@ def test_accum_h_checked():
     assert run("accum", "--family", "h_fixed", "--h", "1", "--n-max", "100").stdout == default.stdout
 
 
+def test_accum_family_refuses_target_options():
+    """A family scan fixes its own polynomial: --r, --sign or --c next to
+    --family exits 3 naming the option, where it used to print the plain
+    family scan."""
+    for args in (("--r", "2/5"), ("--sign", "-"), ("--sign", "+"), ("--c", "9"),
+                 ("--r", "2/5", "--c", "9", "--sign", "-")):
+        r = run("accum", "--family", "h_fixed", *args, "--n-max", "100")
+        assert r.returncode == 3 and r.stdout == "", args
+        assert f"{args[0]} does not apply to --family" in r.stderr, args
+    r = run("accum", "--r", "1/3", "--sign", "+", "--c", "1", "--n-max", "1000")
+    assert r.returncode == 0
+    assert r.stdout == run("accum", "--n-max", "1000").stdout
+
+
 def test_squares_csv_and_exit():
     r = run("squares", "--n-hi", "40", "--limit", "2000")
     assert r.returncode == 0
@@ -198,8 +212,7 @@ def test_twins_exit_and_csv():
 
 
 def test_powers_jsonl():
-    r = run("powers", "--k", "5", "--n-hi", "3", "--limit", "1100000",
-            "--budget", "1100000", "--k-max-pow2", "18")
+    r = run("powers", "--k", "5", "--n-hi", "3", "--limit", "1100000")
     assert r.returncode == 0
     rows = [json.loads(line) for line in r.stdout.splitlines()]
     assert rows[0]["total"] == 11
@@ -345,6 +358,24 @@ def test_resume_malformed_manifest_exits_3(tmp_path, gap_half_manifest, breaks, 
             "--format", "json")
     assert r.returncode == 3 and r.stdout == ""
     assert field in r.stderr and "Traceback" not in r.stderr
+
+
+def test_resume_refuses_checker_and_n_lo(tmp_path, gap_half_manifest):
+    """A checkpoint fixes its checkers and its start: --checker or --n-lo
+    next to --resume exits 3 naming the option, where the run used to report
+    the checkpoint's checkers from its own start."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(gap_half_manifest))
+    for args in (("--checker", "thm-35"), ("--checker", "gap-half"), ("--n-lo", "7"),
+                 ("--n-lo", "1"), ("--checker", "thm-35", "--n-lo", "7")):
+        r = run("verify", "--resume", str(m), *args, "--n-hi", "200",
+                "--limit", "100000", "--format", "json")
+        assert r.returncode == 3 and r.stdout == "", args
+        assert f"{args[0]} does not apply to --resume" in r.stderr, args
+    r = run("verify", "--resume", str(m), "--n-hi", "200", "--limit", "100000",
+            "--format", "json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["id"] == "gap-half"
 
 
 def test_resume_with_larger_limit(tmp_path):

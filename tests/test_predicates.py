@@ -433,7 +433,6 @@ def test_window_views_against_oracles(sample):
             "N_sqrtp": sp.scale(w.N), "Nq_sqrtq": sq.scale(w.Nq),
             "delta_sq": delta * delta,
             "two_sqrtp_delta": sqrtp_delta.scale(2),
-            "frac_sqrtq_delta": sqrtq_delta.frac()[1],
             "frac_sqrtp_delta": sqrtp_delta.frac()[1],
         }
         for name, ref in roots.items():

@@ -15,6 +15,8 @@
   member is read only as an attribute or a keyword, resolved to its class
   where the reader names it), but for four named survivors that only the
   benchmark and the tests reach.
+- Every `CheckerSpec` field is loaded as an attribute under src/gapcheck:
+  a field the catalog only passes as a keyword is not read by the program.
 - Checkers that share a domain share one domain function: the engine asks
   a domain once per window for every checker that holds the same function.
 - A checker that reads a window's predecessor starts at n_min >= 2: the
@@ -229,6 +231,21 @@ def test_every_definition_has_a_reader():
                    for n, cls in readers.get(name, ())):
             unread.append(qualname)
     assert sorted(unread) == sorted(_SURVIVORS)
+
+
+def test_every_checker_spec_field_is_loaded():
+    """A CheckerSpec field lives only if code under src/gapcheck loads it
+    as an attribute: the catalog's keyword arguments set a field, and a
+    field that only they and the tests touch decides nothing."""
+    from dataclasses import fields
+
+    from gapcheck.checkers import CheckerSpec
+
+    loaded = {n.attr for _, tree in _modules("src/gapcheck") for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    names = {f.name for f in fields(CheckerSpec)}
+    assert len(names) >= 10
+    assert sorted(names - loaded) == []
 
 
 def test_equal_domains_are_one_function():

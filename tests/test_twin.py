@@ -37,10 +37,13 @@ def test_ln_ln_interval_against_decimal_oracle():
 
 
 def test_ln_rational_arguments():
-    # ln(1/2) < 0
-    lo, hi = ln_interval(1, 2)
-    assert hi < 0
-    assert _contains((lo, hi), Decimal("0.5").ln())
+    """The ledger takes ln only of values of at least 1; a smaller one is
+    refused, not bracketed."""
+    for num, den in ((1, 2), (0, 1), (-3, 1), (2, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            ln_interval(num, den)
+    assert ln_interval(1) == (0, 0)
+    assert _contains(ln_interval(3, 2), Decimal("1.5").ln())
 
 
 def test_j_convention(mid_store):
