@@ -399,14 +399,13 @@ def _n2p1_family(tri, st):
     both through the kernel.  The floors and the family clauses stay per
     window."""
     w = tri.w
-    t = isqrt(4 * w.N * w.N * w.p)  # floor(2 N sqrt(p))
-    if t - 2 * w.N * w.N != w.h - 1:
+    if w.t2N - 2 * w.N * w.N != w.h - 1:
         return violate("floor(2 mu N) != h - 1")
     if w.h != 1:
         return HOLD
     if w.p - w.tN - 1 != 0:
         return violate("mu sqrt(p) not already fractional")
-    t2m = 2 * w.p - 1 - t
+    t2m = 2 * w.p - 1 - w.t2N
     if t2m != 1:
         return violate("floor(2 mu sqrt(p)) != 1")
     if w.n >= 3:

@@ -12,8 +12,6 @@ checked through the kernel by tests/test_exact.py.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from ..exact import frac_root, _sign_1rad, _sign_2rad
 from ..window import mu_sqrtp_frac_cmp, mu_vs_rational
 from .types import HOLD, MISS, Kind, checker, hard_fail, violate
@@ -55,8 +53,7 @@ def _par_51(tri, st):
         return violate("doubling identity mismatch")
     if even != (mu_sqrtp_frac_cmp(w, 1, 2) < 0):
         return violate("half-line position mismatch")
-    t2N = isqrt(4 * w.N * w.N * w.p)
-    if even != (t2N == 2 * w.tN + 1):
+    if even != (w.t2N == 2 * w.tN + 1):
         return violate("{2 mu sqrt(p)} vs 2{mu sqrt(p)} mismatch")
     if even and w.p - w.tN - 1 != w.h // 2:
         return violate("floor(mu sqrt(p)) != h/2")
@@ -86,8 +83,7 @@ def _par_53(tri, st):
     odd = w.h % 2 == 1
     if odd != (mu_sqrtp_frac_cmp(w, 1, 2) > 0):
         return violate("half-line position mismatch")
-    t2N = isqrt(4 * w.N * w.N * w.p)
-    if odd != (t2N == 2 * w.tN):
+    if odd != (w.t2N == 2 * w.tN):
         return violate("odd doubling identity mismatch")
     if odd and w.p - w.tN - 1 != (w.h - 1) // 2:
         return violate("floor(mu sqrt(p)) != (h-1)/2")

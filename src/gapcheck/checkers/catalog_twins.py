@@ -34,7 +34,7 @@ def _twin_91(tri, st):
 
 
 def _pair_state():
-    return {"prev": None, "first": None, "count": 0, "samples": []}
+    return {"prev": None, "first": None, "count": 0}
 
 
 def _twin_pair_events(st, w):

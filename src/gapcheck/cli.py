@@ -24,7 +24,7 @@ from .twin import alpha_ledger, write_ledger_csv
 from .window import dump_windows_csv
 
 EXIT_OK, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE = 0, 1, 2, 3
-POWERS_BUDGET = 10 ** 8     # `powers`: default sieve limit and the (n+1)^k budget
+POWERS_BUDGET = 10 ** 8     # `powers`: the sieve cap and the (n+1)^k budget
 POWERS_POW2_K_MAX = 20      # `powers`: the ladder's top power of two
 
 
@@ -122,8 +122,7 @@ def cmd_verify(args) -> int:
                 return EXIT_USAGE
         n_lo = 1 if args.n_lo is None else args.n_lo
     n_hi = args.n_hi if args.n_hi is not None else 1000
-    limit = args.limit or max(limit_for_index(n_hi), 10 ** 7)
-    store = build_store(limit)
+    store = build_store(limit_for_index(n_hi))
     opts = RunOpts(witness_cap=None if args.witnesses == 0 else args.witnesses)
     reports, checkpoint = run_many(ids, store, n_lo, n_hi, opts, resume=resume)
 
@@ -147,8 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_squares(args) -> int:
-    limit = args.limit or (args.n_hi + 1) ** 2 + 10
-    store = build_store(limit)
+    store = build_store((args.n_hi + 1) ** 2 + 10)
     ok = True
     reports = []
     for rep in square_reports(store, args.n_lo, args.n_hi, keep_primes=False):
@@ -161,9 +159,11 @@ def cmd_squares(args) -> int:
 
 
 def cmd_powers(args) -> int:
-    store = build_store(args.limit or POWERS_BUDGET)
-    # the ladder raises on a store too small for it, so it runs before any
-    # report is printed
+    # the rows need (n_hi + 1)^k and the ladder 2^20, within the budget.  At
+    # n_hi >= 1 every exponent past the budget's bit length overshoots it, so
+    # a huge --k costs no huge power; power_reports refuses n_hi < 1 and k < 2
+    top = (max(args.n_hi, 1) + 1) ** min(args.k, POWERS_BUDGET.bit_length())
+    store = build_store(min(POWERS_BUDGET, max(2 ** POWERS_POW2_K_MAX, top)))
     ok = all(row.increment_ok and row.lower_bound_ok and row.identity_ok
              for row in pow2_ladder(store, POWERS_POW2_K_MAX))
     for rep in power_reports(store, args.k, 1, args.n_hi, budget=POWERS_BUDGET):
@@ -176,8 +176,7 @@ def cmd_powers(args) -> int:
 
 
 def cmd_twins(args) -> int:
-    limit = args.limit or max(limit_for_index(args.n_hi), 10 ** 6)
-    store = build_store(limit)
+    store = build_store(limit_for_index(args.n_hi))
     rows = list(alpha_ledger(store, args.n_hi))
     write_ledger_csv(rows, sys.stdout)
     ok = all(r.identity_ok and r.sandwich_ok for r in rows)
@@ -205,8 +204,7 @@ def cmd_accum(args) -> int:
 
 
 def cmd_windows(args) -> int:
-    limit = args.limit or max(limit_for_index(args.n_hi), 10 ** 4)
-    store = build_store(limit)
+    store = build_store(limit_for_index(args.n_hi))
     dump_windows_csv(store, args.n_lo, args.n_hi, sys.stdout)
     return EXIT_OK
 
@@ -227,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-lo", type=int, default=None,
                    help="first index (default: 1; not with --resume)")
     v.add_argument("--n-hi", type=int, default=None)
-    v.add_argument("--limit", type=int, default=None,
-                   help="sieve limit (default: sized from --n-hi, at least 1e7)")
     v.add_argument("--format", choices=("table", "json", "csv"), default="table")
     v.add_argument("--witnesses", type=int, default=32,
                    help="witness cap per report (0 = unlimited)")
@@ -239,18 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("squares", help="square-window counts and claims")
     q.add_argument("--n-lo", type=int, default=2)
     q.add_argument("--n-hi", type=int, required=True)
-    q.add_argument("--limit", type=int, default=None)
     q.set_defaults(fn=cmd_squares)
 
     p = sub.add_parser("powers", help="k-th power window counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
     p.set_defaults(fn=cmd_powers)
 
     t = sub.add_parser("twins", help="twin-count ledger and question surveys")
     t.add_argument("--n-hi", type=int, required=True)
-    t.add_argument("--limit", type=int, default=None)
     t.set_defaults(fn=cmd_twins)
 
     a = sub.add_parser("accum", help="accumulation-point scans")
@@ -271,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = sub.add_parser("windows", help="dump per-index window integers as CSV")
     wsub.add_argument("--n-lo", type=int, default=1)
     wsub.add_argument("--n-hi", type=int, required=True)
-    wsub.add_argument("--limit", type=int, default=None)
     wsub.set_defaults(fn=cmd_windows)
     return ap
 

@@ -226,7 +226,7 @@ class Pow2Row:
     increment_ok: bool       # pi(2^{k+1}) >= 2 + pi(2^k), checked at k-1 -> k
     lower_bound_ok: bool     # pi(2^k) >= 2(k-1)
     phi_c: int               # composite-or-one m < 2^k coprime to 2^k
-    identity_ok: bool        # pi(2^k) = 2^{k-1} + 1 - phi_c(2^k)
+    identity_ok: bool        # pi(2^k) = 2^{k-1} + 1 - phi_c(2^k), by construction
 
 
 def pow2_ladder(store: PrimeStore, k_max: int = 26) -> list[Pow2Row]:
@@ -234,7 +234,9 @@ def pow2_ladder(store: PrimeStore, k_max: int = 26) -> list[Pow2Row]:
 
     phi_c counts m < 2^k coprime to 2^k (odd m) that are not prime; the unit
     m = 1 is counted, which is the convention that makes the displayed
-    identity exact at every k (e.g. phi_c(16) = |{1, 9, 15}| = 3).
+    identity exact at every k (e.g. phi_c(16) = |{1, 9, 15}| = 3).  phi_c is
+    computed from pi(2^k) by that identity, so identity_ok holds by
+    construction: it restates the convention and checks nothing.
     """
     if 2 ** k_max > store.limit:
         raise CoverageError(f"2^{k_max} beyond store limit")

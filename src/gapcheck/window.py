@@ -111,6 +111,8 @@ class GapWindow:
     sqrt(p) or sqrt(q) and ints, so it has one radicand.  The views are:
       s, tN                floor(sqrt(pq)), floor(N sqrt(p))  (the floor
                              identities of sqrt(p) Delta and mu sqrt(p))
+      t2N                  floor(2N sqrt(p))             (par-51, par-53,
+                                                          n2p1-family)
       sqrt_pq, sqrtq_delta, sqrtp_delta
                            sqrt(pq), sqrt(q) Delta, sqrt(p) Delta
       delta_sq             Delta^2 = p + q - 2 sqrt(pq)  (thm-35, twin-91)
@@ -127,7 +129,8 @@ class GapWindow:
       delta_vs_half        sign of Delta - 1/2           (same-71, delta-gt-half,
                              survey-quarter, survey-dsq-p)
     floor_D is one exact integer sign (`floor_sqrt_sum`, which the square
-    tables share), delta_vs_half another and s, tN and tNq one isqrt each.
+    tables share), delta_vs_half another and s, tN, t2N and tNq one isqrt
+    each.
     """
 
     __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "__dict__")
@@ -167,6 +170,10 @@ class GapWindow:
     @_view
     def tN(self) -> int:
         return isqrt(self.N * self.N * self.p)
+
+    @_view
+    def t2N(self) -> int:
+        return isqrt(4 * self.N * self.N * self.p)
 
     @_view
     def sqrt_pq(self) -> RootExpr:

@@ -235,6 +235,22 @@ def test_resume_ignores_old_runmin_keys(mid_store):
         assert resumed[cid].to_json() == single[cid].to_json(), cid
 
 
+def test_resume_ignores_old_pair_samples(mid_store):
+    """twin-92, twin-93 and twin-94 keep the previous and the first twin and
+    a count; a checkpoint whose pair states still carry the empty "samples"
+    list that no code read resumes to the reports of a single run."""
+    ids = ["twin-92", "twin-93", "twin-94"]
+    single, _ = run_many(ids, mid_store, 1, 3000)
+    _, cp = run_many(ids, mid_store, 1, 1234)
+    assert {cid: set(cp["per"][cid]["state"]) for cid in ids} == \
+        {cid: {"prev", "first", "count"} for cid in ids}
+    for cid in ids:
+        cp["per"][cid]["state"]["samples"] = []
+    resumed, _ = run_many(ids, mid_store, 1235, 3000, resume=json.loads(json.dumps(cp)))
+    for cid in ids:
+        assert resumed[cid].to_json() == single[cid].to_json(), cid
+
+
 def test_resume_mismatch_rejected(mid_store):
     _, cp = run_many(["conj-gap-sq"], mid_store, 1, 50)
     with pytest.raises(ValueError):
@@ -543,8 +559,7 @@ def test_checker_error_counts_undecided(monkeypatch, capsys):
     assert len(r.notes) == 1 and r.notes[0].startswith("checker error at n=70: KernelError(")
     assert r.verdict is Verdict.UNDECIDED_PRESENT
     assert rep["thm-34"].verdict is Verdict.PASS
-    code = cli.main(["verify", "--checker", "thm-34,thm-35", "--n-hi", "100",
-                     "--limit", "10000"])
+    code = cli.main(["verify", "--checker", "thm-34,thm-35", "--n-hi", "100"])
     assert code == cli.EXIT_UNDECIDED == 2
     assert "thm-35" in capsys.readouterr().out
 

@@ -4,7 +4,7 @@ import pytest
 
 from gapcheck.intervals import (SquareWindowReport, brocard_reports, pow2_ladder,
                                 power_reports, square_reports, write_square_csv)
-from gapcheck.primes import CoverageError
+from gapcheck.primes import CoverageError, build_store
 from oracles import excel_csv_lines, meissel_pi, trial_division_is_prime
 from surveys import (even_base_report, even_square_decomposition, h_value_coverage,
                      prime_power_windows)
@@ -150,6 +150,14 @@ def test_pow2_phi_c_against_meissel(mid_store):
 def test_pow2_coverage_error(small_store):
     with pytest.raises(CoverageError):
         pow2_ladder(small_store, 30)
+
+
+def test_pow2_ladder_on_a_1000_store():
+    """The 2^20 ladder of `powers` needs a store past 2^20; on a 1000 store
+    it raises before it counts any row.  `powers` sieves to at least 2^20,
+    so the command never reaches this."""
+    with pytest.raises(CoverageError, match=r"2\^20 beyond store limit"):
+        pow2_ladder(build_store(1000), 20)
 
 
 def test_even_square_decomposition(mid_store):

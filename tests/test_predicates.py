@@ -443,11 +443,13 @@ def test_window_views_against_oracles(sample):
             "delta_vs_half": (delta - RefRoot(Fraction(1, 2))).sign(),
             "s": _longhand_isqrt(w.p * w.q),
             "tN": _longhand_isqrt(w.N * w.N * w.p),
+            "t2N": _longhand_isqrt(4 * w.N * w.N * w.p),
             "tNq": _longhand_isqrt(w.Nq * w.Nq * w.q),
         }
         for name, ref in ints.items():
             assert getattr(w, name) == ref, (name, w)
         # floor(sqrt(p) Delta - 1/2) is floor(2 sqrt(p) Delta - 1) // 2
         for name, e, den in (("floor_sqrtp_delta_half", w.two_sqrtp_delta - 1, 2),
-                             ("floor_D", _sqrt_p(w) + _sqrt_q(w), 1), ("tNq", w.Nq_sqrtq, 1)):
+                             ("floor_D", _sqrt_p(w) + _sqrt_q(w), 1), ("tNq", w.Nq_sqrtq, 1),
+                             ("t2N", w.N_sqrtp.scale(2), 1)):
             assert floor_root_general(e) // den == ints[name], (name, w)
