@@ -22,20 +22,27 @@ writes (`check_checkpoint`); anything else raises ValueError.
 
 Per run, each spec's evaluate, tally and n_min are bound once, and the specs
 are grouped by the identity of their domain function (specs without one form
-a group too).  A spec's n_min is tested only on windows below the largest
-n_min of the run; elsewhere it cannot exclude a window.  Per window, a
-group's domain is called at most once, when the first of its checkers gets
-past n_min, and the rest of the group reuses the answer: in, out, or the
-exception it raised.  out_of_domain counts are as if n_min and the domain
-were tested for every checker on every window.
+a group too).  The engine reads the stream in blocks of up to BLOCK windows
+and runs checker-major: group by group, each checker evaluates the whole
+block in n order before the next checker starts, so one checker's code runs
+many times in a row.  Each checker's tally, state, witnesses and violations
+are still built in n order, so the block size moves no byte of a report or
+a checkpoint.  The windows of a block below a checker's n_min lead the block
+and count out of domain untested.  Per window, a group's domain is called at
+most once, by the first of its checkers that needs the window (past its
+n_min, with no error), and the rest of the group reuses the answer: in, out,
+or the exception it raised.  out_of_domain counts are as if n_min and the
+domain were tested for every checker on every window.
 A checker that raises, in its domain or its evaluate, is isolated: its error
-is noted, that window counts as undecided and every later one as out of
-domain, so the report is UNDECIDED_PRESENT unless its counts already fail it.
+is noted, that window counts as undecided and every later one, in this block
+and the next, as out of domain, so the report is UNDECIDED_PRESENT unless
+its counts already fail it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .. import __version__
 from ..primes import PrimeStore
@@ -45,6 +52,7 @@ from .types import (HOLD, CheckReport, CheckerSpec, Counts, Kind, Outcome, Tripl
 
 
 SURVEY_CAP = 10000   # indices a SURVEY report lists before noting truncation
+BLOCK = 32           # windows each checker evaluates in turn before the next checker
 _CHECKPOINT_KEYS = {"n_lo", "next_n", "ids", "witness_cap", "tool_version", "per"}
 _TALLY_LISTS = ("witnesses", "violations", "survey", "notes")
 _TALLY_KEYS = {"counts", "state", "error", *_TALLY_LISTS}
@@ -270,7 +278,7 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     # stream the window before the range (none before n = 1) and the one after
     stream = windows(store, max(1, n_lo - 1), n_hi + 1)
     prev = next(stream) if n_lo > 1 else None
-    cur, nxt = next(stream), next(stream)
+    cur = next(stream)
 
     # Per checker, bound once per run: (spec, tally, counts, state, evaluate,
     # fast, n_min).  fast: a plain HOLD only needs its count bumped.  n_min:
@@ -278,56 +286,64 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     # starts after n = 1.  Checkers that share a domain function form one
     # group, in order of first appearance.
     groups: dict = {}
-    n_edge = 1   # n_min can only exclude a window below the largest n_min
     for cid, spec in zip(ids, specs):
         n_min = n_hi + 1 if spec.from_one and report_lo > 1 else spec.n_min
-        n_edge = max(n_edge, n_min)
         groups.setdefault(spec.domain, []).append(
             (spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
              spec.evaluate, spec.kind is not Kind.SURVEY, n_min))
     groups = list(groups.items())
     cap = opts.witness_cap
-    while True:
-        tri = Triple(prev, cur, nxt)
-        edge = cur.n < n_edge
+    n0 = n_lo
+    while n0 <= n_hi:
+        # the block: windows n0 .. n0 + k - 1, one Triple each, in n order
+        block = []
+        for nxt in islice(stream, min(BLOCK, n_hi + 1 - n0)):
+            block.append(Triple(prev, cur, nxt))
+            prev, cur = cur, nxt
+        k = len(block)
         for domain, members in groups:
-            # the group's domain answer: True, False or the exception it
-            # raised; None until a member gets past its n_min
-            inside = None
+            # the group's domain answer per window: True, False or the
+            # exception it raised; None until a member needs the window
+            answers = [None] * k
             for spec, tally, counts, state, evaluate, fast, n_min in members:
-                if tally.error:
-                    counts.out_of_domain += 1
-                    continue
-                if edge and cur.n < n_min:
-                    counts.out_of_domain += 1
-                    continue
-                if domain is not None:
-                    if inside is None:
-                        try:
-                            inside = True if domain(tri) else False
-                        except Exception as exc:  # noqa: BLE001 - noted per checker
-                            inside = exc
-                    if inside is not True:
-                        if inside is False:
-                            counts.out_of_domain += 1
+                # windows below n_min lead the block
+                lo = min(max(n_min - n0, 0), k)
+                ood = lo
+                holds = 0
+                for i in range(lo, k):
+                    tri = block[i]
+                    if tally.error:
+                        ood += k - i
+                        break
+                    if domain is not None:
+                        inside = answers[i]
+                        if inside is None:
+                            try:
+                                inside = True if domain(tri) else False
+                            except Exception as exc:  # noqa: BLE001 - noted per checker
+                                inside = exc
+                            answers[i] = inside
+                        if inside is not True:
+                            if inside is False:
+                                ood += 1
+                            else:
+                                _error(tally, tri.w, inside)
+                            continue
+                    try:
+                        out = evaluate(tri, state)
+                        if out is HOLD and fast:
+                            holds += 1
                         else:
-                            _error(tally, cur, inside)
-                        continue
-                try:
-                    out = evaluate(tri, state)
-                    if out is HOLD and fast:
-                        counts.holds += 1
-                    else:
-                        _record(spec, tally, cap, cur, out)
-                except Exception as exc:  # noqa: BLE001 - isolate failing checker
-                    _error(tally, cur, exc)
-        if cur.n >= n_hi:
-            break
-        prev, cur, nxt = cur, nxt, next(stream)
+                            _record(spec, tally, cap, tri.w, out)
+                    except Exception as exc:  # noqa: BLE001 - isolate failing checker
+                        _error(tally, tri.w, exc)
+                counts.holds += holds
+                counts.out_of_domain += ood
+        n0 += k
 
     checkpoint = {
         "n_lo": report_lo,
-        "next_n": cur.n + 1,
+        "next_n": n_hi + 1,
         "ids": sorted(ids),
         "witness_cap": opts.witness_cap,
         "tool_version": __version__,

@@ -33,6 +33,10 @@ def limit_for_index(n: int) -> int:
     verification arithmetic downstream is exact)."""
     if n < 6:
         return 1000
+    if n > 10 ** 15:
+        # far past the sieve budget, where float(n) can overflow: an integer
+        # bound, as p_m < m (ln m + ln ln m) < m log2(m) for every m >= 6
+        return (n + 2) * (n + 2).bit_length()
     x = float(n + 2)
     est = x * (math.log(x) + math.log(math.log(x)))
     return max(10 ** 4, int(est * 1.2))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from gapcheck import __version__
 from gapcheck.checkers import (Kind, RunOpts, Triple, Verdict, catalog, check_checkpoint,
-                               registry, run_many)
-from gapcheck.primes import CoverageError
+                               engine, registry, run_many)
+from gapcheck.primes import CoverageError, build_store
 from gapcheck.window import GapWindow
 from oracles import RANDOM_RANGES, random_chain, reads, trial_division_primes
 
@@ -612,7 +612,9 @@ def test_shared_domain_error_isolates_its_group(monkeypatch, small_store):
     for cid in group:
         monkeypatch.setitem(reg, cid, dataclasses.replace(reg[cid], domain=raising))
     reports = run_many(ids, small_store, 1, 100)[0]
-    assert calls == list(range(1, 51))   # once per window, none after the error
+    # once per window, none after the error; checker-major order asks the
+    # group's members in turn, so the calls need not come in n order
+    assert sorted(calls) == list(range(1, 51))
     for cid in ids:
         r = reports[cid]
         if cid not in group:
@@ -624,6 +626,106 @@ def test_shared_domain_error_isolates_its_group(monkeypatch, small_store):
         assert r.counts.undecided == 1 and r.counts.out_of_domain >= 50, cid
         assert r.verdict is Verdict.UNDECIDED_PRESENT or r.counts.fails, cid
 
+
+
+def _run_json(ids, store, n_lo, n_hi, resume=None):
+    """run_many's reports as JSON lines in id order, and its checkpoint as
+    JSON: the bytes `verify --format json` and a manifest would hold."""
+    reports, cp = run_many(ids, store, n_lo, n_hi, resume=resume)
+    return ([reports[cid].to_json() for cid in ids],
+            json.dumps(cp, sort_keys=True))
+
+
+@pytest.fixture(scope="module")
+def far_store():
+    """A sieve holding p_{1000302}, near 1.55e7."""
+    return build_store(2 * 10 ** 7)
+
+
+_BLOCK_RANGES = [(1, 3000), (1000000, 1000300)]
+
+
+@pytest.fixture(scope="module")
+def default_block_runs(mid_store, far_store):
+    """The whole catalog over each of _BLOCK_RANGES at the default block
+    size, with the store it ran on."""
+    ids = sorted(registry())
+    return {(n_lo, n_hi): (store, _run_json(ids, store, n_lo, n_hi))
+            for (n_lo, n_hi), store in zip(_BLOCK_RANGES, (mid_store, far_store))}
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, engine.BLOCK])
+@pytest.mark.parametrize("n_lo, n_hi", _BLOCK_RANGES)
+def test_block_size_does_not_move_a_byte(monkeypatch, default_block_runs,
+                                         block, n_lo, n_hi):
+    """The whole catalog in one run, and resumed from a split that ends the
+    first run on a block edge and from one inside a block: each run's
+    report JSON and checkpoint equal those of one run at the default block
+    size, whatever the block size."""
+    ids = sorted(registry())
+    store, single = default_block_runs[n_lo, n_hi]
+    monkeypatch.setattr(engine, "BLOCK", block)
+    assert _run_json(ids, store, n_lo, n_hi) == single
+    edge = n_lo + 3 * block - 1            # the first run ends a block
+    inside = edge + (block + 1) // 2       # ... or stops inside one
+    for split in sorted({edge, inside}):
+        _, cp = run_many(ids, store, n_lo, split)
+        assert _run_json(ids, store, split + 1, n_hi,
+                         resume=json.loads(json.dumps(cp))) == single, (block, split)
+
+
+@pytest.mark.parametrize("at", ["inside", "edge", "after_edge"])
+def test_errors_at_block_edges(monkeypatch, small_store, at):
+    """A shared domain and one checker's evaluate raise at n = BLOCK / 2,
+    BLOCK or BLOCK + 1: each checker that reaches the window reports what a
+    run of it alone reports, and counts what its run up to the window before
+    counts, plus one undecided and every later window out of domain, across
+    the block edge too.  No other report moves."""
+    import dataclasses
+
+    from gapcheck.checkers.catalog_parts import _straddle
+
+    e = {"inside": engine.BLOCK // 2, "edge": engine.BLOCK,
+         "after_edge": engine.BLOCK + 1}[at]
+    n_hi = 3 * engine.BLOCK
+    reg = registry()
+    ids = sorted(reg)
+    clean = run_many(ids, small_store, 1, n_hi)[0]
+    prefix = run_many(ids, small_store, 1, e - 1)[0]
+
+    def domain(tri):
+        if tri.w.n == e:
+            raise RuntimeError("injected domain")
+        return _straddle(tri)
+
+    spec = reg["thm-35"]
+
+    def evaluate(tri, st):
+        if tri.w.n == e:
+            raise RuntimeError("injected evaluate")
+        return spec.evaluate(tri, st)
+
+    group = [cid for cid in ids if reg[cid].domain is _straddle]
+    for cid in group:
+        monkeypatch.setitem(reg, cid, dataclasses.replace(reg[cid], domain=domain))
+    monkeypatch.setitem(reg, "thm-35", dataclasses.replace(spec, evaluate=evaluate))
+    reports = run_many(ids, small_store, 1, n_hi)[0]
+    hit = {cid: "domain" for cid in group if reg[cid].n_min <= e}
+    hit["thm-35"] = "evaluate"
+    assert len(hit) == 12
+    for cid in ids:
+        r = reports[cid]
+        if cid not in hit:
+            assert r.to_json() == clean[cid].to_json(), cid
+            continue
+        assert r.to_json() == run_many([cid], small_store, 1, n_hi)[0][cid].to_json(), cid
+        assert r.notes[-1:] == [f"checker error at n={e}: "
+                                f"RuntimeError('injected {hit[cid]}')"], cid
+        c, before = r.counts, prefix[cid].counts
+        assert (c.holds, c.fails, c.undecided, c.out_of_domain) == (
+            before.holds, before.fails, before.undecided + 1,
+            before.out_of_domain + n_hi - e), cid
+        assert r.verdict is Verdict.UNDECIDED_PRESENT or c.fails, cid
 
 # -- which claims need primes --------------------------------------------------
 #

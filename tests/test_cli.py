@@ -320,6 +320,20 @@ def test_verify_past_the_sieve_cap_exits_3_before_sieving(monkeypatch, capsys):
     assert f"limit {cli.limit_for_index(10 ** 9)} exceeds budget {primes.LIMIT_CAP}" in err
 
 
+
+@pytest.mark.parametrize("command", ["verify", "twins", "windows"])
+def test_index_past_float_range_exits_3_before_sieving(monkeypatch, capsys, command):
+    """An n_hi of 401 digits is past what a float holds: verify, twins and
+    windows still size a sieve for it, an integer bound on p_{n_hi+2}, and
+    exit 3 with the CapacityError message before they sieve anything."""
+    def no_sieve(n):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(primes, "_small_sieve", no_sieve)
+    code, out, err = _main(capsys, command, "--n-hi", str(10 ** 400))
+    assert code == 3 and out == ""
+    assert f"exceeds budget {primes.LIMIT_CAP}" in err
+
 def test_manifest_resume_identical(tmp_path):
     m = tmp_path / "m.json"
     r1 = run("verify", "--checker", "conj-gap-sq,twin-95", "--n-hi", "400",
