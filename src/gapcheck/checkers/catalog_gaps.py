@@ -402,7 +402,7 @@ def is_square(x: int) -> bool:
 
 def twin(tri) -> bool:
     """The domain d = 2 of every checker that fires on twin windows only:
-    one function, so the engine asks it once per window for all of them."""
+    one function, so the twin windows are defined in one place."""
     return tri.w.d == 2
 
 

@@ -15,24 +15,22 @@ window before n_lo (from n = 1 when n_lo is 1, where no window precedes) to
 the one after n_hi, so the store must hold p_{n_hi+2}, or `windows` raises
 CoverageError.  Long ranges can be split: the engine returns a JSON-able
 checkpoint from which a later run continues, on the same or a larger sieve,
-and the merged result equals a single uninterrupted run.  A checkpoint
-resumes only under the version that wrote it, with the witness cap it
-records, and when every field has the shape and the values this version
-writes (`check_checkpoint`); anything else raises ValueError.
+and the merged result equals a single uninterrupted run.  Nothing the run
+does after it takes its checkpoint changes it, and a checkpoint passed in is
+only read, so one checkpoint can be resumed from any number of times.  A
+checkpoint resumes only under the version that wrote it, with the witness
+cap it records, and when every field has the shape and the values this
+version writes (`check_checkpoint`); anything else raises ValueError.
 
-Per run, each spec's evaluate, tally and n_min are bound once, and the specs
-are grouped by the identity of their domain function (specs without one form
-a group too).  The engine reads the stream in blocks of up to BLOCK windows
-and runs checker-major: group by group, each checker evaluates the whole
-block in n order before the next checker starts, so one checker's code runs
-many times in a row.  Each checker's tally, state, witnesses and violations
-are still built in n order, so the block size moves no byte of a report or
-a checkpoint.  The windows of a block below a checker's n_min lead the block
-and count out of domain untested.  Per window, a group's domain is called at
-most once, by the first of its checkers that needs the window (past its
-n_min, with no error), and the rest of the group reuses the answer: in, out,
-or the exception it raised.  out_of_domain counts are as if n_min and the
-domain were tested for every checker on every window.
+Per run, each spec's domain, evaluate, tally and n_min are bound once.  The
+engine reads the stream in blocks of up to BLOCK windows and runs
+checker-major: each checker evaluates the whole block in n order before the
+next checker starts, so one checker's code runs many times in a row.  Each
+checker's tally, state, witnesses and violations are still built in n
+order, so the block size moves no byte of a report or a checkpoint.  The
+windows of a block below a checker's n_min lead the block and count out of
+domain untested.  On every later window a checker asks its own domain, so
+its work and its report depend on no other checker of the run.
 A checker that raises, in its domain or its evaluate, is isolated: its error
 is noted, that window counts as undecided and every later one, in this block
 and the next, as out of domain, so the report is UNDECIDED_PRESENT unless
@@ -41,6 +39,7 @@ its counts already fail it.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -75,15 +74,18 @@ class _Tally:
     error: str | None = None
 
     def as_json(self) -> dict:
+        # notes is copied: a finalize error is noted after the checkpoint
+        # is taken, on the report only
         return {"counts": self.counts.as_dict(), "witnesses": self.witnesses,
                 "violations": self.violations, "survey": self.survey,
-                "notes": self.notes, "state": self.state, "error": self.error}
+                "notes": list(self.notes), "state": self.state, "error": self.error}
 
     @classmethod
     def from_json(cls, d: dict) -> "_Tally":
-        """The tally of a checkpoint that passed check_checkpoint."""
+        """The tally of a checkpoint that passed check_checkpoint, in lists
+        and a state of its own, so the run leaves the checkpoint as it was."""
         return cls(Counts(**d["counts"]), *(list(d[k]) for k in _TALLY_LISTS),
-                   dict(d["state"]), d["error"])
+                   deepcopy(d["state"]), d["error"])
 
 
 def _cap_text(cap) -> str:
@@ -280,18 +282,15 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
     prev = next(stream) if n_lo > 1 else None
     cur = next(stream)
 
-    # Per checker, bound once per run: (spec, tally, counts, state, evaluate,
-    # fast, n_min).  fast: a plain HOLD only needs its count bumped.  n_min:
-    # the spec's, or past the range for a from_one spec on a report that
-    # starts after n = 1.  Checkers that share a domain function form one
-    # group, in order of first appearance.
-    groups: dict = {}
+    # Per checker, bound once per run: (spec, tally, counts, state, domain,
+    # evaluate, fast, n_min).  fast: a plain HOLD only needs its count
+    # bumped.  n_min: the spec's, or past the range for a from_one spec on a
+    # report that starts after n = 1.
+    members = []
     for cid, spec in zip(ids, specs):
         n_min = n_hi + 1 if spec.from_one and report_lo > 1 else spec.n_min
-        groups.setdefault(spec.domain, []).append(
-            (spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
-             spec.evaluate, spec.kind is not Kind.SURVEY, n_min))
-    groups = list(groups.items())
+        members.append((spec, tallies[cid], tallies[cid].counts, tallies[cid].state,
+                        spec.domain, spec.evaluate, spec.kind is not Kind.SURVEY, n_min))
     cap = opts.witness_cap
     n0 = n_lo
     while n0 <= n_hi:
@@ -301,44 +300,29 @@ def run_many(ids, store: PrimeStore, n_lo: int, n_hi: int,
             block.append(Triple(prev, cur, nxt))
             prev, cur = cur, nxt
         k = len(block)
-        for domain, members in groups:
-            # the group's domain answer per window: True, False or the
-            # exception it raised; None until a member needs the window
-            answers = [None] * k
-            for spec, tally, counts, state, evaluate, fast, n_min in members:
-                # windows below n_min lead the block
-                lo = min(max(n_min - n0, 0), k)
-                ood = lo
-                holds = 0
-                for i in range(lo, k):
-                    tri = block[i]
-                    if tally.error:
-                        ood += k - i
-                        break
-                    if domain is not None:
-                        inside = answers[i]
-                        if inside is None:
-                            try:
-                                inside = True if domain(tri) else False
-                            except Exception as exc:  # noqa: BLE001 - noted per checker
-                                inside = exc
-                            answers[i] = inside
-                        if inside is not True:
-                            if inside is False:
-                                ood += 1
-                            else:
-                                _error(tally, tri.w, inside)
-                            continue
-                    try:
-                        out = evaluate(tri, state)
-                        if out is HOLD and fast:
-                            holds += 1
-                        else:
-                            _record(spec, tally, cap, tri.w, out)
-                    except Exception as exc:  # noqa: BLE001 - isolate failing checker
-                        _error(tally, tri.w, exc)
-                counts.holds += holds
-                counts.out_of_domain += ood
+        for spec, tally, counts, state, domain, evaluate, fast, n_min in members:
+            # windows below n_min lead the block
+            lo = min(max(n_min - n0, 0), k)
+            ood = lo
+            holds = 0
+            for i in range(lo, k):
+                tri = block[i]
+                if tally.error:
+                    ood += k - i
+                    break
+                try:
+                    if domain is not None and not domain(tri):
+                        ood += 1
+                        continue
+                    out = evaluate(tri, state)
+                    if out is HOLD and fast:
+                        holds += 1
+                    else:
+                        _record(spec, tally, cap, tri.w, out)
+                except Exception as exc:  # noqa: BLE001 - isolate failing checker
+                    _error(tally, tri.w, exc)
+            counts.holds += holds
+            counts.out_of_domain += ood
         n0 += k
 
     checkpoint = {

@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     if args.manifest_out:
         manifest = {
             "tool_version": __version__,
-            "command": " ".join(sys.argv[1:]),
+            "command": " ".join(args.argv),
             "store_limit": store.limit,
             "range": [checkpoint["n_lo"], n_hi],
             "checkers": sorted(reports),
@@ -274,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -281,6 +282,7 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             return EXIT_USAGE
         return 0
+    args.argv = argv   # the manifest records the command as parsed
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -1,7 +1,9 @@
 """Per-index derived records for consecutive prime pairs.
 
 A GapWindow holds the integers of one index n: p = p_n, q = p_{n+1}, the
-gap d, N = floor(sqrt(p)), Nq = floor(sqrt(q)), h = p - N^2 and hq = q - Nq^2.
+gap d, N = floor(sqrt(p)), Nq = floor(sqrt(q)), h = p - N^2 and hq = q - Nq^2,
+and whether a perfect square lies between p and q (straddle) or not
+(same_part).
 Every other value of the window is a view, built on its first read and then
 shared by every checker of the window; the list is in the GapWindow docstring.
 
@@ -103,10 +105,13 @@ class _view:
 class GapWindow:
     """One window (p, q) = (p_n, p_{n+1}) and every value derived from it.
 
-    The stream fills only the slots.  Every other value is a view: computed
-    on its first read, at most once, and kept on the window, so every checker
-    of the window shares it and a stream that reads none (the ledger) pays
-    nothing.  Whatever two readers need is a view.  The RootExprs are
+    The stream fills only the slots: n, p, q, d, N, Nq, h, hq and the two
+    flags straddle (Nq = N + 1: a perfect square lies between p and q) and
+    same_part (Nq = N), set once in __init__ because most of the catalog's
+    domains read one of them on every window.  Every other value is a view:
+    computed on its first read, at most once, and kept on the window, so
+    every checker of the window shares it and a stream that reads none (the
+    ledger) pays nothing.  Whatever two readers need is a view.  The RootExprs are
     immutable and the integers exact; each RootExpr is built from sqrt(pq),
     sqrt(p) or sqrt(q) and ints, so it has one radicand.  The views are:
       s, tN                floor(sqrt(pq)), floor(N sqrt(p))  (the floor
@@ -133,7 +138,8 @@ class GapWindow:
     each.
     """
 
-    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "__dict__")
+    __slots__ = ("n", "p", "q", "d", "N", "Nq", "h", "hq", "straddle", "same_part",
+                 "__dict__")
 
     def __init__(self, n, p, q):
         self.n = n
@@ -146,15 +152,9 @@ class GapWindow:
             raise SquareLawViolation(f"n={n}: floor sqrt jumped {self.N} -> {self.Nq}")
         self.h = p - self.N * self.N
         self.hq = q - self.Nq * self.Nq
-
-    @property
-    def straddle(self) -> bool:
-        """A perfect square lies between p and q."""
-        return self.Nq == self.N + 1
-
-    @property
-    def same_part(self) -> bool:
-        return self.Nq == self.N
+        # Nq is N or N + 1, so a perfect square lies between p and q iff Nq != N
+        self.straddle = self.Nq != self.N
+        self.same_part = not self.straddle
 
     def snapshot(self) -> dict:
         return {"n": self.n, "p": self.p, "q": self.q, "d": self.d}

@@ -209,6 +209,41 @@ def test_resume_on_larger_store(small_store, mid_store):
         run_many(["gap-next"], small_store, 1, last)
 
 
+def test_checkpoint_keeps_no_note_of_its_finalize(monkeypatch, small_store):
+    """A finalize that raises notes its error on the report, not on the
+    checkpoint returned with it: a run resumed from that checkpoint notes the
+    error once, as a single run does."""
+    import dataclasses
+
+    def finalize(st, extra):
+        raise RuntimeError("injected finalize")
+
+    reg = registry()
+    monkeypatch.setitem(reg, "trend-mu", dataclasses.replace(reg["trend-mu"],
+                                                             finalize=finalize))
+    first, cp = run_many(["trend-mu"], small_store, 1, 100)
+    assert first["trend-mu"].notes == ["finalize error: RuntimeError('injected finalize')"]
+    assert cp["per"]["trend-mu"]["notes"] == [] and cp["per"]["trend-mu"]["error"] is None
+    resumed = run_many(["trend-mu"], small_store, 101, 200,
+                       resume=json.loads(json.dumps(cp)))[0]["trend-mu"]
+    single = run_many(["trend-mu"], small_store, 1, 200)[0]["trend-mu"]
+    assert resumed.to_json() == single.to_json()
+    assert resumed.notes.count("finalize error: RuntimeError('injected finalize')") == 1
+
+
+def test_resume_leaves_its_checkpoint_as_it_was(small_store):
+    """run_many only reads the checkpoint it resumes from: it is unchanged
+    after the run, and a second resume from the same dict reports what the
+    first did and what a single run does."""
+    ids = ["survey-dsq-p", "twin-913", "fixedgap-mono"]
+    _, cp = run_many(ids, small_store, 1, 100)
+    before = json.dumps(cp, sort_keys=True)
+    once = _run_json(ids, small_store, 101, 300, resume=cp)
+    assert json.dumps(cp, sort_keys=True) == before
+    assert _run_json(ids, small_store, 101, 300, resume=cp) == once
+    assert once == _run_json(ids, small_store, 1, 300)
+
+
 def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
     """Claims over every n < m cannot be decided from a start past n = 1."""
     for cid in ("twin-95", "twin-96", "twin-910"):
@@ -565,11 +600,10 @@ def test_checker_error_counts_undecided(monkeypatch, capsys):
 
 
 def test_partitioned_runs_merge_to_one_run(mid_store, catalog_1500):
-    """The engine groups checkers by domain function in order of first
-    appearance, so a run's id order and its companions decide which checker
-    calls a shared domain.  For seeded random permutations and partitions of
-    the catalog, the parts' reports and checkpoint `per` blocks, merged as a
-    dict union, equal one run's byte for byte."""
+    """Each checker asks its own domain, so neither a run's id order nor a
+    checker's companions may move its tally.  For seeded random permutations
+    and partitions of the catalog, the parts' reports and checkpoint `per`
+    blocks, merged as a dict union, equal one run's byte for byte."""
     single, single_cp = catalog_1500
     rng = random.Random(29)
     for _ in range(6):
@@ -589,9 +623,11 @@ def test_partitioned_runs_merge_to_one_run(mid_store, catalog_1500):
 
 
 def test_shared_domain_error_isolates_its_group(monkeypatch, small_store):
-    """A domain that 11 checkers share raises at n = 50: the engine asks it
-    once per window, each checker of its group notes the error and counts
-    what a run of that checker alone counts, and no other report moves."""
+    """The domain that 11 checkers share raises at n = 50, wrapped once per
+    checker to see who asks: each checker of the group asks it once per
+    window from its n_min through 50 and never after, notes the error and
+    counts what a run of that checker alone counts, and no other report
+    moves."""
     import dataclasses
 
     from gapcheck.checkers.catalog_parts import _straddle
@@ -599,22 +635,24 @@ def test_shared_domain_error_isolates_its_group(monkeypatch, small_store):
     reg = registry()
     ids = sorted(reg)
     clean = run_many(ids, small_store, 1, 100)[0]
-    calls = []
+    calls = {}
 
-    def raising(tri):
-        calls.append(tri.w.n)
-        if tri.w.n == 50:
-            raise RuntimeError("injected")
-        return _straddle(tri)
+    def raising(cid):
+        def domain(tri):
+            calls.setdefault(cid, []).append(tri.w.n)
+            if tri.w.n == 50:
+                raise RuntimeError("injected")
+            return _straddle(tri)
+        return domain
 
     group = [cid for cid in ids if reg[cid].domain is _straddle]
     assert len(group) == 11
     for cid in group:
-        monkeypatch.setitem(reg, cid, dataclasses.replace(reg[cid], domain=raising))
+        monkeypatch.setitem(reg, cid, dataclasses.replace(reg[cid], domain=raising(cid)))
     reports = run_many(ids, small_store, 1, 100)[0]
-    # once per window, none after the error; checker-major order asks the
-    # group's members in turn, so the calls need not come in n order
-    assert sorted(calls) == list(range(1, 51))
+    # each member asks once per window, in n order, from its n_min through
+    # the error and none after it
+    assert calls == {cid: list(range(reg[cid].n_min, 51)) for cid in group}
     for cid in ids:
         r = reports[cid]
         if cid not in group:

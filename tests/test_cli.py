@@ -514,3 +514,13 @@ def test_rerun_manifest_reproduces_digests(tmp_path):
     d1 = json.loads(m1.read_text())
     d2 = json.loads(m2.read_text())
     assert d1["digests"] == d2["digests"]
+
+
+def test_manifest_records_the_parsed_command(tmp_path, capsys):
+    """cli.main called in process records the argv it parsed, not the host
+    process's sys.argv."""
+    m = tmp_path / "m.json"
+    args = ["verify", "--checker", "gap-half", "--n-hi", "100", "--manifest-out", str(m)]
+    code, _, _ = _main(capsys, *args)
+    assert code == 0
+    assert json.loads(m.read_text())["command"] == " ".join(args)

@@ -17,8 +17,8 @@
   benchmark and the tests reach.
 - Every `CheckerSpec` field is loaded as an attribute under src/gapcheck:
   a field the catalog only passes as a keyword is not read by the program.
-- Checkers that share a domain share one domain function: the engine asks
-  a domain once per window for every checker that holds the same function.
+- Checkers that share a domain share one domain function: a domain
+  written twice is duplicate code that can drift apart.
 - A checker that reads a window's predecessor starts at n_min >= 2: the
   window at n = 1 is the only one without a predecessor.
 - Checkers see only their windows: no module under src/gapcheck/checkers
@@ -250,7 +250,8 @@ def test_every_checker_spec_field_is_loaded():
 
 def test_equal_domains_are_one_function():
     """No two registered domains with the same code (co_code, co_consts,
-    co_names) are different function objects."""
+    co_names) are different function objects: each domain is written once,
+    so two checkers on the same windows cannot drift apart."""
     from gapcheck.checkers import registry
 
     seen = {}
