@@ -74,11 +74,13 @@ class _Tally:
     error: str | None = None
 
     def as_json(self) -> dict:
-        # notes is copied: a finalize error is noted after the checkpoint
-        # is taken, on the report only
-        return {"counts": self.counts.as_dict(), "witnesses": self.witnesses,
-                "violations": self.violations, "survey": self.survey,
-                "notes": list(self.notes), "state": self.state, "error": self.error}
+        # a snapshot that shares no object with the tally: a finalize error
+        # is noted after the checkpoint is taken, on the report only, and
+        # the report's lists and extra are the tally's own
+        return {"counts": self.counts.as_dict(),
+                "witnesses": [dict(entry) for entry in self.witnesses],
+                "violations": list(self.violations), "survey": list(self.survey),
+                "notes": list(self.notes), "state": deepcopy(self.state), "error": self.error}
 
     @classmethod
     def from_json(cls, d: dict) -> "_Tally":

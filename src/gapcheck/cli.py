@@ -152,13 +152,17 @@ def cmd_verify(args) -> int:
 def cmd_squares(args) -> int:
     store = build_store((args.n_hi + 1) ** 2 + 10)
     ok = True
-    reports = []
-    for rep in square_reports(store, args.n_lo, args.n_hi, keep_primes=False):
-        reports.append(rep)
-        ok = ok and rep.legendre and rep.two_primes and rep.oppermann_lo \
-            and rep.oppermann_hi and rep.cumulative and rep.half_claims_ok \
-            and rep.first_prime_floor_D_even
-    write_square_csv(reports, sys.stdout)
+
+    def checked(reports):
+        # each row is written as it comes, so no report outlives its line
+        nonlocal ok
+        for rep in reports:
+            ok = ok and rep.legendre and rep.two_primes and rep.oppermann_lo \
+                and rep.oppermann_hi and rep.cumulative and rep.half_claims_ok \
+                and rep.first_prime_floor_D_even
+            yield rep
+    write_square_csv(checked(square_reports(store, args.n_lo, args.n_hi,
+                                            keep_primes=False)), sys.stdout)
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -43,7 +43,7 @@ class SquareWindowReport:
 
 def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
                    keep_primes: bool = True):
-    """Yield a SquareWindowReport per N in [n_lo, n_hi].
+    """The SquareWindowReports for N in [n_lo, n_hi], one at a time.
 
     Evaluates: at least one prime (and at least two) per window, both
     Oppermann half-window strict increases, the cumulative pi(N^2) >= 2(N-1)
@@ -55,11 +55,18 @@ def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
     window's own primes.  pi(N^2 + N) = pi(N^2) + #{p <= N^2 + N};
     pi((N+1)^2) = pi(N^2) + count, as (N+1)^2 is not prime; and the next
     window's pi((N+1)^2 - (N+1)) is this window's pi(N^2 + N).
+
+    The range and the store's coverage are checked by the call itself,
+    before any report is asked for.
     """
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("need 1 <= n_lo <= n_hi")
     if (n_hi + 1) ** 2 > store.limit:
         raise CoverageError(f"(N+1)^2 beyond store limit {store.limit}")
+    return _square_stream(store, n_lo, n_hi, keep_primes)
+
+
+def _square_stream(store: PrimeStore, n_lo: int, n_hi: int, keep_primes: bool):
     pi_hi, pi_next = store.pi(n_lo * n_lo - n_lo), store.pi(n_lo * n_lo)
     for N in range(n_lo, n_hi + 1):
         N2 = N * N
@@ -122,7 +129,7 @@ def brocard_reports(store: PrimeStore, n_lo: int, n_hi: int) -> list[BrocardRow]
     """pi(p_{n+1}^2) - pi(p_n^2) against the refined threshold 2 d_n."""
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("need 1 <= n_lo <= n_hi")
-    if n_hi + 1 > store.prime_count:
+    if not store.covers_index(n_hi + 1):
         raise CoverageError("store does not cover the requested index range")
     primes = list(islice(store.iter_primes(store.nth_prime(n_lo)), n_hi + 2 - n_lo))
     if primes[-1] ** 2 > store.limit:

@@ -1,11 +1,17 @@
 """Prime generation, counting and primality testing over 64-bit ranges.
 
 The central object is :class:`PrimeStore`, a segmented odd-only sieve with a
-prime-count checkpoint at the start of every block of BLOCK_ENTRIES odd
-numbers, so pi(x) and p_n each read one checkpoint and scan inside one
-block.  Segments are re-sieved on demand and at most CACHE_SEGMENTS of them
-are kept, so a store covering 10^8 costs a few hundred MB-seconds to build
-but only O(segment) memory to hold.
+prime-count checkpoint at the start of every block of BLOCK_ENTRIES = 2^11
+odd numbers, so pi(x) and p_n each read one checkpoint and scan at most
+2 KB of one block.  The checkpoints are counted lazily: the build sieves
+and counts segment 0 alone, and later segments are counted one at a time,
+in ascending order, the first time pi, nth_prime or covers_index reaches
+past the counted ones, so a run sieves and counts only as far as it reads.
+Every count is a popcount of sieve bytes, each 0 or 1.  The build
+allocates 4 bytes of checkpoint per block up to the limit, 17 MB at
+LIMIT_CAP.  Segments are re-sieved on demand and at most CACHE_SEGMENTS of
+them are kept, so a store holds O(segment) sieve bytes however far it
+reaches.
 
 The cache is tuned for ascending sweeps, which is how the tables and the
 twin scan read the store.  On a miss at segment k >= 2 with a full cache,
@@ -64,9 +70,14 @@ class CapacityError(ValueError):
 
 
 SEGMENT_ENTRIES = 1 << 20  # odd numbers per segment
-BLOCK_ENTRIES = 1 << 14    # odd numbers per prime-count checkpoint
+BLOCK_ENTRIES = 1 << 11    # odd numbers per prime-count checkpoint
 CACHE_SEGMENTS = 8         # sieved segments kept (see the eviction rule above)
 LIMIT_CAP = 1 << 34
+# pi(LIMIT_CAP) < 2^30, so a checkpoint fits 4 bytes: 2^22 of them at the
+# cap.  They sit in a bytearray viewed as C unsigned ints, which needs no
+# extension module (the array module alone adds 0.15 MB to every process).
+_CHECKPOINT_SIZE = memoryview(b"").cast("I").itemsize
+assert _CHECKPOINT_SIZE >= 4
 
 
 def _small_sieve(limit: int) -> list[int]:
@@ -123,6 +134,10 @@ def _wheel_segment(first: int, n_entries: int) -> bytearray:
 class PrimeStore:
     """Immutable queryable store of primes in [2, limit].
 
+    Building one costs the base primes and segment 0: the checkpoints of a
+    later segment are counted when a query first reaches it, after those of
+    every segment below it.  prime_count counts them all.
+
     Invariants: pi is monotone non-decreasing, pi(1) = 0, pi(2) = 1; every
     number reported prime is prime and no prime in range is missed.
     """
@@ -137,16 +152,49 @@ class PrimeStore:
         self._base = [p for p in _small_sieve(isqrt(limit)) if p > _WHEEL_PRIMES[-1]]
         self._cache: OrderedDict[int, bytearray] = OrderedDict()
         # entry i is the odd number 3 + 2i; segment k holds entries
-        # [k*E, (k+1)*E); checkpoint[b] = primes (2 included) below block b
-        E = SEGMENT_ENTRIES
-        cnt = 1
-        self._checkpoints = [cnt]
-        for k in range(((limit - 3) // 2 + E) // E):
-            seg = self._segment(k)
-            for b in range(0, len(seg), BLOCK_ENTRIES):
-                cnt += seg.count(1, b, b + BLOCK_ENTRIES)
-                self._checkpoints.append(cnt)
-        self.prime_count = cnt
+        # [k*E, (k+1)*E); checkpoint[b] = primes (2 included) below block b,
+        # set for the blocks of the first _counted segments, through _top
+        E, B = SEGMENT_ENTRIES, BLOCK_ENTRIES
+        n_entries = (limit - 1) // 2   # the odd numbers 3..limit
+        self._nseg = (n_entries + E - 1) // E
+        self._checkpoints = memoryview(
+            bytearray(_CHECKPOINT_SIZE * ((n_entries + B - 1) // B + 1))).cast("I")
+        self._checkpoints[0] = 1
+        self._counted = self._top = 0
+        # segment 0, where every query and sweep starts (limit 2 has none)
+        self._count_through(min(0, self._nseg - 1))
+
+    @property
+    def prime_count(self) -> int:
+        """pi(limit); counts every segment not counted yet."""
+        self._count_through(self._nseg - 1)
+        return self._checkpoints[self._top]
+
+    def covers_index(self, n: int) -> bool:
+        """Whether p_n <= limit, counting segments only until one holds p_n."""
+        cps = self._checkpoints
+        while cps[self._top] < n and self._counted < self._nseg:
+            self._count_through(self._counted)
+        return cps[self._top] >= n
+
+    def _count_through(self, k: int) -> None:
+        """Set the checkpoints of segments _counted..k, one segment at a
+        time, in ascending order.
+
+        A sieve byte is 0 or 1, so a block's popcount is its prime count."""
+        B = BLOCK_ENTRIES
+        cps = self._checkpoints
+        while self._counted <= k:
+            seg = self._segment(self._counted)
+            i = self._top
+            cnt = cps[i]
+            with memoryview(seg) as mv:
+                for b in range(0, len(seg), B):
+                    cnt += int.from_bytes(mv[b:b + B], "little").bit_count()
+                    i += 1
+                    cps[i] = cnt
+            self._top = i
+            self._counted += 1
 
     # -- segment machinery -------------------------------------------------
 
@@ -194,19 +242,21 @@ class PrimeStore:
         k, off = self._locate(x)
         if x < 3:
             return int(x == 2)
+        if k >= self._counted:
+            self._count_through(k)
         start = off - off % BLOCK_ENTRIES
         return (self._checkpoints[(k * SEGMENT_ENTRIES + start) // BLOCK_ENTRIES]
-                + self._segment(k).count(1, start, off + 1))
+                + int.from_bytes(self._segment(k)[start:off + 1], "little").bit_count())
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-based (p_1 = 2)."""
         if n < 1:
             raise ValueError("prime index is 1-based")
-        if n > self.prime_count:
+        if not self.covers_index(n):
             raise CoverageError(f"p_{n} beyond store limit {self.limit}")
         if n == 1:
             return 2
-        b = bisect_left(self._checkpoints, n) - 1
+        b = bisect_left(self._checkpoints, n, 0, self._top + 1) - 1
         k, off = self._locate(3 + 2 * b * BLOCK_ENTRIES)
         seg = self._segment(k)
         pos = off - 1

@@ -238,7 +238,7 @@ def windows(store: PrimeStore, n_lo: int, n_hi: int):
     the call itself, before any window is asked for."""
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("need 1 <= n_lo <= n_hi")
-    if n_hi + 1 > store.prime_count:
+    if not store.covers_index(n_hi + 1):
         raise CoverageError(
             f"p_{n_hi + 1} not covered by store limit {store.limit}")
     return _stream(store, n_lo, n_hi)

@@ -244,6 +244,34 @@ def test_resume_leaves_its_checkpoint_as_it_was(small_store):
     assert once == _run_json(ids, small_store, 1, 300)
 
 
+def _scribble(obj) -> None:
+    """Edit every list and dict inside obj, obj included."""
+    if isinstance(obj, list):
+        for x in obj:
+            _scribble(x)
+        obj.append(-1)
+    elif isinstance(obj, dict):
+        for x in list(obj.values()):
+            _scribble(x)
+        obj["scribbled"] = True
+
+
+def test_report_edits_leave_the_checkpoint_as_it_was(small_store):
+    """The checkpoint shares no object with the reports returned with it: a
+    caller that edits every list and dict of the reports, the lists a
+    finalize copies from the state into extra included, leaves it as it
+    was, and it still resumes to what a single run reports."""
+    ids = ["survey-dsq-p", "survey-last-before-square", "twin-postulate", "twin-913"]
+    reports, cp = run_many(ids, small_store, 1, 100)
+    before = json.dumps(cp, sort_keys=True)
+    assert all(reports[cid].extra for cid in ids[:3])
+    for rep in reports.values():
+        for part in (rep.witnesses, rep.violations, rep.survey, rep.extra, rep.notes):
+            _scribble(part)
+    assert json.dumps(cp, sort_keys=True) == before
+    assert _run_json(ids, small_store, 101, 300, resume=cp) == _run_json(ids, small_store, 1, 300)
+
+
 def test_prefix_claims_out_of_domain_on_cold_start(mid_store):
     """Claims over every n < m cannot be decided from a start past n = 1."""
     for cid in ("twin-95", "twin-96", "twin-910"):

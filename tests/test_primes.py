@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from math import isqrt
 
 import pytest
@@ -11,6 +12,7 @@ from gapcheck.intervals import square_reports
 from gapcheck.primes import (_MR_BASES, _PSI, BLOCK_ENTRIES, LIMIT_CAP, SEGMENT_ENTRIES,
                              CapacityError, CoverageError, _sqrt_mod, build_store,
                              is_prime_u64, quadratic_prime_flags)
+from gapcheck.window import windows
 from oracles import (is_prime_all_bases, meissel_pi, mr_quadratic_flags, odd_only_sieve,
                      strong_probable_prime, trial_division_is_prime, trial_division_primes)
 
@@ -161,7 +163,8 @@ def test_twin_lows_against_reference(mid_store):
 ])
 def test_wheel_segments_equal_plain_sieve(limits):
     """Every segment, wheel pattern plus base primes from 17, is byte-equal
-    to the same slice of one plain odd-only sieve."""
+    to the same slice of one plain odd-only sieve, and holds only bytes 0
+    and 1: a block's prime count is the popcount of its bytes."""
     E = SEGMENT_ENTRIES
     rotated = False  # a segment compared that starts mid-period of the wheel
     for limit in limits:
@@ -171,26 +174,33 @@ def test_wheel_segments_equal_plain_sieve(limits):
         assert sum(map(len, segs)) == len(plain), limit
         for k, seg in enumerate(segs):
             assert seg == plain[k * E:(k + 1) * E], (limit, k)
+            assert not seg.translate(None, b"\x00\x01"), (limit, k)
             rotated |= k * E % 15015 != 0
     assert rotated == (max(limits) > 2 * E)
 
 
 @pytest.fixture
 def tight_cache(monkeypatch):
-    """A 10E store (five segments) under CACHE_SEGMENTS = 3, with the list of
-    the segments sieved after its build, in order."""
+    """A 10E store (five segments) under CACHE_SEGMENTS = 3, counted through,
+    with the list of the segments sieved after that, in order."""
     E = SEGMENT_ENTRIES
     monkeypatch.setattr(primes, "CACHE_SEGMENTS", 3)
     sieved = []
-    wheel_segment = primes._wheel_segment
-    monkeypatch.setattr(primes, "_wheel_segment",
-                        lambda first, n: sieved.append(first // E) or wheel_segment(first, n))
+    monkeypatch.setattr(primes, "_wheel_segment", _logged_wheel_segment(sieved))
     store = build_store(10 * E)
+    plain = odd_only_sieve(store.limit)
+    # a full count sieves every segment once, in order, through the cache
+    assert store.prime_count == 1 + plain.count(1)
     nseg = len(sieved)
     assert sieved == list(range(nseg)) and nseg > 3
     sieved.clear()
-    plain = odd_only_sieve(store.limit)
     return store, nseg, sieved, plain
+
+
+def _logged_wheel_segment(sieved: list):
+    """_wheel_segment, appending the number of each segment it starts."""
+    wheel_segment = primes._wheel_segment
+    return lambda first, n: sieved.append(first // SEGMENT_ENTRIES) or wheel_segment(first, n)
 
 
 def test_ascending_sweeps_resieve_past_the_cache_only(tight_cache):
@@ -267,6 +277,61 @@ def test_square_reports_never_step_back(tight_cache):
         assert rep.oppermann_lo == (pi(N2 - rep.N) < pi(N2))
         assert rep.oppermann_hi == (pi(N2) < pi(N2 + rep.N))
         assert rep.cumulative == (pi(N2) >= 2 * (rep.N - 1))
+
+
+def test_store_sieves_only_what_it_reads(monkeypatch):
+    """The build sieves segment 0 alone; pi and nth_prime count on, one
+    segment at a time in order, only as far as they read, and a short window
+    stream on a store sized for a far index stays in segment 0."""
+    E = SEGMENT_ENTRIES
+    sieved = []
+    monkeypatch.setattr(primes, "_wheel_segment", _logged_wheel_segment(sieved))
+    store = build_store(10 * E)
+    assert sieved == [0]
+    x = 3 + 2 * (3 * E + E // 2)   # in segment 3
+    assert store.pi(x) == meissel_pi(x)
+    assert sieved == [0, 1, 2, 3]
+
+    # c = pi of the last odd in segment 1: p_c ends the count of segment 1,
+    # p_{c+1} opens the count of segment 2
+    top = 1 + 4 * E
+    c = meissel_pi(top)
+    for n, segs in ((c, [0, 1]), (c + 1, [0, 1, 2])):
+        sieved.clear()
+        p = build_store(10 * E).nth_prime(n)
+        assert sieved == segs, n
+        assert meissel_pi(p) == n == meissel_pi(p - 1) + 1
+        assert (p > top) == (n > c)
+
+    sieved.clear()
+    store = build_store(10 ** 7)
+    assert [w.n for w in windows(store, 1, 600)] == list(range(1, 601))
+    assert sieved == [0]
+
+
+def test_every_checkpoint_is_a_prefix_count():
+    """Each checkpoint of a three-segment store, whose last segment ends
+    inside a block, counts the primes below its block, 2 included."""
+    B = BLOCK_ENTRIES
+    limit = 4 * SEGMENT_ENTRIES + 6 * B + 101
+    store = build_store(limit)
+    assert store.prime_count == meissel_pi(limit)
+    plain = odd_only_sieve(limit)
+    assert len(plain) % B and len(plain) > 2 * SEGMENT_ENTRIES
+    want = list(accumulate((plain.count(1, b, b + B) for b in range(0, len(plain), B)),
+                           initial=1))
+    assert list(store._checkpoints) == want
+    assert store._checkpoints.nbytes == 4 * len(want)
+
+
+def test_store_at_the_cap_builds_segment_zero_only():
+    """A LIMIT_CAP store builds in milliseconds, as it counts segment 0
+    alone, and its checkpoints take 4 bytes per block: 2^22 + 1 of them,
+    under the 19 MB a list of Python ints took at 2^14 entries a block."""
+    store = build_store(LIMIT_CAP)
+    assert store._counted == 1
+    assert store._checkpoints.nbytes == 4 * (LIMIT_CAP // 2 // BLOCK_ENTRIES + 1) < 17 * 10 ** 6
+    assert store.pi(10 ** 6) == meissel_pi(10 ** 6)
 
 
 def test_coverage_and_capacity_errors(small_store):

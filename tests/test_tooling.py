@@ -25,6 +25,8 @@
   but engine.py imports gapcheck.primes, and every registered evaluate
   takes (tri, st), every finalize (st, extra) and every domain (tri).
 - The package's `__version__` is pyproject.toml's version.
+- No module under src/gapcheck reads `PrimeStore.prime_count`, which counts
+  the whole store: the store counts only as far as a query reads.
 """
 
 import ast
@@ -67,6 +69,27 @@ def test_src_imports_no_fractions():
 def test_src_imports_no_csv():
     bad = _src_imports_of("csv")
     assert not bad, f"csv imported at {bad}"
+
+
+def _attribute_loads(node, attr: str, fn=None):
+    """(innermost enclosing function name or None, receiver source) of every
+    load of `.attr` under node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr == attr
+                and isinstance(child.ctx, ast.Load)):
+            yield fn, ast.unparse(child.value)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        yield from _attribute_loads(child, attr, inner)
+
+
+def test_src_never_counts_the_whole_store():
+    """PrimeStore counts its segments only as far as a query reads, and its
+    prime_count counts them all, so only tests may read it.  The one
+    `.prime_count` read under src/gapcheck is write_square_csv's, of the
+    SquareWindowReport field of that name; any other read fails here."""
+    found = [(path.name, *load) for path, tree in _modules("src/gapcheck")
+             for load in _attribute_loads(tree, "prime_count")]
+    assert found == [("intervals.py", "write_square_csv", "rep")]
 
 
 def _imported(tree, lines) -> dict[str, int]:
