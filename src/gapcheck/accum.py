@@ -38,7 +38,6 @@ with the message), never a partial result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
 
@@ -47,16 +46,27 @@ from .primes import _MR_BASES, is_prime_u64, quadratic_prime_flags
 from .window import mu_order, mu_vs_rational
 
 
-@dataclass(frozen=True)
 class RationalTarget:
+    """a/b in lowest terms with 0 <= a <= b, equal and hashed by value."""
+
     a: int
     b: int
 
-    def __post_init__(self):
-        if not (self.b >= 1 and 0 <= self.a <= self.b):
+    def __init__(self, a: int, b: int):
+        if not (b >= 1 and 0 <= a <= b):
             raise ValueError("need 0 <= a <= b, b >= 1")
-        if gcd(self.a, self.b) != 1:
+        if gcd(a, b) != 1:
             raise ValueError("a/b must be in lowest terms")
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if type(other) is not RationalTarget:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     def __str__(self):
         return f"{self.a}/{self.b}"
@@ -69,15 +79,24 @@ def parse_target(text: str) -> RationalTarget:
     return RationalTarget(int(text), 1)
 
 
-@dataclass
 class AccumRecord:
     N: int
     p: int
     mu_digits: str
     abs_err_digits: str
-    side_ok: bool = True
-    envelope_ok: bool = True
-    monotone_ok: bool = True
+    side_ok: bool
+    envelope_ok: bool
+    monotone_ok: bool
+
+    def __init__(self, N: int, p: int, mu_digits: str, abs_err_digits: str,
+                 side_ok: bool = True, envelope_ok: bool = True, monotone_ok: bool = True):
+        self.N = N
+        self.p = p
+        self.mu_digits = mu_digits
+        self.abs_err_digits = abs_err_digits
+        self.side_ok = side_ok
+        self.envelope_ok = envelope_ok
+        self.monotone_ok = monotone_ok
 
     @property
     def ok(self) -> bool:

@@ -40,7 +40,6 @@ its counts already fail it.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .. import __version__
@@ -58,20 +57,33 @@ _TALLY_KEYS = {"counts", "state", "error", *_TALLY_LISTS}
 _COUNT_KEYS = {"holds", "fails", "undecided", "out_of_domain"}
 
 
-@dataclass
 class RunOpts:
-    witness_cap: int | None = 32
+    witness_cap: int | None
+
+    def __init__(self, witness_cap: int | None = 32):
+        self.witness_cap = witness_cap
 
 
-@dataclass
 class _Tally:
-    counts: Counts = field(default_factory=Counts)
-    witnesses: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    survey: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    state: dict = field(default_factory=dict)
-    error: str | None = None
+    counts: Counts
+    witnesses: list
+    violations: list
+    survey: list
+    notes: list
+    state: dict
+    error: str | None
+
+    def __init__(self, counts: Counts | None = None, witnesses: list | None = None,
+                 violations: list | None = None, survey: list | None = None,
+                 notes: list | None = None, state: dict | None = None,
+                 error: str | None = None):
+        self.counts = Counts() if counts is None else counts
+        self.witnesses = [] if witnesses is None else witnesses
+        self.violations = [] if violations is None else violations
+        self.survey = [] if survey is None else survey
+        self.notes = [] if notes is None else notes
+        self.state = {} if state is None else state
+        self.error = error
 
     def as_json(self) -> dict:
         # a snapshot that shares no object with the tally: a finalize error

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -81,19 +81,24 @@ class CheckerSpec:
             raise ValueError(f"{self.id}: expected_exceptions on non-EXCEPTION_SET")
 
 
-@dataclass
 class Counts:
-    holds: int = 0
-    fails: int = 0
-    undecided: int = 0
-    out_of_domain: int = 0
+    holds: int
+    fails: int
+    undecided: int
+    out_of_domain: int
+
+    def __init__(self, holds: int = 0, fails: int = 0, undecided: int = 0,
+                 out_of_domain: int = 0):
+        self.holds = holds
+        self.fails = fails
+        self.undecided = undecided
+        self.out_of_domain = out_of_domain
 
     def as_dict(self) -> dict:
         return {"holds": self.holds, "fails": self.fails,
                 "undecided": self.undecided, "out_of_domain": self.out_of_domain}
 
 
-@dataclass
 class CheckReport:
     """Evaluated outcome of one checker over one index range."""
 
@@ -102,12 +107,28 @@ class CheckReport:
     n_hi: int
     counts: Counts
     verdict: Verdict
-    conjecture: bool = False
-    witnesses: list = field(default_factory=list)   # [{'n','p','q','d','note'}]
-    violations: list = field(default_factory=list)  # indices (EXCEPTION_SET/EQUIVALENCE)
-    survey: list = field(default_factory=list)      # indices collected (SURVEY)
-    extra: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    conjecture: bool
+    witnesses: list     # [{'n','p','q','d','note'}]
+    violations: list    # indices (EXCEPTION_SET/EQUIVALENCE)
+    survey: list        # indices collected (SURVEY)
+    extra: dict
+    notes: list
+
+    def __init__(self, checker_id: str, n_lo: int, n_hi: int, counts: Counts,
+                 verdict: Verdict, conjecture: bool = False, witnesses: list | None = None,
+                 violations: list | None = None, survey: list | None = None,
+                 extra: dict | None = None, notes: list | None = None):
+        self.checker_id = checker_id
+        self.n_lo = n_lo
+        self.n_hi = n_hi
+        self.counts = counts
+        self.verdict = verdict
+        self.conjecture = conjecture
+        self.witnesses = [] if witnesses is None else witnesses
+        self.violations = [] if violations is None else violations
+        self.survey = [] if survey is None else survey
+        self.extra = {} if extra is None else extra
+        self.notes = [] if notes is None else notes
 
     def as_dict(self) -> dict:
         out = {

@@ -19,7 +19,7 @@ from . import __version__
 from .accum import accum_scan, parse_target, special_scans, write_accum_csv
 from .checkers import RunOpts, Verdict, catalog, check_checkpoint, registry, run_many
 from .intervals import pow2_ladder, power_reports, square_reports, write_square_csv
-from .primes import build_store
+from .primes import LIMIT_CAP, CapacityError, build_store
 from .twin import alpha_ledger, write_ledger_csv
 from .window import dump_windows_csv
 
@@ -40,6 +40,15 @@ def limit_for_index(n: int) -> int:
     x = float(n + 2)
     est = x * (math.log(x) + math.log(math.log(x)))
     return max(10 ** 4, int(est * 1.2))
+
+
+def _store_for_index(n: int):
+    """The store of limit_for_index(n); past the sieve budget, a
+    CapacityError that names the index p_{n+2}, not the limit's digits."""
+    try:
+        return build_store(limit_for_index(n))
+    except CapacityError:
+        raise CapacityError(f"the sieve for p_{n + 2} exceeds budget {LIMIT_CAP}") from None
 
 
 def _exit_code(reports) -> int:
@@ -126,7 +135,7 @@ def cmd_verify(args) -> int:
                 return EXIT_USAGE
         n_lo = 1 if args.n_lo is None else args.n_lo
     n_hi = args.n_hi if args.n_hi is not None else 1000
-    store = build_store(limit_for_index(n_hi))
+    store = _store_for_index(n_hi)
     opts = RunOpts(witness_cap=None if args.witnesses == 0 else args.witnesses)
     reports, checkpoint = run_many(ids, store, n_lo, n_hi, opts, resume=resume)
 
@@ -184,7 +193,7 @@ def cmd_powers(args) -> int:
 
 
 def cmd_twins(args) -> int:
-    store = build_store(limit_for_index(args.n_hi))
+    store = _store_for_index(args.n_hi)
     rows = list(alpha_ledger(store, args.n_hi))
     write_ledger_csv(rows, sys.stdout)
     ok = all(r.identity_ok and r.sandwich_ok for r in rows)
@@ -212,7 +221,7 @@ def cmd_accum(args) -> int:
 
 
 def cmd_windows(args) -> int:
-    store = build_store(limit_for_index(args.n_hi))
+    store = _store_for_index(args.n_hi)
     dump_windows_csv(store, args.n_lo, args.n_hi, sys.stdout)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 
@@ -24,21 +24,37 @@ from .primes import CoverageError, PrimeStore
 from .window import floor_sqrt_sum
 
 
-@dataclass
 class SquareWindowReport:
     """Primes between N^2 and (N+1)^2 and the claims evaluated on them."""
 
     N: int
     prime_count: int
-    primes: list[int] = field(default_factory=list)
-    h_values: list[int] = field(default_factory=list)
-    oppermann_lo: bool = True    # pi(N^2 - N) < pi(N^2)
-    oppermann_hi: bool = True    # pi(N^2) < pi(N^2 + N)
-    legendre: bool = True        # count >= 1
-    two_primes: bool = True      # count >= 2
-    cumulative: bool = True      # pi(N^2) >= 2(N-1)
-    first_prime_floor_D_even: bool = True
-    half_claims_ok: bool = True  # triggered two-primes-per-half claims
+    primes: list[int]
+    h_values: list[int]
+    oppermann_lo: bool           # pi(N^2 - N) < pi(N^2)
+    oppermann_hi: bool           # pi(N^2) < pi(N^2 + N)
+    legendre: bool               # count >= 1
+    two_primes: bool             # count >= 2
+    cumulative: bool             # pi(N^2) >= 2(N-1)
+    first_prime_floor_D_even: bool
+    half_claims_ok: bool         # triggered two-primes-per-half claims
+
+    def __init__(self, N: int, prime_count: int, primes: list[int] | None = None,
+                 h_values: list[int] | None = None, oppermann_lo: bool = True,
+                 oppermann_hi: bool = True, legendre: bool = True,
+                 two_primes: bool = True, cumulative: bool = True,
+                 first_prime_floor_D_even: bool = True, half_claims_ok: bool = True):
+        self.N = N
+        self.prime_count = prime_count
+        self.primes = [] if primes is None else primes
+        self.h_values = [] if h_values is None else h_values
+        self.oppermann_lo = oppermann_lo
+        self.oppermann_hi = oppermann_hi
+        self.legendre = legendre
+        self.two_primes = two_primes
+        self.cumulative = cumulative
+        self.first_prime_floor_D_even = first_prime_floor_D_even
+        self.half_claims_ok = half_claims_ok
 
 
 def square_reports(store: PrimeStore, n_lo: int, n_hi: int,
@@ -145,7 +161,6 @@ def brocard_reports(store: PrimeStore, n_lo: int, n_hi: int) -> list[BrocardRow]
 # -- consecutive k-th powers -----------------------------------------------------
 
 
-@dataclass
 class PowerGapReport:
     k: int
     n: int
@@ -156,7 +171,21 @@ class PowerGapReport:
     subintervals_claimed: bool  # the subinterval scheme is asserted at this n
     total_ok: bool
     cumulative_ok: bool        # pi(n^k) >= pi(2^k) (n-1)
-    budget_hit: bool = False
+    budget_hit: bool
+
+    def __init__(self, k: int, n: int, lower_counts: list[int], total: int,
+                 expected_min: int, per_interval_ok: bool, subintervals_claimed: bool,
+                 total_ok: bool, cumulative_ok: bool, budget_hit: bool = False):
+        self.k = k
+        self.n = n
+        self.lower_counts = lower_counts
+        self.total = total
+        self.expected_min = expected_min
+        self.per_interval_ok = per_interval_ok
+        self.subintervals_claimed = subintervals_claimed
+        self.total_ok = total_ok
+        self.cumulative_ok = cumulative_ok
+        self.budget_hit = budget_hit
 
     def as_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "lower_counts": self.lower_counts,

@@ -32,7 +32,6 @@ walk costs one step per twin pair, not per prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .primes import PrimeStore
@@ -105,7 +104,6 @@ FRAC_BITS = 64       # fixed-point precision of the ledger accumulators
 CSV_DECIMALS = 12    # decimals of A_n and B_n in the ledger CSV
 
 
-@dataclass
 class AlphaRow:
     n: int
     j: int                      # j_n = #{i < n : d_i = 2}
@@ -117,6 +115,21 @@ class AlphaRow:
     q92_holds: bool | None      # q < 2 j_{n+1}^2 (defined n >= 5)
     dusart_holds: bool | None   # n (ln n + ln ln n - 1) < 2 j_n^2 (n >= 3)
     abstract_holds: bool | None  # p_n < 2 j_n^2 (n >= 6)
+
+    def __init__(self, n: int, j: int, A: tuple[int, int], B: tuple[int, int],
+                 residual_bound: int, identity_ok: bool, sandwich_ok: bool,
+                 q92_holds: bool | None, dusart_holds: bool | None,
+                 abstract_holds: bool | None):
+        self.n = n
+        self.j = j
+        self.A = A
+        self.B = B
+        self.residual_bound = residual_bound
+        self.identity_ok = identity_ok
+        self.sandwich_ok = sandwich_ok
+        self.q92_holds = q92_holds
+        self.dusart_holds = dusart_holds
+        self.abstract_holds = abstract_holds
 
 
 class LedgerError(ValueError):
@@ -230,9 +243,15 @@ def write_ledger_csv(rows, fh) -> None:
 def same_floor_consecutive_twin_pairs(store: PrimeStore, limit: int | None = None):
     """Consecutive twin pairs (p, p') with floor(sqrt(p)) = floor(sqrt(p')),
     yielded as (p, p', N); the 31 p > 25 p' bound is the caller's claim."""
-    prev = prev_N = None
+    # N is the isqrt of the first twin low in its square interval and
+    # next_sq = (N + 1)^2: every later twin low below next_sq has floor N,
+    # so each interval takes one isqrt
+    prev = N = None
+    next_sq = 0
     for p in store.iter_twin_lows(limit):
-        N = isqrt(p)
-        if N == prev_N:
+        if p < next_sq:
             yield prev, p, N
-        prev, prev_N = p, N
+        else:
+            N = isqrt(p)
+            next_sq = (N + 1) ** 2
+        prev = p

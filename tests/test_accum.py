@@ -33,11 +33,19 @@ def mu_within(p: int, printed: str, tol=Fraction(5, 10 ** 4)) -> bool:
 
 
 def test_target_validation():
+    """A target refuses a/b out of lowest terms or above 1, and is compared
+    and hashed by a and b alone, so equal targets are one set member and one
+    dict key."""
     with pytest.raises(ValueError):
         RationalTarget(2, 4)
     with pytest.raises(ValueError):
         RationalTarget(5, 3)
     assert parse_target("9/22") == RationalTarget(9, 22)
+    assert RationalTarget(1, 3) != RationalTarget(3, 10)
+    assert RationalTarget(0, 1) != RationalTarget(1, 1)
+    assert RationalTarget(1, 3) != (1, 3)
+    assert len({RationalTarget(1, 3), parse_target("1/3"), RationalTarget(1, 2)}) == 2
+    assert {RationalTarget(9, 22): "x"}[parse_target("9/22")] == "x"
 
 
 def test_all_three_tables_reproduced():

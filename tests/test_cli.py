@@ -309,15 +309,15 @@ def test_limit_option_is_gone(capsys):
 
 def test_verify_past_the_sieve_cap_exits_3_before_sieving(monkeypatch, capsys):
     """n_hi = 1e9 needs p_{n_hi+2} near 2.3e10, and its sieve would pass the
-    2^34 cap: the run exits 3 with the CapacityError message before it sieves
-    the base primes."""
+    2^34 cap: the run exits 3 with a message naming that index before it
+    sieves the base primes."""
     def no_sieve(n):
         raise AssertionError("sieved")
 
     monkeypatch.setattr(primes, "_small_sieve", no_sieve)
     code, out, err = _main(capsys, "verify", "--n-hi", "1000000000")
     assert code == 3 and out == ""
-    assert f"limit {cli.limit_for_index(10 ** 9)} exceeds budget {primes.LIMIT_CAP}" in err
+    assert f"error: the sieve for p_{10 ** 9 + 2} exceeds budget {primes.LIMIT_CAP}\n" == err
 
 
 
@@ -325,14 +325,15 @@ def test_verify_past_the_sieve_cap_exits_3_before_sieving(monkeypatch, capsys):
 def test_index_past_float_range_exits_3_before_sieving(monkeypatch, capsys, command):
     """An n_hi of 401 digits is past what a float holds: verify, twins and
     windows still size a sieve for it, an integer bound on p_{n_hi+2}, and
-    exit 3 with the CapacityError message before they sieve anything."""
+    exit 3 with a message naming that index, not the 403-digit limit, before
+    they sieve anything."""
     def no_sieve(n):
         raise AssertionError("sieved")
 
     monkeypatch.setattr(primes, "_small_sieve", no_sieve)
     code, out, err = _main(capsys, command, "--n-hi", str(10 ** 400))
     assert code == 3 and out == ""
-    assert f"exceeds budget {primes.LIMIT_CAP}" in err
+    assert f"error: the sieve for p_{10 ** 400 + 2} exceeds budget {primes.LIMIT_CAP}\n" == err
 
 def test_manifest_resume_identical(tmp_path):
     m = tmp_path / "m.json"

@@ -17,6 +17,9 @@
   benchmark and the tests reach.
 - Every `CheckerSpec` field is loaded as an attribute under src/gapcheck:
   a field the catalog only passes as a keyword is not read by the program.
+- The only dataclasses under src/gapcheck are the three records whose
+  dataclass API code outside src/ uses: each one `dataclasses` builds costs
+  every command's import.
 - Checkers that share a domain share one domain function: a domain
   written twice is duplicate code that can drift apart.
 - A checker that reads a window's predecessor starts at n_min >= 2: the
@@ -269,6 +272,31 @@ def test_every_checker_spec_field_is_loaded():
     names = {f.name for f in fields(CheckerSpec)}
     assert len(names) >= 10
     assert sorted(names - loaded) == []
+
+
+# The only dataclasses under src/gapcheck: each class `dataclasses` builds
+# costs the import about 0.5 ms of generated source and exec, so a record is
+# a plain class unless code outside src/ uses the dataclass API on it.
+_DATACLASSES = {
+    "CheckerSpec",  # tests and bench/tracer.py call dataclasses.replace, tests fields
+    "BrocardRow",   # bench/workloads.py hashes asdict(row)
+    "Pow2Row",      # bench/workloads.py hashes asdict(row)
+}
+
+
+def _decorator_name(d) -> str:
+    if isinstance(d, ast.Call):
+        d = d.func
+    return d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", "")
+
+
+def test_only_the_named_records_are_dataclasses():
+    """Every @dataclass class under src/gapcheck is one of _DATACLASSES,
+    and each of them still is one."""
+    found = {node.name for _, tree in _modules("src/gapcheck") for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)}
+    assert found == _DATACLASSES
 
 
 def test_equal_domains_are_one_function():
